@@ -5,8 +5,8 @@
 //! and no bandwidth. The trade-off is that they are data-oblivious — the
 //! experiments (Table 5) show the data-driven `GetBase` beating them.
 
-use sbr_core::config::BaseBuilder;
-use sbr_core::{ErrorMetric, MultiSeries};
+use sbr_core::config::{BaseBuilder, SbrConfig};
+use sbr_core::{FitCache, MultiSeries};
 
 /// One cosine base interval at frequency `f` (`0 ≤ f ≤ W`).
 pub fn cosine_interval(w: usize, f: usize) -> Vec<f64> {
@@ -39,7 +39,8 @@ impl BaseBuilder for DctBaseBuilder {
         _data: &MultiSeries,
         w: usize,
         max_ins: usize,
-        _metric: ErrorMetric,
+        _config: &SbrConfig,
+        _cache: &mut FitCache,
     ) -> Vec<Vec<f64>> {
         (0..max_ins.min(w + 1))
             .map(|f| cosine_interval(w, f))
@@ -97,7 +98,8 @@ mod tests {
     fn builder_caps_at_w_plus_one_frequencies() {
         use sbr_core::config::BaseBuilder as _;
         let data = MultiSeries::from_rows(&[vec![0.0; 16]]).unwrap();
-        let b = DctBaseBuilder.build(&data, 4, 100, ErrorMetric::Sse);
+        let config = SbrConfig::new(100, 100);
+        let b = DctBaseBuilder.build(&data, 4, 100, &config, &mut FitCache::new());
         assert_eq!(b.len(), 5);
     }
 }

@@ -5,9 +5,9 @@
 //! rotation method — robust, simple, and `W ≈ √n` keeps the matrix small
 //! (`143×143` for the paper's largest batches).
 
-use sbr_core::config::BaseBuilder;
+use sbr_core::config::{BaseBuilder, SbrConfig};
 use sbr_core::get_base::candidate_intervals;
-use sbr_core::{ErrorMetric, MultiSeries};
+use sbr_core::{FitCache, MultiSeries};
 
 /// A dense symmetric matrix in row-major order.
 #[derive(Debug, Clone)]
@@ -159,7 +159,8 @@ impl BaseBuilder for SvdBaseBuilder {
         data: &MultiSeries,
         w: usize,
         max_ins: usize,
-        _metric: ErrorMetric,
+        _config: &SbrConfig,
+        _cache: &mut FitCache,
     ) -> Vec<Vec<f64>> {
         get_base_svd(data, w, max_ins)
     }

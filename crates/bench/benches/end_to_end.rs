@@ -124,33 +124,6 @@ fn bench_obs_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_search_probe(c: &mut Criterion) {
-    // PR 3 tentpole: `Search` probes share base-prefix fit work through the
-    // transmission-scoped probe cache instead of re-running a full
-    // `GetIntervals` fit per insertion-count probe. Full encodes with the
-    // cache on vs off on an identical workload; Search dominates at these
-    // shapes, so the gap is the cached-vs-legacy probe cost.
-    let mut g = c.benchmark_group("search_probe");
-    g.sample_size(10);
-    for n in [2048usize, 5120] {
-        let rows = files(10, n / 10);
-        g.bench_with_input(BenchmarkId::new("cached", n), &n, |b, _| {
-            b.iter(|| {
-                let mut enc = SbrEncoder::new(10, n / 10, SbrConfig::new(n / 10, 1024)).unwrap();
-                enc.encode(black_box(&rows)).unwrap().cost()
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("legacy", n), &n, |b, _| {
-            b.iter(|| {
-                let config = SbrConfig::new(n / 10, 1024).without_probe_cache();
-                let mut enc = SbrEncoder::new(10, n / 10, config).unwrap();
-                enc.encode(black_box(&rows)).unwrap().cost()
-            })
-        });
-    }
-    g.finish();
-}
-
 fn bench_query(c: &mut Criterion) {
     // Aggregate directly on the compressed records vs reconstruct + scan.
     let rows = files(10, 1024);
@@ -182,7 +155,6 @@ criterion_group!(
     bench_encode_frozen_base,
     bench_codec_and_decode,
     bench_obs_overhead,
-    bench_search_probe,
     bench_query
 );
 criterion_main!(benches);

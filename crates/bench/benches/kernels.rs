@@ -2,20 +2,20 @@
 //! shift scan (direct vs FFT vs parallel), `GetIntervals` and `GetBase`.
 //! These back the complexity claims of §4.2–§4.4 (regression linear in the
 //! window, BestMap linear in `|X| × len` — or `O((|X|+len) log)` on the
-//! FFT path, GetBase `O(n^1.5)`) and calibrate the `Auto` crossover in
-//! `sbr_core::xcorr::fft_beats_direct`.
+//! FFT path, GetBase `O(n^1.5)`) and calibrate the direct-vs-FFT cost
+//! model in `sbr_core::xcorr::fft_beats_direct`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use sbr_core::best_map::MapContext;
 use sbr_core::fit_cache::FitCache;
-use sbr_core::get_base::{get_base, get_base_cached, get_base_threaded};
+use sbr_core::get_base::{get_base, get_base_cached};
 use sbr_core::get_intervals::get_intervals;
 use sbr_core::obs::EncodeObs;
 use sbr_core::regression::{fit_maxabs, fit_relative, fit_sse};
 use sbr_core::xcorr::{sliding_dot_direct, XcorrPlan};
-use sbr_core::{ErrorMetric, Interval, MultiSeries, SbrConfig, ShiftStrategy};
+use sbr_core::{ErrorMetric, Interval, MultiSeries, SbrConfig};
 
 fn signal(n: usize, seed: u64) -> Vec<f64> {
     (0..n)
@@ -87,36 +87,6 @@ fn bench_xcorr(c: &mut Criterion) {
     g.finish();
 }
 
-/// Full `BestMap` under each [`ShiftStrategy`], at the Fig. 5 shape
-/// (`|X| = 1024`, interval lengths around `W..2W`). `auto` must track the
-/// better of the other two.
-fn bench_best_map_strategies(c: &mut Criterion) {
-    let mut g = c.benchmark_group("best_map_strategy");
-    g.sample_size(20);
-    let x = signal(1024, 3);
-    let y = signal(4096, 4);
-    for len in [64usize, 143, 256] {
-        for (name, strategy) in [
-            ("direct", ShiftStrategy::Direct),
-            ("fft", ShiftStrategy::Fft),
-            ("auto", ShiftStrategy::Auto),
-        ] {
-            let config = SbrConfig::new(1 << 20, 1 << 20)
-                .with_w(143)
-                .with_shift_strategy(strategy);
-            let ctx = MapContext::new(&x, &y, &config, 143);
-            g.bench_with_input(BenchmarkId::new(name, len), &len, |b, _| {
-                b.iter(|| {
-                    let mut iv = Interval::unfitted(100, len);
-                    ctx.best_map(black_box(&mut iv));
-                    iv.err
-                })
-            });
-        }
-    }
-    g.finish();
-}
-
 /// `GetBase`'s K×K benefit matrix, serial vs the scoped-thread fan-out.
 /// On a single-core host the threaded numbers mostly measure the fan-out
 /// overhead; with real cores they show the speedup.
@@ -127,9 +97,21 @@ fn bench_get_base_parallel(c: &mut Criterion) {
     let rows: Vec<Vec<f64>> = (0..4).map(|s| signal(n / 4, s as u64)).collect();
     let data = MultiSeries::from_rows(&rows).unwrap();
     let w = data.default_w();
+    let obs = EncodeObs::default();
     for threads in [1usize, 2, 4] {
         g.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &t| {
-            b.iter(|| get_base_threaded(black_box(&data), w, 8, ErrorMetric::Sse, t).len())
+            b.iter(|| {
+                get_base_cached(
+                    black_box(&data),
+                    w,
+                    8,
+                    ErrorMetric::Sse,
+                    t,
+                    &obs,
+                    &mut FitCache::new(),
+                )
+                .len()
+            })
         });
     }
     g.finish();
@@ -169,12 +151,9 @@ fn bench_get_base(c: &mut Criterion) {
     g.finish();
 }
 
-/// The incremental `GetBase`: the legacy fused-fit matrix vs the cached
-/// path (factored moments + per-batch memo), and the cached path again
-/// with a warm cross-batch carry-over (every window interned by the
-/// previous call, so the matrix build fits nothing fresh). The
-/// `legacy`/`cached_cold` ratio is the matrix-build speedup fig5's
-/// `get_base.speedup` member measures end to end.
+/// The incremental `GetBase`: a cold build (factored moments + per-batch
+/// memo) vs a warm cross-batch carry-over (every window interned by the
+/// previous call, so the matrix build fits nothing fresh).
 fn bench_get_base_cached(c: &mut Criterion) {
     let mut g = c.benchmark_group("get_base_cached");
     g.sample_size(10);
@@ -183,17 +162,7 @@ fn bench_get_base_cached(c: &mut Criterion) {
         let rows: Vec<Vec<f64>> = (0..4).map(|s| signal(n / 4, s as u64)).collect();
         let data = MultiSeries::from_rows(&rows).unwrap();
         let w = data.default_w();
-        g.bench_with_input(BenchmarkId::new("legacy", n), &n, |b, _| {
-            b.iter(|| get_base(black_box(&data), w, 8, ErrorMetric::Sse).len())
-        });
         g.bench_with_input(BenchmarkId::new("cached_cold", n), &n, |b, _| {
-            b.iter(|| {
-                get_base_cached(black_box(&data), w, 8, ErrorMetric::Sse, 1, &obs, None).len()
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("cached_warm", n), &n, |b, _| {
-            let mut cache = FitCache::new();
-            get_base_cached(&data, w, 8, ErrorMetric::Sse, 1, &obs, Some(&mut cache));
             b.iter(|| {
                 get_base_cached(
                     black_box(&data),
@@ -202,7 +171,23 @@ fn bench_get_base_cached(c: &mut Criterion) {
                     ErrorMetric::Sse,
                     1,
                     &obs,
-                    Some(&mut cache),
+                    &mut FitCache::new(),
+                )
+                .len()
+            })
+        });
+        g.bench_with_input(BenchmarkId::new("cached_warm", n), &n, |b, _| {
+            let mut cache = FitCache::new();
+            get_base_cached(&data, w, 8, ErrorMetric::Sse, 1, &obs, &mut cache);
+            b.iter(|| {
+                get_base_cached(
+                    black_box(&data),
+                    w,
+                    8,
+                    ErrorMetric::Sse,
+                    1,
+                    &obs,
+                    &mut cache,
                 )
                 .len()
             })
@@ -216,7 +201,6 @@ criterion_group!(
     bench_regression,
     bench_best_map,
     bench_xcorr,
-    bench_best_map_strategies,
     bench_get_intervals,
     bench_get_base,
     bench_get_base_cached,

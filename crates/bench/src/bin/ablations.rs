@@ -4,16 +4,15 @@
 //!    robustness net),
 //! 2. **freezing the base** after the first transmission (the §4.4
 //!    shortcut for constrained nodes),
-//! 3. the **low-memory `GetBase`** variant vs. the full error matrix,
-//! 4. **histogram bucketing policies** (the paper uses equi-depth),
-//! 5. **wavelet budget allocation**: concatenated vs. per-signal (the
+//! 3. **histogram bucketing policies** (the paper uses equi-depth),
+//! 4. **wavelet budget allocation**: concatenated vs. per-signal (the
 //!    paper reports concatenation up to 5× better), and the **2-D Haar**
 //!    decomposition the paper tried and rejected,
-//! 6. **stronger histogram**: v-optimal (greedy merge) vs. the paper's
+//! 5. **stronger histogram**: v-optimal (greedy merge) vs. the paper's
 //!    equi-depth,
-//! 7. **non-linear encodings** (the §6 future-work direction): piecewise
+//! 6. **non-linear encodings** (the §6 future-work direction): piecewise
 //!    quadratic vs. piecewise linear regression at equal bandwidth,
-//! 8. **Search strategy**: Algorithm 7's binary search (assumes a unimodal
+//! 7. **Search strategy**: Algorithm 7's binary search (assumes a unimodal
 //!    error curve) vs. exhaustive probing of every insertion count.
 //!
 //! Run with `--quick` (recommended) for a 4×-smaller pass.
@@ -25,8 +24,8 @@ use sbr_baselines::v_optimal::VOptimalCompressor;
 use sbr_baselines::wavelet::WaveletCompressor;
 use sbr_baselines::wavelet2d::Wavelet2dCompressor;
 use sbr_baselines::Allocation;
-use sbr_bench::{fmt, quick_mode, row, run_baseline_stream, run_sbr_stream, run_sbr_stream_with};
-use sbr_core::{LowMemoryGetBase, SbrConfig, SbrEncoder};
+use sbr_bench::{fmt, quick_mode, row, run_baseline_stream, run_sbr_stream};
+use sbr_core::{SbrConfig, SbrEncoder};
 
 fn main() {
     let quick = quick_mode();
@@ -56,18 +55,7 @@ fn main() {
     );
     println!("{:<12}{:>14}{:>14}\n", "", "(every tx)", "(frozen@1)");
 
-    // 3. GetBase memory variant.
-    let low_mem = run_sbr_stream_with(&setup.files, cfg.clone(), Some(Box::new(LowMemoryGetBase)));
-    println!(
-        "{}",
-        row(
-            "getbase-mem",
-            &[fmt(with_fb.avg_sse()), fmt(low_mem.avg_sse())]
-        )
-    );
-    println!("{:<12}{:>14}{:>14}\n", "", "(O(n) mat)", "(O(√n))");
-
-    // 4. Histogram policies.
+    // 3. Histogram policies.
     let policies = [
         Bucketing::EquiDepth,
         Bucketing::EquiWidth,
@@ -89,7 +77,7 @@ fn main() {
         "", "(equi-depth)", "(equi-width)", "(max-diff)"
     );
 
-    // 5. Wavelet allocation + dimensionality.
+    // 4. Wavelet allocation + dimensionality.
     let mut cells: Vec<String> = [Allocation::Concatenated, Allocation::PerSignal]
         .iter()
         .map(|&allocation| {
@@ -109,7 +97,7 @@ fn main() {
         "", "(concat)", "(per-signal)", "(2-D)"
     );
 
-    // 6. V-optimal vs equi-depth histograms.
+    // 5. V-optimal vs equi-depth histograms.
     let cells = vec![
         fmt(run_baseline_stream(&setup.files, &HistogramCompressor::default(), band).avg_sse()),
         fmt(run_baseline_stream(&setup.files, &VOptimalCompressor, band).avg_sse()),
@@ -117,7 +105,7 @@ fn main() {
     println!("{}", row("hist-quality", &cells));
     println!("{:<12}{:>14}{:>14}\n", "", "(equi-depth)", "(v-optimal)");
 
-    // 8. Binary vs exhaustive insertion search.
+    // 7. Binary vs exhaustive insertion search.
     let mut cfg_ex = cfg.clone();
     cfg_ex.exhaustive_search = true;
     let exhaustive = run_sbr_stream(&setup.files, cfg_ex);
@@ -130,7 +118,7 @@ fn main() {
     );
     println!("{:<12}{:>14}{:>14}\n", "", "(binary)", "(exhaustive)");
 
-    // 7. Non-linear encodings: quadratic vs linear piecewise regression.
+    // 6. Non-linear encodings: quadratic vs linear piecewise regression.
     let cells = vec![
         fmt(run_baseline_stream(&setup.files, &LinRegCompressor::default(), band).avg_sse()),
         fmt(run_baseline_stream(&setup.files, &QuadRegCompressor, band).avg_sse()),

@@ -11,10 +11,9 @@
 //! Besides the human-readable table, every measured configuration is
 //! written to `BENCH_SBR.json` (schema `sbr-bench/v3`, see the README).
 //! Each record embeds the run's `sbr-obs` metrics snapshot — per-phase
-//! times, shift-strategy decision counts, base-signal churn — plus a
-//! `search` block (probe count, probe-cache hits/misses, search-phase
-//! wall time, and the measured speedup over a probe-cache-off control
-//! run of the same configuration). One extra `network_sim` record
+//! times, direct-vs-FFT sweep counts, base-signal churn — plus `search`
+//! and `get_base` blocks (probe count, probe-cache and fit-cache
+//! hits/misses, per-phase wall times). One extra `network_sim` record
 //! carries per-node radio counters from a small sensor-network run, so
 //! regression tooling can diff *why* a configuration got slower, not
 //! just that it did.
@@ -22,10 +21,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use sbr_bench::{
-    quick_mode, row, run_sbr_stream, BenchRecord, GetBaseStats, QueryStats, SearchStats,
-    StorageStats, RATIOS,
-};
+use sbr_bench::{quick_mode, row, run_sbr_stream, BenchRecord, QueryStats, StorageStats, RATIOS};
 use sbr_core::{
     codec, query::aggregate_stream, Aggregate, Decoder, QueryEngine, QueryObs, SbrConfig,
     SbrEncoder,
@@ -319,8 +315,8 @@ fn storage_recovery_records(quick: bool) -> Vec<BenchRecord> {
 fn main() {
     let quick = quick_mode();
     // Quick mode samples one light and one heavy ratio: the heavy cell is
-    // where Search dominates, so the smoke still exercises (and the v3
-    // `speedup` member still demonstrates) the probe cache under load.
+    // where Search dominates, so the smoke still exercises the probe cache
+    // under load.
     let quick_ratios = [RATIOS[1], RATIOS[5]];
     let ratios: &[f64] = if quick { &quick_ratios } else { &RATIOS };
     println!("=== Figure 5 — avg per-transmission time (seconds) vs TotalBand ===");
@@ -345,25 +341,8 @@ fn main() {
             // describes exactly one (n, ratio) run.
             let rec = Arc::new(MetricsRecorder::new());
             let config = SbrConfig::new(band as usize, 1024).with_recorder(rec.clone());
-            let stream = run_sbr_stream(&files, config.clone());
+            let stream = run_sbr_stream(&files, config);
             col.push(stream.avg_encode_time().as_secs_f64());
-            // Caches-off control run of the same configuration (legacy
-            // probe path *and* legacy GetBase path): its per-phase wall
-            // times are the v3 `speedup` denominators.
-            let legacy_rec = Arc::new(MetricsRecorder::new());
-            run_sbr_stream(
-                &files,
-                config
-                    .without_probe_cache()
-                    .without_fit_cache()
-                    .with_recorder(legacy_rec.clone()),
-            );
-            let legacy_snap = legacy_rec.snapshot();
-            let legacy_wall = SearchStats::from_snapshot(&legacy_snap).wall_secs;
-            let legacy_gb_wall = GetBaseStats::from_snapshot(&legacy_snap).wall_secs;
-            let snapshot = rec.snapshot();
-            let search = SearchStats::from_snapshot(&snapshot).with_legacy_wall(legacy_wall);
-            let get_base = GetBaseStats::from_snapshot(&snapshot).with_legacy_wall(legacy_gb_wall);
             records.push(
                 BenchRecord::from_stream(
                     "fig5",
@@ -374,9 +353,7 @@ fn main() {
                     ],
                     &stream,
                 )
-                .with_metrics(snapshot)
-                .with_search(search)
-                .with_get_base(get_base),
+                .with_metrics(rec.snapshot()),
             );
         }
         columns.push(col);

@@ -193,20 +193,16 @@ pub struct BenchRecord {
     /// Base intervals inserted, per transmission.
     pub inserted: Vec<usize>,
     /// Frozen `sbr-obs` metrics for this configuration's run (per-phase
-    /// durations, shift-strategy decisions, base-signal churn, network
+    /// durations, direct-vs-FFT decisions, base-signal churn, network
     /// counters, …). `None` when the run was not instrumented; serialized
     /// as JSON `null` then.
     pub metrics: Option<sbr_obs::Snapshot>,
     /// Search-phase statistics (since `sbr-bench/v3`): probe count,
-    /// probe-cache traffic and search wall time, plus the legacy-path wall
-    /// time when the configuration was re-measured with
-    /// `probe_cache = false`. `None` when not instrumented; serialized as
-    /// JSON `null` then.
+    /// probe-cache traffic and search wall time. `None` when not
+    /// instrumented; serialized as JSON `null` then.
     pub search: Option<SearchStats>,
     /// GetBase-phase statistics: benefit-matrix size, fit-cache traffic
-    /// and build wall time, plus the legacy-path wall time when the
-    /// configuration was re-measured with `get_base_fit_cache = false`.
-    /// Additive member of the `sbr-bench/v3` schema (readers that ignore
+    /// and build wall time. Additive member of the `sbr-bench/v3` schema (readers that ignore
     /// unknown members parse records carrying it unchanged). `None` when
     /// not instrumented; serialized as JSON `null` then.
     pub get_base: Option<GetBaseStats>,
@@ -277,9 +273,6 @@ pub struct SearchStats {
     pub cache_misses: u64,
     /// Total `Search` wall time across the stream, seconds.
     pub wall_secs: f64,
-    /// `Search` wall time of the same configuration re-run with the legacy
-    /// `probe_cache = false` path; `None` when not measured.
-    pub legacy_wall_secs: Option<f64>,
 }
 
 impl SearchStats {
@@ -295,21 +288,6 @@ impl SearchStats {
             cache_hits: snap.counter("sbr_core.probe_cache.hits").unwrap_or(0),
             cache_misses: snap.counter("sbr_core.probe_cache.misses").unwrap_or(0),
             wall_secs: wall_ns as f64 / 1e9,
-            legacy_wall_secs: None,
-        }
-    }
-
-    /// Attach the legacy-path wall time (builder style).
-    pub fn with_legacy_wall(mut self, secs: f64) -> Self {
-        self.legacy_wall_secs = Some(secs);
-        self
-    }
-
-    /// Legacy-over-cached search speedup, when both sides were measured.
-    pub fn speedup(&self) -> Option<f64> {
-        match self.legacy_wall_secs {
-            Some(legacy) if self.wall_secs > 0.0 => Some(legacy / self.wall_secs),
-            _ => None,
         }
     }
 }
@@ -325,9 +303,6 @@ pub struct GetBaseStats {
     pub fit_cache_misses: u64,
     /// Total `GetBase` build wall time across the stream, seconds.
     pub wall_secs: f64,
-    /// `GetBase` wall time of the same configuration re-run with the
-    /// legacy `get_base_fit_cache = false` path; `None` when not measured.
-    pub legacy_wall_secs: Option<f64>,
 }
 
 impl GetBaseStats {
@@ -347,21 +322,6 @@ impl GetBaseStats {
                 .counter("sbr_core.get_base.fit_cache.misses")
                 .unwrap_or(0),
             wall_secs: wall_ns as f64 / 1e9,
-            legacy_wall_secs: None,
-        }
-    }
-
-    /// Attach the legacy-path wall time (builder style).
-    pub fn with_legacy_wall(mut self, secs: f64) -> Self {
-        self.legacy_wall_secs = Some(secs);
-        self
-    }
-
-    /// Legacy-over-cached GetBase speedup, when both sides were measured.
-    pub fn speedup(&self) -> Option<f64> {
-        match self.legacy_wall_secs {
-            Some(legacy) if self.wall_secs > 0.0 => Some(legacy / self.wall_secs),
-            _ => None,
         }
     }
 }
@@ -462,20 +422,6 @@ impl BenchRecord {
         self
     }
 
-    /// Attach an explicit `search` block (builder style) — used to add the
-    /// legacy-path wall time after a comparison re-run.
-    pub fn with_search(mut self, search: SearchStats) -> Self {
-        self.search = Some(search);
-        self
-    }
-
-    /// Attach an explicit `get_base` block (builder style) — used to add
-    /// the legacy-path wall time after a comparison re-run.
-    pub fn with_get_base(mut self, get_base: GetBaseStats) -> Self {
-        self.get_base = Some(get_base);
-        self
-    }
-
     /// Attach ARQ recovery statistics (builder style) — used by records
     /// scored from a loss-tolerant network run.
     pub fn with_recovery(mut self, recovery: sensor_net::RecoveryStats) -> Self {
@@ -533,14 +479,13 @@ fn json_str(s: &str) -> String {
 /// `"metrics"` member: an `sbr-obs` snapshot object (name → typed metric)
 /// for instrumented runs, JSON `null` otherwise. Since v3 every record
 /// additionally carries a `"search"` member: probe count, probe-cache
-/// traffic and search-phase wall times (plus the derived speedup when the
-/// legacy path was re-measured), or JSON `null` when not instrumented.
+/// traffic and search-phase wall time, or JSON `null` when not
+/// instrumented.
 /// Records scored from a loss-tolerant network run additionally carry a
 /// `"recovery"` member (frame/duplicate/gap/resync/ACK counts and the
 /// delivered-chunk fraction), JSON `null` otherwise. Instrumented records
 /// also carry a `"get_base"` member: benefit-matrix size, fit-cache
-/// traffic and GetBase wall times (plus the derived speedup when the
-/// legacy path was re-measured), or JSON `null` when not instrumented.
+/// traffic and GetBase wall time, or JSON `null` when not instrumented.
 /// Records produced by a compressed-domain query sweep additionally carry
 /// a `"query"` member: query count, plan-cache traffic, interval
 /// fold/boundary counts and both engines' wall times (plus the derived
@@ -586,13 +531,11 @@ pub fn bench_json(records: &[BenchRecord]) -> String {
             Some(s) => {
                 out.push_str(&format!(
                     "{{\"probes\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
-                     \"wall_secs\": {}, \"legacy_wall_secs\": {}, \"speedup\": {}}}",
+                     \"wall_secs\": {}}}",
                     s.probes,
                     s.cache_hits,
                     s.cache_misses,
                     json_num(s.wall_secs),
-                    s.legacy_wall_secs.map_or("null".into(), json_num),
-                    s.speedup().map_or("null".into(), json_num),
                 ));
             }
             None => out.push_str("null"),
@@ -602,14 +545,11 @@ pub fn bench_json(records: &[BenchRecord]) -> String {
             Some(g) => {
                 out.push_str(&format!(
                     "{{\"matrix_cells\": {}, \"fit_cache_hits\": {}, \
-                     \"fit_cache_misses\": {}, \"wall_secs\": {}, \
-                     \"legacy_wall_secs\": {}, \"speedup\": {}}}",
+                     \"fit_cache_misses\": {}, \"wall_secs\": {}}}",
                     g.matrix_cells,
                     g.fit_cache_hits,
                     g.fit_cache_misses,
                     json_num(g.wall_secs),
-                    g.legacy_wall_secs.map_or("null".into(), json_num),
-                    g.speedup().map_or("null".into(), json_num),
                 ));
             }
             None => out.push_str("null"),
@@ -786,16 +726,13 @@ mod tests {
         // A v2-style reader (ignores unknown members, looks only at the
         // members it knows) must parse a v3 artifact unchanged.
         let stream = run_sbr_stream(&files(), SbrConfig::new(40, 32));
-        let record = BenchRecord::from_stream("fig5", &[("n", 128.0)], &stream).with_search(
-            SearchStats {
-                probes: 9,
-                cache_hits: 100,
-                cache_misses: 20,
-                wall_secs: 0.5,
-                legacy_wall_secs: None,
-            }
-            .with_legacy_wall(1.5),
-        );
+        let mut record = BenchRecord::from_stream("fig5", &[("n", 128.0)], &stream);
+        record.search = Some(SearchStats {
+            probes: 9,
+            cache_hits: 100,
+            cache_misses: 20,
+            wall_secs: 0.5,
+        });
         let json = bench_json(&[record]);
         let v = sbr_obs::json::parse(&json).expect("valid JSON");
         let rec = &v
@@ -818,8 +755,10 @@ mod tests {
             Some(100.0)
         );
         assert_eq!(
-            search.get("speedup").and_then(sbr_obs::json::Value::as_f64),
-            Some(3.0)
+            search
+                .get("wall_secs")
+                .and_then(sbr_obs::json::Value::as_f64),
+            Some(0.5)
         );
     }
 
@@ -828,16 +767,13 @@ mod tests {
         // A reader that only knows the earlier v3 members must parse an
         // artifact carrying the get_base block unchanged.
         let stream = run_sbr_stream(&files(), SbrConfig::new(40, 32));
-        let record = BenchRecord::from_stream("fig5", &[("n", 128.0)], &stream).with_get_base(
-            GetBaseStats {
-                matrix_cells: 100,
-                fit_cache_hits: 500,
-                fit_cache_misses: 90,
-                wall_secs: 0.25,
-                legacy_wall_secs: None,
-            }
-            .with_legacy_wall(0.75),
-        );
+        let mut record = BenchRecord::from_stream("fig5", &[("n", 128.0)], &stream);
+        record.get_base = Some(GetBaseStats {
+            matrix_cells: 100,
+            fit_cache_hits: 500,
+            fit_cache_misses: 90,
+            wall_secs: 0.25,
+        });
         let json = bench_json(&[record]);
         assert!(json.contains("\"schema\": \"sbr-bench/v3\""), "no bump");
         let v = sbr_obs::json::parse(&json).expect("valid JSON");
@@ -854,7 +790,7 @@ mod tests {
         assert_eq!(f("matrix_cells"), Some(100.0));
         assert_eq!(f("fit_cache_hits"), Some(500.0));
         assert_eq!(f("fit_cache_misses"), Some(90.0));
-        assert_eq!(f("speedup"), Some(3.0));
+        assert_eq!(f("wall_secs"), Some(0.25));
     }
 
     #[test]

@@ -26,14 +26,6 @@ pub enum Command {
         batch: Option<usize>,
         /// Error metric: "sse", "relative" or "maxabs".
         metric: String,
-        /// Share base-prefix fit work across `Search` probes via the
-        /// transmission-scoped probe cache (default true; the output
-        /// stream is byte-identical either way).
-        probe_cache: bool,
-        /// Memoize `GetBase` pair fits and carry them across transmissions
-        /// via the content-addressed fit cache (default true; the output
-        /// stream is byte-identical either way).
-        fit_cache: bool,
         /// Write an `sbr-obs/v2` metrics snapshot (JSON) here after the run.
         metrics: Option<String>,
         /// Write a line-delimited structured trace log here during the run
@@ -194,7 +186,6 @@ USAGE:
   sbr compress   --input <csv> --output <file> --band <values>
                  [--mbase <values>] [--batch <samples>]
                  [--metric sse|relative|maxabs]
-                 [--probe-cache on|off] [--fit-cache on|off]
                  [--metrics <json>] [--trace <log>]
   sbr decompress --input <file> --output <csv>
   sbr info       --input <file>
@@ -250,12 +241,6 @@ end — record CRCs, the epoch/sequence continuity chain, and each
 checkpoint's snapshot against the walk — and exits 1 on any damage;
 `sbr storage compact <dir>` drops checkpoints superseded behind each
 store's newest resync snapshot.
-
-Performance: `--probe-cache off` disables the Search probe cache (the
-default shares base-prefix fit work across insertion-count probes), and
-`--fit-cache off` disables the incremental GetBase fit cache (the
-default memoizes pair fits and carries them across transmissions); the
-compressed stream is byte-identical either way.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.";
 
@@ -317,16 +302,6 @@ pub fn parse(argv: &[String]) -> Result<Cli, String> {
             if !["sse", "relative", "maxabs"].contains(&metric.as_str()) {
                 return Err(format!("unknown metric '{metric}'"));
             }
-            let probe_cache = match take_value(&mut flags, "probe-cache").as_deref() {
-                None | Some("on") => true,
-                Some("off") => false,
-                Some(v) => return Err(format!("--probe-cache must be on|off, got '{v}'")),
-            };
-            let fit_cache = match take_value(&mut flags, "fit-cache").as_deref() {
-                None | Some("on") => true,
-                Some("off") => false,
-                Some(v) => return Err(format!("--fit-cache must be on|off, got '{v}'")),
-            };
             Command::Compress {
                 input,
                 output,
@@ -334,8 +309,6 @@ pub fn parse(argv: &[String]) -> Result<Cli, String> {
                 m_base,
                 batch,
                 metric,
-                probe_cache,
-                fit_cache,
                 metrics: take_value(&mut flags, "metrics"),
                 trace: take_value(&mut flags, "trace"),
             }
@@ -593,8 +566,6 @@ mod tests {
                 m_base: 100,
                 batch: None,
                 metric: "sse".into(),
-                probe_cache: true,
-                fit_cache: true,
                 metrics: None,
                 trace: None,
             }
@@ -602,57 +573,18 @@ mod tests {
     }
 
     #[test]
-    fn parses_probe_cache_flag() {
-        let off = parse(&argv(
-            "compress --input a --output b --band 64 --probe-cache off",
-        ))
-        .unwrap();
-        match off.command {
-            Command::Compress { probe_cache, .. } => assert!(!probe_cache),
-            other => panic!("wrong command {other:?}"),
+    fn removed_cache_flags_are_unrecognized() {
+        // The probe and fit caches are always on; their old on|off
+        // switches must fail as unknown flags, not be silently ignored.
+        for flag in ["probe-cache", "fit-cache"] {
+            for value in ["on", "off"] {
+                let err = parse(&argv(&format!(
+                    "compress --input a --output b --band 64 --{flag} {value}"
+                )))
+                .unwrap_err();
+                assert_eq!(err, format!("unrecognized flag --{flag}"));
+            }
         }
-        let on = parse(&argv(
-            "compress --input a --output b --band 64 --probe-cache on",
-        ))
-        .unwrap();
-        match on.command {
-            Command::Compress { probe_cache, .. } => assert!(probe_cache),
-            other => panic!("wrong command {other:?}"),
-        }
-        assert!(
-            parse(&argv(
-                "compress --input a --output b --band 64 --probe-cache maybe"
-            ))
-            .is_err(),
-            "only on|off are accepted"
-        );
-    }
-
-    #[test]
-    fn parses_fit_cache_flag() {
-        let off = parse(&argv(
-            "compress --input a --output b --band 64 --fit-cache off",
-        ))
-        .unwrap();
-        match off.command {
-            Command::Compress { fit_cache, .. } => assert!(!fit_cache),
-            other => panic!("wrong command {other:?}"),
-        }
-        let on = parse(&argv(
-            "compress --input a --output b --band 64 --fit-cache on",
-        ))
-        .unwrap();
-        match on.command {
-            Command::Compress { fit_cache, .. } => assert!(fit_cache),
-            other => panic!("wrong command {other:?}"),
-        }
-        assert!(
-            parse(&argv(
-                "compress --input a --output b --band 64 --fit-cache maybe"
-            ))
-            .is_err(),
-            "only on|off are accepted"
-        );
     }
 
     #[test]

@@ -32,8 +32,6 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             m_base,
             batch,
             metric,
-            probe_cache,
-            fit_cache,
             metrics,
             trace,
         } => compress(
@@ -43,8 +41,6 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             *m_base,
             *batch,
             metric,
-            *probe_cache,
-            *fit_cache,
             metrics.as_deref(),
             trace.as_deref(),
         ),
@@ -159,8 +155,6 @@ fn compress(
     m_base: usize,
     batch: Option<usize>,
     metric: &str,
-    probe_cache: bool,
-    fit_cache: bool,
     metrics_out: Option<&str>,
     trace_out: Option<&str>,
 ) -> Result<String, CliError> {
@@ -199,10 +193,7 @@ fn compress(
             None
         };
 
-    let mut config = SbrConfig::new(band, m_base)
-        .with_metric(metric_of(metric))
-        .with_probe_cache(probe_cache)
-        .with_fit_cache(fit_cache);
+    let mut config = SbrConfig::new(band, m_base).with_metric(metric_of(metric));
     if let Some(rec) = &recorder {
         config = config.with_recorder(Arc::clone(rec) as Arc<dyn Recorder>);
     }
@@ -464,14 +455,6 @@ fn render_snapshot(snap: &Snapshot, out: &mut String) {
         ("  cand-region FFT", "sbr_core.best_map.cand_fft_sweeps"),
         ("  base-mapped wins", "sbr_core.best_map.base_wins"),
         ("  fallback wins", "sbr_core.best_map.fallback_wins"),
-        (
-            "  f32 pre-screens",
-            "sbr_core.best_map.f32_prescreen_sweeps",
-        ),
-        (
-            "  f32 re-verified",
-            "sbr_core.best_map.f32_reverified_shifts",
-        ),
         ("Search probes", "sbr_core.search.probes"),
         ("Probe-cache hits", "sbr_core.probe_cache.hits"),
         ("Probe-cache misses", "sbr_core.probe_cache.misses"),
@@ -573,8 +556,7 @@ fn report(input: &str) -> Result<String, CliError> {
                     out.push_str(&format!("  avg-sse {s:.4e}"));
                 }
                 out.push('\n');
-                // v3 search block: probe counts, cache traffic, and the
-                // measured speedup over the probe-cache-off control run.
+                // v3 search block: probe counts, cache traffic, wall time.
                 if let Some(search) = r.get("search").filter(|s| !matches!(s, Value::Null)) {
                     let f = |k: &str| search.get(k).and_then(Value::as_f64);
                     out.push_str(&format!(
@@ -584,13 +566,10 @@ fn report(input: &str) -> Result<String, CliError> {
                         f("cache_misses").unwrap_or(0.0),
                         f("wall_secs").unwrap_or(0.0) * 1e3,
                     ));
-                    if let Some(x) = f("speedup") {
-                        out.push_str(&format!(" ({x:.2}x vs no cache)"));
-                    }
                     out.push('\n');
                 }
                 // v3 get_base block (additive): matrix size, fit-cache
-                // traffic, and the speedup over the fit-cache-off control.
+                // traffic, wall time.
                 if let Some(gb) = r.get("get_base").filter(|s| !matches!(s, Value::Null)) {
                     let f = |k: &str| gb.get(k).and_then(Value::as_f64);
                     out.push_str(&format!(
@@ -600,9 +579,6 @@ fn report(input: &str) -> Result<String, CliError> {
                         f("fit_cache_misses").unwrap_or(0.0),
                         f("wall_secs").unwrap_or(0.0) * 1e3,
                     ));
-                    if let Some(x) = f("speedup") {
-                        out.push_str(&format!(" ({x:.2}x vs no cache)"));
-                    }
                     out.push('\n');
                 }
                 // v3 query block (additive): compressed-domain sweep size,
@@ -1554,60 +1530,6 @@ mod tests {
             "{filtered}"
         );
         assert!(!filtered.contains("sbr_core.sbr.encode_ns"), "{filtered}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn probe_cache_off_writes_identical_stream() {
-        let dir = tempdir("pcache");
-        let csv_in = dir.join("in.csv");
-        write_sample_csv(&csv_in, 256);
-        let on = dir.join("on.sbr");
-        let off = dir.join("off.sbr");
-        run_argv(&format!(
-            "compress --input {} --output {} --band 96 --batch 128 --probe-cache on",
-            csv_in.display(),
-            on.display()
-        ))
-        .unwrap();
-        run_argv(&format!(
-            "compress --input {} --output {} --band 96 --batch 128 --probe-cache off",
-            csv_in.display(),
-            off.display()
-        ))
-        .unwrap();
-        assert_eq!(
-            std::fs::read(&on).unwrap(),
-            std::fs::read(&off).unwrap(),
-            "probe cache must not change the stream bytes"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn fit_cache_off_writes_identical_stream() {
-        let dir = tempdir("fcache");
-        let csv_in = dir.join("in.csv");
-        write_sample_csv(&csv_in, 256);
-        let on = dir.join("on.sbr");
-        let off = dir.join("off.sbr");
-        run_argv(&format!(
-            "compress --input {} --output {} --band 96 --batch 128 --fit-cache on",
-            csv_in.display(),
-            on.display()
-        ))
-        .unwrap();
-        run_argv(&format!(
-            "compress --input {} --output {} --band 96 --batch 128 --fit-cache off",
-            csv_in.display(),
-            off.display()
-        ))
-        .unwrap();
-        assert_eq!(
-            std::fs::read(&on).unwrap(),
-            std::fs::read(&off).unwrap(),
-            "fit cache must not change the stream bytes"
-        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

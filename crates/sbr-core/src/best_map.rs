@@ -1,17 +1,12 @@
 //! `BestMap` (Algorithm 2): find the best approximation for one data
 //! interval — either a shifted base-signal segment or the linear fall-back.
 
-use crate::config::{SbrConfig, ShiftStrategy};
+use crate::config::SbrConfig;
 use crate::interval::{Interval, LINEAR_FALLBACK_SHIFT};
 use crate::metric::ErrorMetric;
 use crate::obs::EncodeObs;
 use crate::regression::{self, PrefixStats};
 use crate::xcorr::{self, XcorrPlan};
-
-/// Shortest span (in shifts) the `f32` pre-screen will take over from the
-/// blocked f64 sweep: two passes (rank + re-verify survivors) only pay for
-/// themselves when there are enough shifts for the ranking to prune.
-const F32_PRESCREEN_MIN_SHIFTS: usize = 32;
 
 /// Which stretch of the concatenated dictionary a region-restricted sweep
 /// covers — only used to attribute the direct-vs-FFT decision to the right
@@ -43,45 +38,19 @@ pub struct MapContext<'a> {
     /// Intervals longer than `max_shift_len` are never shifted over `X`
     /// (the paper uses `2 × W`).
     pub max_shift_len: usize,
-    /// How the SSE shift sweep is evaluated.
-    pub shift_strategy: ShiftStrategy,
     /// Cached base-signal spectrum for the FFT kernel; `None` when the
-    /// strategy is [`ShiftStrategy::Direct`], the metric is not SSE, or the
-    /// base signal is empty.
+    /// metric is not SSE or the base signal is empty.
     pub xcorr: Option<XcorrPlan>,
-    /// `X` converted to `f32` once per context for the reduced-precision
-    /// pre-screening sweep; `None` unless the `wire_profile` feature is
-    /// compiled in **and** [`SbrConfig::f32_prescreen`] is set (off by
-    /// default). The prescreen only *ranks* shifts — winners are always
-    /// re-verified with the exact f64 summation, so enabling it never
-    /// changes the selected fit.
-    pub x_f32: Option<Vec<f32>>,
     /// Observability handles (cloned from the configuration); counts
-    /// fits, strategy decisions and FFT re-verifications. Never affects
-    /// the fit itself.
+    /// fits, direct-vs-FFT decisions and FFT re-verifications. Never
+    /// affects the fit itself.
     pub obs: EncodeObs,
 }
 
 impl<'a> MapContext<'a> {
     /// Build a context from the configuration and the derived width `w`.
     pub fn new(x: &'a [f64], y: &'a [f64], config: &SbrConfig, w: usize) -> Self {
-        let xcorr = if config.shift_strategy != ShiftStrategy::Direct
-            && config.metric == ErrorMetric::Sse
-            && !x.is_empty()
-        {
-            Some(XcorrPlan::new(x))
-        } else {
-            None
-        };
-        let x_f32 = if cfg!(feature = "wire_profile")
-            && config.f32_prescreen
-            && config.metric == ErrorMetric::Sse
-            && !x.is_empty()
-        {
-            Some(x.iter().map(|&v| v as f32).collect())
-        } else {
-            None
-        };
+        let xcorr = (config.metric == ErrorMetric::Sse && !x.is_empty()).then(|| XcorrPlan::new(x));
         MapContext {
             x,
             x_stats: PrefixStats::new(x),
@@ -90,9 +59,7 @@ impl<'a> MapContext<'a> {
             metric: config.metric,
             allow_linear_fallback: config.allow_linear_fallback,
             max_shift_len: config.max_shift_len_factor.saturating_mul(w),
-            shift_strategy: config.shift_strategy,
             xcorr,
-            x_f32,
             obs: config.obs.clone(),
         }
     }
@@ -168,28 +135,18 @@ impl<'a> MapContext<'a> {
         }
         // Candidate regions span at most `W` shifts; a transform over the
         // padded *full* dictionary can never amortize there, so only the
-        // base-prefix region consults the strategy. The evaluators are
+        // base-prefix region consults the cost model. The evaluators are
         // bit-identical either way — this is purely a cost decision.
-        let use_fft = region == SweepRegion::Base
-            && match self.shift_strategy {
-                ShiftStrategy::Direct => false,
-                ShiftStrategy::Fft => self.xcorr.is_some(),
-                ShiftStrategy::Auto => {
-                    self.xcorr.is_some() && {
-                        // lint:allow(panic-reachability): use_fft is only true when the FFT plan exists
-                        let plan = self.xcorr.as_ref().expect("checked above");
-                        xcorr::fft_beats_direct_span(hi - lo + 1, interval.length, plan.fft_len())
-                    }
-                }
-            };
+        let plan = self.xcorr.as_ref().filter(|plan| {
+            region == SweepRegion::Base
+                && xcorr::fft_beats_direct_span(hi - lo + 1, interval.length, plan.fft_len())
+        });
         let (direct_ctr, fft_ctr) = match region {
             SweepRegion::Base => (&self.obs.base_direct_sweeps, &self.obs.base_fft_sweeps),
             SweepRegion::Candidate => (&self.obs.cand_direct_sweeps, &self.obs.cand_fft_sweeps),
         };
-        if use_fft {
+        if let Some(plan) = plan {
             fft_ctr.inc();
-            // lint:allow(panic-reachability): use_fft is only true when the FFT plan exists
-            let plan = self.xcorr.as_ref().expect("checked above");
             self.shift_loop_sse_fft(interval, yw, plan, lo, hi);
         } else {
             direct_ctr.inc();
@@ -198,23 +155,18 @@ impl<'a> MapContext<'a> {
     }
 
     /// SSE fast path: window sums of `X` and `Y` come from prefix stats;
-    /// only `Σ x·y` varies per shift. Dispatches between the direct
-    /// `O(B·len)` sweep and the `O((B+len) log (B+len))` FFT kernel
-    /// according to the configured [`ShiftStrategy`]; both produce
-    /// bit-identical results.
+    /// only `Σ x·y` varies per shift. The cost model
+    /// ([`xcorr::fft_beats_direct`]) picks between the direct `O(B·len)`
+    /// sweep and the `O((B+len) log (B+len))` FFT kernel from the input
+    /// sizes alone; both produce bit-identical results.
     fn shift_loop_sse(&self, interval: &mut Interval, yw: &[f64]) {
-        let use_fft = match self.shift_strategy {
-            ShiftStrategy::Direct => false,
-            ShiftStrategy::Fft => self.xcorr.is_some(),
-            ShiftStrategy::Auto => {
-                self.xcorr.is_some() && xcorr::fft_beats_direct(self.x.len(), interval.length)
-            }
-        };
+        let plan = self
+            .xcorr
+            .as_ref()
+            .filter(|_| xcorr::fft_beats_direct(self.x.len(), interval.length));
         let hi = self.x.len() - interval.length;
-        if use_fft {
+        if let Some(plan) = plan {
             self.obs.fft_sweeps.inc();
-            // lint:allow(panic-reachability): use_fft is only true when the FFT plan exists
-            let plan = self.xcorr.as_ref().expect("checked above");
             self.shift_loop_sse_fft(interval, yw, plan, 0, hi);
         } else {
             self.obs.direct_sweeps.inc();
@@ -235,17 +187,7 @@ impl<'a> MapContext<'a> {
     /// `(shift, a, b, err)` is bit-identical to the one-shift-at-a-time
     /// loop this replaces. Trailing shifts that do not fill a block use the
     /// scalar dot.
-    ///
-    /// When the reduced-precision prescreen is armed (see
-    /// [`MapContext::x_f32`]) and the span is long enough to amortize two
-    /// passes, the sweep first ranks all shifts in f32 and exactly
-    /// re-verifies the survivors — same result, fewer f64 passes.
     fn shift_loop_sse_direct(&self, interval: &mut Interval, yw: &[f64], lo: usize, hi: usize) {
-        if let Some(x32) = &self.x_f32 {
-            if hi - lo + 1 >= F32_PRESCREEN_MIN_SHIFTS {
-                return self.shift_loop_sse_f32(interval, yw, x32, lo, hi);
-            }
-        }
         let len = interval.length;
         let sum_y = self.y_stats.window_sum(interval.start, len);
         let sum_y2 = self.y_stats.window_sum_sq(interval.start, len);
@@ -281,15 +223,26 @@ impl<'a> MapContext<'a> {
     }
 
     /// FFT SSE sweep: all `Σ x·y` values at once via cross-correlation,
-    /// then the exact re-verification pass of [`Self::filter_and_reverify`].
+    /// then an exact re-verification pass.
     ///
-    /// The per-shift error bound is the classic `O(ε·log m·‖x‖₂·‖y‖₂)` FFT
-    /// convolution bound, inflated by ~1e4 for slack (ε ≈ 2.2e-16, so the
-    /// 1e-12 head already includes the log factor's constant many times
-    /// over). In non-degenerate cases the brackets are ~`1e-9` relative and
-    /// the re-verified set is a handful of genuine near-ties; a
-    /// pathological base (near-constant windows amplifying `s_xy/s_xx`)
-    /// only widens the set, degrading speed, never correctness.
+    /// Selecting directly on FFT values could flip near-ties against the
+    /// direct path, so they only *filter*: pass 1 brackets each shift's
+    /// error by a per-shift uncertainty interval, pass 2 re-evaluates every
+    /// shift whose lower bracket reaches the smallest upper bracket with
+    /// the exact direct summation, in ascending shift order with the same
+    /// strict `<` as the direct sweep. The exact winner always survives the
+    /// filter (its interval contains its exact error, which is the
+    /// minimum), so the selected `(shift, a, b, err)` is bit-identical to
+    /// [`Self::shift_loop_sse_direct`].
+    ///
+    /// The per-shift `Σ x·y` error bound `d_xy` is the classic
+    /// `O(ε·log m·‖x‖₂·‖y‖₂)` FFT convolution bound, inflated by ~1e4 for
+    /// slack (ε ≈ 2.2e-16, so the 1e-12 head already includes the log
+    /// factor's constant many times over). In non-degenerate cases the
+    /// brackets are ~`1e-9` relative and the re-verified set is a handful
+    /// of genuine near-ties; a pathological base (near-constant windows
+    /// amplifying `s_xy/s_xx`) only widens the set, degrading speed, never
+    /// correctness.
     fn shift_loop_sse_fft(
         &self,
         interval: &mut Interval,
@@ -299,95 +252,12 @@ impl<'a> MapContext<'a> {
         hi: usize,
     ) {
         let len = interval.length;
+        let sum_y = self.y_stats.window_sum(interval.start, len);
         let sum_y2 = self.y_stats.window_sum_sq(interval.start, len);
         let approx_xy = plan.sliding_dot(yw);
         let norm_x2 = self.x_stats.window_sum_sq(0, self.x.len());
         let log_m = (usize::BITS - plan.fft_len().leading_zeros()) as f64;
         let d_xy = 1e-12 * log_m * (norm_x2 * sum_y2).sqrt();
-        self.filter_and_reverify(
-            interval,
-            yw,
-            lo,
-            &approx_xy[lo..=hi],
-            d_xy,
-            &self.obs.fft_reverified,
-        );
-    }
-
-    /// Reduced-precision prescreen sweep: rank every shift with a blocked
-    /// f32 `Σ x·y`, then exactly re-verify the candidates that could win.
-    ///
-    /// Ships behind the `wire_profile` feature (the f32 lane of the wire
-    /// profiles) and the off-by-default [`SbrConfig::f32_prescreen`] knob.
-    /// `d_xy` bounds the conversion-plus-summation error of an f32 dot of
-    /// `len` products via Cauchy–Schwarz (`Σ|x·y| ≤ ‖x‖₂·‖y‖₂`, with the
-    /// whole-dictionary `‖x‖₂` as a uniform upper bound over windows):
-    /// each converted product is off by at most ~3ε₃₂ relative and the
-    /// naive summation adds at most `len·ε₃₂` more, inflated 8× for slack.
-    /// Non-finite f32 sums (overflow on extreme data) produce NaN/∞ errors
-    /// whose brackets never exclude a shift, so every shift is then
-    /// re-verified exactly — slower, never wrong.
-    fn shift_loop_sse_f32(
-        &self,
-        interval: &mut Interval,
-        yw: &[f64],
-        x32: &[f32],
-        lo: usize,
-        hi: usize,
-    ) {
-        thread_local! {
-            static Y32: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
-        }
-        self.obs.f32_prescreens.inc();
-        let len = interval.length;
-        let sum_y2 = self.y_stats.window_sum_sq(interval.start, len);
-        let approx_xy: Vec<f64> = Y32.with(|cell| {
-            let mut y32 = cell.borrow_mut();
-            y32.clear();
-            y32.extend(yw.iter().map(|&v| v as f32));
-            (lo..=hi)
-                .map(|shift| {
-                    let xw = &x32[shift..shift + len];
-                    let mut acc = 0.0f32;
-                    for (xi, yi) in xw.iter().zip(y32.iter()) {
-                        acc += xi * yi;
-                    }
-                    acc as f64
-                })
-                .collect()
-        });
-        const EPS32: f64 = 5.960_464_477_539_063e-8; // 2⁻²⁴
-        let norm_x2 = self.x_stats.window_sum_sq(0, self.x.len());
-        let d_xy = 8.0 * (len as f64 + 4.0) * EPS32 * (norm_x2 * sum_y2).sqrt();
-        self.filter_and_reverify(interval, yw, lo, &approx_xy, d_xy, &self.obs.f32_reverified);
-    }
-
-    /// Shared filter-and-reverify core of the approximate sweeps (FFT and
-    /// f32 prescreen): bracket each shift's approximate error, then
-    /// re-evaluate the possible winners with the exact direct summation.
-    ///
-    /// `approx_xy[off]` approximates `Σ x·y` at shift `lo + off` with
-    /// absolute error at most `d_xy`. Selecting directly on approximations
-    /// could flip near-ties against the direct path, so they only *filter*:
-    /// pass 1 brackets each shift's error by a per-shift uncertainty
-    /// interval, pass 2 re-evaluates every shift whose lower bracket
-    /// reaches the smallest upper bracket, in ascending shift order with
-    /// the same strict `<` as the direct sweep. The exact winner always
-    /// survives the filter (its interval contains its exact error, which is
-    /// the minimum), so the selected `(shift, a, b, err)` is bit-identical
-    /// to [`Self::shift_loop_sse_direct`].
-    fn filter_and_reverify(
-        &self,
-        interval: &mut Interval,
-        yw: &[f64],
-        lo: usize,
-        approx_xy: &[f64],
-        d_xy: f64,
-        reverified_ctr: &crate::obs::Counter,
-    ) {
-        let len = interval.length;
-        let sum_y = self.y_stats.window_sum(interval.start, len);
-        let sum_y2 = self.y_stats.window_sum_sq(interval.start, len);
 
         // Pass 1: approximate error + uncertainty bracket per shift.
         // The fit's constant-base branch triggers on s_xx alone, which is
@@ -395,10 +265,9 @@ impl<'a> MapContext<'a> {
         // branch ignores Σx·y entirely, so its uncertainty is zero.
         // Otherwise err = s_yy − (s_xy)²/s_xx, so a perturbation δ of Σx·y
         // moves it by at most (2·|s_xy|·δ + δ²)/s_xx.
-        let mut approx = Vec::with_capacity(approx_xy.len());
+        let mut approx = Vec::with_capacity(hi - lo + 1);
         let mut min_upper = f64::INFINITY;
-        for (off, &sum_xy) in approx_xy.iter().enumerate() {
-            let shift = lo + off;
+        for (shift, &sum_xy) in approx_xy.iter().enumerate().take(hi + 1).skip(lo) {
             let f = self.fit_at(shift, len, sum_y, sum_y2, sum_xy);
             let sum_x = self.x_stats.window_sum(shift, len);
             let sum_x2 = self.x_stats.window_sum_sq(shift, len);
@@ -414,8 +283,8 @@ impl<'a> MapContext<'a> {
         }
 
         // Pass 2: exact re-evaluation of every shift that could be the true
-        // minimum. NaN brackets (non-finite approximations) compare false
-        // here and are therefore always re-verified.
+        // minimum. NaN brackets compare false here and are therefore always
+        // re-verified.
         let mut reverified = 0u64;
         for (shift, &(err, u)) in approx.iter().enumerate().map(|(i, v)| (lo + i, v)) {
             if err - u > min_upper {
@@ -431,7 +300,7 @@ impl<'a> MapContext<'a> {
                 interval.err = f.err;
             }
         }
-        reverified_ctr.add(reverified);
+        self.obs.fft_reverified.add(reverified);
     }
 
     /// Closed-form SSE fit for one shift from the window statistics.
@@ -570,9 +439,11 @@ mod tests {
     }
 
     #[test]
-    fn fft_strategy_is_bit_identical_to_direct() {
+    fn fft_sweep_is_bit_identical_to_direct_sweep() {
         // Cover short, crossover-sized, and base-length windows, plus a
         // constant-X stretch that produces exact error ties across shifts.
+        // Both sweep kernels run over the full shift range, whatever the
+        // cost model would pick for the size.
         let mut x: Vec<f64> = (0..512)
             .map(|i| ((i * i % 97) as f64) * 0.3 - 11.0 + (i as f64 * 0.05).sin())
             .collect();
@@ -582,19 +453,16 @@ mod tests {
         let y: Vec<f64> = (0..512)
             .map(|i| ((i * 7 % 31) as f64) - 15.0 + (i as f64 * 0.11).cos())
             .collect();
+        let config = SbrConfig::new(10_000, 1_000).with_w(256);
+        let c = MapContext::new(&x, &y, &config, 256);
+        let plan = c.xcorr.as_ref().expect("SSE context builds an FFT plan");
         for (start, len) in [(0usize, 5usize), (37, 64), (100, 143), (256, 256), (0, 512)] {
-            let direct_cfg = SbrConfig::new(10_000, 1_000)
-                .with_w(256)
-                .with_shift_strategy(ShiftStrategy::Direct);
-            let fft_cfg = SbrConfig::new(10_000, 1_000)
-                .with_w(256)
-                .with_shift_strategy(ShiftStrategy::Fft);
-            let cd = MapContext::new(&x, &y, &direct_cfg, 256);
-            let cf = MapContext::new(&x, &y, &fft_cfg, 256);
+            let hi = x.len() - len;
+            let yw = &y[start..start + len];
             let mut id = Interval::unfitted(start, len);
             let mut if_ = Interval::unfitted(start, len);
-            cd.best_map(&mut id);
-            cf.best_map(&mut if_);
+            c.shift_loop_sse_direct(&mut id, yw, 0, hi);
+            c.shift_loop_sse_fft(&mut if_, yw, plan, 0, hi);
             assert_eq!(id.shift, if_.shift, "shift mismatch at ({start}, {len})");
             assert_eq!(
                 id.a.to_bits(),

@@ -5,23 +5,6 @@ use crate::error::{Result, SbrError};
 use crate::metric::ErrorMetric;
 use crate::series::MultiSeries;
 
-/// How `BestMap` evaluates the `Σ x·y` shift sweep under the SSE metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShiftStrategy {
-    /// Per-interval cost-model choice between the direct loop and the FFT
-    /// cross-correlation kernel (the default; see
-    /// [`crate::xcorr::fft_beats_direct`]).
-    #[default]
-    Auto,
-    /// Always use the `O(B·len)` direct loop (the paper's Algorithm 2 as
-    /// written).
-    Direct,
-    /// Always use the FFT kernel (mainly for benchmarking it in isolation;
-    /// results are still exact — winning shifts are re-verified with the
-    /// direct summation).
-    Fft,
-}
-
 /// Configuration of an [`SbrEncoder`](crate::SbrEncoder).
 ///
 /// The paper stresses that the user/application supplies only two knobs —
@@ -60,36 +43,6 @@ pub struct SbrConfig {
     /// shortcut §4.4 recommends for constrained deployments once the
     /// dictionary has converged.
     pub update_base: bool,
-    /// How the `BestMap` SSE shift sweep is evaluated (direct loop, FFT
-    /// cross-correlation, or an automatic cost-model choice). Every
-    /// strategy produces identical output; this only affects speed.
-    pub shift_strategy: ShiftStrategy,
-    /// Share fit work across the insertion-count probes of `Search` through
-    /// the incremental [`ProbeCache`](crate::probe_cache::ProbeCache)
-    /// (on by default). Probe `pos` and probe `pos − 1` differ only in one
-    /// appended `W`-wide candidate, so the fit against the shared base
-    /// prefix is computed once per interval and each candidate's region is
-    /// swept once, instead of re-fitting everything on every probe. The
-    /// encoded stream is byte-identical either way; `false` selects the
-    /// legacy re-fit-everything path, kept as the differential-testing
-    /// oracle.
-    pub probe_cache: bool,
-    /// Memoize per-pair `fit(cbi_i, cbi_j).err` values in `GetBase` through
-    /// the incremental [`FitCache`](crate::fit_cache::FitCache) (on by
-    /// default). Within one batch the greedy loop re-reads memoized rows
-    /// instead of re-fitting them; across transmission batches fits for
-    /// unchanged candidate content are carried over via content hashes. The
-    /// encoded stream is byte-identical either way; `false` selects the
-    /// legacy re-fit-everything path, kept as the differential-testing
-    /// oracle.
-    pub get_base_fit_cache: bool,
-    /// Rank `BestMap` shift sweeps with a reduced-precision `f32` Σx·y
-    /// pre-screen before re-verifying the candidates exactly in `f64` (the
-    /// same filter-and-reverify pattern as the FFT kernel, so the output is
-    /// still bit-identical). Off by default; requires the `wire_profile`
-    /// feature — without it the knob is inert. Only the SSE metric has the
-    /// factored sufficient-statistics sweep, so other metrics ignore it.
-    pub f32_prescreen: bool,
     /// Worker threads for the independent `BestMap`/`GetBase` fan-out.
     /// `0` (the default) means one thread per available CPU; `1` disables
     /// threading. Results are deterministic and identical for every value —
@@ -115,17 +68,13 @@ impl SbrConfig {
             error_target: None,
             exhaustive_search: false,
             update_base: true,
-            shift_strategy: ShiftStrategy::default(),
-            probe_cache: true,
-            get_base_fit_cache: true,
-            f32_prescreen: false,
             num_threads: 0,
             obs: crate::obs::EncodeObs::default(),
         }
     }
 
     /// Attach a live metrics recorder (builder style): every pipeline
-    /// stage records per-phase timings, strategy decisions and
+    /// stage records per-phase timings, direct-vs-FFT decisions and
     /// base-signal churn into it, and spans are traced when the recorder
     /// has a trace sink. Only available with the `obs` feature (on by
     /// default).
@@ -169,45 +118,6 @@ impl SbrConfig {
     /// [`SbrConfig::update_base`].
     pub fn frozen_base(mut self) -> Self {
         self.update_base = false;
-        self
-    }
-
-    /// Set the shift-sweep evaluation strategy (builder style).
-    pub fn with_shift_strategy(mut self, strategy: ShiftStrategy) -> Self {
-        self.shift_strategy = strategy;
-        self
-    }
-
-    /// Enable or disable the incremental `Search` probe cache (builder
-    /// style); see [`SbrConfig::probe_cache`].
-    pub fn with_probe_cache(mut self, probe_cache: bool) -> Self {
-        self.probe_cache = probe_cache;
-        self
-    }
-
-    /// Select the legacy `Search` probe path (builder style); shorthand for
-    /// [`SbrConfig::with_probe_cache`]`(false)`.
-    pub fn without_probe_cache(self) -> Self {
-        self.with_probe_cache(false)
-    }
-
-    /// Enable or disable the incremental `GetBase` fit cache (builder
-    /// style); see [`SbrConfig::get_base_fit_cache`].
-    pub fn with_fit_cache(mut self, fit_cache: bool) -> Self {
-        self.get_base_fit_cache = fit_cache;
-        self
-    }
-
-    /// Select the legacy `GetBase` re-fit-everything path (builder style);
-    /// shorthand for [`SbrConfig::with_fit_cache`]`(false)`.
-    pub fn without_fit_cache(self) -> Self {
-        self.with_fit_cache(false)
-    }
-
-    /// Enable or disable the `f32` shift-sweep pre-screen (builder style);
-    /// see [`SbrConfig::f32_prescreen`].
-    pub fn with_f32_prescreen(mut self, f32_prescreen: bool) -> Self {
-        self.f32_prescreen = f32_prescreen;
         self
     }
 
@@ -273,68 +183,22 @@ pub trait BaseBuilder {
     /// Propose up to `max_ins` candidate base intervals of width `w`,
     /// ordered by decreasing priority. The SBR driver decides how many of
     /// them are actually inserted.
+    ///
+    /// `config` carries the metric, the worker-thread budget and the
+    /// observability bundle; `cache` is the encoder's cross-batch
+    /// [`FitCache`](crate::fit_cache::FitCache). Builders that fit
+    /// candidate pairs (the paper's `GetBase`) fan out and memoize through
+    /// them; the appendix's SVD/DCT constructions ignore both.
+    /// Implementations must return the same output for every thread count
+    /// and cache state.
     fn build(
         &self,
         data: &MultiSeries,
         w: usize,
         max_ins: usize,
-        metric: ErrorMetric,
+        config: &SbrConfig,
+        cache: &mut crate::fit_cache::FitCache,
     ) -> Vec<Vec<f64>>;
-
-    /// Like [`BaseBuilder::build`] but allowed to use up to `threads`
-    /// worker threads. Implementations must return the same output for
-    /// every thread count; the default ignores `threads` and runs
-    /// [`BaseBuilder::build`] serially, so existing builders keep working
-    /// unchanged.
-    fn build_threaded(
-        &self,
-        data: &MultiSeries,
-        w: usize,
-        max_ins: usize,
-        metric: ErrorMetric,
-        threads: usize,
-    ) -> Vec<Vec<f64>> {
-        let _ = threads;
-        self.build(data, w, max_ins, metric)
-    }
-
-    /// Like [`BaseBuilder::build_threaded`] but handed the encoder's
-    /// observability bundle, so builders that fan out can report worker
-    /// utilization. The default ignores it — external builders keep
-    /// working unchanged, and instrumentation never changes the output.
-    fn build_with_obs(
-        &self,
-        data: &MultiSeries,
-        w: usize,
-        max_ins: usize,
-        metric: ErrorMetric,
-        threads: usize,
-        obs: &crate::obs::EncodeObs,
-    ) -> Vec<Vec<f64>> {
-        let _ = obs;
-        self.build_threaded(data, w, max_ins, metric, threads)
-    }
-
-    /// Like [`BaseBuilder::build_with_obs`] but handed the encoder's
-    /// cross-batch [`FitCache`](crate::fit_cache::FitCache), so builders
-    /// that fit candidate pairs can memoize those fits within the batch and
-    /// carry them to the next one. Implementations must return the same
-    /// output with and without the cache; the default ignores it, so
-    /// external builders keep working unchanged.
-    #[allow(clippy::too_many_arguments)]
-    fn build_cached(
-        &self,
-        data: &MultiSeries,
-        w: usize,
-        max_ins: usize,
-        metric: ErrorMetric,
-        threads: usize,
-        obs: &crate::obs::EncodeObs,
-        cache: Option<&mut crate::fit_cache::FitCache>,
-    ) -> Vec<Vec<f64>> {
-        let _ = cache;
-        self.build_with_obs(data, w, max_ins, metric, threads, obs)
-    }
 }
 
 #[cfg(test)]
@@ -346,7 +210,6 @@ mod tests {
         let c = SbrConfig::new(100, 50);
         assert!(c.allow_linear_fallback);
         assert!(c.update_base);
-        assert!(c.probe_cache, "probe cache defaults on");
         assert_eq!(c.max_shift_len_factor, 2);
         assert_eq!(c.metric, ErrorMetric::Sse);
     }

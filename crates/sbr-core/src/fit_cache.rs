@@ -4,9 +4,8 @@
 //! intervals with `fit(metric, cbi_i, cbi_j).err`. Those errors depend only
 //! on the two windows' *contents* — not on the batch they arrived in, the
 //! greedy step examining them, or the thread evaluating them — so the same
-//! number is recomputed many times: the low-memory variant re-fits the full
-//! `K×K` matrix on every greedy step, and consecutive transmission batches
-//! of slowly-varying sensor data repeat whole windows verbatim.
+//! number is recomputed many times: consecutive transmission batches of
+//! slowly-varying sensor data repeat whole windows verbatim.
 //!
 //! [`FitCache`] interns candidate windows by content (a 64-bit FNV-1a hash
 //! over the samples' bit patterns, verified by exact comparison, so hash
@@ -14,9 +13,9 @@
 //! errors keyed by interned ids. The cached `GetBase` paths fit each
 //! distinct pair at most once per process lifetime-within-retention; every
 //! other evaluation is a lookup. Because the memoized value *is* the
-//! `regression::fit` result, cached and legacy runs select bit-identical
-//! candidates — the differential suite `get_base_incremental_diff` pins
-//! this.
+//! `regression::fit` result, cached runs select the same candidates as an
+//! uncached `K×K` greedy — the reference-encoder suite
+//! `tests/reference_diff.rs` pins this.
 //!
 //! **Invalidation rule:** ids (and every pair touching them) are retained
 //! while their window content keeps appearing in batches; a window unseen

@@ -1,11 +1,10 @@
 //! `GetBase` (Algorithm 4): greedy selection of candidate base intervals by
-//! marginal benefit, plus the `O(√n)`-space variant the paper sketches for
-//! severely memory-constrained nodes.
+//! marginal benefit.
 
-use crate::config::BaseBuilder;
+use crate::config::{BaseBuilder, SbrConfig};
 use crate::fit_cache::FitCache;
 use crate::metric::ErrorMetric;
-use crate::obs::{EncodeObs, ParObs};
+use crate::obs::EncodeObs;
 use crate::regression;
 use crate::series::MultiSeries;
 
@@ -55,97 +54,18 @@ pub fn get_base(
     max_ins: usize,
     metric: ErrorMetric,
 ) -> Vec<Vec<f64>> {
-    get_base_threaded(data, w, max_ins, metric, 1)
+    get_base_cached(
+        data,
+        w,
+        max_ins,
+        metric,
+        1,
+        &EncodeObs::default(),
+        &mut FitCache::new(),
+    )
 }
 
-/// [`get_base`] with the `K×K` error matrix built row-parallel on up to
-/// `threads` scoped worker threads (`<= 1` = serial). Rows are independent
-/// and merged in index order, so every thread count returns identical
-/// output.
-pub fn get_base_threaded(
-    data: &MultiSeries,
-    w: usize,
-    max_ins: usize,
-    metric: ErrorMetric,
-    threads: usize,
-) -> Vec<Vec<f64>> {
-    get_base_with_obs(data, w, max_ins, metric, threads, &ParObs::default())
-}
-
-/// [`get_base_threaded`] with fan-out observability: worker utilization of
-/// the error-matrix build is reported through `obs` when a live recorder
-/// is attached. Output is identical to the uninstrumented call.
-pub fn get_base_with_obs(
-    data: &MultiSeries,
-    w: usize,
-    max_ins: usize,
-    metric: ErrorMetric,
-    threads: usize,
-    obs: &ParObs,
-) -> Vec<Vec<f64>> {
-    let cbis = candidate_intervals(data, w);
-    let k = cbis.len();
-    if k == 0 || max_ins == 0 {
-        return Vec::new();
-    }
-
-    // err[i*k + j]: error of approximating CBI j using CBI i as base.
-    let mut best_err: Vec<f64> = cbis
-        .iter()
-        .map(|c| regression::fit_linear(metric, c).err)
-        .collect();
-    let err: Vec<f64> = crate::par::par_map(k, threads, obs, |i| {
-        let mut row = Vec::with_capacity(k);
-        for j in 0..k {
-            row.push(if i == j {
-                0.0
-            } else {
-                regression::fit(metric, cbis[i], cbis[j]).err
-            });
-        }
-        row
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-
-    let mut selected_flags = vec![false; k];
-    let mut selected: Vec<Vec<f64>> = Vec::with_capacity(max_ins.min(k));
-    for _ in 0..max_ins.min(k) {
-        // Benefit of each unselected candidate against the *current* best
-        // coverage.
-        let mut best_i = None;
-        let mut best_benefit = 0.0f64;
-        for i in 0..k {
-            if selected_flags[i] {
-                continue;
-            }
-            let mut benefit = 0.0;
-            for j in 0..k {
-                let e = err[i * k + j];
-                if e < best_err[j] {
-                    benefit += best_err[j] - e;
-                }
-            }
-            if best_i.is_none() || benefit > best_benefit {
-                best_i = Some(i);
-                best_benefit = benefit;
-            }
-        }
-        let Some(c) = best_i else { break };
-        selected_flags[c] = true;
-        selected.push(cbis[c].to_vec());
-        for j in 0..k {
-            let e = err[c * k + j];
-            if e < best_err[j] {
-                best_err[j] = e;
-            }
-        }
-    }
-    selected
-}
-
-/// [`get_base_with_obs`] with the error matrix built *through* a
+/// [`get_base`] with the error matrix built *through* a
 /// [`FitCache`] memo — the incremental `GetBase` path.
 ///
 /// Three layers of reuse, none of which changes the output:
@@ -158,8 +78,7 @@ pub fn get_base_with_obs(
 ///    errors are bit-identical to the fused ones.
 /// 2. **Across greedy steps**, the benefit scans and the post-selection
 ///    `best_err` refresh are pure re-reductions over the memoized matrix —
-///    no pair is ever fit twice in one batch (the low-memory legacy re-fits
-///    all `K×K` pairs per step; see [`get_base_low_memory_with_obs`]).
+///    no pair is ever fit twice in one batch.
 /// 3. **Across transmission batches**, pair errors are carried in `cache`
 ///    keyed by window *content* (see [`FitCache`]): windows repeated from
 ///    the previous batch skip their `Σx·y` passes entirely.
@@ -167,8 +86,10 @@ pub fn get_base_with_obs(
 /// `obs` reports the reuse through `sbr_core.get_base.fit_cache.{hits,
 /// misses,bytes}`: a hit is any pair-error evaluation served by the memo
 /// (carried-over build cells plus every greedy re-reduction read), a miss
-/// is a fresh fit. Passing `cache = None` still memoizes within the batch
-/// (layers 1–2) but carries nothing over.
+/// is a fresh fit. The `K×K` matrix is built row-parallel on up to
+/// `threads` scoped workers; rows are merged in index order, so every
+/// thread count returns identical output. A fresh `cache` still memoizes
+/// within the batch (layers 1–2) but carries nothing over.
 #[allow(clippy::too_many_arguments)]
 pub fn get_base_cached(
     data: &MultiSeries,
@@ -177,7 +98,7 @@ pub fn get_base_cached(
     metric: ErrorMetric,
     threads: usize,
     obs: &EncodeObs,
-    cache: Option<&mut FitCache>,
+    cache: &mut FitCache,
 ) -> Vec<Vec<f64>> {
     let cbis = candidate_intervals(data, w);
     let k = cbis.len();
@@ -185,8 +106,6 @@ pub fn get_base_cached(
         return Vec::new();
     }
 
-    let mut local = FitCache::new();
-    let cache = cache.unwrap_or(&mut local);
     cache.begin_batch(metric);
     let mut ids: Vec<u32> = Vec::with_capacity(k);
     // Carried-over windows are the only ones that can have memoized pairs;
@@ -232,8 +151,8 @@ pub fn get_base_cached(
     // pass over the base window feeds 8 independent `Σx·y` accumulators,
     // hiding the FP-add latency a single accumulator chain serializes on.
     // Each lane still sums its own pair in ascending index order, so every
-    // cell is bit-identical to the scalar `fit_pair` (and to the legacy
-    // fused `fit_sse` loop).
+    // cell is bit-identical to the scalar `fit_pair` (and to the fused
+    // `fit_sse` loop).
     let fit_block = |i: usize, js: &[usize]| -> [f64; PAIR_BLOCK] {
         debug_assert_eq!(js.len(), PAIR_BLOCK);
         let xi = cbis[i];
@@ -359,103 +278,7 @@ pub fn get_base_cached(
     selected
 }
 
-/// The `O(√n)`-space variant: no error matrix; each greedy step recomputes
-/// pairwise errors on the fly (`O(maxIns · n^1.5)` time, as derived in
-/// §4.2).
-pub fn get_base_low_memory(
-    data: &MultiSeries,
-    w: usize,
-    max_ins: usize,
-    metric: ErrorMetric,
-) -> Vec<Vec<f64>> {
-    get_base_low_memory_threaded(data, w, max_ins, metric, 1)
-}
-
-/// [`get_base_low_memory`] with each greedy step's per-candidate benefit
-/// scan fanned out over up to `threads` worker threads. The arg-max over
-/// the gathered benefits runs serially with the same earliest-index
-/// tie-break as the serial loop, so output is identical for every thread
-/// count.
-pub fn get_base_low_memory_threaded(
-    data: &MultiSeries,
-    w: usize,
-    max_ins: usize,
-    metric: ErrorMetric,
-    threads: usize,
-) -> Vec<Vec<f64>> {
-    get_base_low_memory_with_obs(data, w, max_ins, metric, threads, &ParObs::default())
-}
-
-/// [`get_base_low_memory_threaded`] with fan-out observability, mirroring
-/// [`get_base_with_obs`].
-pub fn get_base_low_memory_with_obs(
-    data: &MultiSeries,
-    w: usize,
-    max_ins: usize,
-    metric: ErrorMetric,
-    threads: usize,
-    obs: &ParObs,
-) -> Vec<Vec<f64>> {
-    let cbis = candidate_intervals(data, w);
-    let k = cbis.len();
-    if k == 0 || max_ins == 0 {
-        return Vec::new();
-    }
-
-    let mut best_err: Vec<f64> = cbis
-        .iter()
-        .map(|c| regression::fit_linear(metric, c).err)
-        .collect();
-    let mut selected_flags = vec![false; k];
-    let mut selected: Vec<Vec<f64>> = Vec::with_capacity(max_ins.min(k));
-
-    for _ in 0..max_ins.min(k) {
-        let benefits = crate::par::par_map(k, threads, obs, |i| {
-            if selected_flags[i] {
-                return f64::NEG_INFINITY;
-            }
-            let mut benefit = 0.0;
-            for j in 0..k {
-                let e = if i == j {
-                    0.0
-                } else {
-                    regression::fit(metric, cbis[i], cbis[j]).err
-                };
-                if e < best_err[j] {
-                    benefit += best_err[j] - e;
-                }
-            }
-            benefit
-        });
-        let mut best_i = None;
-        let mut best_benefit = 0.0f64;
-        for (i, &benefit) in benefits.iter().enumerate() {
-            if selected_flags[i] {
-                continue;
-            }
-            if best_i.is_none() || benefit > best_benefit {
-                best_i = Some(i);
-                best_benefit = benefit;
-            }
-        }
-        let Some(c) = best_i else { break };
-        selected_flags[c] = true;
-        selected.push(cbis[c].to_vec());
-        for j in 0..k {
-            let e = if c == j {
-                0.0
-            } else {
-                regression::fit(metric, cbis[c], cbis[j]).err
-            };
-            if e < best_err[j] {
-                best_err[j] = e;
-            }
-        }
-    }
-    selected
-}
-
-/// [`BaseBuilder`] wrapping [`get_base`] — the default construction.
+/// [`BaseBuilder`] wrapping [`get_base_cached`] — the default construction.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GetBaseBuilder;
 
@@ -465,107 +288,18 @@ impl BaseBuilder for GetBaseBuilder {
         data: &MultiSeries,
         w: usize,
         max_ins: usize,
-        metric: ErrorMetric,
+        config: &SbrConfig,
+        cache: &mut FitCache,
     ) -> Vec<Vec<f64>> {
-        get_base(data, w, max_ins, metric)
-    }
-
-    fn build_threaded(
-        &self,
-        data: &MultiSeries,
-        w: usize,
-        max_ins: usize,
-        metric: ErrorMetric,
-        threads: usize,
-    ) -> Vec<Vec<f64>> {
-        get_base_threaded(data, w, max_ins, metric, threads)
-    }
-
-    fn build_with_obs(
-        &self,
-        data: &MultiSeries,
-        w: usize,
-        max_ins: usize,
-        metric: ErrorMetric,
-        threads: usize,
-        obs: &EncodeObs,
-    ) -> Vec<Vec<f64>> {
-        get_base_with_obs(data, w, max_ins, metric, threads, &obs.par)
-    }
-
-    fn build_cached(
-        &self,
-        data: &MultiSeries,
-        w: usize,
-        max_ins: usize,
-        metric: ErrorMetric,
-        threads: usize,
-        obs: &EncodeObs,
-        cache: Option<&mut FitCache>,
-    ) -> Vec<Vec<f64>> {
-        get_base_cached(data, w, max_ins, metric, threads, obs, cache)
-    }
-}
-
-/// [`BaseBuilder`] wrapping [`get_base_low_memory`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LowMemoryGetBase;
-
-impl BaseBuilder for LowMemoryGetBase {
-    fn build(
-        &self,
-        data: &MultiSeries,
-        w: usize,
-        max_ins: usize,
-        metric: ErrorMetric,
-    ) -> Vec<Vec<f64>> {
-        get_base_low_memory(data, w, max_ins, metric)
-    }
-
-    fn build_threaded(
-        &self,
-        data: &MultiSeries,
-        w: usize,
-        max_ins: usize,
-        metric: ErrorMetric,
-        threads: usize,
-    ) -> Vec<Vec<f64>> {
-        get_base_low_memory_threaded(data, w, max_ins, metric, threads)
-    }
-
-    fn build_with_obs(
-        &self,
-        data: &MultiSeries,
-        w: usize,
-        max_ins: usize,
-        metric: ErrorMetric,
-        threads: usize,
-        obs: &EncodeObs,
-    ) -> Vec<Vec<f64>> {
-        get_base_low_memory_with_obs(data, w, max_ins, metric, threads, &obs.par)
-    }
-
-    /// With a fit cache the memo already holds every pair error, so the
-    /// per-step re-fitting (and with it the `O(√n)` space bound — the memo
-    /// is the trade) has nothing left to save: the cached low-memory build
-    /// *is* [`get_base_cached`]. Output stays identical — the low-memory
-    /// greedy selects exactly what the full-matrix greedy selects (pinned
-    /// by `low_memory_variant_matches_full_variant`) — and the
-    /// post-selection `best_err` refresh reads the memoized row instead of
-    /// re-fitting row `c` a second time. Disable the cache
-    /// ([`crate::SbrConfig::without_fit_cache`]) to keep the
-    /// paper-faithful `O(√n)`-space oracle.
-    fn build_cached(
-        &self,
-        data: &MultiSeries,
-        w: usize,
-        max_ins: usize,
-        metric: ErrorMetric,
-        threads: usize,
-        obs: &EncodeObs,
-        cache: Option<&mut FitCache>,
-    ) -> Vec<Vec<f64>> {
-        get_base_cached(data, w, max_ins, metric, threads, obs, cache)
+        get_base_cached(
+            data,
+            w,
+            max_ins,
+            config.metric,
+            config.resolved_threads(),
+            &config.obs,
+            cache,
+        )
     }
 }
 
@@ -633,21 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn low_memory_variant_matches_full_variant() {
-        let rows: Vec<Vec<f64>> = (0..3)
-            .map(|r| {
-                (0..32)
-                    .map(|i| ((i + r * 7) as f64 * 0.8).sin() * (r + 1) as f64 + i as f64 * 0.1)
-                    .collect()
-            })
-            .collect();
-        let data = series(&rows);
-        let a = get_base(&data, 8, 3, ErrorMetric::Sse);
-        let b = get_base_low_memory(&data, 8, 3, ErrorMetric::Sse);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn zero_max_ins_returns_nothing() {
         let data = series(&[wiggle(1.0, 16)]);
         assert!(get_base(&data, 4, 0, ErrorMetric::Sse).is_empty());
@@ -674,11 +393,15 @@ mod tests {
     }
 
     #[test]
-    fn builder_trait_objects_dispatch() {
+    fn builder_matches_get_base_across_threads_and_cache_states() {
         use crate::config::BaseBuilder as _;
-        let data = series(&[wiggle(0.5, 16)]);
-        let full = GetBaseBuilder.build(&data, 4, 2, ErrorMetric::Sse);
-        let low = LowMemoryGetBase.build(&data, 4, 2, ErrorMetric::Sse);
-        assert_eq!(full, low);
+        let data = series(&[wiggle(0.5, 16), wiggle(2.5, 16)]);
+        let expected = get_base(&data, 4, 2, ErrorMetric::Sse);
+        let mut cache = FitCache::new();
+        for threads in [1, 4, 1] {
+            let config = SbrConfig::new(100, 100).with_threads(threads);
+            let built = GetBaseBuilder.build(&data, 4, 2, &config, &mut cache);
+            assert_eq!(built, expected, "threads {threads}, warm cache");
+        }
     }
 }

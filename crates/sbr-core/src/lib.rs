@@ -72,11 +72,11 @@ pub(crate) mod par;
 pub use adaptive::{AdaptiveEncoder, Quality, QualityMonitor};
 pub use base_signal::BaseSignal;
 pub use bounds::{BoundedEncoding, ErrorBoundSpec};
-pub use config::{BaseBuilder, SbrConfig, ShiftStrategy};
+pub use config::{BaseBuilder, SbrConfig};
 pub use decoder::Decoder;
 pub use error::SbrError;
 pub use fit_cache::FitCache;
-pub use get_base::{GetBaseBuilder, LowMemoryGetBase};
+pub use get_base::GetBaseBuilder;
 pub use get_intervals::FitOracle;
 pub use interval::{Interval, IntervalRecord};
 pub use metric::ErrorMetric;

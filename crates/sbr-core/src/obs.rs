@@ -34,8 +34,6 @@
 //! | `sbr_core.best_map.cand_direct_sweeps` | counter | candidate region sweeps, direct path |
 //! | `sbr_core.best_map.cand_fft_sweeps` | counter | candidate region sweeps, FFT path |
 //! | `sbr_core.best_map.fft_reverified_shifts` | counter | shifts exactly re-checked after the FFT filter |
-//! | `sbr_core.best_map.f32_prescreen_sweeps` | counter | sweeps ranked by the `f32` pre-screen |
-//! | `sbr_core.best_map.f32_reverified_shifts` | counter | shifts exactly re-checked after the `f32` filter |
 //! | `sbr_core.best_map.base_wins` | counter | fits won by a base mapping |
 //! | `sbr_core.best_map.fallback_wins` | counter | fits won by the linear fall-back |
 //! | `sbr_core.base_signal.inserted` | counter | base intervals inserted |
@@ -118,10 +116,6 @@ mod enabled {
         pub cand_fft_sweeps: Counter,
         /// Shifts exactly re-verified after the FFT filter pass.
         pub fft_reverified: Counter,
-        /// Sweeps ranked by the `f32` pre-screen before exact re-verification.
-        pub f32_prescreens: Counter,
-        /// Shifts exactly re-verified after the `f32` filter pass.
-        pub f32_reverified: Counter,
         /// Fits won by a base-signal mapping.
         pub base_wins: Counter,
         /// Fits won by the linear fall-back.
@@ -180,8 +174,6 @@ mod enabled {
                 cand_direct_sweeps: r.counter("sbr_core.best_map.cand_direct_sweeps"),
                 cand_fft_sweeps: r.counter("sbr_core.best_map.cand_fft_sweeps"),
                 fft_reverified: r.counter("sbr_core.best_map.fft_reverified_shifts"),
-                f32_prescreens: r.counter("sbr_core.best_map.f32_prescreen_sweeps"),
-                f32_reverified: r.counter("sbr_core.best_map.f32_reverified_shifts"),
                 base_wins: r.counter("sbr_core.best_map.base_wins"),
                 fallback_wins: r.counter("sbr_core.best_map.fallback_wins"),
                 search_probes: r.counter("sbr_core.search.probes"),
@@ -425,10 +417,6 @@ mod disabled {
         pub cand_fft_sweeps: Counter,
         /// Shifts exactly re-verified after the FFT filter pass.
         pub fft_reverified: Counter,
-        /// Sweeps ranked by the `f32` pre-screen before exact re-verification.
-        pub f32_prescreens: Counter,
-        /// Shifts exactly re-verified after the `f32` filter pass.
-        pub f32_reverified: Counter,
         /// Fits won by a base-signal mapping.
         pub base_wins: Counter,
         /// Fits won by the linear fall-back.

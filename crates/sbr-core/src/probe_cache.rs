@@ -3,8 +3,9 @@
 //! Every `Search` probe `pos` evaluates a full `GetIntervals` against the
 //! dictionary `X_pos = base ∥ c₁ ∥ … ∥ c_pos`. Consecutive probes share the
 //! entire base prefix and differ in one appended `W`-wide candidate, yet
-//! the legacy path re-sweeps the whole dictionary for every interval of
-//! every probe. This module decomposes the per-interval fit as
+//! a plain `GetIntervals` per probe would re-sweep the whole dictionary
+//! for every interval of every probe. This module decomposes the
+//! per-interval fit as
 //!
 //! ```text
 //! best(pos) = min(fallback, best_vs_base_prefix, min_{k ≤ pos} best_vs_candidate_k)
@@ -29,9 +30,10 @@
 //! when the fall-back is disabled). The prefix sums and dot products over
 //! `X_full` are bit-identical to those over any prefix `X_pos`, so the
 //! selected `(shift, a, b, err)` — including the earliest-shift tie-break
-//! and the `shift = −1` fall-back tie floor — matches the legacy sweep bit
-//! for bit. The differential suite in `tests/probe_cache_diff.rs` pins
-//! byte-identical transmission streams on top of this argument.
+//! and the `shift = −1` fall-back tie floor — matches a full sweep of
+//! `X_pos` bit for bit. The reference-encoder suite in
+//! `tests/reference_diff.rs` pins byte-identical transmission streams on
+//! top of this argument.
 //!
 //! The cache lives for one `Search` (one transmission); entries are keyed
 //! by `(start, len)` because the split tree visits the same intervals in
@@ -178,8 +180,8 @@ impl<'a> ProbeCache<'a> {
         // lint:allow(panic-reachability): poisoning requires a prior worker panic that already failed the run
         let mut entry = cell.lock().expect("probe cache entry poisoned");
         if !shiftable {
-            // Matches the legacy `allow_linear_fallback || !shiftable`
-            // branch: a non-shiftable interval always takes the fall-back.
+            // Matches `MapContext::best_map`'s `allow_linear_fallback ||
+            // !shiftable` branch: a non-shiftable interval always takes the fall-back.
             entry.fallback.apply(interval);
         } else {
             self.extend(&mut entry, start, len, pos);
@@ -203,7 +205,7 @@ impl<'a> ProbeCache<'a> {
                 if self.ctx.allow_linear_fallback {
                     entry.fallback.apply(&mut iv);
                 }
-                // else: the `∞`-error unfitted seed, exactly the legacy
+                // else: the `∞`-error unfitted seed, exactly the full
                 // sweep's seed when the fall-back is disabled.
             } else {
                 entry.folded[k - 1].apply(&mut iv);
@@ -281,7 +283,6 @@ impl FitOracle for ProbeOracle<'_, '_> {
 mod tests {
     use super::*;
     use crate::base_signal::BaseSignal;
-    use crate::config::ShiftStrategy;
     use crate::metric::ErrorMetric;
 
     fn wiggle(seed: f64, len: usize) -> Vec<f64> {
@@ -292,9 +293,9 @@ mod tests {
 
     /// Exhaustively compare cached fits against fresh `MapContext` fits on
     /// every probe's dictionary prefix, for every `(start, len)` split-tree
-    /// node shape and several metrics/strategies.
+    /// node shape, several metrics and both fall-back settings.
     #[test]
-    fn cached_fits_match_legacy_bit_for_bit() {
+    fn cached_fits_match_full_sweep_bit_for_bit() {
         let w = 8;
         let base: Vec<f64> = wiggle(0.0, 3 * w);
         let cands: Vec<Vec<f64>> = (1..=3).map(|k| wiggle(k as f64 * 7.3, w)).collect();
@@ -311,55 +312,46 @@ mod tests {
             ErrorMetric::relative(),
             ErrorMetric::MaxAbs,
         ] {
-            for strategy in [
-                ShiftStrategy::Auto,
-                ShiftStrategy::Direct,
-                ShiftStrategy::Fft,
-            ] {
-                for allow_fallback in [true, false] {
-                    let mut config = SbrConfig::new(1_000, 1_000)
-                        .with_w(w)
-                        .with_metric(metric)
-                        .with_shift_strategy(strategy);
-                    config.allow_linear_fallback = allow_fallback;
+            for allow_fallback in [true, false] {
+                let mut config = SbrConfig::new(1_000, 1_000).with_w(w).with_metric(metric);
+                config.allow_linear_fallback = allow_fallback;
 
-                    let mut buf = Vec::new();
-                    let refs: Vec<&[f64]> = cands.iter().map(Vec::as_slice).collect();
-                    let x_full = bs.flat_with_appended(&refs, &mut buf).to_vec();
-                    let cache = ProbeCache::new(&x_full, &data, &config, w, bs.len());
+                let mut buf = Vec::new();
+                let refs: Vec<&[f64]> = cands.iter().map(Vec::as_slice).collect();
+                let x_full = bs.flat_with_appended(&refs, &mut buf).to_vec();
+                let cache = ProbeCache::new(&x_full, &data, &config, w, bs.len());
 
-                    for pos in 0..=cands.len() {
-                        let x_pos = &x_full[..bs.len() + pos * w];
-                        let legacy_ctx = MapContext::new(x_pos, data.flat(), &config, w);
-                        for (start, len) in [
-                            (0usize, 64usize),
-                            (0, 32),
-                            (32, 32),
-                            (48, 16),
-                            (5, 7),
-                            (63, 1),
-                        ] {
-                            let mut want = Interval::unfitted(start, len);
-                            legacy_ctx.best_map(&mut want);
-                            let mut got = Interval::unfitted(start, len);
-                            cache.oracle(pos).fit(&mut got);
-                            assert_eq!(
-                                (
-                                    want.shift,
-                                    want.a.to_bits(),
-                                    want.b.to_bits(),
-                                    want.err.to_bits()
-                                ),
-                                (
-                                    got.shift,
-                                    got.a.to_bits(),
-                                    got.b.to_bits(),
-                                    got.err.to_bits()
-                                ),
-                                "mismatch at pos={pos} start={start} len={len} \
-                                 metric={metric:?} strategy={strategy:?} fallback={allow_fallback}"
-                            );
-                        }
+                for pos in 0..=cands.len() {
+                    let x_pos = &x_full[..bs.len() + pos * w];
+                    let full_ctx = MapContext::new(x_pos, data.flat(), &config, w);
+                    for (start, len) in [
+                        (0usize, 64usize),
+                        (0, 32),
+                        (32, 32),
+                        (48, 16),
+                        (5, 7),
+                        (63, 1),
+                    ] {
+                        let mut want = Interval::unfitted(start, len);
+                        full_ctx.best_map(&mut want);
+                        let mut got = Interval::unfitted(start, len);
+                        cache.oracle(pos).fit(&mut got);
+                        assert_eq!(
+                            (
+                                want.shift,
+                                want.a.to_bits(),
+                                want.b.to_bits(),
+                                want.err.to_bits()
+                            ),
+                            (
+                                got.shift,
+                                got.a.to_bits(),
+                                got.b.to_bits(),
+                                got.err.to_bits()
+                            ),
+                            "mismatch at pos={pos} start={start} len={len} \
+                             metric={metric:?} fallback={allow_fallback}"
+                        );
                     }
                 }
             }

@@ -39,9 +39,8 @@ pub struct SbrEncoder {
     base: BaseSignal,
     builder: Box<dyn BaseBuilder + Send>,
     /// Cross-batch memo of `GetBase` pair-fit errors, handed to the builder
-    /// when [`SbrConfig::get_base_fit_cache`] is on. Windows repeated from
-    /// the previous batch skip their fits entirely; see
-    /// [`crate::fit_cache`].
+    /// on every batch. Windows repeated from the previous batch skip their
+    /// fits entirely; see [`crate::fit_cache`].
     fit_cache: FitCache,
     seq: u64,
     last_stats: Option<EncodeStats>,
@@ -163,26 +162,8 @@ impl SbrEncoder {
             obs.matrix_cells.set((k * k) as f64);
             let candidates = {
                 let _s = obs.span("sbr_core.get_base.build_ns", &obs.get_base_ns);
-                if self.config.get_base_fit_cache {
-                    self.builder.build_cached(
-                        data,
-                        self.w,
-                        max_ins,
-                        self.config.metric,
-                        self.config.resolved_threads(),
-                        &obs,
-                        Some(&mut self.fit_cache),
-                    )
-                } else {
-                    self.builder.build_with_obs(
-                        data,
-                        self.w,
-                        max_ins,
-                        self.config.metric,
-                        self.config.resolved_threads(),
-                        &obs,
-                    )
-                }
+                self.builder
+                    .build(data, self.w, max_ins, &self.config, &mut self.fit_cache)
             };
             let mut search =
                 SearchContext::new(&self.base, &candidates, data, self.w, &self.config);

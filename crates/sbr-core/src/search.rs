@@ -10,12 +10,18 @@
 
 use crate::base_signal::BaseSignal;
 use crate::config::SbrConfig;
-use crate::get_intervals::{get_intervals, get_intervals_with};
+use crate::get_intervals::get_intervals_with;
 use crate::interval::IntervalRecord;
 use crate::probe_cache::ProbeCache;
 use crate::series::MultiSeries;
 
 /// Memoizing probe driver for one transmission's insertion-count decision.
+///
+/// Every probe is served through an incremental [`ProbeCache`]: probes
+/// `pos` and `pos − 1` differ only in one appended `W`-wide candidate, so
+/// the fit against the shared base prefix is computed once per interval
+/// and each candidate's region is swept once, instead of re-fitting the
+/// whole dictionary on every probe.
 pub struct SearchContext<'a> {
     base: &'a BaseSignal,
     candidates: &'a [Vec<f64>],
@@ -23,7 +29,6 @@ pub struct SearchContext<'a> {
     w: usize,
     config: &'a SbrConfig,
     errors: Vec<Option<f64>>,
-    scratch: Vec<f64>,
     probes: usize,
 }
 
@@ -44,7 +49,6 @@ impl<'a> SearchContext<'a> {
             w,
             config,
             errors: vec![None; candidates.len() + 1],
-            scratch: Vec::new(),
             probes: 0,
         }
     }
@@ -53,45 +57,34 @@ impl<'a> SearchContext<'a> {
     /// (0 ..= candidates.len()). Binary search by default (Algorithm 7);
     /// exhaustive probing under
     /// [`SbrConfig::exhaustive_search`](crate::SbrConfig).
-    ///
-    /// Under [`SbrConfig::probe_cache`] (the default) the probes share fit
-    /// work through an incremental [`ProbeCache`]; the selected count and
-    /// the memoized errors are bit-identical to the legacy re-fit path.
     pub fn run(&mut self) -> usize {
         if self.candidates.is_empty() {
             return 0;
         }
-        if !self.config.probe_cache {
-            return if self.config.exhaustive_search {
-                self.run_exhaustive(None)
+        self.with_cache(|s, cache| {
+            if s.config.exhaustive_search {
+                s.run_exhaustive(cache)
             } else {
-                self.search(0, self.candidates.len(), None)
-            };
-        }
-        // Concatenate the full dictionary once into the recycled scratch
-        // buffer; the cache borrows it for the whole search.
-        let mut buf = std::mem::take(&mut self.scratch);
-        {
-            let cands: Vec<&[f64]> = self.candidates.iter().map(Vec::as_slice).collect();
-            self.base.flat_with_appended(&cands, &mut buf);
-        }
-        let ins = {
-            let cache = ProbeCache::new(&buf, self.data, self.config, self.w, self.base.len());
-            let ins = if self.config.exhaustive_search {
-                self.run_exhaustive(Some(&cache))
-            } else {
-                self.search(0, self.candidates.len(), Some(&cache))
-            };
-            cache.publish();
-            ins
-        };
-        self.scratch = buf;
-        ins
+                s.search(0, s.candidates.len(), cache)
+            }
+        })
+    }
+
+    /// Build a probe cache over the full dictionary `base ∥ all
+    /// candidates` for the duration of `f`, then publish its counters.
+    fn with_cache<R>(&mut self, f: impl FnOnce(&mut Self, &ProbeCache<'_>) -> R) -> R {
+        let mut buf = Vec::new();
+        let cands: Vec<&[f64]> = self.candidates.iter().map(Vec::as_slice).collect();
+        self.base.flat_with_appended(&cands, &mut buf);
+        let cache = ProbeCache::new(&buf, self.data, self.config, self.w, self.base.len());
+        let out = f(self, &cache);
+        cache.publish();
+        out
     }
 
     /// Probe every insertion count; ground truth for the unimodality
     /// assumption behind Algorithm 7.
-    fn run_exhaustive(&mut self, cache: Option<&ProbeCache<'_>>) -> usize {
+    fn run_exhaustive(&mut self, cache: &ProbeCache<'_>) -> usize {
         let all: Vec<usize> = (0..=self.candidates.len()).collect();
         self.prefetch(cache, &all);
         let mut best = 0;
@@ -113,37 +106,29 @@ impl<'a> SearchContext<'a> {
     }
 
     /// Memoized batch error after inserting the first `pos` candidates.
-    /// (Probes after [`SearchContext::run`] use the legacy path; the values
-    /// are bit-identical to cached ones either way.)
     pub fn error_at(&mut self, pos: usize) -> f64 {
-        self.probe(None, pos)
+        match self.errors[pos] {
+            Some(e) => e,
+            None => self.with_cache(|s, cache| s.probe(cache, pos)),
+        }
     }
 
-    /// Memoized probe, optionally served through the probe cache.
-    fn probe(&mut self, cache: Option<&ProbeCache<'_>>, pos: usize) -> f64 {
+    /// Memoized probe served through the probe cache.
+    fn probe(&mut self, cache: &ProbeCache<'_>, pos: usize) -> f64 {
         if let Some(e) = self.errors[pos] {
             return e;
         }
         self.probes += 1;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let e = self.compute_error(cache, pos, &mut scratch);
-        self.scratch = scratch;
+        let e = self.compute_error(cache, pos);
         self.errors[pos] = Some(e);
         e
     }
 
     /// The probe itself, memo-free: one full `GetIntervals` run against the
     /// would-be dictionary (or `∞` when `pos` insertions exhaust the
-    /// budget). Shared by the serial memoized path and the parallel
-    /// prefetch. With a cache the split-tree evaluation pulls its fits from
-    /// the cache's probe-`pos` oracle instead of re-sweeping the dictionary;
-    /// `scratch` is only used by the legacy path.
-    fn compute_error(
-        &self,
-        cache: Option<&ProbeCache<'_>>,
-        pos: usize,
-        scratch: &mut Vec<f64>,
-    ) -> f64 {
+    /// budget), with every fit pulled from the cache's probe-`pos` oracle.
+    /// Shared by the serial memoized path and the parallel prefetch.
+    fn compute_error(&self, cache: &ProbeCache<'_>, pos: usize) -> f64 {
         let _span = self
             .config
             .obs
@@ -153,15 +138,7 @@ impl<'a> SearchContext<'a> {
             // Insertions ate the whole budget; this count is infeasible.
             return f64::INFINITY;
         }
-        let result = match cache {
-            Some(cache) => get_intervals_with(&cache.oracle(pos), self.data, budget, self.config),
-            None => {
-                let cands: Vec<&[f64]> = self.candidates[..pos].iter().map(Vec::as_slice).collect();
-                let x = self.base.flat_with_appended(&cands, scratch);
-                get_intervals(x, self.data, budget, self.w, self.config)
-            }
-        };
-        match result {
+        match get_intervals_with(&cache.oracle(pos), self.data, budget, self.config) {
             Ok(a) => a.total_err,
             Err(_) => f64::INFINITY,
         }
@@ -176,7 +153,7 @@ impl<'a> SearchContext<'a> {
     /// *might* need; the selected insertion count is unaffected (the memo
     /// holds identical values either way), the search merely trades at most
     /// one extra probe per level for running them all in parallel.
-    fn prefetch(&mut self, cache: Option<&ProbeCache<'_>>, positions: &[usize]) {
+    fn prefetch(&mut self, cache: &ProbeCache<'_>, positions: &[usize]) {
         let threads = self.config.resolved_threads();
         if threads <= 1 {
             return;
@@ -191,16 +168,8 @@ impl<'a> SearchContext<'a> {
         if missing.len() < 2 {
             return;
         }
-        // One scratch buffer per worker thread, reused across every probe
-        // that worker claims — mirrors the serial path's `self.scratch`
-        // recycling instead of allocating a fresh dictionary buffer per
-        // probe.
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<Vec<f64>> =
-                const { std::cell::RefCell::new(Vec::new()) };
-        }
         let values = crate::par::par_map(missing.len(), threads, &self.config.obs.par, |i| {
-            SCRATCH.with(|s| self.compute_error(cache, missing[i], &mut s.borrow_mut()))
+            self.compute_error(cache, missing[i])
         });
         for (&pos, e) in missing.iter().zip(values) {
             self.errors[pos] = Some(e);
@@ -210,7 +179,7 @@ impl<'a> SearchContext<'a> {
 
     /// Algorithm 7, verbatim (plus a speculative parallel prefetch of the
     /// level's probe positions when threading is enabled).
-    fn search(&mut self, start: usize, end: usize, cache: Option<&ProbeCache<'_>>) -> usize {
+    fn search(&mut self, start: usize, end: usize, cache: &ProbeCache<'_>) -> usize {
         if end == start {
             return start;
         }

@@ -29,22 +29,18 @@ echo "==> cargo build -p sbr-core --no-default-features"
 # cfg-free, so a drift here only surfaces on minimal builds).
 cargo build -p sbr-core --no-default-features --offline
 
-echo "==> probe-cache differential suite (cache on vs off, byte-identical)"
-# Guard: the Search probe cache is a pure evaluation-order optimization —
-# the cached and legacy probe paths must emit byte-identical streams.
-cargo test -q --offline --test probe_cache_diff
-
-echo "==> GetBase fit-cache differential suite (cache on vs off, byte-identical)"
-# Guard: the incremental GetBase fit cache (and the wire_profile f32
-# pre-screen) only reorder evaluation — cached, legacy and pre-screened
-# paths must emit byte-identical streams.
-cargo test -q --offline --test get_base_incremental_diff
+echo "==> reference-encoder differential suite (every config byte-identical to the reference)"
+# Guard: the Search probe cache, the GetBase fit cache, the blocked and FFT
+# shift sweeps and the worker fan-out only reorder evaluation — every
+# encoder configuration must emit the same bytes as the straight-line
+# reference encoder in tests/common (direct sweeps, no caches, no threads).
+cargo test -q --offline --test reference_diff
 
 echo "==> query differential suite (compressed-domain engine vs full decode)"
 # Guard: the compressed-domain query engine answers from closed-form
 # interval moments — min/max must match the decode-then-scan baseline bit
-# for bit, sums within 1e-9 relative, across metrics, strategies, thread
-# counts and recovered station indexes.
+# for bit, sums within 1e-9 relative, across metrics, search strategies,
+# thread counts and recovered station indexes.
 cargo test -q --offline --test query_diff
 
 echo "==> ARQ differential suite (reliable link: ARQ log == direct delivery)"
@@ -204,7 +200,7 @@ if [ "$run_bench" = 1 ]; then
   report="$(cargo run -p sbr-cli --release --offline --bin sbr -- report --input BENCH_SBR.json)"
   echo "$report" | grep -q "sbr-bench/v3" || { echo "report did not detect sbr-bench/v3" >&2; exit 1; }
   echo "$report" | grep -q "BestMap calls" || { echo "report missing pipeline counters" >&2; exit 1; }
-  echo "$report" | grep -q "vs no cache" || { echo "report missing search speedup block" >&2; exit 1; }
+  echo "$report" | grep -q "search:" || { echo "report missing search block" >&2; exit 1; }
   echo "$report" | grep -q "sensor_net.recovery" || { echo "report missing ARQ recovery counters" >&2; exit 1; }
   grep -q '"recovery": {' BENCH_SBR.json || { echo "BENCH_SBR.json missing recovery block" >&2; exit 1; }
 
@@ -225,6 +221,17 @@ if [ "$run_bench" = 1 ]; then
     exit 1
   fi
   echo "    fit_cache_hits total: $hits"
+
+  echo "==> perf smoke (search block: probe cache must actually engage)"
+  # Guard: the search block's probe-cache traffic must be real — hits == 0
+  # would mean Search silently stopped sharing fit work across probes.
+  phits="$(grep -o '"cache_hits": [0-9]*' BENCH_SBR.json \
+    | awk -F': ' '{s += $2} END {print s+0}')"
+  if [ "$phits" -eq 0 ]; then
+    echo "probe_cache.hits == 0 on the quick fig5 sweep: the probe cache is not engaging" >&2
+    exit 1
+  fi
+  echo "    probe cache_hits total: $phits"
 
   echo "==> perf smoke (query block: plan cache must actually engage)"
   # Guard: the query_sweep record must carry the additive query block and

@@ -1,202 +1,83 @@
 //! Differential suite for the incremental `GetBase` fit cache: the cached
-//! and legacy matrix paths must produce **byte-identical** transmission
-//! streams across error metrics, shift strategies and thread counts — the
-//! memo is a pure evaluation-order optimization, never a semantic change.
-//! Plus counter-based tests pinning the reuse the tentpole claims: repeated
-//! window content must be carried across batches (fresh fits only for
-//! genuinely new pairs), and the `f32` pre-screen sweep (behind the
-//! `wire_profile` feature) must also leave the stream byte-identical — its
-//! approximations only rank shifts, the winners are re-verified exactly.
+//! matrix build must pick exactly the candidates of the reference `K×K`
+//! greedy in `tests/common`, batch after batch with one memo carried
+//! across the stream, and the encoder built on it must emit the
+//! reference's bytes — across error metrics, both shift-sweep strategies
+//! the cost model chooses between, and thread counts. The memo is a pure
+//! evaluation-order optimization, never a semantic change.
 
-use sbr_repro::core::{codec, ErrorMetric, SbrConfig, SbrEncoder, ShiftStrategy};
-use sbr_repro::obs::{MetricsRecorder, Recorder as _, Snapshot};
+mod common;
+
+use common::{assert_matches_reference, counter, sweep_shapes};
+use sbr_repro::core::get_base::get_base_cached;
+use sbr_repro::core::{ErrorMetric, FitCache, MultiSeries};
+use sbr_repro::obs::{MetricsRecorder, Recorder as _};
 use std::sync::Arc;
-
-/// A patterned multi-chunk stream: affine images of a few repeating
-/// wiggles, so `GetBase` finds real candidates, plus per-chunk drift so the
-/// dictionary keeps evolving across transmissions.
-fn stream_chunks(n_chunks: usize, n_signals: usize, m: usize) -> Vec<Vec<Vec<f64>>> {
-    (0..n_chunks)
-        .map(|c| {
-            (0..n_signals)
-                .map(|s| {
-                    (0..m)
-                        .map(|i| {
-                            let t = (i + c * m) as f64;
-                            let pattern = (t * 0.9 + s as f64 * 2.1).sin() * 4.0
-                                + (t * 0.23).cos() * 2.0
-                                + ((i * 7 + s) % 5) as f64;
-                            pattern * (1.0 + 0.1 * c as f64) + c as f64 - s as f64
-                        })
-                        .collect()
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Encode the stream under `config`, returning one wire frame per
-/// transmission.
-fn encode_stream(chunks: &[Vec<Vec<f64>>], config: SbrConfig) -> Vec<Vec<u8>> {
-    let n = chunks[0].len();
-    let m = chunks[0][0].len();
-    let mut enc = SbrEncoder::new(n, m, config).expect("valid config");
-    chunks
-        .iter()
-        .map(|rows| codec::encode(&enc.encode(rows).expect("encode")).to_vec())
-        .collect()
-}
-
-fn assert_streams_identical(chunks: &[Vec<Vec<f64>>], config: SbrConfig, label: &str) {
-    let cached = encode_stream(chunks, config.clone().with_fit_cache(true));
-    let legacy = encode_stream(chunks, config.with_fit_cache(false));
-    assert_eq!(cached.len(), legacy.len());
-    for (t, (a, b)) in cached.iter().zip(&legacy).enumerate() {
-        assert_eq!(
-            a, b,
-            "[{label}] transmission {t}: cached and legacy frames differ"
-        );
-    }
-}
 
 #[test]
 fn byte_identical_across_metrics_strategies_and_threads() {
-    let chunks = stream_chunks(5, 2, 64);
-    for metric in [
-        ErrorMetric::Sse,
-        ErrorMetric::relative(),
-        ErrorMetric::MaxAbs,
-    ] {
-        for strategy in [
-            ShiftStrategy::Auto,
-            ShiftStrategy::Direct,
-            ShiftStrategy::Fft,
+    for (shape, chunks, shape_config) in sweep_shapes() {
+        let w = shape_config
+            .validate(chunks[0].len(), chunks[0][0].len())
+            .expect("valid config");
+        let max_ins = shape_config.max_ins(w);
+        for metric in [
+            ErrorMetric::Sse,
+            ErrorMetric::relative(),
+            ErrorMetric::MaxAbs,
         ] {
             for threads in [1usize, 4] {
-                let config = SbrConfig::new(72, 64)
+                let label = format!("{shape}/{metric:?}/t{threads}");
+                let rec = Arc::new(MetricsRecorder::new());
+                let config = shape_config
+                    .clone()
                     .with_metric(metric)
-                    .with_shift_strategy(strategy)
-                    .with_threads(threads);
-                assert_streams_identical(
-                    &chunks,
-                    config,
-                    &format!("{metric:?}/{strategy:?}/t{threads}"),
+                    .with_threads(threads)
+                    .with_recorder(rec.clone());
+
+                // GetBase alone, one memo carried across every batch.
+                let mut cache = FitCache::new();
+                for (t, rows) in chunks.iter().enumerate() {
+                    let data = MultiSeries::from_rows(rows).expect("rectangular batch");
+                    assert_eq!(
+                        get_base_cached(
+                            &data,
+                            w,
+                            max_ins,
+                            metric,
+                            threads,
+                            &config.obs,
+                            &mut cache
+                        ),
+                        common::get_base(&data, w, max_ins, metric),
+                        "[{label}] batch {t}: cached GetBase differs from the reference"
+                    );
+                }
+                let snap = rec.snapshot();
+                assert!(
+                    counter(&snap, "sbr_core.get_base.fit_cache.misses") > 0,
+                    "[{label}] the memo must be filled"
                 );
+                assert!(
+                    counter(&snap, "sbr_core.get_base.fit_cache.hits") > 0,
+                    "[{label}] the memo must be read"
+                );
+
+                // And the whole encoder, whose own memo persists likewise.
+                assert_matches_reference(&chunks, config, &label);
+
+                // The wide shape must really cross the FFT sweep (SSE is
+                // the metric with a shift-sweep kernel).
+                if shape == "fft" && matches!(metric, ErrorMetric::Sse) {
+                    let snap = rec.snapshot();
+                    assert!(
+                        counter(&snap, "sbr_core.best_map.fft_sweeps")
+                            + counter(&snap, "sbr_core.best_map.base_fft_sweeps")
+                            > 0,
+                        "[{label}] the suite must cross the FFT path"
+                    );
+                }
             }
         }
     }
-}
-
-#[test]
-fn byte_identical_with_low_memory_builder() {
-    // The low-memory builder's cached path shares the full-matrix memo; it
-    // must still match its own legacy (per-step re-fitting) output.
-    let chunks = stream_chunks(4, 2, 64);
-    for threads in [1usize, 4] {
-        let n = chunks[0].len();
-        let m = chunks[0][0].len();
-        let encode_with = |fit_cache: bool| -> Vec<Vec<u8>> {
-            let config = SbrConfig::new(72, 64)
-                .with_threads(threads)
-                .with_fit_cache(fit_cache);
-            let mut enc =
-                SbrEncoder::with_builder(n, m, config, Box::new(sbr_repro::core::LowMemoryGetBase))
-                    .expect("valid config");
-            chunks
-                .iter()
-                .map(|rows| codec::encode(&enc.encode(rows).expect("encode")).to_vec())
-                .collect()
-        };
-        let cached = encode_with(true);
-        let legacy = encode_with(false);
-        for (t, (a, b)) in cached.iter().zip(&legacy).enumerate() {
-            assert_eq!(
-                a, b,
-                "[low-memory/t{threads}] transmission {t}: cached and legacy frames differ"
-            );
-        }
-    }
-}
-
-fn counter(snap: &Snapshot, name: &str) -> u64 {
-    snap.counter(name).unwrap_or(0)
-}
-
-/// Encode and return the metrics snapshot alongside the frames.
-fn encode_with_metrics(chunks: &[Vec<Vec<f64>>], config: SbrConfig) -> (Vec<Vec<u8>>, Snapshot) {
-    let rec = Arc::new(MetricsRecorder::new());
-    let frames = encode_stream(chunks, config.with_recorder(rec.clone()));
-    (frames, rec.snapshot())
-}
-
-#[test]
-fn repeated_batches_are_served_from_the_carry_over() {
-    // The same batch encoded twice in a row: every window of batch 2 was
-    // interned in batch 1, so the second matrix build must fit nothing
-    // fresh — misses stop growing after the first batch.
-    let one = stream_chunks(1, 2, 64).remove(0);
-    let chunks = vec![one.clone(), one];
-    let (_, snap) = encode_with_metrics(&chunks, SbrConfig::new(72, 64).with_threads(1));
-    let hits = counter(&snap, "sbr_core.get_base.fit_cache.hits");
-    let misses = counter(&snap, "sbr_core.get_base.fit_cache.misses");
-    assert!(hits > 0, "memo must be read");
-    // K = 2 signals × 1 window-per-signal... with m=64 and W=⌊√128⌋=11,
-    // K = 2·⌊64/11⌋ = 10: one batch's off-diagonal cells are K²−K = 90.
-    // Two batches of fresh content would be 180 misses; carry-over must
-    // halve that exactly.
-    assert_eq!(
-        misses, 90,
-        "identical second batch must re-fit nothing (one batch's worth of misses only)"
-    );
-    let bytes = snap
-        .gauge("sbr_core.get_base.fit_cache.bytes")
-        .unwrap_or(0.0);
-    assert!(bytes > 0.0, "footprint gauge must be reported");
-}
-
-#[test]
-fn legacy_path_reports_no_fit_cache_traffic() {
-    let chunks = stream_chunks(2, 2, 64);
-    let (_, snap) = encode_with_metrics(&chunks, SbrConfig::new(72, 64).without_fit_cache());
-    assert_eq!(counter(&snap, "sbr_core.get_base.fit_cache.hits"), 0);
-    assert_eq!(counter(&snap, "sbr_core.get_base.fit_cache.misses"), 0);
-}
-
-/// The `f32` pre-screen is *exact-by-construction*: it only filters the
-/// shift sweep and re-verifies survivors in f64. There is no versioned
-/// deviation to flag — the stream must be byte-identical, and the suite
-/// fails loudly if that ever regresses.
-#[cfg(feature = "wire_profile")]
-#[test]
-fn f32_prescreen_stream_is_byte_identical_and_engaged() {
-    // Long batches + forced Direct strategy so the sweeps are wide enough
-    // for the pre-screen to take over (≥ 32 shifts).
-    let chunks = stream_chunks(3, 2, 256);
-    let config = SbrConfig::new(160, 256)
-        .with_shift_strategy(ShiftStrategy::Direct)
-        .with_threads(1);
-    let exact = encode_stream(&chunks, config.clone().with_f32_prescreen(false));
-    let rec = Arc::new(MetricsRecorder::new());
-    let screened = encode_stream(
-        &chunks,
-        config.with_f32_prescreen(true).with_recorder(rec.clone()),
-    );
-    for (t, (a, b)) in exact.iter().zip(&screened).enumerate() {
-        assert_eq!(
-            a, b,
-            "transmission {t}: f32 pre-screen changed the stream — it may only rank, never select"
-        );
-    }
-    let snap = rec.snapshot();
-    let sweeps = snap
-        .counter("sbr_core.best_map.f32_prescreen_sweeps")
-        .unwrap_or(0);
-    assert!(sweeps > 0, "pre-screen must actually engage on wide sweeps");
-    let reverified = snap
-        .counter("sbr_core.best_map.f32_reverified_shifts")
-        .unwrap_or(0);
-    assert!(
-        reverified > 0,
-        "every pre-screened sweep ends in exact re-verification"
-    );
 }

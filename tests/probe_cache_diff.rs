@@ -1,218 +1,80 @@
-//! Differential suite for the `Search` probe cache: the cached and legacy
-//! probe paths must produce **byte-identical** transmission streams across
-//! error metrics, shift strategies, thread counts, and the exhaustive
-//! search — the cache is a pure evaluation-order optimization, never a
-//! semantic change. Plus a probe-complexity test pinning the tentpole
-//! claim: cached exhaustive search pays at most one full
-//! `GetIntervals`-equivalent of base-prefix fit work, where the legacy
-//! path pays one per probe.
+//! Differential suite for the `Search` probe cache: the cached search must
+//! pick the insertion count of the reference `Search` in `tests/common`
+//! (one fresh `GetIntervals` per probe) at every batch of a stream, and
+//! the encoder built on it must emit the reference's bytes — across error
+//! metrics, both shift-sweep strategies the cost model chooses between,
+//! thread counts, and binary versus exhaustive search. The cache is a pure
+//! evaluation-order optimization, never a semantic change.
 
-use sbr_repro::core::base_signal::BaseSignal;
+mod common;
+
+use common::{assert_matches_reference, counter, sweep_shapes};
 use sbr_repro::core::search::SearchContext;
-use sbr_repro::core::{codec, ErrorMetric, MultiSeries, SbrConfig, SbrEncoder, ShiftStrategy};
-use sbr_repro::obs::{MetricsRecorder, Recorder as _, Snapshot};
+use sbr_repro::core::{BaseSignal, ErrorMetric, MultiSeries};
+use sbr_repro::obs::{MetricsRecorder, Recorder as _};
 use std::sync::Arc;
-
-/// A patterned multi-chunk stream: affine images of a few repeating
-/// wiggles, so `GetBase` finds real candidates and `Search` inserts some —
-/// the base signal evolves across transmissions and the probe dictionaries
-/// are non-trivial.
-fn stream_chunks(n_chunks: usize, n_signals: usize, m: usize) -> Vec<Vec<Vec<f64>>> {
-    (0..n_chunks)
-        .map(|c| {
-            (0..n_signals)
-                .map(|s| {
-                    (0..m)
-                        .map(|i| {
-                            let t = (i + c * m) as f64;
-                            let pattern = (t * 0.9 + s as f64 * 2.1).sin() * 4.0
-                                + (t * 0.23).cos() * 2.0
-                                + ((i * 7 + s) % 5) as f64;
-                            pattern * (1.0 + 0.1 * c as f64) + c as f64 - s as f64
-                        })
-                        .collect()
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Encode the stream under `config`, returning one wire frame per
-/// transmission.
-fn encode_stream(chunks: &[Vec<Vec<f64>>], config: SbrConfig) -> Vec<Vec<u8>> {
-    let n = chunks[0].len();
-    let m = chunks[0][0].len();
-    let mut enc = SbrEncoder::new(n, m, config).expect("valid config");
-    chunks
-        .iter()
-        .map(|rows| codec::encode(&enc.encode(rows).expect("encode")).to_vec())
-        .collect()
-}
-
-fn assert_streams_identical(chunks: &[Vec<Vec<f64>>], config: SbrConfig, label: &str) {
-    let cached = encode_stream(chunks, config.clone().with_probe_cache(true));
-    let legacy = encode_stream(chunks, config.with_probe_cache(false));
-    assert_eq!(cached.len(), legacy.len());
-    for (t, (a, b)) in cached.iter().zip(&legacy).enumerate() {
-        assert_eq!(
-            a, b,
-            "[{label}] transmission {t}: cached and legacy frames differ"
-        );
-    }
-}
 
 #[test]
 fn byte_identical_across_metrics_strategies_and_threads() {
-    let chunks = stream_chunks(5, 2, 64);
-    for metric in [
-        ErrorMetric::Sse,
-        ErrorMetric::relative(),
-        ErrorMetric::MaxAbs,
-    ] {
-        for strategy in [
-            ShiftStrategy::Auto,
-            ShiftStrategy::Direct,
-            ShiftStrategy::Fft,
+    for (shape, chunks, shape_config) in sweep_shapes() {
+        let w = shape_config
+            .validate(chunks[0].len(), chunks[0][0].len())
+            .expect("valid config");
+        for metric in [
+            ErrorMetric::Sse,
+            ErrorMetric::relative(),
+            ErrorMetric::MaxAbs,
         ] {
             for threads in [1usize, 4] {
-                let config = SbrConfig::new(72, 64)
-                    .with_metric(metric)
-                    .with_shift_strategy(strategy)
-                    .with_threads(threads);
-                assert_streams_identical(
-                    &chunks,
-                    config,
-                    &format!("{metric:?}/{strategy:?}/t{threads}"),
-                );
+                for exhaustive in [false, true] {
+                    let label = format!("{shape}/{metric:?}/t{threads}/exhaustive={exhaustive}");
+                    let mut config = shape_config
+                        .clone()
+                        .with_metric(metric)
+                        .with_threads(threads);
+                    config.exhaustive_search = exhaustive;
+                    let rec = Arc::new(MetricsRecorder::new());
+                    let observed = config.clone().with_recorder(rec.clone());
+
+                    // Search alone, over a base that grows by the agreed
+                    // insertions from batch to batch.
+                    let mut base = BaseSignal::new(w);
+                    for (t, rows) in chunks.iter().enumerate() {
+                        let data = MultiSeries::from_rows(rows).expect("rectangular batch");
+                        let cands = common::get_base(&data, w, config.max_ins(w), metric);
+                        let ins = SearchContext::new(&base, &cands, &data, w, &observed).run();
+                        assert_eq!(
+                            ins,
+                            common::Search::new(&base, &cands, &data, w, &config).run(),
+                            "[{label}] batch {t}: cached search differs from the reference"
+                        );
+                        let slots = base
+                            .plan_placement(ins, (config.m_base / w).max(ins))
+                            .expect("placement fits");
+                        for (values, &slot) in cands.iter().zip(&slots) {
+                            base.apply_insert(slot, values, t as u64).expect("insert");
+                        }
+                    }
+                    assert!(
+                        counter(&rec.snapshot(), "sbr_core.probe_cache.misses") > 0,
+                        "[{label}] the probes must be served through the cache"
+                    );
+
+                    assert_matches_reference(&chunks, observed, &label);
+
+                    // The wide shape must really cross the FFT sweep (SSE is
+                    // the metric with a shift-sweep kernel).
+                    if shape == "fft" && matches!(metric, ErrorMetric::Sse) {
+                        let snap = rec.snapshot();
+                        assert!(
+                            counter(&snap, "sbr_core.best_map.fft_sweeps")
+                                + counter(&snap, "sbr_core.best_map.base_fft_sweeps")
+                                > 0,
+                            "[{label}] the suite must cross the FFT path"
+                        );
+                    }
+                }
             }
         }
     }
-}
-
-#[test]
-fn byte_identical_on_exhaustive_search() {
-    let chunks = stream_chunks(4, 2, 64);
-    for threads in [1usize, 4] {
-        let mut config = SbrConfig::new(80, 80).with_threads(threads);
-        config.exhaustive_search = true;
-        assert_streams_identical(&chunks, config, &format!("exhaustive/t{threads}"));
-    }
-}
-
-#[test]
-fn byte_identical_without_fallback_and_with_error_target() {
-    let chunks = stream_chunks(3, 2, 64);
-    let no_fallback = SbrConfig::new(72, 64).without_fallback();
-    assert_streams_identical(&chunks, no_fallback, "no-fallback");
-    let mut targeted = SbrConfig::new(96, 64);
-    targeted.error_target = Some(50.0);
-    assert_streams_identical(&chunks, targeted, "error-target");
-}
-
-/// Drive one `Search` (no encoder around it, so the counters are not
-/// polluted by `GetBase` or the final `GetIntervals`) and snapshot its
-/// metrics.
-fn run_search(
-    base: &BaseSignal,
-    cands: &[Vec<f64>],
-    data: &MultiSeries,
-    w: usize,
-    config: SbrConfig,
-) -> (usize, usize, Snapshot) {
-    let rec = Arc::new(MetricsRecorder::new());
-    let config = config.with_recorder(rec.clone());
-    let mut s = SearchContext::new(base, cands, data, w, &config);
-    let ins = s.run();
-    (ins, s.probes(), rec.snapshot())
-}
-
-fn counter(snap: &Snapshot, name: &str) -> u64 {
-    snap.counter(name).unwrap_or(0)
-}
-
-#[test]
-fn cached_exhaustive_search_does_one_getintervals_of_base_fit_work() {
-    // A non-empty base plus ranked candidates, searched exhaustively with
-    // one thread so the accounting is exact.
-    let w = 8;
-    let data = {
-        let row: Vec<f64> = (0..192)
-            .map(|i| {
-                let t = i as f64;
-                (t * 1.1).sin() * 4.0 + (t * 0.31).cos() * 2.0 + ((i * 5) % 7) as f64
-            })
-            .collect();
-        MultiSeries::from_rows(&[row]).unwrap()
-    };
-    let mut base = BaseSignal::new(w);
-    for slot in 0..3 {
-        let vals: Vec<f64> = (0..w)
-            .map(|i| ((slot * w + i) as f64 * 0.7).sin() * 3.0)
-            .collect();
-        base.apply_insert(slot, &vals, 0).unwrap();
-    }
-    let cands = sbr_repro::core::get_base::get_base(&data, w, 10, ErrorMetric::Sse);
-    assert!(cands.len() >= 4, "need a real candidate set");
-
-    let mut config = SbrConfig::new(240, 800).with_w(w).with_threads(1);
-    config.exhaustive_search = true;
-
-    let (ins_cached, probes, cached) = run_search(
-        &base,
-        &cands,
-        &data,
-        w,
-        config.clone().with_probe_cache(true),
-    );
-    let (ins_legacy, _, legacy) = run_search(
-        &base,
-        &cands,
-        &data,
-        w,
-        config.clone().with_probe_cache(false),
-    );
-    assert_eq!(ins_cached, ins_legacy, "same insertion count either way");
-    assert!(probes > cands.len(), "exhaustive search probed every count");
-
-    // The cached search never runs a full-dictionary sweep: all its fit
-    // work is region-restricted.
-    let cached_full = counter(&cached, "sbr_core.best_map.direct_sweeps")
-        + counter(&cached, "sbr_core.best_map.fft_sweeps");
-    assert_eq!(
-        cached_full, 0,
-        "cached probes must not re-sweep the dictionary"
-    );
-
-    // Base-prefix fit work: at most one sweep per distinct (start, len) —
-    // i.e. at most one full GetIntervals-equivalent across ALL probes,
-    // where the legacy path pays one sweep per interval per probe.
-    let base_sweeps = counter(&cached, "sbr_core.best_map.base_direct_sweeps")
-        + counter(&cached, "sbr_core.best_map.base_fft_sweeps");
-    let entries = counter(&cached, "sbr_core.probe_cache.misses");
-    assert!(
-        base_sweeps <= entries,
-        "base prefix swept {base_sweeps} times for {entries} cache entries"
-    );
-    let legacy_full = counter(&legacy, "sbr_core.best_map.direct_sweeps")
-        + counter(&legacy, "sbr_core.best_map.fft_sweeps");
-    assert!(
-        legacy_full >= 2 * base_sweeps,
-        "sharing must beat per-probe re-fitting: legacy {legacy_full} full sweeps \
-         vs cached {base_sweeps} base-region sweeps"
-    );
-    // Each candidate region is swept at most once per entry.
-    let cand_sweeps = counter(&cached, "sbr_core.best_map.cand_direct_sweeps")
-        + counter(&cached, "sbr_core.best_map.cand_fft_sweeps");
-    assert!(
-        cand_sweeps <= entries * cands.len() as u64,
-        "{cand_sweeps} candidate sweeps exceeds one region pass per candidate \
-         per entry ({entries} × {})",
-        cands.len()
-    );
-    // And the cache actually got re-used: hits are fits answered without
-    // any new sweeping.
-    assert!(
-        counter(&cached, "sbr_core.probe_cache.hits") > 0,
-        "exhaustive probing must hit the cache"
-    );
 }

@@ -1,18 +1,21 @@
 //! Property-based tests (proptest) over the core invariants.
 
+mod common;
+
 use proptest::prelude::*;
 
 use sbr_repro::baselines::{dct, fourier, histogram, swing, v_optimal, wavelet, wavelet2d};
 use sbr_repro::core::best_map::MapContext;
+use sbr_repro::core::get_intervals::FitOracle as _;
 use sbr_repro::core::interval::IntervalRecord;
 use sbr_repro::core::query::ChunkView;
 use sbr_repro::core::transmission::{BaseUpdate, Transmission};
 use sbr_repro::core::{
     codec, regression, xcorr, Decoder, ErrorMetric, Interval, MultiSeries, SbrConfig, SbrEncoder,
-    ShiftStrategy,
 };
 use sbr_repro::core::{quadratic, wire_profile};
 use sbr_repro::datasets::schedule::{align, expand, thin, Fill, ScheduledSignal};
+use sbr_repro::obs::{MetricsRecorder, Recorder as _};
 use sbr_repro::sensor_net::{BaseStation, FaultPlan, SensorNode};
 
 /// One end-to-end ARQ round for the chaos property: push every pending
@@ -479,35 +482,33 @@ proptest! {
         }
     }
 
-    /// `BestMap` under the FFT strategy selects the identical shift and
-    /// bit-identical coefficients as the direct sweep — including windows
-    /// longer than the base (fall-back on both paths) and a constant base
-    /// signal (every shift ties; earliest must win on both paths).
+    /// `BestMap` on a shape where the cost model takes the FFT sweep
+    /// selects the identical shift and bit-identical coefficients as the
+    /// reference encoder's direct sweep — including a constant base signal
+    /// (every shift ties; the earliest must win on both paths).
     #[test]
     fn best_map_fft_strategy_identical_to_direct(
-        x in finite_signal(128),
-        y in finite_signal(128),
+        x in prop::collection::vec(-1e6f64..1e6, 512..513),
+        y in prop::collection::vec(-1e6f64..1e6, 64..257),
         make_x_constant in any::<bool>(),
     ) {
-        // W = 32 with the default ×2 factor keeps windows up to 64 samples
-        // shiftable; longer windows exercise the fall-back on both paths,
-        // as do windows longer than the base signal itself.
+        // |X| = 512 and W = 128 keep every 64..=256-sample window
+        // shiftable, and past the direct-vs-FFT crossover.
         let x = if make_x_constant { vec![7.5; x.len()] } else { x };
-        let w = 32;
-        let cfg_direct = SbrConfig::new(1_000_000, 1_000_000)
+        let w = 128;
+        let rec = std::sync::Arc::new(MetricsRecorder::new());
+        let config = SbrConfig::new(1_000_000, 1_000_000)
             .with_w(w)
-            .with_shift_strategy(ShiftStrategy::Direct);
-        let cfg_fft = cfg_direct.clone().with_shift_strategy(ShiftStrategy::Fft);
-        let cd = MapContext::new(&x, &y, &cfg_direct, w);
-        let cf = MapContext::new(&x, &y, &cfg_fft, w);
-        let mut iv_d = Interval::unfitted(0, y.len());
-        let mut iv_f = Interval::unfitted(0, y.len());
-        cd.best_map(&mut iv_d);
-        cf.best_map(&mut iv_f);
-        prop_assert_eq!(iv_d.shift, iv_f.shift);
-        prop_assert_eq!(iv_d.a.to_bits(), iv_f.a.to_bits());
-        prop_assert_eq!(iv_d.b.to_bits(), iv_f.b.to_bits());
-        prop_assert_eq!(iv_d.err.to_bits(), iv_f.err.to_bits());
+            .with_recorder(rec.clone());
+        let mut got = Interval::unfitted(0, y.len());
+        MapContext::new(&x, &y, &config, w).best_map(&mut got);
+        prop_assert_eq!(rec.snapshot().counter("sbr_core.best_map.fft_sweeps"), Some(1));
+        let mut want = Interval::unfitted(0, y.len());
+        common::DirectOracle::new(&x, &y, &config, w).fit(&mut want);
+        prop_assert_eq!(want.shift, got.shift);
+        prop_assert_eq!(want.a.to_bits(), got.a.to_bits());
+        prop_assert_eq!(want.b.to_bits(), got.b.to_bits());
+        prop_assert_eq!(want.err.to_bits(), got.err.to_bits());
     }
 
     /// The swing filter's ε-guarantee holds on arbitrary finite data.

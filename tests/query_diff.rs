@@ -6,12 +6,13 @@
 //! there is no tolerance to hide behind. Sums are accumulated in a
 //! different association order (per-interval prefix moments vs. one long
 //! left-to-right fold), so sum/avg get a 1e-9 relative tolerance.
-//! The contract must hold across error metrics, shift strategies, worker
-//! thread counts, and a persisted-then-recovered base-station index.
+//! The contract must hold across error metrics, search strategies (binary
+//! and exhaustive), the fall-back switch, worker thread counts, a frozen
+//! base, and a persisted-then-recovered base-station index.
 
 use sbr_repro::core::query::aggregate_stream;
 use sbr_repro::core::{
-    codec, Aggregate, Decoder, QueryEngine, SbrConfig, SbrEncoder, ShiftStrategy, Transmission,
+    codec, Aggregate, Decoder, QueryEngine, SbrConfig, SbrEncoder, Transmission,
 };
 use sbr_repro::sensor_net::BaseStation;
 
@@ -146,10 +147,12 @@ fn split_ranges_agree_within_the_documented_bound() {
 fn agreement_holds_across_metrics_strategies_and_threads() {
     let m = 64;
     let files = chunked(2, m, 4, 0.9);
+    let mut exhaustive = SbrConfig::new(70, 48);
+    exhaustive.exhaustive_search = true;
     let configs = [
         SbrConfig::new(70, 48).with_metric(sbr_repro::core::ErrorMetric::relative()),
-        SbrConfig::new(70, 48).with_shift_strategy(ShiftStrategy::Direct),
-        SbrConfig::new(70, 48).with_shift_strategy(ShiftStrategy::Fft),
+        exhaustive,
+        SbrConfig::new(70, 48).without_fallback(),
         SbrConfig::new(70, 48).with_threads(1),
         SbrConfig::new(70, 48).with_threads(4),
         SbrConfig::new(70, 48).frozen_base(),
