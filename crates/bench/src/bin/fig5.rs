@@ -9,33 +9,60 @@
 //! Run with `--quick` to measure only two ratios.
 //!
 //! Besides the human-readable table, every measured configuration is
-//! written to `BENCH_SBR.json` (schema `sbr-bench/v3`, see the README).
-//! Each record embeds the run's `sbr-obs` metrics snapshot — per-phase
-//! times, direct-vs-FFT sweep counts, base-signal churn — plus `search`
-//! and `get_base` blocks (probe count, probe-cache and fit-cache
-//! hits/misses, per-phase wall times). One extra `network_sim` record
-//! carries per-node radio counters from a small sensor-network run, so
-//! regression tooling can diff *why* a configuration got slower, not
-//! just that it did.
+//! written to `BENCH_SBR.json` (schema `sbr-bench/v4`, see the README):
+//! one row per histogram of the run's recorder — per-phase times, cache
+//! traffic, the bench's own control timings — plus every counter, so
+//! regression tooling can diff *why* a configuration got slower, not just
+//! that it did. Extra `network_sim`, `query_sweep` and `storage_recovery`
+//! records cover the radio, query and recovery layers the same way.
+//! Refresh the committed baseline with
+//! `cp BENCH_SBR.json results/BENCH_SBR_v4.json`.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use sbr_bench::{quick_mode, row, run_sbr_stream, BenchRecord, QueryStats, StorageStats, RATIOS};
+use sbr_bench::{quick_mode, row, run_sbr_stream, RATIOS};
 use sbr_core::{
     codec, query::aggregate_stream, Aggregate, Decoder, QueryEngine, QueryObs, SbrConfig,
     SbrEncoder,
 };
-use sbr_obs::{MetricsRecorder, Recorder as _};
+use sbr_obs::bench::{self, BenchRecord};
+use sbr_obs::{MetricsRecorder, Recorder, Span};
 use sensor_net::{
-    storage, BaseStation, EnergyModel, FaultPlan, LossyLink, Network, Strategy, Topology,
+    storage, BaseStation, EnergyModel, FaultPlan, LossyLink, Network, RecoveryStats, Strategy,
+    Topology,
 };
+
+/// Count `s` into `rec` as `bench.recovery.*` counters.
+fn record_recovery(rec: &dyn Recorder, s: &RecoveryStats) {
+    for (name, v) in [
+        ("frames_sent", s.frames_sent),
+        ("frames_delivered", s.frames_delivered),
+        ("duplicates_discarded", s.duplicates_discarded),
+        ("gaps_detected", s.gaps_detected),
+        ("corrupt_rejected", s.corrupt_rejected),
+        ("resyncs", s.resyncs),
+        ("retx_overflows", s.retx_overflows),
+        ("max_retx_depth", s.max_retx_depth as u64),
+        ("crashes", s.crashes),
+        ("acks_sent", s.acks_sent),
+        ("chunks_flushed", s.chunks_flushed as u64),
+        ("chunks_delivered", s.chunks_delivered as u64),
+    ] {
+        rec.counter(&format!("bench.recovery.{name}")).add(v);
+    }
+}
+
+/// Time `f` into the `name` histogram of `rec`.
+fn timed<T>(rec: &dyn Recorder, name: &'static str, f: impl FnOnce() -> T) -> T {
+    let _span = Span::start(name, &rec.histogram(name), None);
+    f()
+}
 
 /// One small SBR dissemination run over a line topology, instrumented end
 /// to end; returns the record carrying per-node tx/rx counters. The run
 /// uses the loss-tolerant ARQ strategy under per-hop loss and a seeded
-/// end-to-end fault schedule, so the record also carries a `recovery`
-/// block and the `sensor_net.recovery.*` counters land in its snapshot.
+/// end-to-end fault schedule, so the `sensor_net.recovery.*` and
+/// `bench.recovery.*` counters land in the record too.
 fn network_sim_record(quick: bool) -> BenchRecord {
     let nodes = 5usize; // base + 4 sensors
     let n_signals = 2;
@@ -65,41 +92,30 @@ fn network_sim_record(quick: bool) -> BenchRecord {
         )
         .expect("network_sim run");
     let recovery = report.recovery.expect("ARQ runs report recovery stats");
-    BenchRecord {
-        experiment: "network_sim".to_string(),
-        params: vec![
-            ("nodes".to_string(), nodes as f64),
-            ("values_sent".to_string(), report.values_sent as f64),
-            ("raw_values".to_string(), report.raw_values as f64),
-            ("loss".to_string(), 0.1),
-            ("drop".to_string(), 0.2),
-        ],
-        avg_encode_secs: 0.0,
-        avg_sse: report.sse,
-        total_rel: 0.0,
-        transmissions: 0,
-        inserted: Vec::new(),
-        metrics: None,
-        search: None,
-        get_base: None,
-        recovery: None,
-        query: None,
-        storage: None,
-    }
-    .with_metrics(rec.snapshot())
-    .with_recovery(recovery)
+    record_recovery(rec.as_ref(), &recovery);
+    // Measured outputs are counters, not params: a change in wire size
+    // must not unmatch the record. `values_sent` is already counted as
+    // `sensor_net.network.values_sent`.
+    rec.counter("bench.network.raw_values")
+        .add(report.raw_values as u64);
+    rec.gauge("bench.quality.sse").set(report.sse);
+    BenchRecord::from_snapshot(
+        "network_sim",
+        &[("nodes", nodes as f64), ("loss", 0.1), ("drop", 0.2)],
+        &rec.snapshot(),
+    )
 }
 
 /// Millions of range aggregates against the compressed-domain
 /// [`QueryEngine`] vs. a full-decode [`aggregate_stream`] baseline on a
 /// subsample of the same deterministic workload; returns the record
-/// carrying the v3 `query` block (plan-cache hit counts, fold counters,
-/// and the per-query decode-over-compressed `speedup`).
+/// carrying the engine's rows and counters (plan-cache traffic, fold
+/// counts) beside the `bench.query.decode_baseline_ns` control row.
 fn query_sweep_record(quick: bool) -> BenchRecord {
     let n_signals = 4usize;
     let m = 256usize;
     // The compressed sweep is cheap enough to keep at full size even in
-    // quick mode (the v3 acceptance gate is the 1e6-query speedup);
+    // quick mode (the headline is the 1e6-query speedup);
     // quick only trims the log length and the slow decode control.
     let chunks = if quick { 16 } else { 64 };
     let sweep: u64 = 1_000_000;
@@ -155,7 +171,7 @@ fn query_sweep_record(quick: bool) -> BenchRecord {
     // Full-decode control: replay the *same* workload prefix, each query
     // re-running the decoder from the head of the log (what answering
     // without the index costs). Far too slow for the full sweep — hence
-    // the subsample, normalized per query by `QueryStats::speedup`.
+    // the subsample, normalized per query below.
     let mut state2 = 0x2545_f491_4f6c_dd1du64;
     for _ in 0..3 * POOL as u64 {
         // Advance past the pool-construction draws.
@@ -169,56 +185,49 @@ fn query_sweep_record(quick: bool) -> BenchRecord {
             .wrapping_add(1442695040888963407);
         state2 >> 16
     };
-    let started = Instant::now();
     for _ in 0..decode_queries {
         let &(signal, t0, t1, _) = &pool[lcg2() as usize % POOL];
-        let mut decoder = Decoder::new();
-        let _ = aggregate_stream(&mut decoder, &txs, signal, t0, t1).expect("decode baseline");
+        timed(rec.as_ref(), "bench.query.decode_baseline_ns", || {
+            let mut decoder = Decoder::new();
+            aggregate_stream(&mut decoder, &txs, signal, t0, t1).expect("decode baseline")
+        });
     }
-    let decode_wall = started.elapsed().as_secs_f64();
 
-    let snapshot = rec.snapshot();
-    let query =
-        QueryStats::from_snapshot(&snapshot).with_decode_baseline(decode_queries, decode_wall);
-    let speedup = query.speedup().unwrap_or(0.0);
+    let record = BenchRecord::from_snapshot(
+        "query_sweep",
+        &[
+            ("n_signals", n_signals as f64),
+            ("samples_per_signal", m as f64),
+            ("chunks", chunks as f64),
+            ("plan_pool", POOL as f64),
+        ],
+        &rec.snapshot(),
+    );
+    // (queries, wall seconds) of one side.
+    let side = |name: &str| {
+        record
+            .row(name)
+            .map_or((0, 0.0), |r| (r.count, r.sum as f64 / 1e9))
+    };
+    let (queries, query_wall) = side("sbr_core.query.query_ns");
+    let (_, decode_wall) = side("bench.query.decode_baseline_ns");
+    let speedup = (decode_wall / decode_queries as f64) / (query_wall / queries as f64);
     println!(
         "query sweep: {sweep} compressed queries over {chunks} chunks \
-         ({:.2} s), {decode_queries} decode-baseline queries ({decode_wall:.2} s), \
-         {speedup:.0}x per query",
-        query.wall_secs
+         ({query_wall:.2} s), {decode_queries} decode-baseline queries ({decode_wall:.2} s), \
+         {speedup:.0}x per query"
     );
-    BenchRecord {
-        experiment: "query_sweep".to_string(),
-        params: vec![
-            ("n_signals".to_string(), n_signals as f64),
-            ("samples_per_signal".to_string(), m as f64),
-            ("chunks".to_string(), chunks as f64),
-            ("plan_pool".to_string(), POOL as f64),
-        ],
-        avg_encode_secs: 0.0,
-        avg_sse: 0.0,
-        total_rel: 0.0,
-        transmissions: txs.len(),
-        inserted: Vec::new(),
-        metrics: None,
-        search: None,
-        get_base: None,
-        recovery: None,
-        query: None,
-        storage: None,
-    }
-    .with_metrics(snapshot)
-    .with_query(query)
+    record
 }
 
 /// Segmented-store recovery sweep: persist histories an order of
 /// magnitude apart into checkpointed segmented stores, then measure what
-/// a station restart costs. One record per history length, each carrying
-/// the v3 `storage` block. The headline shape: `replayed_records` and
-/// `wall_secs` stay flat while `records` grows 10x–100x, because a
-/// checkpointed load replays only the active tail; the
-/// `full_replay_wall_secs` control (hydrating the whole history) is what
-/// recovery would cost without checkpoints.
+/// a station restart costs. One record per history length. The headline
+/// shape: `sensor_net.storage.segments.replayed_records` and the
+/// `bench.storage.load_ns` row stay flat while `bench.storage.records`
+/// grows 10x–100x, because a checkpointed load replays only the active
+/// tail; the `bench.storage.full_replay_ns` control (hydrating the whole
+/// history) is what recovery would cost without checkpoints.
 fn storage_recovery_records(quick: bool) -> Vec<BenchRecord> {
     let n_signals = 2usize;
     let m = 64usize;
@@ -254,59 +263,42 @@ fn storage_recovery_records(quick: bool) -> Vec<BenchRecord> {
         let report = storage::verify(&dir, 1).expect("persisted store verifies");
         // Checkpointed load: directory scan + active-tail replay only.
         let rec = Arc::new(MetricsRecorder::new());
-        let started = Instant::now();
-        let station =
-            BaseStation::load_with_recorder(&dir, rec.as_ref()).expect("checkpointed load");
-        let wall = started.elapsed().as_secs_f64();
-        let replayed = rec
-            .snapshot()
-            .counter("sensor_net.storage.segments.replayed_records")
-            .unwrap_or(0);
+        let station = timed(rec.as_ref(), "bench.storage.load_ns", || {
+            BaseStation::load_with_recorder(&dir, rec.as_ref()).expect("checkpointed load")
+        });
         // Full-replay control: hydrating the cold prefix re-decodes the
         // whole history.
-        let started = Instant::now();
-        let hydrated = station.frames(1).expect("full hydration");
-        let full_wall = started.elapsed().as_secs_f64();
+        let hydrated = timed(rec.as_ref(), "bench.storage.full_replay_ns", || {
+            station.frames(1).expect("full hydration")
+        });
         assert_eq!(hydrated.len(), h, "hydration must recover every frame");
-        let stats = StorageStats {
-            records: report.records,
-            segments_sealed: u64::from(report.segments - u32::from(report.active)),
-            checkpoints: u64::from(report.checkpoints),
-            replayed_records: replayed,
-            wall_secs: wall,
-            full_replay_wall_secs: Some(full_wall),
-        };
+        let sealed = u64::from(report.segments - u32::from(report.active));
+        rec.counter("bench.storage.records").add(report.records);
+        rec.counter("bench.storage.segments_sealed").add(sealed);
+        rec.counter("bench.storage.checkpoints")
+            .add(u64::from(report.checkpoints));
+        let record = BenchRecord::from_snapshot(
+            "storage_recovery",
+            &[
+                ("history", h as f64),
+                ("segment_bytes", SEGMENT_BYTES as f64),
+                ("n_signals", n_signals as f64),
+                ("samples_per_signal", m as f64),
+            ],
+            &rec.snapshot(),
+        );
+        let ms = |name: &str| record.row(name).map_or(0.0, |r| r.sum as f64 / 1e6);
+        let replayed = record
+            .counter("sensor_net.storage.segments.replayed_records")
+            .unwrap_or(0.0);
         println!(
             "storage recovery: history {h} frames → load {:.2} ms replaying {replayed} \
-             record(s) ({} sealed segment(s), {} checkpoint(s)); full replay {:.2} ms",
-            wall * 1e3,
-            stats.segments_sealed,
-            stats.checkpoints,
-            full_wall * 1e3,
+             record(s) ({sealed} sealed segment(s), {} checkpoint(s)); full replay {:.2} ms",
+            ms("bench.storage.load_ns"),
+            report.checkpoints,
+            ms("bench.storage.full_replay_ns"),
         );
-        records.push(
-            BenchRecord {
-                experiment: "storage_recovery".to_string(),
-                params: vec![
-                    ("history".to_string(), h as f64),
-                    ("segment_bytes".to_string(), SEGMENT_BYTES as f64),
-                    ("n_signals".to_string(), n_signals as f64),
-                    ("samples_per_signal".to_string(), m as f64),
-                ],
-                avg_encode_secs: 0.0,
-                avg_sse: 0.0,
-                total_rel: 0.0,
-                transmissions: h,
-                inserted: Vec::new(),
-                metrics: None,
-                search: None,
-                get_base: None,
-                recovery: None,
-                query: None,
-                storage: None,
-            }
-            .with_storage(stats),
-        );
+        records.push(record);
     }
     let _ = std::fs::remove_dir_all(&root);
     records
@@ -337,24 +329,22 @@ fn main() {
         let mut col = Vec::new();
         for &ratio in ratios {
             let band = (10 * m) as f64 * ratio;
-            // A fresh recorder per configuration: each record's snapshot
-            // describes exactly one (n, ratio) run.
+            // A fresh recorder per configuration: each record describes
+            // exactly one (n, ratio) run.
             let rec = Arc::new(MetricsRecorder::new());
             let config = SbrConfig::new(band as usize, 1024).with_recorder(rec.clone());
             let stream = run_sbr_stream(&files, config);
             col.push(stream.avg_encode_time().as_secs_f64());
-            records.push(
-                BenchRecord::from_stream(
-                    "fig5",
-                    &[
-                        ("n", (10 * m) as f64),
-                        ("total_band", band.floor()),
-                        ("ratio", ratio),
-                    ],
-                    &stream,
-                )
-                .with_metrics(rec.snapshot()),
-            );
+            stream.record_quality(rec.as_ref());
+            records.push(BenchRecord::from_snapshot(
+                "fig5",
+                &[
+                    ("n", (10 * m) as f64),
+                    ("total_band", band.floor()),
+                    ("ratio", ratio),
+                ],
+                &rec.snapshot(),
+            ));
         }
         columns.push(col);
     }
@@ -365,10 +355,8 @@ fn main() {
     records.push(network_sim_record(quick));
     records.push(query_sweep_record(quick));
     records.extend(storage_recovery_records(quick));
-    // Canonical artifact at the workspace root (what ROADMAP/ci.sh
-    // promise), plus the schema-versioned copy archived under results/.
-    sbr_bench::write_bench_json("BENCH_SBR.json", &records).expect("write BENCH_SBR.json");
-    std::fs::create_dir_all("results").expect("create results/");
-    sbr_bench::write_bench_json("results/BENCH_SBR_v3.json", &records)
-        .expect("write results/BENCH_SBR_v3.json");
+    // The artifact lands at the workspace root only; the committed
+    // baseline under results/ changes by an explicit `cp`.
+    std::fs::write("BENCH_SBR.json", bench::to_json(&records)).expect("write BENCH_SBR.json");
+    println!("wrote {} record(s) to BENCH_SBR.json", records.len());
 }

@@ -79,9 +79,8 @@ pub enum Command {
         seed: u64,
     },
     /// `sbr report`: render a metrics artifact (a `BENCH_SBR.json` in the
-    /// `sbr-bench/v3` schema — earlier v1/v2 artifacts still parse — or a
-    /// raw `sbr-obs/v2` snapshot — v1 still parses) as per-phase time / error / bandwidth
-    /// tables.
+    /// `sbr-bench/v4` schema, or a raw `sbr-obs/v2` snapshot — v1 still
+    /// parses) as per-phase time / error / bandwidth tables.
     Report {
         /// Input JSON file.
         input: String,
@@ -140,7 +139,8 @@ pub enum Command {
         kind: Option<sbr_obs::EventKind>,
     },
     /// `sbr perf diff`: compare two `BENCH_SBR.json` artifacts and fail
-    /// on wall-time regressions beyond a tolerance.
+    /// on wall-time or hit-rate regressions beyond a tolerance, or on a
+    /// baseline record the candidate lacks.
     PerfDiff {
         /// Baseline benchmark artifact.
         baseline: String,
@@ -216,14 +216,15 @@ header row names the signals.
 
 Observability: set SBR_TRACE=<path> to stream structured events from any
 subcommand into <path> (one JSON object per line); `sbr report` renders
-metrics artifacts (`sbr-bench/v3` benchmark files — earlier versions
-still parse — or `sbr-obs/v2` snapshots, v1 accepted) and `sbr trace` pretty-prints
-event logs. With a frame-lifecycle timeline attached (`sbr simulate`
-under SBR_TRACE), `sbr trace` narrows to one frame (`--frame
-node:epoch:seq`), one sensor (`--node`) or one lifecycle step
-(`--kind`); `sbr perf diff` compares the encode/search/get_base walls,
-cache hit rates and recovery counters of two benchmark artifacts and
-exits 1 when a wall regresses beyond `--tolerance` (default 0.25).
+metrics artifacts (`sbr-bench/v4` benchmark files or `sbr-obs/v2`
+snapshots, v1 accepted) and `sbr trace` pretty-prints event logs. With a
+frame-lifecycle timeline attached (`sbr simulate` under SBR_TRACE),
+`sbr trace` narrows to one frame (`--frame node:epoch:seq`), one sensor
+(`--node`) or one lifecycle step (`--kind`); `sbr perf diff` compares
+two benchmark artifacts record by record and exits 1 when the sum of
+any `*_ns` row grows beyond `--tolerance` (default 0.25), when any
+`<x>.hits`/`<x>.misses` hit rate drops by more than it, or when a
+baseline record has no candidate record.
 
 Fault injection: `sbr simulate` drives the loss-tolerant v2 protocol
 (per-frame CRC, sequence/epoch tracking, bounded retransmission with

@@ -8,7 +8,8 @@ use std::sync::Arc;
 use sbr_baselines::Compressor;
 use sbr_core::query::aggregate_stream;
 use sbr_core::{codec, Decoder, ErrorMetric, MultiSeries, SbrConfig, SbrEncoder};
-use sbr_obs::json::Value;
+use sbr_obs::bench::{self, BenchRecord, BENCH_SCHEMA};
+use sbr_obs::json::{self, Value};
 use sbr_obs::{
     EventKind, FrameId, HistogramSnapshot, MetricsRecorder, Recorder, Snapshot, Timeline,
     DEFAULT_TIMELINE_CAPACITY,
@@ -515,6 +516,43 @@ fn render_snapshot(snap: &Snapshot, out: &mut String) {
     }
 }
 
+/// A row value in its display unit: `*_ns` rows in milliseconds, every
+/// other row in its own unit.
+fn row_value(name: &str, v: u64) -> String {
+    if name.ends_with("_ns") {
+        ms(v as f64)
+    } else {
+        v.to_string()
+    }
+}
+
+/// Render one bench record: its key, a table of its rows, its counters.
+fn render_bench_record(r: &BenchRecord, out: &mut String) {
+    out.push_str(&format!("\n{}\n", r.key()));
+    if !r.rows.is_empty() {
+        out.push_str(&format!(
+            "  {:<44} {:>8} {:>12} {:>10} {:>10} {:>10} {:>10}\n",
+            "row (*_ns in ms)", "count", "sum", "p50", "p90", "p99", "max"
+        ));
+    }
+    for row in &r.rows {
+        let v = |x| row_value(&row.name, x);
+        out.push_str(&format!(
+            "  {:<44} {:>8} {:>12} {:>10} {:>10} {:>10} {:>10}\n",
+            row.name,
+            row.count,
+            v(row.sum),
+            v(row.p50),
+            v(row.p90),
+            v(row.p99),
+            v(row.max)
+        ));
+    }
+    for (name, v) in &r.counters {
+        out.push_str(&format!("  {name:<44} {}\n", json::format_num(*v)));
+    }
+}
+
 /// `sbr report`: render a metrics artifact as human-readable tables.
 fn report(input: &str) -> Result<String, CliError> {
     let text = std::fs::read_to_string(input).map_err(|e| format!("cannot open {input}: {e}"))?;
@@ -527,107 +565,14 @@ fn report(input: &str) -> Result<String, CliError> {
             out.push_str(&format!("metrics snapshot {input}\n"));
             render_snapshot(&snap, &mut out);
         }
-        "sbr-bench/v1" | "sbr-bench/v2" | "sbr-bench/v3" => {
-            let records = v
-                .get("records")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| format!("{input}: no records array"))?;
+        BENCH_SCHEMA => {
+            let records = bench::from_json(&text).map_err(|e| format!("{input}: {e}"))?;
             out.push_str(&format!(
-                "{input}: {} ({} record(s))\n",
-                schema,
+                "{input}: {schema} ({} record(s))\n",
                 records.len()
             ));
-            for r in records {
-                let exp = r.get("experiment").and_then(Value::as_str).unwrap_or("?");
-                let mut params = String::new();
-                if let Some(ps) = r.get("params").and_then(Value::as_obj) {
-                    for (k, pv) in ps {
-                        params.push_str(&format!(" {k}={pv}"));
-                    }
-                }
-                let secs = r.get("avg_encode_secs").and_then(Value::as_f64);
-                let sse = r.get("avg_sse").and_then(Value::as_f64);
-                out.push('\n');
-                out.push_str(&format!("{exp}{params}"));
-                if let Some(s) = secs {
-                    out.push_str(&format!("  avg-encode {:.1} ms", s * 1e3));
-                }
-                if let Some(s) = sse {
-                    out.push_str(&format!("  avg-sse {s:.4e}"));
-                }
-                out.push('\n');
-                // v3 search block: probe counts, cache traffic, wall time.
-                if let Some(search) = r.get("search").filter(|s| !matches!(s, Value::Null)) {
-                    let f = |k: &str| search.get(k).and_then(Value::as_f64);
-                    out.push_str(&format!(
-                        "  search: {} probe(s), cache {}/{} hit/miss, {:.1} ms",
-                        f("probes").unwrap_or(0.0),
-                        f("cache_hits").unwrap_or(0.0),
-                        f("cache_misses").unwrap_or(0.0),
-                        f("wall_secs").unwrap_or(0.0) * 1e3,
-                    ));
-                    out.push('\n');
-                }
-                // v3 get_base block (additive): matrix size, fit-cache
-                // traffic, wall time.
-                if let Some(gb) = r.get("get_base").filter(|s| !matches!(s, Value::Null)) {
-                    let f = |k: &str| gb.get(k).and_then(Value::as_f64);
-                    out.push_str(&format!(
-                        "  get_base: {} cell(s), fit cache {}/{} hit/miss, {:.1} ms",
-                        f("matrix_cells").unwrap_or(0.0),
-                        f("fit_cache_hits").unwrap_or(0.0),
-                        f("fit_cache_misses").unwrap_or(0.0),
-                        f("wall_secs").unwrap_or(0.0) * 1e3,
-                    ));
-                    out.push('\n');
-                }
-                // v3 query block (additive): compressed-domain sweep size,
-                // plan-cache traffic, and the speedup over full decode.
-                if let Some(q) = r.get("query").filter(|s| !matches!(s, Value::Null)) {
-                    let f = |k: &str| q.get(k).and_then(Value::as_f64);
-                    out.push_str(&format!(
-                        "  query: {} query(ies), plan cache {}/{} hit/miss, \
-                         {} folded / {} boundary, {:.1} ms",
-                        f("queries").unwrap_or(0.0),
-                        f("plan_cache_hits").unwrap_or(0.0),
-                        f("plan_cache_misses").unwrap_or(0.0),
-                        f("intervals_folded").unwrap_or(0.0),
-                        f("boundary_decodes").unwrap_or(0.0),
-                        f("wall_secs").unwrap_or(0.0) * 1e3,
-                    ));
-                    if let Some(x) = f("speedup") {
-                        out.push_str(&format!(" ({x:.0}x vs full decode)"));
-                    }
-                    out.push('\n');
-                }
-                // v3 storage block (additive): persisted-history size vs
-                // what the checkpointed load actually replayed.
-                if let Some(s) = r.get("storage").filter(|s| !matches!(s, Value::Null)) {
-                    let f = |k: &str| s.get(k).and_then(Value::as_f64);
-                    out.push_str(&format!(
-                        "  storage: {} record(s) in {} sealed segment(s) + {} checkpoint(s), \
-                         recovery replayed {} record(s) in {:.1} ms",
-                        f("records").unwrap_or(0.0),
-                        f("segments_sealed").unwrap_or(0.0),
-                        f("checkpoints").unwrap_or(0.0),
-                        f("replayed_records").unwrap_or(0.0),
-                        f("wall_secs").unwrap_or(0.0) * 1e3,
-                    ));
-                    if let Some(x) = f("speedup") {
-                        out.push_str(&format!(" ({x:.1}x vs full replay)"));
-                    }
-                    out.push('\n');
-                }
-                match r.get("metrics") {
-                    Some(Value::Null) | None => {
-                        out.push_str("  (no metrics recorded for this record)\n");
-                    }
-                    Some(m) => {
-                        let snap = Snapshot::from_json_value(m)
-                            .map_err(|e| format!("{input}: record '{exp}': {e}"))?;
-                        render_snapshot(&snap, &mut out);
-                    }
-                }
+            for r in &records {
+                render_bench_record(r, &mut out);
             }
         }
         "" => return Err(format!("{input}: missing schema field").into()),
@@ -930,94 +875,35 @@ fn trace_log(
     Ok(out)
 }
 
-/// Walls this short on both sides are timer noise: `perf diff` prints
-/// them but never lets them fail the gate.
-const PERF_MIN_WALL_SECS: f64 = 1e-3;
+/// `*_ns` row sums this short on both sides are timer noise: `perf diff`
+/// prints them but never lets them fail the gate (1 ms).
+const PERF_MIN_WALL_NS: f64 = 1e6;
 
-/// Load a `sbr-bench/*` artifact as `(record key, record)` pairs. The
-/// key is the experiment name plus its sorted params, so the same
-/// configuration lines up across two runs regardless of record order.
-fn bench_records(path: &str) -> Result<Vec<(String, Value)>, CliError> {
+/// Load a benchmark artifact's records.
+fn bench_records(path: &str) -> Result<Vec<BenchRecord>, CliError> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    let v = sbr_obs::json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let schema = v.get("schema").and_then(Value::as_str).unwrap_or("");
-    if !schema.starts_with("sbr-bench/") {
-        return Err(format!("{path}: not a benchmark artifact (schema '{schema}')").into());
-    }
-    let records = v
-        .get("records")
-        .and_then(Value::as_arr)
-        .ok_or_else(|| format!("{path}: no records array"))?;
-    let mut out = Vec::new();
-    for r in records {
-        let exp = r.get("experiment").and_then(Value::as_str).unwrap_or("?");
-        let mut key = exp.to_string();
-        if let Some(ps) = r.get("params").and_then(Value::as_obj) {
-            let mut kv: Vec<String> = ps.iter().map(|(k, pv)| format!("{k}={pv}")).collect();
-            kv.sort();
-            for s in kv {
-                key.push(' ');
-                key.push_str(&s);
-            }
-        }
-        out.push((key, r.clone()));
-    }
-    Ok(out)
+    Ok(bench::from_json(&text).map_err(|e| format!("{path}: {e}"))?)
 }
 
-/// The wall-clock scalars of one bench record, labelled.
-fn bench_walls(r: &Value) -> Vec<(&'static str, f64)> {
-    let nested = |outer: &str, inner: &str| {
-        r.get(outer)
-            .filter(|s| !matches!(s, Value::Null))
-            .and_then(|s| s.get(inner))
-            .and_then(Value::as_f64)
-    };
-    let mut walls = Vec::new();
-    if let Some(v) = r.get("avg_encode_secs").and_then(Value::as_f64) {
-        walls.push(("encode wall", v));
-    }
-    if let Some(v) = nested("search", "wall_secs") {
-        walls.push(("search wall", v));
-    }
-    if let Some(v) = nested("get_base", "wall_secs") {
-        walls.push(("get_base wall", v));
-    }
-    if let Some(v) = nested("query", "wall_secs") {
-        walls.push(("query wall", v));
-    }
-    if let Some(v) = nested("storage", "wall_secs") {
-        walls.push(("storage recovery wall", v));
-    }
-    walls
+/// Hit rate of every `<stem>.hits`/`<stem>.misses` counter pair of `r`
+/// that saw traffic, as `(stem, rate in [0, 1])`.
+fn hit_rates(r: &BenchRecord) -> Vec<(&str, f64)> {
+    r.counters
+        .iter()
+        .filter_map(|(name, hits)| {
+            let stem = name.strip_suffix(".hits")?;
+            let misses = r.counter(&format!("{stem}.misses"))?;
+            (hits + misses > 0.0).then(|| (stem, hits / (hits + misses)))
+        })
+        .collect()
 }
 
-/// The cache hit rates of one bench record, labelled, in `[0, 1]`.
-fn bench_hit_rates(r: &Value) -> Vec<(&'static str, f64)> {
-    let rate = |outer: &str, hits: &str, misses: &str| {
-        let block = r.get(outer).filter(|s| !matches!(s, Value::Null))?;
-        let h = block.get(hits).and_then(Value::as_f64)?;
-        let m = block.get(misses).and_then(Value::as_f64)?;
-        (h + m > 0.0).then_some(h / (h + m))
-    };
-    let mut rates = Vec::new();
-    if let Some(v) = rate("search", "cache_hits", "cache_misses") {
-        rates.push(("probe-cache hit rate", v));
-    }
-    if let Some(v) = rate("get_base", "fit_cache_hits", "fit_cache_misses") {
-        rates.push(("fit-cache hit rate", v));
-    }
-    if let Some(v) = rate("query", "plan_cache_hits", "plan_cache_misses") {
-        rates.push(("plan-cache hit rate", v));
-    }
-    rates
-}
-
-/// `sbr perf diff`: compare two benchmark artifacts record-by-record.
-/// Wall times gate (relative growth beyond `tolerance` fails, exit 1),
-/// cache hit rates gate on absolute drops beyond `tolerance`, and
-/// recovery counters are reported when they change (they are seeded and
-/// deterministic, so a change means the protocol behaved differently).
+/// `sbr perf diff`: compare two benchmark artifacts record by record, by
+/// one rule for every record. The sum of every `*_ns` row gates on
+/// relative growth beyond `tolerance`; every `<x>.hits`/`<x>.misses`
+/// counter pair gates on an absolute hit-rate drop beyond `tolerance`; a
+/// baseline record, gated row or pair missing from the candidate fails.
+/// Any other counter that changed is reported for information only.
 fn perf_diff(
     baseline_path: &str,
     candidate_path: &str,
@@ -1026,31 +912,37 @@ fn perf_diff(
 ) -> Result<String, CliError> {
     let base = bench_records(baseline_path)?;
     let cand = bench_records(candidate_path)?;
-    let cand_map: std::collections::HashMap<&str, &Value> =
-        cand.iter().map(|(k, r)| (k.as_str(), r)).collect();
+    let cand_map: std::collections::HashMap<String, &BenchRecord> =
+        cand.iter().map(|r| (r.key(), r)).collect();
 
     let mut out = format!(
         "perf diff: {baseline_path} (baseline) vs {candidate_path} (candidate), \
          tolerance +{:.0}%\n",
         tolerance * 100.0
     );
-    let (mut compared, mut regressions, mut missing) = (0usize, 0usize, 0usize);
-    for (key, br) in &base {
-        let Some(cr) = cand_map.get(key.as_str()) else {
-            missing += 1;
+    let (mut compared, mut regressions) = (0usize, 0usize);
+    let mut missing = Vec::new();
+    for br in &base {
+        let key = br.key();
+        let Some(cr) = cand_map.get(&key) else {
+            missing.push(key);
             continue;
         };
         compared += 1;
         out.push_str(&format!("\n{key}\n"));
-        let cand_walls = bench_walls(cr);
-        for (label, bv) in bench_walls(br) {
-            let Some(&(_, cv)) = cand_walls.iter().find(|(l, _)| *l == label) else {
-                out.push_str(&format!("  {label:<22} missing in candidate\n"));
+        for row in br.rows.iter().filter(|r| r.name.ends_with("_ns")) {
+            let Some(crow) = cr.row(&row.name) else {
+                regressions += 1;
+                out.push_str(&format!(
+                    "  {:<44} missing in candidate  REGRESSION\n",
+                    row.name
+                ));
                 continue;
             };
+            let (b, c) = (row.sum as f64, crow.sum as f64);
             // lint:allow(panic-reachability): f64 division — cannot panic
-            let delta = if bv > 0.0 { (cv - bv) / bv } else { 0.0 };
-            let verdict = if bv < PERF_MIN_WALL_SECS && cv < PERF_MIN_WALL_SECS {
+            let delta = if b > 0.0 { (c - b) / b } else { 0.0 };
+            let verdict = if b < PERF_MIN_WALL_NS && c < PERF_MIN_WALL_NS {
                 "ok (below noise floor)"
             } else if delta > tolerance {
                 regressions += 1;
@@ -1061,16 +953,20 @@ fn perf_diff(
                 "ok"
             };
             out.push_str(&format!(
-                "  {label:<22} {:>9.3} ms -> {:>9.3} ms  {:>+7.1}%  {verdict}\n",
-                bv * 1e3,
-                cv * 1e3,
+                "  {:<44} {:>9} ms -> {:>9} ms  {:>+7.1}%  {verdict}\n",
+                row.name,
+                ms(b),
+                ms(c),
                 delta * 100.0
             ));
         }
-        let cand_rates = bench_hit_rates(cr);
-        for (label, bv) in bench_hit_rates(br) {
-            let Some(&(_, cv)) = cand_rates.iter().find(|(l, _)| *l == label) else {
-                out.push_str(&format!("  {label:<22} missing in candidate\n"));
+        let cand_rates = hit_rates(cr);
+        let base_rates = hit_rates(br);
+        for &(stem, bv) in &base_rates {
+            let label = format!("{stem} hit rate");
+            let Some(&(_, cv)) = cand_rates.iter().find(|(s, _)| *s == stem) else {
+                regressions += 1;
+                out.push_str(&format!("  {label:<44} missing in candidate  REGRESSION\n"));
                 continue;
             };
             let verdict = if bv - cv > tolerance {
@@ -1080,37 +976,31 @@ fn perf_diff(
                 "ok"
             };
             out.push_str(&format!(
-                "  {label:<22} {:>8.1} %  -> {:>8.1} %   {:>+7.1}pp  {verdict}\n",
+                "  {label:<44} {:>8.1} %  -> {:>8.1} %   {:>+7.1}pp  {verdict}\n",
                 bv * 100.0,
                 cv * 100.0,
                 (cv - bv) * 100.0
             ));
         }
-        // Recovery counters are informational: seeded runs reproduce them
-        // exactly, so any drift is worth a line but not a failure.
-        if let (Some(bo), Some(co)) = (
-            br.get("recovery").and_then(Value::as_obj),
-            cr.get("recovery").and_then(Value::as_obj),
-        ) {
-            for (k, bv) in bo {
-                let (Some(b), Some(c)) = (
-                    bv.as_f64(),
-                    co.iter()
-                        .find(|(ck, _)| ck == k)
-                        .and_then(|(_, cv)| cv.as_f64()),
-                ) else {
-                    continue;
-                };
-                if b != c {
-                    out.push_str(&format!("  recovery.{k:<31} {b} -> {c}  changed\n"));
-                }
+        // Every other counter is informational: seeded runs reproduce
+        // most of them exactly, so drift is worth a line, not a failure.
+        let gated = |name: &str| {
+            let stem = name
+                .strip_suffix(".hits")
+                .or_else(|| name.strip_suffix(".misses"));
+            stem.is_some_and(|s| base_rates.iter().any(|(b, _)| *b == s))
+        };
+        for (name, b) in br.counters.iter().filter(|(n, _)| !gated(n)) {
+            match cr.counter(name) {
+                Some(c) if c.to_bits() != b.to_bits() => out.push_str(&format!(
+                    "  {name:<44} {} -> {}  changed\n",
+                    json::format_num(*b),
+                    json::format_num(c)
+                )),
+                Some(_) => {}
+                None => out.push_str(&format!("  {name:<44} missing in candidate\n")),
             }
         }
-    }
-    if missing > 0 {
-        out.push_str(&format!(
-            "\n{missing} baseline record(s) had no matching candidate record\n"
-        ));
     }
     if compared == 0 {
         return Err(format!(
@@ -1118,13 +1008,20 @@ fn perf_diff(
         )
         .into());
     }
+    for key in &missing {
+        out.push_str(&format!(
+            "\nMISSING {key}: baseline record has no candidate record  REGRESSION\n"
+        ));
+    }
     out.push_str(&format!(
-        "\ncompared {compared} record(s): {regressions} regression(s) beyond tolerance\n"
+        "\ncompared {compared} record(s): {regressions} regression(s) beyond tolerance, \
+         {} missing record(s)\n",
+        missing.len()
     ));
     if let Some(p) = report_out {
         std::fs::write(p, &out).map_err(|e| format!("cannot write report {p}: {e}"))?;
     }
-    if regressions > 0 {
+    if regressions > 0 || !missing.is_empty() {
         return Err(CliError::Runtime(out));
     }
     Ok(out)
@@ -1646,20 +1543,52 @@ mod tests {
         assert_eq!(e.exit_code(), 2, "{e:?}");
     }
 
-    /// A tiny `sbr-bench/v3` artifact with one fig5-shaped record whose
-    /// walls are scaled by `scale` (1.0 = the baseline).
-    fn bench_fixture(scale: f64) -> String {
-        format!(
-            "{{\n  \"schema\": \"sbr-bench/v3\",\n  \"records\": [\n    \
-             {{\"experiment\": \"fig5\", \"params\": {{\"n\": 5120, \"ratio\": 0.05}}, \
-             \"avg_encode_secs\": {}, \
-             \"search\": {{\"probes\": 30, \"cache_hits\": 900, \"cache_misses\": 1100, \"wall_secs\": {}}}, \
-             \"get_base\": {{\"matrix_cells\": 4900, \"fit_cache_hits\": 147000, \"fit_cache_misses\": 48300, \"wall_secs\": {}}}, \
-             \"recovery\": null, \"metrics\": null}}\n  ]\n}}\n",
-            0.010 * scale,
-            0.008 * scale,
-            0.006 * scale
+    /// A record of `experiment` whose rows have the given sums and whose
+    /// counters have the given values.
+    fn bench_record(
+        experiment: &str,
+        rows: &[(&str, f64)],
+        counters: &[(&str, f64)],
+    ) -> BenchRecord {
+        BenchRecord {
+            experiment: experiment.into(),
+            params: vec![("n".into(), 5120.0), ("ratio".into(), 0.05)],
+            rows: rows
+                .iter()
+                .map(|&(name, sum)| sbr_obs::bench::BenchRow {
+                    name: name.into(),
+                    count: 10,
+                    sum: sum as u64,
+                    p50: 0,
+                    p90: 0,
+                    p99: 0,
+                    max: 0,
+                })
+                .collect(),
+            counters: counters.iter().map(|&(k, v)| (k.into(), v)).collect(),
+        }
+    }
+
+    /// A fig5-shaped record whose walls are scaled by `scale` (1.0 = the
+    /// baseline).
+    fn fig5_record(scale: f64) -> BenchRecord {
+        bench_record(
+            "fig5",
+            &[
+                ("sbr_core.sbr.encode_ns", 1e8 * scale),
+                ("sbr_core.search.run_ns", 8e7 * scale),
+                ("sbr_core.get_base.build_ns", 6e7 * scale),
+            ],
+            &[
+                ("sbr_core.probe_cache.hits", 900.0),
+                ("sbr_core.probe_cache.misses", 1100.0),
+                ("sbr_core.best_map.calls", 11088.0),
+            ],
         )
+    }
+
+    fn write_bench(path: &Path, records: &[BenchRecord]) {
+        std::fs::write(path, bench::to_json(records)).unwrap();
     }
 
     #[test]
@@ -1668,8 +1597,8 @@ mod tests {
         let base = dir.join("base.json");
         let slow = dir.join("slow.json");
         let report = dir.join("diff.txt");
-        std::fs::write(&base, bench_fixture(1.0)).unwrap();
-        std::fs::write(&slow, bench_fixture(1.3)).unwrap();
+        write_bench(&base, &[fig5_record(1.0)]);
+        write_bench(&slow, &[fig5_record(1.3)]);
 
         // A 30% wall regression trips the default 25% tolerance: exit 1,
         // and the report file is still written for archival.
@@ -1682,7 +1611,7 @@ mod tests {
         .unwrap_err();
         assert_eq!(e.exit_code(), 1, "{e:?}");
         assert!(e.message().contains("REGRESSION"), "{e:?}");
-        assert!(e.message().contains("encode wall"), "{e:?}");
+        assert!(e.message().contains("sbr_core.sbr.encode_ns"), "{e:?}");
         let saved = std::fs::read_to_string(&report).unwrap();
         assert!(saved.contains("REGRESSION"), "{saved}");
 
@@ -1698,6 +1627,7 @@ mod tests {
         // And comparing a run against itself is always clean.
         let ok = run_argv(&format!("perf diff {} {}", base.display(), base.display())).unwrap();
         assert!(ok.contains("0 regression(s)"), "{ok}");
+        assert!(ok.contains("sbr_core.probe_cache hit rate"), "{ok}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1706,11 +1636,71 @@ mod tests {
         let dir = tempdir("perfgain");
         let base = dir.join("base.json");
         let fast = dir.join("fast.json");
-        std::fs::write(&base, bench_fixture(1.0)).unwrap();
-        std::fs::write(&fast, bench_fixture(0.5)).unwrap();
+        write_bench(&base, &[fig5_record(1.0)]);
+        write_bench(&fast, &[fig5_record(0.5)]);
         let ok = run_argv(&format!("perf diff {} {}", base.display(), fast.display())).unwrap();
         assert!(ok.contains("improved"), "{ok}");
         assert!(ok.contains("0 regression(s)"), "{ok}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn perf_diff_fails_when_a_baseline_record_is_missing() {
+        let dir = tempdir("perfmissing");
+        let base = dir.join("base.json");
+        let cand = dir.join("cand.json");
+        let other = bench_record("network_sim", &[], &[("bench.recovery.resyncs", 0.0)]);
+        write_bench(&base, &[fig5_record(1.0), other]);
+        write_bench(&cand, &[fig5_record(1.0)]);
+        let e = run_argv(&format!("perf diff {} {}", base.display(), cand.display())).unwrap_err();
+        assert_eq!(e.exit_code(), 1, "{e:?}");
+        assert!(
+            e.message()
+                .contains("MISSING network_sim n=5120 ratio=0.05"),
+            "{e:?}"
+        );
+        assert!(e.message().contains("1 missing record(s)"), "{e:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_made_up_experiment_renders_and_gates_without_a_cli_edit() {
+        let dir = tempdir("perfmadeup");
+        let base = dir.join("base.json");
+        let slow = dir.join("slow.json");
+        let rec = |wall: f64, hits: f64| {
+            bench_record(
+                "made_up",
+                &[("foo.bar_ns", wall)],
+                &[("foo.cache.hits", hits), ("foo.cache.misses", 100.0 - hits)],
+            )
+        };
+        write_bench(&base, &[rec(1e7, 90.0)]);
+        write_bench(&slow, &[rec(1.3e7, 90.0)]);
+
+        let rep = run_argv(&format!("report --input {}", base.display())).unwrap();
+        assert!(rep.contains("made_up n=5120 ratio=0.05"), "{rep}");
+        assert!(rep.contains("foo.bar_ns"), "{rep}");
+        assert!(rep.contains("foo.cache.hits"), "{rep}");
+
+        let e = run_argv(&format!("perf diff {} {}", base.display(), slow.display())).unwrap_err();
+        assert_eq!(e.exit_code(), 1, "{e:?}");
+        assert!(
+            e.message()
+                .lines()
+                .any(|l| l.contains("foo.bar_ns") && l.contains("REGRESSION")),
+            "{e:?}"
+        );
+
+        // A hit-rate drop past the tolerance gates too.
+        write_bench(&slow, &[rec(1e7, 50.0)]);
+        let e = run_argv(&format!("perf diff {} {}", base.display(), slow.display())).unwrap_err();
+        assert!(
+            e.message()
+                .lines()
+                .any(|l| l.contains("foo.cache hit rate") && l.contains("REGRESSION")),
+            "{e:?}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1725,14 +1715,31 @@ mod tests {
         // Disjoint record sets cannot be compared.
         let a = dir.join("a.json");
         let b = dir.join("b.json");
-        std::fs::write(&a, bench_fixture(1.0)).unwrap();
-        std::fs::write(
-            &b,
-            "{\"schema\": \"sbr-bench/v3\", \"records\": [{\"experiment\": \"other\"}]}",
-        )
-        .unwrap();
+        write_bench(&a, &[fig5_record(1.0)]);
+        write_bench(&b, &[bench_record("other", &[], &[])]);
         let e = run_argv(&format!("perf diff {} {}", a.display(), b.display())).unwrap_err();
         assert!(e.message().contains("no overlapping records"), "{e:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn report_and_perf_diff_reject_retired_bench_schemas() {
+        let dir = tempdir("retired");
+        for v in 1..=3 {
+            let p = dir.join(format!("v{v}.json"));
+            std::fs::write(
+                &p,
+                format!("{{\"schema\": \"sbr-bench/v{v}\", \"records\": []}}"),
+            )
+            .unwrap();
+            let want = format!("unsupported schema 'sbr-bench/v{v}'");
+            let e = run_argv(&format!("report --input {}", p.display())).unwrap_err();
+            assert_eq!(e.exit_code(), 1, "{e:?}");
+            assert!(e.message().contains(&want), "{e:?}");
+            let e = run_argv(&format!("perf diff {} {}", p.display(), p.display())).unwrap_err();
+            assert_eq!(e.exit_code(), 1, "{e:?}");
+            assert!(e.message().contains(&want), "{e:?}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

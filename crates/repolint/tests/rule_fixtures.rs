@@ -280,8 +280,10 @@ pub fn leaked() { sbr_obs::Timeline::noop(); }
 
 #[test]
 fn report_json_escapes_and_carries_both_lists() {
-    let mut rep = repolint::Report::default();
-    rep.files_scanned = 2;
+    let mut rep = repolint::Report {
+        files_scanned: 2,
+        ..Default::default()
+    };
     rep.findings.push(repolint::Finding {
         rule: "panic-free".into(),
         path: "crates/x/src/a.rs".into(),

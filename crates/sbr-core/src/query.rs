@@ -1133,7 +1133,7 @@ mod tests {
         let mut engine = QueryEngine::from_transmissions(&txs).unwrap();
         assert_eq!(engine.len(), 4);
         assert_eq!(engine.total_samples(), 256);
-        for signal in 0..2 {
+        for (signal, series) in truth.iter().enumerate() {
             for (t0, t1) in [
                 (0usize, 256usize),
                 (30, 200),
@@ -1144,7 +1144,7 @@ mod tests {
                 let agg = engine.aggregate(signal, t0, t1).unwrap();
                 let mut d = Decoder::new();
                 let replay = aggregate_stream(&mut d, &txs, signal, t0, t1).unwrap();
-                let slice = &truth[signal][t0..t1];
+                let slice = &series[t0..t1];
                 let sum: f64 = slice.iter().sum();
                 assert!(
                     (agg.sum - sum).abs() < 1e-9 * (1.0 + sum.abs()),

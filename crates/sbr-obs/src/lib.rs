@@ -22,6 +22,9 @@
 //!   `BTreeMap` and serializes it with the hand-rolled [`json`] module
 //!   (schema `sbr-obs/v2`; v1 documents still parse), so benchmark output
 //!   and CLI reports need no external serialization crates.
+//! * **Bench records** — [`bench`] reduces a snapshot to one
+//!   `sbr-bench/v4` record (params, one row per histogram, a flat counter
+//!   map), the format benchmark artifacts and `sbr perf diff` share.
 //!
 //! Timing uses [`Span`], a drop guard that records elapsed nanoseconds
 //! into a histogram and emits a trace event; spans nest naturally because
@@ -45,6 +48,7 @@
 
 #![warn(missing_docs)]
 
+pub mod bench;
 pub mod json;
 
 mod handles;

@@ -117,8 +117,8 @@ fi
 rm -rf "$storedir"
 trap - EXIT
 
-echo "==> cargo clippy -D warnings"
-cargo clippy --workspace --offline -- -D warnings
+echo "==> cargo clippy --all-targets -D warnings"
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -187,125 +187,114 @@ rm -rf "$smoke"
 trap - EXIT
 
 if [ "$run_bench" = 1 ]; then
-  echo "==> perf baseline snapshot (fig5 overwrites results/BENCH_SBR_v3.json)"
-  # The committed baseline must be captured before fig5 runs, or the
-  # regression gate below would compare the fresh run against itself.
   mkdir -p target
-  cp results/BENCH_SBR_v3.json target/PERF_BASELINE.json
-
-  echo "==> fig5 --quick (emits BENCH_SBR.json)"
+  echo "==> fig5 --quick (emits BENCH_SBR.json; the committed baseline is never rewritten)"
   cargo run -p sbr-bench --release --offline --bin fig5 -- --quick
   test -s BENCH_SBR.json || { echo "BENCH_SBR.json missing or empty" >&2; exit 1; }
   echo "==> sbr report (smoke run over BENCH_SBR.json)"
-  report="$(cargo run -p sbr-cli --release --offline --bin sbr -- report --input BENCH_SBR.json)"
-  echo "$report" | grep -q "sbr-bench/v3" || { echo "report did not detect sbr-bench/v3" >&2; exit 1; }
-  echo "$report" | grep -q "BestMap calls" || { echo "report missing pipeline counters" >&2; exit 1; }
-  echo "$report" | grep -q "search:" || { echo "report missing search block" >&2; exit 1; }
-  echo "$report" | grep -q "sensor_net.recovery" || { echo "report missing ARQ recovery counters" >&2; exit 1; }
-  grep -q '"recovery": {' BENCH_SBR.json || { echo "BENCH_SBR.json missing recovery block" >&2; exit 1; }
+  cargo run -p sbr-cli --release --offline --bin sbr -- report --input BENCH_SBR.json \
+    > target/BENCH_REPORT.txt
 
-  echo "==> perf smoke (get_base block: fit cache must actually engage)"
-  # Guard: every fig5 record must carry the additive get_base block, and
-  # the fit cache must report real traffic — hits == 0 would mean the
-  # cached GetBase path silently stopped being exercised.
-  grep -q '"get_base": {' BENCH_SBR.json \
-    || { echo "BENCH_SBR.json missing get_base block" >&2; exit 1; }
-  echo "$report" | grep -q "get_base:" \
-    || { echo "report missing get_base block" >&2; exit 1; }
-  # Records are one JSON object per line; sum fit_cache_hits across the
-  # fig5 records and fail on zero.
-  hits="$(grep -o '"fit_cache_hits": [0-9]*' BENCH_SBR.json \
-    | awk -F': ' '{s += $2} END {print s+0}')"
-  if [ "$hits" -eq 0 ]; then
-    echo "fit_cache.hits == 0 on the quick fig5 sweep: incremental GetBase is not engaging" >&2
-    exit 1
-  fi
-  echo "    fit_cache_hits total: $hits"
+  echo "==> sbr-bench/v4 guards (caches engage, checkpoint replay stays bounded, report renders)"
+  # Guards over the v4 counters and the rendered report:
+  # - the fit, probe and plan caches must report real hits — zero hits
+  #   means the cached GetBase path, Search's shared fit work or the
+  #   compressed-domain plan cache silently stopped engaging;
+  # - the storage_recovery records sweep history 10x, and checkpointed
+  #   recovery replays only the tail, so at the largest history the
+  #   replayed records must stay under a tenth of the store;
+  # - the ARQ run must carry its bench.recovery.* counters;
+  # - the report must detect v4 and render rows and counters by name.
+  python3 - <<'PYEOF'
+import json, sys
 
-  echo "==> perf smoke (search block: probe cache must actually engage)"
-  # Guard: the search block's probe-cache traffic must be real — hits == 0
-  # would mean Search silently stopped sharing fit work across probes.
-  phits="$(grep -o '"cache_hits": [0-9]*' BENCH_SBR.json \
-    | awk -F': ' '{s += $2} END {print s+0}')"
-  if [ "$phits" -eq 0 ]; then
-    echo "probe_cache.hits == 0 on the quick fig5 sweep: the probe cache is not engaging" >&2
-    exit 1
-  fi
-  echo "    probe cache_hits total: $phits"
+doc = json.load(open("BENCH_SBR.json"))
+report = open("target/BENCH_REPORT.txt").read()
+if doc.get("schema") != "sbr-bench/v4":
+    sys.exit(f"BENCH_SBR.json schema is {doc.get('schema')!r}, want sbr-bench/v4")
+records = doc["records"]
 
-  echo "==> perf smoke (query block: plan cache must actually engage)"
-  # Guard: the query_sweep record must carry the additive query block and
-  # the plan cache must report real traffic — hits == 0 would mean the
-  # compressed-domain engine silently stopped serving repeated queries.
-  grep -q '"query": {' BENCH_SBR.json \
-    || { echo "BENCH_SBR.json missing query block" >&2; exit 1; }
-  echo "$report" | grep -q "query:" \
-    || { echo "report missing query block" >&2; exit 1; }
-  qhits="$(grep -o '"plan_cache_hits": [0-9]*' BENCH_SBR.json \
-    | awk -F': ' '{s += $2} END {print s+0}')"
-  if [ "$qhits" -eq 0 ]; then
-    echo "plan_cache.hits == 0 on the quick query sweep: the plan cache is not engaging" >&2
-    exit 1
-  fi
-  echo "    plan_cache_hits total: $qhits"
-  echo "==> perf smoke (storage block: checkpoint replay must stay bounded)"
-  # Guard: the storage_recovery records sweep history 10x; checkpointed
-  # recovery must replay only the tail segment, so replayed_records must
-  # NOT scale with total records — at the largest history it has to be
-  # under a tenth of the store.
-  grep -q '"storage": {' BENCH_SBR.json \
-    || { echo "BENCH_SBR.json missing storage block" >&2; exit 1; }
-  echo "$report" | grep -q "storage:" \
-    || { echo "report missing storage block" >&2; exit 1; }
-  grep -o '"storage": {[^}]*}' BENCH_SBR.json | awk '
-    {
-      match($0, /"records": [0-9]+/); n = substr($0, RSTART + 11, RLENGTH - 11)
-      match($0, /"replayed_records": [0-9]+/); m = substr($0, RSTART + 20, RLENGTH - 20)
-      if (n + 0 > maxn + 0) { maxn = n; maxm = m }
-    }
-    END {
-      if (maxn == "") { print "no storage records parsed" > "/dev/stderr"; exit 1 }
-      if (maxm * 10 > maxn) {
-        printf "replayed_records %d scales with history %d: checkpoint recovery is not engaging\n", maxm, maxn > "/dev/stderr"
-        exit 1
-      }
-    }' || exit 1
+def total(name):
+    return sum(r["counters"].get(name, 0) for r in records)
 
-  test -s results/BENCH_SBR_v3.json \
-    || { echo "results/BENCH_SBR_v3.json copy missing" >&2; exit 1; }
+for name in ("sbr_core.get_base.fit_cache.hits",
+             "sbr_core.probe_cache.hits",
+             "sbr_core.query.plan_cache.hits"):
+    hits = total(name)
+    if hits <= 0:
+        sys.exit(f"{name} == 0 on the quick fig5 run: the cache is not engaging")
+    print(f"    {name} total: {hits:.0f}")
+
+storage = [r for r in records if "bench.storage.records" in r["counters"]]
+if not storage:
+    sys.exit("no record carries bench.storage.records")
+largest = max(storage, key=lambda r: r["counters"]["bench.storage.records"])
+n = largest["counters"]["bench.storage.records"]
+replayed = largest["counters"].get("sensor_net.storage.segments.replayed_records")
+if replayed is None or replayed * 10 > n:
+    sys.exit(f"replayed_records {replayed} scales with history {n}: "
+             "checkpoint recovery is not engaging")
+print(f"    replayed {replayed:.0f} of {n:.0f} records at the largest history")
+
+if not any(k.startswith("bench.recovery.") for r in records for k in r["counters"]):
+    sys.exit("no record carries bench.recovery.* counters")
+
+for needle in ("sbr-bench/v4", "sbr_core.search.run_ns", "sbr_core.get_base.build_ns",
+               "sbr_core.best_map.calls", "sbr_core.query.query_ns",
+               "bench.storage.load_ns", "bench.recovery.resyncs", "sensor_net.recovery"):
+    if needle not in report:
+        sys.exit(f"report of BENCH_SBR.json does not render {needle}")
+PYEOF
 
   echo "==> sbr perf diff (fresh fig5 --quick vs committed baseline, +25% gate)"
-  # Guard: the regression gate compares the encode/search/get_base walls,
-  # cache hit rates and recovery counters of the fresh quick run against
-  # the committed baseline; a wall more than 25% over fails the build.
-  # The full diff report is archived next to the other CI artifacts.
+  # Guard: every *_ns row sum of the fresh quick run is gated against the
+  # committed baseline (+25%, 1 ms floor), every hits/misses pair as a hit
+  # rate, and a baseline record missing from the run fails. Refresh the
+  # baseline with `cp BENCH_SBR.json results/BENCH_SBR_v4.json`. The full
+  # diff report is archived next to the other CI artifacts.
   cargo run -p sbr-cli --release --offline --bin sbr -- perf diff \
-    target/PERF_BASELINE.json BENCH_SBR.json \
+    results/BENCH_SBR_v4.json BENCH_SBR.json \
     --tolerance 0.25 --report target/PERF_DIFF.txt
   test -s target/PERF_DIFF.txt \
     || { echo "PERF_DIFF.txt missing or empty" >&2; exit 1; }
 
-  echo "==> perf diff negative smoke (a seeded 30% wall regression must exit 1)"
-  # Guard: a gate that passes everything is worse than none. Scale every
-  # wall in a scratch candidate by 1.3x and require exit code 1 plus the
-  # regression verdict in the archived report.
-  awk '{
-    out = ""; rest = $0
-    while (match(rest, /"(avg_encode_secs|wall_secs)": [0-9.eE+-]+/)) {
-      seg = substr(rest, RSTART, RLENGTH)
-      sep = index(seg, ": ")
-      out = out substr(rest, 1, RSTART - 1) substr(seg, 1, sep + 1) substr(seg, sep + 2) * 1.3
-      rest = substr(rest, RSTART + RLENGTH)
-    }
-    print out rest
-  }' target/PERF_BASELINE.json > target/PERF_REGRESSED.json
+  echo "==> perf diff negative smokes (one row +30%, one record missing: each must exit 1)"
+  # Guard: a gate that passes everything is worse than none. Seed +30%
+  # into a single row (sbr_core.search.run_ns of one fig5 record) of a
+  # scratch copy of the baseline, then drop one record from another copy.
+  python3 - <<'PYEOF'
+import json
+
+doc = json.load(open("results/BENCH_SBR_v4.json"))
+fig5 = max((r for r in doc["records"] if r["experiment"] == "fig5"),
+           key=lambda r: next(x["sum"] for x in r["rows"]
+                              if x["name"] == "sbr_core.search.run_ns"))
+for row in fig5["rows"]:
+    if row["name"] == "sbr_core.search.run_ns":
+        row["sum"] = int(row["sum"] * 1.3)
+json.dump(doc, open("target/PERF_REGRESSED.json", "w"))
+
+doc = json.load(open("results/BENCH_SBR_v4.json"))
+dropped = doc["records"].pop()
+json.dump(doc, open("target/PERF_MISSING.json", "w"))
+open("target/PERF_MISSING_EXPERIMENT.txt", "w").write(dropped["experiment"])
+PYEOF
   if cargo run -p sbr-cli --release --offline --bin sbr -- perf diff \
-      target/PERF_BASELINE.json target/PERF_REGRESSED.json \
+      results/BENCH_SBR_v4.json target/PERF_REGRESSED.json \
       --report target/PERF_DIFF_SMOKE.txt; then
-    echo "perf diff passed a candidate with a seeded 30% wall regression" >&2; exit 1
+    echo "perf diff passed a candidate with one row seeded +30%" >&2; exit 1
   fi
-  grep -q "REGRESSION" target/PERF_DIFF_SMOKE.txt \
-    || { echo "seeded regression missing from the smoke report" >&2; exit 1; }
+  grep -q "sbr_core.search.run_ns .*REGRESSION" target/PERF_DIFF_SMOKE.txt \
+    || { echo "seeded sbr_core.search.run_ns regression missing from the smoke report" >&2; exit 1; }
+  test "$(grep -c "REGRESSION" target/PERF_DIFF_SMOKE.txt)" -eq 1 \
+    || { echo "the single seeded row should be the only regression" >&2; exit 1; }
+  if cargo run -p sbr-cli --release --offline --bin sbr -- perf diff \
+      results/BENCH_SBR_v4.json target/PERF_MISSING.json \
+      --report target/PERF_DIFF_MISSING.txt; then
+    echo "perf diff passed a candidate missing a baseline record" >&2; exit 1
+  fi
+  grep -q "^MISSING $(cat target/PERF_MISSING_EXPERIMENT.txt) " target/PERF_DIFF_MISSING.txt \
+    || { echo "missing record not named in the smoke report" >&2; exit 1; }
 fi
 
 echo "CI pass complete."
