@@ -85,13 +85,9 @@ fn network_sim_record(quick: bool) -> BenchRecord {
     net.set_link(LossyLink::new(0.1, 12, 7));
     net.set_fault_plan(FaultPlan::new(42).with_drop(0.2).with_dup(0.05));
     let report = net
-        .simulate(
-            &feeds,
-            m,
-            &Strategy::SbrArq(SbrConfig::new(2 * m / 5, m / 2)),
-        )
+        .simulate(&feeds, m, &Strategy::Sbr(SbrConfig::new(2 * m / 5, m / 2)))
         .expect("network_sim run");
-    let recovery = report.recovery.expect("ARQ runs report recovery stats");
+    let recovery = report.recovery.expect("SBR runs report recovery stats");
     record_recovery(rec.as_ref(), &recovery);
     // Measured outputs are counters, not params: a change in wire size
     // must not unmatch the record. `values_sent` is already counted as
@@ -257,7 +253,9 @@ fn storage_recovery_records(quick: bool) -> Vec<BenchRecord> {
         {
             let station = BaseStation::with_persistence(&dir).with_segment_size(SEGMENT_BYTES);
             for f in &frames[..h] {
-                station.receive(1, f.clone()).expect("storage sweep ingest");
+                station
+                    .receive_frame(1, f.clone())
+                    .expect("storage sweep ingest");
             }
         }
         let report = storage::verify(&dir, 1).expect("persisted store verifies");

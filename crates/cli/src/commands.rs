@@ -671,10 +671,10 @@ fn simulate(
     }
 
     let report = net
-        .simulate(&data, batch, &Strategy::SbrArq(SbrConfig::new(band, band)))
+        .simulate(&data, batch, &Strategy::Sbr(SbrConfig::new(band, band)))
         .map_err(|e| e.to_string())?;
     let stats = report.recovery.ok_or_else(|| {
-        CliError::Runtime("simulation reported no recovery stats for an ARQ run".into())
+        CliError::Runtime("simulation reported no recovery stats for an SBR run".into())
     })?;
 
     let mut out = format!(

@@ -1,8 +1,5 @@
 //! The interval data structure of §4.2 and its wire representation.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 /// Sentinel `shift` marking an interval approximated by the linear-regression
 /// fall-back (regression against the time index) instead of a base-signal
 /// segment. The paper encodes this as a negative shift.
@@ -64,7 +61,6 @@ impl Interval {
 
 /// Wire form of an interval: exactly the four transmitted values.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct IntervalRecord {
     /// Offset into the concatenated data series.
     pub start: u64,

@@ -10,13 +10,8 @@
 //! 2. how per-interval errors combine into a batch error (sum vs. max),
 //! 3. how a reconstruction is scored against the original.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 /// The error metric an encoder optimizes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ErrorMetric {
     /// Sum of squared errors `Σ (y_i - ŷ_i)²` — the paper's default.
     #[default]

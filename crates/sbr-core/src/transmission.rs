@@ -1,15 +1,11 @@
 //! What a sensor actually sends per batch: base-signal updates plus interval
 //! records, with exact bandwidth accounting (§4.3).
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 use crate::interval::IntervalRecord;
 
 /// One inserted base interval: its `W` samples plus the slot of the
 /// base-signal buffer it finally occupies. Costs `W + 1` values.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct BaseUpdate {
     /// Final slot index in the base-signal buffer. Slots beyond the
     /// receiver's current buffer are appends; earlier slots are
@@ -34,7 +30,6 @@ impl BaseUpdate {
 /// slot placements to obtain the buffer used by the next transmission. The
 /// `shift` fields therefore always reference the `X_new` layout.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Transmission {
     /// Monotone sequence number of the batch (0-based).
     pub seq: u64,
@@ -75,7 +70,6 @@ impl Transmission {
 
 /// What a v2 wire frame carries besides its [`Transmission`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum FrameKind {
     /// An ordinary in-sequence batch, encoded against the receiver's
     /// current base-signal replica.
@@ -96,7 +90,6 @@ pub enum FrameKind {
 /// semantics. A reboot resync has an empty snapshot: the encoder restarted
 /// from scratch and `tx.seq` is 0 again.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Frame {
     /// Resync generation. Starts at 0; bumped by the sensor on every
     /// retransmit-buffer overflow or reboot. v1 frames decode as epoch 0.

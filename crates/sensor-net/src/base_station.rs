@@ -70,6 +70,61 @@ struct Checkpoint {
     epoch: u32,
 }
 
+impl Checkpoint {
+    /// The empty-log checkpoint every ladder starts from.
+    fn origin() -> Self {
+        Checkpoint {
+            chunk: 0,
+            base: None,
+            next_seq: 0,
+            epoch: 0,
+        }
+    }
+}
+
+/// Apply one accepted frame to a log's derived state: advance `tracker`,
+/// index the chunk in `engine`, and push a `checkpoints` rung when the log
+/// length after this frame lands on `interval`. Ingest and hydration both
+/// go through here, so a replayed log rebuilds the exact index and ladder
+/// a never-restarted station holds. On error nothing has changed.
+fn index_frame(
+    tracker: &mut Decoder,
+    engine: &mut QueryEngine,
+    checkpoints: &mut Vec<Checkpoint>,
+    parsed: &Frame,
+    interval: u64,
+) -> Result<(), SbrError> {
+    // The X_new layout this frame's records reference must be captured
+    // *before* the updates are applied (the post-apply base has already
+    // absorbed them): a data frame extends the current base, a resync
+    // frame re-anchors on its own snapshot (followed by its updates) —
+    // either way the summary is self-contained, so epoch bumps never
+    // invalidate earlier chunks.
+    let x_new = match parsed.kind {
+        FrameKind::Data => tracker.peek_x_new(&parsed.tx).ok(),
+        FrameKind::Resync => {
+            let mut x = parsed.snapshot.clone();
+            for u in &parsed.tx.base_updates {
+                x.extend_from_slice(&u.values);
+            }
+            Some(x)
+        }
+    };
+    tracker.apply_frame_updates_only(parsed)?;
+    engine.push_chunk(x_new.and_then(|x| ChunkSummary::from_transmission(&parsed.tx, x).ok()));
+    let chunk = engine.len() as u64;
+    if chunk.is_multiple_of(interval) {
+        let (base, next_seq) = tracker.snapshot();
+        checkpoints.push(Checkpoint {
+            chunk,
+            base,
+            next_seq,
+            epoch: tracker.epoch(),
+        });
+    }
+    Ok(())
+}
+
 /// One sensor's append-only log.
 #[derive(Debug)]
 struct SensorLog {
@@ -106,12 +161,7 @@ impl SensorLog {
             cold: 0,
             payload_bytes: 0,
             tracker: Decoder::for_node(node as u64),
-            checkpoints: vec![Checkpoint {
-                chunk: 0,
-                base: None,
-                next_seq: 0,
-                epoch: 0,
-            }],
+            checkpoints: vec![Checkpoint::origin()],
             engine,
             writer: None,
             last_resync_at: None,
@@ -315,21 +365,6 @@ impl BaseStation {
         Ok(station)
     }
 
-    /// Receive one wire frame from `node` — strict variant: duplicates are
-    /// errors too. The frame must parse (CRC verified for v2) and carry the
-    /// next sequence number for that sensor; otherwise it is rejected and
-    /// not logged. Direct-delivery substrates (no ARQ, so nothing should
-    /// ever arrive twice) use this; ARQ paths use
-    /// [`BaseStation::receive_frame`], where a duplicate is routine.
-    pub fn receive(&self, node: NodeId, frame: Bytes) -> Result<(), SbrError> {
-        match self.ingest(node, frame, true)? {
-            Receipt::Duplicate => Err(SbrError::InconsistentState(format!(
-                "sensor {node}: duplicate frame on a direct-delivery path"
-            ))),
-            Receipt::Accepted | Receipt::Resynced => Ok(()),
-        }
-    }
-
     /// Receive one wire frame from `node`, classifying it for the ARQ
     /// protocol: `Accepted` / `Resynced` frames were applied and logged,
     /// `Duplicate`s are silently discarded, and anything unusable —
@@ -349,13 +384,6 @@ impl BaseStation {
             .entry(node)
             .or_insert_with(|| SensorLog::new(node, self.query_obs.clone()));
         let (epoch, next_seq) = (log.tracker.epoch(), log.tracker.next_seq());
-        // The X_new layout this frame's records reference must be captured
-        // *before* the updates are applied (the post-apply base has already
-        // absorbed them): a data frame extends the current base.
-        let peeked_x_new = match parsed.kind {
-            FrameKind::Data => log.tracker.peek_x_new(&parsed.tx).ok(),
-            FrameKind::Resync => None,
-        };
         let receipt = match parsed.kind {
             FrameKind::Data => {
                 if parsed.epoch < epoch || (parsed.epoch == epoch && parsed.tx.seq < next_seq) {
@@ -372,7 +400,6 @@ impl BaseStation {
                         got: parsed.tx.seq,
                     });
                 }
-                log.tracker.apply_frame_updates_only(&parsed)?;
                 Receipt::Accepted
             }
             FrameKind::Resync => {
@@ -381,39 +408,20 @@ impl BaseStation {
                     // or past this epoch.
                     return Ok(Receipt::Duplicate);
                 }
-                log.tracker.apply_frame_updates_only(&parsed)?;
                 Receipt::Resynced
             }
         };
-        // Index the accepted chunk in the compressed domain. A resync frame
-        // re-anchors on its own snapshot (followed by its updates) — either
-        // way the summary is self-contained, so epoch bumps never
-        // invalidate earlier chunks.
-        let x_new = match parsed.kind {
-            FrameKind::Data => peeked_x_new,
-            FrameKind::Resync => {
-                let mut x = parsed.snapshot.clone();
-                for u in &parsed.tx.base_updates {
-                    x.extend_from_slice(&u.values);
-                }
-                Some(x)
-            }
-        };
-        log.engine
-            .push_chunk(x_new.and_then(|x| ChunkSummary::from_transmission(&parsed.tx, x).ok()));
+        index_frame(
+            &mut log.tracker,
+            &mut log.engine,
+            &mut log.checkpoints,
+            &parsed,
+            self.checkpoint_interval,
+        )?;
         log.frames.push(frame.clone());
         log.payload_bytes += frame.len() as u64;
         if receipt == Receipt::Resynced {
             log.last_resync_at = Some(log.frames.len() as u64 - 1);
-        }
-        if (log.frames.len() as u64).is_multiple_of(self.checkpoint_interval) {
-            let (base, next_seq) = log.tracker.snapshot();
-            log.checkpoints.push(Checkpoint {
-                chunk: log.frames.len() as u64,
-                base,
-                next_seq,
-                epoch: log.tracker.epoch(),
-            });
         }
         if persist {
             if let Some(dir) = &self.persist_dir {
@@ -494,37 +502,16 @@ impl BaseStation {
         let mut engine = QueryEngine::new();
         engine.set_obs(self.query_obs.clone());
         let mut tracker = Decoder::for_node(node as u64);
-        let mut checkpoints = vec![Checkpoint {
-            chunk: 0,
-            base: None,
-            next_seq: 0,
-            epoch: 0,
-        }];
-        for (i, raw) in log.frames.iter().enumerate() {
+        let mut checkpoints = vec![Checkpoint::origin()];
+        for raw in &log.frames {
             let parsed = codec::decode_any(&mut raw.clone())?;
-            let x_new = match parsed.kind {
-                FrameKind::Data => tracker.peek_x_new(&parsed.tx).ok(),
-                FrameKind::Resync => {
-                    let mut x = parsed.snapshot.clone();
-                    for u in &parsed.tx.base_updates {
-                        x.extend_from_slice(&u.values);
-                    }
-                    Some(x)
-                }
-            };
-            tracker.apply_frame_updates_only(&parsed)?;
-            engine.push_chunk(
-                x_new.and_then(|x| ChunkSummary::from_transmission(&parsed.tx, x).ok()),
-            );
-            if ((i + 1) as u64).is_multiple_of(self.checkpoint_interval) {
-                let (base, next_seq) = tracker.snapshot();
-                checkpoints.push(Checkpoint {
-                    chunk: (i + 1) as u64,
-                    base,
-                    next_seq,
-                    epoch: tracker.epoch(),
-                });
-            }
+            index_frame(
+                &mut tracker,
+                &mut engine,
+                &mut checkpoints,
+                &parsed,
+                self.checkpoint_interval,
+            )?;
         }
         if tracker.next_seq() != log.tracker.next_seq() || tracker.epoch() != log.tracker.epoch() {
             return Err(SbrError::InconsistentState(format!(
@@ -826,6 +813,12 @@ mod tests {
             .collect()
     }
 
+    /// Deliver `f` and require it to be applied — the strict check for
+    /// in-order streams, where nothing should ever arrive twice.
+    fn accept(bs: &BaseStation, node: NodeId, f: Bytes) {
+        assert_eq!(bs.receive_frame(node, f).unwrap(), Receipt::Accepted);
+    }
+
     /// An ARQ-style node stream: v2 frames, resync (buffer overflow) after
     /// `resync_after` chunks.
     fn v2_stream(n_chunks: usize, resync_after: usize) -> (Vec<Bytes>, Vec<Vec<Vec<f64>>>) {
@@ -855,11 +848,14 @@ mod tests {
     fn receive_validates_sequence() {
         let bs = BaseStation::new();
         let fs = frames(3);
-        assert!(bs.receive(1, fs[1].clone()).is_err()); // gap
-        bs.receive(1, fs[0].clone()).unwrap();
-        assert!(bs.receive(1, fs[0].clone()).is_err()); // duplicate
-        bs.receive(1, fs[1].clone()).unwrap();
-        bs.receive(1, fs[2].clone()).unwrap();
+        assert!(bs.receive_frame(1, fs[1].clone()).is_err()); // gap
+        accept(&bs, 1, fs[0].clone());
+        assert_eq!(
+            bs.receive_frame(1, fs[0].clone()).unwrap(),
+            Receipt::Duplicate
+        );
+        accept(&bs, 1, fs[1].clone());
+        accept(&bs, 1, fs[2].clone());
         assert_eq!(bs.chunk_count(1), 3);
     }
 
@@ -893,7 +889,7 @@ mod tests {
         let bs = BaseStation::new();
         let mut bad = frames(1)[0].to_vec();
         bad[0] ^= 0xff;
-        assert!(bs.receive(1, Bytes::from(bad)).is_err());
+        assert!(bs.receive_frame(1, Bytes::from(bad)).is_err());
         assert_eq!(bs.chunk_count(1), 0);
     }
 
@@ -968,7 +964,7 @@ mod tests {
     fn reconstruct_middle_chunks_replays_base_updates() {
         let bs = BaseStation::new();
         for f in frames(4) {
-            bs.receive(9, f).unwrap();
+            accept(&bs, 9, f);
         }
         let mid = bs.reconstruct_chunks(9, 2, 4).unwrap();
         assert_eq!(mid.len(), 2);
@@ -984,7 +980,7 @@ mod tests {
     fn signal_range_query_crosses_chunks() {
         let bs = BaseStation::new();
         for f in frames(3) {
-            bs.receive(2, f).unwrap();
+            accept(&bs, 2, f);
         }
         let r = bs.reconstruct_signal_range(2, 1, 50, 140).unwrap();
         assert_eq!(r.len(), 90);
@@ -1000,7 +996,7 @@ mod tests {
     fn aggregate_range_matches_reconstruction() {
         let bs = BaseStation::new();
         for f in frames(4) {
-            bs.receive(3, f).unwrap();
+            accept(&bs, 3, f);
         }
         let all = bs.reconstruct_chunks(3, 0, 4).unwrap();
         let mut truth = Vec::new();
@@ -1054,7 +1050,7 @@ mod tests {
     fn aggregate_range_rejects_bad_inputs() {
         let bs = BaseStation::new();
         for f in frames(2) {
-            bs.receive(1, f).unwrap();
+            accept(&bs, 1, f);
         }
         assert!(bs.aggregate_range(1, 0, 5, 5).is_err());
         assert!(bs.aggregate_range(1, 0, 0, 10_000).is_err());
@@ -1068,8 +1064,8 @@ mod tests {
         let tight = BaseStation::with_checkpoint_interval(2);
         let none = BaseStation::with_checkpoint_interval(u64::MAX);
         for f in &fs {
-            tight.receive(1, f.clone()).unwrap();
-            none.receive(1, f.clone()).unwrap();
+            accept(&tight, 1, f.clone());
+            accept(&none, 1, f.clone());
         }
         for (from, to) in [(0usize, 10usize), (7, 10), (3, 4), (9, 10)] {
             assert_eq!(
@@ -1117,14 +1113,14 @@ mod tests {
         {
             let bs = BaseStation::with_persistence(&dir);
             for f in &fs[..3] {
-                bs.receive(6, f.clone()).unwrap();
+                accept(&bs, 6, f.clone());
             }
         } // "crash"
         let bs = BaseStation::load(&dir).unwrap();
         assert_eq!(bs.chunk_count(6), 3);
         // The stream continues where it left off, still persisted.
-        bs.receive(6, fs[3].clone()).unwrap();
-        bs.receive(6, fs[4].clone()).unwrap();
+        accept(&bs, 6, fs[3].clone());
+        accept(&bs, 6, fs[4].clone());
         let all = bs.reconstruct_chunks(6, 0, 5).unwrap();
         assert_eq!(all.len(), 5);
         // And a second restart sees everything.
@@ -1162,7 +1158,7 @@ mod tests {
         {
             let bs = BaseStation::with_persistence(&dir);
             for f in &fs {
-                bs.receive(2, f.clone()).unwrap();
+                accept(&bs, 2, f.clone());
             }
         }
         // Chop mid-record inside the active segment.
@@ -1173,7 +1169,7 @@ mod tests {
         assert_eq!(bs.chunk_count(2), 2);
         // Appending after the recovery must produce a clean file: re-send
         // the lost chunk and reload once more.
-        bs.receive(2, fs[2].clone()).unwrap();
+        accept(&bs, 2, fs[2].clone());
         let bs2 = BaseStation::load(&dir).unwrap();
         assert_eq!(bs2.chunk_count(2), 3);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1185,7 +1181,7 @@ mod tests {
         let fs = frames(2);
         let total: usize = fs.iter().map(Bytes::len).sum();
         for f in fs {
-            bs.receive(4, f).unwrap();
+            accept(&bs, 4, f);
         }
         assert_eq!(bs.log_bytes(4), total);
         assert_eq!(bs.sensors(), vec![4]);
@@ -1199,7 +1195,7 @@ mod tests {
         // every boundary.
         let bs = BaseStation::with_checkpoint_interval(4);
         for f in frames(10) {
-            bs.receive(1, f).unwrap();
+            accept(&bs, 1, f);
         }
         for (chunk, resume_at) in [
             (0usize, 0usize),
@@ -1223,7 +1219,7 @@ mod tests {
     fn aggregate_range_serves_from_compressed_index() {
         let bs = BaseStation::new();
         for f in frames(4) {
-            bs.receive(3, f).unwrap();
+            accept(&bs, 3, f);
         }
         // The ingest path must have indexed every chunk.
         {
@@ -1288,7 +1284,7 @@ mod tests {
         let recorder = sbr_obs::MetricsRecorder::new();
         let bs = BaseStation::new().with_recorder(&recorder);
         for f in frames(3) {
-            bs.receive(5, f).unwrap();
+            accept(&bs, 5, f);
         }
         bs.aggregate_range(5, 0, 10, 150).unwrap();
         bs.aggregate_range(5, 0, 10, 150).unwrap();
@@ -1307,7 +1303,7 @@ mod tests {
             // Tiny segments: every frame seals a segment + checkpoint.
             let bs = BaseStation::with_persistence(&dir).with_segment_size(1);
             for f in &fs {
-                bs.receive(6, f.clone()).unwrap();
+                accept(&bs, 6, f.clone());
             }
         } // "crash"
         let rec = sbr_obs::MetricsRecorder::new();
@@ -1331,7 +1327,7 @@ mod tests {
         assert_eq!(bs.raw_frames(6), fs, "hydration restores original bytes");
         let fresh = BaseStation::new();
         for f in &fs {
-            fresh.receive(6, f.clone()).unwrap();
+            accept(&fresh, 6, f.clone());
         }
         assert_eq!(fresh.reconstruct_chunks(6, 0, 12).unwrap(), all);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1346,7 +1342,7 @@ mod tests {
             .with_segment_size(1)
             .with_recorder(&rec);
         for f in frames(5) {
-            bs.receive(1, f).unwrap();
+            accept(&bs, 1, f);
         }
         let snap = rec.snapshot();
         assert_eq!(
@@ -1410,7 +1406,7 @@ mod tests {
         {
             let bs = BaseStation::with_persistence(&dir);
             for f in &fs {
-                bs.receive(6, f.clone()).unwrap();
+                accept(&bs, 6, f.clone());
             }
         } // "crash"
         let bs = BaseStation::load(&dir).unwrap();

@@ -7,12 +7,8 @@
 //! broadcast radios make every node within range of a sender pay the
 //! receive cost whether or not the message was addressed to it.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 /// Energy cost constants, in CPU-instruction equivalents.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct EnergyModel {
     /// Cost for a node to transmit one value (64 bits × 1000 instr/bit).
     pub tx_per_value: f64,
@@ -25,13 +21,7 @@ pub struct EnergyModel {
     /// Cost of keeping the radio in idle listening for one batch period.
     /// Duty-cycled MACs make this small but never zero; it puts a floor
     /// under how far compression alone can stretch the battery.
-    #[cfg_attr(feature = "serde", serde(default = "default_idle_per_period"))]
     pub idle_per_period: f64,
-}
-
-#[cfg(feature = "serde")]
-fn default_idle_per_period() -> f64 {
-    1_000.0
 }
 
 impl Default for EnergyModel {
@@ -47,7 +37,6 @@ impl Default for EnergyModel {
 
 /// Per-node energy ledger.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct EnergyLedger {
     /// Instruction-equivalents spent transmitting.
     pub tx: f64,
@@ -55,10 +44,8 @@ pub struct EnergyLedger {
     pub rx: f64,
     /// Instruction-equivalents spent overhearing broadcasts addressed to
     /// someone else (§3.1: every node in a sender's range pays).
-    #[cfg_attr(feature = "serde", serde(default))]
     pub overhear: f64,
     /// Instruction-equivalents spent idle-listening between batches.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub idle: f64,
     /// Instruction-equivalents spent on local processing.
     pub cpu: f64,
@@ -102,7 +89,6 @@ impl EnergyLedger {
 /// battery capacities growing only 2–3% per year; this turns a ledger into
 /// the paper's bottom line — *how much longer does the network live?*
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Battery {
     /// Capacity in CPU-instruction-equivalents (the unit of
     /// [`EnergyModel`]). Two AA cells on a MICA-class mote are on the

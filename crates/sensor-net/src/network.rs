@@ -217,15 +217,17 @@ pub enum Strategy {
         /// Aggregation window in samples.
         window: usize,
     },
-    /// SBR approximation under the given configuration.
+    /// SBR approximation under the given configuration, delivered with
+    /// the loss-tolerant v2 protocol: sensors keep un-ACKed frames in a
+    /// bounded retransmission buffer, the base sends cumulative ACKs back
+    /// down the tree, and unrecoverable loss (buffer overflow, node
+    /// reboot) degrades gracefully through epoch-bumping resync frames
+    /// instead of wedging the stream. Every hop attempt is billed
+    /// [`sbr_core::Frame::cost`] values, the paper's unit, so the radio
+    /// cost is comparable with [`Strategy::Raw`] and
+    /// [`Strategy::Aggregate`]. Combine with [`Network::set_fault_plan`]
+    /// for seeded chaos runs.
     Sbr(SbrConfig),
-    /// SBR with the loss-tolerant v2 protocol: sensors keep un-ACKed
-    /// frames in a bounded retransmission buffer, the base sends
-    /// cumulative ACKs back down the tree, and unrecoverable loss (buffer
-    /// overflow, node reboot) degrades gracefully through epoch-bumping
-    /// resync frames instead of wedging the stream. Combine with
-    /// [`Network::set_fault_plan`] for seeded chaos runs.
-    SbrArq(SbrConfig),
 }
 
 impl Strategy {
@@ -235,12 +237,11 @@ impl Strategy {
             Strategy::Raw => "raw",
             Strategy::Aggregate { .. } => "aggregate",
             Strategy::Sbr(_) => "sbr",
-            Strategy::SbrArq(_) => "sbr-arq",
         }
     }
 }
 
-/// What the ARQ/resync machinery did during one [`Strategy::SbrArq`] run.
+/// What the ARQ/resync machinery did during one [`Strategy::Sbr`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Frame transmissions attempted end-to-end (includes retransmissions).
@@ -287,7 +288,9 @@ pub struct RunReport {
     pub strategy: &'static str,
     /// Per-node energy ledgers (index = node id; 0 is the base).
     pub ledgers: Vec<EnergyLedger>,
-    /// Values injected at the sensors (before relaying).
+    /// Values injected at the sensors (before relaying). SBR counts each
+    /// flushed frame once, at its [`sbr_core::Frame::cost`];
+    /// retransmissions show up only in the ledgers and `hop_attempts`.
     pub values_sent: usize,
     /// Raw values measured across all sensors.
     pub raw_values: usize,
@@ -297,7 +300,7 @@ pub struct RunReport {
     pub hop_attempts: u64,
     /// Batches dropped after exhausting per-hop retransmissions.
     pub batches_lost: usize,
-    /// ARQ/resync statistics — `Some` only for [`Strategy::SbrArq`] runs.
+    /// ARQ/resync statistics — `Some` only for [`Strategy::Sbr`] runs.
     pub recovery: Option<RecoveryStats>,
 }
 
@@ -350,7 +353,7 @@ impl Network {
     }
 
     /// Install a seeded end-to-end fault schedule for the next
-    /// [`Strategy::SbrArq`] run (drops, duplicates, reordering, bit
+    /// [`Strategy::Sbr`] run (drops, duplicates, reordering, bit
     /// corruption, scheduled crashes). Consumed by that run; other
     /// strategies ignore it.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
@@ -587,11 +590,11 @@ impl Network {
     ) -> Result<(), SbrError> {
         let node = sensor.id();
         trace.round += 1;
-        let pending: Vec<(u32, u64, Bytes)> = sensor
+        let pending: Vec<(u32, u64, usize, Bytes)> = sensor
             .pending()
-            .map(|p| (p.epoch, p.seq, p.bytes.clone()))
+            .map(|p| (p.epoch, p.seq, p.cost, p.bytes.clone()))
             .collect();
-        for (epoch, seq, bytes) in pending {
+        for (epoch, seq, cost, bytes) in pending {
             stats.frames_sent += 1;
             let id = FrameId::new(node as u32, epoch, seq);
             if trace.enabled {
@@ -605,9 +608,6 @@ impl Network {
                         .frame_event(node, id, EventKind::Retx, *attempts - 1);
                 }
             }
-            // Energy is charged in value units; the v2 frame's wire bytes
-            // (header, snapshot, CRC) are what actually crosses the radio.
-            let cost = bytes.len().div_ceil(8);
             if !self.charge_route(node, cost) {
                 self.obs.frame_event(node, id, EventKind::Dropped, 0);
                 continue; // a hop gave up; the frame stays pending
@@ -674,19 +674,31 @@ impl Network {
     /// `feeds[i]` is the measurement matrix (rows = signals) of node `i+1`;
     /// all feeds must share the same shape. `samples_per_batch` is the
     /// buffer depth `M`. Returns the energy/fidelity report.
+    ///
+    /// The station keeps what an SBR run logged, so a network runs at most
+    /// one SBR simulation: a second one is an `InconsistentState` error.
     pub fn simulate(
         &mut self,
         feeds: &[Vec<Vec<f64>>],
         samples_per_batch: usize,
         strategy: &Strategy,
     ) -> Result<RunReport, SbrError> {
-        assert_eq!(
-            feeds.len() + 1,
-            self.topology.len(),
-            "one feed per non-base node"
-        );
+        if samples_per_batch == 0 {
+            return Err(SbrError::InvalidConfig(
+                "samples_per_batch must be at least 1".into(),
+            ));
+        }
         let n_signals = feeds.first().map_or(0, Vec::len);
         let feed_len = feeds.first().and_then(|f| f.first()).map_or(0, Vec::len);
+        let sensors = self.topology.len().saturating_sub(1);
+        if feeds.len() != sensors {
+            // One feed per non-base node.
+            return Err(SbrError::ShapeMismatch {
+                expected_signals: sensors,
+                expected_len: feed_len,
+                got: (feeds.len(), feed_len),
+            });
+        }
         for (i, feed) in feeds.iter().enumerate() {
             if feed.len() != n_signals || feed.iter().any(|row| row.len() != feed_len) {
                 return Err(SbrError::ShapeMismatch {
@@ -741,62 +753,18 @@ impl Network {
                 }
             }
             Strategy::Sbr(config) => {
+                // Scoring pairs every logged frame with what this run
+                // flushed, so a log left by an earlier run cannot be
+                // scored (or resumed: the fresh sensors restart at seq 0).
+                if let Some(node) = (1..=sensors).find(|&n| self.station.chunk_count(n) > 0) {
+                    return Err(SbrError::InconsistentState(format!(
+                        "node {node}: the station already logged an SBR run; \
+                         simulate again on a fresh Network"
+                    )));
+                }
                 // Thread the network's recorder into every sensor's encoder
                 // so pipeline metrics land in the same snapshot. Never
                 // changes what is encoded — only what is measured.
-                let mut config = match &self.obs.recorder {
-                    Some(rec) => config.clone().with_recorder(rec.clone()),
-                    None => config.clone(),
-                };
-                if self.obs.timeline.is_enabled() {
-                    config = config.with_timeline(self.obs.timeline.clone());
-                }
-                for (i, feed) in feeds.iter().enumerate() {
-                    let node = i + 1;
-                    let mut sensor =
-                        SensorNode::new(node, n_signals, samples_per_batch, config.clone())?;
-                    let mut sample = vec![0.0f64; n_signals];
-                    for t in 0..usable {
-                        for (s, row) in feed.iter().enumerate() {
-                            sample[s] = row[t];
-                        }
-                        raw_values += n_signals;
-                        // Compression work is charged per buffered value.
-                        self.ledgers[node].charge_cpu(&self.model, n_signals);
-                        if let Some(flush) = sensor.record(&sample)? {
-                            let cost = flush.transmission.cost();
-                            values_sent += cost;
-                            // The log format needs every chunk, so the
-                            // sensor keeps re-sending an end-to-end-dropped
-                            // batch (bounded, then give up loudly).
-                            let mut delivered = false;
-                            for _ in 0..16 {
-                                if self.charge_route(node, cost) {
-                                    delivered = true;
-                                    break;
-                                }
-                            }
-                            if !delivered {
-                                return Err(sbr_core::SbrError::InconsistentState(format!(
-                                    "node {node}: batch undeliverable after 16 end-to-end retries"
-                                )));
-                            }
-                            self.station.receive(node, flush.frame)?;
-                        }
-                    }
-                    // Fidelity: replay the log and compare with the truth.
-                    let chunks =
-                        self.station
-                            .reconstruct_chunks(node, 0, self.station.chunk_count(node))?;
-                    for (b, chunk) in chunks.iter().enumerate() {
-                        let s = b * samples_per_batch;
-                        for (row, rec) in feed.iter().zip(chunk) {
-                            sse += ErrorMetric::Sse.score(&row[s..s + samples_per_batch], rec);
-                        }
-                    }
-                }
-            }
-            Strategy::SbrArq(config) => {
                 let mut config = match &self.obs.recorder {
                     Some(rec) => config.clone().with_recorder(rec.clone()),
                     None => config.clone(),
@@ -835,9 +803,13 @@ impl Network {
                             window[s].push(row[t]);
                         }
                         raw_values += n_signals;
+                        // Compression work is charged per buffered value.
                         self.ledgers[node].charge_cpu(&self.model, n_signals);
                         if let Some(flush) = sensor.record(&sample)? {
-                            values_sent += flush.frame.len().div_ceil(8);
+                            // The flush is the newest frame in the
+                            // retransmission buffer; count it once, however
+                            // many attempts it takes.
+                            values_sent += sensor.pending().last().map_or(0, |p| p.cost);
                             stats.chunks_flushed += 1;
                             truth.insert(
                                 (flush.epoch, flush.transmission.seq),
@@ -878,10 +850,12 @@ impl Network {
                         let frames = self.station.frames(node)?;
                         let chunks = self.station.reconstruct_chunks(node, 0, n_logged)?;
                         for (frame, chunk) in frames.iter().zip(&chunks) {
-                            let raw = truth
-                                .get(&(frame.epoch, frame.tx.seq))
-                                // lint:allow(panic-reachability): truth is populated for every frame the sensor emits
-                                .expect("every logged frame came from this sensor");
+                            let Some(raw) = truth.get(&(frame.epoch, frame.tx.seq)) else {
+                                return Err(SbrError::InconsistentState(format!(
+                                    "node {node}: logged frame {}:{} was not flushed by this run",
+                                    frame.epoch, frame.tx.seq
+                                )));
+                            };
                             for (row, rec) in raw.iter().zip(chunk) {
                                 sse += ErrorMetric::Sse.score(row, rec);
                             }
@@ -1095,32 +1069,144 @@ mod tests {
         assert!((l.sse - r.sse).abs() < 1e-9, "fidelity unchanged by ARQ");
     }
 
+    /// Straight-line direct delivery, the oracle for the ARQ path: each
+    /// sensor runs without ARQ and every flush goes straight into
+    /// `receive_frame`, which must accept it. Returns the station and the
+    /// SSE of its logs against the feeds.
+    fn direct_delivery(data: &[Vec<Vec<f64>>], m: usize, cfg: &SbrConfig) -> (BaseStation, f64) {
+        let station = BaseStation::new();
+        let mut sse = 0.0;
+        for (i, feed) in data.iter().enumerate() {
+            let node = i + 1;
+            let mut sensor = SensorNode::new(node, feed.len(), m, cfg.clone()).unwrap();
+            let usable = feed[0].len() / m * m;
+            for t in 0..usable {
+                let sample: Vec<f64> = feed.iter().map(|row| row[t]).collect();
+                if let Some(flush) = sensor.record(&sample).unwrap() {
+                    let receipt = station.receive_frame(node, flush.frame).unwrap();
+                    assert_eq!(receipt, Receipt::Accepted);
+                }
+            }
+            let chunks = station
+                .reconstruct_chunks(node, 0, station.chunk_count(node))
+                .unwrap();
+            for (b, chunk) in chunks.iter().enumerate() {
+                for (row, rec) in feed.iter().zip(chunk) {
+                    sse += ErrorMetric::Sse.score(&row[b * m..(b + 1) * m], rec);
+                }
+            }
+        }
+        (station, sse)
+    }
+
+    /// Σ `Frame::cost()` over everything the station logged.
+    fn logged_cost(net: &Network, nodes: usize) -> usize {
+        (1..nodes)
+            .flat_map(|node| net.station().frames(node).unwrap())
+            .map(|f| f.cost())
+            .sum()
+    }
+
     #[test]
     fn arq_reliable_link_matches_direct_delivery_byte_for_byte() {
         let data = feeds(2, 2, 256);
         let cfg = SbrConfig::new(48, 32);
-        let mut direct = network(3);
-        let d = direct
-            .simulate(&data, 64, &Strategy::Sbr(cfg.clone()))
-            .unwrap();
+        let (direct, direct_sse) = direct_delivery(&data, 64, &cfg);
         let mut arq = network(3);
-        let a = arq.simulate(&data, 64, &Strategy::SbrArq(cfg)).unwrap();
+        let a = arq.simulate(&data, 64, &Strategy::Sbr(cfg)).unwrap();
         // The ARQ protocol on a perfect channel is invisible: the station
-        // logs the exact same bytes the direct path logs.
+        // logs the exact same bytes direct delivery logs.
         for node in 1..3 {
             assert_eq!(
                 arq.station().raw_frames(node),
-                direct.station().raw_frames(node),
+                direct.raw_frames(node),
                 "node {node} log diverged"
             );
         }
-        assert!((a.sse - d.sse).abs() < 1e-12, "fidelity must be unchanged");
-        let stats = a.recovery.expect("arq runs report recovery stats");
+        assert!(
+            (a.sse - direct_sse).abs() < 1e-12,
+            "fidelity must be unchanged"
+        );
+        let stats = a.recovery.expect("sbr runs report recovery stats");
         assert_eq!(stats.gaps_detected, 0);
         assert_eq!(stats.duplicates_discarded, 0);
         assert_eq!(stats.resyncs, 0);
         assert_eq!(stats.delivered_fraction(), 1.0);
-        assert!(d.recovery.is_none(), "direct runs carry no recovery block");
+    }
+
+    #[test]
+    fn values_sent_is_the_logged_frame_cost_on_a_reliable_link() {
+        let data = feeds(2, 2, 256);
+        let mut net = network(3);
+        let r = net
+            .simulate(&data, 64, &Strategy::Sbr(SbrConfig::new(48, 32)))
+            .unwrap();
+        assert_eq!(r.values_sent, logged_cost(&net, 3));
+        // Value units, not wire bytes: the v2 framing is not billed.
+        let wire: usize = (1..3)
+            .flat_map(|node| net.station().raw_frames(node))
+            .map(|f| f.len().div_ceil(8))
+            .sum();
+        assert!(r.values_sent < wire);
+    }
+
+    #[test]
+    fn chaos_bills_each_flush_once_and_retransmissions_only_as_energy() {
+        let data = feeds(2, 2, 512);
+        let cfg = SbrConfig::new(48, 32);
+        let mut clean = network(3);
+        let c = clean
+            .simulate(&data, 64, &Strategy::Sbr(cfg.clone()))
+            .unwrap();
+        let mut chaos = network(3);
+        chaos.set_fault_plan(
+            FaultPlan::new(42)
+                .with_drop(0.3)
+                .with_dup(0.15)
+                .with_reorder(0.1)
+                .with_corrupt(0.1),
+        );
+        let r = chaos.simulate(&data, 64, &Strategy::Sbr(cfg)).unwrap();
+        let stats = r.recovery.unwrap();
+        assert!(stats.frames_sent > stats.frames_delivered, "{stats:?}");
+        assert_eq!(stats.delivered_fraction(), 1.0, "{stats:?}");
+        // Every flushed frame is logged once and counted once...
+        assert_eq!(r.values_sent, logged_cost(&chaos, 3));
+        assert_eq!(r.values_sent, c.values_sent);
+        // ...while the retransmissions cost attempts and energy.
+        assert!(r.hop_attempts > c.hop_attempts);
+        assert!(r.total_energy() > c.total_energy());
+    }
+
+    #[test]
+    fn second_sbr_run_on_one_network_is_a_typed_error() {
+        let cfg = SbrConfig::new(48, 32);
+        for second_len in [256, 128] {
+            let mut net = network(3);
+            net.simulate(&feeds(2, 2, 256), 64, &Strategy::Sbr(cfg.clone()))
+                .unwrap();
+            let err = net
+                .simulate(&feeds(2, 2, second_len), 64, &Strategy::Sbr(cfg.clone()))
+                .unwrap_err();
+            assert!(
+                matches!(&err, SbrError::InconsistentState(msg) if msg.contains("node 1")),
+                "feed length {second_len}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn bad_batch_size_and_feed_count_rejected_not_panicking() {
+        let mut net = network(3);
+        let data = feeds(2, 2, 64);
+        let err = net.simulate(&data, 0, &Strategy::Raw).unwrap_err();
+        assert!(matches!(err, SbrError::InvalidConfig(_)), "{err:?}");
+        for n_feeds in [1, 3] {
+            let err = net
+                .simulate(&feeds(n_feeds, 2, 64), 32, &Strategy::Raw)
+                .unwrap_err();
+            assert!(matches!(err, SbrError::ShapeMismatch { .. }), "{err:?}");
+        }
     }
 
     #[test]
@@ -1136,7 +1222,7 @@ mod tests {
                 .with_corrupt(0.1),
         );
         let r = net
-            .simulate(&data, 64, &Strategy::SbrArq(cfg.clone()))
+            .simulate(&data, 64, &Strategy::Sbr(cfg.clone()))
             .unwrap();
         let stats = r.recovery.unwrap();
         assert!(
@@ -1152,7 +1238,7 @@ mod tests {
         assert_eq!(stats.delivered_fraction(), 1.0, "{stats:?}");
         // ...and the result is bit-for-bit what a perfect channel yields.
         let mut clean = network(3);
-        let c = clean.simulate(&data, 64, &Strategy::SbrArq(cfg)).unwrap();
+        let c = clean.simulate(&data, 64, &Strategy::Sbr(cfg)).unwrap();
         for node in 1..3 {
             assert_eq!(
                 net.station().raw_frames(node),
@@ -1183,7 +1269,7 @@ mod tests {
                 .with_corrupt(0.1)
                 .with_crash_at(1, 4),
         );
-        let r = net.simulate(&data, 64, &Strategy::SbrArq(cfg)).unwrap();
+        let r = net.simulate(&data, 64, &Strategy::Sbr(cfg)).unwrap();
         let stats = r.recovery.unwrap();
         assert!(
             stats.duplicates_discarded > 0 && stats.resyncs > 0,
@@ -1275,14 +1361,14 @@ mod tests {
         let mut plain = network(3);
         plain.set_fault_plan(chaos());
         let p = plain
-            .simulate(&data, 64, &Strategy::SbrArq(cfg.clone()))
+            .simulate(&data, 64, &Strategy::Sbr(cfg.clone()))
             .unwrap();
         let rec = Arc::new(MetricsRecorder::new());
         let mut traced = network(3);
         traced.set_recorder(rec.clone());
         traced.set_timeline(Timeline::with_recorder(rec.as_ref(), 1 << 20));
         traced.set_fault_plan(chaos());
-        let t = traced.simulate(&data, 64, &Strategy::SbrArq(cfg)).unwrap();
+        let t = traced.simulate(&data, 64, &Strategy::Sbr(cfg)).unwrap();
         // Observation is free of observable effect: identical station
         // logs, byte for byte, and identical recovery stats.
         for node in 1..3 {
@@ -1303,7 +1389,7 @@ mod tests {
         let cfg = SbrConfig::new(48, 32);
         let mut net = network(2);
         net.set_fault_plan(FaultPlan::new(7).with_crash_at(1, 3));
-        let r = net.simulate(&data, 64, &Strategy::SbrArq(cfg)).unwrap();
+        let r = net.simulate(&data, 64, &Strategy::Sbr(cfg)).unwrap();
         let stats = r.recovery.unwrap();
         assert_eq!(stats.crashes, 1);
         assert!(stats.resyncs >= 1, "reboot must resync");
@@ -1326,7 +1412,7 @@ mod tests {
         net.simulate(
             &feeds(1, 2, 256),
             64,
-            &Strategy::SbrArq(SbrConfig::new(48, 32)),
+            &Strategy::Sbr(SbrConfig::new(48, 32)),
         )
         .unwrap();
         let snap = rec.snapshot();

@@ -32,7 +32,7 @@ pub struct SensorNode {
     epoch: u32,
     needs_resync: bool,
     /// Un-ACKed frames, oldest first. `None` capacity = ARQ disabled
-    /// (direct-delivery substrate, nothing is tracked).
+    /// (nothing is tracked; the caller delivers each flush itself).
     retx: VecDeque<PendingFrame>,
     retx_capacity: Option<usize>,
     retx_overflows: u64,
@@ -63,6 +63,10 @@ pub struct PendingFrame {
     pub seq: u64,
     /// The serialized v2 frame.
     pub bytes: bytes::Bytes,
+    /// What one transmission of the frame costs on the radio, in the
+    /// paper's value units: [`Frame::cost`] (transmission values plus any
+    /// resync snapshot), without the wire framing.
+    pub cost: usize,
 }
 
 impl SensorNode {
@@ -214,7 +218,7 @@ impl SensorNode {
         for row in &mut self.buffer {
             row.clear();
         }
-        let frame = {
+        let (frame, cost) = {
             let obs = &self.encoder.config().obs;
             let _span = obs.span("sbr_core.codec.encode_ns", &obs.codec_encode_ns);
             let wire = if resync {
@@ -223,7 +227,7 @@ impl SensorNode {
             } else {
                 Frame::data(self.epoch, tx.clone())
             };
-            codec::encode_v2(&wire)
+            (codec::encode_v2(&wire), wire.cost())
         };
         self.needs_resync = false;
         // Lifecycle attribution: the encoder's timeline (shared with the
@@ -238,6 +242,7 @@ impl SensorNode {
                 epoch: self.epoch,
                 seq: tx.seq,
                 bytes: frame.clone(),
+                cost,
             });
             timeline.record(frame_id, EventKind::Queued);
         }
@@ -351,6 +356,10 @@ mod tests {
         let frame = codec::decode_any(&mut f.frame.clone()).unwrap();
         assert_eq!(frame.kind, FrameKind::Resync);
         assert_eq!(frame.epoch, 1);
+        // The queued frame is billed in value units, snapshot included.
+        let queued = n.pending().last().unwrap();
+        assert_eq!(queued.cost, frame.cost());
+        assert_eq!(queued.cost, f.transmission.cost() + frame.snapshot.len());
         // Snapshot is the pre-encode base: installing it lets a decoder
         // that missed everything decode this chunk exactly.
         let mut d = Decoder::new();

@@ -43,11 +43,23 @@ echo "==> query differential suite (compressed-domain engine vs full decode)"
 # thread counts and recovered station indexes.
 cargo test -q --offline --test query_diff
 
-echo "==> ARQ differential suite (reliable link: ARQ log == direct delivery)"
+echo "==> ARQ differential suite (reliable link: Strategy::Sbr log == direct-delivery reference)"
 # Guard: the loss-tolerant v2 protocol is pure delivery mechanics — on a
-# perfect channel its base-station log must be byte-identical to legacy
-# direct delivery.
+# perfect channel Strategy::Sbr's base-station log must be byte-identical
+# to the straight-line direct-delivery reference in tests/common (sensors
+# without ARQ, every flush accepted by receive_frame), across metrics,
+# thread counts, topologies and batch sizes.
 cargo test -q --offline --test arq_diff
+
+echo "==> pipebench build (--locked) and its own tests"
+# Guard: the gated pipeline benchmark links the layer crates by path but is
+# its own package, so no workspace test notices a layer-API change that
+# breaks it. Build it exactly as pipebench/run.py does, then run its tests
+# (outputs under target/, never inside pipebench/).
+CARGO_TARGET_DIR=target/pipebench \
+  cargo build --release --offline --locked --manifest-path pipebench/Cargo.toml
+CARGO_TARGET_DIR=target/pipebench \
+  cargo test -q --offline --locked --manifest-path pipebench/Cargo.toml
 
 echo "==> failure-injection suite (whole-frame bit-flip sweep + seeded chaos)"
 cargo test -q --offline --test failure_injection

@@ -1,9 +1,12 @@
 //! Differential suite for the loss-tolerant v2 protocol: on a reliable
-//! link with no fault plan, the ARQ path (retransmission buffers,
-//! cumulative ACKs, resync machinery armed but never triggered) must leave
-//! a base-station log **byte-identical** to legacy direct delivery, across
-//! error metrics, thread counts and topologies — the protocol is pure
-//! delivery mechanics, never a semantic change to what gets logged.
+//! link with no fault plan, `Strategy::Sbr`'s ARQ path (retransmission
+//! buffers, cumulative ACKs, resync machinery armed but never triggered)
+//! must leave a base-station log **byte-identical** to the straight-line
+//! direct-delivery reference in `tests/common`, across error metrics,
+//! thread counts and topologies — the protocol is pure delivery
+//! mechanics, never a semantic change to what gets logged.
+
+mod common;
 
 use sbr_repro::core::{ErrorMetric, SbrConfig};
 use sbr_repro::sensor_net::network::{Network, Strategy};
@@ -28,15 +31,9 @@ fn feeds(n_nodes: usize, n_signals: usize, len: usize) -> Vec<Vec<Vec<f64>>> {
         .collect()
 }
 
-fn run(
-    data: &[Vec<Vec<f64>>],
-    nodes: usize,
-    m: usize,
-    config: SbrConfig,
-    strategy_of: impl Fn(SbrConfig) -> Strategy,
-) -> Network {
+fn run(data: &[Vec<Vec<f64>>], nodes: usize, m: usize, config: SbrConfig) -> Network {
     let mut net = Network::new(Topology::line(nodes, 1.0), EnergyModel::default());
-    net.simulate(data, m, &strategy_of(config))
+    net.simulate(data, m, &Strategy::Sbr(config))
         .expect("reliable run cannot fail");
     net
 }
@@ -48,17 +45,17 @@ fn assert_logs_identical(
     cfg: SbrConfig,
     label: &str,
 ) {
-    let direct = run(data, nodes, m, cfg.clone(), Strategy::Sbr);
-    let arq = run(data, nodes, m, cfg, Strategy::SbrArq);
+    let direct = common::direct_delivery(data, m, cfg.clone());
+    let arq = run(data, nodes, m, cfg);
     for node in 1..nodes {
         assert_eq!(
             arq.station().raw_frames(node),
-            direct.station().raw_frames(node),
+            direct.raw_frames(node),
             "[{label}] node {node}: ARQ log diverged from direct delivery"
         );
         assert_eq!(
             arq.station().log_bytes(node),
-            direct.station().log_bytes(node),
+            direct.log_bytes(node),
             "[{label}] node {node}: log accounting diverged"
         );
     }
@@ -95,7 +92,7 @@ fn arq_run_reports_clean_recovery_on_a_perfect_channel() {
     let data = feeds(2, 2, 256);
     let mut net = Network::new(Topology::line(3, 1.0), EnergyModel::default());
     let report = net
-        .simulate(&data, 64, &Strategy::SbrArq(SbrConfig::new(72, 48)))
+        .simulate(&data, 64, &Strategy::Sbr(SbrConfig::new(72, 48)))
         .unwrap();
     let stats = report.recovery.expect("ARQ always reports recovery stats");
     assert_eq!(stats.gaps_detected, 0);

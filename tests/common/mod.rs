@@ -11,6 +11,10 @@
 //! The product's probe cache, fit cache, blocked and FFT sweeps and worker
 //! fan-out are evaluation-order optimizations only, so every encoder
 //! configuration must emit transmissions byte-identical to this one.
+//!
+//! It also holds [`direct_delivery`], the oracle for the network's ARQ
+//! delivery path: sensors without ARQ whose every flush goes straight to
+//! the station.
 //! The only shared numeric kernels are the ones that define the fit:
 //! `regression::fit`/`fit_sse_with_stats` over `PrefixStats` window sums
 //! and `xcorr::dot`.
@@ -27,6 +31,7 @@ use sbr_repro::core::{
     MultiSeries, SbrConfig, SbrEncoder, SbrError, Transmission,
 };
 use sbr_repro::obs::Snapshot;
+use sbr_repro::sensor_net::{BaseStation, Receipt, SensorNode};
 
 /// Algorithm 2 against one concrete dictionary `x`: the linear fall-back
 /// (when enabled, or when no base segment is admissible) followed by a
@@ -479,4 +484,25 @@ pub fn sweep_shapes() -> [(&'static str, Chunks, SbrConfig); 2] {
         ("direct", stream_chunks(5, 2, 64), SbrConfig::new(72, 64)),
         ("fft", stream_chunks(6, 2, 128), fft),
     ]
+}
+
+/// Straight-line direct delivery of per-sensor feeds (`feeds[i]` is node
+/// `i + 1`'s rows, batch depth `m`): each sensor runs without ARQ, and
+/// every flush is handed to `receive_frame`, which must accept it. On a
+/// reliable link the network's ARQ path must log exactly these bytes.
+pub fn direct_delivery(feeds: &[Vec<Vec<f64>>], m: usize, config: SbrConfig) -> BaseStation {
+    let station = BaseStation::new();
+    for (i, feed) in feeds.iter().enumerate() {
+        let node = i + 1;
+        let mut sensor = SensorNode::new(node, feed.len(), m, config.clone()).expect("config");
+        let usable = feed[0].len() / m * m;
+        for t in 0..usable {
+            let sample: Vec<f64> = feed.iter().map(|row| row[t]).collect();
+            if let Some(flush) = sensor.record(&sample).expect("encode") {
+                let receipt = station.receive_frame(node, flush.frame).expect("receive");
+                assert_eq!(receipt, Receipt::Accepted, "node {node}: frame not applied");
+            }
+        }
+    }
+    station
 }

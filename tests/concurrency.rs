@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use sbr_repro::core::{codec, SbrConfig, SbrEncoder};
-use sbr_repro::sensor_net::BaseStation;
+use sbr_repro::sensor_net::{BaseStation, Receipt};
 
 fn sensor_frames(sensor: u64, chunks: usize) -> Vec<bytes::Bytes> {
     let mut enc = SbrEncoder::new(2, 64, SbrConfig::new(64, 48)).unwrap();
@@ -35,7 +35,7 @@ fn parallel_ingest_from_many_sensors() {
             let station = Arc::clone(&station);
             scope.spawn(move || {
                 for f in sensor_frames(s as u64, chunks) {
-                    station.receive(s + 1, f).unwrap();
+                    assert_eq!(station.receive_frame(s + 1, f).unwrap(), Receipt::Accepted);
                 }
             });
         }
@@ -53,7 +53,7 @@ fn queries_concurrent_with_ingest() {
     let station = Arc::new(BaseStation::with_checkpoint_interval(3));
     // Pre-load sensor 1 so queries always have data.
     for f in sensor_frames(1, 10) {
-        station.receive(1, f).unwrap();
+        assert_eq!(station.receive_frame(1, f).unwrap(), Receipt::Accepted);
     }
     std::thread::scope(|scope| {
         // Writer: sensor 2 streams in.
@@ -61,7 +61,7 @@ fn queries_concurrent_with_ingest() {
             let station = Arc::clone(&station);
             scope.spawn(move || {
                 for f in sensor_frames(2, 20) {
-                    station.receive(2, f).unwrap();
+                    assert_eq!(station.receive_frame(2, f).unwrap(), Receipt::Accepted);
                 }
             });
         }
@@ -88,12 +88,27 @@ fn per_sensor_streams_are_independent() {
     let station = BaseStation::new();
     let a = sensor_frames(1, 3);
     let b = sensor_frames(2, 3);
-    station.receive(1, a[0].clone()).unwrap();
-    station.receive(2, b[0].clone()).unwrap();
-    assert!(station.receive(1, a[2].clone()).is_err()); // gap on sensor 1
-    station.receive(2, b[1].clone()).unwrap(); // sensor 2 unaffected
-    station.receive(1, a[1].clone()).unwrap(); // sensor 1 recovers
-    station.receive(1, a[2].clone()).unwrap();
+    assert_eq!(
+        station.receive_frame(1, a[0].clone()).unwrap(),
+        Receipt::Accepted
+    );
+    assert_eq!(
+        station.receive_frame(2, b[0].clone()).unwrap(),
+        Receipt::Accepted
+    );
+    assert!(station.receive_frame(1, a[2].clone()).is_err()); // gap on sensor 1
+    assert_eq!(
+        station.receive_frame(2, b[1].clone()).unwrap(),
+        Receipt::Accepted
+    ); // sensor 2 unaffected
+    assert_eq!(
+        station.receive_frame(1, a[1].clone()).unwrap(),
+        Receipt::Accepted
+    ); // sensor 1 recovers
+    assert_eq!(
+        station.receive_frame(1, a[2].clone()).unwrap(),
+        Receipt::Accepted
+    );
     assert_eq!(station.chunk_count(1), 3);
     assert_eq!(station.chunk_count(2), 2);
 }

@@ -2,7 +2,7 @@
 //! reconstruction, over generated datasets.
 
 use sbr_repro::core::{codec, Decoder, ErrorMetric, SbrConfig, SbrEncoder};
-use sbr_repro::sensor_net::{BaseStation, EnergyModel, Network, Strategy, Topology};
+use sbr_repro::sensor_net::{BaseStation, EnergyModel, Network, Receipt, Strategy, Topology};
 
 fn weather_files(seed: u64, file_len: usize, files: usize) -> Vec<Vec<Vec<f64>>> {
     sbr_repro::datasets::weather(seed, file_len * files).chunk(file_len)
@@ -80,7 +80,10 @@ fn base_station_reconstruction_is_stable_across_replays() {
     let station = BaseStation::new();
     for rows in &files {
         let tx = enc.encode(rows).unwrap();
-        station.receive(1, codec::encode(&tx)).unwrap();
+        assert_eq!(
+            station.receive_frame(1, codec::encode(&tx)).unwrap(),
+            Receipt::Accepted
+        );
     }
     let a = station.reconstruct_chunks(1, 0, 5).unwrap();
     let b = station.reconstruct_chunks(1, 0, 5).unwrap();

@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use sbr_repro::core::{codec, Decoder, FrameKind, SbrConfig, SbrEncoder, SbrError};
 use sbr_repro::sensor_net::storage::{recover_stream, StreamWriter};
-use sbr_repro::sensor_net::{BaseStation, FaultPlan, SensorNode};
+use sbr_repro::sensor_net::{BaseStation, FaultPlan, Receipt, SensorNode};
 
 fn stream(n_tx: usize) -> (Vec<sbr_repro::core::Transmission>, Vec<Bytes>) {
     let mut enc = SbrEncoder::new(2, 128, SbrConfig::new(120, 96)).unwrap();
@@ -202,13 +202,22 @@ fn uncovered_prefix_is_rejected_not_zero_filled() {
 fn station_quarantines_bad_frames_without_losing_the_log() {
     let (_, frames) = stream(3);
     let bs = BaseStation::new();
-    bs.receive(7, frames[0].clone()).unwrap();
+    assert_eq!(
+        bs.receive_frame(7, frames[0].clone()).unwrap(),
+        Receipt::Accepted
+    );
     let mut corrupt = frames[1].to_vec();
     corrupt[2] ^= 0xff;
-    assert!(bs.receive(7, Bytes::from(corrupt)).is_err());
+    assert!(bs.receive_frame(7, Bytes::from(corrupt)).is_err());
     assert_eq!(bs.chunk_count(7), 1, "bad frame must not be logged");
-    bs.receive(7, frames[1].clone()).unwrap();
-    bs.receive(7, frames[2].clone()).unwrap();
+    assert_eq!(
+        bs.receive_frame(7, frames[1].clone()).unwrap(),
+        Receipt::Accepted
+    );
+    assert_eq!(
+        bs.receive_frame(7, frames[2].clone()).unwrap(),
+        Receipt::Accepted
+    );
     assert_eq!(bs.reconstruct_chunks(7, 0, 3).unwrap().len(), 3);
 }
 

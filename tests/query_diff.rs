@@ -14,7 +14,7 @@ use sbr_repro::core::query::aggregate_stream;
 use sbr_repro::core::{
     codec, Aggregate, Decoder, QueryEngine, SbrConfig, SbrEncoder, Transmission,
 };
-use sbr_repro::sensor_net::BaseStation;
+use sbr_repro::sensor_net::{BaseStation, Receipt};
 
 /// `n_signals` drifting signals chunked into `chunks` batches of `m`.
 fn chunked(n_signals: usize, m: usize, chunks: usize, seed: f64) -> Vec<Vec<Vec<f64>>> {
@@ -181,7 +181,12 @@ fn station_index_agrees_after_recover() {
     {
         let station = BaseStation::with_persistence(&dir);
         for tx in &txs {
-            station.receive(9, codec::encode(tx)).expect("receive");
+            assert_eq!(
+                station
+                    .receive_frame(9, codec::encode(tx))
+                    .expect("receive"),
+                Receipt::Accepted
+            );
         }
     }
     // A cold process: the log is re-ingested from disk and the chunk

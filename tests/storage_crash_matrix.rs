@@ -10,7 +10,7 @@
 use bytes::Bytes;
 use sbr_repro::core::{codec, Decoder, SbrConfig};
 use sbr_repro::sensor_net::storage::{self, sensor_dir, RECORD_OVERHEAD, SEG_FOOTER};
-use sbr_repro::sensor_net::{BaseStation, SensorNode};
+use sbr_repro::sensor_net::{BaseStation, Receipt, SensorNode};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
@@ -89,7 +89,10 @@ fn mirror_truth(frames: &[Bytes]) -> HashMap<(u32, u64), Vec<Vec<f64>>> {
 
 fn feed(station: &BaseStation, frames: &[Bytes]) {
     for f in frames {
-        station.receive(NODE, f.clone()).expect("receive");
+        assert_ne!(
+            station.receive_frame(NODE, f.clone()).expect("receive"),
+            Receipt::Duplicate
+        );
     }
 }
 
@@ -188,7 +191,10 @@ fn crash_mid_seal_demotes_the_segment_and_resumes() {
     {
         let station = BaseStation::with_persistence(&dir).with_segment_size(SMALL_SEGMENT);
         for (i, f) in frames.iter().enumerate() {
-            station.receive(NODE, f.clone()).expect("receive");
+            assert_ne!(
+                station.receive_frame(NODE, f.clone()).expect("receive"),
+                Receipt::Duplicate
+            );
             let report = storage::verify(&dir, NODE).expect("verify mid-feed");
             if !report.active {
                 sealed_at = Some(i + 1);
