@@ -15,7 +15,7 @@
 //! | `lock-discipline` | Mutex guards in `sbr-obs::timeline`/`sensor-net` not held across recorder re-entry |
 //! | `float-eq` | no `==`/`!=` against float literals outside tests |
 //! | `atomics` | raw atomics confined to `sbr-obs` (facade elsewhere) |
-//! | `obs-gate` | `sbr_obs::` paths in `sbr-core` sit behind `cfg(feature = "obs")` |
+//! | `obs-gate` | `sbr_obs` paths in `sbr-core` confined to the `obs.rs` facade |
 //! | `wire-drift` | codec constants == golden bytes == DESIGN.md §3b table |
 //! | `manifest` | every locked package vendored or local; uniform `[lints]` wall |
 //! | `bad-suppression` | every `lint:allow` carries a reason |
@@ -116,11 +116,11 @@ fn scan_file(rel: &str, crate_name: &str, src: &str, rep: &mut Report) -> items:
     // One lex per file, shared between the token rules and the
     // item/call-graph pass.
     let lexed = lexer::lex(src);
-    let regions = rules::find_regions(&lexed.tokens);
-    let scan = rules::scan_lexed(&ctx, &lexed, &regions);
+    let test = rules::find_test_regions(&lexed.tokens);
+    let scan = rules::scan_lexed(&ctx, &lexed, &test);
     rep.findings.extend(scan.findings);
     rep.suppressed.extend(scan.suppressed);
-    let fns = items::collect(&ctx, &lexed, &regions.test, &mut rep.suppressed);
+    let fns = items::collect(&ctx, &lexed, &test, &mut rep.suppressed);
     rep.files_scanned += 1;
     items::FileItems {
         path: rel.to_string(),

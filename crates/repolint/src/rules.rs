@@ -1,5 +1,5 @@
 //! Token-stream rules: panic-freedom zones, unguarded indexing, the
-//! float-eq ban, atomics confinement and `obs` feature-gate hygiene.
+//! float-eq ban, and atomics and `sbr_obs` confinement.
 //!
 //! Every rule honours `// lint:allow(<rule>): <reason>` on the finding's
 //! line or the line directly above. A suppression with an empty reason is
@@ -60,14 +60,6 @@ pub struct ScanOut {
     pub suppressed: Vec<Suppressed>,
 }
 
-/// Line ranges (1-based, inclusive) covered by `#[cfg(test)]` / `#[test]`
-/// items, and separately by `#[cfg(feature = "obs")]` items.
-#[derive(Debug, Default)]
-pub(crate) struct Regions {
-    pub(crate) test: Vec<(u32, u32)>,
-    pub(crate) obs_gated: Vec<(u32, u32)>,
-}
-
 fn in_ranges(ranges: &[(u32, u32)], line: u32) -> bool {
     ranges.iter().any(|&(a, b)| line >= a && line <= b)
 }
@@ -98,10 +90,10 @@ fn item_span(toks: &[Tok], mut i: usize) -> (u32, u32) {
     (start, toks.last().map_or(start, |t| t.line))
 }
 
-/// Walk the token stream for `#[…]` attributes and record the regions the
-/// interesting ones cover.
-pub(crate) fn find_regions(toks: &[Tok]) -> Regions {
-    let mut regions = Regions::default();
+/// Walk the token stream for `#[…]` attributes and return the line ranges
+/// (1-based, inclusive) of the items `#[cfg(test)]` / `#[test]` cover.
+pub(crate) fn find_test_regions(toks: &[Tok]) -> Vec<(u32, u32)> {
+    let mut regions = Vec::new();
     let mut i = 0;
     while i + 1 < toks.len() {
         let is_attr = toks[i].kind == TokKind::Punct
@@ -134,15 +126,8 @@ pub(crate) fn find_regions(toks: &[Tok]) -> Regions {
         let is_test_attr = body.first().is_some_and(|t| is_ident(t, "test"))
             || (body.first().is_some_and(|t| is_ident(t, "cfg"))
                 && body.iter().any(|t| is_ident(t, "test")));
-        let is_obs_gate = body.first().is_some_and(|t| is_ident(t, "cfg"))
-            && body.iter().any(|t| is_ident(t, "feature"))
-            && body
-                .iter()
-                .any(|t| t.kind == TokKind::Str && t.text == "obs");
         if is_test_attr {
-            regions.test.push(item_span(toks, j));
-        } else if is_obs_gate {
-            regions.obs_gated.push(item_span(toks, j));
+            regions.push(item_span(toks, j));
         }
         i = j;
     }
@@ -152,29 +137,29 @@ pub(crate) fn find_regions(toks: &[Tok]) -> Regions {
 /// Run every token rule over one source file.
 pub fn scan_source(ctx: &FileCtx<'_>, src: &str) -> ScanOut {
     let lexed = lex(src);
-    let regions = find_regions(&lexed.tokens);
-    scan_lexed(ctx, &lexed, &regions)
+    let test = find_test_regions(&lexed.tokens);
+    scan_lexed(ctx, &lexed, &test)
 }
 
 /// Run every token rule over an already-lexed file (the driver lexes each
 /// file once and shares the stream with the item/call-graph pass).
-pub(crate) fn scan_lexed(ctx: &FileCtx<'_>, lexed: &Lexed, regions: &Regions) -> ScanOut {
+pub(crate) fn scan_lexed(ctx: &FileCtx<'_>, lexed: &Lexed, test: &[(u32, u32)]) -> ScanOut {
     let mut out = ScanOut::default();
     let zone = PANIC_FREE_ZONES.contains(&ctx.path);
 
     let mut raw: Vec<Finding> = Vec::new();
     let toks = &lexed.tokens;
     if CAST_ZONES.contains(&ctx.path) {
-        cast_truncation(ctx, toks, &regions.test, &mut raw);
+        cast_truncation(ctx, toks, test, &mut raw);
     }
-    determinism(ctx, toks, &regions.test, &mut raw);
+    determinism(ctx, toks, test, &mut raw);
     if ctx.path == "crates/sbr-obs/src/timeline.rs"
         || ctx.path.starts_with("crates/sensor-net/src/")
     {
-        lock_discipline(ctx, toks, &regions.test, &mut raw);
+        lock_discipline(ctx, toks, test, &mut raw);
     }
     for (i, t) in toks.iter().enumerate() {
-        if in_ranges(&regions.test, t.line) {
+        if in_ranges(test, t.line) {
             continue; // every rule here is production-code-only
         }
         let prev = i.checked_sub(1).map(|p| &toks[p]);
@@ -189,7 +174,7 @@ pub(crate) fn scan_lexed(ctx: &FileCtx<'_>, lexed: &Lexed, regions: &Regions) ->
             atomics(ctx, t, prev, next, &mut raw);
         }
         if ctx.crate_dir == "sbr-core" && ctx.path != "crates/sbr-core/src/obs.rs" {
-            obs_gate(ctx, t, regions, &mut raw);
+            obs_gate(ctx, t, &mut raw);
         }
     }
 
@@ -365,16 +350,16 @@ fn atomics(
     }
 }
 
-/// `obs-gate`: inside `sbr-core`, direct `sbr_obs::` paths outside the
-/// facade module must sit under `#[cfg(feature = "obs")]`, or
-/// `--no-default-features` builds break.
-fn obs_gate(ctx: &FileCtx<'_>, t: &Tok, regions: &Regions, out: &mut Vec<Finding>) {
-    if t.kind == TokKind::Ident && t.text == "sbr_obs" && !in_ranges(&regions.obs_gated, t.line) {
+/// `obs-gate`: inside `sbr-core`, `sbr_obs` paths are confined to the
+/// `obs.rs` facade; every other module names the handles through
+/// `crate::obs`.
+fn obs_gate(ctx: &FileCtx<'_>, t: &Tok, out: &mut Vec<Finding>) {
+    if t.kind == TokKind::Ident && t.text == "sbr_obs" {
         out.push(finding(
             ctx,
             "obs-gate",
             t.line,
-            "direct sbr_obs:: path outside the obs facade without #[cfg(feature = \"obs\")] — breaks --no-default-features".into(),
+            "direct sbr_obs path outside the obs facade — name it through crate::obs".into(),
         ));
     }
 }

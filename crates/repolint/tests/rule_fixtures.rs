@@ -217,64 +217,63 @@ fn cmp_ordering_is_not_an_atomic() {
 }
 
 #[test]
-fn obs_gate_requires_cfg_feature_in_sbr_core() {
-    let ungated = "pub fn hot() { sbr_obs::trace(\"x\"); }\n";
+fn obs_gate_confines_sbr_obs_to_the_facade() {
+    let direct = "pub fn hot() { sbr_obs::trace(\"x\"); }\n";
     assert_eq!(
-        rules_hit(&zone(), ungated),
+        rules_hit(&zone(), direct),
         vec![("obs-gate".to_string(), 1)]
     );
 
+    // There is no cfg exemption: a feature-gated use is flagged the same.
     let gated = "\
 #[cfg(feature = \"obs\")]
 pub fn hot() {
     sbr_obs::trace(\"x\");
 }
 ";
-    assert!(rules_hit(&zone(), gated).is_empty());
+    assert_eq!(rules_hit(&zone(), gated), vec![("obs-gate".to_string(), 3)]);
 
     // The facade module itself and other crates are exempt.
     let facade = FileCtx {
         path: "crates/sbr-core/src/obs.rs",
         crate_dir: "sbr-core",
     };
-    assert!(rules_hit(&facade, ungated).is_empty());
+    assert!(rules_hit(&facade, direct).is_empty());
     let sensor_net = FileCtx {
         path: "crates/sensor-net/src/node.rs",
         crate_dir: "sensor-net",
     };
-    assert!(rules_hit(&sensor_net, ungated).is_empty());
+    assert!(rules_hit(&sensor_net, direct).is_empty());
 }
 
 #[test]
 fn obs_gate_covers_timeline_shaped_uses() {
     // The frame-lifecycle timeline hooks follow the same contract as the
     // metric handles: `sbr_obs::Timeline` in a signature or body of
-    // `sbr-core` must sit under `cfg(feature = "obs")`.
-    let ungated_sig = "pub fn with_timeline(t: sbr_obs::Timeline) {}\n";
+    // `sbr-core` must go through the facade (`crate::obs::Timeline`).
+    let direct_sig = "pub fn with_timeline(t: sbr_obs::Timeline) {}\n";
     assert_eq!(
-        rules_hit(&zone(), ungated_sig),
+        rules_hit(&zone(), direct_sig),
         vec![("obs-gate".to_string(), 1)]
     );
 
-    let gated_sig = "\
-#[cfg(feature = \"obs\")]
-pub fn with_timeline(mut self, timeline: sbr_obs::Timeline) -> Self {
+    let facade_sig = "\
+pub fn with_timeline(mut self, timeline: crate::obs::Timeline) -> Self {
     self.obs.set_timeline(timeline);
     self
 }
 ";
-    assert!(rules_hit(&zone(), gated_sig).is_empty());
+    assert!(rules_hit(&zone(), facade_sig).is_empty());
 
-    // An ungated use *after* a gated item is still flagged: the gate
-    // covers exactly one item, not the rest of the file.
-    let trailing = "\
+    // Every direct use is flagged, gated or not.
+    let both = "\
 #[cfg(feature = \"obs\")]
 pub fn gated() { sbr_obs::Timeline::noop(); }
 pub fn leaked() { sbr_obs::Timeline::noop(); }
 ";
     assert_eq!(
-        rules_hit(&zone(), trailing),
-        vec![("obs-gate".to_string(), 3)]
+        rules_hit(&zone(), both),
+        vec![("obs-gate".to_string(), 2), ("obs-gate".to_string(), 3)]
     );
 }
 

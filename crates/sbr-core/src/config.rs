@@ -76,10 +76,8 @@ impl SbrConfig {
     /// Attach a live metrics recorder (builder style): every pipeline
     /// stage records per-phase timings, direct-vs-FFT decisions and
     /// base-signal churn into it, and spans are traced when the recorder
-    /// has a trace sink. Only available with the `obs` feature (on by
-    /// default).
-    #[cfg(feature = "obs")]
-    pub fn with_recorder(mut self, recorder: std::sync::Arc<dyn sbr_obs::Recorder>) -> Self {
+    /// has a trace sink.
+    pub fn with_recorder(mut self, recorder: std::sync::Arc<dyn crate::obs::Recorder>) -> Self {
         self.obs = crate::obs::EncodeObs::new(recorder);
         self
     }
@@ -88,10 +86,8 @@ impl SbrConfig {
     /// style), so encode-side events land in the same bounded ring as the
     /// network layer's. Call after [`SbrConfig::with_recorder`] —
     /// attaching a recorder rebuilds the handle bundle. Never affects the
-    /// output — only what is observed. Only available with the `obs`
-    /// feature (on by default).
-    #[cfg(feature = "obs")]
-    pub fn with_timeline(mut self, timeline: sbr_obs::Timeline) -> Self {
+    /// output — only what is observed.
+    pub fn with_timeline(mut self, timeline: crate::obs::Timeline) -> Self {
         self.obs.set_timeline(timeline);
         self
     }

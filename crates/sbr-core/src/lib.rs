@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod adaptive;
 pub mod base_signal;
 pub mod best_map;
 pub mod bounds;
@@ -63,13 +62,11 @@ pub mod sbr;
 pub mod search;
 pub mod series;
 pub mod transmission;
-#[cfg(feature = "wire_profile")]
 pub mod wire_profile;
 pub mod xcorr;
 
 pub(crate) mod par;
 
-pub use adaptive::{AdaptiveEncoder, Quality, QualityMonitor};
 pub use base_signal::BaseSignal;
 pub use bounds::{BoundedEncoding, ErrorBoundSpec};
 pub use config::{BaseBuilder, SbrConfig};

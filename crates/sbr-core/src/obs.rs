@@ -1,13 +1,11 @@
 //! Observability facade for the encode pipeline.
 //!
-//! With the `obs` feature (on by default) this re-exports the `sbr-obs`
-//! handle types and provides [`EncodeObs`], the pre-registered bundle of
-//! every pipeline metric, carried inside [`SbrConfig`](crate::SbrConfig)
-//! so it reaches `GetBase`/`Search`/`GetIntervals`/`BestMap` through the
-//! existing plumbing. With the feature off, this module defines inert
-//! mirror types with identical APIs, so instrumentation call sites
-//! compile unchanged and cost nothing — no `#[cfg]` scattering in the
-//! hot code.
+//! Re-exports the `sbr-obs` handle types and provides [`EncodeObs`], the
+//! pre-registered bundle of every pipeline metric, carried inside
+//! [`SbrConfig`](crate::SbrConfig) so it reaches
+//! `GetBase`/`Search`/`GetIntervals`/`BestMap` through the existing
+//! plumbing. This is the only module of the crate that names `sbr_obs`.
+//! The default bundle is disabled: every hook costs one branch.
 //!
 //! Metric names follow the `crate.module.name` convention:
 //!
@@ -61,454 +59,220 @@
 //! `obs.timeline.dropped_events` overflow counter) with the link and
 //! base-station events.
 
-#[cfg(not(feature = "obs"))]
-pub use disabled::*;
-#[cfg(feature = "obs")]
-pub use enabled::*;
+use std::sync::Arc;
 
-#[cfg(feature = "obs")]
-mod enabled {
-    use std::sync::Arc;
+pub use sbr_obs::{
+    Counter, EventKind, FrameId, Gauge, Histogram, MetricsRecorder, NoopRecorder, Recorder,
+    Snapshot, Span, Timeline, TimelineEvent, DEFAULT_TIMELINE_CAPACITY,
+};
 
-    pub use sbr_obs::{
-        Counter, EventKind, FrameId, Gauge, Histogram, MetricsRecorder, NoopRecorder, Recorder,
-        Snapshot, Span, Timeline, TimelineEvent, DEFAULT_TIMELINE_CAPACITY,
-    };
+/// Pre-registered handles for every encode-pipeline metric.
+///
+/// The default is fully disabled (every operation one branch); attach
+/// a live recorder with
+/// [`SbrConfig::with_recorder`](crate::SbrConfig::with_recorder).
+/// Cloning shares the underlying storage.
+#[derive(Clone, Debug, Default)]
+pub struct EncodeObs {
+    recorder: Option<Arc<dyn Recorder>>,
+    /// Whole `encode` call.
+    pub encode_ns: Histogram,
+    /// `GetBase` candidate construction.
+    pub get_base_ns: Histogram,
+    /// Insertion-count binary search.
+    pub search_ns: Histogram,
+    /// One `Search` probe (`CalculateError` for one insertion count).
+    pub probe_ns: Histogram,
+    /// One `GetIntervals` splitting pass.
+    pub get_intervals_ns: Histogram,
+    /// Wire-codec encode.
+    pub codec_encode_ns: Histogram,
+    /// Wire-codec decode.
+    pub codec_decode_ns: Histogram,
+    /// Resync frames emitted (retransmit-buffer overflow or reboot).
+    pub resync_frames: Counter,
+    /// `BestMap` fits attempted.
+    pub best_map_calls: Counter,
+    /// Full SSE sweeps evaluated with the direct loop.
+    pub direct_sweeps: Counter,
+    /// Full SSE sweeps evaluated with the FFT kernel.
+    pub fft_sweeps: Counter,
+    /// Base-prefix region sweeps evaluated with the direct loop.
+    pub base_direct_sweeps: Counter,
+    /// Base-prefix region sweeps evaluated with the FFT kernel.
+    pub base_fft_sweeps: Counter,
+    /// Candidate region sweeps evaluated with the direct loop.
+    pub cand_direct_sweeps: Counter,
+    /// Candidate region sweeps evaluated with the FFT kernel.
+    pub cand_fft_sweeps: Counter,
+    /// Shifts exactly re-verified after the FFT filter pass.
+    pub fft_reverified: Counter,
+    /// Fits won by a base-signal mapping.
+    pub base_wins: Counter,
+    /// Fits won by the linear fall-back.
+    pub fallback_wins: Counter,
+    /// `GetIntervals` probes the insertion search ran.
+    pub search_probes: Counter,
+    /// Probe-cache fits served from an existing `(start, len)` entry.
+    pub cache_hits: Counter,
+    /// Probe-cache fits that had to create their `(start, len)` entry.
+    pub cache_misses: Counter,
+    /// Approximate probe-cache footprint in bytes after `Search`.
+    pub cache_bytes: Gauge,
+    /// `GetBase` pair errors served from the memoized matrix.
+    pub fit_cache_hits: Counter,
+    /// `GetBase` pair errors that required a fresh fit.
+    pub fit_cache_misses: Counter,
+    /// Approximate fit-cache footprint in bytes after `GetBase`.
+    pub fit_cache_bytes: Gauge,
+    /// Base intervals inserted into the dictionary.
+    pub base_inserted: Counter,
+    /// Dictionary slots overwritten by LFU eviction.
+    pub base_evicted: Counter,
+    /// Transmitted intervals mapped onto the base signal.
+    pub tx_mapped_intervals: Counter,
+    /// Transmitted intervals using the linear fall-back.
+    pub tx_fallback_intervals: Counter,
+    /// Dictionary slots currently in use.
+    pub base_slots: Gauge,
+    /// `K×K` benefit-matrix size of the last `GetBase` run.
+    pub matrix_cells: Gauge,
+    /// Fan-out metrics for `par_map`.
+    pub par: ParObs,
+    /// Frame-lifecycle event ring (disabled unless attached with
+    /// [`SbrConfig::with_timeline`](crate::SbrConfig::with_timeline)).
+    pub timeline: Timeline,
+}
 
-    /// Pre-registered handles for every encode-pipeline metric.
-    ///
-    /// The default is fully disabled (every operation one branch); attach
-    /// a live recorder with
-    /// [`SbrConfig::with_recorder`](crate::SbrConfig::with_recorder).
-    /// Cloning shares the underlying storage.
-    #[derive(Clone, Debug, Default)]
-    pub struct EncodeObs {
-        recorder: Option<Arc<dyn Recorder>>,
-        /// Whole `encode` call.
-        pub encode_ns: Histogram,
-        /// `GetBase` candidate construction.
-        pub get_base_ns: Histogram,
-        /// Insertion-count binary search.
-        pub search_ns: Histogram,
-        /// One `Search` probe (`CalculateError` for one insertion count).
-        pub probe_ns: Histogram,
-        /// One `GetIntervals` splitting pass.
-        pub get_intervals_ns: Histogram,
-        /// Wire-codec encode.
-        pub codec_encode_ns: Histogram,
-        /// Wire-codec decode.
-        pub codec_decode_ns: Histogram,
-        /// Resync frames emitted (retransmit-buffer overflow or reboot).
-        pub resync_frames: Counter,
-        /// `BestMap` fits attempted.
-        pub best_map_calls: Counter,
-        /// Full SSE sweeps evaluated with the direct loop.
-        pub direct_sweeps: Counter,
-        /// Full SSE sweeps evaluated with the FFT kernel.
-        pub fft_sweeps: Counter,
-        /// Base-prefix region sweeps evaluated with the direct loop.
-        pub base_direct_sweeps: Counter,
-        /// Base-prefix region sweeps evaluated with the FFT kernel.
-        pub base_fft_sweeps: Counter,
-        /// Candidate region sweeps evaluated with the direct loop.
-        pub cand_direct_sweeps: Counter,
-        /// Candidate region sweeps evaluated with the FFT kernel.
-        pub cand_fft_sweeps: Counter,
-        /// Shifts exactly re-verified after the FFT filter pass.
-        pub fft_reverified: Counter,
-        /// Fits won by a base-signal mapping.
-        pub base_wins: Counter,
-        /// Fits won by the linear fall-back.
-        pub fallback_wins: Counter,
-        /// `GetIntervals` probes the insertion search ran.
-        pub search_probes: Counter,
-        /// Probe-cache fits served from an existing `(start, len)` entry.
-        pub cache_hits: Counter,
-        /// Probe-cache fits that had to create their `(start, len)` entry.
-        pub cache_misses: Counter,
-        /// Approximate probe-cache footprint in bytes after `Search`.
-        pub cache_bytes: Gauge,
-        /// `GetBase` pair errors served from the memoized matrix.
-        pub fit_cache_hits: Counter,
-        /// `GetBase` pair errors that required a fresh fit.
-        pub fit_cache_misses: Counter,
-        /// Approximate fit-cache footprint in bytes after `GetBase`.
-        pub fit_cache_bytes: Gauge,
-        /// Base intervals inserted into the dictionary.
-        pub base_inserted: Counter,
-        /// Dictionary slots overwritten by LFU eviction.
-        pub base_evicted: Counter,
-        /// Transmitted intervals mapped onto the base signal.
-        pub tx_mapped_intervals: Counter,
-        /// Transmitted intervals using the linear fall-back.
-        pub tx_fallback_intervals: Counter,
-        /// Dictionary slots currently in use.
-        pub base_slots: Gauge,
-        /// `K×K` benefit-matrix size of the last `GetBase` run.
-        pub matrix_cells: Gauge,
-        /// Fan-out metrics for `par_map`.
-        pub par: ParObs,
-        /// Frame-lifecycle event ring (disabled unless attached with
-        /// [`SbrConfig::with_timeline`](crate::SbrConfig::with_timeline)).
-        pub timeline: Timeline,
-    }
-
-    impl EncodeObs {
-        /// Register every pipeline metric on `recorder`.
-        pub fn new(recorder: Arc<dyn Recorder>) -> Self {
-            let r = recorder.as_ref();
-            EncodeObs {
-                resync_frames: r.counter("sbr_core.codec.resync_frames"),
-                encode_ns: r.histogram("sbr_core.sbr.encode_ns"),
-                get_base_ns: r.histogram("sbr_core.get_base.build_ns"),
-                search_ns: r.histogram("sbr_core.search.run_ns"),
-                probe_ns: r.histogram("sbr_core.search.probe_ns"),
-                get_intervals_ns: r.histogram("sbr_core.get_intervals.run_ns"),
-                codec_encode_ns: r.histogram("sbr_core.codec.encode_ns"),
-                codec_decode_ns: r.histogram("sbr_core.codec.decode_ns"),
-                best_map_calls: r.counter("sbr_core.best_map.calls"),
-                direct_sweeps: r.counter("sbr_core.best_map.direct_sweeps"),
-                fft_sweeps: r.counter("sbr_core.best_map.fft_sweeps"),
-                base_direct_sweeps: r.counter("sbr_core.best_map.base_direct_sweeps"),
-                base_fft_sweeps: r.counter("sbr_core.best_map.base_fft_sweeps"),
-                cand_direct_sweeps: r.counter("sbr_core.best_map.cand_direct_sweeps"),
-                cand_fft_sweeps: r.counter("sbr_core.best_map.cand_fft_sweeps"),
-                fft_reverified: r.counter("sbr_core.best_map.fft_reverified_shifts"),
-                base_wins: r.counter("sbr_core.best_map.base_wins"),
-                fallback_wins: r.counter("sbr_core.best_map.fallback_wins"),
-                search_probes: r.counter("sbr_core.search.probes"),
-                cache_hits: r.counter("sbr_core.probe_cache.hits"),
-                cache_misses: r.counter("sbr_core.probe_cache.misses"),
-                cache_bytes: r.gauge("sbr_core.probe_cache.bytes"),
-                fit_cache_hits: r.counter("sbr_core.get_base.fit_cache.hits"),
-                fit_cache_misses: r.counter("sbr_core.get_base.fit_cache.misses"),
-                fit_cache_bytes: r.gauge("sbr_core.get_base.fit_cache.bytes"),
-                base_inserted: r.counter("sbr_core.base_signal.inserted"),
-                base_evicted: r.counter("sbr_core.base_signal.evicted"),
-                tx_mapped_intervals: r.counter("sbr_core.sbr.tx_mapped_intervals"),
-                tx_fallback_intervals: r.counter("sbr_core.sbr.tx_fallback_intervals"),
-                base_slots: r.gauge("sbr_core.base_signal.slots"),
-                matrix_cells: r.gauge("sbr_core.get_base.matrix_cells"),
-                par: ParObs::new(r),
-                timeline: Timeline::noop(),
-                recorder: Some(recorder),
-            }
-        }
-
-        /// Share `timeline` with this bundle, so the encode side of the
-        /// pipeline records frame-lifecycle events into the same ring as
-        /// the network layer.
-        pub fn set_timeline(&mut self, timeline: Timeline) {
-            self.timeline = timeline;
-        }
-
-        /// Whether a live recorder is attached.
-        #[inline]
-        pub fn enabled(&self) -> bool {
-            self.recorder.is_some()
-        }
-
-        /// The attached recorder, if any.
-        pub fn recorder(&self) -> Option<&Arc<dyn Recorder>> {
-            self.recorder.as_ref()
-        }
-
-        /// Start a scoped timer recording into `hist` and tracing through
-        /// the attached recorder.
-        pub fn span(&self, name: &'static str, hist: &Histogram) -> Span {
-            Span::start(name, hist, self.recorder.as_ref())
+impl EncodeObs {
+    /// Register every pipeline metric on `recorder`.
+    pub fn new(recorder: Arc<dyn Recorder>) -> Self {
+        let r = recorder.as_ref();
+        EncodeObs {
+            resync_frames: r.counter("sbr_core.codec.resync_frames"),
+            encode_ns: r.histogram("sbr_core.sbr.encode_ns"),
+            get_base_ns: r.histogram("sbr_core.get_base.build_ns"),
+            search_ns: r.histogram("sbr_core.search.run_ns"),
+            probe_ns: r.histogram("sbr_core.search.probe_ns"),
+            get_intervals_ns: r.histogram("sbr_core.get_intervals.run_ns"),
+            codec_encode_ns: r.histogram("sbr_core.codec.encode_ns"),
+            codec_decode_ns: r.histogram("sbr_core.codec.decode_ns"),
+            best_map_calls: r.counter("sbr_core.best_map.calls"),
+            direct_sweeps: r.counter("sbr_core.best_map.direct_sweeps"),
+            fft_sweeps: r.counter("sbr_core.best_map.fft_sweeps"),
+            base_direct_sweeps: r.counter("sbr_core.best_map.base_direct_sweeps"),
+            base_fft_sweeps: r.counter("sbr_core.best_map.base_fft_sweeps"),
+            cand_direct_sweeps: r.counter("sbr_core.best_map.cand_direct_sweeps"),
+            cand_fft_sweeps: r.counter("sbr_core.best_map.cand_fft_sweeps"),
+            fft_reverified: r.counter("sbr_core.best_map.fft_reverified_shifts"),
+            base_wins: r.counter("sbr_core.best_map.base_wins"),
+            fallback_wins: r.counter("sbr_core.best_map.fallback_wins"),
+            search_probes: r.counter("sbr_core.search.probes"),
+            cache_hits: r.counter("sbr_core.probe_cache.hits"),
+            cache_misses: r.counter("sbr_core.probe_cache.misses"),
+            cache_bytes: r.gauge("sbr_core.probe_cache.bytes"),
+            fit_cache_hits: r.counter("sbr_core.get_base.fit_cache.hits"),
+            fit_cache_misses: r.counter("sbr_core.get_base.fit_cache.misses"),
+            fit_cache_bytes: r.gauge("sbr_core.get_base.fit_cache.bytes"),
+            base_inserted: r.counter("sbr_core.base_signal.inserted"),
+            base_evicted: r.counter("sbr_core.base_signal.evicted"),
+            tx_mapped_intervals: r.counter("sbr_core.sbr.tx_mapped_intervals"),
+            tx_fallback_intervals: r.counter("sbr_core.sbr.tx_fallback_intervals"),
+            base_slots: r.gauge("sbr_core.base_signal.slots"),
+            matrix_cells: r.gauge("sbr_core.get_base.matrix_cells"),
+            par: ParObs::new(r),
+            timeline: Timeline::noop(),
+            recorder: Some(recorder),
         }
     }
 
-    /// Pre-registered handles for the compressed-domain query engine
-    /// ([`QueryEngine`](crate::query::QueryEngine)).
-    ///
-    /// The default is fully disabled (every operation one branch); attach
-    /// a live recorder by constructing with [`QueryObs::new`].
-    #[derive(Clone, Debug, Default)]
-    pub struct QueryObs {
-        /// One compressed-domain range query end to end.
-        pub query_ns: Histogram,
-        /// Queries answered from a cached plan.
-        pub plan_hits: Counter,
-        /// Queries that resolved and cached a fresh plan.
-        pub plan_misses: Counter,
-        /// Intervals whose contribution came from precomputed moments.
-        pub intervals_folded: Counter,
-        /// Intervals a range split mid-way: only their covered window is
-        /// decoded (scanned), never the whole chunk.
-        pub boundary_decodes: Counter,
+    /// Share `timeline` with this bundle, so the encode side of the
+    /// pipeline records frame-lifecycle events into the same ring as
+    /// the network layer.
+    pub fn set_timeline(&mut self, timeline: Timeline) {
+        self.timeline = timeline;
     }
 
-    impl QueryObs {
-        /// Register every query-engine metric on `recorder`.
-        pub fn new(r: &dyn Recorder) -> Self {
-            QueryObs {
-                query_ns: r.histogram("sbr_core.query.query_ns"),
-                plan_hits: r.counter("sbr_core.query.plan_cache.hits"),
-                plan_misses: r.counter("sbr_core.query.plan_cache.misses"),
-                intervals_folded: r.counter("sbr_core.query.intervals_folded"),
-                boundary_decodes: r.counter("sbr_core.query.boundary_decodes"),
-            }
-        }
-
-        /// Whether per-query timing should be collected.
-        #[inline]
-        pub fn enabled(&self) -> bool {
-            self.query_ns.is_enabled()
-        }
+    /// Whether a live recorder is attached.
+    #[inline]
+    pub fn enabled(&self) -> bool {
+        self.recorder.is_some()
     }
 
-    /// Per-thread utilization metrics for the `par_map` fan-out.
-    #[derive(Clone, Debug, Default)]
-    pub struct ParObs {
-        /// Fan-outs that actually spawned workers (serial runs excluded).
-        pub fanouts: Counter,
-        /// Items processed by one worker in one fan-out.
-        pub worker_items: Histogram,
-        /// One worker's busy time in one fan-out, nanoseconds.
-        pub worker_busy_ns: Histogram,
+    /// The attached recorder, if any.
+    pub fn recorder(&self) -> Option<&Arc<dyn Recorder>> {
+        self.recorder.as_ref()
     }
 
-    impl ParObs {
-        fn new(r: &dyn Recorder) -> Self {
-            ParObs {
-                fanouts: r.counter("sbr_core.par.fanouts"),
-                worker_items: r.histogram("sbr_core.par.worker_items"),
-                worker_busy_ns: r.histogram("sbr_core.par.worker_busy_ns"),
-            }
-        }
-
-        /// Whether worker timing should be collected.
-        #[inline]
-        pub fn enabled(&self) -> bool {
-            self.worker_busy_ns.is_enabled()
-        }
+    /// Start a scoped timer recording into `hist` and tracing through
+    /// the attached recorder.
+    pub fn span(&self, name: &'static str, hist: &Histogram) -> Span {
+        Span::start(name, hist, self.recorder.as_ref())
     }
 }
 
-#[cfg(not(feature = "obs"))]
-mod disabled {
-    //! Inert mirrors of the `sbr-obs` handle types: identical inherent
-    //! APIs, every method a no-op the optimizer erases.
+/// Pre-registered handles for the compressed-domain query engine
+/// ([`QueryEngine`](crate::query::QueryEngine)).
+///
+/// The default is fully disabled (every operation one branch); attach
+/// a live recorder by constructing with [`QueryObs::new`].
+#[derive(Clone, Debug, Default)]
+pub struct QueryObs {
+    /// One compressed-domain range query end to end.
+    pub query_ns: Histogram,
+    /// Queries answered from a cached plan.
+    pub plan_hits: Counter,
+    /// Queries that resolved and cached a fresh plan.
+    pub plan_misses: Counter,
+    /// Intervals whose contribution came from precomputed moments.
+    pub intervals_folded: Counter,
+    /// Intervals a range split mid-way: only their covered window is
+    /// decoded (scanned), never the whole chunk.
+    pub boundary_decodes: Counter,
+}
 
-    /// Inert counter (the `obs` feature is off).
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct Counter;
-
-    impl Counter {
-        /// No-op.
-        #[inline]
-        pub fn inc(&self) {}
-        /// No-op.
-        #[inline]
-        pub fn add(&self, _delta: u64) {}
-        /// Always 0.
-        #[inline]
-        pub fn get(&self) -> u64 {
-            0
-        }
-        /// Always false.
-        #[inline]
-        pub fn is_enabled(&self) -> bool {
-            false
-        }
-    }
-
-    /// Inert gauge (the `obs` feature is off).
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct Gauge;
-
-    impl Gauge {
-        /// No-op.
-        #[inline]
-        pub fn set(&self, _v: f64) {}
-        /// Always 0.0.
-        #[inline]
-        pub fn get(&self) -> f64 {
-            0.0
-        }
-        /// Always false.
-        #[inline]
-        pub fn is_enabled(&self) -> bool {
-            false
+impl QueryObs {
+    /// Register every query-engine metric on `recorder`.
+    pub fn new(r: &dyn Recorder) -> Self {
+        QueryObs {
+            query_ns: r.histogram("sbr_core.query.query_ns"),
+            plan_hits: r.counter("sbr_core.query.plan_cache.hits"),
+            plan_misses: r.counter("sbr_core.query.plan_cache.misses"),
+            intervals_folded: r.counter("sbr_core.query.intervals_folded"),
+            boundary_decodes: r.counter("sbr_core.query.boundary_decodes"),
         }
     }
 
-    /// Inert histogram (the `obs` feature is off).
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct Histogram;
+    /// Whether per-query timing should be collected.
+    #[inline]
+    pub fn enabled(&self) -> bool {
+        self.query_ns.is_enabled()
+    }
+}
 
-    impl Histogram {
-        /// No-op.
-        #[inline]
-        pub fn record(&self, _v: u64) {}
-        /// Always 0.
-        #[inline]
-        pub fn count(&self) -> u64 {
-            0
-        }
-        /// Always false.
-        #[inline]
-        pub fn is_enabled(&self) -> bool {
-            false
+/// Per-thread utilization metrics for the `par_map` fan-out.
+#[derive(Clone, Debug, Default)]
+pub struct ParObs {
+    /// Fan-outs that actually spawned workers (serial runs excluded).
+    pub fanouts: Counter,
+    /// Items processed by one worker in one fan-out.
+    pub worker_items: Histogram,
+    /// One worker's busy time in one fan-out, nanoseconds.
+    pub worker_busy_ns: Histogram,
+}
+
+impl ParObs {
+    fn new(r: &dyn Recorder) -> Self {
+        ParObs {
+            fanouts: r.counter("sbr_core.par.fanouts"),
+            worker_items: r.histogram("sbr_core.par.worker_items"),
+            worker_busy_ns: r.histogram("sbr_core.par.worker_busy_ns"),
         }
     }
 
-    /// Inert scoped timer (the `obs` feature is off).
-    #[derive(Debug, Default)]
-    pub struct Span;
-
-    impl Span {
-        /// A span that does nothing.
-        pub fn noop() -> Self {
-            Span
-        }
-    }
-
-    /// Inert frame-lifecycle timeline (the `obs` feature is off).
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct Timeline;
-
-    impl Timeline {
-        /// A timeline that does nothing.
-        pub fn noop() -> Self {
-            Timeline
-        }
-        /// Always false.
-        #[inline]
-        pub fn is_enabled(&self) -> bool {
-            false
-        }
-    }
-
-    /// Inert metric bundle (the `obs` feature is off).
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct EncodeObs {
-        /// Whole `encode` call.
-        pub encode_ns: Histogram,
-        /// `GetBase` candidate construction.
-        pub get_base_ns: Histogram,
-        /// Insertion-count binary search.
-        pub search_ns: Histogram,
-        /// One `Search` probe (`CalculateError` for one insertion count).
-        pub probe_ns: Histogram,
-        /// One `GetIntervals` splitting pass.
-        pub get_intervals_ns: Histogram,
-        /// Wire-codec encode.
-        pub codec_encode_ns: Histogram,
-        /// Wire-codec decode.
-        pub codec_decode_ns: Histogram,
-        /// Resync frames emitted (retransmit-buffer overflow or reboot).
-        pub resync_frames: Counter,
-        /// `BestMap` fits attempted.
-        pub best_map_calls: Counter,
-        /// Full SSE sweeps evaluated with the direct loop.
-        pub direct_sweeps: Counter,
-        /// Full SSE sweeps evaluated with the FFT kernel.
-        pub fft_sweeps: Counter,
-        /// Base-prefix region sweeps evaluated with the direct loop.
-        pub base_direct_sweeps: Counter,
-        /// Base-prefix region sweeps evaluated with the FFT kernel.
-        pub base_fft_sweeps: Counter,
-        /// Candidate region sweeps evaluated with the direct loop.
-        pub cand_direct_sweeps: Counter,
-        /// Candidate region sweeps evaluated with the FFT kernel.
-        pub cand_fft_sweeps: Counter,
-        /// Shifts exactly re-verified after the FFT filter pass.
-        pub fft_reverified: Counter,
-        /// Fits won by a base-signal mapping.
-        pub base_wins: Counter,
-        /// Fits won by the linear fall-back.
-        pub fallback_wins: Counter,
-        /// `GetIntervals` probes the insertion search ran.
-        pub search_probes: Counter,
-        /// Probe-cache fits served from an existing `(start, len)` entry.
-        pub cache_hits: Counter,
-        /// Probe-cache fits that had to create their `(start, len)` entry.
-        pub cache_misses: Counter,
-        /// Approximate probe-cache footprint in bytes after `Search`.
-        pub cache_bytes: Gauge,
-        /// `GetBase` pair errors served from the memoized matrix.
-        pub fit_cache_hits: Counter,
-        /// `GetBase` pair errors that required a fresh fit.
-        pub fit_cache_misses: Counter,
-        /// Approximate fit-cache footprint in bytes after `GetBase`.
-        pub fit_cache_bytes: Gauge,
-        /// Base intervals inserted into the dictionary.
-        pub base_inserted: Counter,
-        /// Dictionary slots overwritten by LFU eviction.
-        pub base_evicted: Counter,
-        /// Transmitted intervals mapped onto the base signal.
-        pub tx_mapped_intervals: Counter,
-        /// Transmitted intervals using the linear fall-back.
-        pub tx_fallback_intervals: Counter,
-        /// Dictionary slots currently in use.
-        pub base_slots: Gauge,
-        /// `K×K` benefit-matrix size of the last `GetBase` run.
-        pub matrix_cells: Gauge,
-        /// Fan-out metrics for `par_map`.
-        pub par: ParObs,
-        /// Inert frame-lifecycle timeline.
-        pub timeline: Timeline,
-    }
-
-    impl EncodeObs {
-        /// Always false.
-        #[inline]
-        pub fn enabled(&self) -> bool {
-            false
-        }
-
-        /// No-op.
-        pub fn set_timeline(&mut self, _timeline: Timeline) {}
-
-        /// An inert span.
-        #[inline]
-        pub fn span(&self, _name: &'static str, _hist: &Histogram) -> Span {
-            Span
-        }
-    }
-
-    /// Inert query-engine metric bundle (the `obs` feature is off).
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct QueryObs {
-        /// One compressed-domain range query end to end.
-        pub query_ns: Histogram,
-        /// Queries answered from a cached plan.
-        pub plan_hits: Counter,
-        /// Queries that resolved and cached a fresh plan.
-        pub plan_misses: Counter,
-        /// Intervals whose contribution came from precomputed moments.
-        pub intervals_folded: Counter,
-        /// Intervals a range split mid-way (partial scan).
-        pub boundary_decodes: Counter,
-    }
-
-    impl QueryObs {
-        /// Always false.
-        #[inline]
-        pub fn enabled(&self) -> bool {
-            false
-        }
-    }
-
-    /// Inert fan-out metrics (the `obs` feature is off).
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct ParObs {
-        /// Fan-outs that actually spawned workers.
-        pub fanouts: Counter,
-        /// Items processed by one worker in one fan-out.
-        pub worker_items: Histogram,
-        /// One worker's busy time in one fan-out, nanoseconds.
-        pub worker_busy_ns: Histogram,
-    }
-
-    impl ParObs {
-        /// Always false.
-        #[inline]
-        pub fn enabled(&self) -> bool {
-            false
-        }
+    /// Whether worker timing should be collected.
+    #[inline]
+    pub fn enabled(&self) -> bool {
+        self.worker_busy_ns.is_enabled()
     }
 }

@@ -109,7 +109,6 @@ mod tests {
         });
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn worker_utilization_is_recorded() {
         use crate::obs::{EncodeObs, MetricsRecorder, Recorder as _};

@@ -1176,13 +1176,10 @@ mod tests {
 
     #[test]
     fn engine_plan_cache_shares_and_counts() {
-        #[cfg(feature = "obs")]
-        use sbr_obs::{MetricsRecorder, Recorder};
+        use crate::obs::{MetricsRecorder, Recorder};
         let (txs, _) = stream_fixture();
         let mut engine = QueryEngine::from_transmissions(&txs).unwrap();
-        #[cfg(feature = "obs")]
         let recorder = MetricsRecorder::new();
-        #[cfg(feature = "obs")]
         engine.set_obs(QueryObs::new(&recorder));
         assert_eq!(engine.plan_cache_len(), 0);
         engine.query(0, 10, 200, Aggregate::Sum).unwrap();
@@ -1196,13 +1193,10 @@ mod tests {
         assert!(engine.query(0, 200, 10, Aggregate::Sum).is_err());
         assert!(engine.query(9, 10, 200, Aggregate::Sum).is_err());
         assert_eq!(engine.plan_cache_len(), 2);
-        #[cfg(feature = "obs")]
-        {
-            let snap = recorder.snapshot();
-            assert_eq!(snap.counter("sbr_core.query.plan_cache.hits"), Some(2));
-            assert_eq!(snap.counter("sbr_core.query.plan_cache.misses"), Some(2));
-            assert!(snap.counter("sbr_core.query.intervals_folded").unwrap_or(0) > 0);
-        }
+        let snap = recorder.snapshot();
+        assert_eq!(snap.counter("sbr_core.query.plan_cache.hits"), Some(2));
+        assert_eq!(snap.counter("sbr_core.query.plan_cache.misses"), Some(2));
+        assert!(snap.counter("sbr_core.query.intervals_folded").unwrap_or(0) > 0);
     }
 
     #[test]

@@ -373,6 +373,60 @@ mod tests {
     }
 
     #[test]
+    fn update_base_toggles_mid_stream() {
+        // The §4.4 shortcut: freeze a warmed-up dictionary, keep encoding
+        // through a regime change, then thaw it. The decoder follows
+        // throughout.
+        let rows = patterned_rows(2, 128);
+        let shock: Vec<Vec<f64>> = (0..2)
+            .map(|r| {
+                (0..128)
+                    .map(|i| ((i as f64 * 1.9 + r as f64).sin() * 80.0) + ((i * i) % 23) as f64)
+                    .collect()
+            })
+            .collect();
+        let mut enc = SbrEncoder::new(2, 128, SbrConfig::new(96, 96)).unwrap();
+        let mut dec = Decoder::new();
+        let mut encode_checked = |enc: &mut SbrEncoder, rows: &[Vec<f64>]| {
+            let tx = enc.encode(rows).unwrap();
+            let stats = enc.last_stats().unwrap();
+            assert_eq!(tx.base_updates.len(), stats.inserted);
+            let rec = dec.decode(&tx).unwrap();
+            let sse: f64 = rows
+                .iter()
+                .zip(&rec)
+                .map(|(orig, r)| ErrorMetric::Sse.score(orig, r))
+                .sum();
+            assert!(
+                (sse - stats.total_err).abs() <= 1e-6 * (1.0 + sse),
+                "decoded SSE {sse} != reported {}",
+                stats.total_err
+            );
+            stats.inserted
+        };
+
+        for _ in 0..2 {
+            encode_checked(&mut enc, &rows);
+        }
+        let warm_slots = enc.base().num_slots();
+        assert!(warm_slots > 0, "warm-up must populate the dictionary");
+
+        // Frozen: the new regime is approximated from the old dictionary.
+        enc.set_update_base(false);
+        for data in [&rows, &shock, &shock] {
+            assert_eq!(encode_checked(&mut enc, data), 0);
+        }
+        assert_eq!(enc.base().num_slots(), warm_slots);
+
+        // Thawed: the regime the frozen base never learned is inserted.
+        enc.set_update_base(true);
+        assert!(
+            encode_checked(&mut enc, &shock) > 0,
+            "a new regime must resume insertions"
+        );
+    }
+
+    #[test]
     fn roundtrip_error_matches_reported_error() {
         let rows = patterned_rows(3, 96);
         let config = SbrConfig::new(150, 100);

@@ -24,10 +24,16 @@ cargo build --workspace --release --offline
 echo "==> cargo test"
 cargo test --workspace -q --offline
 
-echo "==> cargo build -p sbr-core --no-default-features"
-# Guard: the obs facade's disabled half must keep compiling (callers are
-# cfg-free, so a drift here only surfaces on minimal builds).
-cargo build -p sbr-core --no-default-features --offline
+echo "==> one build configuration (no [features] tables, no cfg(feature gates)"
+# Guard: the workspace builds one way. A [features] table in a manifest, or
+# a cfg(feature …) gate in the sources, would bring back a configuration
+# that the build and test steps above never compile.
+if grep -ln '^\[features\]' Cargo.toml crates/*/Cargo.toml; then
+  echo "a manifest above declares a [features] table" >&2; exit 1
+fi
+if grep -rn 'cfg(feature' crates/*/src src tests examples; then
+  echo "a cfg(feature gate is back in the sources above" >&2; exit 1
+fi
 
 echo "==> reference-encoder differential suite (every config byte-identical to the reference)"
 # Guard: the Search probe cache, the GetBase fit cache, the blocked and FFT
