@@ -43,7 +43,8 @@ pub struct SbrConfig {
     /// shortcut §4.4 recommends for constrained deployments once the
     /// dictionary has converged.
     pub update_base: bool,
-    /// Worker threads for the independent `BestMap`/`GetBase` fan-out.
+    /// Worker threads for the encoder's fan-out over whole `Search` probes
+    /// and `GetBase` matrix rows (`GetIntervals` itself is serial).
     /// `0` (the default) means one thread per available CPU; `1` disables
     /// threading. Results are deterministic and identical for every value —
     /// work is sharded by index and reduced in index order.

@@ -46,36 +46,18 @@ impl Approximation {
 /// halving is shared — not forked — between the plain per-probe evaluation
 /// ([`MapContext`] fits against one concrete dictionary) and the `Search`
 /// probe cache ([`crate::probe_cache::ProbeOracle`] serves fits assembled
-/// from cached per-region sweeps). Implementations must be [`Sync`]: the
-/// splitting loop fans fits out over worker threads, and `Search` may
-/// evaluate several probes concurrently on top of that.
-pub trait FitOracle: Sync {
+/// from cached per-region sweeps). The splitting loop calls it serially;
+/// any parallelism sits above it, across whole `Search` probes.
+pub trait FitOracle {
     /// Fit `interval` in place; `start`/`length` are already set. Must
     /// reproduce [`MapContext::best_map`] against the oracle's dictionary
     /// bit for bit.
     fn fit(&self, interval: &mut Interval);
-
-    /// Length of the dictionary the fits sweep over. Only steers the
-    /// thread-fan-out gate (estimated sweep work); never the results.
-    fn x_len(&self) -> usize;
-
-    /// Intervals longer than this are never shifted (`2 × W`); with
-    /// [`FitOracle::x_len`] this lets the splitting loop skip the fan-out
-    /// for children that face no real sweep.
-    fn max_shift_len(&self) -> usize;
 }
 
 impl FitOracle for MapContext<'_> {
     fn fit(&self, interval: &mut Interval) {
         self.best_map(interval);
-    }
-
-    fn x_len(&self) -> usize {
-        self.x.len()
-    }
-
-    fn max_shift_len(&self) -> usize {
-        self.max_shift_len
     }
 }
 
@@ -144,19 +126,13 @@ pub fn get_intervals_with<O: FitOracle>(
         &config.obs.get_intervals_ns,
     );
     let metric = config.metric;
-    let threads = config.resolved_threads();
 
     let mut heap: BinaryHeap<HeapItem> = BinaryHeap::with_capacity(max_intervals);
     let mut frozen: Vec<Interval> = Vec::new();
 
-    // The per-signal fits are independent; fan them out over the worker
-    // pool. `par_map` returns results in index order, so the heap sees the
-    // same insertion sequence as the serial loop regardless of thread count.
-    for iv in crate::par::par_map(n_signals, threads, &config.obs.par, |i| {
+    for i in 0..n_signals {
         let mut iv = Interval::unfitted(i * m, m);
         oracle.fit(&mut iv);
-        iv
-    }) {
         heap.push(HeapItem(iv));
     }
 
@@ -184,29 +160,12 @@ pub fn get_intervals_with<O: FitOracle>(
         }
 
         let left_len = worst.length / 2;
-        let right_len = worst.length - left_len;
-        // Both children refit independently; left is pushed first either
-        // way, so the heap state is identical to the serial order. Spawning
-        // a thread costs tens of microseconds, so only fan out when the
-        // children face a real shift sweep (gate depends on sizes only —
-        // never on the thread count — keeping results deterministic).
-        let sweep_work = oracle.x_len().saturating_mul(right_len);
-        let child_threads = if right_len <= oracle.max_shift_len() && sweep_work >= 1 << 16 {
-            threads
-        } else {
-            1
-        };
-        for child in crate::par::par_map(2, child_threads, &config.obs.par, |side| {
-            let mut iv = if side == 0 {
-                Interval::unfitted(worst.start, left_len)
-            } else {
-                Interval::unfitted(worst.start + left_len, right_len)
-            };
-            oracle.fit(&mut iv);
-            iv
-        }) {
-            heap.push(HeapItem(child));
-        }
+        let mut left = Interval::unfitted(worst.start, left_len);
+        let mut right = Interval::unfitted(worst.start + left_len, worst.length - left_len);
+        oracle.fit(&mut left);
+        oracle.fit(&mut right);
+        heap.push(HeapItem(left));
+        heap.push(HeapItem(right));
         num_intervals += 1;
     }
 

@@ -1,6 +1,7 @@
-//! Deterministic scoped-thread fan-out for the encoder's independent
-//! subproblems (per-slot `BestMap` fits, `GetBase` error-matrix rows,
-//! `Search` probes).
+//! Deterministic scoped-thread fan-out for the encoder's coarse independent
+//! work: the speculative `Search` probes (each a whole `GetIntervals` run)
+//! and the `GetBase` error-matrix rows. Neither call site runs inside the
+//! other, so the fan-out never nests.
 //!
 //! Work is identified by index; each worker grabs indices from a shared
 //! atomic counter, computes results locally, and the results are merged
@@ -13,11 +14,13 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Evaluate `f(0), f(1), …, f(n-1)` and return the results in index order,
-/// using up to `threads` scoped worker threads.
+/// using up to `threads` workers: the calling thread is worker 0 and
+/// `threads - 1` scoped threads join it.
 ///
 /// With `threads <= 1` (or trivially small `n`) this is a plain serial map
-/// with zero overhead — exactly the pre-threading behaviour. Worker panics
-/// propagate to the caller.
+/// with zero overhead — exactly the pre-threading behaviour. A panic in
+/// any worker, the caller included, surfaces as one panic in the caller
+/// after every spawned worker has joined.
 ///
 /// `obs` reports per-thread utilization (items and busy time per worker)
 /// when a live recorder is attached; the clock is never read otherwise,
@@ -34,36 +37,43 @@ where
     let workers = threads.min(n);
     // lint:allow(atomics): shared cursor for the scoped-thread fan-out, not observability state
     let next = AtomicUsize::new(0);
+    let claim = || {
+        // lint:allow(determinism): obs-gated latency probe — timing never feeds encoded output
+        let t0 = obs.enabled().then(std::time::Instant::now);
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            local.push((i, f(i)));
+        }
+        if let Some(t0) = t0 {
+            obs.worker_busy_ns.record(t0.elapsed().as_nanos() as u64);
+            obs.worker_items.record(local.len() as u64);
+        }
+        local
+    };
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    let mut panicked = false;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    // lint:allow(determinism): obs-gated latency probe — timing never feeds encoded output
-                    let t0 = obs.enabled().then(std::time::Instant::now);
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(i)));
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
+        let own = std::panic::catch_unwind(std::panic::AssertUnwindSafe(claim));
+        for local in std::iter::once(own).chain(handles.into_iter().map(|h| h.join())) {
+            match local {
+                Ok(local) => {
+                    for (i, v) in local {
+                        slots[i] = Some(v);
                     }
-                    if let Some(t0) = t0 {
-                        obs.worker_busy_ns.record(t0.elapsed().as_nanos() as u64);
-                        obs.worker_items.record(local.len() as u64);
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            // lint:allow(panic-reachability): join only fails if a worker panicked — propagate, don't mask
-            for (i, v) in h.join().expect("sbr worker thread panicked") {
-                slots[i] = Some(v);
+                }
+                Err(_) => panicked = true,
             }
         }
     });
+    if panicked {
+        // lint:allow(panic-reachability): a worker already panicked — propagate, don't mask
+        panic!("sbr worker thread panicked");
+    }
     slots
         .into_iter()
         // lint:allow(panic-reachability): the atomic cursor hands each index to exactly one worker
@@ -103,6 +113,22 @@ mod tests {
     fn worker_panic_propagates() {
         par_map(8, 2, &ParObs::default(), |i| {
             if i == 5 {
+                panic!("boom");
+            }
+            i
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "sbr worker thread panicked")]
+    fn caller_panic_propagates_after_join() {
+        // Whichever worker claims first blocks until the other claims too,
+        // so the caller is guaranteed one of the two items.
+        let barrier = std::sync::Barrier::new(2);
+        let caller = std::thread::current().id();
+        par_map(2, 2, &ParObs::default(), |i| {
+            barrier.wait();
+            if std::thread::current().id() == caller {
                 panic!("boom");
             }
             i

@@ -102,10 +102,10 @@ pub struct ProbeCacheFootprint {
 
 /// The probe cache: fit state shared across every probe of one `Search`.
 ///
-/// Thread-safe — `Search` prefetches probes concurrently and each probe's
-/// `GetIntervals` fans its fits out over worker threads, so an entry may be
-/// demanded from several threads at once. The map lock is held only for
-/// the lookup; the per-entry lock serializes fold extension, so two probes
+/// Thread-safe — `Search` prefetches probes concurrently (each probe's
+/// `GetIntervals` runs serially on one worker), so an entry may be
+/// demanded by several probes at once. The map lock is held only for the
+/// lookup; the per-entry lock serializes fold extension, so two probes
 /// asking for the same interval never duplicate a sweep.
 pub struct ProbeCache<'a> {
     /// Fit context over the *longest* dictionary `X_full = base ∥ all
@@ -268,14 +268,6 @@ pub struct ProbeOracle<'c, 'a> {
 impl FitOracle for ProbeOracle<'_, '_> {
     fn fit(&self, interval: &mut Interval) {
         self.cache.fit_probe(self.pos, interval);
-    }
-
-    fn x_len(&self) -> usize {
-        self.cache.base_len + self.pos * self.cache.w
-    }
-
-    fn max_shift_len(&self) -> usize {
-        self.cache.ctx.max_shift_len
     }
 }
 

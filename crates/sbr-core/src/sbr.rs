@@ -478,6 +478,45 @@ mod tests {
     }
 
     #[test]
+    fn fan_out_never_nests() {
+        // Each prefetch fan-out computes at least two probes and GetBase
+        // adds one more, so any fan-out nested inside a probe's
+        // GetIntervals pushes the count past this bound.
+        use crate::obs::{MetricsRecorder, Recorder as _};
+        use std::sync::Arc;
+        let rec = Arc::new(MetricsRecorder::new());
+        let fanouts = || rec.snapshot().counter("sbr_core.par.fanouts").unwrap_or(0) as usize;
+        let config = SbrConfig::new(200, 256);
+        let mut par = SbrEncoder::new(
+            3,
+            256,
+            config.clone().with_recorder(rec.clone()).with_threads(4),
+        )
+        .unwrap();
+        let mut serial = SbrEncoder::new(3, 256, config.with_threads(1)).unwrap();
+        for batch in 0..4 {
+            let rows: Vec<Vec<f64>> = patterned_rows(3, 256 + batch)
+                .into_iter()
+                .map(|r| r[batch..].to_vec())
+                .collect();
+            let before = fanouts();
+            let tx = par.encode(&rows).unwrap();
+            let probes = par.last_stats().unwrap().search_probes;
+            assert!(probes >= 2, "batch {batch}: the search must probe");
+            let delta = fanouts() - before;
+            assert!(
+                delta <= probes + 1,
+                "batch {batch}: {delta} fan-outs for {probes} probes"
+            );
+            assert_eq!(
+                crate::codec::encode(&tx),
+                crate::codec::encode(&serial.encode(&rows).unwrap()),
+                "batch {batch}: stream depends on the thread count"
+            );
+        }
+    }
+
+    #[test]
     fn m_base_smaller_than_w_rejected() {
         let config = SbrConfig::new(64, 4).with_w(16);
         assert!(SbrEncoder::new(2, 128, config).is_err());

@@ -35,6 +35,15 @@ if grep -rn 'cfg(feature' crates/*/src src tests examples; then
   echo "a cfg(feature gate is back in the sources above" >&2; exit 1
 fi
 
+echo "==> one fan-out level (par_map only across Search probes and GetBase rows)"
+# Guard: the encoder fans out once, at the coarsest independent unit. A
+# par_map call anywhere else in sbr-core (GetIntervals, BestMap) would nest
+# a fan-out inside a Search probe and spawn threads per interval fit.
+if grep -rn 'par_map(' crates/sbr-core/src \
+    | grep -vE '^crates/sbr-core/src/(par|search|get_base)\.rs:'; then
+  echo "par_map( is called above outside par.rs, search.rs and get_base.rs" >&2; exit 1
+fi
+
 echo "==> reference-encoder differential suite (every config byte-identical to the reference)"
 # Guard: the Search probe cache, the GetBase fit cache, the blocked and FFT
 # shift sweeps and the worker fan-out only reorder evaluation — every

@@ -103,14 +103,6 @@ impl FitOracle for DirectOracle<'_> {
             }
         }
     }
-
-    fn x_len(&self) -> usize {
-        self.x.len()
-    }
-
-    fn max_shift_len(&self) -> usize {
-        self.max_shift_len
-    }
 }
 
 /// Algorithm 3 against dictionary `x`, run serially and unobserved.
