@@ -138,14 +138,12 @@ pub enum Command {
         /// `acked`, ... — validated at parse time).
         kind: Option<sbr_obs::EventKind>,
     },
-    /// `sbr perf diff`: compare two `BENCH_SBR.json` artifacts and fail
-    /// on wall-time or hit-rate regressions beyond a tolerance, or on a
-    /// baseline record the candidate lacks.
+    /// `sbr perf diff`: compare paired `BENCH_SBR.json` runs and fail on
+    /// wall-time or hit-rate regressions beyond a tolerance and the pairs'
+    /// spread, or on a baseline record a candidate lacks.
     PerfDiff {
-        /// Baseline benchmark artifact.
-        baseline: String,
-        /// Candidate benchmark artifact.
-        candidate: String,
+        /// `(baseline, candidate)` benchmark artifacts, one per run pair.
+        pairs: Vec<(String, String)>,
         /// Allowed relative wall-time growth (0.25 = +25%).
         tolerance: f64,
         /// Also write the full diff report here.
@@ -207,7 +205,7 @@ USAGE:
                  [--frame <node>:<epoch>:<seq>] [--node <n>]
                  [--kind encoded|queued|tx|retx|dropped|dup|corrupt|
                          acked|decoded|persisted|resynced]
-  sbr perf diff  <baseline.json> <candidate.json>
+  sbr perf diff  <base1.json> <cand1.json> [<base2.json> <cand2.json> ...]
                  [--tolerance <frac>] [--report <txt>]
   sbr help
 
@@ -221,10 +219,10 @@ snapshots, v1 accepted) and `sbr trace` pretty-prints event logs. With a
 frame-lifecycle timeline attached (`sbr simulate` under SBR_TRACE),
 `sbr trace` narrows to one frame (`--frame node:epoch:seq`), one sensor
 (`--node`) or one lifecycle step (`--kind`); `sbr perf diff` compares
-two benchmark artifacts record by record and exits 1 when the sum of
-any `*_ns` row grows beyond `--tolerance` (default 0.25), when any
-`<x>.hits`/`<x>.misses` hit rate drops by more than it, or when a
-baseline record has no candidate record.
+baseline/candidate pairs of benchmark artifacts and exits 1 when the
+median per-pair growth of a `*_ns` row sum, or drop of a hit rate,
+exceeds max(`--tolerance` (default 0.25), 2 x its interquartile range),
+or when a baseline record has no candidate record.
 
 Fault injection: `sbr simulate` drives the loss-tolerant v2 protocol
 (per-frame CRC, sequence/epoch tracking, bounded retransmission with
@@ -257,8 +255,8 @@ pub fn parse(argv: &[String]) -> Result<Cli, String> {
         });
     };
     let mut flags = std::collections::BTreeMap::new();
-    // `perf` and `storage` take positionals (`perf diff <baseline>
-    // <candidate>`, `storage inspect <dir>`) before their flags; every
+    // `perf` and `storage` take positionals (`perf diff <base1> <cand1>
+    // ...`, `storage inspect <dir>`) before their flags; every
     // other subcommand is pure --flag value pairs.
     let mut positionals: Vec<String> = Vec::new();
     let mut i = 1;
@@ -490,14 +488,15 @@ pub fn parse(argv: &[String]) -> Result<Cli, String> {
                 Some(other) => {
                     return Err(format!("unknown perf action '{other}' (expected 'diff')"))
                 }
-                None => return Err("usage: sbr perf diff <baseline.json> <candidate.json>".into()),
+                None => return Err("usage: sbr perf diff <base1.json> <cand1.json> ...".into()),
             }
-            let (Some(baseline), Some(candidate), None) = (pos.next(), pos.next(), pos.next())
-            else {
-                return Err(
-                    "perf diff wants exactly two files: <baseline.json> <candidate.json>".into(),
-                );
-            };
+            let files: Vec<String> = pos.collect();
+            if files.is_empty() || !files.len().is_multiple_of(2) {
+                let n = files.len();
+                return Err(format!(
+                    "perf diff wants baseline/candidate pairs, got {n} file(s)"
+                ));
+            }
             let tolerance = match take_value(&mut flags, "tolerance") {
                 Some(v) => {
                     let t = v
@@ -511,8 +510,10 @@ pub fn parse(argv: &[String]) -> Result<Cli, String> {
                 None => 0.25,
             };
             Command::PerfDiff {
-                baseline,
-                candidate,
+                pairs: files
+                    .chunks_exact(2)
+                    .map(|p| (p[0].clone(), p[1].clone()))
+                    .collect(),
                 tolerance,
                 report: take_value(&mut flags, "report"),
             }
@@ -662,8 +663,7 @@ mod tests {
                 .unwrap()
                 .command,
             Command::PerfDiff {
-                baseline: "base.json".into(),
-                candidate: "cand.json".into(),
+                pairs: vec![("base.json".into(), "cand.json".into())],
                 tolerance: 0.25,
                 report: None,
             }
@@ -681,6 +681,13 @@ mod tests {
             }
             other => panic!("wrong command {other:?}"),
         }
+        match parse(&argv("perf diff b1 c1 b2 c2")).unwrap().command {
+            Command::PerfDiff { pairs, .. } => assert_eq!(
+                pairs,
+                [("b1".into(), "c1".into()), ("b2".into(), "c2".into())]
+            ),
+            other => panic!("wrong command {other:?}"),
+        }
     }
 
     #[test]
@@ -688,7 +695,7 @@ mod tests {
         assert!(parse(&argv("perf")).is_err(), "wants an action");
         assert!(parse(&argv("perf smash a b")).is_err(), "only diff");
         assert!(parse(&argv("perf diff base.json")).is_err(), "two files");
-        assert!(parse(&argv("perf diff a b c")).is_err(), "exactly two");
+        assert!(parse(&argv("perf diff a b c")).is_err(), "whole pairs only");
         assert!(
             parse(&argv("perf diff a b --tolerance -0.5")).is_err(),
             "tolerance >= 0"

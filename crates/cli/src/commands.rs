@@ -100,11 +100,10 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             kind,
         } => trace_log(input, filter.as_deref(), *frame, *node, *kind),
         Command::PerfDiff {
-            baseline,
-            candidate,
+            pairs,
             tolerance,
             report,
-        } => perf_diff(baseline, candidate, *tolerance, report.as_deref()),
+        } => perf_diff(pairs, *tolerance, report.as_deref()),
         Command::StorageInspect { dir } => storage_inspect(Path::new(dir)),
         Command::StorageCompact { dir } => storage_compact(Path::new(dir)),
     }
@@ -875,9 +874,12 @@ fn trace_log(
     Ok(out)
 }
 
-/// `*_ns` row sums this short on both sides are timer noise: `perf diff`
-/// prints them but never lets them fail the gate (1 ms).
+/// `*_ns` row sums under this are timer noise: `perf diff` counts them as
+/// 1 ms, so two sub-floor sums never fail and no ratio divides by zero.
 const PERF_MIN_WALL_NS: f64 = 1e6;
+
+/// `perf diff` holds a median per-pair change to `max(tolerance, k·IQR)`.
+const PERF_IQR_K: f64 = 2.0;
 
 /// Load a benchmark artifact's records.
 fn bench_records(path: &str) -> Result<Vec<BenchRecord>, CliError> {
@@ -885,128 +887,158 @@ fn bench_records(path: &str) -> Result<Vec<BenchRecord>, CliError> {
     Ok(bench::from_json(&text).map_err(|e| format!("{path}: {e}"))?)
 }
 
-/// Hit rate of every `<stem>.hits`/`<stem>.misses` counter pair of `r`
-/// that saw traffic, as `(stem, rate in [0, 1])`.
-fn hit_rates(r: &BenchRecord) -> Vec<(&str, f64)> {
-    r.counters
-        .iter()
-        .filter_map(|(name, hits)| {
-            let stem = name.strip_suffix(".hits")?;
-            let misses = r.counter(&format!("{stem}.misses"))?;
-            (hits + misses > 0.0).then(|| (stem, hits / (hits + misses)))
-        })
-        .collect()
+/// Hit rate of the `<stem>.hits`/`<stem>.misses` pair of `r`, if it saw traffic.
+fn hit_rate(r: &BenchRecord, stem: &str) -> Option<f64> {
+    let hits = r.counter(&format!("{stem}.hits"))?;
+    let misses = r.counter(&format!("{stem}.misses"))?;
+    (hits + misses > 0.0).then(|| hits / (hits + misses))
 }
 
-/// `sbr perf diff`: compare two benchmark artifacts record by record, by
-/// one rule for every record. The sum of every `*_ns` row gates on
-/// relative growth beyond `tolerance`; every `<x>.hits`/`<x>.misses`
-/// counter pair gates on an absolute hit-rate drop beyond `tolerance`; a
-/// baseline record, gated row or pair missing from the candidate fails.
-/// Any other counter that changed is reported for information only.
+/// First quartile, median and third quartile of `xs` (linear interpolation).
+fn quartiles(mut xs: Vec<f64>) -> (f64, f64, f64) {
+    xs.sort_by(f64::total_cmp);
+    let at = |p: f64| {
+        let pos = p * xs.len().saturating_sub(1) as f64;
+        let lo = xs.get(pos.floor() as usize).copied().unwrap_or(f64::NAN);
+        lo + (xs.get(pos.ceil() as usize).copied().unwrap_or(lo) - lo) * pos.fract()
+    };
+    (at(0.25), at(0.5), at(0.75))
+}
+
+/// `sbr perf diff`: compare paired `(baseline, candidate)` runs, record
+/// by record of the first baseline. Each pair reduces a `*_ns` row sum to
+/// the change `candidate / baseline - 1` and a `<x>.hits`/`<x>.misses`
+/// pair to its hit-rate drop; the median change fails beyond
+/// `max(tolerance, 2·IQR)` of the changes (one pair: IQR 0), and a pass
+/// whose 2·IQR exceeds the tolerance is `unresolved`. A record, row or
+/// pair a candidate lacks fails; other counters are informational.
 fn perf_diff(
-    baseline_path: &str,
-    candidate_path: &str,
+    pairs: &[(String, String)],
     tolerance: f64,
     report_out: Option<&str>,
 ) -> Result<String, CliError> {
-    let base = bench_records(baseline_path)?;
-    let cand = bench_records(candidate_path)?;
-    let cand_map: std::collections::HashMap<String, &BenchRecord> =
-        cand.iter().map(|r| (r.key(), r)).collect();
-
+    let runs = pairs
+        .iter()
+        .map(|(b, c)| Ok((bench_records(b)?, bench_records(c)?)))
+        .collect::<Result<Vec<_>, CliError>>()?;
     let mut out = format!(
-        "perf diff: {baseline_path} (baseline) vs {candidate_path} (candidate), \
-         tolerance +{:.0}%\n",
+        "perf diff: {} pair(s), tolerance +{:.0}%\n",
+        pairs.len(),
         tolerance * 100.0
     );
     let (mut compared, mut regressions) = (0usize, 0usize);
     let mut missing = Vec::new();
-    for br in &base {
-        let key = br.key();
-        let Some(cr) = cand_map.get(&key) else {
+    for b0 in runs.first().into_iter().flat_map(|(b, _)| b) {
+        let key = b0.key();
+        // (baseline, candidate) of every pair whose baseline has the record;
+        // `None` if a candidate lacks it.
+        let sides: Option<Vec<_>> = runs
+            .iter()
+            .filter_map(|(b, c)| {
+                let br = b.iter().find(|r| r.key() == key)?;
+                Some(c.iter().find(|r| r.key() == key).map(|cr| (br, cr)))
+            })
+            .collect();
+        let Some(sides) = sides else {
             missing.push(key);
             continue;
         };
         compared += 1;
         out.push_str(&format!("\n{key}\n"));
-        for row in br.rows.iter().filter(|r| r.name.ends_with("_ns")) {
-            let Some(crow) = cr.row(&row.name) else {
-                regressions += 1;
-                out.push_str(&format!(
-                    "  {:<44} missing in candidate  REGRESSION\n",
-                    row.name
-                ));
-                continue;
-            };
-            let (b, c) = (row.sum as f64, crow.sum as f64);
-            // lint:allow(panic-reachability): f64 division — cannot panic
-            let delta = if b > 0.0 { (c - b) / b } else { 0.0 };
-            let verdict = if b < PERF_MIN_WALL_NS && c < PERF_MIN_WALL_NS {
-                "ok (below noise floor)"
-            } else if delta > tolerance {
-                regressions += 1;
-                "REGRESSION"
-            } else if delta < -tolerance {
-                "improved"
-            } else {
-                "ok"
-            };
-            out.push_str(&format!(
-                "  {:<44} {:>9} ms -> {:>9} ms  {:>+7.1}%  {verdict}\n",
-                row.name,
-                ms(b),
-                ms(c),
-                delta * 100.0
-            ));
-        }
-        let cand_rates = hit_rates(cr);
-        let base_rates = hit_rates(br);
-        for &(stem, bv) in &base_rates {
-            let label = format!("{stem} hit rate");
-            let Some(&(_, cv)) = cand_rates.iter().find(|(s, _)| *s == stem) else {
+        // Per-pair (baseline, candidate) values of `get`; `None` if a candidate lacks one.
+        let per_pair = |get: &dyn Fn(&BenchRecord) -> Option<f64>| -> Option<Vec<(f64, f64)>> {
+            sides
+                .iter()
+                .filter_map(|&(b, c)| get(b).map(|bv| get(c).map(|cv| (bv, cv))))
+                .collect()
+        };
+        let hits = b0
+            .counters
+            .iter()
+            .filter_map(|(n, _)| n.strip_suffix(".hits"));
+        let stems: Vec<&str> = hits.filter(|s| hit_rate(b0, s).is_some()).collect();
+        // Every gated value as (label, is a wall, per-pair values).
+        let rows = b0.rows.iter().filter(|r| r.name.ends_with("_ns"));
+        let walls = rows.map(|row| {
+            let sums = per_pair(&|r| Some(r.row(&row.name)?.sum as f64));
+            (row.name.clone(), true, sums)
+        });
+        let rates = stems.iter().map(|&stem| {
+            let rates = per_pair(&|r| hit_rate(r, stem));
+            (format!("{stem} hit rate"), false, rates)
+        });
+        for (label, wall, values) in walls.chain(rates) {
+            let Some(v) = values else {
                 regressions += 1;
                 out.push_str(&format!("  {label:<44} missing in candidate  REGRESSION\n"));
                 continue;
             };
-            let verdict = if bv - cv > tolerance {
-                regressions += 1;
+            // A wall changes by its ratio - 1, a hit rate by its drop.
+            let floor = |x: f64| x.max(PERF_MIN_WALL_NS);
+            let change = |&(b, c): &(f64, f64)| {
+                if wall {
+                    // lint:allow(panic-reachability): f64 division — cannot panic
+                    floor(c) / floor(b) - 1.0
+                } else {
+                    b - c
+                }
+            };
+            let (q1, delta, q3) = quartiles(v.iter().map(change).collect());
+            let limit = tolerance.max(PERF_IQR_K * (q3 - q1));
+            let verdict = if wall && v.iter().all(|&(b, c)| b.max(c) < PERF_MIN_WALL_NS) {
+                "ok (below noise floor)"
+            } else if delta > limit {
                 "REGRESSION"
+            } else if wall && delta < -limit {
+                "improved"
+            } else if limit > tolerance {
+                "unresolved"
             } else {
                 "ok"
             };
+            regressions += usize::from(verdict == "REGRESSION");
+            let [b, c] = [|p: &(f64, f64)| p.0, |p: &(f64, f64)| p.1]
+                .map(|side| quartiles(v.iter().map(side).collect()).1);
+            let (b, c, delta, unit) = if wall {
+                (format!("{} ms", ms(b)), format!("{} ms", ms(c)), delta, "%")
+            } else {
+                (
+                    format!("{:.1} %", b * 100.0),
+                    format!("{:.1} %", c * 100.0),
+                    -delta,
+                    "pp",
+                )
+            };
             out.push_str(&format!(
-                "  {label:<44} {:>8.1} %  -> {:>8.1} %   {:>+7.1}pp  {verdict}\n",
-                bv * 100.0,
-                cv * 100.0,
-                (cv - bv) * 100.0
+                "  {label:<44} {b:>12} -> {c:>12}  {:>+7.1}{unit} (limit {:.1}{unit})  {verdict}\n",
+                delta * 100.0,
+                limit * 100.0
             ));
         }
         // Every other counter is informational: seeded runs reproduce
         // most of them exactly, so drift is worth a line, not a failure.
-        let gated = |name: &str| {
-            let stem = name
-                .strip_suffix(".hits")
-                .or_else(|| name.strip_suffix(".misses"));
-            stem.is_some_and(|s| base_rates.iter().any(|(b, _)| *b == s))
+        let gated = |n: &str| {
+            let stem = n.strip_suffix(".hits").or(n.strip_suffix(".misses"));
+            stem.is_some_and(|s| stems.contains(&s))
         };
-        for (name, b) in br.counters.iter().filter(|(n, _)| !gated(n)) {
-            match cr.counter(name) {
-                Some(c) if c.to_bits() != b.to_bits() => out.push_str(&format!(
+        for (name, _) in b0.counters.iter().filter(|(n, _)| !gated(n)) {
+            // The first pair in which the counter moved, if any.
+            match per_pair(&|r| r.counter(name))
+                .map(|v| v.into_iter().find(|(b, c)| b.to_bits() != c.to_bits()))
+            {
+                Some(Some((b, c))) => out.push_str(&format!(
                     "  {name:<44} {} -> {}  changed\n",
-                    json::format_num(*b),
+                    json::format_num(b),
                     json::format_num(c)
                 )),
-                Some(_) => {}
+                Some(None) => {}
                 None => out.push_str(&format!("  {name:<44} missing in candidate\n")),
             }
         }
     }
     if compared == 0 {
-        return Err(format!(
-            "perf diff: no overlapping records between {baseline_path} and {candidate_path}"
-        )
-        .into());
+        let msg = "perf diff: no overlapping records between the baselines and candidates";
+        return Err(msg.to_string().into());
     }
     for key in &missing {
         out.push_str(&format!(
@@ -1702,6 +1734,81 @@ mod tests {
             "{e:?}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn perf_diff_fails_a_slow_candidate_over_a_zero_baseline() {
+        let dir = tempdir("perfzero");
+        let base = dir.join("base.json");
+        let cand = dir.join("cand.json");
+        let rec = |wall: f64| bench_record("fig5", &[("sbr_core.sbr.encode_ns", wall)], &[]);
+        write_bench(&base, &[rec(0.0)]);
+        write_bench(&cand, &[rec(5.161e6)]);
+        let e = run_argv(&format!("perf diff {} {}", base.display(), cand.display())).unwrap_err();
+        assert_eq!(e.exit_code(), 1, "{e:?}");
+        assert!(
+            e.message()
+                .lines()
+                .any(|l| l.contains("sbr_core.sbr.encode_ns") && l.contains("REGRESSION")),
+            "{e:?}"
+        );
+        // Two sub-floor sums are timer noise, whichever side is zero.
+        write_bench(&cand, &[rec(0.9e6)]);
+        let ok = run_argv(&format!("perf diff {} {}", base.display(), cand.display())).unwrap();
+        assert!(ok.contains("ok (below noise floor)"), "{ok}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `perf diff` over one pair per scale in `scales`: each baseline is
+    /// `fig5_record(1.0)`, its candidate `fig5_record(scale)`.
+    fn paired_diff(tag: &str, scales: &[f64], tolerance: f64) -> Result<String, CliError> {
+        let dir = tempdir(tag);
+        let mut argv = String::from("perf diff");
+        for (i, &scale) in scales.iter().enumerate() {
+            let (base, cand) = (
+                dir.join(format!("b{i}.json")),
+                dir.join(format!("c{i}.json")),
+            );
+            write_bench(&base, &[fig5_record(1.0)]);
+            write_bench(&cand, &[fig5_record(scale)]);
+            argv += &format!(" {} {}", base.display(), cand.display());
+        }
+        let result = run_argv(&format!("{argv} --tolerance {tolerance}"));
+        std::fs::remove_dir_all(&dir).unwrap();
+        result
+    }
+
+    #[test]
+    fn paired_perf_diff_rejects_an_odd_file_count() {
+        let e = run_argv("perf diff b1.json c1.json b2.json").unwrap_err();
+        assert_eq!(e.exit_code(), 2, "{e:?}");
+        assert!(e.message().contains("got 3 file(s)"), "{e:?}");
+    }
+
+    #[test]
+    fn paired_perf_diff_passes_one_outlier_pair() {
+        let ok = paired_diff("pairoutlier", &[1.0, 1.0, 1.6, 1.0, 1.0], 0.10).unwrap();
+        assert!(ok.contains("0 regression(s)"), "{ok}");
+        assert!(!ok.contains("unresolved"), "{ok}");
+    }
+
+    #[test]
+    fn paired_perf_diff_fails_a_consistent_slowdown() {
+        let e = paired_diff("pairslow", &[1.15; 5], 0.10).unwrap_err();
+        assert_eq!(e.exit_code(), 1, "{e:?}");
+        assert!(e.message().contains("3 regression(s)"), "{e:?}");
+    }
+
+    #[test]
+    fn paired_perf_diff_calls_a_noisy_row_unresolved() {
+        // Median +20% is past the tolerance but inside 2·IQR = 80%.
+        let ok = paired_diff("pairnoisy", &[0.9, 1.0, 1.2, 1.4, 1.5], 0.10).unwrap();
+        assert!(
+            ok.lines()
+                .any(|l| l.contains("sbr_core.search.run_ns") && l.ends_with("unresolved")),
+            "{ok}"
+        );
+        assert!(ok.contains("0 regression(s)"), "{ok}");
     }
 
     #[test]

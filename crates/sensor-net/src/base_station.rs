@@ -1334,6 +1334,33 @@ mod tests {
     }
 
     #[test]
+    fn checkpointed_load_replays_at_most_a_tenth_of_a_long_history() {
+        let dir = std::env::temp_dir().join(format!("sbr-bs-tenth-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            // ~2 KiB segments: 240 frames seal many segments, each with a
+            // checkpoint, so a restart replays only the active tail.
+            let bs = BaseStation::with_persistence(&dir).with_segment_size(2 * 1024);
+            for f in frames(240) {
+                accept(&bs, 1, f);
+            }
+        }
+        let records = crate::storage::verify(&dir, 1).unwrap().records;
+        assert_eq!(records, 240);
+        let rec = sbr_obs::MetricsRecorder::new();
+        BaseStation::load_with_recorder(&dir, &rec).unwrap();
+        let replayed = rec
+            .snapshot()
+            .counter("sensor_net.storage.segments.replayed_records")
+            .unwrap();
+        assert!(
+            replayed * 10 <= records,
+            "replayed {replayed} of {records} records: checkpoints are not engaging"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn sealing_station_counts_segments_on_recorder() {
         let dir = std::env::temp_dir().join(format!("sbr-bs-seals-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
