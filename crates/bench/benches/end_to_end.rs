@@ -6,8 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use sbr_core::query::ChunkView;
-use sbr_core::{codec, Decoder, SbrConfig, SbrEncoder};
+use sbr_core::{codec, ChunkSummary, Decoder, SbrConfig, SbrEncoder};
 
 fn files(n_signals: usize, m: usize) -> Vec<Vec<f64>> {
     (0..n_signals)
@@ -134,10 +133,10 @@ fn bench_query(c: &mut Criterion) {
     for u in &tx.base_updates {
         base.extend_from_slice(&u.values);
     }
-    let view = ChunkView::new(&tx.intervals, &base, n).unwrap();
+    let summary = ChunkSummary::new(&tx.intervals, base.clone(), 10, 1024).unwrap();
     let mut g = c.benchmark_group("range_sum_10240");
-    g.bench_function("chunk_view", |b| {
-        b.iter(|| view.range_sum(black_box(100), black_box(9000)).unwrap())
+    g.bench_function("chunk_summary", |b| {
+        b.iter(|| summary.range_sum(black_box(100), black_box(9000)).unwrap())
     });
     g.bench_function("reconstruct_scan", |b| {
         b.iter(|| {

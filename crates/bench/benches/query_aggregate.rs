@@ -1,12 +1,11 @@
 //! Compressed-domain range-aggregate benchmarks: cold index build + first
-//! query, warm plan-cache steady state, and the full-decode
-//! [`aggregate_stream`] baseline the `QueryEngine` replaces — the
-//! Criterion-grade counterpart of the `query` block in `BENCH_SBR.json`.
+//! query, warm plan-cache steady state, and a decode-then-scan baseline
+//! (reconstruct the log, fold the range) on the same range — the
+//! Criterion-grade counterpart of `pipebench/`'s `history_query` workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use sbr_core::query::aggregate_stream;
 use sbr_core::{Aggregate, Decoder, QueryEngine, SbrConfig, SbrEncoder, Transmission};
 
 fn files(n_signals: usize, m: usize) -> Vec<Vec<f64>> {
@@ -64,12 +63,13 @@ fn bench_query_aggregate(c: &mut Criterion) {
         })
     });
 
-    // Baseline: the same range answered by replaying the decoder over the
-    // whole log (the pre-engine `sbr aggregate` path).
+    // Baseline: the same range answered by reconstructing the whole log
+    // and scanning the covered samples.
     g.bench_function("full_decode", |b| {
         b.iter(|| {
-            let mut decoder = Decoder::new();
-            aggregate_stream(&mut decoder, black_box(&txs), 1, 37, total - 19).expect("baseline")
+            let decoded = Decoder::replay(black_box(&txs)).expect("replay");
+            let series: Vec<f64> = decoded.iter().flat_map(|c| c[1].iter().copied()).collect();
+            series[37..total - 19].iter().sum::<f64>()
         })
     });
     g.finish();

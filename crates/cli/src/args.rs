@@ -62,8 +62,6 @@ pub enum Command {
         from: usize,
         /// Last sample (exclusive).
         to: usize,
-        /// Which query path answers the range (A/B comparable).
-        engine: EngineKind,
     },
     /// `sbr generate`: write one of the synthetic evaluation datasets as
     /// CSV (so the whole pipeline is drivable from the shell).
@@ -165,17 +163,6 @@ pub enum Command {
     Help,
 }
 
-/// Which query path `sbr aggregate` answers a range with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// The compressed-domain query engine: closed-form interval moments,
-    /// no chunk is ever decoded (the default).
-    Compressed,
-    /// The full-decode baseline: replay the stream and aggregate the
-    /// reconstruction (for A/B comparison).
-    Decode,
-}
-
 /// Usage text.
 pub const USAGE: &str = "\
 sbr — Self-Based Regression compression for multi-signal time series
@@ -189,7 +176,6 @@ USAGE:
   sbr info       --input <file>
   sbr compare    --input <csv> --band <values>
   sbr aggregate  --input <file> --signal <idx> --from <t0> --to <t1>
-                 [--engine compressed|decode]
   sbr generate   --dataset phone|weather|stock|mixed|indexes|netflow
                  --output <csv> [--len <samples>] [--seed <n>]
   sbr report     --input <json>
@@ -323,20 +309,12 @@ pub fn parse(argv: &[String]) -> Result<Cli, String> {
             input: required(&mut flags, "input")?,
             band: parse_usize(required(&mut flags, "band")?, "band")?,
         },
-        "aggregate" => {
-            let engine = match take_value(&mut flags, "engine").as_deref() {
-                None | Some("compressed") => EngineKind::Compressed,
-                Some("decode") => EngineKind::Decode,
-                Some(v) => return Err(format!("--engine must be compressed|decode, got '{v}'")),
-            };
-            Command::Aggregate {
-                input: required(&mut flags, "input")?,
-                signal: parse_usize(required(&mut flags, "signal")?, "signal")?,
-                from: parse_usize(required(&mut flags, "from")?, "from")?,
-                to: parse_usize(required(&mut flags, "to")?, "to")?,
-                engine,
-            }
-        }
+        "aggregate" => Command::Aggregate {
+            input: required(&mut flags, "input")?,
+            signal: parse_usize(required(&mut flags, "signal")?, "signal")?,
+            from: parse_usize(required(&mut flags, "from")?, "from")?,
+            to: parse_usize(required(&mut flags, "to")?, "to")?,
+        },
         "generate" => {
             let dataset = required(&mut flags, "dataset")?;
             if !["phone", "weather", "stock", "mixed", "indexes", "netflow"]
@@ -750,26 +728,18 @@ mod tests {
                 signal: 2,
                 from: 10,
                 to: 99,
-                engine: EngineKind::Compressed,
             }
         );
         assert!(parse(&argv("aggregate --input s.sbr --signal 2 --from 10")).is_err());
     }
 
     #[test]
-    fn parses_aggregate_engine_flag() {
-        let cli = parse(&argv(
+    fn aggregate_has_no_engine_flag() {
+        let err = parse(&argv(
             "aggregate --input s.sbr --signal 0 --from 0 --to 9 --engine decode",
         ))
-        .unwrap();
-        match cli.command {
-            Command::Aggregate { engine, .. } => assert_eq!(engine, EngineKind::Decode),
-            other => panic!("parsed {other:?}"),
-        }
-        assert!(parse(&argv(
-            "aggregate --input s.sbr --signal 0 --from 0 --to 9 --engine warp"
-        ))
-        .is_err());
+        .unwrap_err();
+        assert_eq!(err, "unrecognized flag --engine");
     }
 
     #[test]

@@ -6,7 +6,6 @@ use std::path::Path;
 use std::sync::Arc;
 
 use sbr_baselines::Compressor;
-use sbr_core::query::aggregate_stream;
 use sbr_core::{codec, Decoder, ErrorMetric, MultiSeries, SbrConfig, SbrEncoder};
 use sbr_obs::bench::{self, BenchRecord, BENCH_SCHEMA};
 use sbr_obs::json::{self, Value};
@@ -18,7 +17,7 @@ use sensor_net::network::{Network, Strategy};
 use sensor_net::storage::{self, recover_stream};
 use sensor_net::{EnergyModel, FaultPlan, LossyLink, Topology};
 
-use crate::args::{Cli, Command, EngineKind, USAGE};
+use crate::args::{Cli, Command, USAGE};
 use crate::csv::{self, Table};
 use crate::error::CliError;
 
@@ -53,8 +52,7 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             signal,
             from,
             to,
-            engine,
-        } => aggregate(input, *signal, *from, *to, *engine),
+        } => aggregate(input, *signal, *from, *to),
         Command::Generate {
             dataset,
             output,
@@ -340,17 +338,10 @@ fn compare(input: &str, band: usize) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Range aggregates straight off the compressed stream: the
-/// compressed-domain query engine by default (closed-form interval
-/// moments, see `sbr_core::QueryEngine`), or the full-decode streaming
-/// baseline with `--engine decode` for A/B comparison.
-fn aggregate(
-    input: &str,
-    signal: usize,
-    from: usize,
-    to: usize,
-    engine: EngineKind,
-) -> Result<String, CliError> {
+/// Range aggregates straight off the compressed stream, answered by the
+/// compressed-domain query engine (closed-form interval moments, see
+/// `sbr_core::QueryEngine`).
+fn aggregate(input: &str, signal: usize, from: usize, to: usize) -> Result<String, CliError> {
     if to <= from {
         return Err(CliError::Usage(format!(
             "empty range [{from}, {to}): --from must be below --to"
@@ -366,22 +357,11 @@ fn aggregate(
             "{input}: range [{from}, {to}) runs past the {total} logged samples"
         )));
     }
-    let (agg, label) = match engine {
-        EngineKind::Compressed => {
-            let mut qe = sbr_core::QueryEngine::from_transmissions(&log.transmissions)
-                .map_err(|e| e.to_string())?;
-            let agg = qe.aggregate(signal, from, to).map_err(|e| e.to_string())?;
-            (agg, "compressed")
-        }
-        EngineKind::Decode => {
-            let mut decoder = Decoder::new();
-            let agg = aggregate_stream(&mut decoder, &log.transmissions, signal, from, to)
-                .map_err(|e| e.to_string())?;
-            (agg, "decode")
-        }
-    };
+    let mut qe =
+        sbr_core::QueryEngine::from_transmissions(&log.transmissions).map_err(|e| e.to_string())?;
+    let agg = qe.aggregate(signal, from, to).map_err(|e| e.to_string())?;
     Ok(format!(
-        "signal {signal}, samples [{from}, {to}) — {} values ({label} engine)
+        "signal {signal}, samples [{from}, {to}) — {} values (compressed domain)
 \
          sum {:.6}
 avg {:.6}
@@ -1285,18 +1265,17 @@ mod tests {
             e.message().contains("runs past the 128 logged samples"),
             "{e}"
         );
-        // The decode engine classifies identically.
+        // There is one query path: a stray --engine is an unknown flag.
         let e = run_argv(&format!(
-            "aggregate --input {s} --signal 0 --from 0 --to 999 --engine decode"
+            "aggregate --input {s} --signal 0 --from 0 --to 9 --engine decode"
         ))
         .unwrap_err();
-        assert_eq!(e.exit_code(), 1, "{e:?}");
-        assert!(e.message().contains("runs past the"), "{e}");
+        assert_eq!(e.exit_code(), 2, "{e:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn aggregate_engines_agree() {
+    fn aggregate_matches_decode_then_scan() {
         let dir = tempdir("aggab");
         let csv_in = dir.join("in.csv");
         let stream = dir.join("out.sbr");
@@ -1307,30 +1286,32 @@ mod tests {
             stream.display()
         ))
         .unwrap();
+        let log = recover_stream(&stream).unwrap();
+        let decoded = Decoder::replay(&log.transmissions).unwrap();
+        let series: Vec<f64> = decoded.iter().flat_map(|c| c[1].clone()).collect();
         let s = stream.display();
         for (from, to) in [(0usize, 256usize), (50, 200), (130, 140)] {
-            let fast = run_argv(&format!(
+            let out = run_argv(&format!(
                 "aggregate --input {s} --signal 1 --from {from} --to {to}"
             ))
             .unwrap();
-            let slow = run_argv(&format!(
-                "aggregate --input {s} --signal 1 --from {from} --to {to} --engine decode"
-            ))
-            .unwrap();
-            assert!(fast.contains("(compressed engine)"), "{fast}");
-            assert!(slow.contains("(decode engine)"), "{slow}");
-            // The four value lines must agree to the printed precision.
-            let values = |out: &str| -> Vec<String> {
-                out.lines()
-                    .filter(|l| {
-                        ["sum", "avg", "min", "max"]
-                            .iter()
-                            .any(|p| l.starts_with(p))
-                    })
-                    .map(str::to_string)
-                    .collect()
+            assert!(out.contains("(compressed domain)"), "{out}");
+            let printed = |name: &str| -> f64 {
+                let line = out.lines().find(|l| l.starts_with(name)).unwrap();
+                line[name.len()..].trim().parse().unwrap()
             };
-            assert_eq!(values(&fast), values(&slow), "[{from},{to})");
+            let slice = &series[from..to];
+            let sum: f64 = slice.iter().sum();
+            let min = slice.iter().copied().fold(f64::INFINITY, f64::min);
+            let max = slice.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let avg = sum / slice.len() as f64;
+            // Printed to 6 decimals.
+            for (name, want) in [("sum", sum), ("avg", avg), ("min", min), ("max", max)] {
+                assert!(
+                    (printed(name) - want).abs() <= 1e-6 * want.abs().max(1.0),
+                    "{name} [{from},{to}): {out}"
+                );
+            }
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -9,19 +9,15 @@
 //! `O(#intervals touched)` instead of `O(#samples)`; MIN/MAX scan only the
 //! touched base segments.
 //!
-//! Two layers build on that algebra:
-//!
-//! - [`ChunkView`] — a borrowed, throwaway view over one chunk, used when
-//!   the caller replays a stream once (the legacy `aggregate_stream` path).
-//! - [`ChunkSummary`] + [`QueryEngine`] — the compressed-domain query
-//!   engine. A summary is built *once* per chunk (at ingest or stream
-//!   load): per-interval moments (count, Σ, min/max of the referenced base
-//!   segment, pre-folded through `a·X+b`) plus prefix sums over both the
-//!   base signal and the interval moments, so any later query folds each
-//!   touched interval in O(1) and decodes only the (at most two) intervals
-//!   a range splits mid-way. The engine adds a small plan cache keyed by
-//!   `(signal, range, aggregate class)` and serves the TAG aggregate set —
-//!   SUM/AVG/MIN/MAX — without ever inflating a chunk.
+//! A [`ChunkSummary`] is built *once* per chunk (at ingest or stream
+//! load): per-interval moments (count, Σ, min/max of the referenced base
+//! segment, pre-folded through `a·X+b`) plus prefix sums over both the
+//! base signal and the interval moments, so any later query folds each
+//! touched interval in O(1) and decodes only the (at most two) intervals a
+//! range splits mid-way. The [`QueryEngine`] indexes a stream's summaries,
+//! adds a small plan cache keyed by `(signal, range, aggregate class)` and
+//! serves the TAG aggregate set — SUM/AVG/MIN/MAX — without ever inflating
+//! a chunk.
 
 use std::collections::HashMap;
 
@@ -30,182 +26,10 @@ use crate::interval::IntervalRecord;
 use crate::obs::QueryObs;
 use crate::regression::PrefixStats;
 
-/// A queryable view over one decoded chunk's records and the base signal
-/// those records reference (the `X_new` layout of its transmission).
-///
-/// ```
-/// use sbr_core::{query::ChunkView, IntervalRecord};
-/// // One fall-back record: ŷ_i = 2·i + 1 over 4 samples → 1, 3, 5, 7.
-/// let records = [IntervalRecord { start: 0, shift: -1, a: 2.0, b: 1.0 }];
-/// let view = ChunkView::new(&records, &[], 4).unwrap();
-/// assert_eq!(view.range_sum(0, 4).unwrap(), 16.0);
-/// assert_eq!(view.range_avg(1, 3).unwrap(), 4.0);
-/// assert_eq!(view.range_min_max(0, 4).unwrap(), (1.0, 7.0));
-/// ```
-pub struct ChunkView<'a> {
-    records: Vec<IntervalRecord>,
-    base: &'a [f64],
-    base_stats: PrefixStats,
-    n_total: usize,
-}
-
-impl<'a> ChunkView<'a> {
-    /// Build a view. `records` are the chunk's interval records (any
-    /// order); `base` is the flat base signal they reference; `n_total` the
-    /// chunk's value count.
-    pub fn new(records: &[IntervalRecord], base: &'a [f64], n_total: usize) -> Result<Self> {
-        let mut records = records.to_vec();
-        records.sort_by_key(|r| r.start);
-        if let Some(first) = records.first() {
-            if first.start != 0 {
-                return Err(SbrError::Corrupt(format!(
-                    "records leave [0, {}) uncovered",
-                    first.start
-                )));
-            }
-        }
-        // Validate coverage once so queries can't go out of bounds.
-        for (k, r) in records.iter().enumerate() {
-            let end = records.get(k + 1).map_or(n_total, |nx| nx.start as usize);
-            if r.start as usize >= end || end > n_total {
-                return Err(SbrError::Corrupt(format!(
-                    "record {k} covers [{}, {end}) of {n_total}",
-                    r.start
-                )));
-            }
-            if r.shift >= 0 && r.shift as usize + (end - r.start as usize) > base.len() {
-                return Err(SbrError::Corrupt(format!(
-                    "record {k} runs past the base signal"
-                )));
-            }
-        }
-        Ok(ChunkView {
-            records,
-            base,
-            base_stats: PrefixStats::new(base),
-            n_total,
-        })
-    }
-
-    /// Number of values in the chunk.
-    pub fn len(&self) -> usize {
-        self.n_total
-    }
-
-    /// True for an empty chunk (cannot be constructed from a valid
-    /// transmission).
-    pub fn is_empty(&self) -> bool {
-        self.n_total == 0
-    }
-
-    fn record_end(&self, k: usize) -> usize {
-        self.records
-            .get(k + 1)
-            .map_or(self.n_total, |r| r.start as usize)
-    }
-
-    /// Indices of the records overlapping `[t0, t1)`.
-    fn touching(&self, t0: usize, t1: usize) -> std::ops::Range<usize> {
-        let first = self
-            .records
-            .partition_point(|r| (r.start as usize) <= t0)
-            .saturating_sub(1);
-        let last = self.records.partition_point(|r| (r.start as usize) < t1);
-        first..last
-    }
-
-    /// Exact sum of the *reconstruction* over `[t0, t1)` in
-    /// `O(#records touched)`.
-    pub fn range_sum(&self, t0: usize, t1: usize) -> Result<f64> {
-        self.check_range(t0, t1)?;
-        let mut acc = 0.0f64;
-        for k in self.touching(t0, t1) {
-            let r = &self.records[k];
-            let rs = r.start as usize;
-            let re = self.record_end(k);
-            let (s, e) = (t0.max(rs), t1.min(re));
-            if s >= e {
-                continue;
-            }
-            let len = e - s;
-            if r.shift < 0 {
-                // Fall-back line over the local index i ∈ [s-rs, e-rs):
-                // Σ (a·i + b) = a · Σi + b·len.
-                let i0 = (s - rs) as f64;
-                let i1 = (e - rs - 1) as f64;
-                let sum_i = (i0 + i1) * len as f64 / 2.0;
-                acc += r.a * sum_i + r.b * len as f64;
-            } else {
-                let off = r.shift as usize + (s - rs);
-                let sum_x = self.base_stats.window_sum(off, len);
-                acc += r.a * sum_x + r.b * len as f64;
-            }
-        }
-        Ok(acc)
-    }
-
-    /// Average of the reconstruction over `[t0, t1)`.
-    pub fn range_avg(&self, t0: usize, t1: usize) -> Result<f64> {
-        if t1 <= t0 {
-            return Err(SbrError::InconsistentState(format!(
-                "empty range [{t0}, {t1})"
-            )));
-        }
-        Ok(self.range_sum(t0, t1)? / (t1 - t0) as f64)
-    }
-
-    /// Minimum and maximum of the reconstruction over `[t0, t1)`; scans
-    /// only the touched base segments.
-    pub fn range_min_max(&self, t0: usize, t1: usize) -> Result<(f64, f64)> {
-        self.check_range(t0, t1)?;
-        if t1 == t0 {
-            return Err(SbrError::InconsistentState("empty range".into()));
-        }
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for k in self.touching(t0, t1) {
-            let r = &self.records[k];
-            let rs = r.start as usize;
-            let re = self.record_end(k);
-            let (s, e) = (t0.max(rs), t1.min(re));
-            if s >= e {
-                continue;
-            }
-            if r.shift < 0 {
-                // Monotone in i: endpoints suffice.
-                let v0 = r.a * (s - rs) as f64 + r.b;
-                let v1 = r.a * (e - 1 - rs) as f64 + r.b;
-                lo = lo.min(v0.min(v1));
-                hi = hi.max(v0.max(v1));
-            } else {
-                let off = r.shift as usize + (s - rs);
-                for &x in &self.base[off..off + (e - s)] {
-                    let v = r.a * x + r.b;
-                    lo = lo.min(v);
-                    hi = hi.max(v);
-                }
-            }
-        }
-        Ok((lo, hi))
-    }
-
-    fn check_range(&self, t0: usize, t1: usize) -> Result<()> {
-        if t0 > t1 || t1 > self.n_total {
-            return Err(SbrError::InconsistentState(format!(
-                "range [{t0}, {t1}) outside chunk of {} values",
-                self.n_total
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// Stream-level aggregates over a sequence of transmissions: replays
-/// base-signal updates (cheap — no reconstruction) and queries each touched
-/// chunk through a [`ChunkView`]. This is the one implementation behind the
-/// base station's and the CLI's range-aggregate queries.
+/// SUM/AVG/MIN/MAX of one signal over an absolute sample range, as
+/// answered by [`QueryEngine::aggregate`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamAggregate {
+pub struct RangeAggregate {
     /// Sum of the reconstruction over the range.
     pub sum: f64,
     /// Average over the range.
@@ -216,80 +40,6 @@ pub struct StreamAggregate {
     pub max: f64,
     /// Samples covered.
     pub count: usize,
-}
-
-/// SUM/AVG/MIN/MAX of `signal` over the absolute sample range `[t0, t1)`
-/// of a transmission stream. `decoder` must be positioned at or before the
-/// first chunk the range touches; it is advanced past the last touched
-/// chunk (updates only — no reconstruction).
-pub fn aggregate_stream(
-    decoder: &mut crate::decoder::Decoder,
-    transmissions: &[crate::transmission::Transmission],
-    signal: usize,
-    t0: usize,
-    t1: usize,
-) -> Result<StreamAggregate> {
-    if t1 <= t0 {
-        return Err(SbrError::InconsistentState(format!(
-            "empty range [{t0}, {t1})"
-        )));
-    }
-    let m = transmissions
-        .first()
-        .map(|t| t.samples_per_signal as usize)
-        .ok_or_else(|| SbrError::InconsistentState("no transmissions".into()))?;
-    let first_chunk = t0 / m;
-    let last_chunk = t1.div_ceil(m);
-    if last_chunk > transmissions.len() {
-        return Err(SbrError::InconsistentState(format!(
-            "range [{t0}, {t1}) runs past the {} logged samples",
-            transmissions.len() * m
-        )));
-    }
-    if decoder.next_seq() as usize > first_chunk {
-        return Err(SbrError::InconsistentState(format!(
-            "decoder already at chunk {} > first touched chunk {first_chunk}",
-            decoder.next_seq()
-        )));
-    }
-    while (decoder.next_seq() as usize) < first_chunk {
-        decoder.apply_updates_only(&transmissions[decoder.next_seq() as usize])?;
-    }
-    let mut sum = 0.0f64;
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    let mut count = 0usize;
-    for (c, tx) in transmissions
-        .iter()
-        .enumerate()
-        .take(last_chunk)
-        .skip(first_chunk)
-    {
-        if signal >= tx.n_signals as usize {
-            return Err(SbrError::InconsistentState(format!(
-                "stream has no signal {signal}"
-            )));
-        }
-        let x_new = decoder.peek_x_new(tx)?;
-        let view = ChunkView::new(&tx.intervals, &x_new, tx.batch_len())?;
-        let chunk_t0 = c * m;
-        let lo = t0.max(chunk_t0) - chunk_t0;
-        let hi = t1.min(chunk_t0 + m) - chunk_t0;
-        let (s, e) = (signal * m + lo, signal * m + hi);
-        sum += view.range_sum(s, e)?;
-        let (vmin, vmax) = view.range_min_max(s, e)?;
-        min = min.min(vmin);
-        max = max.max(vmax);
-        count += e - s;
-        decoder.apply_updates_only(tx)?;
-    }
-    Ok(StreamAggregate {
-        sum,
-        avg: sum / count as f64,
-        min,
-        max,
-        count,
-    })
 }
 
 /// The TAG aggregate set served by the compressed-domain engine.
@@ -345,8 +95,7 @@ struct SegMoments {
 ///   per-record sums, so a range sum costs O(1) beyond the two boundary
 ///   records.
 ///
-/// All offsets are flat chunk indices (`signal · m + local`), matching
-/// [`ChunkView`].
+/// All offsets are flat chunk indices (`signal · m + local`).
 #[derive(Clone, Debug)]
 pub struct ChunkSummary {
     records: Vec<IntervalRecord>,
@@ -373,6 +122,9 @@ impl ChunkSummary {
         m: usize,
     ) -> Result<Self> {
         let n_total = n_signals * m;
+        if n_total == 0 {
+            return Err(SbrError::Corrupt("empty batch shape".into()));
+        }
         let mut records = records.to_vec();
         records.sort_by_key(|r| r.start);
         match records.first() {
@@ -382,7 +134,7 @@ impl ChunkSummary {
                     first.start
                 )));
             }
-            None if n_total != 0 => {
+            None => {
                 return Err(SbrError::Corrupt(format!(
                     "no records cover the {n_total}-value chunk"
                 )));
@@ -653,16 +405,19 @@ const PLAN_CACHE_CAP: usize = 4096;
 /// covered interval contributes via precomputed moments, and only intervals
 /// a range splits mid-way have their covered window evaluated directly.
 ///
-/// Chunks are appended with [`push_chunk`](Self::push_chunk) (a `None` slot
-/// marks a chunk with no summary — queries touching it report the gap so
-/// callers can fall back to a decode path). Appending never invalidates
-/// cached plans: summaries are immutable and past ranges are unaffected.
+/// Chunks are appended with [`push_chunk`](Self::push_chunk), which
+/// rejects a summary whose shape disagrees with the index.
+/// [`push_placeholder`](Self::push_placeholder) reserves the slot of a
+/// chunk whose summary is not built yet (the cold prefix of a lazily
+/// loaded log); queries touching one fail until the owner rebuilds the
+/// engine. Appending never invalidates cached plans: summaries are
+/// immutable and past ranges are unaffected.
 #[derive(Debug, Default)]
 pub struct QueryEngine {
     chunks: Vec<Option<ChunkSummary>>,
     n_signals: usize,
     m: usize,
-    plans: HashMap<PlanKey, StreamAggregate>,
+    plans: HashMap<PlanKey, RangeAggregate>,
     obs: QueryObs,
 }
 
@@ -686,36 +441,40 @@ impl QueryEngine {
         for tx in txs {
             let x_new = decoder.peek_x_new(tx)?;
             decoder.apply_updates_only(tx)?;
-            engine.push_chunk(Some(ChunkSummary::from_transmission(tx, x_new)?));
+            engine.push_chunk(ChunkSummary::from_transmission(tx, x_new)?)?;
         }
         Ok(engine)
     }
 
-    /// Append the next chunk's summary (or `None` for a gap). A summary
-    /// whose shape disagrees with the engine's is stored as a gap rather
-    /// than corrupting the index.
-    pub fn push_chunk(&mut self, summary: Option<ChunkSummary>) {
-        if let Some(s) = &summary {
-            if self.m == 0 && self.n_signals == 0 {
-                self.m = s.samples_per_signal();
-                self.n_signals = s.n_signals();
-            } else if s.samples_per_signal() != self.m || s.n_signals() != self.n_signals {
-                self.chunks.push(None);
-                return;
-            }
+    /// Ok when `summary` can be appended: its `n_signals × m` shape must
+    /// match the summaries already indexed (the first one sets it).
+    pub fn check_shape(&self, summary: &ChunkSummary) -> Result<()> {
+        let shape = (summary.n_signals(), summary.samples_per_signal());
+        if self.m == 0 || shape == (self.n_signals, self.m) {
+            return Ok(());
         }
-        self.chunks.push(summary);
+        Err(SbrError::InconsistentState(format!(
+            "chunk shape {}×{} differs from the indexed {}×{}",
+            shape.0, shape.1, self.n_signals, self.m
+        )))
     }
 
-    /// Drop every chunk and cached plan (e.g. before a from-scratch rebuild).
-    pub fn clear(&mut self) {
-        self.chunks.clear();
-        self.plans.clear();
-        self.m = 0;
-        self.n_signals = 0;
+    /// Append the next chunk's summary. On a shape mismatch (see
+    /// [`check_shape`](Self::check_shape)) the engine is left unchanged.
+    pub fn push_chunk(&mut self, summary: ChunkSummary) -> Result<()> {
+        self.check_shape(&summary)?;
+        self.n_signals = summary.n_signals();
+        self.m = summary.samples_per_signal();
+        self.chunks.push(Some(summary));
+        Ok(())
     }
 
-    /// Chunks indexed (including gaps).
+    /// Append a placeholder for a chunk whose summary is not built yet.
+    pub fn push_placeholder(&mut self) {
+        self.chunks.push(None);
+    }
+
+    /// Chunks indexed (including placeholders).
     pub fn len(&self) -> usize {
         self.chunks.len()
     }
@@ -745,15 +504,6 @@ impl QueryEngine {
         self.plans.len()
     }
 
-    /// True when `[t0, t1)` of `signal` is answerable entirely in the
-    /// compressed domain — in bounds and no gap chunks touched.
-    pub fn covers(&self, signal: usize, t0: usize, t1: usize) -> bool {
-        if self.m == 0 || signal >= self.n_signals || t1 <= t0 || t1 > self.total_samples() {
-            return false;
-        }
-        (t0 / self.m..t1.div_ceil(self.m)).all(|c| self.chunks[c].is_some())
-    }
-
     fn check(&self, signal: usize, t0: usize, t1: usize) -> Result<()> {
         if self.chunks.is_empty() || self.m == 0 {
             return Err(SbrError::InconsistentState("no transmissions".into()));
@@ -779,7 +529,7 @@ impl QueryEngine {
 
     /// Resolve (or fetch from the plan cache) the aggregate over
     /// `[t0, t1)` of `signal`. Errors are never cached.
-    fn plan(&mut self, signal: usize, t0: usize, t1: usize, op: PlanOp) -> Result<StreamAggregate> {
+    fn plan(&mut self, signal: usize, t0: usize, t1: usize, op: PlanOp) -> Result<RangeAggregate> {
         let key = PlanKey { signal, t0, t1, op };
         if let Some(v) = self.plans.get(&key) {
             self.obs.plan_hits.inc();
@@ -792,7 +542,7 @@ impl QueryEngine {
         let mut max = f64::NEG_INFINITY;
         for c in t0 / self.m..t1.div_ceil(self.m) {
             let summary = self.chunks[c].as_ref().ok_or_else(|| {
-                SbrError::InconsistentState(format!("chunk {c} has no compressed-domain summary"))
+                SbrError::InconsistentState(format!("chunk {c} has no summary yet (cold)"))
             })?;
             let chunk_t0 = c * self.m;
             let lo = t0.max(chunk_t0) - chunk_t0;
@@ -814,7 +564,7 @@ impl QueryEngine {
             }
         }
         let count = t1 - t0;
-        let agg = StreamAggregate {
+        let agg = RangeAggregate {
             sum,
             avg: sum / count as f64,
             min,
@@ -853,9 +603,8 @@ impl QueryEngine {
         Ok(out)
     }
 
-    /// All four TAG aggregates of `signal` over `[t0, t1)` at once —
-    /// drop-in for [`aggregate_stream`] without the replay.
-    pub fn aggregate(&mut self, signal: usize, t0: usize, t1: usize) -> Result<StreamAggregate> {
+    /// All four TAG aggregates of `signal` over `[t0, t1)` at once.
+    pub fn aggregate(&mut self, signal: usize, t0: usize, t1: usize) -> Result<RangeAggregate> {
         // lint:allow(determinism): obs-gated latency probe — timing never feeds query results
         let start = self.obs.enabled().then(std::time::Instant::now);
         let agg = self.plan(signal, t0, t1, PlanOp::Full)?;
@@ -873,8 +622,8 @@ mod tests {
     use crate::get_intervals::reconstruct_flat;
     use crate::sbr::SbrEncoder;
 
-    /// Build a view from a real transmission.
-    fn view_and_truth() -> (Vec<IntervalRecord>, Vec<f64>, Vec<f64>) {
+    /// One real transmission: its records, X_new and reconstruction.
+    fn chunk_and_truth() -> (Vec<IntervalRecord>, Vec<f64>, Vec<f64>) {
         let rows: Vec<Vec<f64>> = (0..2)
             .map(|r| {
                 (0..128)
@@ -895,54 +644,25 @@ mod tests {
     }
 
     #[test]
-    fn sum_matches_reconstruction_on_many_ranges() {
-        let (records, base, rec) = view_and_truth();
-        let v = ChunkView::new(&records, &base, 256).unwrap();
-        for (t0, t1) in [(0, 256), (0, 1), (5, 97), (100, 200), (250, 256), (13, 14)] {
-            let direct: f64 = rec[t0..t1].iter().sum();
-            let fast = v.range_sum(t0, t1).unwrap();
-            assert!(
-                (direct - fast).abs() <= 1e-9 * (1.0 + direct.abs()),
-                "[{t0},{t1}): {fast} vs {direct}"
-            );
-        }
+    fn summary_rejects_empty_and_out_of_bounds_ranges() {
+        let (records, base, _) = chunk_and_truth();
+        let s = ChunkSummary::new(&records, base, 2, 128).unwrap();
+        assert!(s.range_moments(5, 5).is_err());
+        assert!(s.range_sum(10, 5).is_err());
+        assert!(s.range_sum(0, 300).is_err());
+        assert!(s.range_moments(250, 257).is_err());
+        assert_eq!(s.range_sum(7, 7).unwrap().0, 0.0);
     }
 
     #[test]
-    fn avg_and_min_max_match_reconstruction() {
-        let (records, base, rec) = view_and_truth();
-        let v = ChunkView::new(&records, &base, 256).unwrap();
-        for (t0, t1) in [(0, 256), (17, 140), (200, 256)] {
-            let slice = &rec[t0..t1];
-            let avg = slice.iter().sum::<f64>() / slice.len() as f64;
-            assert!((v.range_avg(t0, t1).unwrap() - avg).abs() < 1e-9 * (1.0 + avg.abs()));
-            let lo = slice.iter().copied().fold(f64::INFINITY, f64::min);
-            let hi = slice.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let (qlo, qhi) = v.range_min_max(t0, t1).unwrap();
-            assert!((qlo - lo).abs() < 1e-9 * (1.0 + lo.abs()));
-            assert!((qhi - hi).abs() < 1e-9 * (1.0 + hi.abs()));
-        }
-    }
-
-    #[test]
-    fn empty_and_out_of_bounds_ranges_rejected() {
-        let (records, base, _) = view_and_truth();
-        let v = ChunkView::new(&records, &base, 256).unwrap();
-        assert!(v.range_avg(5, 5).is_err());
-        assert!(v.range_sum(10, 5).is_err());
-        assert!(v.range_sum(0, 300).is_err());
-        assert_eq!(v.range_sum(7, 7).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn corrupt_records_rejected_at_construction() {
-        let records = [IntervalRecord {
+    fn summary_rejects_corrupt_records_at_construction() {
+        let past_base = [IntervalRecord {
             start: 0,
             shift: 100,
             a: 1.0,
             b: 0.0,
         }];
-        assert!(ChunkView::new(&records, &[0.0; 4], 8).is_err());
+        assert!(ChunkSummary::new(&past_base, vec![0.0; 4], 1, 8).is_err());
         let overlapping = [
             IntervalRecord {
                 start: 4,
@@ -957,61 +677,14 @@ mod tests {
                 b: 1.0,
             },
         ];
-        assert!(ChunkView::new(&overlapping, &[], 8).is_err());
+        assert!(ChunkSummary::new(&overlapping, Vec::new(), 1, 8).is_err());
+        let err = ChunkSummary::new(&[], Vec::new(), 2, 4).unwrap_err();
+        assert!(err.to_string().contains("no records cover"), "{err}");
+        assert!(ChunkSummary::new(&[], Vec::new(), 0, 4).is_err());
     }
 
     #[test]
-    fn stream_aggregate_matches_decoded_stream() {
-        use crate::decoder::Decoder;
-        let mut enc = SbrEncoder::new(2, 64, SbrConfig::new(60, 48)).unwrap();
-        let mut txs = Vec::new();
-        let mut truth: Vec<Vec<f64>> = vec![Vec::new(); 2];
-        for t in 0..4 {
-            let rows: Vec<Vec<f64>> = (0..2)
-                .map(|r| {
-                    (0..64)
-                        .map(|i| ((i + t * 17 + r * 5) as f64 * 0.3).sin() * 4.0)
-                        .collect()
-                })
-                .collect();
-            txs.push(enc.encode(&rows).unwrap());
-        }
-        let mut dec = Decoder::new();
-        for tx in &txs {
-            let rec = dec.decode(tx).unwrap();
-            for (col, r) in truth.iter_mut().zip(&rec) {
-                col.extend_from_slice(r);
-            }
-        }
-        for (t0, t1) in [(0usize, 256usize), (30, 200), (64, 128), (255, 256)] {
-            let mut d = Decoder::new();
-            let agg = aggregate_stream(&mut d, &txs, 1, t0, t1).unwrap();
-            let slice = &truth[1][t0..t1];
-            let sum: f64 = slice.iter().sum();
-            assert!(
-                (agg.sum - sum).abs() < 1e-9 * (1.0 + sum.abs()),
-                "[{t0},{t1})"
-            );
-            assert_eq!(agg.count, t1 - t0);
-        }
-    }
-
-    #[test]
-    fn stream_aggregate_rejects_positioned_past_range() {
-        use crate::decoder::Decoder;
-        let mut enc = SbrEncoder::new(1, 32, SbrConfig::new(20, 16)).unwrap();
-        let rows = vec![(0..32).map(|i| i as f64).collect::<Vec<f64>>()];
-        let t0 = enc.encode(&rows).unwrap();
-        let t1 = enc.encode(&rows).unwrap();
-        let txs = vec![t0, t1];
-        let mut d = Decoder::new();
-        d.apply_updates_only(&txs[0]).unwrap();
-        d.apply_updates_only(&txs[1]).unwrap();
-        assert!(aggregate_stream(&mut d, &txs, 0, 0, 10).is_err());
-    }
-
-    #[test]
-    fn fallback_only_view_works_without_base() {
+    fn fallback_only_summary_works_without_base() {
         let records = [
             IntervalRecord {
                 start: 0,
@@ -1026,17 +699,17 @@ mod tests {
                 b: 10.0,
             },
         ];
-        let v = ChunkView::new(&records, &[], 8).unwrap();
+        let s = ChunkSummary::new(&records, Vec::new(), 1, 8).unwrap();
         // First record: 1, 3, 5, 7; second: 10 × 4.
-        assert_eq!(v.range_sum(0, 8).unwrap(), 16.0 + 40.0);
-        assert_eq!(v.range_sum(2, 6).unwrap(), 5.0 + 7.0 + 20.0);
-        let (lo, hi) = v.range_min_max(0, 8).unwrap();
-        assert_eq!((lo, hi), (1.0, 10.0));
+        assert_eq!(s.range_sum(0, 8).unwrap().0, 16.0 + 40.0);
+        assert_eq!(s.range_sum(2, 6).unwrap().0, 5.0 + 7.0 + 20.0);
+        assert_eq!(s.range_min_max(0, 8).unwrap().0, (1.0, 10.0));
+        assert_eq!(s.range_min_max(1, 3).unwrap().0, (3.0, 5.0));
     }
 
     #[test]
     fn summary_matches_reconstruction_and_pins_min_max_bits() {
-        let (records, base, rec) = view_and_truth();
+        let (records, base, rec) = chunk_and_truth();
         let s = ChunkSummary::new(&records, base, 2, 128).unwrap();
         for (t0, t1) in [(0, 256), (0, 1), (5, 97), (100, 200), (250, 256), (13, 14)] {
             let slice = &rec[t0..t1];
@@ -1127,8 +800,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_matches_aggregate_stream_and_decode() {
-        use crate::decoder::Decoder;
+    fn engine_matches_decode() {
         let (txs, truth) = stream_fixture();
         let mut engine = QueryEngine::from_transmissions(&txs).unwrap();
         assert_eq!(engine.len(), 4);
@@ -1142,8 +814,6 @@ mod tests {
                 (1, 255),
             ] {
                 let agg = engine.aggregate(signal, t0, t1).unwrap();
-                let mut d = Decoder::new();
-                let replay = aggregate_stream(&mut d, &txs, signal, t0, t1).unwrap();
                 let slice = &series[t0..t1];
                 let sum: f64 = slice.iter().sum();
                 assert!(
@@ -1155,8 +825,6 @@ mod tests {
                 assert_eq!(agg.min.to_bits(), lo.to_bits(), "min s{signal} [{t0},{t1})");
                 assert_eq!(agg.max.to_bits(), hi.to_bits(), "max s{signal} [{t0},{t1})");
                 assert_eq!(agg.count, t1 - t0);
-                assert_eq!(agg.min.to_bits(), replay.min.to_bits());
-                assert_eq!(agg.max.to_bits(), replay.max.to_bits());
                 // Per-aggregate queries agree with the full plan.
                 assert_eq!(
                     engine.query(signal, t0, t1, Aggregate::Min).unwrap(),
@@ -1221,7 +889,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_gap_chunks_error_and_covers_reports_them() {
+    fn engine_placeholders_error_until_rebuilt() {
         use crate::decoder::Decoder;
         let (txs, _) = stream_fixture();
         let mut decoder = Decoder::new();
@@ -1230,18 +898,37 @@ mod tests {
             let x_new = decoder.peek_x_new(tx).unwrap();
             decoder.apply_updates_only(tx).unwrap();
             if c == 2 {
-                engine.push_chunk(None);
+                engine.push_placeholder();
             } else {
-                engine.push_chunk(Some(ChunkSummary::from_transmission(tx, x_new).unwrap()));
+                let summary = ChunkSummary::from_transmission(tx, x_new).unwrap();
+                engine.push_chunk(summary).unwrap();
             }
         }
-        assert!(engine.covers(0, 0, 128));
-        assert!(!engine.covers(0, 0, 256));
-        assert!(!engine.covers(0, 130, 140));
-        assert!(engine.covers(1, 192, 256));
+        assert_eq!(engine.len(), 4);
         assert!(engine.aggregate(0, 0, 128).is_ok());
-        let err = engine.aggregate(0, 0, 256).unwrap_err().to_string();
-        assert!(err.contains("no compressed-domain summary"), "{err}");
+        assert!(engine.aggregate(1, 192, 256).is_ok());
+        for (t0, t1) in [(0, 256), (130, 140)] {
+            let err = engine.aggregate(0, t0, t1).unwrap_err().to_string();
+            assert!(err.contains("chunk 2 has no summary yet"), "{err}");
+        }
+    }
+
+    #[test]
+    fn engine_rejects_a_chunk_of_another_shape() {
+        let (txs, _) = stream_fixture();
+        let mut engine = QueryEngine::from_transmissions(&txs).unwrap();
+        let line = IntervalRecord {
+            start: 0,
+            shift: -1,
+            a: 1.0,
+            b: 0.0,
+        };
+        let odd = ChunkSummary::new(&[line], Vec::new(), 4, 32).unwrap();
+        let err = engine.check_shape(&odd).unwrap_err().to_string();
+        assert!(err.contains("4×32 differs from the indexed 2×64"), "{err}");
+        assert!(engine.push_chunk(odd).is_err());
+        assert_eq!(engine.len(), 4);
+        assert!(engine.aggregate(0, 0, 256).is_ok());
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! compressed chunks (and, interleaved, the base-signal updates), plus
 //! historical reconstruction queries over any past range.
 //!
-//! Frames are validated eagerly (sequence order, CRC, parseability) but
-//! decoded lazily: a query replays the sensor's stream from the start, which
-//! is exactly what the paper's log-file design implies. Interior mutability
+//! Frames are validated eagerly (sequence order, CRC, parseability, and a
+//! compressed-domain summary for the chunk index) but never decoded at
+//! ingest: range aggregates are answered from the index, and
+//! reconstruction replays from the nearest checkpoint. Interior mutability
 //! is behind [`parking_lot::Mutex`] so one station can be shared by
 //! concurrent receiver threads.
 //!
@@ -21,7 +22,7 @@ use std::path::PathBuf;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use sbr_core::base_signal::BaseSignal;
-use sbr_core::query::aggregate_stream;
+pub use sbr_core::RangeAggregate;
 use sbr_core::{
     codec, ChunkSummary, Decoder, Frame, FrameKind, QueryEngine, QueryObs, SbrError, Transmission,
 };
@@ -86,7 +87,10 @@ impl Checkpoint {
 /// index the chunk in `engine`, and push a `checkpoints` rung when the log
 /// length after this frame lands on `interval`. Ingest and hydration both
 /// go through here, so a replayed log rebuilds the exact index and ladder
-/// a never-restarted station holds. On error nothing has changed.
+/// a never-restarted station holds. A frame the index cannot summarize
+/// (no interval records, records that do not cover the chunk, or a shape
+/// other than the indexed chunks') is rejected with a typed error. On
+/// error nothing has changed.
 fn index_frame(
     tracker: &mut Decoder,
     engine: &mut QueryEngine,
@@ -101,17 +105,19 @@ fn index_frame(
     // either way the summary is self-contained, so epoch bumps never
     // invalidate earlier chunks.
     let x_new = match parsed.kind {
-        FrameKind::Data => tracker.peek_x_new(&parsed.tx).ok(),
+        FrameKind::Data => tracker.peek_x_new(&parsed.tx)?,
         FrameKind::Resync => {
             let mut x = parsed.snapshot.clone();
             for u in &parsed.tx.base_updates {
                 x.extend_from_slice(&u.values);
             }
-            Some(x)
+            x
         }
     };
+    let summary = ChunkSummary::from_transmission(&parsed.tx, x_new)?;
+    engine.check_shape(&summary)?;
     tracker.apply_frame_updates_only(parsed)?;
-    engine.push_chunk(x_new.and_then(|x| ChunkSummary::from_transmission(&parsed.tx, x).ok()));
+    engine.push_chunk(summary)?;
     let chunk = engine.len() as u64;
     if chunk.is_multiple_of(interval) {
         let (base, next_seq) = tracker.snapshot();
@@ -140,8 +146,8 @@ struct SensorLog {
     tracker: Decoder,
     checkpoints: Vec<Checkpoint>,
     /// Compressed-domain chunk index: one [`ChunkSummary`] per logged frame
-    /// (aligned with `frames`; `None` marks a chunk whose summary could not
-    /// be built — queries touching it fall back to the decode path).
+    /// (aligned with `frames`; the first `cold` slots are placeholders
+    /// until [`BaseStation::hydrate_node`] rebuilds it).
     engine: QueryEngine,
     /// Durable segment writer (persistent stations only). Owned by the
     /// log so appends happen in arrival order under the same lock that
@@ -182,22 +188,6 @@ pub enum Receipt {
     /// chunks lost in the gap are gone for good, everything from here on
     /// is exact again.
     Resynced,
-}
-
-/// Aggregates of one reconstructed range, computed directly on the
-/// compressed representation (see [`sbr_core::query`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RangeAggregate {
-    /// Sum of the reconstruction.
-    pub sum: f64,
-    /// Average of the reconstruction.
-    pub avg: f64,
-    /// Minimum of the reconstruction.
-    pub min: f64,
-    /// Maximum of the reconstruction.
-    pub max: f64,
-    /// Samples covered.
-    pub count: usize,
 }
 
 /// The base station: per-sensor logs + reconstruction.
@@ -330,7 +320,7 @@ impl BaseStation {
                 log.cold = cold;
                 log.frames = vec![Bytes::new(); cold];
                 for _ in 0..cold {
-                    log.engine.push_chunk(None);
+                    log.engine.push_placeholder();
                 }
                 log.tracker = Decoder::resume_v2(
                     ck.state.base.clone(),
@@ -601,15 +591,29 @@ impl BaseStation {
         Ok(self.frames(node)?.into_iter().map(|f| f.tx).collect())
     }
 
+    /// Hydrate `node` when it has cold history and `reaches_cold` says the
+    /// request touches it — an O(1) test against the cold watermark.
+    fn hydrate_if(
+        &self,
+        node: NodeId,
+        reaches_cold: impl FnOnce(&SensorLog) -> bool,
+    ) -> Result<(), SbrError> {
+        let needs_history = self
+            .logs
+            .lock()
+            .get(&node)
+            .is_some_and(|log| log.cold > 0 && reaches_cold(log));
+        if needs_history {
+            self.hydrate_node(node)?;
+        }
+        Ok(())
+    }
+
     /// Resume a decoder from the latest checkpoint at or before `chunk`
     /// (a log position). Returns the decoder plus the log position it
     /// resumes at.
     fn decoder_at(&self, node: NodeId, chunk: usize) -> Result<(Decoder, usize), SbrError> {
-        // A request below the cold watermark needs the on-disk history.
-        let needs_history = self.logs.lock().get(&node).is_some_and(|l| chunk < l.cold);
-        if needs_history {
-            self.hydrate_node(node)?;
-        }
+        self.hydrate_if(node, |log| chunk < log.cold)?;
         let logs = self.logs.lock();
         let log = logs
             .get(&node)
@@ -662,13 +666,12 @@ impl BaseStation {
     }
 
     /// SUM/AVG/MIN/MAX of `signal` of `node` over the absolute sample
-    /// range `[t0, t1)`. Served from the compressed-domain chunk index
-    /// maintained at ingest (see [`sbr_core::QueryEngine`]) whenever it
-    /// covers the range — O(#intervals touched), no frame replay, cached
-    /// plans for repeated queries, and valid across resyncs because every
-    /// chunk summary is epoch-self-contained. Ranges touching a chunk the
-    /// index could not summarize fall back to
-    /// [`BaseStation::aggregate_range_decode`].
+    /// range `[t0, t1)`, answered from the compressed-domain chunk index
+    /// maintained at ingest (see [`sbr_core::QueryEngine`]): O(#intervals
+    /// touched), no frame replay, cached plans for repeated queries, and
+    /// valid across resyncs because every chunk summary is
+    /// epoch-self-contained. A range reaching into the cold history of a
+    /// lazily loaded station hydrates it first.
     pub fn aggregate_range(
         &self,
         node: NodeId,
@@ -676,28 +679,21 @@ impl BaseStation {
         t0: usize,
         t1: usize,
     ) -> Result<RangeAggregate, SbrError> {
-        {
-            let mut logs = self.logs.lock();
-            if let Some(log) = logs.get_mut(&node) {
-                if log.engine.covers(signal, t0, t1) {
-                    let agg = log.engine.aggregate(signal, t0, t1)?;
-                    return Ok(RangeAggregate {
-                        sum: agg.sum,
-                        avg: agg.avg,
-                        min: agg.min,
-                        max: agg.max,
-                        count: agg.count,
-                    });
-                }
-            }
-        }
-        self.aggregate_range_decode(node, signal, t0, t1)
+        self.hydrate_if(node, |log| {
+            // No indexed chunk yet (m unknown): everything logged is cold.
+            t0.checked_div(log.engine.samples_per_signal())
+                .is_none_or(|chunk| chunk < log.cold)
+        })?;
+        let mut logs = self.logs.lock();
+        let log = logs
+            .get_mut(&node)
+            .ok_or_else(|| SbrError::InconsistentState(format!("unknown sensor {node}")))?;
+        log.engine.aggregate(signal, t0, t1)
     }
 
-    /// The full-decode baseline behind [`BaseStation::aggregate_range`]:
-    /// answers the same query without the chunk index, either streaming
-    /// over the logged interval records (resync-free logs) or
-    /// reconstructing the covered chunks. Kept public for A/B comparison.
+    /// The decode-then-scan oracle for [`BaseStation::aggregate_range`]:
+    /// reconstructs the covered chunks (replaying from the nearest
+    /// checkpoint) and folds the range. Kept public for cross-checks.
     pub fn aggregate_range_decode(
         &self,
         node: NodeId,
@@ -709,30 +705,6 @@ impl BaseStation {
             return Err(SbrError::InconsistentState(format!(
                 "empty range [{t0}, {t1})"
             )));
-        }
-        let frames = self.frames(node)?;
-        let m = frames
-            .first()
-            .map(|f| f.tx.samples_per_signal as usize)
-            .filter(|&m| m > 0)
-            .ok_or_else(|| SbrError::InconsistentState(format!("sensor {node} has no chunks")))?;
-        let plain = frames
-            .iter()
-            .all(|f| f.kind == FrameKind::Data && f.epoch == 0);
-        if plain {
-            // Sequence numbers equal log positions on a resync-free log,
-            // which is exactly what the streaming aggregator indexes by.
-            let txs: Vec<Transmission> = frames.into_iter().map(|f| f.tx).collect();
-            // lint:allow(panic-reachability): m is checked positive above
-            let (mut decoder, _) = self.decoder_at(node, t0 / m)?;
-            let agg = aggregate_stream(&mut decoder, &txs, signal, t0, t1)?;
-            return Ok(RangeAggregate {
-                sum: agg.sum,
-                avg: agg.avg,
-                min: agg.min,
-                max: agg.max,
-                count: agg.count,
-            });
         }
         let values = self.reconstruct_signal_range(node, signal, t0, t1)?;
         if values.len() != t1 - t0 {
@@ -1021,32 +993,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_range_falls_back_on_resynced_logs() {
-        let (fs, _) = v2_stream(6, 2);
-        let bs = BaseStation::new();
-        for f in &fs {
-            bs.receive_frame(1, f.clone()).unwrap();
-        }
-        assert!(bs.epoch(1) > 0, "log must contain a resync");
-        // Reconstruction is the ground truth for the fallback.
-        let all = bs.reconstruct_chunks(1, 0, 6).unwrap();
-        let mut truth = Vec::new();
-        for chunk in &all {
-            truth.extend(&chunk[0]);
-        }
-        for (t0, t1) in [(0usize, 384usize), (100, 300), (130, 140)] {
-            let agg = bs.aggregate_range(1, 0, t0, t1).unwrap();
-            let slice = &truth[t0..t1];
-            let sum: f64 = slice.iter().sum();
-            assert_eq!(agg.count, t1 - t0);
-            assert!(
-                (agg.sum - sum).abs() < 1e-9 * (1.0 + sum.abs()),
-                "[{t0},{t1})"
-            );
-        }
-    }
-
-    #[test]
     fn aggregate_range_rejects_bad_inputs() {
         let bs = BaseStation::new();
         for f in frames(2) {
@@ -1226,7 +1172,6 @@ mod tests {
             let mut logs = bs.logs.lock();
             let log = logs.get_mut(&3).unwrap();
             assert_eq!(log.engine.len(), 4);
-            assert!(log.engine.covers(1, 0, 256));
             assert_eq!(log.engine.plan_cache_len(), 0);
         }
         for (t0, t1) in [(0usize, 256usize), (10, 60), (60, 200), (255, 256)] {
@@ -1246,17 +1191,14 @@ mod tests {
     fn compressed_index_spans_resyncs() {
         // Chunk summaries are epoch-self-contained (a resync chunk anchors
         // on its own snapshot), so the index keeps serving across epoch
-        // bumps — no fallback needed.
+        // bumps.
         let (fs, _) = v2_stream(6, 2);
         let bs = BaseStation::new();
         for f in &fs {
             bs.receive_frame(1, f.clone()).unwrap();
         }
         assert!(bs.epoch(1) > 0, "log must contain a resync");
-        {
-            let mut logs = bs.logs.lock();
-            assert!(logs.get_mut(&1).unwrap().engine.covers(0, 0, 384));
-        }
+        assert_eq!(bs.logs.lock()[&1].engine.len(), 6);
         let all = bs.reconstruct_chunks(1, 0, 6).unwrap();
         let mut truth = Vec::new();
         for chunk in &all {
@@ -1441,13 +1383,88 @@ mod tests {
             let mut logs = bs.logs.lock();
             let log = logs.get_mut(&6).unwrap();
             assert_eq!(log.engine.len(), 4, "recover() must rebuild the index");
-            assert!(log.engine.covers(0, 0, 256));
+            assert_eq!(log.cold, 0);
         }
         let fast = bs.aggregate_range(6, 0, 33, 222).unwrap();
         let slow = bs.aggregate_range_decode(6, 0, 33, 222).unwrap();
         assert!((fast.sum - slow.sum).abs() < 1e-9 * (1.0 + slow.sum.abs()));
         assert_eq!(fast.min.to_bits(), slow.min.to_bits());
         assert_eq!(fast.max.to_bits(), slow.max.to_bits());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn ingest_rejects_frames_the_index_cannot_summarize() {
+        let fs = frames(3);
+        let mut next = codec::decode(&mut fs[2].clone()).unwrap();
+        let mut no_intervals = next.clone();
+        no_intervals.intervals.clear();
+        // Same 128 values, same W, relabelled 4 signals × 32.
+        next.n_signals = 4;
+        next.samples_per_signal = 32;
+        let bad = [
+            codec::encode(&no_intervals),
+            codec::encode_v2(&Frame::data(0, no_intervals.clone())),
+            codec::encode(&next),
+        ];
+        let bs = BaseStation::new();
+        accept(&bs, 1, fs[0].clone());
+        accept(&bs, 1, fs[1].clone());
+        let before = (bs.chunk_count(1), bs.next_seq(1), bs.log_bytes(1));
+        for frame in bad {
+            assert!(bs.receive_frame(1, frame).is_err());
+            assert_eq!(
+                (bs.chunk_count(1), bs.next_seq(1), bs.log_bytes(1)),
+                before,
+                "a rejected frame must leave the log untouched"
+            );
+        }
+        // The stream continues with the genuine frame, fully queryable.
+        accept(&bs, 1, fs[2].clone());
+        assert_eq!(bs.aggregate_range(1, 0, 0, 192).unwrap().count, 192);
+    }
+
+    #[test]
+    fn aggregate_range_hydrates_cold_history() {
+        let dir = std::env::temp_dir().join(format!("sbr-bs-coldq-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let fs = frames(6);
+        {
+            // Every frame seals a segment + checkpoint: a reload is all cold.
+            let bs = BaseStation::with_persistence(&dir).with_segment_size(1);
+            for f in &fs[..4] {
+                accept(&bs, 6, f.clone());
+            }
+        }
+        let fresh = BaseStation::new();
+        for f in &fs {
+            accept(&fresh, 6, f.clone());
+        }
+        {
+            // All-cold log: the engine has no summary to learn `m` from yet.
+            let bs = BaseStation::load(&dir).unwrap();
+            assert_eq!(bs.cold_chunks(6), 4);
+            let want = fresh.aggregate_range(6, 1, 10, 200).unwrap();
+            assert_eq!(bs.aggregate_range(6, 1, 10, 200).unwrap(), want);
+            assert_eq!(bs.cold_chunks(6), 0, "the query hydrated");
+        }
+        // Warm tail after a cold prefix: only a range reaching into the
+        // prefix hydrates.
+        let bs = BaseStation::load(&dir).unwrap();
+        accept(&bs, 6, fs[4].clone());
+        accept(&bs, 6, fs[5].clone());
+        let tail = bs.aggregate_range(6, 0, 4 * 64 + 3, 6 * 64).unwrap();
+        assert_eq!(
+            tail,
+            fresh.aggregate_range(6, 0, 4 * 64 + 3, 6 * 64).unwrap()
+        );
+        assert_eq!(bs.cold_chunks(6), 4, "a warm range must not hydrate");
+        let span = bs.aggregate_range(6, 0, 3 * 64 - 1, 5 * 64).unwrap();
+        assert_eq!(
+            span,
+            fresh.aggregate_range(6, 0, 3 * 64 - 1, 5 * 64).unwrap()
+        );
+        assert_eq!(bs.cold_chunks(6), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -7,8 +7,7 @@
 //! cargo run --release --example netflow_monitor
 //! ```
 
-use sbr_repro::core::query::aggregate_stream;
-use sbr_repro::core::{Decoder, ErrorMetric, SbrConfig, SbrEncoder};
+use sbr_repro::core::{Decoder, ErrorMetric, QueryEngine, SbrConfig, SbrEncoder};
 
 fn main() {
     let n_links = 8;
@@ -42,9 +41,10 @@ fn main() {
         "\nlink {:?} — compressed-domain queries:",
         data.signal_names[core1]
     );
+    let mut engine = QueryEngine::from_transmissions(&txs).expect("index the log");
     for d in 0..3 {
-        let mut dec = Decoder::new();
-        let agg = aggregate_stream(&mut dec, &txs, core1, d * day, (d + 1) * day)
+        let agg = engine
+            .aggregate(core1, d * day, (d + 1) * day)
             .expect("aggregate query");
         println!(
             "  day {d}: avg {:>8.1} Mbit/s   peak {:>8.1}   floor {:>8.1}",

@@ -51,11 +51,12 @@ echo "==> reference-encoder differential suite (every config byte-identical to t
 # reference encoder in tests/common (direct sweeps, no caches, no threads).
 cargo test -q --offline --test reference_diff
 
-echo "==> query differential suite (compressed-domain engine vs full decode)"
+echo "==> query differential suite (compressed-domain engine vs decode-then-scan oracle)"
 # Guard: the compressed-domain query engine answers from closed-form
-# interval moments — min/max must match the decode-then-scan baseline bit
-# for bit, sums within 1e-9 relative, across metrics, search strategies,
-# thread counts and recovered station indexes.
+# interval moments — min/max must match the decode-then-scan oracle in
+# tests/common (reference_aggregate: Decoder::replay, then fold the slice)
+# bit for bit, sums within 1e-9 relative, across metrics, search
+# strategies, thread counts and recovered station indexes.
 cargo test -q --offline --test query_diff
 
 echo "==> ARQ differential suite (reliable link: Strategy::Sbr log == direct-delivery reference)"

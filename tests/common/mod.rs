@@ -14,7 +14,8 @@
 //!
 //! It also holds [`direct_delivery`], the oracle for the network's ARQ
 //! delivery path: sensors without ARQ whose every flush goes straight to
-//! the station.
+//! the station, and [`reference_aggregate`], the decode-then-scan oracle
+//! for the compressed-domain query engine.
 //! The only shared numeric kernels are the ones that define the fit:
 //! `regression::fit`/`fit_sse_with_stats` over `PrefixStats` window sums
 //! and `xcorr::dot`.
@@ -27,8 +28,8 @@ use sbr_repro::core::get_intervals::{get_intervals_with, Approximation, FitOracl
 use sbr_repro::core::interval::LINEAR_FALLBACK_SHIFT;
 use sbr_repro::core::regression::{self, PrefixStats};
 use sbr_repro::core::{
-    codec, xcorr, BaseSignal, BaseUpdate, EncodeObs, ErrorMetric, Interval, IntervalRecord,
-    MultiSeries, SbrConfig, SbrEncoder, SbrError, Transmission,
+    codec, xcorr, BaseSignal, BaseUpdate, Decoder, EncodeObs, ErrorMetric, Interval,
+    IntervalRecord, MultiSeries, RangeAggregate, SbrConfig, SbrEncoder, SbrError, Transmission,
 };
 use sbr_repro::obs::Snapshot;
 use sbr_repro::sensor_net::{BaseStation, Receipt, SensorNode};
@@ -497,4 +498,29 @@ pub fn direct_delivery(feeds: &[Vec<Vec<f64>>], m: usize, config: SbrConfig) -> 
         }
     }
     station
+}
+
+/// SUM/AVG/MIN/MAX of `signal` over the absolute sample range `[t0, t1)`
+/// of a transmission stream, by decode-then-scan: reconstruct the whole
+/// stream with [`Decoder::replay`], then fold the slice left to right.
+pub fn reference_aggregate(
+    txs: &[Transmission],
+    signal: usize,
+    t0: usize,
+    t1: usize,
+) -> RangeAggregate {
+    let decoded = Decoder::replay(txs).expect("replay");
+    let series: Vec<f64> = decoded
+        .iter()
+        .flat_map(|chunk| chunk[signal].iter().copied())
+        .collect();
+    let slice = &series[t0..t1];
+    let sum: f64 = slice.iter().sum();
+    RangeAggregate {
+        sum,
+        avg: sum / slice.len() as f64,
+        min: slice.iter().copied().fold(f64::INFINITY, f64::min),
+        max: slice.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        count: slice.len(),
+    }
 }

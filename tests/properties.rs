@@ -8,10 +8,10 @@ use sbr_repro::baselines::{dct, fourier, histogram, swing, v_optimal, wavelet, w
 use sbr_repro::core::best_map::MapContext;
 use sbr_repro::core::get_intervals::FitOracle as _;
 use sbr_repro::core::interval::IntervalRecord;
-use sbr_repro::core::query::ChunkView;
 use sbr_repro::core::transmission::{BaseUpdate, Transmission};
 use sbr_repro::core::{
-    codec, regression, xcorr, Decoder, ErrorMetric, Interval, MultiSeries, SbrConfig, SbrEncoder,
+    codec, regression, xcorr, ChunkSummary, Decoder, ErrorMetric, Interval, MultiSeries, SbrConfig,
+    SbrEncoder,
 };
 use sbr_repro::core::{quadratic, wire_profile};
 use sbr_repro::datasets::schedule::{align, expand, thin, Fill, ScheduledSignal};
@@ -402,9 +402,10 @@ proptest! {
         }
     }
 
-    /// ChunkView aggregates always agree with reconstruct-then-scan.
+    /// ChunkSummary aggregates always agree with reconstruct-then-scan:
+    /// min/max bit for bit (DESIGN §3c), sums within 1e-9.
     #[test]
-    fn chunk_view_matches_reconstruction(
+    fn chunk_summary_matches_reconstruction(
         rows in prop::collection::vec(
             prop::collection::vec(-1e4f64..1e4, 64),
             1..3
@@ -423,18 +424,18 @@ proptest! {
         let total = 64 * n;
         let rec = sbr_repro::core::get_intervals::reconstruct_flat(&base, &tx.intervals, total)
             .unwrap();
-        let view = ChunkView::new(&tx.intervals, &base, total).unwrap();
+        let summary = ChunkSummary::new(&tx.intervals, base, n, 64).unwrap();
         let t1 = (t0 + span).min(total);
         let t0 = t0.min(t1 - 1);
         let direct: f64 = rec[t0..t1].iter().sum();
-        let fast = view.range_sum(t0, t1).unwrap();
+        let (fast, _) = summary.range_sum(t0, t1).unwrap();
         let scale = rec[t0..t1].iter().map(|v| v.abs()).sum::<f64>().max(1.0);
         prop_assert!((direct - fast).abs() <= 1e-9 * scale, "{fast} vs {direct}");
-        let (lo, hi) = view.range_min_max(t0, t1).unwrap();
+        let ((lo, hi), _) = summary.range_min_max(t0, t1).unwrap();
         let dlo = rec[t0..t1].iter().copied().fold(f64::INFINITY, f64::min);
         let dhi = rec[t0..t1].iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!((lo - dlo).abs() <= 1e-9 * scale);
-        prop_assert!((hi - dhi).abs() <= 1e-9 * scale);
+        prop_assert!(lo.to_bits() == dlo.to_bits(), "min {lo} vs {dlo}");
+        prop_assert!(hi.to_bits() == dhi.to_bits(), "max {hi} vs {dhi}");
     }
 
     /// Arbitrary bytes never panic the codec — they error or (by fluke)

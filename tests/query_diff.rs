@@ -1,5 +1,5 @@
 //! Differential suite: the compressed-domain [`QueryEngine`] vs. the
-//! full-decode [`aggregate_stream`] baseline it replaces.
+//! decode-then-scan oracle [`common::reference_aggregate`].
 //!
 //! Min/max must agree **bit for bit** on every range — the moment
 //! builders evaluate the decoder's exact floating-point expressions, so
@@ -10,10 +10,10 @@
 //! and exhaustive), the fall-back switch, worker thread counts, a frozen
 //! base, and a persisted-then-recovered base-station index.
 
-use sbr_repro::core::query::aggregate_stream;
-use sbr_repro::core::{
-    codec, Aggregate, Decoder, QueryEngine, SbrConfig, SbrEncoder, Transmission,
-};
+mod common;
+
+use common::reference_aggregate;
+use sbr_repro::core::{codec, Aggregate, QueryEngine, SbrConfig, SbrEncoder, Transmission};
 use sbr_repro::sensor_net::{BaseStation, Receipt};
 
 /// `n_signals` drifting signals chunked into `chunks` batches of `m`.
@@ -46,7 +46,7 @@ fn encode_stream(files: &[Vec<Vec<f64>>], config: SbrConfig) -> Vec<Transmission
         .collect()
 }
 
-/// Assert the engine and the streaming baseline agree on `[t0, t1)`:
+/// Assert the engine and the decode-then-scan oracle agree on `[t0, t1)`:
 /// count and min/max exact (bit for bit), sum/avg within 1e-9 relative.
 fn assert_agree(
     engine: &mut QueryEngine,
@@ -56,8 +56,7 @@ fn assert_agree(
     t1: usize,
 ) {
     let fast = engine.aggregate(signal, t0, t1).expect("engine aggregate");
-    let mut decoder = Decoder::new();
-    let slow = aggregate_stream(&mut decoder, txs, signal, t0, t1).expect("decode aggregate");
+    let slow = reference_aggregate(txs, signal, t0, t1);
     assert_eq!(fast.count, slow.count, "count [{t0}, {t1})");
     assert_eq!(
         fast.min.to_bits(),
@@ -191,7 +190,7 @@ fn station_index_agrees_after_recover() {
     }
     // A cold process: the log is re-ingested from disk and the chunk
     // index rebuilt; the fast path must still match both the station's
-    // own decode path and the raw streaming baseline.
+    // own decode path and the decode-then-scan oracle.
     let station = BaseStation::load(&dir).expect("load");
     for &(t0, t1) in &[(0, 4 * m), (m, 3 * m), (5, 2 * m + 9), (2 * m, 2 * m + 1)] {
         let fast = station.aggregate_range(9, 0, t0, t1).expect("fast");
@@ -200,10 +199,11 @@ fn station_index_agrees_after_recover() {
         assert_eq!(fast.min.to_bits(), slow.min.to_bits());
         assert_eq!(fast.max.to_bits(), slow.max.to_bits());
         assert!((fast.sum - slow.sum).abs() <= 1e-9 * slow.sum.abs().max(1.0));
-        let mut decoder = Decoder::new();
-        let raw = aggregate_stream(&mut decoder, &txs, 0, t0, t1).expect("raw");
-        assert_eq!(fast.min.to_bits(), raw.min.to_bits());
-        assert_eq!(fast.max.to_bits(), raw.max.to_bits());
+        let oracle = reference_aggregate(&txs, 0, t0, t1);
+        assert_eq!(fast.count, oracle.count);
+        assert_eq!(fast.min.to_bits(), oracle.min.to_bits());
+        assert_eq!(fast.max.to_bits(), oracle.max.to_bits());
+        assert!((fast.sum - oracle.sum).abs() <= 1e-9 * oracle.sum.abs().max(1.0));
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
