@@ -6,7 +6,9 @@ use std::path::Path;
 use std::sync::Arc;
 
 use sbr_baselines::Compressor;
-use sbr_core::{codec, Decoder, ErrorMetric, MultiSeries, SbrConfig, SbrEncoder};
+use sbr_core::{
+    codec, Decoder, ErrorMetric, Frame, MultiSeries, QueryEngine, SbrConfig, SbrEncoder,
+};
 use sbr_obs::bench::{self, BenchRecord, BENCH_SCHEMA};
 use sbr_obs::json::{self, Value};
 use sbr_obs::{
@@ -251,14 +253,14 @@ fn compress(
 
 fn decompress(input: &str, output: &str) -> Result<String, CliError> {
     let log = recover_stream(Path::new(input)).map_err(|e| e.to_string())?;
-    let Some(first) = log.transmissions.first() else {
+    let Some(first) = log.parsed.first() else {
         return Err(format!("{input}: no complete transmissions").into());
     };
     let mut decoder = Decoder::new();
-    let n_signals = first.n_signals as usize;
+    let n_signals = first.tx.n_signals as usize;
     let mut columns: Vec<Vec<f64>> = vec![Vec::new(); n_signals];
-    for tx in &log.transmissions {
-        let rec = decoder.decode(tx).map_err(|e| e.to_string())?;
+    for frame in &log.parsed {
+        let rec = decoder.decode_frame(frame).map_err(|e| e.to_string())?;
         for (c, r) in columns.iter_mut().zip(&rec) {
             c.extend_from_slice(r);
         }
@@ -276,7 +278,7 @@ fn decompress(input: &str, output: &str) -> Result<String, CliError> {
     };
     Ok(format!(
         "decompressed {} transmissions → {} samples × {} signals → {output}{note}",
-        log.transmissions.len(),
+        log.parsed.len(),
         table.rows(),
         n_signals
     ))
@@ -286,7 +288,7 @@ fn info(input: &str) -> Result<String, CliError> {
     let log = recover_stream(Path::new(input)).map_err(|e| e.to_string())?;
     let mut out = String::new();
     out.push_str("seq   signals  samples    w   base-ins  intervals   cost   ratio\n");
-    for tx in &log.transmissions {
+    for Frame { tx, .. } in &log.parsed {
         out.push_str(&format!(
             "{:>3}   {:>7}  {:>7}  {:>3}   {:>8}  {:>9}  {:>5}  {:>5.1}%\n",
             tx.seq,
@@ -348,18 +350,16 @@ fn aggregate(input: &str, signal: usize, from: usize, to: usize) -> Result<Strin
         )));
     }
     let log = recover_stream(Path::new(input)).map_err(|e| e.to_string())?;
-    let Some(first) = log.transmissions.first() else {
-        return Err(format!("{input}: no complete transmissions").into());
-    };
-    let total = log.transmissions.len() * first.samples_per_signal as usize;
-    if to > total {
-        return Err(CliError::Runtime(format!(
-            "{input}: range [{from}, {to}) runs past the {total} logged samples"
-        )));
+    let mut engine = QueryEngine::new();
+    let mut tracker = Decoder::new();
+    for frame in &log.parsed {
+        engine
+            .index_frame(&mut tracker, frame)
+            .map_err(|e| e.to_string())?;
     }
-    let mut qe =
-        sbr_core::QueryEngine::from_transmissions(&log.transmissions).map_err(|e| e.to_string())?;
-    let agg = qe.aggregate(signal, from, to).map_err(|e| e.to_string())?;
+    let agg = engine
+        .aggregate(signal, from, to)
+        .map_err(|e| format!("{input}: {e}"))?;
     Ok(format!(
         "signal {signal}, samples [{from}, {to}) — {} values (compressed domain)
 \
@@ -1287,7 +1287,8 @@ mod tests {
         ))
         .unwrap();
         let log = recover_stream(&stream).unwrap();
-        let decoded = Decoder::replay(&log.transmissions).unwrap();
+        let txs: Vec<_> = log.parsed.into_iter().map(|f| f.tx).collect();
+        let decoded = Decoder::replay(&txs).unwrap();
         let series: Vec<f64> = decoded.iter().flat_map(|c| c[1].clone()).collect();
         let s = stream.display();
         for (from, to) in [(0usize, 256usize), (50, 200), (130, 140)] {
@@ -1313,6 +1314,64 @@ mod tests {
                 );
             }
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn decompress_and_aggregate_accept_a_rebooted_node_stream() {
+        // A node with ARQ reboots after chunk 2: the fourth frame is a
+        // resync whose sequence number restarts at 0.
+        let dir = tempdir("reboot");
+        let stream = dir.join("reboot.sbr");
+        let mut node = sensor_net::SensorNode::new(0, 2, 64, SbrConfig::new(64, 64)).unwrap();
+        node.enable_arq(16);
+        let mut writer = storage::StreamWriter::create(&stream).unwrap();
+        let mut frames = Vec::new();
+        for c in 0..6 {
+            if c == 3 {
+                node.reboot().unwrap();
+            }
+            for i in 0..64 {
+                let t = (c * 64 + i) as f64;
+                let sample = [(t * 0.21).sin() * 5.0, (t * 0.05).cos() * 3.0 + 1.0];
+                if let Some(flush) = node.record(&sample).unwrap() {
+                    writer.append(&flush.frame).unwrap();
+                    frames.push(codec::decode_any(&mut flush.frame.clone()).unwrap());
+                }
+            }
+        }
+        drop(writer);
+        assert_eq!(frames.len(), 6);
+        assert_eq!(frames[3].tx.seq, 0, "the reboot restarts the sequence");
+        let mut mirror = Decoder::new();
+        let decoded: Vec<Vec<Vec<f64>>> = frames
+            .iter()
+            .map(|f| mirror.decode_frame(f).unwrap())
+            .collect();
+        let series = |s: usize| -> Vec<f64> { decoded.iter().flat_map(|c| c[s].clone()).collect() };
+
+        let csv_out = dir.join("rec.csv");
+        let out = run_argv(&format!(
+            "decompress --input {} --output {}",
+            stream.display(),
+            csv_out.display()
+        ))
+        .unwrap();
+        assert!(out.contains("decompressed 6 transmissions"), "{out}");
+        let rec = csv::read(BufReader::new(File::open(&csv_out).unwrap())).unwrap();
+        assert_eq!(rec.columns, vec![series(0), series(1)]);
+
+        // [100, 300) spans the reboot at sample 192.
+        let out = run_argv(&format!(
+            "aggregate --input {} --signal 1 --from 100 --to 300",
+            stream.display()
+        ))
+        .unwrap();
+        let slice = &series(1)[100..300];
+        let sum: f64 = slice.iter().sum();
+        let sum_line = out.lines().find(|l| l.starts_with("sum")).unwrap();
+        let got: f64 = sum_line["sum".len()..].trim().parse().unwrap();
+        assert!((got - sum).abs() <= 1e-6 * sum.abs().max(1.0), "{out}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -41,19 +41,9 @@ impl Decoder {
     }
 
     /// Resume from a snapshot: the mirrored base signal (if any chunks were
-    /// already applied) and the next expected sequence number. Used by
-    /// checkpointed base-station logs to avoid replaying from zero.
-    pub fn resume(base: Option<BaseSignal>, next_seq: u64) -> Self {
-        Decoder {
-            base,
-            next_seq,
-            epoch: 0,
-            node: 0,
-        }
-    }
-
-    /// [`Decoder::resume`] for epoch-aware (v2) streams: also restores the
-    /// resync epoch and the node label.
+    /// already applied), the next expected sequence number, the resync
+    /// epoch and the node label. Used when a station restarts from a
+    /// durable checkpoint instead of replaying from zero.
     pub fn resume_v2(base: Option<BaseSignal>, next_seq: u64, epoch: u32, node: u64) -> Self {
         Decoder {
             base,
@@ -71,20 +61,28 @@ impl Decoder {
         }
     }
 
-    /// The candidate layout `X_new = X ∥ updates` a transmission's interval
-    /// records reference, *without* advancing the decoder. Fails on the
-    /// same inconsistencies `decode` would reject.
-    pub fn peek_x_new(&self, tx: &Transmission) -> Result<Vec<f64>> {
-        if tx.seq != self.next_seq {
-            return Err(self.gap(tx.seq));
-        }
+    /// The layout `X_new` a frame's interval records reference, *without*
+    /// advancing the decoder: the current base ∥ updates for a data frame,
+    /// the frame's own snapshot ∥ updates for a resync frame (which
+    /// re-anchors on it). Either way the layout is self-contained, so an
+    /// epoch bump never invalidates an earlier chunk's. Fails on a data
+    /// frame out of sequence and on an update of the wrong width.
+    pub fn peek_x_new(&self, frame: &Frame) -> Result<Vec<f64>> {
+        let tx = &frame.tx;
+        let mut x_new = match frame.kind {
+            FrameKind::Data => {
+                if tx.seq != self.next_seq {
+                    return Err(self.gap(tx.seq));
+                }
+                self.base
+                    .as_ref()
+                    .map(|b| b.values().to_vec())
+                    .unwrap_or_default()
+            }
+            FrameKind::Resync => frame.snapshot.clone(),
+        };
         // lint:allow(cast-truncation): u32 -> usize widens on this 64-bit target
         let w = tx.w as usize;
-        let mut x_new = self
-            .base
-            .as_ref()
-            .map(|b| b.values().to_vec())
-            .unwrap_or_default();
         for (k, u) in tx.base_updates.iter().enumerate() {
             if u.values.len() != w {
                 return Err(SbrError::Corrupt(format!(
@@ -166,9 +164,9 @@ impl Decoder {
     }
 
     /// Advance the mirrored base-signal state over a transmission *without*
-    /// reconstructing its data — the cheap path a checkpointing log uses on
-    /// ingest. Performs the same validation as [`Decoder::decode`].
-    pub fn apply_updates_only(&mut self, tx: &Transmission) -> Result<()> {
+    /// reconstructing its data. Performs the same validation as
+    /// [`Decoder::decode`].
+    fn apply_updates_only(&mut self, tx: &Transmission) -> Result<()> {
         if tx.seq != self.next_seq {
             return Err(self.gap(tx.seq));
         }
@@ -213,8 +211,10 @@ impl Decoder {
         }
     }
 
-    /// Frame-level analogue of [`Decoder::apply_updates_only`]: advance the
-    /// replica over a v2 frame without reconstructing its data.
+    /// Advance the replica over a frame without reconstructing its data —
+    /// the cheap path the station's chunk index takes on ingest. Performs
+    /// the same validation as [`Decoder::decode_frame`] and is just as
+    /// atomic.
     pub fn apply_frame_updates_only(&mut self, frame: &Frame) -> Result<()> {
         match frame.kind {
             FrameKind::Data => {
@@ -310,7 +310,7 @@ impl Decoder {
         Ok(())
     }
 
-    /// Snapshot the decoder state for later [`Decoder::resume`].
+    /// Snapshot the decoder state for later [`Decoder::resume_v2`].
     pub fn snapshot(&self) -> (Option<BaseSignal>, u64) {
         (self.base.clone(), self.next_seq)
     }
@@ -320,13 +320,6 @@ impl Decoder {
     pub fn replay(stream: &[Transmission]) -> Result<Vec<Vec<Vec<f64>>>> {
         let mut d = Decoder::new();
         stream.iter().map(|tx| d.decode(tx)).collect()
-    }
-
-    /// Frame-level [`Decoder::replay`]: decode a full v2 stream (resyncs
-    /// included) from scratch.
-    pub fn replay_frames(stream: &[Frame]) -> Result<Vec<Vec<Vec<f64>>>> {
-        let mut d = Decoder::new();
-        stream.iter().map(|f| d.decode_frame(f)).collect()
     }
 }
 

@@ -17,14 +17,19 @@
 //! range splits mid-way. The [`QueryEngine`] indexes a stream's summaries,
 //! adds a small plan cache keyed by `(signal, range, aggregate class)` and
 //! serves the TAG aggregate set — SUM/AVG/MIN/MAX — without ever inflating
-//! a chunk.
+//! a chunk. A summary also holds everything needed to decode its chunk
+//! ([`ChunkSummary::reconstruct`]), so an indexed stream needs no second
+//! per-chunk state for reconstruction.
 
 use std::collections::HashMap;
 
+use crate::decoder::Decoder;
 use crate::error::{Result, SbrError};
+use crate::get_intervals::reconstruct_flat;
 use crate::interval::IntervalRecord;
 use crate::obs::QueryObs;
 use crate::regression::PrefixStats;
+use crate::transmission::{Frame, Transmission};
 
 /// SUM/AVG/MIN/MAX of one signal over an absolute sample range, as
 /// answered by [`QueryEngine::aggregate`].
@@ -207,21 +212,6 @@ impl ChunkSummary {
         })
     }
 
-    /// Build a summary straight from a transmission and the `X_new` base
-    /// layout its records reference (see
-    /// [`Decoder::peek_x_new`](crate::decoder::Decoder::peek_x_new)).
-    pub fn from_transmission(
-        tx: &crate::transmission::Transmission,
-        x_new: Vec<f64>,
-    ) -> Result<Self> {
-        ChunkSummary::new(
-            &tx.intervals,
-            x_new,
-            tx.n_signals as usize,
-            tx.samples_per_signal as usize,
-        )
-    }
-
     /// Values in the chunk.
     pub fn len(&self) -> usize {
         self.n_total
@@ -240,6 +230,14 @@ impl ChunkSummary {
     /// Samples per signal.
     pub fn samples_per_signal(&self) -> usize {
         self.m
+    }
+
+    /// Decode the chunk: one row of `m` samples per signal. The same
+    /// function on the same records and `X_new` as [`Decoder::decode`], so
+    /// the output is bit-identical to it.
+    pub fn reconstruct(&self) -> Result<Vec<Vec<f64>>> {
+        let flat = reconstruct_flat(&self.base, &self.records, self.n_total)?;
+        Ok(flat.chunks_exact(self.m).map(<[f64]>::to_vec).collect())
     }
 
     /// Indices of the records overlapping `[t0, t1)`.
@@ -405,8 +403,8 @@ const PLAN_CACHE_CAP: usize = 4096;
 /// covered interval contributes via precomputed moments, and only intervals
 /// a range splits mid-way have their covered window evaluated directly.
 ///
-/// Chunks are appended with [`push_chunk`](Self::push_chunk), which
-/// rejects a summary whose shape disagrees with the index.
+/// Chunks are appended with [`index_frame`](Self::index_frame), which
+/// rejects a chunk whose shape disagrees with the index.
 /// [`push_placeholder`](Self::push_placeholder) reserves the slot of a
 /// chunk whose summary is not built yet (the cold prefix of a lazily
 /// loaded log); queries touching one fail until the owner rebuilds the
@@ -435,36 +433,36 @@ impl QueryEngine {
 
     /// Build an engine over a whole transmission stream: replays base
     /// updates chunk by chunk (no reconstruction) and summarizes each.
-    pub fn from_transmissions(txs: &[crate::transmission::Transmission]) -> Result<Self> {
-        let mut decoder = crate::decoder::Decoder::new();
+    pub fn from_transmissions(txs: &[Transmission]) -> Result<Self> {
+        let mut tracker = Decoder::new();
         let mut engine = QueryEngine::new();
         for tx in txs {
-            let x_new = decoder.peek_x_new(tx)?;
-            decoder.apply_updates_only(tx)?;
-            engine.push_chunk(ChunkSummary::from_transmission(tx, x_new)?)?;
+            engine.index_frame(&mut tracker, &Frame::data(0, tx.clone()))?;
         }
         Ok(engine)
     }
 
-    /// Ok when `summary` can be appended: its `n_signals × m` shape must
-    /// match the summaries already indexed (the first one sets it).
-    pub fn check_shape(&self, summary: &ChunkSummary) -> Result<()> {
-        let shape = (summary.n_signals(), summary.samples_per_signal());
-        if self.m == 0 || shape == (self.n_signals, self.m) {
-            return Ok(());
+    /// Index the next frame of a stream: summarize the chunk against the
+    /// `X_new` layout `tracker` peeks for it, check its shape, then advance
+    /// `tracker` over the frame's base updates and append the summary. The
+    /// station's ingest, its hydration replay and stream loading all go
+    /// through here. A frame the index cannot summarize (no interval
+    /// records, records that do not cover the chunk or overrun the base,
+    /// a shape other than the indexed chunks') is a typed error, and on any
+    /// error neither the engine nor `tracker` has changed.
+    pub fn index_frame(&mut self, tracker: &mut Decoder, frame: &Frame) -> Result<()> {
+        let tx = &frame.tx;
+        let (n_signals, m) = (tx.n_signals as usize, tx.samples_per_signal as usize);
+        let summary = ChunkSummary::new(&tx.intervals, tracker.peek_x_new(frame)?, n_signals, m)?;
+        // The first chunk sets the shape; every later one must match it.
+        if self.m != 0 && (n_signals, m) != (self.n_signals, self.m) {
+            return Err(SbrError::InconsistentState(format!(
+                "chunk shape {n_signals}×{m} differs from the indexed {}×{}",
+                self.n_signals, self.m
+            )));
         }
-        Err(SbrError::InconsistentState(format!(
-            "chunk shape {}×{} differs from the indexed {}×{}",
-            shape.0, shape.1, self.n_signals, self.m
-        )))
-    }
-
-    /// Append the next chunk's summary. On a shape mismatch (see
-    /// [`check_shape`](Self::check_shape)) the engine is left unchanged.
-    pub fn push_chunk(&mut self, summary: ChunkSummary) -> Result<()> {
-        self.check_shape(&summary)?;
-        self.n_signals = summary.n_signals();
-        self.m = summary.samples_per_signal();
+        tracker.apply_frame_updates_only(frame)?;
+        (self.n_signals, self.m) = (n_signals, m);
         self.chunks.push(Some(summary));
         Ok(())
     }
@@ -472,6 +470,11 @@ impl QueryEngine {
     /// Append a placeholder for a chunk whose summary is not built yet.
     pub fn push_placeholder(&mut self) {
         self.chunks.push(None);
+    }
+
+    /// The summary of chunk `c`; `None` past the end and for placeholders.
+    pub fn chunk(&self, c: usize) -> Option<&ChunkSummary> {
+        self.chunks.get(c).and_then(Option::as_ref)
     }
 
     /// Chunks indexed (including placeholders).
@@ -774,8 +777,7 @@ mod tests {
     }
 
     /// A four-chunk, two-signal stream plus its decoded truth.
-    fn stream_fixture() -> (Vec<crate::transmission::Transmission>, Vec<Vec<f64>>) {
-        use crate::decoder::Decoder;
+    fn stream_fixture() -> (Vec<Transmission>, Vec<Vec<f64>>) {
         let mut enc = SbrEncoder::new(2, 64, SbrConfig::new(60, 48)).unwrap();
         let mut txs = Vec::new();
         for t in 0..4 {
@@ -843,6 +845,55 @@ mod tests {
     }
 
     #[test]
+    fn summaries_reconstruct_bit_identically_to_the_decoder() {
+        let (txs, _) = stream_fixture();
+        let engine = QueryEngine::from_transmissions(&txs).unwrap();
+        let mut decoder = Decoder::new();
+        for (c, tx) in txs.iter().enumerate() {
+            let summary = engine.chunk(c).unwrap();
+            assert_eq!(summary.reconstruct().unwrap(), decoder.decode(tx).unwrap());
+        }
+    }
+
+    #[test]
+    fn index_frame_leaves_engine_and_tracker_unchanged_on_error() {
+        let (txs, _) = stream_fixture();
+        let mut tracker = Decoder::new();
+        let mut engine = QueryEngine::new();
+        engine
+            .index_frame(&mut tracker, &Frame::data(0, txs[0].clone()))
+            .unwrap();
+        let mut no_intervals = txs[1].clone();
+        no_intervals.intervals.clear();
+        // Summarizable, but its update targets a slot the base never had:
+        // the failure comes from advancing the tracker.
+        let mut bad_slot = txs[1].clone();
+        bad_slot.base_updates.push(crate::transmission::BaseUpdate {
+            slot: 99,
+            values: vec![0.0; bad_slot.w as usize],
+        });
+        let ahead = txs[2].clone();
+        for tx in [no_intervals, bad_slot, ahead] {
+            let before = (tracker.snapshot(), engine.len());
+            assert!(engine
+                .index_frame(&mut tracker, &Frame::data(0, tx))
+                .is_err());
+            let after = (tracker.snapshot(), engine.len());
+            assert_eq!(before.0 .1, after.0 .1, "tracker sequence moved");
+            assert_eq!(
+                before.0 .0.map(|b| b.values().to_vec()),
+                after.0 .0.map(|b| b.values().to_vec()),
+                "tracker base moved"
+            );
+            assert_eq!(before.1, after.1, "engine grew");
+        }
+        engine
+            .index_frame(&mut tracker, &Frame::data(0, txs[1].clone()))
+            .unwrap();
+        assert_eq!(engine.len(), 2);
+    }
+
+    #[test]
     fn engine_plan_cache_shares_and_counts() {
         use crate::obs::{MetricsRecorder, Recorder};
         let (txs, _) = stream_fixture();
@@ -890,21 +941,21 @@ mod tests {
 
     #[test]
     fn engine_placeholders_error_until_rebuilt() {
-        use crate::decoder::Decoder;
         let (txs, _) = stream_fixture();
-        let mut decoder = Decoder::new();
+        let mut tracker = Decoder::new();
         let mut engine = QueryEngine::new();
         for (c, tx) in txs.iter().enumerate() {
-            let x_new = decoder.peek_x_new(tx).unwrap();
-            decoder.apply_updates_only(tx).unwrap();
+            let frame = Frame::data(0, tx.clone());
             if c == 2 {
+                tracker.apply_frame_updates_only(&frame).unwrap();
                 engine.push_placeholder();
             } else {
-                let summary = ChunkSummary::from_transmission(tx, x_new).unwrap();
-                engine.push_chunk(summary).unwrap();
+                engine.index_frame(&mut tracker, &frame).unwrap();
             }
         }
         assert_eq!(engine.len(), 4);
+        assert!(engine.chunk(2).is_none() && engine.chunk(4).is_none());
+        assert!(engine.chunk(3).is_some());
         assert!(engine.aggregate(0, 0, 128).is_ok());
         assert!(engine.aggregate(1, 192, 256).is_ok());
         for (t0, t1) in [(0, 256), (130, 140)] {
@@ -916,18 +967,26 @@ mod tests {
     #[test]
     fn engine_rejects_a_chunk_of_another_shape() {
         let (txs, _) = stream_fixture();
-        let mut engine = QueryEngine::from_transmissions(&txs).unwrap();
-        let line = IntervalRecord {
-            start: 0,
-            shift: -1,
-            a: 1.0,
-            b: 0.0,
-        };
-        let odd = ChunkSummary::new(&[line], Vec::new(), 4, 32).unwrap();
-        let err = engine.check_shape(&odd).unwrap_err().to_string();
+        let mut tracker = Decoder::new();
+        let mut engine = QueryEngine::new();
+        for tx in &txs[..3] {
+            engine
+                .index_frame(&mut tracker, &Frame::data(0, tx.clone()))
+                .unwrap();
+        }
+        // Same 128 values, same W, relabelled 4 signals × 32.
+        let mut odd = txs[3].clone();
+        odd.n_signals = 4;
+        odd.samples_per_signal = 32;
+        let err = engine
+            .index_frame(&mut tracker, &Frame::data(0, odd))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("4×32 differs from the indexed 2×64"), "{err}");
-        assert!(engine.push_chunk(odd).is_err());
-        assert_eq!(engine.len(), 4);
+        assert_eq!((engine.len(), tracker.next_seq()), (3, 3));
+        engine
+            .index_frame(&mut tracker, &Frame::data(0, txs[3].clone()))
+            .unwrap();
         assert!(engine.aggregate(0, 0, 256).is_ok());
     }
 

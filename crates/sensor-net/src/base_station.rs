@@ -4,10 +4,11 @@
 //!
 //! Frames are validated eagerly (sequence order, CRC, parseability, and a
 //! compressed-domain summary for the chunk index) but never decoded at
-//! ingest: range aggregates are answered from the index, and
-//! reconstruction replays from the nearest checkpoint. Interior mutability
-//! is behind [`parking_lot::Mutex`] so one station can be shared by
-//! concurrent receiver threads.
+//! ingest. The index is the log's only derived per-chunk state: range
+//! aggregates are answered from it, and a historical chunk is decoded from
+//! its own summary (records plus the `X_new` layout they reference), with
+//! no replay. Interior mutability is behind [`parking_lot::Mutex`] so one
+//! station can be shared by concurrent receiver threads.
 //!
 //! The station is the receiver half of the end-to-end ARQ protocol: it
 //! classifies every frame as accepted, duplicate (silently discarded — the
@@ -21,11 +22,8 @@ use std::path::PathBuf;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use sbr_core::base_signal::BaseSignal;
 pub use sbr_core::RangeAggregate;
-use sbr_core::{
-    codec, ChunkSummary, Decoder, Frame, FrameKind, QueryEngine, QueryObs, SbrError, Transmission,
-};
+use sbr_core::{codec, Decoder, Frame, FrameKind, QueryEngine, QueryObs, SbrError};
 use sbr_obs::{Counter, Recorder};
 
 use crate::storage::{self, CheckpointState, SegmentWriter, DEFAULT_SEGMENT_BYTES};
@@ -58,79 +56,6 @@ impl StorageObs {
     }
 }
 
-/// A periodic snapshot of the mirrored base-signal state, taken on ingest
-/// so historical queries replay at most `checkpoint_interval` chunks.
-/// Keyed by *log position* (chunk index), not sequence number — sequence
-/// numbers restart when a sensor reboots, log positions never do.
-#[derive(Debug)]
-struct Checkpoint {
-    /// Number of logged chunks already applied when the snapshot was taken.
-    chunk: u64,
-    base: Option<BaseSignal>,
-    next_seq: u64,
-    epoch: u32,
-}
-
-impl Checkpoint {
-    /// The empty-log checkpoint every ladder starts from.
-    fn origin() -> Self {
-        Checkpoint {
-            chunk: 0,
-            base: None,
-            next_seq: 0,
-            epoch: 0,
-        }
-    }
-}
-
-/// Apply one accepted frame to a log's derived state: advance `tracker`,
-/// index the chunk in `engine`, and push a `checkpoints` rung when the log
-/// length after this frame lands on `interval`. Ingest and hydration both
-/// go through here, so a replayed log rebuilds the exact index and ladder
-/// a never-restarted station holds. A frame the index cannot summarize
-/// (no interval records, records that do not cover the chunk, or a shape
-/// other than the indexed chunks') is rejected with a typed error. On
-/// error nothing has changed.
-fn index_frame(
-    tracker: &mut Decoder,
-    engine: &mut QueryEngine,
-    checkpoints: &mut Vec<Checkpoint>,
-    parsed: &Frame,
-    interval: u64,
-) -> Result<(), SbrError> {
-    // The X_new layout this frame's records reference must be captured
-    // *before* the updates are applied (the post-apply base has already
-    // absorbed them): a data frame extends the current base, a resync
-    // frame re-anchors on its own snapshot (followed by its updates) —
-    // either way the summary is self-contained, so epoch bumps never
-    // invalidate earlier chunks.
-    let x_new = match parsed.kind {
-        FrameKind::Data => tracker.peek_x_new(&parsed.tx)?,
-        FrameKind::Resync => {
-            let mut x = parsed.snapshot.clone();
-            for u in &parsed.tx.base_updates {
-                x.extend_from_slice(&u.values);
-            }
-            x
-        }
-    };
-    let summary = ChunkSummary::from_transmission(&parsed.tx, x_new)?;
-    engine.check_shape(&summary)?;
-    tracker.apply_frame_updates_only(parsed)?;
-    engine.push_chunk(summary)?;
-    let chunk = engine.len() as u64;
-    if chunk.is_multiple_of(interval) {
-        let (base, next_seq) = tracker.snapshot();
-        checkpoints.push(Checkpoint {
-            chunk,
-            base,
-            next_seq,
-            epoch: tracker.epoch(),
-        });
-    }
-    Ok(())
-}
-
 /// One sensor's append-only log.
 #[derive(Debug)]
 struct SensorLog {
@@ -144,10 +69,10 @@ struct SensorLog {
     /// Total frame bytes logged (maintained without hydration).
     payload_bytes: u64,
     tracker: Decoder,
-    checkpoints: Vec<Checkpoint>,
-    /// Compressed-domain chunk index: one [`ChunkSummary`] per logged frame
-    /// (aligned with `frames`; the first `cold` slots are placeholders
-    /// until [`BaseStation::hydrate_node`] rebuilds it).
+    /// Compressed-domain chunk index: one
+    /// [`ChunkSummary`](sbr_core::ChunkSummary) per logged frame (aligned
+    /// with `frames`; the first `cold` slots are placeholders until
+    /// [`BaseStation::hydrate_node`] rebuilds it).
     engine: QueryEngine,
     /// Durable segment writer (persistent stations only). Owned by the
     /// log so appends happen in arrival order under the same lock that
@@ -167,7 +92,6 @@ impl SensorLog {
             cold: 0,
             payload_bytes: 0,
             tracker: Decoder::for_node(node as u64),
-            checkpoints: vec![Checkpoint::origin()],
             engine,
             writer: None,
             last_resync_at: None,
@@ -194,7 +118,6 @@ pub enum Receipt {
 #[derive(Debug)]
 pub struct BaseStation {
     logs: Mutex<BTreeMap<NodeId, SensorLog>>,
-    checkpoint_interval: u64,
     persist_dir: Option<PathBuf>,
     /// Segment size budget before a seal (persistent stations).
     segment_bytes: u64,
@@ -208,7 +131,6 @@ impl Default for BaseStation {
     fn default() -> Self {
         BaseStation {
             logs: Mutex::new(BTreeMap::new()),
-            checkpoint_interval: 8,
             persist_dir: None,
             segment_bytes: DEFAULT_SEGMENT_BYTES,
             compaction: true,
@@ -219,18 +141,9 @@ impl Default for BaseStation {
 }
 
 impl BaseStation {
-    /// An empty station with the default checkpoint interval (8 chunks).
+    /// An empty in-memory station.
     pub fn new() -> Self {
         BaseStation::default()
-    }
-
-    /// An empty station snapshotting the decoder state every
-    /// `checkpoint_interval` chunks (≥ 1).
-    pub fn with_checkpoint_interval(checkpoint_interval: u64) -> Self {
-        BaseStation {
-            checkpoint_interval: checkpoint_interval.max(1),
-            ..BaseStation::default()
-        }
     }
 
     /// A station that also appends every accepted frame to per-sensor log
@@ -328,12 +241,6 @@ impl BaseStation {
                     ck.state.epoch,
                     node as u64,
                 );
-                log.checkpoints = vec![Checkpoint {
-                    chunk: cold as u64,
-                    base: ck.state.base.clone(),
-                    next_seq: ck.state.next_seq,
-                    epoch: ck.state.epoch,
-                }];
                 log.payload_bytes = ck.state.payload_bytes;
                 log.last_resync_at = ck.state.resync_at;
             }
@@ -360,9 +267,8 @@ impl BaseStation {
     /// `Duplicate`s are silently discarded, and anything unusable —
     /// corruption, or a sequence gap the sender must repair by
     /// retransmission or resync — is an error. Ingest also advances a
-    /// base-signal tracker (cheap: no reconstruction) and snapshots it
-    /// periodically so historical queries replay at most
-    /// `checkpoint_interval` chunks.
+    /// base-signal tracker and indexes the chunk's summary (cheap: no
+    /// reconstruction).
     pub fn receive_frame(&self, node: NodeId, frame: Bytes) -> Result<Receipt, SbrError> {
         self.ingest(node, frame, true)
     }
@@ -401,13 +307,7 @@ impl BaseStation {
                 Receipt::Resynced
             }
         };
-        index_frame(
-            &mut log.tracker,
-            &mut log.engine,
-            &mut log.checkpoints,
-            &parsed,
-            self.checkpoint_interval,
-        )?;
+        log.engine.index_frame(&mut log.tracker, &parsed)?;
         log.frames.push(frame.clone());
         log.payload_bytes += frame.len() as u64;
         if receipt == Receipt::Resynced {
@@ -450,8 +350,8 @@ impl BaseStation {
 
     /// Pull a sensor's checkpoint-covered history off disk into memory:
     /// fill the placeholder frames, rebuild the compressed-domain chunk
-    /// index and the in-memory checkpoint ladder by a full replay, and
-    /// cross-check the replayed decoder state against the live tracker.
+    /// index by a full replay, and cross-check the replayed decoder state
+    /// against the live tracker.
     /// A no-op for fully-warm logs; historical queries call this on
     /// demand.
     fn hydrate_node(&self, node: NodeId) -> Result<(), SbrError> {
@@ -487,21 +387,12 @@ impl BaseStation {
             *slot = frame.clone();
         }
         // Full replay over the (now complete) log rebuilds the chunk
-        // index and the same checkpoint ladder a never-restarted station
-        // would have.
+        // index a never-restarted station would have.
         let mut engine = QueryEngine::new();
         engine.set_obs(self.query_obs.clone());
         let mut tracker = Decoder::for_node(node as u64);
-        let mut checkpoints = vec![Checkpoint::origin()];
         for raw in &log.frames {
-            let parsed = codec::decode_any(&mut raw.clone())?;
-            index_frame(
-                &mut tracker,
-                &mut engine,
-                &mut checkpoints,
-                &parsed,
-                self.checkpoint_interval,
-            )?;
+            engine.index_frame(&mut tracker, &codec::decode_any(&mut raw.clone())?)?;
         }
         if tracker.next_seq() != log.tracker.next_seq() || tracker.epoch() != log.tracker.epoch() {
             return Err(SbrError::InconsistentState(format!(
@@ -514,7 +405,6 @@ impl BaseStation {
             )));
         }
         log.engine = engine;
-        log.checkpoints = checkpoints;
         log.cold = 0;
         Ok(())
     }
@@ -585,12 +475,6 @@ impl BaseStation {
             .collect()
     }
 
-    /// Parse (without reconstructing) every logged transmission of `node`,
-    /// with any resync envelope stripped.
-    pub fn transmissions(&self, node: NodeId) -> Result<Vec<Transmission>, SbrError> {
-        Ok(self.frames(node)?.into_iter().map(|f| f.tx).collect())
-    }
-
     /// Hydrate `node` when it has cold history and `reaches_cold` says the
     /// request touches it — an O(1) test against the cold watermark.
     fn hydrate_if(
@@ -609,60 +493,49 @@ impl BaseStation {
         Ok(())
     }
 
-    /// Resume a decoder from the latest checkpoint at or before `chunk`
-    /// (a log position). Returns the decoder plus the log position it
-    /// resumes at.
-    fn decoder_at(&self, node: NodeId, chunk: usize) -> Result<(Decoder, usize), SbrError> {
-        self.hydrate_if(node, |log| chunk < log.cold)?;
-        let logs = self.logs.lock();
-        let log = logs
-            .get(&node)
-            .ok_or_else(|| SbrError::InconsistentState(format!("unknown sensor {node}")))?;
-        // Checkpoints are position-sorted (appended at monotonically
-        // growing log positions), so the latest one at or before `chunk`
-        // is found by binary search: `partition_point` yields the first
-        // checkpoint *past* `chunk`, and the one before it is the answer.
-        let idx = log.checkpoints.partition_point(|c| c.chunk <= chunk as u64);
-        let cp = idx
-            .checked_sub(1)
-            .and_then(|i| log.checkpoints.get(i))
-            .ok_or_else(|| {
-                SbrError::InconsistentState(format!(
-                    "sensor {node} has no checkpoint at or before chunk {chunk}"
-                ))
-            })?;
-        Ok((
-            Decoder::resume_v2(cp.base.clone(), cp.next_seq, cp.epoch, node as u64),
-            cp.chunk as usize,
-        ))
+    /// [`BaseStation::hydrate_if`] for a request starting at absolute
+    /// sample `t0`. With no indexed chunk yet (`m` unknown) everything
+    /// logged is cold.
+    fn hydrate_from_sample(&self, node: NodeId, t0: usize) -> Result<(), SbrError> {
+        self.hydrate_if(node, |log| {
+            t0.checked_div(log.engine.samples_per_signal())
+                .is_none_or(|chunk| chunk < log.cold)
+        })
     }
 
-    /// Reconstruct chunks `[from, to)` of `node` (log positions), replaying
-    /// from the nearest checkpoint (at most `checkpoint_interval` extra
-    /// chunks). Returns `chunks[t][signal][sample]`.
+    /// Reconstruct chunks `[from, to)` of `node` (log positions), each
+    /// decoded from its own chunk summary: O(to − from), no frame parse and
+    /// no replay. A range starting in cold history hydrates it first.
+    /// Returns `chunks[t][signal][sample]`.
     pub fn reconstruct_chunks(
         &self,
         node: NodeId,
         from: usize,
         to: usize,
     ) -> Result<Vec<Vec<Vec<f64>>>, SbrError> {
-        let frames = self.frames(node)?;
-        if to > frames.len() || from > to {
+        self.hydrate_if(node, |log| from < log.cold)?;
+        let logs = self.logs.lock();
+        let log = logs
+            .get(&node)
+            .ok_or_else(|| SbrError::InconsistentState(format!("unknown sensor {node}")))?;
+        if to > log.engine.len() || from > to {
             return Err(SbrError::InconsistentState(format!(
                 "sensor {node}: range [{from}, {to}) outside logged 0..{}",
-                frames.len()
+                log.engine.len()
             )));
         }
-        let (mut decoder, start) = self.decoder_at(node, from)?;
-        let mut out = Vec::with_capacity(to - from);
-        for (t, frame) in frames.iter().enumerate().take(to).skip(start) {
-            if t >= from {
-                out.push(decoder.decode_frame(frame)?);
-            } else {
-                decoder.apply_frame_updates_only(frame)?;
-            }
-        }
-        Ok(out)
+        (from..to)
+            .map(|c| {
+                log.engine
+                    .chunk(c)
+                    .ok_or_else(|| {
+                        SbrError::InconsistentState(format!(
+                            "sensor {node}: chunk {c} has no summary yet (cold)"
+                        ))
+                    })?
+                    .reconstruct()
+            })
+            .collect()
     }
 
     /// SUM/AVG/MIN/MAX of `signal` of `node` over the absolute sample
@@ -679,11 +552,7 @@ impl BaseStation {
         t0: usize,
         t1: usize,
     ) -> Result<RangeAggregate, SbrError> {
-        self.hydrate_if(node, |log| {
-            // No indexed chunk yet (m unknown): everything logged is cold.
-            t0.checked_div(log.engine.samples_per_signal())
-                .is_none_or(|chunk| chunk < log.cold)
-        })?;
+        self.hydrate_from_sample(node, t0)?;
         let mut logs = self.logs.lock();
         let log = logs
             .get_mut(&node)
@@ -691,9 +560,9 @@ impl BaseStation {
         log.engine.aggregate(signal, t0, t1)
     }
 
-    /// The decode-then-scan oracle for [`BaseStation::aggregate_range`]:
-    /// reconstructs the covered chunks (replaying from the nearest
-    /// checkpoint) and folds the range. Kept public for cross-checks.
+    /// The decode-then-fold cross-check for [`BaseStation::aggregate_range`]:
+    /// reconstructs the covered chunks from their summaries and folds the
+    /// range sample by sample. Kept public for cross-checks.
     pub fn aggregate_range_decode(
         &self,
         node: NodeId,
@@ -737,10 +606,12 @@ impl BaseStation {
                 "empty/negative range [{t0}, {t1})"
             )));
         }
-        let frames = self.frames(node)?;
-        let m = frames
-            .first()
-            .map(|f| f.tx.samples_per_signal as usize)
+        self.hydrate_from_sample(node, t0)?;
+        let m = self
+            .logs
+            .lock()
+            .get(&node)
+            .map(|log| log.engine.samples_per_signal())
             .filter(|&m| m > 0)
             .ok_or_else(|| SbrError::InconsistentState(format!("sensor {node} has no chunks")))?;
         // lint:allow(panic-reachability): m is checked positive above
@@ -793,12 +664,24 @@ mod tests {
 
     /// An ARQ-style node stream: v2 frames, resync (buffer overflow) after
     /// `resync_after` chunks.
-    fn v2_stream(n_chunks: usize, resync_after: usize) -> (Vec<Bytes>, Vec<Vec<Vec<f64>>>) {
+    fn v2_stream(n_chunks: usize, resync_after: usize) -> Vec<Bytes> {
+        rebooting_stream(n_chunks, resync_after, &[])
+    }
+
+    /// [`v2_stream`] whose node also reboots (sequence numbers restart at
+    /// 0) just before each chunk listed in `reboot_before`.
+    fn rebooting_stream(
+        n_chunks: usize,
+        resync_after: usize,
+        reboot_before: &[usize],
+    ) -> Vec<Bytes> {
         let mut node = crate::SensorNode::new(1, 2, 64, SbrConfig::new(64, 64)).unwrap();
         node.enable_arq(resync_after.max(1));
         let mut frames = Vec::new();
-        let mut truth = Vec::new();
         for c in 0..n_chunks {
+            if reboot_before.contains(&c) {
+                node.reboot().unwrap();
+            }
             let rows: Vec<Vec<f64>> = (0..2)
                 .map(|r| {
                     (0..64)
@@ -811,9 +694,21 @@ mod tests {
                 flush = node.record(&[a, b]).unwrap().or(flush);
             }
             frames.push(flush.unwrap().frame);
-            truth.push(rows);
         }
-        (frames, truth)
+        frames
+    }
+
+    /// The independent oracle: a fresh `Decoder` decodes every frame of
+    /// `frames` in order with `decode_frame` (resyncs included).
+    fn mirror(frames: &[Bytes]) -> Vec<Vec<Vec<f64>>> {
+        let mut decoder = Decoder::new();
+        frames
+            .iter()
+            .map(|f| {
+                let frame = codec::decode_any(&mut f.clone()).unwrap();
+                decoder.decode_frame(&frame).unwrap()
+            })
+            .collect()
     }
 
     #[test]
@@ -869,8 +764,8 @@ mod tests {
     fn resync_reanchors_and_replays_exactly() {
         // 6 chunks, overflow-resync after every 2 un-ACKed: the stream
         // contains real resync frames. Feed only what "arrives": everything.
-        let (fs, truth) = v2_stream(6, 2);
-        let bs = BaseStation::with_checkpoint_interval(2);
+        let fs = v2_stream(6, 2);
+        let bs = BaseStation::new();
         let mut resyncs = 0;
         for f in &fs {
             match bs.receive_frame(1, f.clone()).unwrap() {
@@ -881,15 +776,10 @@ mod tests {
         }
         assert!(resyncs > 0, "stream must contain resyncs");
         assert!(bs.epoch(1) > 0);
-        // Every chunk reconstructs byte-exactly against the encoder truth
-        // scoreboard — including across checkpoints and resyncs.
+        // Every chunk reconstructs byte-exactly against a decoder that
+        // replays the whole stream — including across resyncs.
         let all = bs.reconstruct_chunks(1, 0, 6).unwrap();
-        for (c, (got, want)) in all.iter().zip(&truth).enumerate() {
-            for (a, b) in got.iter().zip(want) {
-                let sse = sbr_core::ErrorMetric::Sse.score(a, b);
-                assert!(sse.is_finite(), "chunk {c} broken");
-            }
-        }
+        assert_eq!(all, mirror(&fs));
         // Partial ranges agree with the full replay.
         let mid = bs.reconstruct_chunks(1, 3, 6).unwrap();
         assert_eq!(mid, all[3..6].to_vec());
@@ -900,7 +790,7 @@ mod tests {
         // Drop two chunks mid-stream; the node (unaware) keeps sending, so
         // the station sees a gap at the first post-drop data frame. Feed it
         // the later resync and everything after reconstructs exactly.
-        let (fs, _) = v2_stream(8, 2);
+        let fs = v2_stream(8, 2);
         let parsed: Vec<Frame> = fs
             .iter()
             .map(|f| codec::decode_any(&mut f.clone()).unwrap())
@@ -1005,43 +895,27 @@ mod tests {
     }
 
     #[test]
-    fn checkpointed_station_matches_full_replay() {
-        let fs = frames(10);
-        let tight = BaseStation::with_checkpoint_interval(2);
-        let none = BaseStation::with_checkpoint_interval(u64::MAX);
+    fn every_chunk_range_matches_the_decoder_mirror() {
+        // Overflow resyncs every 2 un-ACKed chunks plus two reboots, so
+        // sequence numbers restart mid-log: each chunk is decoded from its
+        // own summary and must equal the mirror bit for bit.
+        let fs = rebooting_stream(10, 2, &[3, 7]);
+        let bs = BaseStation::new();
+        let mut receipts = Vec::new();
         for f in &fs {
-            accept(&tight, 1, f.clone());
-            accept(&none, 1, f.clone());
+            receipts.push(bs.receive_frame(1, f.clone()).unwrap());
         }
-        for (from, to) in [(0usize, 10usize), (7, 10), (3, 4), (9, 10)] {
-            assert_eq!(
-                tight.reconstruct_chunks(1, from, to).unwrap(),
-                none.reconstruct_chunks(1, from, to).unwrap(),
-                "[{from},{to})"
-            );
+        assert!(receipts.iter().all(|r| *r != Receipt::Duplicate));
+        assert!(receipts.iter().filter(|r| **r == Receipt::Resynced).count() >= 3);
+        let want = mirror(&fs);
+        for from in 0..=fs.len() {
+            for to in from..=fs.len() {
+                let got = bs.reconstruct_chunks(1, from, to).unwrap();
+                assert!(got == want[from..to], "[{from},{to})");
+            }
         }
-    }
-
-    #[test]
-    fn checkpoints_survive_seq_restarts() {
-        // A resync-heavy v2 stream replayed through tight checkpoints must
-        // agree with an un-checkpointed station — this is exactly what
-        // breaks if checkpoints are keyed by (restarting) sequence numbers
-        // instead of log positions.
-        let (fs, _) = v2_stream(9, 2);
-        let tight = BaseStation::with_checkpoint_interval(2);
-        let none = BaseStation::with_checkpoint_interval(u64::MAX);
-        for f in &fs {
-            tight.receive_frame(1, f.clone()).unwrap();
-            none.receive_frame(1, f.clone()).unwrap();
-        }
-        for (from, to) in [(0usize, 9usize), (5, 9), (3, 4), (8, 9)] {
-            assert_eq!(
-                tight.reconstruct_chunks(1, from, to).unwrap(),
-                none.reconstruct_chunks(1, from, to).unwrap(),
-                "[{from},{to})"
-            );
-        }
+        assert!(bs.reconstruct_chunks(1, 0, 11).is_err());
+        assert!(bs.reconstruct_chunks(1, 5, 4).is_err());
     }
 
     #[test]
@@ -1080,7 +954,7 @@ mod tests {
     fn persistent_station_preserves_v2_bytes_across_restart() {
         let dir = std::env::temp_dir().join(format!("sbr-bs-v2-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let (fs, _) = v2_stream(5, 2);
+        let fs = v2_stream(5, 2);
         {
             let bs = BaseStation::with_persistence(&dir);
             for f in &fs {
@@ -1134,34 +1008,6 @@ mod tests {
     }
 
     #[test]
-    fn decoder_at_pins_checkpoint_boundaries() {
-        // Interval 4 over 10 chunks → checkpoints at log positions 0
-        // (initial), 4 and 8. The binary search must pick the *latest*
-        // checkpoint at or before the requested chunk, on both sides of
-        // every boundary.
-        let bs = BaseStation::with_checkpoint_interval(4);
-        for f in frames(10) {
-            accept(&bs, 1, f);
-        }
-        for (chunk, resume_at) in [
-            (0usize, 0usize),
-            (1, 0),
-            (3, 0),
-            (4, 4),
-            (5, 4),
-            (7, 4),
-            (8, 8),
-            (9, 8),
-            (100, 8),
-        ] {
-            let (decoder, start) = bs.decoder_at(1, chunk).unwrap();
-            assert_eq!(start, resume_at, "chunk {chunk}");
-            assert_eq!(decoder.next_seq(), resume_at as u64, "chunk {chunk}");
-        }
-        assert!(bs.decoder_at(99, 0).is_err(), "unknown sensor");
-    }
-
-    #[test]
     fn aggregate_range_serves_from_compressed_index() {
         let bs = BaseStation::new();
         for f in frames(4) {
@@ -1192,7 +1038,7 @@ mod tests {
         // Chunk summaries are epoch-self-contained (a resync chunk anchors
         // on its own snapshot), so the index keeps serving across epoch
         // bumps.
-        let (fs, _) = v2_stream(6, 2);
+        let fs = v2_stream(6, 2);
         let bs = BaseStation::new();
         for f in &fs {
             bs.receive_frame(1, f.clone()).unwrap();
@@ -1326,7 +1172,7 @@ mod tests {
     fn compaction_toggle_recovers_identical_state() {
         let base = std::env::temp_dir().join(format!("sbr-bs-compact-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&base);
-        let (fs, _) = v2_stream(8, 2);
+        let fs = v2_stream(8, 2);
         let mut recovered = Vec::new();
         for (tag, compaction) in [("on", true), ("off", false)] {
             let dir = base.join(tag);
@@ -1465,6 +1311,39 @@ mod tests {
             fresh.aggregate_range(6, 0, 3 * 64 - 1, 5 * 64).unwrap()
         );
         assert_eq!(bs.cold_chunks(6), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn warm_ranges_decode_without_hydrating_after_load() {
+        let dir = std::env::temp_dir().join(format!("sbr-bs-warm-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let fs = rebooting_stream(9, 2, &[4]);
+        let want = mirror(&fs);
+        {
+            // Every frame seals a segment + checkpoint: a reload is all cold.
+            let bs = BaseStation::with_persistence(&dir).with_segment_size(1);
+            for f in &fs[..5] {
+                bs.receive_frame(1, f.clone()).unwrap();
+            }
+        }
+        let bs = BaseStation::load(&dir).unwrap();
+        for f in &fs[5..] {
+            bs.receive_frame(1, f.clone()).unwrap();
+        }
+        assert_eq!(bs.cold_chunks(1), 5);
+        assert_eq!(bs.reconstruct_chunks(1, 5, 9).unwrap(), want[5..9].to_vec());
+        assert_eq!(bs.reconstruct_chunks(1, 7, 8).unwrap(), want[7..8].to_vec());
+        let tail = bs
+            .reconstruct_signal_range(1, 1, 5 * 64 + 7, 9 * 64)
+            .unwrap();
+        let signal_1: Vec<f64> = want[5..9].iter().flat_map(|c| c[1].clone()).collect();
+        assert_eq!(tail, signal_1[7..].to_vec());
+        assert_eq!(bs.cold_chunks(1), 5, "a warm range must not hydrate");
+        // A range starting in cold history hydrates, then decodes the same.
+        assert_eq!(bs.reconstruct_chunks(1, 4, 9).unwrap(), want[4..9].to_vec());
+        assert_eq!(bs.cold_chunks(1), 0, "the cold range hydrated");
+        assert_eq!(bs.reconstruct_chunks(1, 0, 9).unwrap(), want);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

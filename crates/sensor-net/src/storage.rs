@@ -185,7 +185,7 @@ impl Continuity {
     }
 
     /// Validate one record payload as the next frame of the stream.
-    fn admit(&mut self, payload: &[u8], label: &Path) -> Result<sbr_core::Transmission, SbrError> {
+    fn admit(&mut self, payload: &[u8], label: &Path) -> Result<sbr_core::Frame, SbrError> {
         let mut rest = payload;
         let parsed = codec::decode_any(&mut rest)?;
         if !rest.is_empty() {
@@ -226,7 +226,7 @@ impl Continuity {
             }
         }
         self.records += 1;
-        Ok(parsed.tx)
+        Ok(parsed)
     }
 }
 
@@ -1328,10 +1328,10 @@ pub struct RecoveredLog {
     /// already parse-validated — re-ingesting these preserves the stream
     /// byte-for-byte across restarts.
     pub frames: Vec<Bytes>,
-    /// The transmissions carried by [`RecoveredLog::frames`] (resync
-    /// envelopes stripped) — a convenience view for tooling that only
-    /// cares about the payloads.
-    pub transmissions: Vec<sbr_core::Transmission>,
+    /// [`RecoveredLog::frames`] parsed, resync envelopes kept: a stream
+    /// that spans a resync (an overflow, or a node reboot whose sequence
+    /// numbers restart at 0) decodes only frame by frame.
+    pub parsed: Vec<sbr_core::Frame>,
     /// Bytes of a truncated trailing frame that were discarded (0 for a
     /// clean stream).
     pub truncated_tail: usize,
@@ -1347,7 +1347,7 @@ pub fn recover_stream(path: &Path) -> Result<RecoveredLog, SbrError> {
         .map_err(|e| io_corrupt(path, "cannot read stream", e))?;
 
     let mut frames = Vec::new();
-    let mut transmissions = Vec::new();
+    let mut parsed = Vec::new();
     let mut cont = Continuity::fresh();
     let mut pos = 0usize;
     // Stops at the first truncated length prefix or body (crash mid-append).
@@ -1359,13 +1359,13 @@ pub fn recover_stream(path: &Path) -> Result<RecoveredLog, SbrError> {
         let Some(body) = raw.get(pos + 4..pos + 4 + len) else {
             break; // truncated tail
         };
-        transmissions.push(cont.admit(body, path)?);
+        parsed.push(cont.admit(body, path)?);
         frames.push(Bytes::copy_from_slice(body));
         pos += 4 + len;
     }
     Ok(RecoveredLog {
         frames,
-        transmissions,
+        parsed,
         truncated_tail: raw.len() - pos,
     })
 }
@@ -1591,8 +1591,8 @@ mod tests {
         let mut cont = Continuity::fresh();
         for f in &fs {
             let sealed = w.append(f).unwrap();
-            let tx = cont.admit(f, Path::new("mem")).unwrap();
-            assert_eq!(tx.seq + 1, cont.next_seq);
+            let frame = cont.admit(f, Path::new("mem")).unwrap();
+            assert_eq!(frame.tx.seq + 1, cont.next_seq);
             let meta = sealed.expect("tiny budget seals every append");
             assert_eq!(meta.records, 1);
             w.write_checkpoint(&CheckpointState {
@@ -1874,7 +1874,7 @@ mod tests {
         assert_eq!(w.frames_written(), 4);
         let rec = recover_stream(&path).unwrap();
         assert_eq!(rec.frames, fs);
-        assert_eq!(rec.transmissions.len(), 4);
+        assert_eq!(rec.parsed.len(), 4);
         assert_eq!(rec.truncated_tail, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }

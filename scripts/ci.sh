@@ -59,6 +59,18 @@ echo "==> query differential suite (compressed-domain engine vs decode-then-scan
 # strategies, thread counts and recovered station indexes.
 cargo test -q --offline --test query_diff
 
+echo "==> reconstruction differential (station chunks from summaries vs mirror Decoder::decode_frame)"
+# Guard: the station decodes every historical chunk from its own chunk
+# summary (interval records + the X_new they reference), never by replaying
+# the log. Every [from, to) of a resync- and reboot-heavy stream must equal
+# a Decoder::decode_frame mirror of the whole stream bit for bit, and every
+# crash point of the storage matrix must recover chunks equal to the mirror.
+cargo test -q --offline --test storage_crash_matrix
+mirror="$(cargo test -q --offline -p sensor-net --lib -- --exact \
+  base_station::tests::every_chunk_range_matches_the_decoder_mirror)"
+echo "$mirror" | grep -q "1 passed" \
+  || { echo "the station-vs-mirror test did not run:"; echo "$mirror"; exit 1; } >&2
+
 echo "==> ARQ differential suite (reliable link: Strategy::Sbr log == direct-delivery reference)"
 # Guard: the loss-tolerant v2 protocol is pure delivery mechanics — on a
 # perfect channel Strategy::Sbr's base-station log must be byte-identical

@@ -50,7 +50,7 @@ fn parallel_ingest_from_many_sensors() {
 
 #[test]
 fn queries_concurrent_with_ingest() {
-    let station = Arc::new(BaseStation::with_checkpoint_interval(3));
+    let station = Arc::new(BaseStation::new());
     // Pre-load sensor 1 so queries always have data.
     for f in sensor_frames(1, 10) {
         assert_eq!(station.receive_frame(1, f).unwrap(), Receipt::Accepted);

@@ -241,7 +241,7 @@ fn log_recovery_survives_any_tail_truncation() {
     for cut in last_start..full.len() {
         std::fs::write(&path, &full[..cut]).unwrap();
         let rec = recover_stream(&path).unwrap();
-        assert_eq!(rec.transmissions.len(), 2, "cut at {cut}");
+        assert_eq!(rec.parsed.len(), 2, "cut at {cut}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
