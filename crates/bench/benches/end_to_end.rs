@@ -136,7 +136,11 @@ fn bench_query(c: &mut Criterion) {
     let summary = ChunkSummary::new(&tx.intervals, base.clone(), 10, 1024).unwrap();
     let mut g = c.benchmark_group("range_sum_10240");
     g.bench_function("chunk_summary", |b| {
-        b.iter(|| summary.range_sum(black_box(100), black_box(9000)).unwrap())
+        b.iter(|| {
+            summary
+                .range_moments(black_box(100), black_box(9000))
+                .unwrap()
+        })
     });
     g.bench_function("reconstruct_scan", |b| {
         b.iter(|| {

@@ -1,7 +1,8 @@
 //! Compressed-domain range-aggregate benchmarks: cold index build + first
-//! query, warm plan-cache steady state, and a decode-then-scan baseline
-//! (reconstruct the log, fold the range) on the same range — the
-//! Criterion-grade counterpart of `pipebench/`'s `history_query` workload.
+//! query, warm plan-cache steady state, plan-cache misses over long ranges
+//! of a 256-chunk index, and a decode-then-scan baseline (reconstruct the
+//! log, fold the range) — the Criterion-grade counterpart of
+//! `pipebench/`'s `history_query` workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -18,10 +19,10 @@ fn files(n_signals: usize, m: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// A 16-chunk stream of 4 signals × 256 samples, drifting per chunk so
-/// the base signal keeps evolving (realistic update-log shape).
-fn stream() -> Vec<Transmission> {
-    let (n_signals, m, chunks) = (4usize, 256usize, 16usize);
+/// A `chunks`-chunk stream of 4 signals × `m` samples, drifting per chunk
+/// so the base signal keeps evolving (realistic update-log shape).
+fn stream(m: usize, chunks: usize) -> Vec<Transmission> {
+    let n_signals = 4;
     let mut enc =
         SbrEncoder::new(n_signals, m, SbrConfig::new(n_signals * m / 5, m)).expect("config");
     (0..chunks)
@@ -38,7 +39,7 @@ fn stream() -> Vec<Transmission> {
 }
 
 fn bench_query_aggregate(c: &mut Criterion) {
-    let txs = stream();
+    let txs = stream(256, 16);
     let total = 16 * 256;
     let mut g = c.benchmark_group("query_aggregate");
     g.sample_size(20);
@@ -60,6 +61,23 @@ fn bench_query_aggregate(c: &mut Criterion) {
         b.iter(|| {
             warm.query(black_box(1), 37, total - 19, Aggregate::Sum)
                 .expect("query")
+        })
+    });
+
+    // Misses: every iteration asks a range the plan cache has not seen,
+    // each spanning ~90% of a 256-chunk index, so only the block walk and
+    // the two boundary chunks are timed.
+    let (m, chunks) = (64, 256);
+    let mut long = QueryEngine::from_transmissions(&stream(m, chunks)).expect("index");
+    let (span, slack) = (chunks * m * 9 / 10, chunks * m / 20);
+    let mut k = 0usize;
+    g.bench_function("miss_long_range", |b| {
+        b.iter(|| {
+            // slack² distinct ranges, far more than the plan cache holds.
+            let t0 = k % slack;
+            let t1 = t0 + span + (k / slack) % slack;
+            k += 1;
+            long.aggregate(black_box(1), t0, t1).expect("query")
         })
     });
 

@@ -47,7 +47,7 @@
 //! | `sbr_core.query.query_ns` | histogram | one compressed-domain range query |
 //! | `sbr_core.query.plan_cache.hits` | counter | queries served from a cached plan |
 //! | `sbr_core.query.plan_cache.misses` | counter | queries that computed a fresh plan |
-//! | `sbr_core.query.intervals_folded` | counter | intervals answered from precomputed moments |
+//! | `sbr_core.query.intervals_folded` | counter | precomputed moments folded whole (interval records or chunk blocks) |
 //! | `sbr_core.query.boundary_decodes` | counter | intervals a range split mid-way (partial scan) |
 //!
 //! [`EncodeObs`] also carries a frame-lifecycle [`Timeline`] (disabled by
@@ -224,7 +224,8 @@ pub struct QueryObs {
     pub plan_hits: Counter,
     /// Queries that resolved and cached a fresh plan.
     pub plan_misses: Counter,
-    /// Intervals whose contribution came from precomputed moments.
+    /// Precomputed moments folded whole: interval records of a query's
+    /// boundary chunks, and chunk blocks of the engine's block index.
     pub intervals_folded: Counter,
     /// Intervals a range split mid-way: only their covered window is
     /// decoded (scanned), never the whole chunk.

@@ -5,18 +5,24 @@
 //! expanding. SBR's interval records have the same property: over a record
 //! `ŷ_i = a·X[shift + i] + b`, the sum of reconstructed values on any
 //! sub-range is `a · Σ X[..] + b · len`, and `Σ X[..]` comes from a prefix
-//! sum over the base signal in O(1). A range-SUM/AVG query therefore costs
-//! `O(#intervals touched)` instead of `O(#samples)`; MIN/MAX scan only the
-//! touched base segments.
+//! sum over the base signal in O(1); MIN/MAX of a whole record are
+//! precomputed, and only a record a range splits has its covered base
+//! window scanned.
 //!
 //! A [`ChunkSummary`] is built *once* per chunk (at ingest or stream
-//! load): per-interval moments (count, Σ, min/max of the referenced base
-//! segment, pre-folded through `a·X+b`) plus prefix sums over both the
-//! base signal and the interval moments, so any later query folds each
-//! touched interval in O(1) and decodes only the (at most two) intervals a
-//! range splits mid-way. The [`QueryEngine`] indexes a stream's summaries,
-//! adds a small plan cache keyed by `(signal, range, aggregate class)` and
-//! serves the TAG aggregate set — SUM/AVG/MIN/MAX — without ever inflating
+//! load): per-interval moments (Σ, min/max of the reconstruction,
+//! pre-folded through `a·X+b`) plus prefix sums over the base signal, so a
+//! range inside one chunk folds each touched interval in O(1) and decodes
+//! only the (at most two) intervals it splits mid-way.
+//!
+//! The [`QueryEngine`] indexes a stream's summaries and, beside them, the
+//! whole-row moments of every signal over aligned power-of-two blocks of
+//! chunks. A range over `C` indexed chunks resolves its (at most two)
+//! partly covered head and tail chunks through their summaries and its
+//! fully covered interior from at most `2·⌈log₂ C⌉` blocks, so a cold query
+//! costs O(log C) folds beyond the two boundary chunks, whatever its span.
+//! A small plan cache keyed by `(signal, range)` serves repeats. The engine
+//! answers the TAG aggregate set — SUM/AVG/MIN/MAX — without ever inflating
 //! a chunk. A summary also holds everything needed to decode its chunk
 //! ([`ChunkSummary::reconstruct`]), so an indexed stream needs no second
 //! per-chunk state for reconstruction.
@@ -60,12 +66,13 @@ pub enum Aggregate {
     Max,
 }
 
-/// How a query's touched intervals were resolved: `folded` in O(1) from
-/// precomputed moments, or `boundary` — split mid-way by the range, so only
-/// the covered window was evaluated directly.
+/// How a query was resolved: `folded` precomputed moments (whole interval
+/// records or whole chunk blocks), or `boundary` intervals — split mid-way
+/// by the range, so only the covered window was evaluated directly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FoldCounts {
-    /// Intervals fully covered by the range, answered from moments.
+    /// Moments folded whole: interval records fully covered by the range,
+    /// and chunk blocks of the engine's block index.
     pub folded: u64,
     /// Intervals the range splits; their covered window is scanned.
     pub boundary: u64,
@@ -78,13 +85,33 @@ impl FoldCounts {
     }
 }
 
-/// Precomputed aggregate moments of one interval record, folded through
-/// `a·X+b`: the sum, minimum and maximum of the record's *reconstruction*.
+/// Precomputed aggregate moments of a stretch of the reconstruction — one
+/// interval record, folded through `a·X+b`, or one signal's rows over a
+/// block of chunks: the sum, minimum and maximum.
 #[derive(Clone, Copy, Debug)]
 struct SegMoments {
     sum: f64,
     min: f64,
     max: f64,
+}
+
+impl SegMoments {
+    /// The moments of an empty stretch: the identity of [`merge`](Self::merge).
+    const EMPTY: SegMoments = SegMoments {
+        sum: 0.0,
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+    };
+
+    /// The moments of two adjacent stretches. Min and max are order-free,
+    /// so a merged block's extrema are bit-identical to a sequential scan.
+    fn merge(&self, other: &SegMoments) -> SegMoments {
+        SegMoments {
+            sum: self.sum + other.sum,
+            min: self.min.min(other.min),
+            max: self.max.max(other.max),
+        }
+    }
 }
 
 /// An owned, immutable compressed-domain synopsis of one chunk.
@@ -96,9 +123,8 @@ struct SegMoments {
 /// - per-record [`SegMoments`] (Σ/min/max of the reconstruction, computed
 ///   with the *same floating-point expression* the decoder uses, so min and
 ///   max are bit-for-bit identical to a decode-then-scan),
-/// - prefix sums over both the base signal (`PrefixStats`) and the
-///   per-record sums, so a range sum costs O(1) beyond the two boundary
-///   records.
+/// - prefix sums over the base signal (`PrefixStats`), so the sum over a
+///   record's covered window costs O(1).
 ///
 /// All offsets are flat chunk indices (`signal · m + local`).
 #[derive(Clone, Debug)]
@@ -107,8 +133,6 @@ pub struct ChunkSummary {
     /// `records[k]` covers `[records[k].start, ends[k])`.
     ends: Vec<usize>,
     moments: Vec<SegMoments>,
-    /// `prefix_sums[k]` = Σ of `moments[..k].sum`; length `records.len()+1`.
-    prefix_sums: Vec<f64>,
     base: Vec<f64>,
     base_stats: PrefixStats,
     n_signals: usize,
@@ -164,8 +188,6 @@ impl ChunkSummary {
         }
         let base_stats = PrefixStats::new(&base);
         let mut moments = Vec::with_capacity(records.len());
-        let mut prefix_sums = Vec::with_capacity(records.len() + 1);
-        prefix_sums.push(0.0);
         for (k, r) in records.iter().enumerate() {
             let len = ends[k] - r.start as usize;
             let mom = if r.shift < 0 {
@@ -196,14 +218,12 @@ impl ChunkSummary {
                     max: hi,
                 }
             };
-            prefix_sums.push(prefix_sums[k] + mom.sum);
             moments.push(mom);
         }
         Ok(ChunkSummary {
             records,
             ends,
             moments,
-            prefix_sums,
             base,
             base_stats,
             n_signals,
@@ -300,41 +320,6 @@ impl ChunkSummary {
         }
     }
 
-    /// Sum of the reconstruction over `[t0, t1)`. Costs O(log #records) for
-    /// the lookup plus O(1) per *boundary* record — the run of fully covered
-    /// records in the middle comes from one prefix-sum subtraction.
-    pub fn range_sum(&self, t0: usize, t1: usize) -> Result<(f64, FoldCounts)> {
-        self.check_range(t0, t1)?;
-        let mut counts = FoldCounts::default();
-        if t0 == t1 {
-            return Ok((0.0, counts));
-        }
-        let touched = self.touching(t0, t1);
-        let (mut k0, mut k1) = (touched.start, touched.end);
-        let mut sum = 0.0f64;
-        if k0 < k1 {
-            let (rs, re) = (self.records[k0].start as usize, self.ends[k0]);
-            let (s, e) = (t0.max(rs), t1.min(re));
-            if s > rs || e < re {
-                sum += self.partial_sum(k0, s, e);
-                counts.boundary += 1;
-                k0 += 1;
-            }
-        }
-        if k0 < k1 {
-            let re = self.ends[k1 - 1];
-            if t1 < re {
-                let rs = self.records[k1 - 1].start as usize;
-                sum += self.partial_sum(k1 - 1, t0.max(rs), t1);
-                counts.boundary += 1;
-                k1 -= 1;
-            }
-        }
-        counts.folded += (k1 - k0) as u64;
-        sum += self.prefix_sums[k1] - self.prefix_sums[k0];
-        Ok((sum, counts))
-    }
-
     /// Sum, min and max of the reconstruction over the non-empty `[t0, t1)`.
     /// Fully covered records come straight from their moments; split records
     /// evaluate only their covered window.
@@ -344,42 +329,22 @@ impl ChunkSummary {
             return Err(SbrError::InconsistentState("empty range".into()));
         }
         let mut counts = FoldCounts::default();
-        let mut sum = 0.0f64;
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
+        let mut acc = SegMoments::EMPTY;
         for k in self.touching(t0, t1) {
             let (rs, re) = (self.records[k].start as usize, self.ends[k]);
             let (s, e) = (t0.max(rs), t1.min(re));
             if s == rs && e == re {
-                let mom = &self.moments[k];
-                sum += mom.sum;
-                lo = lo.min(mom.min);
-                hi = hi.max(mom.max);
+                acc = acc.merge(&self.moments[k]);
                 counts.folded += 1;
             } else {
-                sum += self.partial_sum(k, s, e);
-                let (plo, phi) = self.partial_min_max(k, s, e);
-                lo = lo.min(plo);
-                hi = hi.max(phi);
+                let (min, max) = self.partial_min_max(k, s, e);
+                let sum = self.partial_sum(k, s, e);
+                acc = acc.merge(&SegMoments { sum, min, max });
                 counts.boundary += 1;
             }
         }
-        Ok((sum, lo, hi, counts))
+        Ok((acc.sum, acc.min, acc.max, counts))
     }
-
-    /// Min and max of the reconstruction over the non-empty `[t0, t1)`.
-    pub fn range_min_max(&self, t0: usize, t1: usize) -> Result<((f64, f64), FoldCounts)> {
-        let (_, lo, hi, counts) = self.range_moments(t0, t1)?;
-        Ok(((lo, hi), counts))
-    }
-}
-
-/// Which computation a cached plan holds. SUM and AVG share a plan (one
-/// prefix-sum pass); MIN/MAX and full aggregates share the moment-fold pass.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-enum PlanOp {
-    SumAvg,
-    Full,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -387,7 +352,6 @@ struct PlanKey {
     signal: usize,
     t0: usize,
     t1: usize,
-    op: PlanOp,
 }
 
 /// Plans cached before the map is wholesale-cleared. Summaries are
@@ -395,24 +359,42 @@ struct PlanKey {
 /// the cap only bounds memory on adversarial query streams.
 const PLAN_CACHE_CAP: usize = 4096;
 
+/// Whole-row [`SegMoments`] of every signal (indexed by signal) over one
+/// aligned block of chunks; `None` when the block holds a placeholder.
+type Block = Option<Box<[SegMoments]>>;
+
+fn cold(c: usize) -> SbrError {
+    SbrError::InconsistentState(format!("chunk {c} has no summary yet (cold)"))
+}
+
 /// The compressed-domain query engine: an append-only sequence of
-/// [`ChunkSummary`] synopses plus a small plan cache.
+/// [`ChunkSummary`] synopses, a block index over them and a small plan
+/// cache.
 ///
 /// Serves SUM/AVG/MIN/MAX (the TAG set) over absolute sample ranges
-/// `[t0, t1)` of one signal without ever decoding a chunk — every fully
-/// covered interval contributes via precomputed moments, and only intervals
-/// a range splits mid-way have their covered window evaluated directly.
+/// `[t0, t1)` of one signal without ever decoding a chunk. The (at most
+/// two) partly covered head and tail chunks fold their touched intervals'
+/// precomputed moments, and only intervals the range splits mid-way have
+/// their covered window evaluated directly. The fully covered chunks in
+/// between fold from the block index: level `k` holds every signal's
+/// whole-row moments over each complete, `2^k`-aligned block of chunks, and
+/// a run of chunks decomposes into at most `2·⌈log₂ C⌉` such blocks.
 ///
 /// Chunks are appended with [`index_frame`](Self::index_frame), which
-/// rejects a chunk whose shape disagrees with the index.
+/// rejects a chunk whose shape disagrees with the index, and extends the
+/// block index in O(n_signals · log C).
 /// [`push_placeholder`](Self::push_placeholder) reserves the slot of a
 /// chunk whose summary is not built yet (the cold prefix of a lazily
-/// loaded log); queries touching one fail until the owner rebuilds the
-/// engine. Appending never invalidates cached plans: summaries are
-/// immutable and past ranges are unaffected.
+/// loaded log); a block holding one has no entry, so the range walk
+/// descends into it, and queries touching a placeholder fail until the
+/// owner rebuilds the engine. Appending never invalidates cached plans:
+/// summaries are immutable and past ranges are unaffected.
 #[derive(Debug, Default)]
 pub struct QueryEngine {
     chunks: Vec<Option<ChunkSummary>>,
+    /// `blocks[k][j]` covers chunks `[j·2^k, (j+1)·2^k)`; level `k` holds
+    /// one entry per complete block, `chunks.len() >> k` of them.
+    blocks: Vec<Vec<Block>>,
     n_signals: usize,
     m: usize,
     plans: HashMap<PlanKey, RangeAggregate>,
@@ -444,12 +426,13 @@ impl QueryEngine {
 
     /// Index the next frame of a stream: summarize the chunk against the
     /// `X_new` layout `tracker` peeks for it, check its shape, then advance
-    /// `tracker` over the frame's base updates and append the summary. The
-    /// station's ingest, its hydration replay and stream loading all go
-    /// through here. A frame the index cannot summarize (no interval
-    /// records, records that do not cover the chunk or overrun the base,
-    /// a shape other than the indexed chunks') is a typed error, and on any
-    /// error neither the engine nor `tracker` has changed.
+    /// `tracker` over the frame's base updates and append the summary and
+    /// its block-index entries. The station's ingest, its hydration replay
+    /// and stream loading all go through here. A frame the index cannot
+    /// summarize (no interval records, records that do not cover the chunk
+    /// or overrun the base, a shape other than the indexed chunks') is a
+    /// typed error, and on any error neither the engine nor `tracker` has
+    /// changed.
     pub fn index_frame(&mut self, tracker: &mut Decoder, frame: &Frame) -> Result<()> {
         let tx = &frame.tx;
         let (n_signals, m) = (tx.n_signals as usize, tx.samples_per_signal as usize);
@@ -461,15 +444,52 @@ impl QueryEngine {
                 self.n_signals, self.m
             )));
         }
+        let rows = (0..n_signals)
+            .map(|s| {
+                let (sum, min, max, _) = summary.range_moments(s * m, (s + 1) * m)?;
+                Ok(SegMoments { sum, min, max })
+            })
+            .collect::<Result<Box<[SegMoments]>>>()?;
         tracker.apply_frame_updates_only(frame)?;
         (self.n_signals, self.m) = (n_signals, m);
         self.chunks.push(Some(summary));
+        self.push_block(Some(rows));
         Ok(())
     }
 
     /// Append a placeholder for a chunk whose summary is not built yet.
+    /// Placeholders may come before the first summary fixes the shape (a
+    /// loaded station's cold prefix): they only need a block-index slot.
     pub fn push_placeholder(&mut self) {
         self.chunks.push(None);
+        self.push_block(None);
+    }
+
+    /// Push the newest chunk's level-0 entry, then the entry of every
+    /// aligned block it completes, each merged from its two halves.
+    fn push_block(&mut self, mut entry: Block) {
+        for level in 0.. {
+            if self.blocks.len() == level {
+                self.blocks.push(Vec::new());
+            }
+            let Some(blocks) = self.blocks.get_mut(level) else {
+                return;
+            };
+            blocks.push(entry);
+            // An odd count: the entry just pushed opens a block one level up.
+            if blocks.len() % 2 == 1 {
+                return;
+            }
+            let Some((_, [left, right])) = blocks.split_last_chunk::<2>() else {
+                return;
+            };
+            entry = match (left, right) {
+                (Some(l), Some(r)) => {
+                    Some(l.iter().zip(r.iter()).map(|(a, b)| a.merge(b)).collect())
+                }
+                _ => None,
+            };
+        }
     }
 
     /// The summary of chunk `c`; `None` past the end and for placeholders.
@@ -530,48 +550,95 @@ impl QueryEngine {
         Ok(())
     }
 
+    /// Fold `signal` over the absolute samples `[t0, t1)` inside chunk `c`
+    /// from the chunk's summary.
+    fn fold_chunk(
+        &self,
+        signal: usize,
+        c: usize,
+        (t0, t1): (usize, usize),
+        acc: &mut SegMoments,
+        counts: &mut FoldCounts,
+    ) -> Result<()> {
+        let summary = self.chunk(c).ok_or_else(|| cold(c))?;
+        let row = signal * self.m;
+        let chunk_t0 = c * self.m;
+        let (sum, min, max, fc) =
+            summary.range_moments(row + (t0 - chunk_t0), row + (t1 - chunk_t0))?;
+        *acc = acc.merge(&SegMoments { sum, min, max });
+        counts.absorb(fc);
+        Ok(())
+    }
+
+    /// Fold `signal` over the fully covered chunks `[a, b)` from the block
+    /// index, taking at each step the largest aligned block that starts at
+    /// the next chunk and fits: at most `2·⌈log₂ C⌉` blocks. A block that
+    /// holds a placeholder has no entry, so the walk descends into it and
+    /// fails on the first cold chunk, as a chunk-by-chunk walk would.
+    fn fold_blocks(
+        &self,
+        signal: usize,
+        (a, b): (usize, usize),
+        acc: &mut SegMoments,
+        counts: &mut FoldCounts,
+    ) -> Result<()> {
+        let mut c = a;
+        while c < b {
+            let mut level = c.trailing_zeros().min((b - c).ilog2()) as usize;
+            loop {
+                match self.blocks.get(level).and_then(|l| l.get(c >> level)) {
+                    Some(Some(block)) => {
+                        let row = block.get(signal).ok_or_else(|| {
+                            SbrError::InconsistentState(format!("stream has no signal {signal}"))
+                        })?;
+                        *acc = acc.merge(row);
+                        counts.folded += 1;
+                        c += 1 << level;
+                        break;
+                    }
+                    Some(None) if level > 0 => level -= 1,
+                    Some(None) => return Err(cold(c)),
+                    None => {
+                        return Err(SbrError::InconsistentState(format!(
+                            "block index has no level-{level} block at chunk {c}"
+                        )))
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Resolve (or fetch from the plan cache) the aggregate over
     /// `[t0, t1)` of `signal`. Errors are never cached.
-    fn plan(&mut self, signal: usize, t0: usize, t1: usize, op: PlanOp) -> Result<RangeAggregate> {
-        let key = PlanKey { signal, t0, t1, op };
+    fn plan(&mut self, signal: usize, t0: usize, t1: usize) -> Result<RangeAggregate> {
+        let key = PlanKey { signal, t0, t1 };
         if let Some(v) = self.plans.get(&key) {
             self.obs.plan_hits.inc();
             return Ok(*v);
         }
         self.check(signal, t0, t1)?;
+        let m = self.m;
+        let mut acc = SegMoments::EMPTY;
         let mut counts = FoldCounts::default();
-        let mut sum = 0.0f64;
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        for c in t0 / self.m..t1.div_ceil(self.m) {
-            let summary = self.chunks[c].as_ref().ok_or_else(|| {
-                SbrError::InconsistentState(format!("chunk {c} has no summary yet (cold)"))
-            })?;
-            let chunk_t0 = c * self.m;
-            let lo = t0.max(chunk_t0) - chunk_t0;
-            let hi = t1.min(chunk_t0 + self.m) - chunk_t0;
-            let (s, e) = (signal * self.m + lo, signal * self.m + hi);
-            match op {
-                PlanOp::SumAvg => {
-                    let (v, fc) = summary.range_sum(s, e)?;
-                    sum += v;
-                    counts.absorb(fc);
-                }
-                PlanOp::Full => {
-                    let (v, clo, chi, fc) = summary.range_moments(s, e)?;
-                    sum += v;
-                    min = min.min(clo);
-                    max = max.max(chi);
-                    counts.absorb(fc);
-                }
-            }
+        // Chunks [a, b) are fully covered; the head chunk a − 1 and the
+        // tail chunk b may be partly covered (a > b: the range lies inside
+        // the head chunk). Folding head, interior, tail in order names the
+        // first cold chunk of the range on failure.
+        let (a, b) = (t0.div_ceil(m), t1 / m);
+        if t0 < a * m {
+            self.fold_chunk(signal, a - 1, (t0, t1.min(a * m)), &mut acc, &mut counts)?;
+        }
+        self.fold_blocks(signal, (a, b), &mut acc, &mut counts)?;
+        if a <= b && b * m < t1 {
+            self.fold_chunk(signal, b, (t0.max(b * m), t1), &mut acc, &mut counts)?;
         }
         let count = t1 - t0;
         let agg = RangeAggregate {
-            sum,
-            avg: sum / count as f64,
-            min,
-            max,
+            sum: acc.sum,
+            avg: acc.sum / count as f64,
+            min: acc.min,
+            max: acc.max,
             count,
         };
         self.obs.plan_misses.inc();
@@ -585,15 +652,11 @@ impl QueryEngine {
     }
 
     /// One aggregate of `signal` over `[t0, t1)`, entirely in the
-    /// compressed domain.
+    /// compressed domain. Every aggregate of a range shares one plan.
     pub fn query(&mut self, signal: usize, t0: usize, t1: usize, agg: Aggregate) -> Result<f64> {
         // lint:allow(determinism): obs-gated latency probe — timing never feeds query results
         let start = self.obs.enabled().then(std::time::Instant::now);
-        let op = match agg {
-            Aggregate::Sum | Aggregate::Avg => PlanOp::SumAvg,
-            Aggregate::Min | Aggregate::Max => PlanOp::Full,
-        };
-        let plan = self.plan(signal, t0, t1, op)?;
+        let plan = self.plan(signal, t0, t1)?;
         let out = match agg {
             Aggregate::Sum => plan.sum,
             Aggregate::Avg => plan.avg,
@@ -610,7 +673,7 @@ impl QueryEngine {
     pub fn aggregate(&mut self, signal: usize, t0: usize, t1: usize) -> Result<RangeAggregate> {
         // lint:allow(determinism): obs-gated latency probe — timing never feeds query results
         let start = self.obs.enabled().then(std::time::Instant::now);
-        let agg = self.plan(signal, t0, t1, PlanOp::Full)?;
+        let agg = self.plan(signal, t0, t1)?;
         if let Some(s) = start {
             self.obs.query_ns.record(s.elapsed().as_nanos() as u64);
         }
@@ -651,10 +714,9 @@ mod tests {
         let (records, base, _) = chunk_and_truth();
         let s = ChunkSummary::new(&records, base, 2, 128).unwrap();
         assert!(s.range_moments(5, 5).is_err());
-        assert!(s.range_sum(10, 5).is_err());
-        assert!(s.range_sum(0, 300).is_err());
+        assert!(s.range_moments(10, 5).is_err());
+        assert!(s.range_moments(0, 300).is_err());
         assert!(s.range_moments(250, 257).is_err());
-        assert_eq!(s.range_sum(7, 7).unwrap().0, 0.0);
     }
 
     #[test]
@@ -704,10 +766,11 @@ mod tests {
         ];
         let s = ChunkSummary::new(&records, Vec::new(), 1, 8).unwrap();
         // First record: 1, 3, 5, 7; second: 10 × 4.
-        assert_eq!(s.range_sum(0, 8).unwrap().0, 16.0 + 40.0);
-        assert_eq!(s.range_sum(2, 6).unwrap().0, 5.0 + 7.0 + 20.0);
-        assert_eq!(s.range_min_max(0, 8).unwrap().0, (1.0, 10.0));
-        assert_eq!(s.range_min_max(1, 3).unwrap().0, (3.0, 5.0));
+        let (sum, lo, hi, _) = s.range_moments(0, 8).unwrap();
+        assert_eq!((sum, lo, hi), (16.0 + 40.0, 1.0, 10.0));
+        assert_eq!(s.range_moments(2, 6).unwrap().0, 5.0 + 7.0 + 20.0);
+        let (sum, lo, hi, _) = s.range_moments(1, 3).unwrap();
+        assert_eq!((sum, lo, hi), (8.0, 3.0, 5.0));
     }
 
     #[test]
@@ -717,14 +780,13 @@ mod tests {
         for (t0, t1) in [(0, 256), (0, 1), (5, 97), (100, 200), (250, 256), (13, 14)] {
             let slice = &rec[t0..t1];
             let direct: f64 = slice.iter().sum();
-            let (fast, _) = s.range_sum(t0, t1).unwrap();
+            let (fast, qlo, qhi, _) = s.range_moments(t0, t1).unwrap();
             assert!(
                 (direct - fast).abs() <= 1e-9 * (1.0 + direct.abs()),
                 "[{t0},{t1}): {fast} vs {direct}"
             );
             let lo = slice.iter().copied().fold(f64::INFINITY, f64::min);
             let hi = slice.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let ((qlo, qhi), _) = s.range_min_max(t0, t1).unwrap();
             // Min/max use the decoder's exact FP expression: bit-for-bit.
             assert_eq!(qlo.to_bits(), lo.to_bits(), "[{t0},{t1}) min");
             assert_eq!(qhi.to_bits(), hi.to_bits(), "[{t0},{t1}) max");
@@ -748,7 +810,7 @@ mod tests {
             },
         ];
         let s = ChunkSummary::new(&records, Vec::new(), 1, 8).unwrap();
-        let (sum, counts) = s.range_sum(0, 8).unwrap();
+        let (sum, _, _, counts) = s.range_moments(0, 8).unwrap();
         assert_eq!(sum, 56.0);
         assert_eq!(
             counts,
@@ -757,7 +819,7 @@ mod tests {
                 boundary: 0
             }
         );
-        let (sum, counts) = s.range_sum(2, 6).unwrap();
+        let (sum, _, _, counts) = s.range_moments(2, 6).unwrap();
         assert_eq!(sum, 32.0);
         assert_eq!(
             counts,
@@ -778,13 +840,19 @@ mod tests {
 
     /// A four-chunk, two-signal stream plus its decoded truth.
     fn stream_fixture() -> (Vec<Transmission>, Vec<Vec<f64>>) {
-        let mut enc = SbrEncoder::new(2, 64, SbrConfig::new(60, 48)).unwrap();
+        stream_of(4, 64)
+    }
+
+    /// A `chunks`-chunk stream of two signals × `m` samples plus its
+    /// decoded truth (one series per signal).
+    fn stream_of(chunks: usize, m: usize) -> (Vec<Transmission>, Vec<Vec<f64>>) {
+        let mut enc = SbrEncoder::new(2, m, SbrConfig::new(m - 4, 3 * m / 4)).unwrap();
         let mut txs = Vec::new();
-        for t in 0..4 {
+        for t in 0..chunks {
             let rows: Vec<Vec<f64>> = (0..2)
                 .map(|r| {
-                    (0..64)
-                        .map(|i| ((i + t * 17 + r * 5) as f64 * 0.3).sin() * 4.0)
+                    (0..m)
+                        .map(|i| ((i + t * 17 + r * 5) as f64 * 0.3).sin() * 4.0 + t as f64 * 0.1)
                         .collect()
                 })
                 .collect();
@@ -901,20 +969,19 @@ mod tests {
         let recorder = MetricsRecorder::new();
         engine.set_obs(QueryObs::new(&recorder));
         assert_eq!(engine.plan_cache_len(), 0);
+        // Every aggregate of one range shares one plan.
         engine.query(0, 10, 200, Aggregate::Sum).unwrap();
-        // AVG shares SUM's plan; MIN/MAX share the full plan.
         engine.query(0, 10, 200, Aggregate::Avg).unwrap();
-        assert_eq!(engine.plan_cache_len(), 1);
         engine.query(0, 10, 200, Aggregate::Min).unwrap();
         engine.query(0, 10, 200, Aggregate::Max).unwrap();
-        assert_eq!(engine.plan_cache_len(), 2);
+        assert_eq!(engine.plan_cache_len(), 1);
         // Errors are never cached.
         assert!(engine.query(0, 200, 10, Aggregate::Sum).is_err());
         assert!(engine.query(9, 10, 200, Aggregate::Sum).is_err());
-        assert_eq!(engine.plan_cache_len(), 2);
+        assert_eq!(engine.plan_cache_len(), 1);
         let snap = recorder.snapshot();
-        assert_eq!(snap.counter("sbr_core.query.plan_cache.hits"), Some(2));
-        assert_eq!(snap.counter("sbr_core.query.plan_cache.misses"), Some(2));
+        assert_eq!(snap.counter("sbr_core.query.plan_cache.hits"), Some(3));
+        assert_eq!(snap.counter("sbr_core.query.plan_cache.misses"), Some(1));
         assert!(snap.counter("sbr_core.query.intervals_folded").unwrap_or(0) > 0);
     }
 
@@ -942,17 +1009,7 @@ mod tests {
     #[test]
     fn engine_placeholders_error_until_rebuilt() {
         let (txs, _) = stream_fixture();
-        let mut tracker = Decoder::new();
-        let mut engine = QueryEngine::new();
-        for (c, tx) in txs.iter().enumerate() {
-            let frame = Frame::data(0, tx.clone());
-            if c == 2 {
-                tracker.apply_frame_updates_only(&frame).unwrap();
-                engine.push_placeholder();
-            } else {
-                engine.index_frame(&mut tracker, &frame).unwrap();
-            }
-        }
+        let mut engine = engine_with_placeholders(&txs, &[2]);
         assert_eq!(engine.len(), 4);
         assert!(engine.chunk(2).is_none() && engine.chunk(4).is_none());
         assert!(engine.chunk(3).is_some());
@@ -1005,5 +1062,145 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.contains("no transmissions"), "{err}");
+    }
+
+    /// Index `txs` in order, pushing a placeholder (and only advancing the
+    /// tracker) in place of every chunk listed in `cold`.
+    fn engine_with_placeholders(txs: &[Transmission], cold: &[usize]) -> QueryEngine {
+        let mut tracker = Decoder::new();
+        let mut engine = QueryEngine::new();
+        for (c, tx) in txs.iter().enumerate() {
+            let frame = Frame::data(0, tx.clone());
+            if cold.contains(&c) {
+                tracker.apply_frame_updates_only(&frame).unwrap();
+                engine.push_placeholder();
+            } else {
+                engine.index_frame(&mut tracker, &frame).unwrap();
+            }
+        }
+        engine
+    }
+
+    /// Every range whose ends sit on, or 5 samples past, a chunk boundary
+    /// either answers like a decode-then-scan of `truth` or — when it
+    /// touches a placeholder — fails naming the first cold chunk a
+    /// chunk-by-chunk walk meets.
+    fn assert_block_walk_matches_chunk_walk(engine: &mut QueryEngine, truth: &[Vec<f64>]) {
+        let m = engine.samples_per_signal();
+        let total = engine.total_samples();
+        let ends: Vec<usize> = (0..=engine.len())
+            .flat_map(|c| [c * m, c * m + 5])
+            .filter(|&t| t <= total)
+            .collect();
+        for (signal, series) in truth.iter().enumerate() {
+            for &t0 in &ends {
+                for &t1 in ends.iter().filter(|&&t1| t1 > t0) {
+                    let first_cold = (t0 / m..t1.div_ceil(m)).find(|&c| engine.chunk(c).is_none());
+                    match (engine.aggregate(signal, t0, t1), first_cold) {
+                        (Ok(agg), None) => {
+                            let slice = &series[t0..t1];
+                            let sum: f64 = slice.iter().sum();
+                            let lo = slice.iter().copied().fold(f64::INFINITY, f64::min);
+                            let hi = slice.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                            assert!(
+                                (agg.sum - sum).abs() <= 1e-9 * sum.abs().max(1.0),
+                                "sum s{signal} [{t0},{t1})"
+                            );
+                            assert_eq!(
+                                agg.min.to_bits(),
+                                lo.to_bits(),
+                                "min s{signal} [{t0},{t1})"
+                            );
+                            assert_eq!(
+                                agg.max.to_bits(),
+                                hi.to_bits(),
+                                "max s{signal} [{t0},{t1})"
+                            );
+                        }
+                        (Err(err), Some(c)) => {
+                            let want = format!("chunk {c} has no summary yet (cold)");
+                            assert!(err.to_string().contains(&want), "[{t0},{t1}): {err}");
+                        }
+                        (got, want) => panic!("[{t0},{t1}): {got:?}, first cold chunk {want:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn placeholders_before_the_first_summary_keep_the_block_index_aligned() {
+        // A loaded station's order: the cold prefix's placeholders arrive
+        // before any summary has fixed the shape.
+        let (txs, truth) = stream_of(37, 32);
+        let mut engine = engine_with_placeholders(&txs, &[0, 1, 2, 3, 4]);
+        assert_eq!((engine.len(), engine.total_samples()), (37, 37 * 32));
+        assert!(engine.aggregate(1, 5 * 32, 37 * 32).is_ok());
+        assert_block_walk_matches_chunk_walk(&mut engine, &truth);
+    }
+
+    #[test]
+    fn a_placeholder_inside_a_block_names_the_first_cold_chunk() {
+        // Chunk 13 sits inside the complete blocks [12, 14), [8, 16),
+        // [0, 16) and [0, 32); chunk 20 inside [16, 24) and [16, 32).
+        let (txs, truth) = stream_of(37, 32);
+        let mut engine = engine_with_placeholders(&txs, &[13, 20]);
+        let err = engine.aggregate(0, 0, 37 * 32).unwrap_err().to_string();
+        assert!(err.contains("chunk 13 has no summary yet (cold)"), "{err}");
+        let err = engine
+            .aggregate(0, 14 * 32, 37 * 32)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("chunk 20 has no summary yet (cold)"), "{err}");
+        assert_block_walk_matches_chunk_walk(&mut engine, &truth);
+    }
+
+    #[test]
+    fn cold_queries_fold_at_most_two_blocks_per_level() {
+        use crate::obs::{MetricsRecorder, Recorder};
+        let (chunks, m) = (37usize, 32usize);
+        let (txs, _) = stream_of(chunks, m);
+        let mut engine = QueryEngine::from_transmissions(&txs).unwrap();
+        let recorder = MetricsRecorder::new();
+        engine.set_obs(QueryObs::new(&recorder));
+        let mut folded_before = 0;
+        let mut folds = |engine: &mut QueryEngine, t0: usize, t1: usize| {
+            engine.aggregate(0, t0, t1).unwrap();
+            let folded = recorder
+                .snapshot()
+                .counter("sbr_core.query.intervals_folded")
+                .unwrap_or(0);
+            std::mem::replace(&mut folded_before, folded).abs_diff(folded)
+        };
+        // The whole history is the blocks [0, 32), [32, 36) and [36, 37).
+        assert_eq!(folds(&mut engine, 0, chunks * m), 3);
+        let bound = 2 * u64::from(chunks.next_power_of_two().ilog2());
+        for c0 in 0..chunks {
+            for c1 in c0 + 1..=chunks {
+                assert!(folds(&mut engine, c0 * m, c1 * m) <= bound, "[{c0}, {c1})");
+                // Unaligned: the head and tail chunks fold their own records.
+                let (t0, t1) = (c0 * m + 3, c1 * m - 2);
+                let edge = |c: usize, s: usize, e: usize| {
+                    let base = c * m;
+                    engine
+                        .chunk(c)
+                        .unwrap()
+                        .range_moments(s - base, e - base)
+                        .unwrap()
+                        .3
+                        .folded
+                };
+                let records = if c1 - c0 == 1 {
+                    edge(c0, t0, t1)
+                } else {
+                    edge(c0, t0, (c0 + 1) * m) + edge(c1 - 1, (c1 - 1) * m, t1)
+                };
+                let got = folds(&mut engine, t0, t1);
+                assert!(
+                    got <= bound + records,
+                    "[{t0}, {t1}): {got} > {bound} + {records}"
+                );
+            }
+        }
     }
 }

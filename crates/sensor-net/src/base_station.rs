@@ -540,11 +540,13 @@ impl BaseStation {
 
     /// SUM/AVG/MIN/MAX of `signal` of `node` over the absolute sample
     /// range `[t0, t1)`, answered from the compressed-domain chunk index
-    /// maintained at ingest (see [`sbr_core::QueryEngine`]): O(#intervals
-    /// touched), no frame replay, cached plans for repeated queries, and
-    /// valid across resyncs because every chunk summary is
-    /// epoch-self-contained. A range reaching into the cold history of a
-    /// lazily loaded station hydrates it first.
+    /// maintained at ingest (see [`sbr_core::QueryEngine`]): the touched
+    /// intervals of the (at most two) partly covered boundary chunks plus
+    /// O(log #chunks) aligned chunk blocks for the chunks between, no
+    /// frame replay, cached plans for repeated queries, and valid across
+    /// resyncs because every chunk summary is epoch-self-contained. A
+    /// range reaching into the cold history of a lazily loaded station
+    /// hydrates it first.
     pub fn aggregate_range(
         &self,
         node: NodeId,

@@ -53,11 +53,19 @@ cargo test -q --offline --test reference_diff
 
 echo "==> query differential suite (compressed-domain engine vs decode-then-scan oracle)"
 # Guard: the compressed-domain query engine answers from closed-form
-# interval moments — min/max must match the decode-then-scan oracle in
-# tests/common (reference_aggregate: Decoder::replay, then fold the slice)
-# bit for bit, sums within 1e-9 relative, across metrics, search
-# strategies, thread counts and recovered station indexes.
+# interval moments and, between a range's boundary chunks, from its
+# aligned chunk-block index — min/max must match the decode-then-scan
+# oracle in tests/common (reference_aggregate: Decoder::replay, then fold
+# the slice) bit for bit, sums within 1e-9 relative, across metrics,
+# search strategies, thread counts and recovered station indexes. The
+# block-index differential (a 37-chunk stream, every aligned range plus a
+# seeded unaligned sweep) is run by name as well, so renaming it away
+# fails here instead of silently dropping out.
 cargo test -q --offline --test query_diff
+blocks="$(cargo test -q --offline --test query_diff -- --exact \
+  block_index_agrees_on_a_non_power_of_two_stream)"
+echo "$blocks" | grep -q "1 passed" \
+  || { echo "the block-index differential did not run:"; echo "$blocks"; exit 1; } >&2
 
 echo "==> reconstruction differential (station chunks from summaries vs mirror Decoder::decode_frame)"
 # Guard: the station decodes every historical chunk from its own chunk

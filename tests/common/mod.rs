@@ -509,12 +509,22 @@ pub fn reference_aggregate(
     t0: usize,
     t1: usize,
 ) -> RangeAggregate {
+    reference_fold(&reference_series(txs, signal)[t0..t1])
+}
+
+/// The reconstruction of `signal` over the whole stream: every chunk
+/// [`Decoder::replay`] yields, concatenated.
+pub fn reference_series(txs: &[Transmission], signal: usize) -> Vec<f64> {
     let decoded = Decoder::replay(txs).expect("replay");
-    let series: Vec<f64> = decoded
+    decoded
         .iter()
         .flat_map(|chunk| chunk[signal].iter().copied())
-        .collect();
-    let slice = &series[t0..t1];
+        .collect()
+}
+
+/// SUM/AVG/MIN/MAX of a reconstructed slice, folded left to right: the
+/// scan half of [`reference_aggregate`].
+pub fn reference_fold(slice: &[f64]) -> RangeAggregate {
     let sum: f64 = slice.iter().sum();
     RangeAggregate {
         sum,

@@ -428,10 +428,9 @@ proptest! {
         let t1 = (t0 + span).min(total);
         let t0 = t0.min(t1 - 1);
         let direct: f64 = rec[t0..t1].iter().sum();
-        let (fast, _) = summary.range_sum(t0, t1).unwrap();
+        let (fast, lo, hi, _) = summary.range_moments(t0, t1).unwrap();
         let scale = rec[t0..t1].iter().map(|v| v.abs()).sum::<f64>().max(1.0);
         prop_assert!((direct - fast).abs() <= 1e-9 * scale, "{fast} vs {direct}");
-        let ((lo, hi), _) = summary.range_min_max(t0, t1).unwrap();
         let dlo = rec[t0..t1].iter().copied().fold(f64::INFINITY, f64::min);
         let dhi = rec[t0..t1].iter().copied().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(lo.to_bits() == dlo.to_bits(), "min {lo} vs {dlo}");

@@ -4,16 +4,19 @@
 //! Min/max must agree **bit for bit** on every range — the moment
 //! builders evaluate the decoder's exact floating-point expressions, so
 //! there is no tolerance to hide behind. Sums are accumulated in a
-//! different association order (per-interval prefix moments vs. one long
-//! left-to-right fold), so sum/avg get a 1e-9 relative tolerance.
-//! The contract must hold across error metrics, search strategies (binary
-//! and exhaustive), the fall-back switch, worker thread counts, a frozen
-//! base, and a persisted-then-recovered base-station index.
+//! different association order (per-interval moments merged over aligned
+//! chunk blocks vs. one long left-to-right fold), so sum/avg get a 1e-9
+//! relative tolerance. The contract must hold across error metrics, search
+//! strategies (binary and exhaustive), the fall-back switch, worker thread
+//! counts, a frozen base, a chunk count that is not a power of two, and a
+//! persisted-then-recovered base-station index.
 
 mod common;
 
-use common::reference_aggregate;
-use sbr_repro::core::{codec, Aggregate, QueryEngine, SbrConfig, SbrEncoder, Transmission};
+use common::{reference_aggregate, reference_fold, reference_series};
+use sbr_repro::core::{
+    codec, Aggregate, QueryEngine, RangeAggregate, SbrConfig, SbrEncoder, Transmission,
+};
 use sbr_repro::sensor_net::{BaseStation, Receipt};
 
 /// `n_signals` drifting signals chunked into `chunks` batches of `m`.
@@ -55,8 +58,19 @@ fn assert_agree(
     t0: usize,
     t1: usize,
 ) {
-    let fast = engine.aggregate(signal, t0, t1).expect("engine aggregate");
     let slow = reference_aggregate(txs, signal, t0, t1);
+    assert_agree_with(engine, &slow, signal, t0, t1);
+}
+
+/// [`assert_agree`] against an oracle answer already folded.
+fn assert_agree_with(
+    engine: &mut QueryEngine,
+    slow: &RangeAggregate,
+    signal: usize,
+    t0: usize,
+    t1: usize,
+) {
+    let fast = engine.aggregate(signal, t0, t1).expect("engine aggregate");
     assert_eq!(fast.count, slow.count, "count [{t0}, {t1})");
     assert_eq!(
         fast.min.to_bits(),
@@ -86,19 +100,15 @@ fn assert_agree(
         fast.avg,
         slow.avg
     );
-    // The scalar entry points agree with aggregate(): min/max share the
-    // full-moments plan (bit-exact); sum/avg come from the dedicated
-    // prefix-sum plan, a different association order again.
-    for (agg, want) in [(Aggregate::Min, fast.min), (Aggregate::Max, fast.max)] {
+    // The scalar entry points share aggregate()'s plan: bit-exact.
+    for (agg, want) in [
+        (Aggregate::Sum, fast.sum),
+        (Aggregate::Avg, fast.avg),
+        (Aggregate::Min, fast.min),
+        (Aggregate::Max, fast.max),
+    ] {
         let got = engine.query(signal, t0, t1, agg).expect("engine query");
         assert_eq!(got.to_bits(), want.to_bits(), "{agg:?} vs aggregate()");
-    }
-    for (agg, want) in [(Aggregate::Sum, fast.sum), (Aggregate::Avg, fast.avg)] {
-        let got = engine.query(signal, t0, t1, agg).expect("engine query");
-        assert!(
-            (got - want).abs() <= 1e-9 * want.abs().max(1.0),
-            "{agg:?} vs aggregate(): {got} vs {want}"
-        );
     }
 }
 
@@ -138,6 +148,63 @@ fn split_ranges_agree_within_the_documented_bound() {
     for signal in 0..2 {
         for &(t0, t1) in &ranges {
             assert_agree(&mut engine, &txs, signal, t0, t1);
+        }
+    }
+}
+
+#[test]
+fn block_index_agrees_on_a_non_power_of_two_stream() {
+    // 37 chunks: the block index ends in complete blocks of 32, 4 and 1
+    // chunks, so ranges cross the ragged edge of every level.
+    let (chunks, m) = (37, 32);
+    let total = chunks * m;
+    let files = chunked(2, m, chunks, 0.4);
+    let txs = encode_stream(&files, SbrConfig::new(40, 24));
+    let mut engine = QueryEngine::from_transmissions(&txs).expect("index");
+    for signal in 0..2 {
+        let series = reference_series(&txs, signal);
+        let mut check = |t0: usize, t1: usize| {
+            assert_agree_with(
+                &mut engine,
+                &reference_fold(&series[t0..t1]),
+                signal,
+                t0,
+                t1,
+            );
+        };
+        for c0 in 0..chunks {
+            for c1 in (c0 + 1)..=chunks {
+                check(c0 * m, c1 * m);
+            }
+        }
+        // A seeded sweep of unaligned ranges, cycling through ranges
+        // inside one chunk, head-only (unaligned start, aligned end),
+        // tail-only (aligned start, unaligned end) and unconstrained ones.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64 ^ signal as u64;
+        let mut draw = |n: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % n
+        };
+        for i in 0..400 {
+            let t0 = draw(total);
+            let c = t0 / m;
+            let (t0, t1) = match i % 4 {
+                0 => (t0, t0 + 1 + draw((c + 1) * m - t0)),
+                1 => (t0, (c + 1 + draw(chunks - c)) * m),
+                2 => (c * m, c * m + 1 + draw(total - c * m)),
+                _ => (t0, t0 + 1 + draw(total - t0)),
+            };
+            check(t0, t1);
+        }
+        for (t0, t1) in [
+            (0, 1),
+            (1, total - 1),
+            (total - 1, total),
+            (m - 1, total - m + 1),
+        ] {
+            check(t0, t1);
         }
     }
 }
