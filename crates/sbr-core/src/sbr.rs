@@ -154,8 +154,8 @@ impl SbrEncoder {
         let _encode_span = obs.span("sbr_core.sbr.encode_ns", &obs.encode_ns);
 
         // Step 1 (Algorithms 4, 6, 7): rank candidate features and pick how
-        // many to insert.
-        let (candidates, ins, probes) = if self.config.update_base {
+        // many to insert, keeping the winning probe's approximation.
+        let (candidates, ins, probes, probed) = if self.config.update_base {
             let max_ins = self.config.max_ins(self.w);
             // K CBIs per GetBase run; the benefit matrix is K×K.
             let k = self.n_signals * (self.samples_per_signal / self.w);
@@ -182,9 +182,10 @@ impl SbrEncoder {
             {
                 ins -= 1;
             }
-            (candidates, ins, probes)
+            let probed = search.take_approximation(ins);
+            (candidates, ins, probes, probed)
         } else {
-            (Vec::new(), 0, 0)
+            (Vec::new(), 0, 0, None)
         };
         let chosen = &candidates[..ins];
 
@@ -197,15 +198,21 @@ impl SbrEncoder {
 
         // Step 3 (Algorithm 3): approximate against the candidate layout
         // X_new = X ∥ inserted, with the bandwidth left over after paying
-        // for the insertions.
-        let mut scratch = Vec::new();
-        let chosen_refs: Vec<&[f64]> = chosen.iter().map(Vec::as_slice).collect();
-        let x_new = self
-            .base
-            .flat_with_appended(&chosen_refs, &mut scratch)
-            .to_vec();
-        let budget = self.config.total_band - ins * (self.w + 1);
-        let approx = get_intervals(&x_new, data, budget, self.w, &self.config)?;
+        // for the insertions. The Search already ran exactly this
+        // `GetIntervals` as its probe of `ins` (the probe cache's fits are
+        // bit-identical to a full sweep), so that probe is transmitted; the
+        // fit runs here only when `ins` was never probed — a frozen base,
+        // no candidates, or a count the safety net lowered.
+        let approx = match probed {
+            Some(approx) => approx,
+            None => {
+                let mut scratch = Vec::new();
+                let chosen_refs: Vec<&[f64]> = chosen.iter().map(Vec::as_slice).collect();
+                let x_new = self.base.flat_with_appended(&chosen_refs, &mut scratch);
+                let budget = self.config.total_band - ins * (self.w + 1);
+                get_intervals(x_new, data, budget, self.w, &self.config)?
+            }
+        };
 
         // Step 4: LFU accounting against the X_new layout, translated to
         // final slots (uses of evicted content are dropped).
@@ -512,6 +519,80 @@ mod tests {
                 crate::codec::encode(&tx),
                 crate::codec::encode(&serial.encode(&rows).unwrap()),
                 "batch {batch}: stream depends on the thread count"
+            );
+        }
+    }
+
+    #[test]
+    fn learning_encoders_transmit_the_winning_probe() {
+        // A learning batch runs GetIntervals once per Search probe and never
+        // again: no fit sweeps the whole dictionary. A frozen batch never
+        // searches and fits exactly once. Either way the transmitted
+        // intervals are what a whole-dictionary fit of X_new produces.
+        use crate::obs::{MetricsRecorder, Recorder as _};
+        use std::sync::Arc;
+        let rows = patterned_rows(3, 256 + 6 * 11);
+        let batches: Vec<Vec<Vec<f64>>> = (0..6)
+            .map(|b| {
+                rows.iter()
+                    .map(|r| r[b * 11..b * 11 + 256].to_vec())
+                    .collect()
+            })
+            .collect();
+        for threads in [1usize, 4] {
+            let rec = Arc::new(MetricsRecorder::new());
+            let plain = SbrConfig::new(200, 256).with_threads(threads);
+            let mut enc =
+                SbrEncoder::new(3, 256, plain.clone().with_recorder(rec.clone())).unwrap();
+            let tallies = || {
+                let snap = rec.snapshot();
+                let c = |name| snap.counter(name).unwrap_or(0);
+                let fits = snap
+                    .histogram("sbr_core.get_intervals.run_ns")
+                    .map_or(0, |h| h.count);
+                let full_sweeps =
+                    c("sbr_core.best_map.direct_sweeps") + c("sbr_core.best_map.fft_sweeps");
+                (fits, c("sbr_core.search.probes"), full_sweeps)
+            };
+            for (t, batch) in batches.iter().enumerate() {
+                let frozen = t >= 3;
+                enc.set_update_base(!frozen);
+                let base = enc.base().clone();
+                let (fits0, probes0, full0) = tallies();
+                let tx = enc.encode(batch).unwrap();
+                let (fits, probes, full) = tallies();
+                let (fits, probes, full) = (fits - fits0, probes - probes0, full - full0);
+                let label = format!("t{threads} batch {t}");
+                if frozen {
+                    assert_eq!(fits, 1, "{label}: a frozen batch fits once");
+                } else {
+                    assert!(probes > 0, "{label}: the search must probe");
+                    assert!(fits <= probes, "{label}: {fits} fits for {probes} probes");
+                    assert_eq!(full, 0, "{label}: a probe was re-fitted");
+                }
+
+                let ins = tx.base_updates.len();
+                let inserted: Vec<&[f64]> = tx
+                    .base_updates
+                    .iter()
+                    .map(|u| u.values.as_slice())
+                    .collect();
+                let mut scratch = Vec::new();
+                let x_new = base.flat_with_appended(&inserted, &mut scratch);
+                let budget = plain.total_band - ins * (enc.w() + 1);
+                let data = MultiSeries::from_rows(batch).unwrap();
+                let refit = get_intervals(x_new, &data, budget, enc.w(), &plain).unwrap();
+                let want: Vec<_> = refit.intervals.iter().map(|iv| iv.record()).collect();
+                assert_eq!(tx.intervals, want, "{label}: transmitted != re-fit");
+                assert_eq!(
+                    enc.last_stats().unwrap().total_err.to_bits(),
+                    refit.total_err.to_bits(),
+                    "{label}"
+                );
+            }
+            assert!(
+                enc.base().num_slots() > 0,
+                "t{threads}: nothing was learned"
             );
         }
     }

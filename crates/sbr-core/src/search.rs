@@ -6,11 +6,12 @@
 //! function of the insertion count is (assumed) unimodal: richer dictionary
 //! vs. fewer intervals. The search probes `O(log maxIns)` counts, each probe
 //! running a full `GetIntervals` against the would-be dictionary, and
-//! memoizes results.
+//! memoizes results — the error that steers the search and the
+//! approximation itself, which the encoder transmits for the winning count.
 
 use crate::base_signal::BaseSignal;
 use crate::config::SbrConfig;
-use crate::get_intervals::get_intervals_with;
+use crate::get_intervals::{get_intervals_with, Approximation};
 use crate::interval::IntervalRecord;
 use crate::probe_cache::ProbeCache;
 use crate::series::MultiSeries;
@@ -22,6 +23,12 @@ use crate::series::MultiSeries;
 /// the fit against the shared base prefix is computed once per interval
 /// and each candidate's region is swept once, instead of re-fitting the
 /// whole dictionary on every probe.
+///
+/// Next to each probe's error the context keeps the probe's
+/// [`Approximation`]: the cache's fits are bit-identical to a full sweep,
+/// so the winning probe *is* the approximation the encoder transmits, and
+/// [`SearchContext::take_approximation`] hands it over instead of having
+/// the encoder run `GetIntervals` again.
 pub struct SearchContext<'a> {
     base: &'a BaseSignal,
     candidates: &'a [Vec<f64>],
@@ -29,6 +36,9 @@ pub struct SearchContext<'a> {
     w: usize,
     config: &'a SbrConfig,
     errors: Vec<Option<f64>>,
+    /// The approximation behind each memoized error; `None` for counts not
+    /// yet probed and for infeasible ones.
+    approximations: Vec<Option<Approximation>>,
     probes: usize,
 }
 
@@ -49,6 +59,7 @@ impl<'a> SearchContext<'a> {
             w,
             config,
             errors: vec![None; candidates.len() + 1],
+            approximations: vec![None; candidates.len() + 1],
             probes: 0,
         }
     }
@@ -105,6 +116,13 @@ impl<'a> SearchContext<'a> {
         self.probes
     }
 
+    /// The approximation a probe of `pos` insertions computed, moved out of
+    /// the memo; `None` when `pos` was never probed or is infeasible (or
+    /// was already taken). Its error stays memoized.
+    pub fn take_approximation(&mut self, pos: usize) -> Option<Approximation> {
+        self.approximations.get_mut(pos)?.take()
+    }
+
     /// Memoized batch error after inserting the first `pos` candidates.
     pub fn error_at(&mut self, pos: usize) -> f64 {
         match self.errors[pos] {
@@ -119,16 +137,18 @@ impl<'a> SearchContext<'a> {
             return e;
         }
         self.probes += 1;
-        let e = self.compute_error(cache, pos);
+        let (e, approx) = self.compute_error(cache, pos);
         self.errors[pos] = Some(e);
+        self.approximations[pos] = approx;
         e
     }
 
     /// The probe itself, memo-free: one full `GetIntervals` run against the
-    /// would-be dictionary (or `∞` when `pos` insertions exhaust the
-    /// budget), with every fit pulled from the cache's probe-`pos` oracle.
-    /// Shared by the serial memoized path and the parallel prefetch.
-    fn compute_error(&self, cache: &ProbeCache<'_>, pos: usize) -> f64 {
+    /// would-be dictionary, with every fit pulled from the cache's
+    /// probe-`pos` oracle. Returns the batch error and its approximation,
+    /// or `(∞, None)` when `pos` insertions exhaust the budget. Shared by
+    /// the serial memoized path and the parallel prefetch.
+    fn compute_error(&self, cache: &ProbeCache<'_>, pos: usize) -> (f64, Option<Approximation>) {
         let _span = self
             .config
             .obs
@@ -136,11 +156,11 @@ impl<'a> SearchContext<'a> {
         let budget = self.config.total_band.saturating_sub(pos * (self.w + 1));
         if budget / IntervalRecord::COST < self.data.n_signals() {
             // Insertions ate the whole budget; this count is infeasible.
-            return f64::INFINITY;
+            return (f64::INFINITY, None);
         }
         match get_intervals_with(&cache.oracle(pos), self.data, budget, self.config) {
-            Ok(a) => a.total_err,
-            Err(_) => f64::INFINITY,
+            Ok(a) => (a.total_err, Some(a)),
+            Err(_) => (f64::INFINITY, None),
         }
     }
 
@@ -171,8 +191,9 @@ impl<'a> SearchContext<'a> {
         let values = crate::par::par_map(missing.len(), threads, &self.config.obs.par, |i| {
             self.compute_error(cache, missing[i])
         });
-        for (&pos, e) in missing.iter().zip(values) {
+        for (&pos, (e, approx)) in missing.iter().zip(values) {
             self.errors[pos] = Some(e);
+            self.approximations[pos] = approx;
             self.probes += 1;
         }
     }

@@ -49,6 +49,9 @@ echo "==> reference-encoder differential suite (every config byte-identical to t
 # shift sweeps and the worker fan-out only reorder evaluation — every
 # encoder configuration must emit the same bytes as the straight-line
 # reference encoder in tests/common (direct sweeps, no caches, no threads).
+# The product transmits its Search's memoized winning probe where the
+# reference re-fits X_new after the search, so this also holds the final
+# fit to the reference's whole-dictionary GetIntervals.
 cargo test -q --offline --test reference_diff
 
 echo "==> query differential suite (compressed-domain engine vs decode-then-scan oracle)"
@@ -274,11 +277,15 @@ if [ "$run_bench" = 1 ]; then
   cargo run -p sbr-cli --release --offline --bin sbr -- report --input BENCH_SBR.json \
     > target/BENCH_REPORT.txt
 
-  echo "==> sbr-bench/v4 guards (caches engage, report renders)"
+  echo "==> sbr-bench/v4 guards (caches engage, no re-fit after Search, report renders)"
   # Guards over the v4 counters and the rendered report:
   # - the fit and probe caches must report real hits — zero hits means the
   #   cached GetBase path or Search's shared fit work silently stopped
   #   engaging;
+  # - no full-dictionary BestMap sweep: fig5's encoders always learn, and a
+  #   learning encoder transmits its Search's winning probe, whose fits are
+  #   region sweeps. A whole-dictionary sweep means a batch was re-fitted
+  #   outside Search;
   # - the report must detect v4 and render rows and counters by name.
   python3 - <<'PYEOF'
 import json, sys
@@ -294,6 +301,12 @@ for name in ("sbr_core.get_base.fit_cache.hits", "sbr_core.probe_cache.hits"):
     if hits <= 0:
         sys.exit(f"{name} == 0 on the quick fig5 run: the cache is not engaging")
     print(f"    {name} total: {hits:.0f}")
+
+for r in records:
+    full = sum(r["counters"].get(f"sbr_core.best_map.{k}_sweeps", 0) for k in ("direct", "fft"))
+    if full > 0:
+        sys.exit(f"{r['experiment']} {r['params']}: {full:.0f} full-dictionary BestMap sweeps — "
+                 "a learning encoder re-fitted a batch outside Search")
 
 for needle in ("sbr-bench/v4", "sbr_core.search.run_ns", "sbr_core.get_base.build_ns",
                "sbr_core.best_map.calls"):

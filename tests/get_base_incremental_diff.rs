@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::{assert_matches_reference, counter, sweep_shapes};
+use common::{assert_matches_reference, assert_matches_reference_from, counter, sweep_shapes};
 use sbr_repro::core::get_base::get_base_cached;
 use sbr_repro::core::{ErrorMetric, FitCache, MultiSeries};
 use sbr_repro::obs::{MetricsRecorder, Recorder as _};
@@ -64,7 +64,16 @@ fn byte_identical_across_metrics_strategies_and_threads() {
                 );
 
                 // And the whole encoder, whose own memo persists likewise.
-                assert_matches_reference(&chunks, config, &label);
+                assert_matches_reference(&chunks, config.clone(), &label);
+                // Frozen halfway: a learning encoder transmits its Search's
+                // region-swept probe, so only the frozen batches fit against the
+                // whole dictionary, where the wide shape's FFT sweep lives.
+                assert_matches_reference_from(
+                    &chunks,
+                    config,
+                    Some(chunks.len() / 2),
+                    &format!("{label}/frozen"),
+                );
 
                 // The wide shape must really cross the FFT sweep (SSE is
                 // the metric with a shift-sweep kernel).

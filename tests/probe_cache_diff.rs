@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::{assert_matches_reference, counter, sweep_shapes};
+use common::{assert_matches_reference, assert_matches_reference_from, counter, sweep_shapes};
 use sbr_repro::core::search::SearchContext;
 use sbr_repro::core::{BaseSignal, ErrorMetric, MultiSeries};
 use sbr_repro::obs::{MetricsRecorder, Recorder as _};
@@ -60,7 +60,16 @@ fn byte_identical_across_metrics_strategies_and_threads() {
                         "[{label}] the probes must be served through the cache"
                     );
 
-                    assert_matches_reference(&chunks, observed, &label);
+                    assert_matches_reference(&chunks, observed.clone(), &label);
+                    // Frozen halfway: a learning encoder transmits its Search's
+                    // region-swept probe, so only the frozen batches fit against the
+                    // whole dictionary, where the wide shape's FFT sweep lives.
+                    assert_matches_reference_from(
+                        &chunks,
+                        observed,
+                        Some(chunks.len() / 2),
+                        &format!("{label}/frozen"),
+                    );
 
                     // The wide shape must really cross the FFT sweep (SSE is
                     // the metric with a shift-sweep kernel).

@@ -108,16 +108,22 @@ fn byte_identical_when_the_cost_model_picks_fft() {
     // the cost model takes the FFT sweep. The error target is loose enough
     // that those windows are never split, so the FFT-swept fits are the
     // transmitted ones — an approximate dot leaking into a pick would
-    // change the bytes.
+    // change the bytes. A learning encoder transmits its Search's
+    // region-swept probe, so the whole-dictionary sweep is reached by
+    // freezing the base halfway: the frozen batches fit against the full
+    // learned dictionary.
     let chunks = stream_chunks(6, 2, 128);
     for threads in [1usize, 4] {
         let rec = Arc::new(MetricsRecorder::new());
         let mut config = SbrConfig::new(400, 512).with_w(64).with_threads(threads);
         config.error_target = Some(1e4);
-        assert_matches_reference(
+        let config = config.with_recorder(rec.clone());
+        assert_matches_reference(&chunks, config.clone(), &format!("fft/t{threads}"));
+        assert_matches_reference_from(
             &chunks,
-            config.with_recorder(rec.clone()),
-            &format!("fft/t{threads}"),
+            config,
+            Some(chunks.len() / 2),
+            &format!("fft/frozen/t{threads}"),
         );
         let snap = rec.snapshot();
         let fft = counter(&snap, "sbr_core.best_map.fft_sweeps")
