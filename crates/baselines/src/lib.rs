@@ -17,9 +17,8 @@
 //! * [`svd`] — a cyclic-Jacobi symmetric eigensolver powering
 //!   `GetBaseSVD()` (appendix of the paper),
 //! * [`dct_base`] — the cosine base signal `GetBaseDCT()` (appendix),
-//! * [`fft`] — the shared complex FFT kernel (radix-2 + Bluestein),
-//!   re-exported from the `sbr-dsp` leaf crate it moved to so that
-//!   `sbr-core`'s cross-correlation kernel can share it.
+//! * [`fft`] — the complex FFT kernel (radix-2 + Bluestein) behind the
+//!   DCT and DFT fast paths.
 //!
 //! All methods implement the [`Compressor`] trait so the benchmark harness
 //! can sweep them uniformly under the paper's equal-space convention (§5.1):
@@ -32,7 +31,7 @@
 
 pub mod dct;
 pub mod dct_base;
-pub use sbr_dsp::fft;
+pub mod fft;
 pub mod fourier;
 pub mod histogram;
 pub mod linreg;

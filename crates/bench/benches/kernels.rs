@@ -1,9 +1,7 @@
 //! Microbenchmarks of the SBR kernels: the regression fits, `BestMap`'s
-//! shift scan (direct vs FFT vs parallel), `GetIntervals` and `GetBase`.
+//! shift scan, `GetIntervals` and `GetBase` (serial and fanned out).
 //! These back the complexity claims of §4.2–§4.4 (regression linear in the
-//! window, BestMap linear in `|X| × len` — or `O((|X|+len) log)` on the
-//! FFT path, GetBase `O(n^1.5)`) and calibrate the direct-vs-FFT cost
-//! model in `sbr_core::xcorr::fft_beats_direct`.
+//! window, BestMap linear in `|X| × len`, GetBase `O(n^1.5)`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -14,7 +12,6 @@ use sbr_core::get_base::{get_base, get_base_cached};
 use sbr_core::get_intervals::get_intervals;
 use sbr_core::obs::EncodeObs;
 use sbr_core::regression::{fit_maxabs, fit_relative, fit_sse};
-use sbr_core::xcorr::{sliding_dot_direct, XcorrPlan};
 use sbr_core::{ErrorMetric, Interval, MultiSeries, SbrConfig};
 
 fn signal(n: usize, seed: u64) -> Vec<f64> {
@@ -55,33 +52,6 @@ fn bench_best_map(c: &mut Criterion) {
                 ctx.best_map(black_box(&mut iv));
                 iv.err
             })
-        });
-    }
-    g.finish();
-}
-
-/// The raw sliding-dot-product kernel: direct `O(|X| · len)` loop vs the
-/// FFT path (base-signal spectrum amortized via a pre-built [`XcorrPlan`],
-/// as `MapContext` holds it). The FFT/direct wall-time ratio at each size
-/// is what `xcorr::fft_beats_direct`'s cost factor encodes.
-fn bench_xcorr(c: &mut Criterion) {
-    let mut g = c.benchmark_group("xcorr");
-    g.sample_size(20);
-    for x_len in [512usize, 1024, 2048] {
-        let x = signal(x_len, 3);
-        for len in [32usize, 128, 286] {
-            let y = signal(len, 4);
-            let id = format!("{x_len}x{len}");
-            g.bench_with_input(BenchmarkId::new("direct", &id), &len, |b, _| {
-                b.iter(|| sliding_dot_direct(black_box(&x), black_box(&y)))
-            });
-            let plan = XcorrPlan::new(&x);
-            g.bench_with_input(BenchmarkId::new("fft", &id), &len, |b, _| {
-                b.iter(|| plan.sliding_dot(black_box(&y)))
-            });
-        }
-        g.bench_with_input(BenchmarkId::new("plan_build", x_len), &x_len, |b, _| {
-            b.iter(|| XcorrPlan::new(black_box(&x)))
         });
     }
     g.finish();
@@ -200,7 +170,6 @@ criterion_group!(
     benches,
     bench_regression,
     bench_best_map,
-    bench_xcorr,
     bench_get_intervals,
     bench_get_base,
     bench_get_base_cached,

@@ -208,7 +208,9 @@ frame-lifecycle timeline attached (`sbr simulate` under SBR_TRACE),
 baseline/candidate pairs of benchmark artifacts and exits 1 when the
 median per-pair growth of a `*_ns` row sum, or drop of a hit rate,
 exceeds max(`--tolerance` (default 0.25), 2 x its interquartile range),
-or when a baseline record has no candidate record.
+when a work or quality counter (BestMap calls, Search probes, GetBase
+matrix cells, fit- and probe-cache misses, bench.quality.*) grows in
+any pair, or when a baseline record has no candidate record.
 
 Fault injection: `sbr simulate` drives the loss-tolerant v2 protocol
 (per-frame CRC, sequence/epoch tracking, bounded retransmission with

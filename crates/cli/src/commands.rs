@@ -1,7 +1,7 @@
 //! The subcommand implementations.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -199,15 +199,16 @@ fn compress(
     }
     let mut encoder = SbrEncoder::new(n_signals, batch, config).map_err(|e| e.to_string())?;
 
+    // The stream writer appends; a re-run replaces the output instead.
     let out_path = Path::new(output);
-    let dir = out_path.parent().filter(|p| !p.as_os_str().is_empty());
-    if let Some(d) = dir {
-        std::fs::create_dir_all(d).map_err(|e| e.to_string())?;
+    match std::fs::remove_file(out_path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+            return Err(format!("cannot replace {output}: {e}").into());
+        }
+        _ => {}
     }
-    // LogWriter names files itself; for the CLI we write the frames
-    // directly in the same length-prefixed format.
-    let f = File::create(out_path).map_err(|e| format!("cannot create {output}: {e}"))?;
-    let mut w = BufWriter::new(f);
+    let mut w = storage::StreamWriter::create(out_path)
+        .map_err(|e| format!("cannot create {output}: {e}"))?;
 
     let mut total_cost = 0usize;
     let mut total_err = 0.0f64;
@@ -224,12 +225,9 @@ fn compress(
             .last_stats()
             .ok_or_else(|| CliError::Runtime("encoder produced no batch stats".into()))?
             .total_err;
-        let frame = codec::encode(&tx);
-        w.write_all(&(frame.len() as u32).to_le_bytes())
-            .and_then(|()| w.write_all(&frame))
-            .map_err(|e| e.to_string())?;
+        w.append(&codec::encode_v2(&Frame::data(0, tx)))
+            .map_err(|e| format!("cannot write {output}: {e}"))?;
     }
-    w.flush().map_err(|e| e.to_string())?;
 
     let mut notes = String::new();
     if let (Some(rec), Some(path)) = (&recorder, metrics_out) {
@@ -259,8 +257,15 @@ fn decompress(input: &str, output: &str) -> Result<String, CliError> {
     let mut decoder = Decoder::new();
     let n_signals = first.tx.n_signals as usize;
     let mut columns: Vec<Vec<f64>> = vec![Vec::new(); n_signals];
-    for frame in &log.parsed {
+    for (i, frame) in log.parsed.iter().enumerate() {
         let rec = decoder.decode_frame(frame).map_err(|e| e.to_string())?;
+        if rec.len() != n_signals {
+            return Err(format!(
+                "{input}: transmission {i} carries {} signals, the stream started with {n_signals}",
+                rec.len()
+            )
+            .into());
+        }
         for (c, r) in columns.iter_mut().zip(&rec) {
             c.extend_from_slice(r);
         }
@@ -418,21 +423,14 @@ fn render_snapshot(snap: &Snapshot, out: &mut String) {
     let counters: &[(&str, &str)] = &[
         ("BestMap calls", "sbr_core.best_map.calls"),
         ("  direct sweeps", "sbr_core.best_map.direct_sweeps"),
-        ("  FFT sweeps", "sbr_core.best_map.fft_sweeps"),
-        (
-            "  FFT re-verified",
-            "sbr_core.best_map.fft_reverified_shifts",
-        ),
         (
             "  base-region direct",
             "sbr_core.best_map.base_direct_sweeps",
         ),
-        ("  base-region FFT", "sbr_core.best_map.base_fft_sweeps"),
         (
             "  cand-region direct",
             "sbr_core.best_map.cand_direct_sweeps",
         ),
-        ("  cand-region FFT", "sbr_core.best_map.cand_fft_sweeps"),
         ("  base-mapped wins", "sbr_core.best_map.base_wins"),
         ("  fallback wins", "sbr_core.best_map.fallback_wins"),
         ("Search probes", "sbr_core.search.probes"),
@@ -861,6 +859,19 @@ const PERF_MIN_WALL_NS: f64 = 1e6;
 /// `perf diff` holds a median per-pair change to `max(tolerance, k·IQR)`.
 const PERF_IQR_K: f64 = 2.0;
 
+/// Work and quality counters that seeded runs of one binary reproduce bit
+/// for bit: `perf diff` gates them exactly, per pair. Any increase is a
+/// regression, a decrease an improvement.
+const PERF_EXACT_COUNTERS: [&str; 7] = [
+    "sbr_core.best_map.calls",
+    "sbr_core.search.probes",
+    "sbr_core.get_base.matrix_cells",
+    "sbr_core.get_base.fit_cache.misses",
+    "sbr_core.probe_cache.misses",
+    "bench.quality.avg_sse",
+    "bench.quality.total_rel",
+];
+
 /// Load a benchmark artifact's records.
 fn bench_records(path: &str) -> Result<Vec<BenchRecord>, CliError> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot open {path}: {e}"))?;
@@ -890,8 +901,10 @@ fn quartiles(mut xs: Vec<f64>) -> (f64, f64, f64) {
 /// the change `candidate / baseline - 1` and a `<x>.hits`/`<x>.misses`
 /// pair to its hit-rate drop; the median change fails beyond
 /// `max(tolerance, 2·IQR)` of the changes (one pair: IQR 0), and a pass
-/// whose 2·IQR exceeds the tolerance is `unresolved`. A record, row or
-/// pair a candidate lacks fails; other counters are informational.
+/// whose 2·IQR exceeds the tolerance is `unresolved`. The
+/// [`PERF_EXACT_COUNTERS`] fail if they grow in any pair. A record, row,
+/// pair or exact counter a candidate lacks fails; other counters are
+/// informational.
 fn perf_diff(
     pairs: &[(String, String)],
     tolerance: f64,
@@ -995,11 +1008,41 @@ fn perf_diff(
                 limit * 100.0
             ));
         }
+        let exact = PERF_EXACT_COUNTERS
+            .iter()
+            .filter(|&&n| b0.counter(n).is_some());
+        for &name in exact {
+            let Some(v) = per_pair(&|r| r.counter(name)) else {
+                regressions += 1;
+                out.push_str(&format!("  {name:<44} missing in candidate  REGRESSION\n"));
+                continue;
+            };
+            let verdict = if v.iter().any(|(b, c)| c > b) {
+                "REGRESSION"
+            } else if v.iter().any(|(b, c)| c < b) {
+                "improved"
+            } else {
+                "ok"
+            };
+            regressions += usize::from(verdict == "REGRESSION");
+            // The first pair that moved, else the first pair.
+            let (b, c) = v
+                .iter()
+                .find(|(b, c)| b != c)
+                .or(v.first())
+                .copied()
+                .unwrap_or_default();
+            out.push_str(&format!(
+                "  {name:<44} {:>12} -> {:>12}  exact  {verdict}\n",
+                json::format_num(b),
+                json::format_num(c)
+            ));
+        }
         // Every other counter is informational: seeded runs reproduce
         // most of them exactly, so drift is worth a line, not a failure.
         let gated = |n: &str| {
             let stem = n.strip_suffix(".hits").or(n.strip_suffix(".misses"));
-            stem.is_some_and(|s| stems.contains(&s))
+            PERF_EXACT_COUNTERS.contains(&n) || stem.is_some_and(|s| stems.contains(&s))
         };
         for (name, _) in b0.counters.iter().filter(|(n, _)| !gated(n)) {
             // The first pair in which the counter moved, if any.
@@ -1111,6 +1154,89 @@ mod tests {
         }
         let energy: f64 = orig.columns.iter().flatten().map(|v| v * v).sum();
         assert!(sse < 0.05 * energy, "sse {sse} vs energy {energy}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `compress` writes CRC-checked v2 frames: flipping any bit of any
+    /// frame body makes `decompress` fail or reproduce the clean samples,
+    /// never exit 0 with different ones. A re-run replaces the output
+    /// rather than appending a second stream to it.
+    #[test]
+    fn compress_output_is_crc_checked_and_replaced_on_rerun() {
+        let dir = tempdir("crc");
+        let csv_in = dir.join("in.csv");
+        let stream = dir.join("out.sbr");
+        let flipped = dir.join("flipped.sbr");
+        let csv_out = dir.join("rec.csv");
+        write_sample_csv(&csv_in, 96);
+        let compress = format!(
+            "compress --input {} --output {} --band 40 --batch 48",
+            csv_in.display(),
+            stream.display()
+        );
+        let decompress = |input: &Path| {
+            run_argv(&format!(
+                "decompress --input {} --output {}",
+                input.display(),
+                csv_out.display()
+            ))
+            .map(|_| std::fs::read_to_string(&csv_out).unwrap())
+        };
+
+        run_argv(&compress).unwrap();
+        let clean = decompress(&stream).unwrap();
+        run_argv(&compress).unwrap();
+        assert_eq!(
+            decompress(&stream).unwrap(),
+            clean,
+            "compressing twice to one path must leave one run's stream"
+        );
+
+        let bytes = std::fs::read(&stream).unwrap();
+        let mut body_bits = 0;
+        let mut pos = 0;
+        while pos < bytes.len() {
+            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+            for bit in 8 * (pos + 4)..8 * (pos + 4 + len) {
+                let mut bad = bytes.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                std::fs::write(&flipped, &bad).unwrap();
+                if let Ok(samples) = decompress(&flipped) {
+                    assert_eq!(samples, clean, "bit {bit} flipped into different samples");
+                }
+                body_bits += 1;
+            }
+            pos += 4 + len;
+        }
+        assert!(body_bits > 0, "the stream has frame bodies to flip");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A stream whose signal count changes mid-way (CRC-valid frames from
+    /// two encoders) is a typed error, not a ragged table.
+    #[test]
+    fn decompress_rejects_a_stream_whose_signal_count_changes() {
+        let dir = tempdir("ragged");
+        let stream = dir.join("ragged.sbr");
+        let rows = |n: usize| vec![(0..16).map(|i| i as f64).collect::<Vec<f64>>(); n];
+        let mut two = SbrEncoder::new(2, 16, SbrConfig::new(16, 16).with_w(4)).unwrap();
+        let mut one = SbrEncoder::new(1, 16, SbrConfig::new(16, 16).with_w(4)).unwrap();
+        one.encode(&rows(1)).unwrap();
+        let mut w = storage::StreamWriter::create(&stream).unwrap();
+        for tx in [two.encode(&rows(2)).unwrap(), one.encode(&rows(1)).unwrap()] {
+            w.append(&codec::encode_v2(&Frame::data(0, tx))).unwrap();
+        }
+        let err = run_argv(&format!(
+            "decompress --input {} --output {}",
+            stream.display(),
+            dir.join("rec.csv").display()
+        ))
+        .unwrap_err();
+        assert_eq!(err.exit_code(), 1, "{err:?}");
+        assert!(
+            err.message().contains("transmission 1 carries 1 signals"),
+            "{err:?}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1772,6 +1898,62 @@ mod tests {
                 .lines()
                 .any(|l| l.contains("foo.cache hit rate") && l.contains("REGRESSION")),
             "{e:?}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn perf_diff_gates_work_and_quality_counters_exactly() {
+        let dir = tempdir("perfexact");
+        let base = dir.join("base.json");
+        let cand = dir.join("cand.json");
+        let rec = |probes: f64, sse: f64| {
+            bench_record(
+                "fig5",
+                &[("sbr_core.search.run_ns", 8e7)],
+                &[
+                    ("sbr_core.search.probes", probes),
+                    ("bench.quality.avg_sse", sse),
+                    ("sbr_core.best_map.direct_sweeps", probes),
+                ],
+            )
+        };
+        write_bench(&base, &[rec(100.0, 2.5)]);
+
+        // One more probe, every wall unchanged: exactly one regression.
+        write_bench(&cand, &[rec(101.0, 2.5)]);
+        let e = run_argv(&format!("perf diff {} {}", base.display(), cand.display())).unwrap_err();
+        assert_eq!(e.exit_code(), 1, "{e:?}");
+        assert!(
+            e.message()
+                .lines()
+                .any(|l| l.contains("sbr_core.search.probes") && l.ends_with("REGRESSION")),
+            "{e:?}"
+        );
+        assert!(e.message().contains("1 regression(s)"), "{e:?}");
+
+        // Any quality loss fails too, however small.
+        write_bench(&cand, &[rec(100.0, 2.5 + 1e-12)]);
+        let e = run_argv(&format!("perf diff {} {}", base.display(), cand.display())).unwrap_err();
+        assert!(
+            e.message()
+                .lines()
+                .any(|l| l.contains("bench.quality.avg_sse") && l.ends_with("REGRESSION")),
+            "{e:?}"
+        );
+
+        // Less work is an improvement; kernel-choice counters stay informational.
+        write_bench(&cand, &[rec(90.0, 2.5)]);
+        let ok = run_argv(&format!("perf diff {} {}", base.display(), cand.display())).unwrap();
+        assert!(
+            ok.lines()
+                .any(|l| l.contains("sbr_core.search.probes") && l.ends_with("improved")),
+            "{ok}"
+        );
+        assert!(
+            ok.lines()
+                .any(|l| l.contains("sbr_core.best_map.direct_sweeps") && l.ends_with("changed")),
+            "{ok}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

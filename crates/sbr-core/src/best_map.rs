@@ -6,11 +6,11 @@ use crate::interval::{Interval, LINEAR_FALLBACK_SHIFT};
 use crate::metric::ErrorMetric;
 use crate::obs::EncodeObs;
 use crate::regression::{self, PrefixStats};
-use crate::xcorr::{self, XcorrPlan};
+use crate::xcorr;
 
 /// Which stretch of the concatenated dictionary a region-restricted sweep
-/// covers — only used to attribute the direct-vs-FFT decision to the right
-/// observability counters (the fit itself is region-agnostic).
+/// covers — only used to attribute the sweep to the right observability
+/// counter (the fit itself is region-agnostic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepRegion {
     /// Shifts landing fully inside the shared base prefix.
@@ -38,19 +38,14 @@ pub struct MapContext<'a> {
     /// Intervals longer than `max_shift_len` are never shifted over `X`
     /// (the paper uses `2 × W`).
     pub max_shift_len: usize,
-    /// Cached base-signal spectrum for the FFT kernel; `None` when the
-    /// metric is not SSE or the base signal is empty.
-    pub xcorr: Option<XcorrPlan>,
     /// Observability handles (cloned from the configuration); counts
-    /// fits, direct-vs-FFT decisions and FFT re-verifications. Never
-    /// affects the fit itself.
+    /// fits and sweeps. Never affects the fit itself.
     pub obs: EncodeObs,
 }
 
 impl<'a> MapContext<'a> {
     /// Build a context from the configuration and the derived width `w`.
     pub fn new(x: &'a [f64], y: &'a [f64], config: &SbrConfig, w: usize) -> Self {
-        let xcorr = (config.metric == ErrorMetric::Sse && !x.is_empty()).then(|| XcorrPlan::new(x));
         MapContext {
             x,
             x_stats: PrefixStats::new(x),
@@ -59,7 +54,6 @@ impl<'a> MapContext<'a> {
             metric: config.metric,
             allow_linear_fallback: config.allow_linear_fallback,
             max_shift_len: config.max_shift_len_factor.saturating_mul(w),
-            xcorr,
             obs: config.obs.clone(),
         }
     }
@@ -124,7 +118,7 @@ impl<'a> MapContext<'a> {
     /// partitions into the base-prefix region plus one region per appended
     /// candidate, and folding those regions in ascending order reproduces
     /// the continuous sweep bit for bit. `region` only selects which
-    /// observability counters record the direct-vs-FFT decision.
+    /// observability counter records the sweep.
     ///
     /// The caller guarantees `hi + interval.length <= self.x.len()`.
     pub fn fold_region(&self, interval: &mut Interval, lo: usize, hi: usize, region: SweepRegion) {
@@ -133,45 +127,18 @@ impl<'a> MapContext<'a> {
         if self.metric != ErrorMetric::Sse {
             return self.shift_loop_general(interval, yw, lo, hi);
         }
-        // Candidate regions span at most `W` shifts; a transform over the
-        // padded *full* dictionary can never amortize there, so only the
-        // base-prefix region consults the cost model. The evaluators are
-        // bit-identical either way — this is purely a cost decision.
-        let plan = self.xcorr.as_ref().filter(|plan| {
-            region == SweepRegion::Base
-                && xcorr::fft_beats_direct_span(hi - lo + 1, interval.length, plan.fft_len())
-        });
-        let (direct_ctr, fft_ctr) = match region {
-            SweepRegion::Base => (&self.obs.base_direct_sweeps, &self.obs.base_fft_sweeps),
-            SweepRegion::Candidate => (&self.obs.cand_direct_sweeps, &self.obs.cand_fft_sweeps),
-        };
-        if let Some(plan) = plan {
-            fft_ctr.inc();
-            self.shift_loop_sse_fft(interval, yw, plan, lo, hi);
-        } else {
-            direct_ctr.inc();
-            self.shift_loop_sse_direct(interval, yw, lo, hi);
+        match region {
+            SweepRegion::Base => self.obs.base_direct_sweeps.inc(),
+            SweepRegion::Candidate => self.obs.cand_direct_sweeps.inc(),
         }
+        self.shift_loop_sse_direct(interval, yw, lo, hi);
     }
 
-    /// SSE fast path: window sums of `X` and `Y` come from prefix stats;
-    /// only `Σ x·y` varies per shift. The cost model
-    /// ([`xcorr::fft_beats_direct`]) picks between the direct `O(B·len)`
-    /// sweep and the `O((B+len) log (B+len))` FFT kernel from the input
-    /// sizes alone; both produce bit-identical results.
+    /// SSE fast path over the whole dictionary: window sums of `X` and `Y`
+    /// come from prefix stats, so only `Σ x·y` varies per shift.
     fn shift_loop_sse(&self, interval: &mut Interval, yw: &[f64]) {
-        let plan = self
-            .xcorr
-            .as_ref()
-            .filter(|_| xcorr::fft_beats_direct(self.x.len(), interval.length));
-        let hi = self.x.len() - interval.length;
-        if let Some(plan) = plan {
-            self.obs.fft_sweeps.inc();
-            self.shift_loop_sse_fft(interval, yw, plan, 0, hi);
-        } else {
-            self.obs.direct_sweeps.inc();
-            self.shift_loop_sse_direct(interval, yw, 0, hi);
-        }
+        self.obs.direct_sweeps.inc();
+        self.shift_loop_sse_direct(interval, yw, 0, self.x.len() - interval.length);
     }
 
     /// Direct SSE sweep over shifts `lo..=hi`, evaluated in blocks of
@@ -220,87 +187,6 @@ impl<'a> MapContext<'a> {
                 interval.err = f.err;
             }
         }
-    }
-
-    /// FFT SSE sweep: all `Σ x·y` values at once via cross-correlation,
-    /// then an exact re-verification pass.
-    ///
-    /// Selecting directly on FFT values could flip near-ties against the
-    /// direct path, so they only *filter*: pass 1 brackets each shift's
-    /// error by a per-shift uncertainty interval, pass 2 re-evaluates every
-    /// shift whose lower bracket reaches the smallest upper bracket with
-    /// the exact direct summation, in ascending shift order with the same
-    /// strict `<` as the direct sweep. The exact winner always survives the
-    /// filter (its interval contains its exact error, which is the
-    /// minimum), so the selected `(shift, a, b, err)` is bit-identical to
-    /// [`Self::shift_loop_sse_direct`].
-    ///
-    /// The per-shift `Σ x·y` error bound `d_xy` is the classic
-    /// `O(ε·log m·‖x‖₂·‖y‖₂)` FFT convolution bound, inflated by ~1e4 for
-    /// slack (ε ≈ 2.2e-16, so the 1e-12 head already includes the log
-    /// factor's constant many times over). In non-degenerate cases the
-    /// brackets are ~`1e-9` relative and the re-verified set is a handful
-    /// of genuine near-ties; a pathological base (near-constant windows
-    /// amplifying `s_xy/s_xx`) only widens the set, degrading speed, never
-    /// correctness.
-    fn shift_loop_sse_fft(
-        &self,
-        interval: &mut Interval,
-        yw: &[f64],
-        plan: &XcorrPlan,
-        lo: usize,
-        hi: usize,
-    ) {
-        let len = interval.length;
-        let sum_y = self.y_stats.window_sum(interval.start, len);
-        let sum_y2 = self.y_stats.window_sum_sq(interval.start, len);
-        let approx_xy = plan.sliding_dot(yw);
-        let norm_x2 = self.x_stats.window_sum_sq(0, self.x.len());
-        let log_m = (usize::BITS - plan.fft_len().leading_zeros()) as f64;
-        let d_xy = 1e-12 * log_m * (norm_x2 * sum_y2).sqrt();
-
-        // Pass 1: approximate error + uncertainty bracket per shift.
-        // The fit's constant-base branch triggers on s_xx alone, which is
-        // exact (prefix sums) — both passes take the same branch, and that
-        // branch ignores Σx·y entirely, so its uncertainty is zero.
-        // Otherwise err = s_yy − (s_xy)²/s_xx, so a perturbation δ of Σx·y
-        // moves it by at most (2·|s_xy|·δ + δ²)/s_xx.
-        let mut approx = Vec::with_capacity(hi - lo + 1);
-        let mut min_upper = f64::INFINITY;
-        for (shift, &sum_xy) in approx_xy.iter().enumerate().take(hi + 1).skip(lo) {
-            let f = self.fit_at(shift, len, sum_y, sum_y2, sum_xy);
-            let sum_x = self.x_stats.window_sum(shift, len);
-            let sum_x2 = self.x_stats.window_sum_sq(shift, len);
-            let s_xx = sum_x2 - sum_x * sum_x / len as f64;
-            let u = if s_xx.abs() <= f64::EPSILON * sum_x2.abs().max(1.0) {
-                0.0
-            } else {
-                let s_xy = sum_xy - sum_x * sum_y / len as f64;
-                (2.0 * s_xy.abs() * d_xy + d_xy * d_xy) / s_xx
-            };
-            min_upper = min_upper.min(f.err + u);
-            approx.push((f.err, u));
-        }
-
-        // Pass 2: exact re-evaluation of every shift that could be the true
-        // minimum. NaN brackets compare false here and are therefore always
-        // re-verified.
-        let mut reverified = 0u64;
-        for (shift, &(err, u)) in approx.iter().enumerate().map(|(i, v)| (lo + i, v)) {
-            if err - u > min_upper {
-                continue;
-            }
-            reverified += 1;
-            let sum_xy = xcorr::dot(&self.x[shift..shift + len], yw);
-            let f = self.fit_at(shift, len, sum_y, sum_y2, sum_xy);
-            if f.err < interval.err {
-                interval.shift = shift as i64;
-                interval.a = f.a;
-                interval.b = f.b;
-                interval.err = f.err;
-            }
-        }
-        self.obs.fft_reverified.add(reverified);
     }
 
     /// Closed-form SSE fit for one shift from the window statistics.
@@ -436,50 +322,6 @@ mod tests {
         }
         assert_eq!(fast.shift, slow.shift);
         assert!((fast.err - slow.err).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fft_sweep_is_bit_identical_to_direct_sweep() {
-        // Cover short, crossover-sized, and base-length windows, plus a
-        // constant-X stretch that produces exact error ties across shifts.
-        // Both sweep kernels run over the full shift range, whatever the
-        // cost model would pick for the size.
-        let mut x: Vec<f64> = (0..512)
-            .map(|i| ((i * i % 97) as f64) * 0.3 - 11.0 + (i as f64 * 0.05).sin())
-            .collect();
-        for v in x[100..160].iter_mut() {
-            *v = 4.0;
-        }
-        let y: Vec<f64> = (0..512)
-            .map(|i| ((i * 7 % 31) as f64) - 15.0 + (i as f64 * 0.11).cos())
-            .collect();
-        let config = SbrConfig::new(10_000, 1_000).with_w(256);
-        let c = MapContext::new(&x, &y, &config, 256);
-        let plan = c.xcorr.as_ref().expect("SSE context builds an FFT plan");
-        for (start, len) in [(0usize, 5usize), (37, 64), (100, 143), (256, 256), (0, 512)] {
-            let hi = x.len() - len;
-            let yw = &y[start..start + len];
-            let mut id = Interval::unfitted(start, len);
-            let mut if_ = Interval::unfitted(start, len);
-            c.shift_loop_sse_direct(&mut id, yw, 0, hi);
-            c.shift_loop_sse_fft(&mut if_, yw, plan, 0, hi);
-            assert_eq!(id.shift, if_.shift, "shift mismatch at ({start}, {len})");
-            assert_eq!(
-                id.a.to_bits(),
-                if_.a.to_bits(),
-                "a mismatch at ({start}, {len})"
-            );
-            assert_eq!(
-                id.b.to_bits(),
-                if_.b.to_bits(),
-                "b mismatch at ({start}, {len})"
-            );
-            assert_eq!(
-                id.err.to_bits(),
-                if_.err.to_bits(),
-                "err mismatch at ({start}, {len})"
-            );
-        }
     }
 
     #[test]

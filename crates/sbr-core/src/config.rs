@@ -75,7 +75,7 @@ impl SbrConfig {
     }
 
     /// Attach a live metrics recorder (builder style): every pipeline
-    /// stage records per-phase timings, direct-vs-FFT decisions and
+    /// stage records per-phase timings, fit and sweep counts and
     /// base-signal churn into it, and spans are traced when the recorder
     /// has a trace sink.
     pub fn with_recorder(mut self, recorder: std::sync::Arc<dyn crate::obs::Recorder>) -> Self {

@@ -25,13 +25,9 @@
 //! | `sbr_core.probe_cache.bytes` | gauge | approximate cache footprint after `Search` |
 //! | `sbr_core.get_intervals.run_ns` | histogram | one splitting pass |
 //! | `sbr_core.best_map.calls` | counter | interval fits attempted |
-//! | `sbr_core.best_map.direct_sweeps` | counter | full SSE sweeps on the direct path |
-//! | `sbr_core.best_map.fft_sweeps` | counter | full SSE sweeps on the FFT path |
-//! | `sbr_core.best_map.base_direct_sweeps` | counter | base-prefix region sweeps, direct path |
-//! | `sbr_core.best_map.base_fft_sweeps` | counter | base-prefix region sweeps, FFT path |
-//! | `sbr_core.best_map.cand_direct_sweeps` | counter | candidate region sweeps, direct path |
-//! | `sbr_core.best_map.cand_fft_sweeps` | counter | candidate region sweeps, FFT path |
-//! | `sbr_core.best_map.fft_reverified_shifts` | counter | shifts exactly re-checked after the FFT filter |
+//! | `sbr_core.best_map.direct_sweeps` | counter | whole-dictionary SSE sweeps |
+//! | `sbr_core.best_map.base_direct_sweeps` | counter | base-prefix region SSE sweeps |
+//! | `sbr_core.best_map.cand_direct_sweeps` | counter | candidate region SSE sweeps |
 //! | `sbr_core.best_map.base_wins` | counter | fits won by a base mapping |
 //! | `sbr_core.best_map.fallback_wins` | counter | fits won by the linear fall-back |
 //! | `sbr_core.base_signal.inserted` | counter | base intervals inserted |
@@ -93,20 +89,12 @@ pub struct EncodeObs {
     pub resync_frames: Counter,
     /// `BestMap` fits attempted.
     pub best_map_calls: Counter,
-    /// Full SSE sweeps evaluated with the direct loop.
+    /// Whole-dictionary SSE sweeps.
     pub direct_sweeps: Counter,
-    /// Full SSE sweeps evaluated with the FFT kernel.
-    pub fft_sweeps: Counter,
-    /// Base-prefix region sweeps evaluated with the direct loop.
+    /// Base-prefix region SSE sweeps.
     pub base_direct_sweeps: Counter,
-    /// Base-prefix region sweeps evaluated with the FFT kernel.
-    pub base_fft_sweeps: Counter,
-    /// Candidate region sweeps evaluated with the direct loop.
+    /// Candidate region SSE sweeps.
     pub cand_direct_sweeps: Counter,
-    /// Candidate region sweeps evaluated with the FFT kernel.
-    pub cand_fft_sweeps: Counter,
-    /// Shifts exactly re-verified after the FFT filter pass.
-    pub fft_reverified: Counter,
     /// Fits won by a base-signal mapping.
     pub base_wins: Counter,
     /// Fits won by the linear fall-back.
@@ -159,12 +147,8 @@ impl EncodeObs {
             codec_decode_ns: r.histogram("sbr_core.codec.decode_ns"),
             best_map_calls: r.counter("sbr_core.best_map.calls"),
             direct_sweeps: r.counter("sbr_core.best_map.direct_sweeps"),
-            fft_sweeps: r.counter("sbr_core.best_map.fft_sweeps"),
             base_direct_sweeps: r.counter("sbr_core.best_map.base_direct_sweeps"),
-            base_fft_sweeps: r.counter("sbr_core.best_map.base_fft_sweeps"),
             cand_direct_sweeps: r.counter("sbr_core.best_map.cand_direct_sweeps"),
-            cand_fft_sweeps: r.counter("sbr_core.best_map.cand_fft_sweeps"),
-            fft_reverified: r.counter("sbr_core.best_map.fft_reverified_shifts"),
             base_wins: r.counter("sbr_core.best_map.base_wins"),
             fallback_wins: r.counter("sbr_core.best_map.fallback_wins"),
             search_probes: r.counter("sbr_core.search.probes"),

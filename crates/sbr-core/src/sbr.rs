@@ -550,9 +550,11 @@ mod tests {
                 let fits = snap
                     .histogram("sbr_core.get_intervals.run_ns")
                     .map_or(0, |h| h.count);
-                let full_sweeps =
-                    c("sbr_core.best_map.direct_sweeps") + c("sbr_core.best_map.fft_sweeps");
-                (fits, c("sbr_core.search.probes"), full_sweeps)
+                (
+                    fits,
+                    c("sbr_core.search.probes"),
+                    c("sbr_core.best_map.direct_sweeps"),
+                )
             };
             for (t, batch) in batches.iter().enumerate() {
                 let frozen = t >= 3;

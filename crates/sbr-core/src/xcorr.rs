@@ -1,113 +1,14 @@
-//! All-shift sliding dot products via FFT cross-correlation.
+//! Shift-sweep dot products for `BestMap` (Algorithm 2).
 //!
-//! `BestMap` (Algorithm 2) needs `Σ x[s+i]·y[i]` for **every** admissible
-//! shift `s` of a data window over the base signal. The direct loop costs
-//! `O(B·len)` per interval (`B` = base-signal length); this module computes
-//! all shifts at once as a cross-correlation,
-//!
-//! ```text
-//! c[s] = Σ_i x[s+i]·y[i]  =  IFFT( FFT(x) · conj(FFT(y)) )[s],
-//! ```
-//!
-//! in `O((B + len) log (B + len))` using the real-input FFT from `sbr-dsp`.
-//! Zero-padding both signals to `m = next_pow2(B)` makes the circular
-//! correlation equal the linear one for every shift `s ≤ B − len` (the
-//! largest index touched is `s + len − 1 ≤ B − 1 < m`, so nothing wraps).
-//!
-//! The base signal is fixed across the thousands of `BestMap` calls of one
-//! encode, so its spectrum is computed once in an [`XcorrPlan`] and each
-//! call pays only one forward and one inverse half-size transform.
-//!
-//! FFT results carry `~1e-13` relative rounding error, so the kernel is
-//! used as a *filter*, not an oracle: `best_map` re-verifies every shift
-//! whose approximate error is within a generous band of the approximate
-//! minimum using the exact direct summation (see
-//! `MapContext::shift_loop_sse_fft`), which keeps the selected
-//! `(shift, a, b)` bit-identical to the direct path.
+//! `BestMap` needs `Σ x[s+i]·y[i]` for every admissible shift `s` of a
+//! data window over the base signal — a direct `O(B·len)` scan per interval
+//! (`B` = base-signal length). [`dot`] fixes the summation order every
+//! fit of a shift must reproduce, and [`dot_block`] evaluates
+//! [`DOT_BLOCK`] consecutive shifts at once in that same order, so the
+//! blocked sweep selects bit-identically to the one-shift-at-a-time scan.
 
-use sbr_dsp::fft::{Complex, RealFftPlan};
-
-/// Reusable cross-correlation plan: the padded FFT length, the precomputed
-/// twiddle tables for that length, and the spectrum of the (zero-padded)
-/// base signal.
-#[derive(Debug, Clone)]
-pub struct XcorrPlan {
-    /// Padded transform length (`next_pow2(x_len)`, at least 2).
-    m: usize,
-    /// Unpadded base-signal length.
-    x_len: usize,
-    /// Twiddle tables shared by every transform of this plan.
-    fft: RealFftPlan,
-    /// Half spectrum of the zero-padded base signal (`m/2 + 1` bins).
-    x_rfft: Vec<Complex>,
-}
-
-impl XcorrPlan {
-    /// Build a plan for base signal `x` (the twiddle tables plus one
-    /// `O(m log m)` transform).
-    pub fn new(x: &[f64]) -> Self {
-        let x_len = x.len();
-        let m = x_len.next_power_of_two().max(2);
-        let fft = RealFftPlan::new(m);
-        let mut padded = vec![0.0; m];
-        padded[..x_len].copy_from_slice(x);
-        let x_rfft = fft.rfft(&padded);
-        XcorrPlan {
-            m,
-            x_len,
-            fft,
-            x_rfft,
-        }
-    }
-
-    /// Length of the base signal the plan was built for.
-    pub fn x_len(&self) -> usize {
-        self.x_len
-    }
-
-    /// Padded transform length used internally.
-    pub fn fft_len(&self) -> usize {
-        self.m
-    }
-
-    /// `c[s] = Σ_i x[s+i]·y[i]` for every shift `s` in
-    /// `0..=x_len − y.len()`. Requires `1 ≤ y.len() ≤ x_len`.
-    ///
-    /// Accurate to FFT roundoff (`~1e-13` relative); callers that need
-    /// exact selection must re-verify near-minimal shifts with
-    /// [`sliding_dot_direct`] or an inline loop.
-    pub fn sliding_dot(&self, y: &[f64]) -> Vec<f64> {
-        let len = y.len();
-        assert!(
-            len >= 1 && len <= self.x_len,
-            "window length {len} out of range for base of length {}",
-            self.x_len
-        );
-        let n_shifts = self.x_len - len + 1;
-        let mut padded = vec![0.0; self.m];
-        padded[..len].copy_from_slice(y);
-        let mut spec = self.fft.rfft(&padded);
-        for (c, &xk) in spec.iter_mut().zip(&self.x_rfft) {
-            *c = xk * c.conj();
-        }
-        let mut corr = self.fft.irfft(&spec);
-        corr.truncate(n_shifts);
-        corr
-    }
-}
-
-/// Reference direct evaluation of the same all-shift dot products,
-/// `O(B·len)`. Used below the crossover size and to re-verify FFT picks.
-pub fn sliding_dot_direct(x: &[f64], y: &[f64]) -> Vec<f64> {
-    let len = y.len();
-    assert!(len >= 1 && len <= x.len());
-    (0..=x.len() - len)
-        .map(|s| dot(&x[s..s + len], y))
-        .collect()
-}
-
-/// `Σ x_i·y_i` over two equal-length slices (the exact summation order the
-/// pre-FFT direct loop used — re-verification must reproduce it).
+/// `Σ x_i·y_i` over two equal-length slices (the summation order every
+/// shift fit reproduces, blocked or not).
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
@@ -145,41 +46,6 @@ pub fn dot_block(x: &[f64], y: &[f64], out: &mut [f64; DOT_BLOCK]) {
     }
 }
 
-/// Cost-model crossover: `true` when the FFT path is expected to beat the
-/// direct loop for a window of `len` samples against a base of `x_len`.
-///
-/// The direct loop does `(x_len − len + 1)·len` multiply-adds; the FFT path
-/// does one forward and one inverse half-size real transform on
-/// `m = next_pow2(x_len)` points plus `O(m)` pointwise work, modeled as
-/// `FFT_COST_FACTOR · m·log2(m)` flops (the base spectrum is amortized by
-/// the plan). The factor was calibrated with `cargo bench -p sbr-bench`
-/// (see `benches/kernels.rs`, `xcorr` group): the direct loop vectorizes
-/// well, so the break-even sits higher than a naive flop count suggests —
-/// measured crossovers land at `direct ≈ 5–6 · m·log2(m)` for
-/// `x_len ∈ {512, 1024, 2048}` with the table-driven `RealFftPlan`.
-pub fn fft_beats_direct(x_len: usize, len: usize) -> bool {
-    if len == 0 || len > x_len {
-        return false;
-    }
-    let m = x_len.next_power_of_two().max(2);
-    fft_beats_direct_span(x_len - len + 1, len, m)
-}
-
-/// The same cost model for a *region-restricted* sweep: `n_shifts` shifts
-/// of a `len`-sample window, evaluated against a plan whose padded
-/// transform length is `fft_len`. The direct loop's cost shrinks with the
-/// region, the FFT's does not (it always transforms the full padded base),
-/// so narrow regions — the probe cache's candidate regions in particular —
-/// resolve to the direct loop.
-pub fn fft_beats_direct_span(n_shifts: usize, len: usize, fft_len: usize) -> bool {
-    if len == 0 || n_shifts == 0 {
-        return false;
-    }
-    const FFT_COST_FACTOR: usize = 6;
-    let log2m = fft_len.trailing_zeros() as usize;
-    n_shifts * len > FFT_COST_FACTOR * fft_len * log2m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,46 +60,6 @@ mod tests {
                 ((t >> 33) as f64 / (1u64 << 31) as f64) - 0.5 + (i as f64 * 0.13).sin()
             })
             .collect()
-    }
-
-    #[test]
-    fn fft_matches_direct_all_shifts() {
-        for (b, len) in [(16, 4), (100, 7), (256, 256), (300, 128), (1024, 143)] {
-            let x = signal(b, 1);
-            let y = signal(len, 2);
-            let plan = XcorrPlan::new(&x);
-            let fast = plan.sliding_dot(&y);
-            let slow = sliding_dot_direct(&x, &y);
-            assert_eq!(fast.len(), slow.len());
-            let scale: f64 = slow.iter().map(|v| v.abs()).fold(1.0, f64::max);
-            for (s, (a, b)) in fast.iter().zip(&slow).enumerate() {
-                assert!((a - b).abs() < 1e-9 * scale, "shift {s}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn window_equal_to_base_gives_single_shift() {
-        let x = signal(64, 3);
-        let plan = XcorrPlan::new(&x);
-        let c = plan.sliding_dot(&x);
-        assert_eq!(c.len(), 1);
-        let exact: f64 = x.iter().map(|v| v * v).sum();
-        assert!((c[0] - exact).abs() < 1e-9 * exact.abs().max(1.0));
-    }
-
-    #[test]
-    fn tiny_base() {
-        let x = [2.0];
-        let plan = XcorrPlan::new(&x);
-        let c = plan.sliding_dot(&[3.0]);
-        assert_eq!(c, vec![6.0]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn window_longer_than_base_panics() {
-        XcorrPlan::new(&[1.0, 2.0]).sliding_dot(&[1.0, 2.0, 3.0]);
     }
 
     #[test]
@@ -259,13 +85,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn crossover_prefers_direct_for_short_windows() {
-        assert!(!fft_beats_direct(1024, 8));
-        assert!(fft_beats_direct(1024, 256));
-        assert!(!fft_beats_direct(16, 20)); // len > x_len
-        assert!(!fft_beats_direct(16, 0));
     }
 }

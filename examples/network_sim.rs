@@ -83,10 +83,9 @@ fn main() {
         );
     }
     println!(
-        "  best_map: {} calls ({} direct sweeps, {} fft sweeps)",
+        "  best_map: {} calls ({} direct sweeps)",
         snap.counter("sbr_core.best_map.calls").unwrap_or(0),
-        snap.counter("sbr_core.best_map.direct_sweeps").unwrap_or(0),
-        snap.counter("sbr_core.best_map.fft_sweeps").unwrap_or(0)
+        snap.counter("sbr_core.best_map.direct_sweeps").unwrap_or(0)
     );
     println!(
         "  base signal: {} chunks inserted, {} evicted",

@@ -45,8 +45,8 @@ if grep -rn 'par_map(' crates/sbr-core/src \
 fi
 
 echo "==> reference-encoder differential suite (every config byte-identical to the reference)"
-# Guard: the Search probe cache, the GetBase fit cache, the blocked and FFT
-# shift sweeps and the worker fan-out only reorder evaluation — every
+# Guard: the Search probe cache, the GetBase fit cache, the blocked shift
+# sweep and the worker fan-out only reorder evaluation — every
 # encoder configuration must emit the same bytes as the straight-line
 # reference encoder in tests/common (direct sweeps, no caches, no threads).
 # The product transmits its Search's memoized winning probe where the
@@ -303,7 +303,7 @@ for name in ("sbr_core.get_base.fit_cache.hits", "sbr_core.probe_cache.hits"):
     print(f"    {name} total: {hits:.0f}")
 
 for r in records:
-    full = sum(r["counters"].get(f"sbr_core.best_map.{k}_sweeps", 0) for k in ("direct", "fft"))
+    full = r["counters"].get("sbr_core.best_map.direct_sweeps", 0)
     if full > 0:
         sys.exit(f"{r['experiment']} {r['params']}: {full:.0f} full-dictionary BestMap sweeps — "
                  "a learning encoder re-fitted a batch outside Search")
@@ -314,12 +314,14 @@ for needle in ("sbr-bench/v4", "sbr_core.search.run_ns", "sbr_core.get_base.buil
         sys.exit(f"report of BENCH_SBR.json does not render {needle}")
 PYEOF
 
-  echo "==> perf diff negative smokes (exact A/A with one row +15%, one record missing: each must exit 1)"
+  echo "==> perf diff negative smokes (exact A/A with one row +15%, one probe more, one record missing: each must exit 1)"
   # Guard: a gate that passes everything is worse than none. The
   # candidates are copies of the parent runs (an exact A/A), so every
   # other value is unchanged in every pair. Seed +15% into a single row
-  # (sbr_core.search.run_ns of the heaviest fig5 record) of every copy,
-  # then drop the last record from another set of copies.
+  # (sbr_core.search.run_ns of the heaviest fig5 record) of every copy;
+  # in another set, add one Search probe to that record of the first
+  # copy only (the work counters are gated exactly, per pair); then drop
+  # the last record from a third set of copies.
   python3 - "$pairs" <<'PYEOF'
 import json, sys
 
@@ -335,6 +337,11 @@ for i in range(1, pairs + 1):
             search(r)["sum"] = int(search(r)["sum"] * 1.15)
     json.dump(doc, open(f"target/perf/seeded-{i}.json", "w"))
     doc = json.load(open(f"target/perf/base-{i}.json"))
+    for r in doc["records"]:
+        if key(r) == heaviest and i == 1:
+            r["counters"]["sbr_core.search.probes"] += 1
+    json.dump(doc, open(f"target/perf/probes-{i}.json", "w"))
+    doc = json.load(open(f"target/perf/base-{i}.json"))
     dropped = doc["records"].pop()
     json.dump(doc, open(f"target/perf/missing-{i}.json", "w"))
 open("target/perf/missing-experiment.txt", "w").write(dropped["experiment"])
@@ -347,6 +354,14 @@ PYEOF
     || { echo "seeded sbr_core.search.run_ns regression missing from the smoke report" >&2; exit 1; }
   test "$(grep -c "REGRESSION" target/PERF_DIFF_SMOKE.txt)" -eq 1 \
     || { echo "the single seeded row should be the only regression" >&2; exit 1; }
+  if cargo run -p sbr-cli --release --offline --bin sbr -- perf diff $(pair_files probes) \
+      --tolerance 0.10 --report target/PERF_DIFF_PROBES.txt > /dev/null 2>&1; then
+    echo "perf diff passed a candidate that ran one more Search probe" >&2; exit 1
+  fi
+  grep -q "sbr_core.search.probes .*REGRESSION" target/PERF_DIFF_PROBES.txt \
+    || { echo "seeded sbr_core.search.probes increase missing from the smoke report" >&2; exit 1; }
+  test "$(grep -c "REGRESSION" target/PERF_DIFF_PROBES.txt)" -eq 1 \
+    || { echo "the single extra probe should be the only regression" >&2; exit 1; }
   if cargo run -p sbr-cli --release --offline --bin sbr -- perf diff $(pair_files missing) \
       --tolerance 0.10 --report target/PERF_DIFF_MISSING.txt > /dev/null 2>&1; then
     echo "perf diff passed candidates missing a baseline record" >&2; exit 1
@@ -357,8 +372,10 @@ PYEOF
   echo "==> sbr perf diff (7 parent/candidate pairs, median ratio vs max(+10%, 2·IQR))"
   # Guard: every *_ns row sum (1 ms floor) and every hits/misses hit rate
   # of every parent record is gated on its median per-pair change, held
-  # to max(tolerance, 2·IQR) of the per-pair changes; a parent record
-  # missing from the candidate fails. The full diff report is archived
+  # to max(tolerance, 2·IQR) of the per-pair changes; the work and quality
+  # counters (BestMap calls, Search probes, GetBase matrix cells, fit- and
+  # probe-cache misses, bench.quality.*) fail on any per-pair increase; a
+  # parent record missing from the candidate fails. The full diff report is archived
   # next to the other CI artifacts.
   cargo run -p sbr-cli --release --offline --bin sbr -- perf diff $(pair_files cand) \
     --tolerance 0.10 --report target/PERF_DIFF.txt

@@ -4,12 +4,12 @@
 //! It implements the paper's Algorithms 2 (`BestMap`), 4 (`GetBase`),
 //! 5 (the `SBR` driver), 6 (`CalculateError`) and 7 (`Search`) as written:
 //! direct shift sweeps, a full `K×K` error matrix, one fresh
-//! `GetIntervals` per search probe — no caches, no FFT, no threads.
+//! `GetIntervals` per search probe — no caches, no threads.
 //! Algorithm 3's splitting loop is shared with the product through
 //! [`get_intervals_with`], fed by the direct-sweep [`DirectOracle`].
 //!
-//! The product's probe cache, fit cache, blocked and FFT sweeps and worker
-//! fan-out are evaluation-order optimizations only, so every encoder
+//! The product's probe cache, fit cache, blocked sweep and worker fan-out
+//! are evaluation-order optimizations only, so every encoder
 //! configuration must emit transmissions byte-identical to this one.
 //!
 //! It also holds [`direct_delivery`], the oracle for the network's ARQ
@@ -464,18 +464,17 @@ pub fn counter(snap: &Snapshot, name: &str) -> u64 {
     snap.counter(name).unwrap_or(0)
 }
 
-/// Two stream shapes, one per shift-sweep path of the cost model: narrow
-/// base intervals against a 64-value dictionary (direct sweeps), and
-/// `W = 64` windows against a 512-value dictionary (FFT sweeps once the
-/// base holds a few slots). The wide shape's loose error target keeps
-/// its `2W`-long windows unsplit, so FFT-swept fits are the transmitted
-/// ones.
+/// Two stream shapes: narrow base intervals against a 64-value
+/// dictionary, and `W = 64` windows against a 512-value dictionary, where
+/// a `2W`-long window faces hundreds of shifts once the base holds a few
+/// slots. The wide shape's loose error target keeps those windows
+/// unsplit, so its long whole-dictionary sweeps are the transmitted fits.
 pub fn sweep_shapes() -> [(&'static str, Chunks, SbrConfig); 2] {
-    let mut fft = SbrConfig::new(400, 512).with_w(64);
-    fft.error_target = Some(1e4);
+    let mut wide = SbrConfig::new(400, 512).with_w(64);
+    wide.error_target = Some(1e4);
     [
-        ("direct", stream_chunks(5, 2, 64), SbrConfig::new(72, 64)),
-        ("fft", stream_chunks(6, 2, 128), fft),
+        ("narrow", stream_chunks(5, 2, 64), SbrConfig::new(72, 64)),
+        ("wide", stream_chunks(6, 2, 128), wide),
     ]
 }
 

@@ -2,8 +2,8 @@
 //! matrix build must pick exactly the candidates of the reference `K×K`
 //! greedy in `tests/common`, batch after batch with one memo carried
 //! across the stream, and the encoder built on it must emit the
-//! reference's bytes — across error metrics, both shift-sweep strategies
-//! the cost model chooses between, and thread counts. The memo is a pure
+//! reference's bytes — across error metrics, a narrow and a wide sweep
+//! shape, and thread counts. The memo is a pure
 //! evaluation-order optimization, never a semantic change.
 
 mod common;
@@ -67,23 +67,21 @@ fn byte_identical_across_metrics_strategies_and_threads() {
                 assert_matches_reference(&chunks, config.clone(), &label);
                 // Frozen halfway: a learning encoder transmits its Search's
                 // region-swept probe, so only the frozen batches fit against the
-                // whole dictionary, where the wide shape's FFT sweep lives.
+                // whole dictionary.
+                let frozen_rec = Arc::new(MetricsRecorder::new());
                 assert_matches_reference_from(
                     &chunks,
-                    config,
+                    config.with_recorder(frozen_rec.clone()),
                     Some(chunks.len() / 2),
                     &format!("{label}/frozen"),
                 );
 
-                // The wide shape must really cross the FFT sweep (SSE is
-                // the metric with a shift-sweep kernel).
-                if shape == "fft" && matches!(metric, ErrorMetric::Sse) {
-                    let snap = rec.snapshot();
+                // The wide shape's frozen half must really sweep the whole
+                // dictionary (SSE is the metric with a blocked sweep).
+                if shape == "wide" && matches!(metric, ErrorMetric::Sse) {
                     assert!(
-                        counter(&snap, "sbr_core.best_map.fft_sweeps")
-                            + counter(&snap, "sbr_core.best_map.base_fft_sweeps")
-                            > 0,
-                        "[{label}] the suite must cross the FFT path"
+                        counter(&frozen_rec.snapshot(), "sbr_core.best_map.direct_sweeps") > 0,
+                        "[{label}] the frozen half must sweep the whole dictionary"
                     );
                 }
             }

@@ -2,8 +2,8 @@
 //! pick the insertion count of the reference `Search` in `tests/common`
 //! (one fresh `GetIntervals` per probe) at every batch of a stream, and
 //! the encoder built on it must emit the reference's bytes — across error
-//! metrics, both shift-sweep strategies the cost model chooses between,
-//! thread counts, and binary versus exhaustive search. The cache is a pure
+//! metrics, a narrow and a wide sweep shape, thread counts, and binary
+//! versus exhaustive search. The cache is a pure
 //! evaluation-order optimization, never a semantic change.
 
 mod common;
@@ -63,23 +63,21 @@ fn byte_identical_across_metrics_strategies_and_threads() {
                     assert_matches_reference(&chunks, observed.clone(), &label);
                     // Frozen halfway: a learning encoder transmits its Search's
                     // region-swept probe, so only the frozen batches fit against the
-                    // whole dictionary, where the wide shape's FFT sweep lives.
+                    // whole dictionary.
+                    let frozen_rec = Arc::new(MetricsRecorder::new());
                     assert_matches_reference_from(
                         &chunks,
-                        observed,
+                        observed.with_recorder(frozen_rec.clone()),
                         Some(chunks.len() / 2),
                         &format!("{label}/frozen"),
                     );
 
-                    // The wide shape must really cross the FFT sweep (SSE is
-                    // the metric with a shift-sweep kernel).
-                    if shape == "fft" && matches!(metric, ErrorMetric::Sse) {
-                        let snap = rec.snapshot();
+                    // The wide shape's frozen half must really sweep the whole
+                    // dictionary (SSE is the metric with a blocked sweep).
+                    if shape == "wide" && matches!(metric, ErrorMetric::Sse) {
                         assert!(
-                            counter(&snap, "sbr_core.best_map.fft_sweeps")
-                                + counter(&snap, "sbr_core.best_map.base_fft_sweeps")
-                                > 0,
-                            "[{label}] the suite must cross the FFT path"
+                            counter(&frozen_rec.snapshot(), "sbr_core.best_map.direct_sweeps") > 0,
+                            "[{label}] the frozen half must sweep the whole dictionary"
                         );
                     }
                 }

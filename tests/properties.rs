@@ -10,7 +10,7 @@ use sbr_repro::core::get_intervals::FitOracle as _;
 use sbr_repro::core::interval::IntervalRecord;
 use sbr_repro::core::transmission::{BaseUpdate, Transmission};
 use sbr_repro::core::{
-    codec, regression, xcorr, ChunkSummary, Decoder, ErrorMetric, Interval, MultiSeries, SbrConfig,
+    codec, regression, ChunkSummary, Decoder, ErrorMetric, Interval, MultiSeries, SbrConfig,
     SbrEncoder,
 };
 use sbr_repro::core::{quadratic, wire_profile};
@@ -462,30 +462,13 @@ proptest! {
         let _ = wire_profile::decode(&mut &frame[..]);
     }
 
-    // ---------------- xcorr / BestMap FFT kernel ----------------
+    // ---------------- BestMap blocked sweep ----------------
 
-    /// FFT sliding dot products agree with the direct loop at every shift,
-    /// within a relative tolerance, on arbitrary finite signals.
-    #[test]
-    fn xcorr_fft_matches_direct_products(
-        x in finite_signal(128),
-        y in finite_signal(128),
-    ) {
-        prop_assume!(y.len() <= x.len());
-        let plan = xcorr::XcorrPlan::new(&x);
-        let fast = plan.sliding_dot(&y);
-        let slow = xcorr::sliding_dot_direct(&x, &y);
-        prop_assert_eq!(fast.len(), slow.len());
-        let scale = slow.iter().map(|v| v.abs()).fold(1.0f64, f64::max);
-        for (s, (a, b)) in fast.iter().zip(&slow).enumerate() {
-            prop_assert!((a - b).abs() <= 1e-6 * scale, "shift {}: {} vs {}", s, a, b);
-        }
-    }
-
-    /// `BestMap` on a shape where the cost model takes the FFT sweep
-    /// selects the identical shift and bit-identical coefficients as the
-    /// reference encoder's direct sweep — including a constant base signal
-    /// (every shift ties; the earliest must win on both paths).
+    /// `BestMap`'s blocked whole-dictionary sweep on long windows (the
+    /// shape that once took an FFT path) selects the identical shift and
+    /// bit-identical coefficients as the reference encoder's one-shift-at-
+    /// a-time sweep — including a constant base signal (every shift ties;
+    /// the earliest must win on both).
     #[test]
     fn best_map_fft_strategy_identical_to_direct(
         x in prop::collection::vec(-1e6f64..1e6, 512..513),
@@ -493,7 +476,7 @@ proptest! {
         make_x_constant in any::<bool>(),
     ) {
         // |X| = 512 and W = 128 keep every 64..=256-sample window
-        // shiftable, and past the direct-vs-FFT crossover.
+        // shiftable, over 257..=449 shifts.
         let x = if make_x_constant { vec![7.5; x.len()] } else { x };
         let w = 128;
         let rec = std::sync::Arc::new(MetricsRecorder::new());
@@ -502,7 +485,7 @@ proptest! {
             .with_recorder(rec.clone());
         let mut got = Interval::unfitted(0, y.len());
         MapContext::new(&x, &y, &config, w).best_map(&mut got);
-        prop_assert_eq!(rec.snapshot().counter("sbr_core.best_map.fft_sweeps"), Some(1));
+        prop_assert_eq!(rec.snapshot().counter("sbr_core.best_map.direct_sweeps"), Some(1));
         let mut want = Interval::unfitted(0, y.len());
         common::DirectOracle::new(&x, &y, &config, w).fit(&mut want);
         prop_assert_eq!(want.shift, got.shift);

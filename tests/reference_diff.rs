@@ -3,12 +3,12 @@
 //! reference encoder in `tests/common` (the paper's algorithms with direct
 //! sweeps, no caches and no threads).
 //!
-//! The product's `Search` probe cache, `GetBase` fit cache, blocked and
-//! FFT shift sweeps and worker fan-out only reorder evaluation; this suite
-//! holds them to that across error metrics, thread counts, exhaustive
-//! search, a frozen base, the fall-back switch, an error target and a
-//! shape where the cost model takes the FFT path. Counter-based tests pin
-//! the work the caches claim to save.
+//! The product's `Search` probe cache, `GetBase` fit cache, blocked shift
+//! sweep and worker fan-out only reorder evaluation; this suite holds them
+//! to that across error metrics, thread counts, exhaustive search, a frozen
+//! base, the fall-back switch, an error target and a wide-window shape
+//! whose frozen batches sweep the whole dictionary. Counter-based tests
+//! pin the work the caches claim to save.
 
 mod common;
 
@@ -104,32 +104,30 @@ fn byte_identical_with_a_frozen_base() {
 #[test]
 fn byte_identical_when_the_cost_model_picks_fft() {
     // Wide base intervals (W = 64) and a 512-value dictionary: once the
-    // base holds four slots, a `2W`-long window faces enough shifts that
-    // the cost model takes the FFT sweep. The error target is loose enough
-    // that those windows are never split, so the FFT-swept fits are the
-    // transmitted ones — an approximate dot leaking into a pick would
-    // change the bytes. A learning encoder transmits its Search's
-    // region-swept probe, so the whole-dictionary sweep is reached by
-    // freezing the base halfway: the frozen batches fit against the full
-    // learned dictionary.
+    // base holds four slots, a `2W`-long window faces hundreds of shifts
+    // (the shape that once sent the sweep down an FFT path). The error
+    // target is loose enough that those windows are never split, so the
+    // whole-dictionary fits are the transmitted ones. A learning encoder
+    // transmits its Search's region-swept probe, so the whole-dictionary
+    // sweep is reached by freezing the base halfway: the frozen batches
+    // fit against the full learned dictionary.
     let chunks = stream_chunks(6, 2, 128);
     for threads in [1usize, 4] {
-        let rec = Arc::new(MetricsRecorder::new());
         let mut config = SbrConfig::new(400, 512).with_w(64).with_threads(threads);
         config.error_target = Some(1e4);
-        let config = config.with_recorder(rec.clone());
-        assert_matches_reference(&chunks, config.clone(), &format!("fft/t{threads}"));
+        assert_matches_reference(&chunks, config.clone(), &format!("wide/t{threads}"));
+        let rec = Arc::new(MetricsRecorder::new());
         assert_matches_reference_from(
             &chunks,
-            config,
+            config.with_recorder(rec.clone()),
             Some(chunks.len() / 2),
-            &format!("fft/frozen/t{threads}"),
+            &format!("wide/frozen/t{threads}"),
         );
-        let snap = rec.snapshot();
-        let fft = counter(&snap, "sbr_core.best_map.fft_sweeps")
-            + counter(&snap, "sbr_core.best_map.base_fft_sweeps");
-        assert!(fft > 0, "t{threads}: the suite must cross the FFT path");
-        assert!(counter(&snap, "sbr_core.best_map.fft_reverified_shifts") > 0);
+        let sweeps = counter(&rec.snapshot(), "sbr_core.best_map.direct_sweeps");
+        assert!(
+            sweeps > 0,
+            "t{threads}: the frozen half must sweep the whole dictionary"
+        );
     }
 }
 
@@ -243,8 +241,7 @@ fn cached_exhaustive_search_does_one_getintervals_of_base_fit_work() {
 
     // The cached search never runs a full-dictionary sweep: all its fit
     // work is region-restricted.
-    let cached_full = counter(&cached, "sbr_core.best_map.direct_sweeps")
-        + counter(&cached, "sbr_core.best_map.fft_sweeps");
+    let cached_full = counter(&cached, "sbr_core.best_map.direct_sweeps");
     assert_eq!(
         cached_full, 0,
         "cached probes must not re-sweep the dictionary"
@@ -253,8 +250,7 @@ fn cached_exhaustive_search_does_one_getintervals_of_base_fit_work() {
     // Base-prefix fit work: at most one sweep per distinct (start, len) —
     // i.e. at most one full GetIntervals-equivalent across ALL probes,
     // where the reference pays one sweep per interval per probe.
-    let base_sweeps = counter(&cached, "sbr_core.best_map.base_direct_sweeps")
-        + counter(&cached, "sbr_core.best_map.base_fft_sweeps");
+    let base_sweeps = counter(&cached, "sbr_core.best_map.base_direct_sweeps");
     let entries = counter(&cached, "sbr_core.probe_cache.misses");
     assert!(
         base_sweeps <= entries,
@@ -267,8 +263,7 @@ fn cached_exhaustive_search_does_one_getintervals_of_base_fit_work() {
         reference.sweeps
     );
     // Each candidate region is swept at most once per entry.
-    let cand_sweeps = counter(&cached, "sbr_core.best_map.cand_direct_sweeps")
-        + counter(&cached, "sbr_core.best_map.cand_fft_sweeps");
+    let cand_sweeps = counter(&cached, "sbr_core.best_map.cand_direct_sweeps");
     assert!(
         cand_sweeps <= entries * cands.len() as u64,
         "{cand_sweeps} candidate sweeps exceeds one region pass per candidate \
