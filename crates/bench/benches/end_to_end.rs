@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use sbr_core::{codec, ChunkSummary, Decoder, SbrConfig, SbrEncoder};
+use sbr_core::{codec, ChunkSummary, Decoder, Frame, SbrConfig, SbrEncoder};
 
 fn files(n_signals: usize, m: usize) -> Vec<Vec<f64>> {
     (0..n_signals)
@@ -53,14 +53,20 @@ fn bench_codec_and_decode(c: &mut Criterion) {
     let rows = files(10, 512);
     let mut enc = SbrEncoder::new(10, 512, SbrConfig::new(512, 1024)).unwrap();
     let tx = enc.encode(&rows).unwrap();
-    let frame = codec::encode(&tx);
+    let data = Frame::data(0, tx.clone());
+    let frame = codec::encode_v2(&data);
 
     let mut g = c.benchmark_group("wire");
     g.bench_function("codec_encode", |b| {
-        b.iter(|| codec::encode(black_box(&tx)).len())
+        b.iter(|| codec::encode_v2(black_box(&data)).len())
     });
     g.bench_function("codec_decode", |b| {
-        b.iter(|| codec::decode(&mut black_box(frame.clone())).unwrap().seq)
+        b.iter(|| {
+            codec::decode_v2(&mut black_box(frame.clone()))
+                .unwrap()
+                .tx
+                .seq
+        })
     });
     g.bench_function("decoder_reconstruct", |b| {
         b.iter(|| {

@@ -206,8 +206,9 @@ frame-lifecycle timeline attached (`sbr simulate` under SBR_TRACE),
 `sbr trace` narrows to one frame (`--frame node:epoch:seq`), one sensor
 (`--node`) or one lifecycle step (`--kind`); `sbr perf diff` compares
 baseline/candidate pairs of benchmark artifacts and exits 1 when the
-median per-pair growth of a `*_ns` row sum, or drop of a hit rate,
-exceeds max(`--tolerance` (default 0.25), 2 x its interquartile range),
+median per-pair growth of a `*_ns` row sum (and of the synthetic
+`total.sbr.encode_ns` row, summed over each file's records), or drop of
+a hit rate, exceeds max(`--tolerance` (default 0.25), 2 x its interquartile range),
 when a work or quality counter (BestMap calls, Search probes, GetBase
 matrix cells, fit- and probe-cache misses, bench.quality.*) grows in
 any pair, or when a baseline record has no candidate record.

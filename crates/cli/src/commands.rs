@@ -256,7 +256,7 @@ fn decompress(input: &str, output: &str) -> Result<String, CliError> {
     };
     let mut decoder = Decoder::new();
     let n_signals = first.tx.n_signals as usize;
-    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); n_signals];
+    let mut columns: Vec<Vec<f64>> = Vec::new();
     for (i, frame) in log.parsed.iter().enumerate() {
         let rec = decoder.decode_frame(frame).map_err(|e| e.to_string())?;
         if rec.len() != n_signals {
@@ -265,6 +265,12 @@ fn decompress(input: &str, output: &str) -> Result<String, CliError> {
                 rec.len()
             )
             .into());
+        }
+        // The first decode, which has validated the header's shape, starts
+        // the columns.
+        if columns.is_empty() {
+            columns = rec;
+            continue;
         }
         for (c, r) in columns.iter_mut().zip(&rec) {
             c.extend_from_slice(r);
@@ -872,6 +878,10 @@ const PERF_EXACT_COUNTERS: [&str; 7] = [
     "bench.quality.total_rel",
 ];
 
+/// The `*_ns` row `perf diff` also sums over every record of a file, into
+/// one `total.*` row per file.
+const PERF_TOTAL_OF: &str = "sbr_core.sbr.encode_ns";
+
 /// Load a benchmark artifact's records.
 fn bench_records(path: &str) -> Result<Vec<BenchRecord>, CliError> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot open {path}: {e}"))?;
@@ -896,14 +906,64 @@ fn quartiles(mut xs: Vec<f64>) -> (f64, f64, f64) {
     (at(0.25), at(0.5), at(0.75))
 }
 
+/// The verdict line of one gated value from its per-pair (baseline,
+/// candidate) values — `*_ns` sums when `wall`, else hit rates — and
+/// whether it is a regression. A wall changes by its ratio − 1 (1 ms
+/// floor), a hit rate by its drop; the median change fails beyond
+/// `max(tolerance, 2·IQR)` of the changes.
+fn gate_line(label: &str, wall: bool, v: &[(f64, f64)], tolerance: f64) -> (String, bool) {
+    let floor = |x: f64| x.max(PERF_MIN_WALL_NS);
+    let change = |&(b, c): &(f64, f64)| {
+        if wall {
+            // lint:allow(panic-reachability): f64 division — cannot panic
+            floor(c) / floor(b) - 1.0
+        } else {
+            b - c
+        }
+    };
+    let (q1, delta, q3) = quartiles(v.iter().map(change).collect());
+    let limit = tolerance.max(PERF_IQR_K * (q3 - q1));
+    let verdict = if wall && v.iter().all(|&(b, c)| b.max(c) < PERF_MIN_WALL_NS) {
+        "ok (below noise floor)"
+    } else if delta > limit {
+        "REGRESSION"
+    } else if wall && delta < -limit {
+        "improved"
+    } else if limit > tolerance {
+        "unresolved"
+    } else {
+        "ok"
+    };
+    let [b, c] = [|p: &(f64, f64)| p.0, |p: &(f64, f64)| p.1]
+        .map(|side| quartiles(v.iter().map(side).collect()).1);
+    let (b, c, delta, unit) = if wall {
+        (format!("{} ms", ms(b)), format!("{} ms", ms(c)), delta, "%")
+    } else {
+        (
+            format!("{:.1} %", b * 100.0),
+            format!("{:.1} %", c * 100.0),
+            -delta,
+            "pp",
+        )
+    };
+    let line = format!(
+        "  {label:<44} {b:>12} -> {c:>12}  {:>+7.1}{unit} (limit {:.1}{unit})  {verdict}\n",
+        delta * 100.0,
+        limit * 100.0
+    );
+    (line, verdict == "REGRESSION")
+}
+
 /// `sbr perf diff`: compare paired `(baseline, candidate)` runs, record
 /// by record of the first baseline. Each pair reduces a `*_ns` row sum to
 /// the change `candidate / baseline - 1` and a `<x>.hits`/`<x>.misses`
 /// pair to its hit-rate drop; the median change fails beyond
 /// `max(tolerance, 2·IQR)` of the changes (one pair: IQR 0), and a pass
 /// whose 2·IQR exceeds the tolerance is `unresolved`. The
-/// [`PERF_EXACT_COUNTERS`] fail if they grow in any pair. A record, row,
-/// pair or exact counter a candidate lacks fails; other counters are
+/// [`PERF_EXACT_COUNTERS`] fail if they grow in any pair. One synthetic
+/// `total.sbr.encode_ns` row per file sums [`PERF_TOTAL_OF`] over the
+/// file's records and is gated like any `*_ns` row. A record, row, pair
+/// or exact counter a candidate lacks fails; other counters are
 /// informational.
 fn perf_diff(
     pairs: &[(String, String)],
@@ -966,47 +1026,9 @@ fn perf_diff(
                 out.push_str(&format!("  {label:<44} missing in candidate  REGRESSION\n"));
                 continue;
             };
-            // A wall changes by its ratio - 1, a hit rate by its drop.
-            let floor = |x: f64| x.max(PERF_MIN_WALL_NS);
-            let change = |&(b, c): &(f64, f64)| {
-                if wall {
-                    // lint:allow(panic-reachability): f64 division — cannot panic
-                    floor(c) / floor(b) - 1.0
-                } else {
-                    b - c
-                }
-            };
-            let (q1, delta, q3) = quartiles(v.iter().map(change).collect());
-            let limit = tolerance.max(PERF_IQR_K * (q3 - q1));
-            let verdict = if wall && v.iter().all(|&(b, c)| b.max(c) < PERF_MIN_WALL_NS) {
-                "ok (below noise floor)"
-            } else if delta > limit {
-                "REGRESSION"
-            } else if wall && delta < -limit {
-                "improved"
-            } else if limit > tolerance {
-                "unresolved"
-            } else {
-                "ok"
-            };
-            regressions += usize::from(verdict == "REGRESSION");
-            let [b, c] = [|p: &(f64, f64)| p.0, |p: &(f64, f64)| p.1]
-                .map(|side| quartiles(v.iter().map(side).collect()).1);
-            let (b, c, delta, unit) = if wall {
-                (format!("{} ms", ms(b)), format!("{} ms", ms(c)), delta, "%")
-            } else {
-                (
-                    format!("{:.1} %", b * 100.0),
-                    format!("{:.1} %", c * 100.0),
-                    -delta,
-                    "pp",
-                )
-            };
-            out.push_str(&format!(
-                "  {label:<44} {b:>12} -> {c:>12}  {:>+7.1}{unit} (limit {:.1}{unit})  {verdict}\n",
-                delta * 100.0,
-                limit * 100.0
-            ));
+            let (line, regressed) = gate_line(&label, wall, &v, tolerance);
+            regressions += usize::from(regressed);
+            out.push_str(&line);
         }
         let exact = PERF_EXACT_COUNTERS
             .iter()
@@ -1058,6 +1080,23 @@ fn perf_diff(
                 None => out.push_str(&format!("  {name:<44} missing in candidate\n")),
             }
         }
+    }
+    // One synthetic row per file: its records' encode walls summed,
+    // steadier than any one record's and gated like any `*_ns` row. A side
+    // without the row skips it; the per-record check fails that run.
+    let total = |recs: &[BenchRecord]| {
+        let rows = recs.iter().filter_map(|r| r.row(PERF_TOTAL_OF));
+        rows.map(|row| row.sum as f64).reduce(|a, b| a + b)
+    };
+    let totals: Option<Vec<_>> = runs
+        .iter()
+        .map(|(b, c)| Some((total(b)?, total(c)?)))
+        .collect();
+    if let Some(v) = totals {
+        let label = format!("total.{}", PERF_TOTAL_OF.trim_start_matches("sbr_core."));
+        let (line, regressed) = gate_line(&label, true, &v, tolerance);
+        regressions += usize::from(regressed);
+        out.push_str(&format!("\nevery record of each file\n{line}"));
     }
     if compared == 0 {
         let msg = "perf diff: no overlapping records between the baselines and candidates";
@@ -1274,6 +1313,34 @@ mod tests {
         ))
         .unwrap_err();
         assert_eq!(err.exit_code(), 1, "{err:?}");
+
+        // A CRC-valid frame declaring a u32::MAX × u32::MAX batch is refused
+        // before anything is sized by it.
+        let huge = dir.join("huge.sbr");
+        let mut w = storage::StreamWriter::create(&huge).unwrap();
+        let tx = sbr_core::Transmission {
+            seq: 0,
+            n_signals: u32::MAX,
+            samples_per_signal: u32::MAX,
+            w: 1,
+            base_updates: vec![],
+            intervals: vec![sbr_core::IntervalRecord {
+                start: 0,
+                shift: -1,
+                a: 1.0,
+                b: 0.0,
+            }],
+        };
+        w.append(&codec::encode_v2(&Frame::data(0, tx))).unwrap();
+        drop(w);
+        let err = run_argv(&format!(
+            "decompress --input {} --output {}",
+            huge.display(),
+            dir.join("rec.csv").display()
+        ))
+        .unwrap_err();
+        assert_eq!(err.exit_code(), 1, "{err:?}");
+        assert!(err.message().contains("exceeds"), "{err:?}");
 
         // A bad --crash-at spec is a usage error (exit 2), caught at parse.
         let err = run_argv("simulate --crash-at nonsense").unwrap_err();
@@ -1959,6 +2026,66 @@ mod tests {
     }
 
     #[test]
+    fn perf_diff_gates_the_summed_encode_row() {
+        let dir = tempdir("perftotal");
+        // One file: three records' encode walls (ms); the same record keys in every file.
+        let file = |walls: [f64; 3]| -> Vec<BenchRecord> {
+            ["a", "b", "c"]
+                .iter()
+                .zip(walls)
+                .map(|(e, ms)| bench_record(e, &[("sbr_core.sbr.encode_ns", ms * 1e6)], &[]))
+                .collect()
+        };
+        let diff = |cands: &[[f64; 3]]| {
+            let mut argv = String::from("perf diff");
+            for (i, walls) in cands.iter().enumerate() {
+                let (b, c) = (
+                    dir.join(format!("b{i}.json")),
+                    dir.join(format!("c{i}.json")),
+                );
+                write_bench(&b, &file([100.0; 3]));
+                write_bench(&c, &file(*walls));
+                argv += &format!(" {} {}", b.display(), c.display());
+            }
+            run_argv(&format!("{argv} --tolerance 0.10"))
+        };
+        let total_line = |out: &str| {
+            out.lines()
+                .find(|l| l.contains("total.sbr.encode_ns"))
+                .map(str::to_owned)
+                .unwrap_or_default()
+        };
+
+        // Each record swings ±30% between pairs while the file's sum holds:
+        // the record rows are unresolved, the summed row resolves to ok.
+        let swings = [
+            [130.0, 85.0, 85.0],
+            [85.0, 130.0, 85.0],
+            [85.0, 85.0, 130.0],
+            [130.0, 85.0, 85.0],
+            [85.0, 130.0, 85.0],
+        ];
+        let ok = diff(&swings).unwrap();
+        assert!(total_line(&ok).ends_with("  ok"), "{ok}");
+        assert!(ok.contains("unresolved"), "{ok}");
+
+        // +15% on the sum, in every pair: the summed row fails.
+        let e = diff(&[[115.0; 3]; 5]).unwrap_err();
+        assert_eq!(e.exit_code(), 1, "{e:?}");
+        assert!(total_line(e.message()).ends_with("REGRESSION"), "{e:?}");
+
+        // Files without the encode row get no summed row.
+        write_bench(
+            &dir.join("x.json"),
+            &[bench_record("x", &[("foo_ns", 1e7)], &[])],
+        );
+        let x = dir.join("x.json").display().to_string();
+        let ok = run_argv(&format!("perf diff {x} {x}")).unwrap();
+        assert!(total_line(&ok).is_empty(), "{ok}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn perf_diff_fails_a_slow_candidate_over_a_zero_baseline() {
         let dir = tempdir("perfzero");
         let base = dir.join("base.json");
@@ -2018,7 +2145,8 @@ mod tests {
     fn paired_perf_diff_fails_a_consistent_slowdown() {
         let e = paired_diff("pairslow", &[1.15; 5], 0.10).unwrap_err();
         assert_eq!(e.exit_code(), 1, "{e:?}");
-        assert!(e.message().contains("3 regression(s)"), "{e:?}");
+        // The record's three walls and the file's summed encode row.
+        assert!(e.message().contains("4 regression(s)"), "{e:?}");
     }
 
     #[test]

@@ -2,24 +2,10 @@
 //! [`Transmission`]s, suitable for the radio link of the sensor-network
 //! substrate and for the base station's append-only log files.
 //!
-//! v1 layout (little-endian):
-//!
-//! ```text
-//! magic  u32  = 0x53_42_52_31 ("SBR1")
-//! seq    u64
-//! n      u32   signals
-//! m      u32   samples per signal
-//! w      u32   base-interval width
-//! nu     u32   base updates
-//! ni     u32   interval records
-//! nu × { slot u64, w × f64 }
-//! ni × { start u64, shift i64, a f64, b f64 }
-//! ```
-//!
-//! v2 layout (little-endian) wraps the same payload in a loss-tolerant
-//! envelope: a frame kind, a resync epoch, an optional base-signal
-//! snapshot, and a trailing CRC-32 over every preceding byte so any
-//! single-byte corruption is detected instead of decoding to garbage:
+//! Every writer emits v2 ([`encode_v2`]): a frame kind, a resync epoch,
+//! an optional base-signal snapshot, and a trailing CRC-32 over every
+//! preceding byte, so any single-byte corruption is detected instead of
+//! decoding to garbage. Layout (little-endian):
 //!
 //! ```text
 //! magic  u32  = 0x53_42_52_32 ("SBR2")
@@ -38,8 +24,22 @@
 //! crc    u32   CRC-32 (IEEE) of all preceding bytes
 //! ```
 //!
-//! [`decode_any`] sniffs the magic and accepts both: v1 frames surface as
-//! epoch-0 data [`Frame`]s, keeping pre-v2 logs replayable forever.
+//! v1 is a read-only compatibility layout: nothing writes it any more,
+//! but [`decode_any`] sniffs the magic and still accepts it, surfacing
+//! v1 frames as epoch-0 data [`Frame`]s so pre-v2 logs stay replayable
+//! forever. A v1 frame carries no kind, epoch or CRC:
+//!
+//! ```text
+//! magic  u32  = 0x53_42_52_31 ("SBR1")
+//! seq    u64
+//! n      u32   signals
+//! m      u32   samples per signal
+//! w      u32   base-interval width
+//! nu     u32   base updates
+//! ni     u32   interval records
+//! nu × { slot u64, w × f64 }
+//! ni × { start u64, shift i64, a f64, b f64 }
+//! ```
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -47,7 +47,7 @@ use crate::error::{Result, SbrError};
 use crate::interval::IntervalRecord;
 use crate::transmission::{BaseUpdate, Frame, FrameKind, Transmission};
 
-/// Frame magic: "SBR1".
+/// v1 frame magic: "SBR1" (read by [`decode_any`], never written).
 pub const MAGIC: u32 = 0x5342_5231;
 
 /// v2 frame magic: "SBR2".
@@ -110,44 +110,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     h.finish()
 }
 
-/// Serialized size of a transmission in bytes.
-pub fn encoded_len(tx: &Transmission) -> usize {
-    4 + 8
-        + 4 * 4
-        + 4
-        + tx.base_updates
-            .iter()
-            .map(|u| 8 + 8 * u.values.len())
-            .sum::<usize>()
-        + tx.intervals.len() * (8 + 8 + 8 + 8)
-}
-
-/// Serialize a transmission into a byte frame.
-pub fn encode(tx: &Transmission) -> Bytes {
-    let mut buf = BytesMut::with_capacity(encoded_len(tx));
-    buf.put_u32_le(MAGIC);
-    buf.put_u64_le(tx.seq);
-    buf.put_u32_le(tx.n_signals);
-    buf.put_u32_le(tx.samples_per_signal);
-    buf.put_u32_le(tx.w);
-    // lint:allow(cast-truncation): counts are memory-bounded far below u32::MAX; encode is infallible by contract
-    buf.put_u32_le(tx.base_updates.len() as u32);
-    buf.put_u32_le(tx.intervals.len() as u32); // lint:allow(cast-truncation): same bound as the update count above
-    for u in &tx.base_updates {
-        buf.put_u64_le(u.slot);
-        for &v in &u.values {
-            buf.put_f64_le(v);
-        }
-    }
-    for r in &tx.intervals {
-        buf.put_u64_le(r.start);
-        buf.put_i64_le(r.shift);
-        buf.put_f64_le(r.a);
-        buf.put_f64_le(r.b);
-    }
-    buf.freeze()
-}
-
 fn need(buf: &impl Buf, n: usize, what: &str) -> Result<()> {
     if buf.remaining() < n {
         Err(SbrError::Corrupt(format!(
@@ -157,16 +119,6 @@ fn need(buf: &impl Buf, n: usize, what: &str) -> Result<()> {
     } else {
         Ok(())
     }
-}
-
-/// Parse one transmission from a byte frame, consuming exactly its bytes.
-pub fn decode(buf: &mut impl Buf) -> Result<Transmission> {
-    need(buf, 4 + 8 + 4 * 4 + 4, "header")?;
-    let magic = buf.get_u32_le();
-    if magic != MAGIC {
-        return Err(SbrError::Corrupt(format!("bad magic {magic:#010x}")));
-    }
-    decode_v1_body(buf)
 }
 
 /// Parse the v1 frame remainder after the magic has been consumed.
@@ -476,67 +428,58 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip() {
-        let tx = sample();
-        let bytes = encode(&tx);
-        assert_eq!(bytes.len(), encoded_len(&tx));
-        let mut buf = bytes.clone();
-        let back = decode(&mut buf).unwrap();
-        assert_eq!(back, tx);
-        assert_eq!(buf.remaining(), 0);
-    }
-
-    #[test]
     fn bad_magic_rejected() {
-        let tx = sample();
-        let mut bytes = encode(&tx).to_vec();
+        let mut bytes = encode_v2(&Frame::data(0, sample())).to_vec();
         bytes[0] ^= 0xff;
-        assert!(decode(&mut &bytes[..]).is_err());
-    }
-
-    #[test]
-    fn truncation_rejected_everywhere() {
-        let tx = sample();
-        let bytes = encode(&tx);
-        for cut in 0..bytes.len() {
-            let mut short = &bytes[..cut];
-            assert!(decode(&mut short).is_err(), "cut at {cut} must fail");
-        }
+        assert!(decode_v2(&mut &bytes[..]).is_err());
+        assert!(decode_any(&mut &bytes[..]).is_err());
     }
 
     #[test]
     fn zero_dims_rejected() {
-        let mut tx = sample();
-        tx.w = 0;
-        let bytes = encode(&tx);
-        assert!(decode(&mut bytes.clone()).is_err());
+        // Zero each of n, m and w (header bytes 17, 21, 25) and re-seal
+        // the CRC, so only the dimension check can refuse the frame.
+        let good = encode_v2(&Frame::data(0, sample())).to_vec();
+        for at in [17, 21, 25] {
+            let mut bytes = good.clone();
+            bytes[at..at + 4].fill(0);
+            let body = bytes.len() - 4;
+            let crc = crc32(&bytes[..body]);
+            bytes[body..].copy_from_slice(&crc.to_le_bytes());
+            assert!(
+                matches!(decode_v2(&mut &bytes[..]), Err(SbrError::Corrupt(e)) if e.contains("zero dimension")),
+                "zeroed dimension at byte {at} accepted"
+            );
+        }
     }
 
     #[test]
     fn empty_payload_roundtrips() {
-        let tx = Transmission {
-            seq: 0,
-            n_signals: 1,
-            samples_per_signal: 1,
-            w: 1,
-            base_updates: vec![],
-            intervals: vec![],
-        };
-        let bytes = encode(&tx);
-        assert_eq!(decode(&mut bytes.clone()).unwrap(), tx);
+        let frame = Frame::data(
+            0,
+            Transmission {
+                seq: 0,
+                n_signals: 1,
+                samples_per_signal: 1,
+                w: 1,
+                base_updates: vec![],
+                intervals: vec![],
+            },
+        );
+        let bytes = encode_v2(&frame);
+        assert_eq!(decode_v2(&mut bytes.clone()).unwrap(), frame);
     }
 
     #[test]
     fn back_to_back_frames_parse() {
-        let t0 = sample();
         let mut t1 = sample();
         t1.seq = 43;
         let mut stream = BytesMut::new();
-        stream.extend_from_slice(&encode(&t0));
-        stream.extend_from_slice(&encode(&t1));
+        stream.extend_from_slice(&encode_v2(&Frame::data(0, sample())));
+        stream.extend_from_slice(&encode_v2(&Frame::data(0, t1)));
         let mut buf = stream.freeze();
-        assert_eq!(decode(&mut buf).unwrap().seq, 42);
-        assert_eq!(decode(&mut buf).unwrap().seq, 43);
+        assert_eq!(decode_v2(&mut buf).unwrap().tx.seq, 42);
+        assert_eq!(decode_v2(&mut buf).unwrap().tx.seq, 43);
         assert_eq!(buf.remaining(), 0);
     }
 
@@ -624,27 +567,9 @@ mod tests {
         // Short buffers and foreign magics peek as None, never panic.
         assert_eq!(peek_v2_identity(&data[..10]), None);
         assert_eq!(peek_v2_identity(&[]), None);
-        assert_eq!(peek_v2_identity(&encode(&sample())), None); // v1 frame
-    }
-
-    #[test]
-    fn decode_any_wraps_v1_as_epoch_zero_data() {
-        let tx = sample();
-        let frame = decode_any(&mut encode(&tx).clone()).unwrap();
-        assert_eq!(frame, Frame::data(0, tx));
-    }
-
-    #[test]
-    fn mixed_version_frames_parse_back_to_back() {
-        let mut stream = BytesMut::new();
-        stream.extend_from_slice(&encode(&sample()));
-        stream.extend_from_slice(&encode_v2(&sample_frame()));
-        stream.extend_from_slice(&encode_v2(&Frame::data(4, sample())));
-        let mut buf = stream.freeze();
-        assert_eq!(decode_any(&mut buf).unwrap().epoch, 0);
-        assert_eq!(decode_any(&mut buf).unwrap().kind, FrameKind::Resync);
-        assert_eq!(decode_any(&mut buf).unwrap().epoch, 4);
-        assert_eq!(buf.remaining(), 0);
+        let mut v1 = data.to_vec();
+        v1[..4].copy_from_slice(&MAGIC.to_le_bytes());
+        assert_eq!(peek_v2_identity(&v1), None);
     }
 
     #[test]

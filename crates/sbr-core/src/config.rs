@@ -4,6 +4,7 @@
 use crate::error::{Result, SbrError};
 use crate::metric::ErrorMetric;
 use crate::series::MultiSeries;
+use crate::transmission::MAX_BATCH_VALUES;
 
 /// Configuration of an [`SbrEncoder`](crate::SbrEncoder).
 ///
@@ -147,9 +148,18 @@ impl SbrConfig {
         self.m_base.min(self.total_band) / w.max(1)
     }
 
-    /// Validate against a batch shape; returns the derived `W`.
+    /// Validate against a batch shape; returns the derived `W`. A batch
+    /// above [`MAX_BATCH_VALUES`] is rejected, so no encoder emits a frame
+    /// its receiver refuses.
     pub fn validate(&self, n_signals: usize, m: usize) -> Result<usize> {
-        let n = n_signals * m;
+        let n = n_signals
+            .checked_mul(m)
+            .filter(|&n| n <= MAX_BATCH_VALUES)
+            .ok_or_else(|| {
+                SbrError::InvalidConfig(format!(
+                    "batch of {n_signals} × {m} values exceeds {MAX_BATCH_VALUES}"
+                ))
+            })?;
         if self.total_band < 4 * n_signals {
             return Err(SbrError::BudgetTooSmall {
                 total_band: self.total_band,
@@ -239,6 +249,17 @@ mod tests {
     fn validate_rejects_oversized_w() {
         let c = SbrConfig::new(100, 50).with_w(1000);
         assert!(c.validate(2, 10).is_err());
+    }
+
+    #[test]
+    fn validate_rejects_a_batch_no_receiver_accepts() {
+        let c = SbrConfig::new(1 << 24, 500);
+        assert!(c.validate(1, MAX_BATCH_VALUES).is_ok());
+        assert!(matches!(
+            c.validate(2, MAX_BATCH_VALUES / 2 + 1),
+            Err(SbrError::InvalidConfig(_))
+        ));
+        assert!(c.validate(usize::MAX, 2).is_err());
     }
 
     #[test]

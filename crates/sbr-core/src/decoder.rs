@@ -4,7 +4,7 @@
 use crate::base_signal::BaseSignal;
 use crate::error::{Result, SbrError};
 use crate::get_intervals::reconstruct_flat;
-use crate::transmission::{Frame, FrameKind, Transmission};
+use crate::transmission::{Frame, FrameKind, Transmission, MAX_BATCH_VALUES};
 
 /// Stateful decoder for one sensor's transmission stream.
 ///
@@ -53,48 +53,6 @@ impl Decoder {
         }
     }
 
-    fn gap(&self, got: u64) -> SbrError {
-        SbrError::Gap {
-            node: self.node,
-            expected: self.next_seq,
-            got,
-        }
-    }
-
-    /// The layout `X_new` a frame's interval records reference, *without*
-    /// advancing the decoder: the current base ∥ updates for a data frame,
-    /// the frame's own snapshot ∥ updates for a resync frame (which
-    /// re-anchors on it). Either way the layout is self-contained, so an
-    /// epoch bump never invalidates an earlier chunk's. Fails on a data
-    /// frame out of sequence and on an update of the wrong width.
-    pub fn peek_x_new(&self, frame: &Frame) -> Result<Vec<f64>> {
-        let tx = &frame.tx;
-        let mut x_new = match frame.kind {
-            FrameKind::Data => {
-                if tx.seq != self.next_seq {
-                    return Err(self.gap(tx.seq));
-                }
-                self.base
-                    .as_ref()
-                    .map(|b| b.values().to_vec())
-                    .unwrap_or_default()
-            }
-            FrameKind::Resync => frame.snapshot.clone(),
-        };
-        // lint:allow(cast-truncation): u32 -> usize widens on this 64-bit target
-        let w = tx.w as usize;
-        for (k, u) in tx.base_updates.iter().enumerate() {
-            if u.values.len() != w {
-                return Err(SbrError::Corrupt(format!(
-                    "base update {k} has width {} ≠ W = {w}",
-                    u.values.len()
-                )));
-            }
-            x_new.extend_from_slice(&u.values);
-        }
-        Ok(x_new)
-    }
-
     /// The mirrored base signal (empty before the first transmission).
     pub fn base(&self) -> Option<&BaseSignal> {
         self.base.as_ref()
@@ -116,79 +74,12 @@ impl Decoder {
         self.node
     }
 
-    /// Decode the next transmission, returning per-signal reconstructions.
+    /// Decode the next transmission of the current epoch, returning
+    /// per-signal reconstructions.
     pub fn decode(&mut self, tx: &Transmission) -> Result<Vec<Vec<f64>>> {
-        if tx.seq != self.next_seq {
-            return Err(self.gap(tx.seq));
-        }
-        // lint:allow(cast-truncation): u32 -> usize widens on this 64-bit target
-        let w = tx.w as usize;
-        if w == 0 {
-            return Err(SbrError::Corrupt("zero base-interval width".into()));
-        }
-        let base = self.base.get_or_insert_with(|| BaseSignal::new(w));
-        if base.w() != w {
-            return Err(SbrError::InconsistentState(format!(
-                "stream changed base-interval width from {} to {w}",
-                base.w()
-            )));
-        }
-        Self::validate_updates(tx, base.num_slots(), w)?;
-
-        // Decode against the candidate layout X_new = X ∥ updates …
-        let mut x_new = base.values().to_vec();
-        for u in &tx.base_updates {
-            x_new.extend_from_slice(&u.values);
-        }
-        let n_total = tx.batch_len();
-        if n_total == 0 {
-            return Err(SbrError::Corrupt("empty batch shape".into()));
-        }
-        if tx.intervals.is_empty() {
-            return Err(SbrError::Corrupt(
-                "transmission carries no intervals".into(),
-            ));
-        }
-        let flat = reconstruct_flat(&x_new, &tx.intervals, n_total)?;
-
-        // … then land the updates in their final slots for the next batch.
-        for u in &tx.base_updates {
-            // lint:allow(cast-truncation): slot range-checked by validate_updates above
-            base.apply_insert(u.slot as usize, &u.values, tx.seq)?;
-        }
-
-        self.next_seq += 1;
-        // lint:allow(cast-truncation): u32 -> usize widens on this 64-bit target
-        let m = tx.samples_per_signal as usize;
-        Ok(flat.chunks_exact(m).map(<[f64]>::to_vec).collect())
-    }
-
-    /// Advance the mirrored base-signal state over a transmission *without*
-    /// reconstructing its data. Performs the same validation as
-    /// [`Decoder::decode`].
-    fn apply_updates_only(&mut self, tx: &Transmission) -> Result<()> {
-        if tx.seq != self.next_seq {
-            return Err(self.gap(tx.seq));
-        }
-        // lint:allow(cast-truncation): u32 -> usize widens on this 64-bit target
-        let w = tx.w as usize;
-        if w == 0 {
-            return Err(SbrError::Corrupt("zero base-interval width".into()));
-        }
-        let base = self.base.get_or_insert_with(|| BaseSignal::new(w));
-        if base.w() != w {
-            return Err(SbrError::InconsistentState(format!(
-                "stream changed base-interval width from {} to {w}",
-                base.w()
-            )));
-        }
-        Self::validate_updates(tx, base.num_slots(), w)?;
-        for u in &tx.base_updates {
-            // lint:allow(cast-truncation): slot range-checked by validate_updates above
-            base.apply_insert(u.slot as usize, &u.values, tx.seq)?;
-        }
-        self.next_seq += 1;
-        Ok(())
+        self.step(FrameKind::Data, self.epoch, &[], tx, |x_new| {
+            reconstruct(&x_new, tx)
+        })
     }
 
     /// Decode the next v2 frame. Data frames must match the decoder's
@@ -197,87 +88,141 @@ impl Decoder {
     /// counter jumps to the frame's, and the epoch advances. Either path is
     /// atomic: on any error the decoder is left exactly as it was.
     pub fn decode_frame(&mut self, frame: &Frame) -> Result<Vec<Vec<f64>>> {
-        match frame.kind {
-            FrameKind::Data => {
-                self.check_data_epoch(frame)?;
-                self.decode(&frame.tx)
-            }
-            FrameKind::Resync => {
-                let mut next = self.reanchored(frame)?;
-                let out = next.decode(&frame.tx)?;
-                *self = next;
-                Ok(out)
-            }
-        }
+        let tx = &frame.tx;
+        self.step(frame.kind, frame.epoch, &frame.snapshot, tx, |x_new| {
+            reconstruct(&x_new, tx)
+        })
     }
 
-    /// Advance the replica over a frame without reconstructing its data —
-    /// the cheap path the station's chunk index takes on ingest. Performs
-    /// the same validation as [`Decoder::decode_frame`] and is just as
-    /// atomic.
-    pub fn apply_frame_updates_only(&mut self, frame: &Frame) -> Result<()> {
-        match frame.kind {
-            FrameKind::Data => {
-                self.check_data_epoch(frame)?;
-                self.apply_updates_only(&frame.tx)
+    /// The one frame step every entry point takes. It validates the frame
+    /// against the decoder (the seq/epoch rule, the batch shape and its
+    /// record count, update widths and slots), lays out the `X_new` its
+    /// interval records reference — the base the updates land on ∥ the
+    /// updates — and hands it to `use_x_new`. Only when that succeeds does
+    /// the decoder advance: a resync installs its snapshot and epoch, the
+    /// updates land in their final slots, and the sequence moves past the
+    /// frame. On any error the decoder is unchanged.
+    ///
+    /// A data frame must carry the anchored epoch, then the next sequence
+    /// number ([`SbrError::Gap`] otherwise). A resync frame must advance
+    /// the epoch; its snapshot (empty = the node rebooted with a fresh
+    /// encoder) replaces the base, so its `X_new` never depends on earlier
+    /// chunks. The frame costs one copy of the base, into `X_new`.
+    pub(crate) fn step<T>(
+        &mut self,
+        kind: FrameKind,
+        epoch: u32,
+        snapshot: &[f64],
+        tx: &Transmission,
+        use_x_new: impl FnOnce(Vec<f64>) -> Result<T>,
+    ) -> Result<T> {
+        match kind {
+            FrameKind::Data if epoch != self.epoch => {
+                return Err(SbrError::InconsistentState(format!(
+                    "node {}: data frame from epoch {epoch} but decoder is anchored to epoch {}",
+                    self.node, self.epoch
+                )));
             }
-            FrameKind::Resync => {
-                let mut next = self.reanchored(frame)?;
-                next.apply_updates_only(&frame.tx)?;
-                *self = next;
-                Ok(())
+            FrameKind::Data if tx.seq != self.next_seq => {
+                return Err(SbrError::Gap {
+                    node: self.node,
+                    expected: self.next_seq,
+                    got: tx.seq,
+                });
             }
+            FrameKind::Resync if epoch <= self.epoch => {
+                return Err(SbrError::InconsistentState(format!(
+                    "node {}: resync epoch {epoch} does not advance past {}",
+                    self.node, self.epoch
+                )));
+            }
+            _ => {}
         }
-    }
-
-    fn check_data_epoch(&self, frame: &Frame) -> Result<()> {
-        if frame.epoch != self.epoch {
-            return Err(SbrError::InconsistentState(format!(
-                "node {}: data frame from epoch {} but decoder is anchored to epoch {}",
-                self.node, frame.epoch, self.epoch
-            )));
-        }
-        Ok(())
-    }
-
-    /// Build the decoder a resync frame re-anchors to, without touching
-    /// `self`: snapshot installed as the base (empty snapshot = the node
-    /// rebooted with a fresh encoder), sequence and epoch taken from the
-    /// frame. The epoch must strictly advance — a stale or replayed resync
-    /// is rejected.
-    fn reanchored(&self, frame: &Frame) -> Result<Decoder> {
-        if frame.epoch <= self.epoch {
-            return Err(SbrError::InconsistentState(format!(
-                "node {}: resync epoch {} does not advance past {}",
-                self.node, frame.epoch, self.epoch
-            )));
-        }
+        let next_seq = tx
+            .seq
+            .checked_add(1)
+            .ok_or_else(|| SbrError::Corrupt("sequence number overflows".into()))?;
         // lint:allow(cast-truncation): u32 -> usize widens on this 64-bit target
-        let w = frame.tx.w as usize;
+        let w = tx.w as usize;
         if w == 0 {
             return Err(SbrError::Corrupt("zero base-interval width".into()));
         }
-        if !frame.snapshot.len().is_multiple_of(w) {
+        let n_total = tx.batch_len();
+        if n_total == 0 {
+            return Err(SbrError::Corrupt("empty batch shape".into()));
+        }
+        if n_total > MAX_BATCH_VALUES {
             return Err(SbrError::Corrupt(format!(
-                "snapshot length {} is not a multiple of W = {w}",
-                frame.snapshot.len()
+                "batch shape {} × {} exceeds {MAX_BATCH_VALUES} values",
+                tx.n_signals, tx.samples_per_signal
             )));
         }
-        let base = if frame.snapshot.is_empty() {
-            None
-        } else {
-            let mut b = BaseSignal::new(w);
-            for (slot, vals) in frame.snapshot.chunks_exact(w).enumerate() {
-                b.apply_insert(slot, vals, frame.tx.seq)?;
-            }
-            Some(b)
+        // Every signal starts an interval (the encoder's `GetIntervals`
+        // begins with one per row and only splits), so a frame carries at
+        // least one 32-byte record per signal it declares: what a receiver
+        // keeps per signal is bounded by the bytes the frame carries.
+        // lint:allow(cast-truncation): u32 -> usize widens on this 64-bit target
+        if tx.intervals.len() < tx.n_signals as usize {
+            return Err(SbrError::Corrupt(format!(
+                "{} interval records for {} signals",
+                tx.intervals.len(),
+                tx.n_signals
+            )));
+        }
+        // The base the updates land on: the replica, or a resync's snapshot.
+        let reanchor = match kind {
+            FrameKind::Data => None,
+            FrameKind::Resync => Some(Self::install(snapshot, w, tx.seq)?),
         };
-        Ok(Decoder {
-            base,
-            next_seq: frame.tx.seq,
-            epoch: frame.epoch,
-            node: self.node,
-        })
+        let anchor = match &reanchor {
+            Some(base) => base.as_ref(),
+            None => self.base.as_ref(),
+        };
+        if let Some(base) = anchor.filter(|b| b.w() != w) {
+            return Err(SbrError::InconsistentState(format!(
+                "stream changed base-interval width from {} to {w}",
+                base.w()
+            )));
+        }
+        Self::validate_updates(tx, anchor.map_or(0, BaseSignal::num_slots), w)?;
+        let base_values = anchor.map(BaseSignal::values).unwrap_or_default();
+        let mut x_new = Vec::with_capacity(base_values.len() + w * tx.base_updates.len());
+        x_new.extend_from_slice(base_values);
+        for u in &tx.base_updates {
+            x_new.extend_from_slice(&u.values);
+        }
+        let out = use_x_new(x_new)?;
+
+        if let Some(base) = reanchor {
+            self.base = base;
+            self.epoch = epoch;
+        }
+        let base = self.base.get_or_insert_with(|| BaseSignal::new(w));
+        for u in &tx.base_updates {
+            // lint:allow(cast-truncation): slot range-checked by validate_updates above
+            base.apply_insert(u.slot as usize, &u.values, tx.seq)?;
+        }
+        self.next_seq = next_seq;
+        Ok(out)
+    }
+
+    /// The base a resync snapshot installs: `None` for an empty snapshot
+    /// (the node rebooted with a fresh encoder).
+    fn install(snapshot: &[f64], w: usize, seq: u64) -> Result<Option<BaseSignal>> {
+        if !snapshot.len().is_multiple_of(w) {
+            return Err(SbrError::Corrupt(format!(
+                "snapshot length {} is not a multiple of W = {w}",
+                snapshot.len()
+            )));
+        }
+        if snapshot.is_empty() {
+            return Ok(None);
+        }
+        let mut b = BaseSignal::new(w);
+        for (slot, vals) in snapshot.chunks_exact(w).enumerate() {
+            b.apply_insert(slot, vals, seq)?;
+        }
+        Ok(Some(b))
     }
 
     /// Validate every update (width and slot) *before* any mutation, so a
@@ -321,6 +266,14 @@ impl Decoder {
         let mut d = Decoder::new();
         stream.iter().map(|tx| d.decode(tx)).collect()
     }
+}
+
+/// A batch decoded against its `X_new`: one row of `M` samples per signal.
+fn reconstruct(x_new: &[f64], tx: &Transmission) -> Result<Vec<Vec<f64>>> {
+    let flat = reconstruct_flat(x_new, &tx.intervals, tx.batch_len())?;
+    // lint:allow(cast-truncation): u32 -> usize widens on this 64-bit target
+    let m = tx.samples_per_signal as usize;
+    Ok(flat.chunks_exact(m).map(<[f64]>::to_vec).collect())
 }
 
 #[cfg(test)]
@@ -478,31 +431,58 @@ mod tests {
 
     #[test]
     fn stale_resync_and_wrong_epoch_data_rejected_atomically() {
+        use crate::transmission::BaseUpdate;
         let config = SbrConfig::new(120, 96);
         let mut enc = SbrEncoder::new(2, 128, config).unwrap();
         let mut dec = Decoder::new();
         let t0 = enc.encode(&rows(2, 128, 0)).unwrap();
         dec.decode_frame(&Frame::data(0, t0.clone())).unwrap();
-        let before = dec.snapshot();
-
-        // Replayed resync with a non-advancing epoch.
-        let stale = Frame::resync(0, vec![], t0.clone());
-        assert!(dec.decode_frame(&stale).is_err());
-        // Data frame claiming a future epoch (its resync was lost).
         let t1 = enc.encode(&rows(2, 128, 1)).unwrap();
-        assert!(dec.decode_frame(&Frame::data(3, t1.clone())).is_err());
-        // Malformed snapshot length.
-        let ragged = Frame::resync(1, vec![1.0; 3], t1.clone());
-        assert!(dec.decode_frame(&ragged).is_err());
+        let w = t1.w as usize;
+        let with_update = |slot: u64, width: usize| {
+            let mut tx = t1.clone();
+            tx.base_updates.push(BaseUpdate {
+                slot,
+                values: vec![0.5; width],
+            });
+            tx
+        };
+        let mut overrun = t1.clone();
+        overrun.intervals[0].shift = 1 << 20;
+        let mut huge = t1.clone();
+        (huge.n_signals, huge.samples_per_signal) = (u32::MAX, u32::MAX);
+        let mut zero_w = t1.clone();
+        zero_w.w = 0;
+        let mut few_records = t1.clone();
+        few_records.intervals.truncate(1);
 
-        let after = dec.snapshot();
-        assert_eq!(before.1, after.1, "failed frames must not advance seq");
-        assert_eq!(
-            before.0.as_ref().map(|b| b.values().to_vec()),
-            after.0.as_ref().map(|b| b.values().to_vec()),
-            "failed frames must not mutate the base"
-        );
-        assert_eq!(dec.epoch(), 0);
+        for (label, frame) in [
+            // Replayed resync with a non-advancing epoch.
+            ("stale resync", Frame::resync(0, vec![], t0)),
+            // Data frame claiming a future epoch (its resync was lost).
+            ("future epoch", Frame::data(3, t1.clone())),
+            (
+                "ragged snapshot",
+                Frame::resync(1, vec![1.0; 3], t1.clone()),
+            ),
+            ("update width", Frame::data(0, with_update(0, w - 1))),
+            ("slot gap", Frame::data(0, with_update(999, w))),
+            ("record overruns X_new", Frame::data(0, overrun)),
+            ("batch shape", Frame::data(0, huge)),
+            ("zero width", Frame::data(0, zero_w)),
+            ("fewer records than signals", Frame::data(0, few_records)),
+        ] {
+            let before = (dec.epoch(), dec.snapshot());
+            assert!(dec.decode_frame(&frame).is_err(), "{label} accepted");
+            let after = (dec.epoch(), dec.snapshot());
+            assert_eq!(before.0, after.0, "{label} moved the epoch");
+            assert_eq!(before.1 .1, after.1 .1, "{label} advanced seq");
+            assert_eq!(
+                before.1 .0.map(|b| b.values().to_vec()),
+                after.1 .0.map(|b| b.values().to_vec()),
+                "{label} mutated the base"
+            );
+        }
         // The in-sequence frame still lands.
         dec.decode_frame(&Frame::data(0, t1)).unwrap();
     }

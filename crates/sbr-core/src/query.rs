@@ -425,32 +425,35 @@ impl QueryEngine {
     }
 
     /// Index the next frame of a stream: summarize the chunk against the
-    /// `X_new` layout `tracker` peeks for it, check its shape, then advance
-    /// `tracker` over the frame's base updates and append the summary and
+    /// `X_new` layout `tracker` validates the frame into, check its shape,
+    /// then advance `tracker` over the frame and append the summary and
     /// its block-index entries. The station's ingest, its hydration replay
-    /// and stream loading all go through here. A frame the index cannot
-    /// summarize (no interval records, records that do not cover the chunk
-    /// or overrun the base, a shape other than the indexed chunks') is a
-    /// typed error, and on any error neither the engine nor `tracker` has
-    /// changed.
+    /// and stream loading all go through here. A frame the tracker or the
+    /// index rejects (out of sequence or epoch, malformed updates, no
+    /// interval records, records that do not cover the chunk or overrun
+    /// the base, a shape other than the indexed chunks') is a typed error,
+    /// and on any error neither the engine nor `tracker` has changed.
     pub fn index_frame(&mut self, tracker: &mut Decoder, frame: &Frame) -> Result<()> {
         let tx = &frame.tx;
         let (n_signals, m) = (tx.n_signals as usize, tx.samples_per_signal as usize);
-        let summary = ChunkSummary::new(&tx.intervals, tracker.peek_x_new(frame)?, n_signals, m)?;
-        // The first chunk sets the shape; every later one must match it.
-        if self.m != 0 && (n_signals, m) != (self.n_signals, self.m) {
-            return Err(SbrError::InconsistentState(format!(
-                "chunk shape {n_signals}×{m} differs from the indexed {}×{}",
-                self.n_signals, self.m
-            )));
-        }
-        let rows = (0..n_signals)
-            .map(|s| {
-                let (sum, min, max, _) = summary.range_moments(s * m, (s + 1) * m)?;
-                Ok(SegMoments { sum, min, max })
-            })
-            .collect::<Result<Box<[SegMoments]>>>()?;
-        tracker.apply_frame_updates_only(frame)?;
+        let (summary, rows) =
+            tracker.step(frame.kind, frame.epoch, &frame.snapshot, tx, |x_new| {
+                let summary = ChunkSummary::new(&tx.intervals, x_new, n_signals, m)?;
+                // The first chunk sets the shape; every later one must match it.
+                if self.m != 0 && (n_signals, m) != (self.n_signals, self.m) {
+                    return Err(SbrError::InconsistentState(format!(
+                        "chunk shape {n_signals}×{m} differs from the indexed {}×{}",
+                        self.n_signals, self.m
+                    )));
+                }
+                let rows = (0..n_signals)
+                    .map(|s| {
+                        let (sum, min, max, _) = summary.range_moments(s * m, (s + 1) * m)?;
+                        Ok(SegMoments { sum, min, max })
+                    })
+                    .collect::<Result<Box<[SegMoments]>>>()?;
+                Ok((summary, rows))
+            })?;
         (self.n_signals, self.m) = (n_signals, m);
         self.chunks.push(Some(summary));
         self.push_block(Some(rows));
@@ -931,29 +934,48 @@ mod tests {
         engine
             .index_frame(&mut tracker, &Frame::data(0, txs[0].clone()))
             .unwrap();
+        let w = txs[1].w as usize;
+        let with_update = |slot: u64, width: usize| {
+            let mut tx = txs[1].clone();
+            tx.base_updates.push(crate::transmission::BaseUpdate {
+                slot,
+                values: vec![0.0; width],
+            });
+            Frame::data(0, tx)
+        };
         let mut no_intervals = txs[1].clone();
         no_intervals.intervals.clear();
-        // Summarizable, but its update targets a slot the base never had:
-        // the failure comes from advancing the tracker.
-        let mut bad_slot = txs[1].clone();
-        bad_slot.base_updates.push(crate::transmission::BaseUpdate {
-            slot: 99,
-            values: vec![0.0; bad_slot.w as usize],
-        });
-        let ahead = txs[2].clone();
-        for tx in [no_intervals, bad_slot, ahead] {
-            let before = (tracker.snapshot(), engine.len());
-            assert!(engine
-                .index_frame(&mut tracker, &Frame::data(0, tx))
-                .is_err());
-            let after = (tracker.snapshot(), engine.len());
-            assert_eq!(before.0 .1, after.0 .1, "tracker sequence moved");
+        let mut overrun = txs[1].clone();
+        overrun.intervals[0].shift = 1 << 20;
+        for (label, frame) in [
+            ("no intervals", Frame::data(0, no_intervals)),
+            ("update width", with_update(0, w + 1)),
+            ("slot gap", with_update(99, w)),
+            (
+                "ragged snapshot",
+                Frame::resync(1, vec![1.0; w + 1], txs[1].clone()),
+            ),
+            ("record overruns X_new", Frame::data(0, overrun)),
+            ("stale resync", Frame::resync(0, vec![], txs[1].clone())),
+            ("ahead", Frame::data(0, txs[2].clone())),
+        ] {
+            let state = |t: &Decoder, e: &QueryEngine| {
+                let (base, next_seq) = t.snapshot();
+                let base = base.map(|b| b.values().to_vec());
+                (t.epoch(), next_seq, base, e.len())
+            };
+            let before = state(&tracker, &engine);
+            let (base, next_seq) = tracker.snapshot();
+            let mut twin = Decoder::resume_v2(base, next_seq, tracker.epoch(), tracker.node());
+            let decode_err = twin.decode_frame(&frame).unwrap_err();
+            let index_err = engine.index_frame(&mut tracker, &frame).unwrap_err();
+            // One step validates for both: the same fault wins either way.
             assert_eq!(
-                before.0 .0.map(|b| b.values().to_vec()),
-                after.0 .0.map(|b| b.values().to_vec()),
-                "tracker base moved"
+                std::mem::discriminant(&decode_err),
+                std::mem::discriminant(&index_err),
+                "{label}: {decode_err} vs {index_err}"
             );
-            assert_eq!(before.1, after.1, "engine grew");
+            assert_eq!(before, state(&tracker, &engine), "{label} changed state");
         }
         engine
             .index_frame(&mut tracker, &Frame::data(0, txs[1].clone()))
@@ -1072,7 +1094,7 @@ mod tests {
         for (c, tx) in txs.iter().enumerate() {
             let frame = Frame::data(0, tx.clone());
             if cold.contains(&c) {
-                tracker.apply_frame_updates_only(&frame).unwrap();
+                tracker.decode_frame(&frame).unwrap();
                 engine.push_placeholder();
             } else {
                 engine.index_frame(&mut tracker, &frame).unwrap();

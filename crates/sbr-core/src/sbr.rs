@@ -515,9 +515,10 @@ mod tests {
                 delta <= probes + 1,
                 "batch {batch}: {delta} fan-outs for {probes} probes"
             );
+            let bytes = |tx| crate::codec::encode_v2(&crate::Frame::data(0, tx));
             assert_eq!(
-                crate::codec::encode(&tx),
-                crate::codec::encode(&serial.encode(&rows).unwrap()),
+                bytes(tx),
+                bytes(serial.encode(&rows).unwrap()),
                 "batch {batch}: stream depends on the thread count"
             );
         }

@@ -3,6 +3,19 @@
 
 use crate::interval::IntervalRecord;
 
+/// The largest batch, in values (`N × M`), an encoder accepts and a frame
+/// may declare.
+///
+/// A frame's header declares its batch shape in two `u32`s, and decoding
+/// fills `N × M` values (what the station keeps per signal is bounded
+/// separately: a frame must carry a record per signal). Without a cap a
+/// 77-byte frame declaring `u32::MAX × u32::MAX` asks for ~1.8·10¹⁹
+/// values. 2²² values (32 MiB decoded) is about 100× the largest batch
+/// the paper's experiments use (Phone: 15 × 2,560 = 38,400 values) and
+/// above every batch the benches, examples, tests and CLI encode, while
+/// the encoder's `GetBase` is quadratic in the batch long before it.
+pub const MAX_BATCH_VALUES: usize = 1 << 22;
+
 /// One inserted base interval: its `W` samples plus the slot of the
 /// base-signal buffer it finally occupies. Costs `W + 1` values.
 #[derive(Debug, Clone, PartialEq)]

@@ -4,7 +4,8 @@
 //! radio counts bytes. This module provides lossy-but-bounded byte-level
 //! profiles on top of the exact [`crate::codec`] frame:
 //!
-//! * [`Profile::F64`] — the exact frame (8 bytes/value),
+//! * [`Profile::F64`] — the exact v2 data frame (8 bytes/value, plus its
+//!   header and CRC-32),
 //! * [`Profile::F32`] — regression parameters and base samples as `f32`
 //!   (4 bytes/value; relative error ≤ 2⁻²⁴ per value),
 //! * [`Profile::Q16`] — base samples and intercepts quantized to 16-bit
@@ -22,7 +23,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use crate::codec;
 use crate::error::{Result, SbrError};
 use crate::interval::IntervalRecord;
-use crate::transmission::{BaseUpdate, Transmission};
+use crate::transmission::{BaseUpdate, Frame, FrameKind, Transmission};
 
 /// Outer magic for profiled frames ("SBRP").
 pub const PROFILE_MAGIC: u32 = 0x5342_5250;
@@ -30,7 +31,7 @@ pub const PROFILE_MAGIC: u32 = 0x5342_5250;
 /// Value-precision profile of a wire frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Profile {
-    /// Exact `f64` payload (wraps the plain codec frame).
+    /// Exact `f64` payload (wraps a v2 data frame of epoch 0).
     F64,
     /// `f32` payload.
     F32,
@@ -75,9 +76,7 @@ pub fn encode(tx: &Transmission, profile: Profile) -> Bytes {
     buf.put_u32_le(PROFILE_MAGIC);
     buf.put_u8(profile.id());
     match profile {
-        Profile::F64 => {
-            buf.extend_from_slice(&codec::encode(tx));
-        }
+        Profile::F64 => buf.extend_from_slice(&codec::encode_v2(&Frame::data(0, tx.clone()))),
         Profile::F32 => encode_f32(tx, &mut buf),
         Profile::Q16 => encode_q16(tx, &mut buf),
     }
@@ -97,7 +96,10 @@ pub fn decode(buf: &mut impl Buf) -> Result<Transmission> {
     }
     let profile = Profile::from_id(buf.get_u8())?;
     match profile {
-        Profile::F64 => codec::decode(buf),
+        Profile::F64 => match codec::decode_v2(buf)? {
+            f if f.kind == FrameKind::Data && f.epoch == 0 => Ok(f.tx),
+            _ => Err(SbrError::Corrupt("F64 profile wraps epoch-0 data".into())),
+        },
         Profile::F32 => decode_f32(buf),
         Profile::Q16 => decode_q16(buf),
     }
@@ -323,6 +325,10 @@ mod tests {
         let frame = encode(&tx, Profile::F64);
         let back = decode(&mut frame.clone()).unwrap();
         assert_eq!(back, tx);
+        // The envelope carries epoch-0 data only: a resync would lose its snapshot.
+        let mut resync = frame[..5].to_vec();
+        resync.extend_from_slice(&codec::encode_v2(&Frame::resync(1, vec![], tx)));
+        assert!(decode(&mut &resync[..]).is_err());
     }
 
     #[test]

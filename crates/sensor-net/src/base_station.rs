@@ -249,7 +249,7 @@ impl BaseStation {
             for frame in scanned.tail_frames {
                 // Re-ingest the original bytes through the normal path
                 // (minus re-persisting), so the in-memory log is
-                // byte-identical to the store — v1 frames stay v1.
+                // byte-identical to the store.
                 let receipt = station.ingest(node, frame, false)?;
                 if receipt == Receipt::Duplicate {
                     return Err(SbrError::InconsistentState(format!(
@@ -653,7 +653,7 @@ mod tests {
                             .collect()
                     })
                     .collect();
-                codec::encode(&enc.encode(&rows).unwrap())
+                codec::encode_v2(&Frame::data(0, enc.encode(&rows).unwrap()))
             })
             .collect()
     }
@@ -1244,17 +1244,13 @@ mod tests {
     #[test]
     fn ingest_rejects_frames_the_index_cannot_summarize() {
         let fs = frames(3);
-        let mut next = codec::decode(&mut fs[2].clone()).unwrap();
+        let mut next = codec::decode_any(&mut fs[2].clone()).unwrap().tx;
         let mut no_intervals = next.clone();
         no_intervals.intervals.clear();
         // Same 128 values, same W, relabelled 4 signals × 32.
         next.n_signals = 4;
         next.samples_per_signal = 32;
-        let bad = [
-            codec::encode(&no_intervals),
-            codec::encode_v2(&Frame::data(0, no_intervals.clone())),
-            codec::encode(&next),
-        ];
+        let bad = [no_intervals, next].map(|tx| codec::encode_v2(&Frame::data(0, tx)));
         let bs = BaseStation::new();
         accept(&bs, 1, fs[0].clone());
         accept(&bs, 1, fs[1].clone());

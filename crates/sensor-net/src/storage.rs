@@ -1373,7 +1373,7 @@ pub fn recover_stream(path: &Path) -> Result<RecoveredLog, SbrError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbr_core::{Decoder, SbrConfig, SbrEncoder};
+    use sbr_core::{Decoder, Frame, SbrConfig, SbrEncoder};
 
     fn tempdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("sbrseg-test-{tag}-{}", std::process::id()));
@@ -1392,7 +1392,7 @@ mod tests {
                             .collect()
                     })
                     .collect();
-                codec::encode(&enc.encode(&rows).unwrap())
+                codec::encode_v2(&Frame::data(0, enc.encode(&rows).unwrap()))
             })
             .collect()
     }

@@ -314,14 +314,16 @@ for needle in ("sbr-bench/v4", "sbr_core.search.run_ns", "sbr_core.get_base.buil
         sys.exit(f"report of BENCH_SBR.json does not render {needle}")
 PYEOF
 
-  echo "==> perf diff negative smokes (exact A/A with one row +15%, one probe more, one record missing: each must exit 1)"
+  echo "==> perf diff negative smokes (exact A/A with one row +15%, one probe more, one record missing, the summed encode row +15%: each must exit 1)"
   # Guard: a gate that passes everything is worse than none. The
   # candidates are copies of the parent runs (an exact A/A), so every
   # other value is unchanged in every pair. Seed +15% into a single row
   # (sbr_core.search.run_ns of the heaviest fig5 record) of every copy;
   # in another set, add one Search probe to that record of the first
   # copy only (the work counters are gated exactly, per pair); then drop
-  # the last record from a third set of copies.
+  # the last record from a third set of copies; and in a fourth, raise
+  # every record's sbr_core.sbr.encode_ns by 15%, so the synthetic
+  # total.sbr.encode_ns row (their sum per file) grows 15%.
   python3 - "$pairs" <<'PYEOF'
 import json, sys
 
@@ -344,6 +346,12 @@ for i in range(1, pairs + 1):
     doc = json.load(open(f"target/perf/base-{i}.json"))
     dropped = doc["records"].pop()
     json.dump(doc, open(f"target/perf/missing-{i}.json", "w"))
+    doc = json.load(open(f"target/perf/base-{i}.json"))
+    for r in doc["records"]:
+        for x in r["rows"]:
+            if x["name"] == "sbr_core.sbr.encode_ns":
+                x["sum"] = int(x["sum"] * 1.15)
+    json.dump(doc, open(f"target/perf/total-{i}.json", "w"))
 open("target/perf/missing-experiment.txt", "w").write(dropped["experiment"])
 PYEOF
   if cargo run -p sbr-cli --release --offline --bin sbr -- perf diff $(pair_files seeded) \
@@ -368,11 +376,19 @@ PYEOF
   fi
   grep -q "^MISSING $(cat target/perf/missing-experiment.txt) " target/PERF_DIFF_MISSING.txt \
     || { echo "missing record not named in the smoke report" >&2; exit 1; }
+  if cargo run -p sbr-cli --release --offline --bin sbr -- perf diff $(pair_files total) \
+      --tolerance 0.10 --report target/PERF_DIFF_TOTAL.txt > /dev/null 2>&1; then
+    echo "perf diff passed candidates whose summed encode row grew 15%" >&2; exit 1
+  fi
+  grep -q "total.sbr.encode_ns .*REGRESSION" target/PERF_DIFF_TOTAL.txt \
+    || { echo "seeded total.sbr.encode_ns regression missing from the smoke report" >&2; exit 1; }
 
   echo "==> sbr perf diff (7 parent/candidate pairs, median ratio vs max(+10%, 2·IQR))"
   # Guard: every *_ns row sum (1 ms floor) and every hits/misses hit rate
   # of every parent record is gated on its median per-pair change, held
-  # to max(tolerance, 2·IQR) of the per-pair changes; the work and quality
+  # to max(tolerance, 2·IQR) of the per-pair changes, and so is one
+  # synthetic total.sbr.encode_ns row per file (the sum of
+  # sbr_core.sbr.encode_ns over its records); the work and quality
   # counters (BestMap calls, Search probes, GetBase matrix cells, fit- and
   # probe-cache misses, bench.quality.*) fail on any per-pair increase; a
   # parent record missing from the candidate fails. The full diff report is archived

@@ -16,6 +16,10 @@
 //! delivery path: sensors without ARQ whose every flush goes straight to
 //! the station, and [`reference_aggregate`], the decode-then-scan oracle
 //! for the compressed-domain query engine.
+//!
+//! [`encode_v1`] is the one writer of the read-only v1 wire layout, for
+//! the tests whose subject is v1: its golden bytes and `decode_any`'s
+//! compatibility path.
 //! The only shared numeric kernels are the ones that define the fit:
 //! `regression::fit`/`fit_sse_with_stats` over `PrefixStats` window sums
 //! and `xcorr::dot`.
@@ -28,11 +32,35 @@ use sbr_repro::core::get_intervals::{get_intervals_with, Approximation, FitOracl
 use sbr_repro::core::interval::LINEAR_FALLBACK_SHIFT;
 use sbr_repro::core::regression::{self, PrefixStats};
 use sbr_repro::core::{
-    codec, xcorr, BaseSignal, BaseUpdate, Decoder, EncodeObs, ErrorMetric, Interval,
+    codec, xcorr, BaseSignal, BaseUpdate, Decoder, EncodeObs, ErrorMetric, Frame, Interval,
     IntervalRecord, MultiSeries, RangeAggregate, SbrConfig, SbrEncoder, SbrError, Transmission,
 };
 use sbr_repro::obs::Snapshot;
 use sbr_repro::sensor_net::{BaseStation, Receipt, SensorNode};
+
+/// Serialize a transmission as a v1 ("SBR1") frame: the pre-v2 layout
+/// `codec::decode_any` still reads (see the layout table in `codec.rs`).
+pub fn encode_v1(tx: &Transmission) -> bytes::Bytes {
+    let mut out = Vec::new();
+    out.extend(codec::MAGIC.to_le_bytes());
+    out.extend(tx.seq.to_le_bytes());
+    for v in [tx.n_signals, tx.samples_per_signal, tx.w] {
+        out.extend(v.to_le_bytes());
+    }
+    out.extend((tx.base_updates.len() as u32).to_le_bytes());
+    out.extend((tx.intervals.len() as u32).to_le_bytes());
+    for u in &tx.base_updates {
+        out.extend(u.slot.to_le_bytes());
+        u.values.iter().for_each(|v| out.extend(v.to_le_bytes()));
+    }
+    for r in &tx.intervals {
+        out.extend(r.start.to_le_bytes());
+        out.extend(r.shift.to_le_bytes());
+        out.extend(r.a.to_le_bytes());
+        out.extend(r.b.to_le_bytes());
+    }
+    out.into()
+}
 
 /// Algorithm 2 against one concrete dictionary `x`: the linear fall-back
 /// (when enabled, or when no base segment is admissible) followed by a
@@ -414,7 +442,7 @@ pub fn product_stream(
             if freeze_at == Some(t) {
                 enc.set_update_base(false);
             }
-            codec::encode(&enc.encode(rows).expect("encode")).to_vec()
+            codec::encode_v2(&Frame::data(0, enc.encode(rows).expect("encode"))).to_vec()
         })
         .collect()
 }
@@ -433,7 +461,7 @@ pub fn reference_stream(
             if freeze_at == Some(t) {
                 enc.config.update_base = false;
             }
-            codec::encode(&enc.encode(rows)).to_vec()
+            codec::encode_v2(&Frame::data(0, enc.encode(rows))).to_vec()
         })
         .collect()
 }

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use sbr_repro::core::{codec, SbrConfig, SbrEncoder};
+use sbr_repro::core::{codec, Frame, SbrConfig, SbrEncoder};
 use sbr_repro::sensor_net::{BaseStation, Receipt};
 
 fn sensor_frames(sensor: u64, chunks: usize) -> Vec<bytes::Bytes> {
@@ -20,7 +20,7 @@ fn sensor_frames(sensor: u64, chunks: usize) -> Vec<bytes::Bytes> {
                         .collect()
                 })
                 .collect();
-            codec::encode(&enc.encode(&rows).unwrap())
+            codec::encode_v2(&Frame::data(0, enc.encode(&rows).unwrap()))
         })
         .collect()
 }
@@ -128,7 +128,7 @@ fn stream_bytes(config: SbrConfig) -> Vec<Vec<u8>> {
                         .collect()
                 })
                 .collect();
-            codec::encode(&enc.encode(&rows).unwrap()).to_vec()
+            codec::encode_v2(&Frame::data(0, enc.encode(&rows).unwrap())).to_vec()
         })
         .collect()
 }

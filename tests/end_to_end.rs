@@ -1,7 +1,10 @@
 //! Cross-crate integration tests: sensor → wire → base station → historical
 //! reconstruction, over generated datasets.
 
-use sbr_repro::core::{codec, Decoder, ErrorMetric, SbrConfig, SbrEncoder};
+mod common;
+
+use common::encode_v1;
+use sbr_repro::core::{codec, Decoder, ErrorMetric, Frame, SbrConfig, SbrEncoder};
 use sbr_repro::sensor_net::{BaseStation, EnergyModel, Network, Receipt, Strategy, Topology};
 
 fn weather_files(seed: u64, file_len: usize, files: usize) -> Vec<Vec<Vec<f64>>> {
@@ -22,8 +25,8 @@ fn ten_transmission_stream_roundtrips_within_budget() {
         assert!(tx.cost() <= band, "tx {t} cost {} > {band}", tx.cost());
 
         // Through the wire format.
-        let frame = codec::encode(&tx);
-        let parsed = codec::decode(&mut frame.clone()).unwrap();
+        let frame = codec::encode_v2(&Frame::data(0, tx.clone()));
+        let parsed = codec::decode_v2(&mut frame.clone()).unwrap().tx;
         assert_eq!(parsed, tx);
 
         let rec = dec.decode(&parsed).unwrap();
@@ -75,17 +78,30 @@ fn decoded_error_equals_reported_error_across_datasets() {
 
 #[test]
 fn base_station_reconstruction_is_stable_across_replays() {
+    // Sensor 1 sends the read-only v1 layout, sensor 2 the same
+    // transmissions as v2: the station must answer both streams alike.
     let files = weather_files(3, 256, 5);
     let mut enc = SbrEncoder::new(6, 256, SbrConfig::new(300, 400)).unwrap();
     let station = BaseStation::new();
     for rows in &files {
         let tx = enc.encode(rows).unwrap();
+        let v1 = encode_v1(&tx);
+        for (node, frame) in [(1, v1), (2, codec::encode_v2(&Frame::data(0, tx)))] {
+            assert_eq!(
+                station.receive_frame(node, frame).unwrap(),
+                Receipt::Accepted
+            );
+        }
+    }
+    for signal in 0..6 {
         assert_eq!(
-            station.receive_frame(1, codec::encode(&tx)).unwrap(),
-            Receipt::Accepted
+            station.aggregate_range(1, signal, 100, 1100).unwrap(),
+            station.aggregate_range(2, signal, 100, 1100).unwrap(),
+            "signal {signal}: v1 and v2 streams aggregate differently"
         );
     }
     let a = station.reconstruct_chunks(1, 0, 5).unwrap();
+    assert_eq!(a, station.reconstruct_chunks(2, 0, 5).unwrap());
     let b = station.reconstruct_chunks(1, 0, 5).unwrap();
     assert_eq!(a, b, "replay must be deterministic");
     let tail = station.reconstruct_chunks(1, 3, 5).unwrap();
@@ -152,9 +168,9 @@ fn max_abs_bound_survives_the_full_pipeline() {
     for rows in &files {
         let tx = enc.encode(rows).unwrap();
         let bound = enc.last_stats().unwrap().total_err;
-        let frame = codec::encode(&tx);
+        let frame = codec::encode_v2(&Frame::data(0, tx));
         let rec = dec
-            .decode(&codec::decode(&mut frame.clone()).unwrap())
+            .decode(&codec::decode_v2(&mut frame.clone()).unwrap().tx)
             .unwrap();
         for (o, r) in rows.iter().zip(&rec) {
             let worst = ErrorMetric::MaxAbs.score(o, r);

@@ -2,8 +2,14 @@
 //! chunks, truncated log files, hostile inputs. The system must fail
 //! loudly and precisely — never decode garbage silently.
 
+mod common;
+
 use bytes::Bytes;
-use sbr_repro::core::{codec, Decoder, FrameKind, SbrConfig, SbrEncoder, SbrError};
+use common::encode_v1;
+use sbr_repro::core::transmission::MAX_BATCH_VALUES;
+use sbr_repro::core::{
+    codec, Decoder, Frame, FrameKind, IntervalRecord, SbrConfig, SbrEncoder, SbrError, Transmission,
+};
 use sbr_repro::sensor_net::storage::{recover_stream, StreamWriter};
 use sbr_repro::sensor_net::{BaseStation, FaultPlan, Receipt, SensorNode};
 
@@ -20,7 +26,7 @@ fn stream(n_tx: usize) -> (Vec<sbr_repro::core::Transmission>, Vec<Bytes>) {
             })
             .collect();
         let tx = enc.encode(&rows).unwrap();
-        frames.push(codec::encode(&tx));
+        frames.push(codec::encode_v2(&Frame::data(0, tx.clone())));
         txs.push(tx);
     }
     (txs, frames)
@@ -28,21 +34,22 @@ fn stream(n_tx: usize) -> (Vec<sbr_repro::core::Transmission>, Vec<Bytes>) {
 
 #[test]
 fn every_single_byte_flip_in_the_header_is_caught_or_harmless() {
-    let (_, frames) = stream(1);
-    let original = frames[0].to_vec();
-    // Flip each byte of the 28-byte header: every flip must either fail to
-    // parse or parse to a *different* transmission (never a silent
-    // identical parse).
-    let baseline = codec::decode(&mut &original[..]).unwrap();
-    for i in 0..28.min(original.len()) {
-        let mut mutated = original.clone();
-        mutated[i] ^= 0x01;
-        match codec::decode(&mut &mutated[..]) {
-            Err(_) => {}
-            Ok(parsed) => assert_ne!(
-                parsed, baseline,
-                "flip at byte {i} produced an identical parse"
-            ),
+    let (txs, frames) = stream(1);
+    // Flip each byte of the 32-byte v1 header (no CRC) and of the 41-byte
+    // v2 header: every flip must either fail to parse or parse to a
+    // *different* frame (never a silent identical parse).
+    for (original, header) in [(encode_v1(&txs[0]).to_vec(), 32), (frames[0].to_vec(), 41)] {
+        let baseline = codec::decode_any(&mut &original[..]).unwrap();
+        for i in 0..header.min(original.len()) {
+            let mut mutated = original.clone();
+            mutated[i] ^= 0x01;
+            match codec::decode_any(&mut &mutated[..]) {
+                Err(_) => {}
+                Ok(parsed) => assert_ne!(
+                    parsed, baseline,
+                    "{header}-byte header: flip at byte {i} produced an identical parse"
+                ),
+            }
         }
     }
 }
@@ -248,17 +255,74 @@ fn log_recovery_survives_any_tail_truncation() {
 
 #[test]
 fn hostile_declared_lengths_do_not_allocate() {
-    // A header claiming 2³¹ updates must be rejected before any allocation
-    // (the codec checks declared sizes against the remaining buffer).
-    let mut frame = Vec::new();
-    frame.extend_from_slice(&codec::MAGIC.to_le_bytes());
-    frame.extend_from_slice(&0u64.to_le_bytes()); // seq
-    frame.extend_from_slice(&1u32.to_le_bytes()); // n
-    frame.extend_from_slice(&1u32.to_le_bytes()); // m
-    frame.extend_from_slice(&1u32.to_le_bytes()); // w
-    frame.extend_from_slice(&0x8000_0000u32.to_le_bytes()); // updates
-    frame.extend_from_slice(&0u32.to_le_bytes()); // intervals
-    assert!(codec::decode(&mut &frame[..]).is_err());
+    // A (v1) header claiming 2³¹ updates must be rejected before any
+    // allocation (the codec checks declared sizes against the remaining
+    // buffer).
+    let mut claims_updates = Vec::new();
+    claims_updates.extend_from_slice(&codec::MAGIC.to_le_bytes());
+    claims_updates.extend_from_slice(&0u64.to_le_bytes()); // seq
+    claims_updates.extend_from_slice(&1u32.to_le_bytes()); // n
+    claims_updates.extend_from_slice(&1u32.to_le_bytes()); // m
+    claims_updates.extend_from_slice(&1u32.to_le_bytes()); // w
+    claims_updates.extend_from_slice(&0x8000_0000u32.to_le_bytes()); // updates
+    claims_updates.extend_from_slice(&0u32.to_le_bytes()); // intervals
+
+    // Well-formed 77-byte v2 data frames (valid CRC) that one fall-back
+    // record covers: one declares a u32::MAX × u32::MAX batch, so neither
+    // the decoder nor the station's chunk index may size anything by it;
+    // the others declare one signal per value at the batch cap, so were
+    // they indexed, every 77 bytes would pin 2²² per-signal moments in the
+    // station. Each is refused, the next is in sequence again, and the
+    // station keeps nothing of the node.
+    let cap = u32::try_from(MAX_BATCH_VALUES).unwrap();
+    let huge_shape = one_record_frame(u32::MAX, u32::MAX);
+    assert_eq!(huge_shape.len(), 77);
+    let capped = std::iter::repeat_n(one_record_frame(cap, 1), 4);
+    let bs = BaseStation::new();
+    for frame in [Bytes::from(claims_updates), huge_shape]
+        .into_iter()
+        .chain(capped)
+    {
+        let decoded = codec::decode_any(&mut frame.clone())
+            .and_then(|f| Decoder::new().decode_frame(&f).map(|_| ()));
+        assert!(matches!(decoded, Err(SbrError::Corrupt(_))), "{decoded:?}");
+        let received = bs.receive_frame(0, frame);
+        assert!(
+            matches!(received, Err(SbrError::Corrupt(_))),
+            "{received:?}"
+        );
+        assert_eq!(
+            (bs.chunk_count(0), bs.next_seq(0), bs.log_bytes(0)),
+            (0, 0, 0)
+        );
+    }
+    // One signal of 2²² samples is a legal batch: it decodes, and the
+    // station keeps one signal's summary of it.
+    bs.receive_frame(0, one_record_frame(1, cap)).unwrap();
+    assert_eq!((bs.chunk_count(0), bs.next_seq(0)), (1, 1));
+    let agg = bs.aggregate_range(0, 0, 0, MAX_BATCH_VALUES).unwrap();
+    assert_eq!(agg.count, MAX_BATCH_VALUES);
+}
+
+/// A 77-byte v2 data frame: `n_signals × m` values that one fall-back
+/// record covers.
+fn one_record_frame(n_signals: u32, m: u32) -> Bytes {
+    codec::encode_v2(&Frame::data(
+        0,
+        Transmission {
+            seq: 0,
+            n_signals,
+            samples_per_signal: m,
+            w: 1,
+            base_updates: vec![],
+            intervals: vec![IntervalRecord {
+                start: 0,
+                shift: -1,
+                a: 0.0,
+                b: 1.0,
+            }],
+        },
+    ))
 }
 
 /// One ARQ round: retransmit everything pending through the chaos

@@ -8,7 +8,7 @@ use sbr_repro::baselines::{dct, fourier, histogram, swing, v_optimal, wavelet, w
 use sbr_repro::core::best_map::MapContext;
 use sbr_repro::core::get_intervals::FitOracle as _;
 use sbr_repro::core::interval::IntervalRecord;
-use sbr_repro::core::transmission::{BaseUpdate, Transmission};
+use sbr_repro::core::transmission::{BaseUpdate, Frame, Transmission};
 use sbr_repro::core::{
     codec, regression, ChunkSummary, Decoder, ErrorMetric, Interval, MultiSeries, SbrConfig,
     SbrEncoder,
@@ -189,10 +189,11 @@ proptest! {
                 .map(|&(start, shift, a, b)| IntervalRecord { start, shift, a, b })
                 .collect(),
         };
-        let bytes = codec::encode(&tx);
-        prop_assert_eq!(bytes.len(), codec::encoded_len(&tx));
-        let back = codec::decode(&mut bytes.clone()).unwrap();
-        prop_assert_eq!(back, tx);
+        let frame = Frame::data(0, tx);
+        let bytes = codec::encode_v2(&frame);
+        prop_assert_eq!(bytes.len(), codec::encoded_len_v2(&frame));
+        let back = codec::decode_v2(&mut bytes.clone()).unwrap();
+        prop_assert_eq!(back, frame);
     }
 
     // ---------------- encoder invariants ----------------
@@ -441,7 +442,7 @@ proptest! {
     /// parse.
     #[test]
     fn codec_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
-        let _ = codec::decode(&mut &bytes[..]);
+        let _ = codec::decode_any(&mut &bytes[..]);
         let _ = wire_profile::decode(&mut &bytes[..]);
     }
 
@@ -454,7 +455,7 @@ proptest! {
         let mut frame = Vec::new();
         frame.extend(0x5342_5231u32.to_le_bytes());
         frame.extend(&body);
-        let _ = codec::decode(&mut &frame[..]);
+        let _ = codec::decode_any(&mut &frame[..]);
         let mut frame = Vec::new();
         frame.extend(0x5342_5250u32.to_le_bytes());
         frame.push(profile_id);

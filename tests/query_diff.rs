@@ -15,7 +15,7 @@ mod common;
 
 use common::{reference_aggregate, reference_fold, reference_series};
 use sbr_repro::core::{
-    codec, Aggregate, QueryEngine, RangeAggregate, SbrConfig, SbrEncoder, Transmission,
+    codec, Aggregate, Frame, QueryEngine, RangeAggregate, SbrConfig, SbrEncoder, Transmission,
 };
 use sbr_repro::sensor_net::{BaseStation, Receipt};
 
@@ -249,7 +249,7 @@ fn station_index_agrees_after_recover() {
         for tx in &txs {
             assert_eq!(
                 station
-                    .receive_frame(9, codec::encode(tx))
+                    .receive_frame(9, codec::encode_v2(&Frame::data(0, tx.clone())))
                     .expect("receive"),
                 Receipt::Accepted
             );

@@ -9,7 +9,7 @@
 //! against the source, so drift has to be acknowledged in both places.
 
 use bytes::Bytes;
-use sbr_repro::core::{codec, SbrConfig, SbrEncoder};
+use sbr_repro::core::{codec, Frame, SbrConfig, SbrEncoder};
 use sbr_repro::sensor_net::storage::{
     self, sensor_dir, CheckpointState, SegmentWriter, CK_HEADER, CK_INDEX_ENTRY, CK_MAGIC,
     CK_VERSION, DEFAULT_SEGMENT_BYTES, RECORD_OVERHEAD, SEG_FOOTER, SEG_FOOTER_MAGIC, SEG_HEADER,
@@ -29,7 +29,7 @@ fn one_frame() -> Bytes {
     let rows: Vec<Vec<f64>> = (0..2)
         .map(|r| (0..32).map(|i| ((i + r) as f64 * 0.25).sin()).collect())
         .collect();
-    codec::encode(&enc.encode(&rows).expect("encode"))
+    codec::encode_v2(&Frame::data(0, enc.encode(&rows).expect("encode")))
 }
 
 fn u16_at(raw: &[u8], at: usize) -> u16 {

@@ -5,7 +5,7 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use sbr_repro::core::{codec, SbrConfig, SbrEncoder, SbrError};
+use sbr_repro::core::{codec, Frame, SbrConfig, SbrEncoder, SbrError};
 use sbr_repro::sensor_net::storage::{
     self, sensor_dir, CheckpointState, SegmentWriter, DEFAULT_SEGMENT_BYTES, RECORD_OVERHEAD,
     SEG_HEADER,
@@ -30,7 +30,7 @@ fn frames(n: usize) -> Vec<Bytes> {
                         .collect()
                 })
                 .collect();
-            codec::encode(&enc.encode(&rows).expect("encode"))
+            codec::encode_v2(&Frame::data(0, enc.encode(&rows).expect("encode")))
         })
         .collect()
 }

@@ -1,11 +1,16 @@
 //! Wire-format stability: the byte layout of the codec is a compatibility
 //! contract between deployed sensors and base stations. These golden tests
 //! pin the exact bytes of known transmissions so accidental format changes
-//! fail loudly instead of corrupting fleets in the field.
+//! fail loudly instead of corrupting fleets in the field. Nothing writes
+//! v1 any more; its bytes come from the test-side writer in `common` and
+//! pin what `decode_any` must keep reading.
 
+mod common;
+
+use common::encode_v1;
 use sbr_repro::core::interval::IntervalRecord;
-use sbr_repro::core::transmission::{BaseUpdate, Frame, Transmission};
-use sbr_repro::core::{codec, wire_profile};
+use sbr_repro::core::transmission::{BaseUpdate, Frame, FrameKind, Transmission};
+use sbr_repro::core::{codec, wire_profile, SbrError};
 
 fn golden_tx() -> Transmission {
     Transmission {
@@ -36,7 +41,7 @@ fn golden_tx() -> Transmission {
 
 #[test]
 fn codec_bytes_are_pinned() {
-    let bytes = codec::encode(&golden_tx());
+    let bytes = encode_v1(&golden_tx());
     // Header: magic, seq, n, m, w, nu, ni.
     let mut expect: Vec<u8> = Vec::new();
     expect.extend(0x5342_5231u32.to_le_bytes()); // "SBR1"
@@ -66,8 +71,7 @@ fn codec_bytes_are_pinned() {
 fn codec_size_formula_is_pinned() {
     let tx = golden_tx();
     // 32-byte header + (8 + 8·W) per update + 32 per interval.
-    assert_eq!(codec::encoded_len(&tx), 32 + (8 + 16) + 2 * 32);
-    assert_eq!(codec::encode(&tx).len(), codec::encoded_len(&tx));
+    assert_eq!(encode_v1(&tx).len(), 32 + (8 + 16) + 2 * 32);
 }
 
 #[test]
@@ -155,9 +159,30 @@ fn v2_data_frames_are_pinned() {
 fn decode_any_wraps_v1_frames_as_epoch_zero_data() {
     // A station that speaks v2 must still ingest v1 fleet traffic: the
     // compat path wraps it in the trivial envelope.
-    let v1 = codec::encode(&golden_tx());
+    let v1 = encode_v1(&golden_tx());
     let frame = codec::decode_any(&mut v1.clone()).expect("v1 via decode_any");
     assert_eq!(frame, Frame::data(0, golden_tx()));
+    // It consumes exactly its own bytes: v1 and v2 frames parse back to back.
+    let v2 = codec::encode_v2(&Frame::resync(4, vec![0.25, -4.0], golden_tx()));
+    let mut stream = bytes::Bytes::from([&v1[..], &v2[..], &v1[..]].concat());
+    assert_eq!(codec::decode_any(&mut stream).unwrap().epoch, 0);
+    assert_eq!(codec::decode_any(&mut stream).unwrap().epoch, 4);
+    assert_eq!(codec::decode_any(&mut stream).unwrap(), frame);
+    assert_eq!(bytes::Buf::remaining(&stream), 0);
+    // Every truncation of a v1 frame is an error, never a short parse.
+    for cut in 0..v1.len() {
+        assert!(codec::decode_any(&mut &v1[..cut]).is_err(), "cut at {cut}");
+    }
+    // A v1 header with a zero n, m or w is refused.
+    for dim in 0..3 {
+        let mut tx = golden_tx();
+        *[&mut tx.n_signals, &mut tx.samples_per_signal, &mut tx.w][dim] = 0;
+        let parsed = codec::decode_any(&mut encode_v1(&tx));
+        assert!(
+            matches!(&parsed, Err(SbrError::Corrupt(e)) if e.contains("zero dimension")),
+            "zeroed dimension {dim}: {parsed:?}"
+        );
+    }
 }
 
 #[test]
@@ -177,7 +202,9 @@ fn old_frames_still_decode() {
     raw.extend((-1i64).to_le_bytes()); // shift
     raw.extend(2.0f64.to_le_bytes()); // a
     raw.extend(5.0f64.to_le_bytes()); // b
-    let tx = codec::decode(&mut &raw[..]).expect("v1 frame must decode");
+    let frame = codec::decode_any(&mut &raw[..]).expect("v1 frame must decode");
+    assert_eq!((frame.kind, frame.epoch), (FrameKind::Data, 0));
+    let tx = frame.tx;
     assert_eq!(tx.intervals.len(), 1);
     assert_eq!(tx.intervals[0].b, 5.0);
     // And it reconstructs: ŷ = 2i + 5 over 2 samples.
