@@ -153,12 +153,6 @@ pub enum Command {
         /// Store directory (as written by `simulate --store`).
         dir: String,
     },
-    /// `sbr storage compact`: drop checkpoints superseded behind each
-    /// store's newest resync snapshot.
-    StorageCompact {
-        /// Store directory (as written by `simulate --store`).
-        dir: String,
-    },
     /// `sbr help`.
     Help,
 }
@@ -186,7 +180,6 @@ USAGE:
                  [--crash-at <node>:<chunk>] [--metrics <json>]
                  [--store <dir>] [--segment-bytes <n>]
   sbr storage inspect <dir>
-  sbr storage compact <dir>
   sbr trace      --input <log> [--filter <substring>]
                  [--frame <node>:<epoch>:<seq>] [--node <n>]
                  [--kind encoded|queued|tx|retx|dropped|dup|corrupt|
@@ -222,13 +215,13 @@ then prints the recovery statistics.
 
 Durability: `simulate --store <dir>` persists every accepted frame into
 per-sensor segmented stores (CRC-framed records in fixed-size sealed
-segments, with a checkpoint written at each seal so recovery replays
-one segment instead of the whole history; `--segment-bytes` tunes the
-segment budget). `sbr storage inspect <dir>` audits every store end to
+segments; each seal's checkpoint replaces the last, so a store holds one
+and recovery replays one segment instead of the whole history;
+`--segment-bytes` tunes the segment budget). The stores must be new:
+a sensor store that already holds records is an error (exit 1) and is
+left as it was. `sbr storage inspect <dir>` audits every store end to
 end — record CRCs, the epoch/sequence continuity chain, and each
-checkpoint's snapshot against the walk — and exits 1 on any damage;
-`sbr storage compact <dir>` drops checkpoints superseded behind each
-store's newest resync snapshot.
+checkpoint's snapshot against the walk — and exits 1 on any damage.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.";
 
@@ -503,7 +496,7 @@ pub fn parse(argv: &[String]) -> Result<Cli, String> {
             let mut pos = positionals.into_iter();
             let action = match pos.next() {
                 Some(a) => a,
-                None => return Err("usage: sbr storage inspect|compact <dir>".into()),
+                None => return Err("usage: sbr storage inspect <dir>".into()),
             };
             let (Some(dir), None) = (pos.next(), pos.next()) else {
                 return Err(format!(
@@ -512,10 +505,9 @@ pub fn parse(argv: &[String]) -> Result<Cli, String> {
             };
             match action.as_str() {
                 "inspect" => Command::StorageInspect { dir },
-                "compact" => Command::StorageCompact { dir },
                 other => {
                     return Err(format!(
-                        "unknown storage action '{other}' (expected 'inspect' or 'compact')"
+                        "unknown storage action '{other}' (expected 'inspect')"
                     ))
                 }
             }
@@ -814,12 +806,6 @@ mod tests {
                 dir: "/tmp/store".into()
             }
         );
-        assert_eq!(
-            parse(&argv("storage compact /tmp/store")).unwrap().command,
-            Command::StorageCompact {
-                dir: "/tmp/store".into()
-            }
-        );
     }
 
     #[test]
@@ -827,6 +813,10 @@ mod tests {
         assert!(parse(&argv("storage")).is_err(), "wants an action");
         assert!(parse(&argv("storage inspect")).is_err(), "wants a dir");
         assert!(parse(&argv("storage shred /tmp/x")).is_err(), "bad action");
+        assert!(
+            parse(&argv("storage compact /tmp/x")).is_err(),
+            "no compact"
+        );
         assert!(parse(&argv("storage inspect a b")).is_err(), "one dir");
     }
 

@@ -105,7 +105,6 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             report,
         } => perf_diff(pairs, *tolerance, report.as_deref()),
         Command::StorageInspect { dir } => storage_inspect(Path::new(dir)),
-        Command::StorageCompact { dir } => storage_compact(Path::new(dir)),
     }
 }
 
@@ -755,36 +754,6 @@ fn storage_inspect(dir: &Path) -> Result<String, CliError> {
     }
     out.push_str("all stores verified: every record CRC and checkpoint snapshot checks out\n");
     Ok(out)
-}
-
-/// `sbr storage compact`: drop checkpoints superseded behind each
-/// store's newest resync snapshot (the newest checkpoint always
-/// survives). Stores without a resync are left untouched.
-fn storage_compact(dir: &Path) -> Result<String, CliError> {
-    let nodes = storage::nodes(dir);
-    if nodes.is_empty() {
-        return Err(CliError::Runtime(format!(
-            "{}: no sensor stores (expected sensor-<id> subdirectories)",
-            dir.display()
-        )));
-    }
-    let mut out = String::new();
-    let mut total = 0u32;
-    for node in nodes {
-        let r = storage::verify(dir, node).map_err(|e| e.to_string())?;
-        let dropped = match r.newest_resync {
-            Some(at) => storage::compact(dir, node, at).map_err(|e| e.to_string())?,
-            None => 0,
-        };
-        total += dropped;
-        out.push_str(&format!(
-            "  sensor {node}: dropped {dropped} superseded checkpoint(s)\n"
-        ));
-    }
-    Ok(format!(
-        "compacted {}: {total} checkpoint(s) dropped\n{out}",
-        dir.display()
-    ))
 }
 
 /// `sbr trace`: pretty-print a line-delimited structured event log.
@@ -1752,11 +1721,11 @@ mod tests {
     }
 
     #[test]
-    fn simulate_store_then_inspect_and_compact() {
+    fn simulate_store_then_inspect() {
         let dir = tempdir("store-cli");
         let store = dir.join("stores");
-        // Tiny segments so the run seals many segments and writes
-        // checkpoints; a crash forces a resync, giving compact work.
+        // Tiny segments so the run seals many segments and checkpoints;
+        // a crash forces a resync.
         let out = run_argv(&format!(
             "simulate --nodes 3 --len 512 --batch 64 --crash-at 1:3 \
              --store {} --segment-bytes 256",
@@ -1768,12 +1737,14 @@ mod tests {
         let rep = run_argv(&format!("storage inspect {}", store.display())).unwrap();
         assert!(rep.contains("2 sensor store(s)"), "{rep}");
         assert!(rep.contains("all stores verified"), "{rep}");
-
-        let comp = run_argv(&format!("storage compact {}", store.display())).unwrap();
-        assert!(comp.contains("compacted"), "{comp}");
-        // Compaction preserves full auditability: the walk still checks
-        // out from the origin.
-        run_argv(&format!("storage inspect {}", store.display())).unwrap();
+        // Each store holds exactly one checkpoint, however many seals.
+        let checkpoints: Vec<&str> = rep
+            .lines()
+            .skip(2)
+            .take(2)
+            .filter_map(|l| l.split_whitespace().nth(2))
+            .collect();
+        assert_eq!(checkpoints, ["1", "1"], "{rep}");
 
         // Flip one byte inside the first sealed segment of sensor 1:
         // inspect must turn into a runtime failure naming the damage.
@@ -1785,6 +1756,24 @@ mod tests {
         let e = run_argv(&format!("storage inspect {}", store.display())).unwrap_err();
         assert_eq!(e.exit_code(), 1, "{e:?}");
 
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn second_simulate_into_a_populated_store_fails_and_leaves_it_clean() {
+        let dir = tempdir("store-twice");
+        let store = dir.join("s");
+        let sim = format!(
+            "simulate --nodes 2 --len 512 --batch 64 --store {} --segment-bytes 4096",
+            store.display()
+        );
+        run_argv(&sim).unwrap();
+        let before = run_argv(&format!("storage inspect {}", store.display())).unwrap();
+        let e = run_argv(&sim).unwrap_err();
+        assert_eq!(e.exit_code(), 1, "{e:?}");
+        assert!(format!("{e:?}").contains("BaseStation::load"), "{e:?}");
+        let after = run_argv(&format!("storage inspect {}", store.display())).unwrap();
+        assert_eq!(after, before, "the refused run left the store as it was");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -17,8 +17,9 @@
 //! current replica), and it accepts resync frames that re-anchor a sensor's
 //! stream at a higher epoch after unrecoverable loss or a node reboot.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -30,17 +31,16 @@ use crate::storage::{self, CheckpointState, SegmentWriter, DEFAULT_SEGMENT_BYTES
 use crate::NodeId;
 
 /// Pre-registered handles for the segmented storage engine: sealed
-/// segments, checkpoints dropped by compaction, and records replayed at
-/// recovery (the post-checkpoint tail only — the number the flat-recovery
-/// acceptance gate watches). The default is fully disabled; attach a live
-/// recorder with [`StorageObs::new`] (or station-wide via
-/// [`BaseStation::with_recorder`] / [`BaseStation::load_with_recorder`]).
+/// segments (each seal also replaces the store's one checkpoint) and
+/// records replayed at recovery (the post-checkpoint tail only — the
+/// number the flat-recovery acceptance gate watches). The default is
+/// fully disabled; attach a live recorder with [`StorageObs::new`] (or
+/// station-wide via [`BaseStation::with_recorder`] /
+/// [`BaseStation::load_with_recorder`]).
 #[derive(Clone, Debug, Default)]
 pub struct StorageObs {
     /// Segments sealed (footer written).
     pub sealed: Counter,
-    /// Checkpoint files removed by compaction.
-    pub compacted: Counter,
     /// Records replayed while recovering a station from disk.
     pub replayed_records: Counter,
 }
@@ -50,7 +50,6 @@ impl StorageObs {
     pub fn new(r: &dyn Recorder) -> Self {
         StorageObs {
             sealed: r.counter("sensor_net.storage.segments.sealed"),
-            compacted: r.counter("sensor_net.storage.segments.compacted"),
             replayed_records: r.counter("sensor_net.storage.segments.replayed_records"),
         }
     }
@@ -78,8 +77,8 @@ struct SensorLog {
     /// log so appends happen in arrival order under the same lock that
     /// orders the in-memory log.
     writer: Option<SegmentWriter>,
-    /// Store-wide record index of the newest resync frame seen — the
-    /// compaction horizon.
+    /// Store-wide record index of the newest resync frame seen, recorded
+    /// in each checkpoint.
     last_resync_at: Option<u64>,
 }
 
@@ -121,8 +120,6 @@ pub struct BaseStation {
     persist_dir: Option<PathBuf>,
     /// Segment size budget before a seal (persistent stations).
     segment_bytes: u64,
-    /// Whether seals opportunistically drop resync-superseded checkpoints.
-    compaction: bool,
     query_obs: QueryObs,
     storage_obs: StorageObs,
 }
@@ -133,7 +130,6 @@ impl Default for BaseStation {
             logs: Mutex::new(BTreeMap::new()),
             persist_dir: None,
             segment_bytes: DEFAULT_SEGMENT_BYTES,
-            compaction: true,
             query_obs: QueryObs::default(),
             storage_obs: StorageObs::default(),
         }
@@ -148,7 +144,10 @@ impl BaseStation {
 
     /// A station that also appends every accepted frame to per-sensor log
     /// files under `dir` (Figure 1's durable architecture): frames survive
-    /// a restart via [`BaseStation::load`].
+    /// a restart via [`BaseStation::load`]. It starts empty, so a frame
+    /// for a sensor whose store under `dir` already holds records is an
+    /// [`SbrError::InconsistentState`]: reopen such a tree with
+    /// [`BaseStation::load`].
     pub fn with_persistence(dir: impl Into<PathBuf>) -> Self {
         BaseStation {
             persist_dir: Some(dir.into()),
@@ -163,19 +162,10 @@ impl BaseStation {
         self
     }
 
-    /// Enable or disable opportunistic checkpoint compaction at seal
-    /// time (on by default). Compaction only ever removes checkpoint
-    /// *files* superseded by an in-stream resync snapshot, so recovered
-    /// station state is byte-identical either way.
-    pub fn with_compaction(mut self, compaction: bool) -> Self {
-        self.compaction = compaction;
-        self
-    }
-
     /// Attach pre-registered metrics: every sensor's compressed-domain
     /// query engine records plan-cache hit/miss and interval-fold counters
-    /// on `recorder`, and the storage engine records seal/compaction
-    /// counters. Chainable after any constructor.
+    /// on `recorder`, and the storage engine records seal counters.
+    /// Chainable after any constructor.
     pub fn with_recorder(mut self, recorder: &dyn Recorder) -> Self {
         self.query_obs = QueryObs::new(recorder);
         self.storage_obs = StorageObs::new(recorder);
@@ -276,9 +266,16 @@ impl BaseStation {
     fn ingest(&self, node: NodeId, frame: Bytes, persist: bool) -> Result<Receipt, SbrError> {
         let parsed = codec::decode_any(&mut frame.clone())?;
         let mut logs = self.logs.lock();
-        let log = logs
-            .entry(node)
-            .or_insert_with(|| SensorLog::new(node, self.query_obs.clone()));
+        let log = match logs.entry(node) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let mut log = SensorLog::new(node, self.query_obs.clone());
+                if let (true, Some(dir)) = (persist, &self.persist_dir) {
+                    log.writer = Some(self.open_empty_store(dir, node)?);
+                }
+                e.insert(log)
+            }
+        };
         let (epoch, next_seq) = (log.tracker.epoch(), log.tracker.next_seq());
         let receipt = match parsed.kind {
             FrameKind::Data => {
@@ -313,39 +310,41 @@ impl BaseStation {
         if receipt == Receipt::Resynced {
             log.last_resync_at = Some(log.frames.len() as u64 - 1);
         }
-        if persist {
-            if let Some(dir) = &self.persist_dir {
-                // Persist under the logs lock: the durable store sees
-                // appends in exactly the order the in-memory log does,
-                // and seal-boundary snapshots are taken at the precise
-                // record the checkpoint claims to cover.
-                if log.writer.is_none() {
-                    log.writer = Some(SegmentWriter::open(dir, node, self.segment_bytes)?);
-                }
-                if let Some(writer) = log.writer.as_mut() {
-                    if writer.append(&frame)?.is_some() {
-                        self.storage_obs.sealed.inc();
-                        let (base, next_seq) = log.tracker.snapshot();
-                        let state = CheckpointState {
-                            records: writer.records_total(),
-                            payload_bytes: writer.payload_total(),
-                            epoch: log.tracker.epoch(),
-                            next_seq,
-                            resync_at: log.last_resync_at,
-                            base,
-                        };
-                        writer.write_checkpoint(&state)?;
-                        if self.compaction {
-                            if let Some(resync_at) = log.last_resync_at {
-                                let dropped = storage::compact(dir, node, resync_at)?;
-                                self.storage_obs.compacted.add(dropped as u64);
-                            }
-                        }
-                    }
-                }
+        // Persist under the logs lock: the durable store sees appends in
+        // exactly the order the in-memory log does, and seal-boundary
+        // snapshots are taken at the precise record the checkpoint claims
+        // to cover.
+        if let (true, Some(writer)) = (persist, log.writer.as_mut()) {
+            if writer.append(&frame)?.is_some() {
+                self.storage_obs.sealed.inc();
+                let (base, next_seq) = log.tracker.snapshot();
+                writer.write_checkpoint(&CheckpointState {
+                    records: writer.records_total(),
+                    payload_bytes: writer.payload_total(),
+                    epoch: log.tracker.epoch(),
+                    next_seq,
+                    resync_at: log.last_resync_at,
+                    base,
+                })?;
             }
         }
         Ok(receipt)
+    }
+
+    /// Open the writer for a sensor this station has no log for yet. Its
+    /// store must hold no records: appending a fresh stream after an old
+    /// one would break the store's continuity chain for good.
+    fn open_empty_store(&self, dir: &Path, node: NodeId) -> Result<SegmentWriter, SbrError> {
+        let writer = SegmentWriter::open(dir, node, self.segment_bytes)?;
+        if writer.records_total() > 0 {
+            return Err(SbrError::InconsistentState(format!(
+                "sensor {node}: store {} already holds {} records; reopen it with \
+                 BaseStation::load instead of appending a fresh stream",
+                writer.store_dir().display(),
+                writer.records_total()
+            )));
+        }
+        Ok(writer)
     }
 
     /// Pull a sensor's checkpoint-covered history off disk into memory:
@@ -1171,36 +1170,12 @@ mod tests {
     }
 
     #[test]
-    fn compaction_toggle_recovers_identical_state() {
-        let base = std::env::temp_dir().join(format!("sbr-bs-compact-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&base);
+    fn every_seal_leaves_exactly_one_checkpoint() {
+        let dir = std::env::temp_dir().join(format!("sbr-bs-one-ck-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         let fs = v2_stream(8, 2);
-        let mut recovered = Vec::new();
-        for (tag, compaction) in [("on", true), ("off", false)] {
-            let dir = base.join(tag);
-            {
-                let bs = BaseStation::with_persistence(&dir)
-                    .with_segment_size(1)
-                    .with_compaction(compaction);
-                for f in &fs {
-                    bs.receive_frame(1, f.clone()).unwrap();
-                }
-            }
-            let bs = BaseStation::load(&dir).unwrap();
-            recovered.push((
-                bs.raw_frames(1),
-                bs.reconstruct_chunks(1, 0, fs.len()).unwrap(),
-                bs.next_seq(1),
-                bs.epoch(1),
-            ));
-        }
-        assert_eq!(
-            recovered[0], recovered[1],
-            "compaction must not change state"
-        );
-        // Compaction actually removed checkpoint files.
-        let count = |tag: &str| {
-            std::fs::read_dir(base.join(tag).join("sensor-1"))
+        let checkpoints = || {
+            std::fs::read_dir(dir.join("sensor-1"))
                 .unwrap()
                 .filter(|e| {
                     e.as_ref()
@@ -1211,8 +1186,48 @@ mod tests {
                 })
                 .count()
         };
-        assert!(count("on") < count("off"), "compaction drops checkpoints");
-        std::fs::remove_dir_all(&base).unwrap();
+        {
+            // 1-byte segments: every frame seals and checkpoints.
+            let bs = BaseStation::with_persistence(&dir).with_segment_size(1);
+            for f in &fs {
+                bs.receive_frame(1, f.clone()).unwrap();
+                assert_eq!(checkpoints(), 1);
+            }
+        }
+        let bs = BaseStation::load(&dir).unwrap();
+        assert_eq!(checkpoints(), 1);
+        assert_eq!(bs.raw_frames(1), fs);
+        assert_eq!(bs.reconstruct_chunks(1, 0, fs.len()).unwrap(), mirror(&fs));
+        let last = codec::decode_any(&mut fs[fs.len() - 1].clone()).unwrap();
+        assert_eq!((bs.epoch(1), bs.next_seq(1)), (last.epoch, last.tx.seq + 1));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn fresh_persistent_station_refuses_a_populated_store() {
+        let dir = std::env::temp_dir().join(format!("sbr-bs-populated-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let fs = frames(3);
+        {
+            let bs = BaseStation::with_persistence(&dir);
+            for f in &fs {
+                accept(&bs, 2, f.clone());
+            }
+        }
+        // A second fresh station restarts the stream at seq 0: appending
+        // it would break the store's continuity chain.
+        let bs = BaseStation::with_persistence(&dir);
+        let err = bs.receive_frame(2, fs[0].clone()).unwrap_err();
+        assert!(
+            matches!(&err, SbrError::InconsistentState(m) if m.contains("BaseStation::load")),
+            "{err}"
+        );
+        assert!(bs.sensors().is_empty(), "the frame reached no log");
+        assert_eq!(crate::storage::verify(&dir, 2).unwrap().records, 3);
+        // The store is intact and loads as before.
+        let bs = BaseStation::load(&dir).unwrap();
+        assert_eq!(bs.raw_frames(2), fs);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

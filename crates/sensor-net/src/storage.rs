@@ -12,23 +12,20 @@
 //!   CRC-32/IEEE). A segment that reaches its size budget is *sealed*
 //!   with a footer carrying its record count, payload byte total, and a
 //!   footer CRC; sealed segments are immutable.
-//! * **Checkpoints** (`sensor-<node>/ck-<covered>.sbrck`): written after
-//!   a seal, each captures the decoder snapshot (epoch, next expected
+//! * **Checkpoint** (`sensor-<node>/ck-<covered>.sbrck`): written after
+//!   each seal, it captures the decoder snapshot (epoch, next expected
 //!   seq, mirrored base signal) at that seal boundary plus the segment
-//!   index of everything it covers. Checkpoints are written to a `.tmp`
-//!   file and renamed into place, so a crash mid-checkpoint leaves at
-//!   worst a stray `.tmp` that [`scan`] removes.
+//!   index of everything it covers. A store holds exactly one: the
+//!   writer publishes the new checkpoint (`.tmp`, `sync_all`, rename)
+//!   and only then unlinks the one it supersedes. A crash mid-publish
+//!   leaves a stray `.tmp` beside the previous checkpoint; a crash
+//!   between rename and unlink leaves two. [`scan`] sweeps both kinds of
+//!   leftover once the newest checkpoint has loaded.
 //! * **Recovery** ([`scan`]): reads the newest checkpoint and walks only
 //!   the segments *after* it, tolerating a torn tail in the final
 //!   (active) segment exactly like the old flat log: complete records
 //!   are kept, the partial tail is truncated and reported. Everything
 //!   older stays cold on disk until [`hydrate`] is asked for it.
-//! * **Compaction** ([`compact`]): a resync frame carries a complete
-//!   base-signal snapshot in-stream, so checkpoints whose boundary lies
-//!   at or before the newest resync are redundant for resuming the
-//!   decoder — compaction deletes those checkpoint *files* (never
-//!   segment data, so recovered station state is byte-identical with
-//!   compaction on or off).
 //!
 //! Continuity is checked the same way the base station's receive path
 //! does: data frames must carry the current epoch and the next sequence
@@ -678,9 +675,11 @@ impl ScannedStore {
     }
 }
 
-/// List the segment ordinals and checkpoint numbers under a sensor dir,
-/// removing stray `.tmp` files (a crash mid-checkpoint) along the way.
-fn list_store(sdir: &Path) -> Result<(Vec<u32>, Vec<u32>), SbrError> {
+/// List a sensor dir: the number of segments, which must be contiguous
+/// from ordinal 0 (sealed segments are never deleted), and the
+/// checkpoint numbers in ascending order. Stray `.tmp` files (a crash
+/// mid-checkpoint) are removed along the way.
+fn list_store(sdir: &Path) -> Result<(u32, Vec<u32>), SbrError> {
     let mut segs = Vec::new();
     let mut cks = Vec::new();
     let entries =
@@ -709,7 +708,18 @@ fn list_store(sdir: &Path) -> Result<(Vec<u32>, Vec<u32>), SbrError> {
     }
     segs.sort_unstable();
     cks.sort_unstable();
-    Ok((segs, cks))
+    for (i, &ord) in segs.iter().enumerate() {
+        // lint:allow(cast-truncation): u32 -> usize widens on this 64-bit target
+        if ord as usize != i {
+            return Err(SbrError::Corrupt(format!(
+                "store {} is missing segment {i}",
+                sdir.display()
+            )));
+        }
+    }
+    let n_segs = u32::try_from(segs.len())
+        .map_err(|_| SbrError::Corrupt("segment count overflows u32".into()))?;
+    Ok((n_segs, cks))
 }
 
 fn read_segment_raw(path: &Path) -> Result<Vec<u8>, SbrError> {
@@ -722,16 +732,18 @@ fn read_segment_raw(path: &Path) -> Result<Vec<u8>, SbrError> {
 
 /// Scan a sensor's segmented store: load the newest checkpoint, walk the
 /// tail segments after it (validating framing, CRCs, and continuity),
-/// truncate any torn tail in the active segment, and return everything a
-/// writer or a base station needs to resume. Cost is bounded by the tail
-/// — at most the segments sealed since the last checkpoint plus the
-/// active one — regardless of how long the history is.
+/// truncate any torn tail in the active segment, sweep superseded
+/// checkpoints, and return everything a writer or a base station needs
+/// to resume. Cost is bounded by the tail — at most the segments sealed
+/// since the last checkpoint plus the active one — regardless of how
+/// long the history is. Superseded checkpoints are swept only after
+/// the newest has loaded and the tail has walked clean.
 pub fn scan(dir: &Path, node: NodeId) -> Result<ScannedStore, SbrError> {
     let sdir = sensor_dir(dir, node);
     if !sdir.exists() {
         return Ok(ScannedStore::empty());
     }
-    let (segs, cks) = list_store(&sdir)?;
+    let (n_segs, cks) = list_store(&sdir)?;
 
     let checkpoint = match cks.last() {
         None => None,
@@ -739,19 +751,8 @@ pub fn scan(dir: &Path, node: NodeId) -> Result<ScannedStore, SbrError> {
     };
     let start = checkpoint.as_ref().map(|ck| ck.covered).unwrap_or(0);
 
-    // Segments must be contiguous from 0: compaction removes checkpoint
-    // files only, never segment data.
-    for (i, &ord) in segs.iter().enumerate() {
-        // lint:allow(cast-truncation): u32 -> usize widens on this 64-bit target
-        if ord as usize != i {
-            return Err(SbrError::Corrupt(format!(
-                "store {} is missing segment {i}",
-                sdir.display()
-            )));
-        }
-    }
-    let max_seg = match segs.last() {
-        Some(&m) => m,
+    let max_seg = match n_segs.checked_sub(1) {
+        Some(m) => m,
         None => {
             // No segments at all: only legal when nothing was covered.
             if start != 0 {
@@ -826,6 +827,13 @@ pub fn scan(dir: &Path, node: NodeId) -> Result<ScannedStore, SbrError> {
         tail_frames.extend(walked.payloads);
     }
 
+    // The newest checkpoint loaded and the tail walked clean: the older
+    // ones (a crash between publish and unlink, or a store written when
+    // every seal kept its checkpoint) are superseded.
+    for &c in cks.iter().rev().skip(1) {
+        let _ = std::fs::remove_file(checkpoint_path(&sdir, c));
+    }
+
     Ok(ScannedStore {
         checkpoint,
         tail_frames,
@@ -852,9 +860,6 @@ impl WalkedSegment {
 pub struct HydratedCold {
     /// Raw frames of the checkpoint-covered segments, in append order.
     pub frames: Vec<Bytes>,
-    /// Every checkpoint on disk (compaction may have removed some), in
-    /// covered order — seed material for historical decoder anchors.
-    pub checkpoints: Vec<LoadedCheckpoint>,
     /// Decoder epoch after the cold frames.
     pub epoch: u32,
     /// Next expected sequence number after the cold frames.
@@ -862,8 +867,8 @@ pub struct HydratedCold {
 }
 
 /// Read back the cold region of a store: the sealed segments a
-/// checkpoint covering `covered` segments spans, plus every checkpoint
-/// file. Validates framing, CRCs, and continuity from the stream origin.
+/// checkpoint covering `covered` segments spans. Validates framing,
+/// CRCs, and continuity from the stream origin.
 pub fn hydrate(dir: &Path, node: NodeId, covered: u32) -> Result<HydratedCold, SbrError> {
     let sdir = sensor_dir(dir, node);
     let mut cont = Continuity::fresh();
@@ -874,14 +879,8 @@ pub fn hydrate(dir: &Path, node: NodeId, covered: u32) -> Result<HydratedCold, S
         let walked = walk_segment(&raw, &path, ordinal, &mut cont, false)?;
         frames.extend(walked.payloads);
     }
-    let (_, cks) = list_store(&sdir)?;
-    let mut checkpoints = Vec::with_capacity(cks.len());
-    for c in cks {
-        checkpoints.push(load_checkpoint(&checkpoint_path(&sdir, c))?);
-    }
     Ok(HydratedCold {
         frames,
-        checkpoints,
         epoch: cont.epoch,
         next_seq: cont.next_seq,
     })
@@ -894,7 +893,8 @@ pub fn hydrate(dir: &Path, node: NodeId, covered: u32) -> Result<HydratedCold, S
 pub struct StoreReport {
     /// Segment files present (sealed + active).
     pub segments: u32,
-    /// Checkpoint files present.
+    /// Checkpoint files present: 1 once a segment has sealed, 2 after a
+    /// crash between a checkpoint's publish and its predecessor's unlink.
     pub checkpoints: u32,
     /// Total records across all segments.
     pub records: u64,
@@ -915,55 +915,44 @@ pub struct StoreReport {
 
 /// Audit a sensor's store end to end without modifying it: walk every
 /// segment from the origin, validate every record CRC and the continuity
-/// chain, and cross-check every checkpoint's snapshot against the walk
-/// state at its boundary.
+/// chain, and cross-check every checkpoint present (snapshot, resync
+/// index and segment index) against the walk state at its boundary.
 pub fn verify(dir: &Path, node: NodeId) -> Result<StoreReport, SbrError> {
     let sdir = sensor_dir(dir, node);
     if !sdir.exists() {
         return Err(SbrError::Corrupt(format!("no store at {}", sdir.display())));
     }
-    let (segs, cks) = list_store(&sdir)?;
-    for (i, &ord) in segs.iter().enumerate() {
-        // lint:allow(cast-truncation): u32 -> usize widens on this 64-bit target
-        if ord as usize != i {
-            return Err(SbrError::Corrupt(format!(
-                "store {} is missing segment {i}",
-                sdir.display()
-            )));
-        }
-    }
+    let (n_segs, cks) = list_store(&sdir)?;
     let mut cont = Continuity::fresh();
     let mut sealed: Vec<SealedMeta> = Vec::new();
-    // Walk state at each seal boundary: boundaries[c] = state after the
-    // first c sealed segments, used to validate checkpoints.
-    let mut boundaries: Vec<(u64, u64, u32, u64)> = vec![(0, 0, 0, 0)];
+    // Walk state and payload total at each seal boundary: boundaries[c]
+    // is the state after the first c sealed segments, used to validate
+    // checkpoints.
+    let mut boundaries = vec![(cont.clone(), 0u64)];
     let mut payload_total = 0u64;
     let mut truncated_tail = 0usize;
     let mut active = false;
-    let max_seg = segs.last().copied();
-    if let Some(max_seg) = max_seg {
-        for ordinal in 0..=max_seg {
-            let path = segment_path(&sdir, ordinal);
-            let raw = read_segment_raw(&path)?;
-            let walked = walk_segment(&raw, &path, ordinal, &mut cont, ordinal == max_seg)?;
-            payload_total += walked.payload_bytes;
-            if walked.sealed {
-                sealed.push(SealedMeta {
-                    ordinal,
-                    records: walked.record_count(),
-                    payload_bytes: walked.payload_bytes,
-                });
-                boundaries.push((cont.records, payload_total, cont.epoch, cont.next_seq));
-            } else {
-                truncated_tail = walked.truncated;
-                active = walked.consumed > 0;
-            }
+    for ordinal in 0..n_segs {
+        let path = segment_path(&sdir, ordinal);
+        let raw = read_segment_raw(&path)?;
+        let walked = walk_segment(&raw, &path, ordinal, &mut cont, ordinal + 1 == n_segs)?;
+        payload_total += walked.payload_bytes;
+        if walked.sealed {
+            sealed.push(SealedMeta {
+                ordinal,
+                records: walked.record_count(),
+                payload_bytes: walked.payload_bytes,
+            });
+            boundaries.push((cont.clone(), payload_total));
+        } else {
+            truncated_tail = walked.truncated;
+            active = walked.consumed > 0;
         }
     }
     for &c in &cks {
         let ck = load_checkpoint(&checkpoint_path(&sdir, c))?;
         // lint:allow(cast-truncation): u32 -> usize widens on this 64-bit target
-        let Some(&(records, payload, epoch, next_seq)) = boundaries.get(ck.covered as usize) else {
+        let Some((walk, payload)) = boundaries.get(ck.covered as usize) else {
             return Err(SbrError::Corrupt(format!(
                 "checkpoint {} covers {} segments but only {} are sealed",
                 checkpoint_path(&sdir, c).display(),
@@ -974,10 +963,11 @@ pub fn verify(dir: &Path, node: NodeId) -> Result<StoreReport, SbrError> {
         // lint:allow(cast-truncation): u32 -> usize widens on this 64-bit target
         let index_matches = ck.index.len() == ck.covered as usize
             && ck.index.iter().zip(sealed.iter()).all(|(a, b)| a == b);
-        if ck.state.records != records
-            || ck.state.payload_bytes != payload
-            || ck.state.epoch != epoch
-            || ck.state.next_seq != next_seq
+        if ck.state.records != walk.records
+            || ck.state.payload_bytes != *payload
+            || ck.state.epoch != walk.epoch
+            || ck.state.next_seq != walk.next_seq
+            || ck.state.resync_at != walk.resync_at
             || !index_matches
         {
             return Err(SbrError::InconsistentState(format!(
@@ -987,8 +977,7 @@ pub fn verify(dir: &Path, node: NodeId) -> Result<StoreReport, SbrError> {
         }
     }
     Ok(StoreReport {
-        segments: u32::try_from(segs.len())
-            .map_err(|_| SbrError::Corrupt("segment count overflows u32".into()))?,
+        segments: n_segs,
         checkpoints: u32::try_from(cks.len())
             .map_err(|_| SbrError::Corrupt("checkpoint count overflows u32".into()))?,
         records: cont.records,
@@ -999,41 +988,6 @@ pub fn verify(dir: &Path, node: NodeId) -> Result<StoreReport, SbrError> {
         next_seq: cont.next_seq,
         active,
     })
-}
-
-// --- compaction ---
-
-/// Drop checkpoints made redundant by an in-stream resync snapshot: a
-/// resync frame carries the complete base signal, so any checkpoint
-/// whose boundary lies at or before the resync record (its `records`
-/// count ≤ `resync_at`) adds nothing a replay from the resync can't
-/// reconstruct. The newest checkpoint is always kept (it bounds the
-/// recovery tail). Segment data is never touched, so recovered station
-/// state is byte-identical with compaction on or off. Returns the number
-/// of checkpoint files removed.
-pub fn compact(dir: &Path, node: NodeId, resync_at: u64) -> Result<u32, SbrError> {
-    let sdir = sensor_dir(dir, node);
-    if !sdir.exists() {
-        return Ok(0);
-    }
-    let (_, cks) = list_store(&sdir)?;
-    let Some(&newest) = cks.last() else {
-        return Ok(0);
-    };
-    let mut dropped = 0u32;
-    for &c in &cks {
-        if c == newest {
-            continue;
-        }
-        let path = checkpoint_path(&sdir, c);
-        let ck = load_checkpoint(&path)?;
-        if ck.state.records <= resync_at {
-            std::fs::remove_file(&path)
-                .map_err(|e| io_corrupt(&path, "cannot remove checkpoint", e))?;
-            dropped += 1;
-        }
-    }
-    Ok(dropped)
 }
 
 /// The node ids that have a store under `dir` (subdirectories named
@@ -1072,8 +1026,8 @@ struct ActiveSegment {
 }
 
 /// Append-side handle for one sensor's segmented store: appends CRC-framed
-/// records, seals segments at the size budget, and writes checkpoints at
-/// seal boundaries.
+/// records, seals segments at the size budget, and keeps the store's one
+/// checkpoint at the newest seal boundary.
 #[derive(Debug)]
 pub struct SegmentWriter {
     sdir: PathBuf,
@@ -1082,6 +1036,9 @@ pub struct SegmentWriter {
     sealed: Vec<SealedMeta>,
     records_total: u64,
     payload_total: u64,
+    /// Covered count (file number) of the store's current checkpoint,
+    /// which the next [`SegmentWriter::write_checkpoint`] supersedes.
+    checkpoint: Option<u32>,
 }
 
 impl std::fmt::Debug for ActiveSegment {
@@ -1141,6 +1098,7 @@ impl SegmentWriter {
             sealed: scanned.sealed.clone(),
             records_total: scanned.records_total,
             payload_total: scanned.payload_total,
+            checkpoint: scanned.checkpoint.as_ref().map(|ck| ck.covered),
         })
     }
 
@@ -1236,10 +1194,13 @@ impl SegmentWriter {
         Ok(None)
     }
 
-    /// Write a checkpoint at the current seal boundary (atomically, via
-    /// a `.tmp` rename). Only legal when no segment is active — i.e.
-    /// immediately after [`SegmentWriter::append`] returned a seal — and
-    /// when the caller's snapshot covers exactly the records written.
+    /// Write a checkpoint at the current seal boundary and make it the
+    /// store's only one: publish it atomically (`.tmp`, `sync_all`,
+    /// rename), then unlink the checkpoint it supersedes. A crash between
+    /// the two leaves both, which [`scan`] resolves. Only legal when no
+    /// segment is active — i.e. immediately after
+    /// [`SegmentWriter::append`] returned a seal — and when the caller's
+    /// snapshot covers exactly the records written.
     pub fn write_checkpoint(&mut self, state: &CheckpointState) -> Result<PathBuf, SbrError> {
         if self.active.is_some() {
             return Err(SbrError::InconsistentState(
@@ -1264,6 +1225,15 @@ impl SegmentWriter {
             .map_err(|e| io_corrupt(&tmp, "cannot write checkpoint", e))?;
         drop(f);
         std::fs::rename(&tmp, &path).map_err(|e| io_corrupt(&path, "cannot publish", e))?;
+        if let Some(old) = self
+            .checkpoint
+            .replace(covered)
+            .filter(|&old| old != covered)
+        {
+            // A failed unlink leaves a superseded checkpoint that the
+            // next scan sweeps; the new one is already published.
+            let _ = std::fs::remove_file(checkpoint_path(&self.sdir, old));
+        }
         Ok(path)
     }
 }
@@ -1739,49 +1709,78 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The snapshot a station would checkpoint after `w`'s last seal.
+    fn boundary(w: &SegmentWriter, cont: &Continuity) -> CheckpointState {
+        CheckpointState {
+            records: w.records_total(),
+            payload_bytes: w.payload_total(),
+            epoch: cont.epoch,
+            next_seq: cont.next_seq,
+            resync_at: cont.resync_at,
+            base: None,
+        }
+    }
+
+    fn checkpoint_numbers(dir: &Path, node: NodeId) -> Vec<u32> {
+        list_store(&sensor_dir(dir, node)).unwrap().1
+    }
+
     #[test]
-    fn compact_drops_superseded_checkpoints_keeps_newest() {
-        let dir = tempdir("compact");
-        let fs = v2_frames_with_resyncs(8);
+    fn each_checkpoint_replaces_the_last() {
+        let dir = tempdir("ck-replace");
+        let fs = v2_frames_with_resyncs(6);
         let mut w = SegmentWriter::open(&dir, 7, TINY).unwrap();
         let mut cont = Continuity::fresh();
+        for (i, f) in fs.iter().enumerate() {
+            w.append(f).unwrap();
+            cont.admit(f, Path::new("mem")).unwrap();
+            w.write_checkpoint(&boundary(&w, &cont)).unwrap();
+            assert_eq!(checkpoint_numbers(&dir, 7), vec![i as u32 + 1]);
+        }
+        // A writer resumed from a scan supersedes the scanned checkpoint.
+        drop(w);
+        let more = v2_frames_with_resyncs(7);
+        let mut w = SegmentWriter::open(&dir, 7, TINY).unwrap();
+        w.append(&more[6]).unwrap();
+        cont.admit(&more[6], Path::new("mem")).unwrap();
+        w.write_checkpoint(&boundary(&w, &cont)).unwrap();
+        assert_eq!(checkpoint_numbers(&dir, 7), vec![7]);
+        assert_eq!(verify(&dir, 7).unwrap().checkpoints, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn scan_sweeps_superseded_checkpoints_only_after_the_newest_loads() {
+        let dir = tempdir("ck-sweep");
+        let fs = frames(4);
+        let mut w = SegmentWriter::open(&dir, 3, TINY).unwrap();
+        let mut cont = Continuity::fresh();
+        let mut published = Vec::new();
         for f in &fs {
             w.append(f).unwrap();
             cont.admit(f, Path::new("mem")).unwrap();
-            w.write_checkpoint(&CheckpointState {
-                records: w.records_total(),
-                payload_bytes: w.payload_total(),
-                epoch: cont.epoch,
-                next_seq: cont.next_seq,
-                resync_at: cont.resync_at,
-                base: None,
-            })
-            .unwrap();
+            let path = w.write_checkpoint(&boundary(&w, &cont)).unwrap();
+            published.push((path.clone(), std::fs::read(&path).unwrap()));
         }
-        let resync_at = cont.resync_at.expect("stream has resyncs");
-        let (_, cks_before) = list_store(&sensor_dir(&dir, 7)).unwrap();
-        assert_eq!(cks_before.len(), 8);
-        let dropped = compact(&dir, 7, resync_at).unwrap();
-        assert!(dropped > 0, "checkpoints behind the resync are dropped");
-        let (_, cks_after) = list_store(&sensor_dir(&dir, 7)).unwrap();
-        assert_eq!(cks_after.len() + dropped as usize, 8);
-        assert_eq!(cks_after.last(), cks_before.last(), "newest kept");
-        // Every surviving checkpoint is past the resync (except the newest).
-        for &c in &cks_after {
-            let ck = load_checkpoint(&checkpoint_path(&sensor_dir(&dir, 7), c)).unwrap();
-            assert!(
-                ck.state.records > resync_at || Some(&c) == cks_after.last(),
-                "ck-{c} should have been dropped"
-            );
+        // A store written when every seal kept its checkpoint.
+        for (path, raw) in &published {
+            std::fs::write(path, raw).unwrap();
         }
-        // The store still scans, verifies, and hydrates cleanly.
-        let rec = scan(&dir, 7).unwrap();
-        assert_eq!(rec.records_total, 8);
-        verify(&dir, 7).unwrap();
-        let cold = hydrate(&dir, 7, rec.checkpoint.unwrap().covered).unwrap();
-        assert_eq!(cold.frames, fs);
-        // Idempotent.
-        assert_eq!(compact(&dir, 7, resync_at).unwrap(), 0);
+        assert_eq!(verify(&dir, 3).unwrap().checkpoints, 4, "verify audits all");
+
+        // A damaged newest checkpoint is a typed error and sweeps nothing.
+        let (newest, clean) = published.last().unwrap();
+        let mut raw = clean.clone();
+        raw[CK_HEADER / 2] ^= 0x08;
+        std::fs::write(newest, &raw).unwrap();
+        assert!(matches!(scan(&dir, 3), Err(SbrError::Corrupt(_))));
+        assert_eq!(checkpoint_numbers(&dir, 3), vec![1, 2, 3, 4]);
+
+        std::fs::write(newest, clean).unwrap();
+        let rec = scan(&dir, 3).unwrap();
+        assert_eq!(rec.checkpoint.unwrap().covered, 4);
+        assert_eq!(checkpoint_numbers(&dir, 3), vec![4], "older ones swept");
+        assert_eq!(hydrate(&dir, 3, 4).unwrap().frames, fs);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1806,7 +1805,7 @@ mod tests {
         }
         let report = verify(&dir, 4).unwrap();
         assert_eq!(report.segments, 5);
-        assert_eq!(report.checkpoints, 5);
+        assert_eq!(report.checkpoints, 1);
         assert_eq!(report.records, 5);
         assert_eq!(report.next_seq, 5);
         assert!(!report.active);
@@ -1827,26 +1826,41 @@ mod tests {
     #[test]
     fn verify_catches_checkpoint_divergence() {
         let dir = tempdir("verify-ck");
-        let fs = frames(3);
+        let fs = v2_frames_with_resyncs(6);
         let mut w = SegmentWriter::open(&dir, 5, TINY).unwrap();
+        let mut cont = Continuity::fresh();
         for f in &fs {
             w.append(f).unwrap();
+            cont.admit(f, Path::new("mem")).unwrap();
         }
-        // A checkpoint whose snapshot lies about next_seq: framing-valid
-        // (its own CRC passes) but inconsistent with the walk.
-        let state = CheckpointState {
-            records: 3,
-            payload_bytes: w.payload_total(),
-            epoch: 0,
-            next_seq: 99,
-            resync_at: None,
-            base: None,
-        };
-        w.write_checkpoint(&state).unwrap();
-        assert!(matches!(
-            verify(&dir, 5),
-            Err(SbrError::InconsistentState(_))
-        ));
+        let at = cont.resync_at.expect("stream has resyncs");
+        let honest = boundary(&w, &cont);
+        w.write_checkpoint(&honest).unwrap();
+        verify(&dir, 5).unwrap();
+        // Checkpoints that lie in one field each: framing-valid (their
+        // own CRC passes) but inconsistent with the walk.
+        let lies = [
+            CheckpointState {
+                next_seq: 99,
+                ..honest.clone()
+            },
+            CheckpointState {
+                resync_at: None,
+                ..honest.clone()
+            },
+            CheckpointState {
+                resync_at: Some(at + 1),
+                ..honest.clone()
+            },
+        ];
+        for lie in &lies {
+            w.write_checkpoint(lie).unwrap();
+            assert!(
+                matches!(verify(&dir, 5), Err(SbrError::InconsistentState(_))),
+                "{lie:?} (walk: next_seq {}, resync_at {at})",
+                cont.next_seq
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

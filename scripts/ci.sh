@@ -138,8 +138,9 @@ done
 
 echo "==> storage recovery smoke (simulate --store, inspect audits clean)"
 # Guard: the segmented store must survive a real simulate run end to end —
-# every sensor directory audits clean, and a second simulate into the same
-# tree resumes from checkpoints instead of erroring.
+# every sensor directory audits clean and holds exactly one checkpoint,
+# and a second simulate into the same tree is refused (nonzero exit)
+# without damaging the stores it found there.
 storedir="$(mktemp -d)"
 trap 'rm -rf "$storedir"' EXIT
 cargo run -p sbr-cli --release --offline --bin sbr -- simulate \
@@ -148,6 +149,19 @@ cargo run -p sbr-cli --release --offline --bin sbr -- simulate \
 insp="$(cargo run -p sbr-cli --release --offline --bin sbr -- storage inspect "$storedir/s")"
 echo "$insp" | grep -q "sensor" \
   || { echo "storage inspect reported no sensor stores:"; echo "$insp"; exit 1; } >&2
+# Rows of the audit table are "node segments checkpoints ...".
+echo "$insp" | awk '$1 ~ /^[0-9]+$/ { rows++; if ($3 != 1) bad++ }
+  END { exit !(rows > 0 && bad == 0) }' \
+  || { echo "a sensor store does not hold exactly one checkpoint:"; echo "$insp"; exit 1; } >&2
+if cargo run -p sbr-cli --release --offline --bin sbr -- simulate \
+    --nodes 2 --len 512 --batch 64 --store "$storedir/s" --segment-bytes 4096 \
+    > /dev/null 2>&1; then
+  echo "a second simulate into a populated store was accepted" >&2; exit 1
+fi
+insp2="$(cargo run -p sbr-cli --release --offline --bin sbr -- storage inspect "$storedir/s")" \
+  || { echo "the refused second simulate damaged the store:"; echo "$insp2"; exit 1; } >&2
+test "$insp2" = "$insp" \
+  || { echo "the refused second simulate changed the store:"; echo "$insp2"; exit 1; } >&2
 
 echo "==> storage corruption negative smoke (a flipped byte must exit nonzero)"
 # Guard: an auditor that passes damaged stores is worse than none. Flip one

@@ -1,11 +1,13 @@
 //! The crash-recovery matrix for the segmented storage engine: simulate
 //! a crash at every phase of the write lifecycle — mid-record append,
-//! mid-seal, mid-checkpoint publish, mid-compaction — by mutating the
-//! on-disk artifacts exactly as a torn process would leave them, then
-//! prove recovery + ARQ retransmission ends **byte-exact** against a
-//! sender-side mirror decoder. A separate differential sweeps compaction
-//! on/off across segment-size budgets and requires the recovered logs to
-//! be byte-identical in every cell.
+//! mid-seal, mid-checkpoint publish, between a checkpoint's publish and
+//! its predecessor's unlink — plus a store written when every seal kept
+//! its checkpoint, by mutating the on-disk artifacts exactly as a torn
+//! process (or an older writer) would leave them, then prove recovery +
+//! ARQ retransmission ends **byte-exact** against a sender-side mirror
+//! decoder, with one checkpoint left on disk. A separate differential
+//! sweeps segment-size budgets and requires the recovered logs to be
+//! byte-identical in every cell.
 
 use bytes::Bytes;
 use sbr_repro::core::{codec, Decoder, SbrConfig};
@@ -46,8 +48,8 @@ fn restore_dir(backup: &Path, dir: &Path) {
 /// A v2 ARQ stream mixing data frames with genuine overflow resyncs:
 /// the node's retransmission buffer holds 2 frames and the (simulated)
 /// station acks only every fourth flush, so the buffer periodically
-/// overflows and the node re-anchors with a resync snapshot — exactly
-/// the stream shape checkpoint compaction exists for.
+/// overflows and the node re-anchors with a resync snapshot, so the
+/// checkpoints' `resync_at` fields are exercised.
 fn v2_stream(n_chunks: usize) -> Vec<Bytes> {
     let mut node = SensorNode::new(NODE, 2, 32, SbrConfig::new(40, 32)).expect("node");
     node.enable_arq(2);
@@ -130,15 +132,48 @@ fn seg_path(dir: &Path, ordinal: u32) -> PathBuf {
 }
 
 /// Checkpoint file names under the store, sorted ascending by covered
-/// count (the newest last).
+/// count (the newest last); empty before the store exists.
 fn ck_files(dir: &Path) -> Vec<PathBuf> {
     let mut cks: Vec<PathBuf> = std::fs::read_dir(sensor_dir(dir, NODE))
-        .expect("store dir")
+        .into_iter()
+        .flatten()
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|e| e == "sbrck"))
         .collect();
     cks.sort();
     cks
+}
+
+/// A checkpoint file and its bytes, so a test can put it back after the
+/// writer unlinked it.
+type SavedCheckpoint = (PathBuf, Vec<u8>);
+
+/// Feed `frames` into a fresh small-segment store one by one, saving
+/// every checkpoint each seal publishes, and stop after the `seals`-th
+/// seal. Returns how many frames were fed and the saved checkpoints,
+/// oldest first; on disk only the newest remains.
+fn feed_saving_checkpoints(
+    dir: &Path,
+    frames: &[Bytes],
+    seals: usize,
+) -> (usize, Vec<SavedCheckpoint>) {
+    let station = BaseStation::with_persistence(dir).with_segment_size(SMALL_SEGMENT);
+    let mut saved: Vec<SavedCheckpoint> = Vec::new();
+    for (i, f) in frames.iter().enumerate() {
+        feed(&station, std::slice::from_ref(f));
+        let cks = ck_files(dir);
+        assert!(cks.len() <= 1, "a live store holds one checkpoint: {cks:?}");
+        if let Some(ck) = cks.into_iter().next() {
+            if saved.last().is_none_or(|(p, _)| *p != ck) {
+                let raw = std::fs::read(&ck).expect("read checkpoint");
+                saved.push((ck, raw));
+                if saved.len() == seals {
+                    return (i + 1, saved);
+                }
+            }
+        }
+    }
+    panic!("the small budget sealed only {} times", saved.len());
 }
 
 /// Crash mid-record: the appender dies partway through writing a framed
@@ -242,125 +277,126 @@ fn crash_mid_seal_demotes_the_segment_and_resumes() {
     std::fs::remove_dir_all(&backup).expect("cleanup backup");
 }
 
-/// Crash mid-checkpoint: checkpoints are published by write-to-tmp +
-/// rename, so a crash leaves a stray `.tmp` and no new checkpoint file.
-/// Recovery sweeps the stray, resumes from the previous checkpoint (or
-/// none), and loses nothing.
+/// Crash mid-checkpoint: a checkpoint is published by write-to-tmp +
+/// rename, and its predecessor is unlinked only after the rename, so a
+/// crash mid-publish leaves a stray `.tmp` beside the previous
+/// checkpoint. Recovery sweeps the stray, resumes from the previous
+/// checkpoint, and loses nothing.
 #[test]
 fn crash_mid_checkpoint_sweeps_the_stray_tmp() {
     let frames = v2_stream(14);
     let truth = mirror_truth(&frames);
     let dir = tempdir("mid-ck");
-    let fed = 10usize;
-    {
-        let station = BaseStation::with_persistence(&dir).with_segment_size(SMALL_SEGMENT);
-        feed(&station, &frames[..fed]);
-    }
-    let newest_ck = ck_files(&dir)
-        .pop()
-        .expect("small budget produced checkpoints");
-    std::fs::remove_file(&newest_ck).expect("crash before rename");
-    let stray = sensor_dir(&dir, NODE).join("ck-00000042.sbrck.tmp");
+    let (fed, saved) = feed_saving_checkpoints(&dir, &frames, 2);
+    // The second seal's checkpoint never got past its `.tmp`: the first
+    // is still on disk, un-superseded.
+    let (previous, previous_raw) = &saved[0];
+    let (newest, _) = &saved[1];
+    std::fs::remove_file(newest).expect("crash before rename");
+    std::fs::write(previous, previous_raw).expect("predecessor not yet unlinked");
+    let stray = newest.with_extension("sbrck.tmp");
     std::fs::write(&stray, b"torn half-written checkpoint bytes").expect("stray tmp");
 
     // Segments are untouched: every record is still durable.
     assert_eq!(durable_records(&dir), fed as u64);
     let station = BaseStation::load(&dir).expect("load after torn checkpoint");
     assert!(!stray.exists(), "recovery sweeps crash leftovers");
+    assert_eq!(
+        ck_files(&dir),
+        std::slice::from_ref(previous),
+        "previous checkpoint kept"
+    );
     feed(&station, &frames[fed..]);
     drop(station);
     assert_byte_exact(&dir, &frames, &truth);
+    assert_eq!(ck_files(&dir).len(), 1);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
-/// Crash mid-compaction: compaction deletes superseded checkpoint files
-/// one by one, so a crash leaves an arbitrary subset of the older
-/// checkpoints missing (the newest is never eligible). Every such
-/// subset must recover byte-exact — compaction never touches segment
-/// data, so no interleaving of deletions can lose records.
+/// Crash between rename and unlink: the new checkpoint is published but
+/// its predecessor is still on disk. `verify` audits both; recovery
+/// resumes from the newer, sweeps the older, and ends byte-exact.
 #[test]
-fn crash_mid_compaction_tolerates_any_checkpoint_subset() {
+fn crash_between_rename_and_unlink_leaves_two_checkpoints() {
     let frames = v2_stream(14);
     let truth = mirror_truth(&frames);
-    let dir = tempdir("mid-compact");
-    {
-        // Compaction off: keep every checkpoint so the test controls
-        // which subset a torn compaction pass would have removed.
-        let station = BaseStation::with_persistence(&dir)
-            .with_segment_size(SMALL_SEGMENT)
-            .with_compaction(false);
-        feed(&station, &frames);
-    }
-    let backup = tempdir("mid-compact-backup");
-    copy_dir(&dir, &backup);
-    let cks = ck_files(&dir);
-    let older = cks.len() - 1;
-    assert!(
-        older >= 2,
-        "need several older checkpoints, got {} total",
-        cks.len()
-    );
+    let dir = tempdir("mid-unlink");
+    let (fed, saved) = feed_saving_checkpoints(&dir, &frames, 2);
+    let (previous, previous_raw) = &saved[0];
+    std::fs::write(previous, previous_raw).expect("predecessor not yet unlinked");
+    assert_eq!(ck_files(&dir).len(), 2);
+    let report = storage::verify(&dir, NODE).expect("both checkpoints audit clean");
+    assert_eq!(report.checkpoints, 2);
+    assert_eq!(report.records, fed as u64);
 
-    for mask in 0u32..(1 << older) {
-        restore_dir(&backup, &dir);
-        let cks = ck_files(&dir);
-        let mut deleted = 0;
-        for (i, ck) in cks[..older].iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                std::fs::remove_file(ck).expect("torn compaction deletes");
-                deleted += 1;
-            }
+    let station = BaseStation::load(&dir).expect("load with two checkpoints");
+    assert_eq!(
+        ck_files(&dir),
+        [saved[1].0.clone()],
+        "scan keeps the newest"
+    );
+    feed(&station, &frames[fed..]);
+    drop(station);
+    assert_byte_exact(&dir, &frames, &truth);
+    assert_eq!(ck_files(&dir).len(), 1);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// A store written when every seal kept its checkpoint (the layout is
+/// unchanged, so such stores still exist): `verify` audits every one of
+/// them, recovery loads the newest and sweeps the rest, and the stream
+/// continues byte-exact.
+#[test]
+fn store_with_a_checkpoint_per_seal_recovers_and_keeps_one() {
+    let frames = v2_stream(14);
+    let truth = mirror_truth(&frames);
+    let dir = tempdir("ck-per-seal");
+    let (fed, saved) = feed_saving_checkpoints(&dir, &frames, 3);
+    assert!(
+        fed < frames.len(),
+        "frames must remain to append after recovery"
+    );
+    for (path, raw) in &saved {
+        std::fs::write(path, raw).expect("older writer kept every checkpoint");
+    }
+    let report = storage::verify(&dir, NODE).expect("every checkpoint audits clean");
+    assert_eq!(report.checkpoints as usize, saved.len());
+
+    let station = BaseStation::load(&dir).expect("load a checkpoint-per-seal store");
+    assert_eq!(ck_files(&dir).len(), 1, "scan leaves one checkpoint");
+    feed(&station, &frames[fed..]);
+    drop(station);
+    assert_byte_exact(&dir, &frames, &truth);
+    assert_eq!(ck_files(&dir).len(), 1);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// The segment-budget differential: budgets {1 KiB, 64 KiB, 1 MiB} all
+/// recover logs that are byte-identical to the sent stream (and hence to
+/// each other), chunk reconstruction matches the mirror decoder
+/// bit-for-bit in every cell, and every store ends with at most one
+/// checkpoint — exactly one once a segment has sealed.
+#[test]
+fn segment_size_never_changes_recovered_state() {
+    let frames = v2_stream(14);
+    let truth = mirror_truth(&frames);
+    for &segment_bytes in &[1024u64, 64 * 1024, 1024 * 1024] {
+        let dir = tempdir(&format!("diff-{segment_bytes}"));
+        {
+            let station = BaseStation::with_persistence(&dir).with_segment_size(segment_bytes);
+            feed(&station, &frames);
         }
-        assert_eq!(durable_records(&dir), frames.len() as u64, "mask {mask:#b}");
         assert_byte_exact(&dir, &frames, &truth);
         let report = storage::verify(&dir, NODE).expect("verify");
-        assert_eq!(report.checkpoints as usize, cks.len() - deleted);
-    }
-    std::fs::remove_dir_all(&dir).expect("cleanup");
-    std::fs::remove_dir_all(&backup).expect("cleanup backup");
-}
-
-/// The compaction differential: compaction on/off × segment budgets
-/// {1 KiB, 64 KiB, 1 MiB} all recover logs that are byte-identical to
-/// the sent stream (and hence to each other), and chunk reconstruction
-/// matches the mirror decoder bit-for-bit in every cell. Compaction is
-/// observable only in the checkpoint *file count* — never in recovered
-/// state.
-#[test]
-fn compaction_and_segment_size_never_change_recovered_state() {
-    let frames = v2_stream(14);
-    let truth = mirror_truth(&frames);
-    let mut ck_counts: HashMap<(u64, bool), usize> = HashMap::new();
-
-    for &segment_bytes in &[1024u64, 64 * 1024, 1024 * 1024] {
-        for &compaction in &[true, false] {
-            let dir = tempdir(&format!("diff-{segment_bytes}-{compaction}"));
-            {
-                let station = BaseStation::with_persistence(&dir)
-                    .with_segment_size(segment_bytes)
-                    .with_compaction(compaction);
-                feed(&station, &frames);
-            }
-            assert_byte_exact(&dir, &frames, &truth);
-            ck_counts.insert((segment_bytes, compaction), ck_files(&dir).len());
-            std::fs::remove_dir_all(&dir).expect("cleanup");
-        }
-    }
-
-    // With a small budget the stream seals often enough that the resync
-    // frames supersede earlier checkpoints: compaction must actually
-    // have dropped some (the differential above proves it changed
-    // nothing else).
-    let on = ck_counts[&(1024, true)];
-    let off = ck_counts[&(1024, false)];
-    assert!(
-        on < off,
-        "compaction dropped no checkpoints at the small budget: {on} vs {off}"
-    );
-    for (&(sb, comp), &n) in &ck_counts {
-        assert!(
-            comp || n >= ck_counts[&(sb, true)],
-            "compaction may only remove checkpoints (budget {sb})"
+        let sealed = report.segments - u32::from(report.active);
+        assert_eq!(
+            report.checkpoints,
+            u32::from(sealed > 0),
+            "budget {segment_bytes}: {sealed} seal(s)"
         );
+        if segment_bytes == 1024 {
+            assert!(sealed >= 2, "the small budget must seal repeatedly");
+        }
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }
