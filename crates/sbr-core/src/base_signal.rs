@@ -78,21 +78,8 @@ impl BaseSignal {
         self.meta[i].use_count
     }
 
-    /// Record that a data interval was mapped onto `X[shift .. shift+len)`:
-    /// every slot the window overlaps becomes "used" once.
-    pub fn record_use(&mut self, shift: usize, len: usize) {
-        if len == 0 {
-            return;
-        }
-        let first = shift / self.w;
-        let last = (shift + len - 1) / self.w;
-        for s in first..=last.min(self.meta.len().saturating_sub(1)) {
-            self.meta[s].use_count += 1;
-        }
-    }
-
-    /// Add `by` uses to one slot directly (used by the SBR driver when
-    /// translating usage recorded against the pre-placement layout).
+    /// Add `by` uses to one slot, the LFU statistic's only update (the SBR
+    /// driver translates usage recorded against the pre-placement layout).
     pub fn bump_use(&mut self, slot: usize, by: u64) {
         self.meta[slot].use_count += by;
     }
@@ -253,29 +240,12 @@ mod tests {
     #[test]
     fn replace_overwrites_and_resets_lfu() {
         let mut b = filled(2, 2);
-        b.record_use(0, 2); // slot 0 used
+        b.bump_use(0, 1); // slot 0 used
         assert_eq!(b.use_count(0), 1);
         b.apply_insert(0, &[9.0, 9.0], 5).unwrap();
         assert_eq!(b.slot(0), &[9.0, 9.0]);
         assert_eq!(b.use_count(0), 0);
         assert_eq!(b.num_slots(), 2);
-    }
-
-    #[test]
-    fn record_use_spans_slots() {
-        let mut b = filled(4, 3);
-        // Window [2, 7) overlaps slots 0 and 1.
-        b.record_use(2, 5);
-        assert_eq!(b.use_count(0), 1);
-        assert_eq!(b.use_count(1), 1);
-        assert_eq!(b.use_count(2), 0);
-    }
-
-    #[test]
-    fn record_use_zero_len_noop() {
-        let mut b = filled(4, 1);
-        b.record_use(0, 0);
-        assert_eq!(b.use_count(0), 0);
     }
 
     #[test]
@@ -289,8 +259,8 @@ mod tests {
     fn placement_evicts_lfu_when_full() {
         let mut b = filled(2, 4);
         // Slots 1 and 3 get used; 0 and 2 are cold.
-        b.record_use(2, 2);
-        b.record_use(6, 2);
+        b.bump_use(1, 1);
+        b.bump_use(3, 1);
         let p = b.plan_placement(2, 4).unwrap();
         // Capacity full: both new intervals replace the LFU slots 0 and 2.
         assert_eq!(p, vec![0, 2]);
@@ -299,8 +269,8 @@ mod tests {
     #[test]
     fn placement_mixes_append_and_evict() {
         let mut b = filled(2, 3);
-        b.record_use(0, 2); // slot 0 hot
-        b.record_use(2, 2); // slot 1 hot
+        b.bump_use(0, 1); // slot 0 hot
+        b.bump_use(1, 1); // slot 1 hot
         let p = b.plan_placement(2, 4).unwrap();
         // One appended at slot 3, the last one replaces cold slot 2.
         assert_eq!(p, vec![3, 2]);

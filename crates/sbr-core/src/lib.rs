@@ -62,7 +62,6 @@ pub mod sbr;
 pub mod search;
 pub mod series;
 pub mod transmission;
-pub mod wire_profile;
 pub mod xcorr;
 
 pub(crate) mod par;

@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod aggregation;
 pub mod base_station;
 pub mod energy;
 pub mod fault;

@@ -677,11 +677,13 @@ impl ScannedStore {
 
 /// List a sensor dir: the number of segments, which must be contiguous
 /// from ordinal 0 (sealed segments are never deleted), and the
-/// checkpoint numbers in ascending order. Stray `.tmp` files (a crash
-/// mid-checkpoint) are removed along the way.
-fn list_store(sdir: &Path) -> Result<(u32, Vec<u32>), SbrError> {
+/// checkpoint numbers in ascending order, and the stray `.tmp` files
+/// (a crash mid-checkpoint). Listing deletes nothing: only [`scan`]
+/// sweeps, and only once the store has loaded clean.
+fn list_store(sdir: &Path) -> Result<(u32, Vec<u32>, Vec<PathBuf>), SbrError> {
     let mut segs = Vec::new();
     let mut cks = Vec::new();
+    let mut tmps = Vec::new();
     let entries =
         std::fs::read_dir(sdir).map_err(|e| io_corrupt(sdir, "cannot list store dir", e))?;
     for entry in entries {
@@ -689,7 +691,7 @@ fn list_store(sdir: &Path) -> Result<(u32, Vec<u32>), SbrError> {
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
         if name.ends_with(".tmp") {
-            let _ = std::fs::remove_file(entry.path());
+            tmps.push(entry.path());
             continue;
         }
         if let Some(num) = name
@@ -719,7 +721,7 @@ fn list_store(sdir: &Path) -> Result<(u32, Vec<u32>), SbrError> {
     }
     let n_segs = u32::try_from(segs.len())
         .map_err(|_| SbrError::Corrupt("segment count overflows u32".into()))?;
-    Ok((n_segs, cks))
+    Ok((n_segs, cks, tmps))
 }
 
 fn read_segment_raw(path: &Path) -> Result<Vec<u8>, SbrError> {
@@ -743,7 +745,7 @@ pub fn scan(dir: &Path, node: NodeId) -> Result<ScannedStore, SbrError> {
     if !sdir.exists() {
         return Ok(ScannedStore::empty());
     }
-    let (n_segs, cks) = list_store(&sdir)?;
+    let (n_segs, cks, tmps) = list_store(&sdir)?;
 
     let checkpoint = match cks.last() {
         None => None,
@@ -829,9 +831,13 @@ pub fn scan(dir: &Path, node: NodeId) -> Result<ScannedStore, SbrError> {
 
     // The newest checkpoint loaded and the tail walked clean: the older
     // ones (a crash between publish and unlink, or a store written when
-    // every seal kept its checkpoint) are superseded.
+    // every seal kept its checkpoint) are superseded, and a `.tmp` is a
+    // publish that never completed.
     for &c in cks.iter().rev().skip(1) {
         let _ = std::fs::remove_file(checkpoint_path(&sdir, c));
+    }
+    for tmp in &tmps {
+        let _ = std::fs::remove_file(tmp);
     }
 
     Ok(ScannedStore {
@@ -922,7 +928,7 @@ pub fn verify(dir: &Path, node: NodeId) -> Result<StoreReport, SbrError> {
     if !sdir.exists() {
         return Err(SbrError::Corrupt(format!("no store at {}", sdir.display())));
     }
-    let (n_segs, cks) = list_store(&sdir)?;
+    let (n_segs, cks, _) = list_store(&sdir)?;
     let mut cont = Continuity::fresh();
     let mut sealed: Vec<SealedMeta> = Vec::new();
     // Walk state and payload total at each seal boundary: boundaries[c]
@@ -1645,12 +1651,18 @@ mod tests {
     }
 
     #[test]
-    fn stray_tmp_checkpoint_is_swept() {
+    fn verify_keeps_a_stray_tmp_that_scan_sweeps() {
         let dir = tempdir("tmp-sweep");
         let fs = frames(2);
         drop(fill(&dir, 3, DEFAULT_SEGMENT_BYTES, &fs));
         let stray = sensor_dir(&dir, 3).join("ck-00000009.sbrck.tmp");
         std::fs::write(&stray, b"half-written checkpoint").unwrap();
+        verify(&dir, 3).unwrap();
+        assert_eq!(
+            std::fs::read(&stray).unwrap(),
+            b"half-written checkpoint",
+            "verify is read-only: a live writer may be mid-publish"
+        );
         let rec = scan(&dir, 3).unwrap();
         assert_eq!(rec.tail_frames.len(), 2);
         assert!(!stray.exists(), "scan sweeps crash leftovers");

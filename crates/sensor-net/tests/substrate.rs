@@ -1,8 +1,7 @@
-//! Substrate integration: topology + lossy link + aggregation + battery
+//! Substrate integration: topology + lossy link + energy + battery
 //! driven together, the way the network example composes them.
 
 use sbr_core::SbrConfig;
-use sensor_net::aggregation::{aggregate_epoch, flood_cost, Partial};
 use sensor_net::{Battery, EnergyModel, LossyLink, Network, Strategy, Topology};
 
 fn feeds(n_nodes: usize, len: usize) -> Vec<Vec<Vec<f64>>> {
@@ -78,30 +77,6 @@ fn arq_compensates_loss_without_fidelity_cost() {
         noisy.station().chunk_count(1),
         clean.station().chunk_count(1)
     );
-}
-
-#[test]
-fn aggregation_tree_cost_is_topology_invariant() {
-    // One partial per edge regardless of depth — unlike flooding.
-    let readings: Vec<f64> = (0..12).map(|i| i as f64).collect();
-    let chain = Topology::line(12, 1.0);
-    let star = Topology::star(12, 1.0);
-    let chain_epoch = aggregate_epoch(&chain, &readings);
-    let star_epoch = aggregate_epoch(&star, &readings);
-    assert_eq!(chain_epoch.total_values, star_epoch.total_values);
-    assert_eq!(chain_epoch.aggregate, star_epoch.aggregate);
-    assert!(flood_cost(&chain) > flood_cost(&star));
-}
-
-#[test]
-fn aggregate_epoch_matches_direct_computation() {
-    let t = Topology::random(25, 9.0, 3.0, 13);
-    let readings: Vec<f64> = (0..25).map(|i| ((i * 7) % 13) as f64 - 4.0).collect();
-    let r = aggregate_epoch(&t, &readings);
-    let direct = readings
-        .iter()
-        .fold(Partial::IDENTITY, |acc, &v| acc.merge(Partial::of(v)));
-    assert_eq!(r.aggregate, direct);
 }
 
 #[test]

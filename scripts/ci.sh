@@ -44,6 +44,19 @@ if grep -rn 'par_map(' crates/sbr-core/src \
   echo "par_map( is called above outside par.rs, search.rs and get_base.rs" >&2; exit 1
 fi
 
+echo "==> one wire parser (every bytes::Buf reader is a panic-free and cast zone)"
+# Guard: the codec is the one parser of outside bytes, and repolint holds
+# it to "hostile bytes never panic" and "no truncating casts". A second
+# file that reads frames through bytes::Buf must sit in both of repolint's
+# zone lists, or that contract silently stops covering it.
+panic_free="$(sed -n '/^pub const PANIC_FREE_ZONES/,/^];/p' crates/repolint/src/rules.rs)"
+cast="$(sed -n '/^pub const CAST_ZONES/,/^];/p' crates/repolint/src/rules.rs)"
+for f in $(grep -rlzE 'bytes::(Buf\b|\{[^}]*\bBuf\b)' crates/*/src); do
+  if ! grep -qF "\"$f\"" <<<"$panic_free" || ! grep -qF "\"$f\"" <<<"$cast"; then
+    echo "$f reads bytes::Buf but is not in both PANIC_FREE_ZONES and CAST_ZONES" >&2; exit 1
+  fi
+done
+
 echo "==> reference-encoder differential suite (every config byte-identical to the reference)"
 # Guard: the Search probe cache, the GetBase fit cache, the blocked shift
 # sweep and the worker fan-out only reorder evaluation — every

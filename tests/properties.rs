@@ -8,12 +8,12 @@ use sbr_repro::baselines::{dct, fourier, histogram, swing, v_optimal, wavelet, w
 use sbr_repro::core::best_map::MapContext;
 use sbr_repro::core::get_intervals::FitOracle as _;
 use sbr_repro::core::interval::IntervalRecord;
+use sbr_repro::core::quadratic;
 use sbr_repro::core::transmission::{BaseUpdate, Frame, Transmission};
 use sbr_repro::core::{
     codec, regression, ChunkSummary, Decoder, ErrorMetric, Interval, MultiSeries, SbrConfig,
     SbrEncoder,
 };
-use sbr_repro::core::{quadratic, wire_profile};
 use sbr_repro::datasets::schedule::{align, expand, thin, Fill, ScheduledSignal};
 use sbr_repro::obs::{MetricsRecorder, Recorder as _};
 use sbr_repro::sensor_net::{BaseStation, FaultPlan, SensorNode};
@@ -368,41 +368,6 @@ proptest! {
         prop_assert_eq!(m, min_ticks);
     }
 
-    /// Every wire profile decodes to structurally identical metadata; the
-    /// F64 profile is bit-exact.
-    #[test]
-    fn wire_profiles_roundtrip(
-        rows in prop::collection::vec(
-            prop::collection::vec(-1e4f64..1e4, 64),
-            1..3
-        ),
-    ) {
-        let n = rows.len();
-        let band = (64 * n / 4).max(4 * n + 20);
-        let mut enc = SbrEncoder::new(n, 64, SbrConfig::new(band, 48)).unwrap();
-        let tx = enc.encode(&rows).unwrap();
-        for p in [
-            wire_profile::Profile::F64,
-            wire_profile::Profile::F32,
-            wire_profile::Profile::Q16,
-        ] {
-            let frame = wire_profile::encode(&tx, p);
-            let back = wire_profile::decode(&mut frame.clone()).unwrap();
-            prop_assert_eq!(back.seq, tx.seq);
-            prop_assert_eq!(back.w, tx.w);
-            prop_assert_eq!(back.intervals.len(), tx.intervals.len());
-            prop_assert_eq!(back.base_updates.len(), tx.base_updates.len());
-            if p == wire_profile::Profile::F64 {
-                prop_assert_eq!(&back, &tx);
-            }
-            // Structural fields survive any profile.
-            for (a, b) in back.intervals.iter().zip(&tx.intervals) {
-                prop_assert_eq!(a.start, b.start);
-                prop_assert_eq!(a.shift, b.shift);
-            }
-        }
-    }
-
     /// ChunkSummary aggregates always agree with reconstruct-then-scan:
     /// min/max bit for bit (DESIGN §3c), sums within 1e-9.
     #[test]
@@ -443,24 +408,58 @@ proptest! {
     #[test]
     fn codec_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
         let _ = codec::decode_any(&mut &bytes[..]);
-        let _ = wire_profile::decode(&mut &bytes[..]);
     }
 
-    /// Garbage *after* a valid magic/profile id still never panics.
+    /// Garbage *after* a valid magic still never panics. The second input
+    /// is a coherent v2 frame (small arbitrary header, exactly the payload
+    /// words it declares, a correct CRC-32) so it gets past the checksum
+    /// to the body checks: the decoder and the station either take it or
+    /// reject it with a typed error that leaves the station untouched.
     #[test]
     fn codec_never_panics_on_framed_garbage(
         body in prop::collection::vec(any::<u8>(), 0..200),
-        profile_id in 0u8..4,
+        kind in 0u8..3,
+        epoch in (any::<bool>(), any::<u32>()),
+        seq in (any::<bool>(), any::<u64>()),
+        shape in prop::collection::vec(1u32..5, 3usize),
+        counts in prop::collection::vec(0u32..5, 3usize),
+        words in prop::collection::vec((0u8..3, 0u64..8, any::<u64>(), -1e3f64..1e3), 64usize),
     ) {
         let mut frame = Vec::new();
         frame.extend(0x5342_5231u32.to_le_bytes());
         frame.extend(&body);
         let _ = codec::decode_any(&mut &frame[..]);
+
+        // Zero epoch and seq half the time: what a fresh station expects.
+        let epoch = if epoch.0 { 0 } else { epoch.1 };
+        let seq = if seq.0 { 0 } else { seq.1 };
+        let (w, ns, nu, ni) = (shape[2], counts[0], counts[1], counts[2]);
         let mut frame = Vec::new();
-        frame.extend(0x5342_5250u32.to_le_bytes());
-        frame.push(profile_id);
-        frame.extend(&body);
-        let _ = wire_profile::decode(&mut &frame[..]);
+        frame.extend(codec::MAGIC_V2.to_le_bytes());
+        frame.push(kind);
+        frame.extend(epoch.to_le_bytes());
+        frame.extend(seq.to_le_bytes());
+        for d in shape.iter().chain(&counts) {
+            frame.extend(d.to_le_bytes());
+        }
+        // Each payload word is a small integer (a plausible slot, start or
+        // shift), raw bits, or a plausible sample value.
+        let n_words = (ns * w + nu * (1 + w) + ni * 4) as usize;
+        for &(pick, small, raw, value) in &words[..n_words] {
+            let word = match pick {
+                0 => small,
+                1 => raw,
+                _ => value.to_bits(),
+            };
+            frame.extend(word.to_le_bytes());
+        }
+        frame.extend(codec::crc32(&frame).to_le_bytes());
+        let _ = codec::decode_any(&mut &frame[..]);
+        let station = BaseStation::new();
+        let before = (station.chunk_count(1), station.next_seq(1));
+        if station.receive_frame(1, frame.into()).is_err() {
+            prop_assert_eq!((station.chunk_count(1), station.next_seq(1)), before);
+        }
     }
 
     // ---------------- BestMap blocked sweep ----------------

@@ -10,7 +10,7 @@ mod common;
 use common::encode_v1;
 use sbr_repro::core::interval::IntervalRecord;
 use sbr_repro::core::transmission::{BaseUpdate, Frame, FrameKind, Transmission};
-use sbr_repro::core::{codec, wire_profile, SbrError};
+use sbr_repro::core::{codec, SbrError};
 
 fn golden_tx() -> Transmission {
     Transmission {
@@ -72,20 +72,6 @@ fn codec_size_formula_is_pinned() {
     let tx = golden_tx();
     // 32-byte header + (8 + 8·W) per update + 32 per interval.
     assert_eq!(encode_v1(&tx).len(), 32 + (8 + 16) + 2 * 32);
-}
-
-#[test]
-fn profile_framing_is_pinned() {
-    let tx = golden_tx();
-    for (profile, id) in [
-        (wire_profile::Profile::F64, 0u8),
-        (wire_profile::Profile::F32, 1),
-        (wire_profile::Profile::Q16, 2),
-    ] {
-        let frame = wire_profile::encode(&tx, profile);
-        assert_eq!(&frame[..4], 0x5342_5250u32.to_le_bytes()); // "SBRP"
-        assert_eq!(frame[4], id, "profile id changed for {profile:?}");
-    }
 }
 
 #[test]
