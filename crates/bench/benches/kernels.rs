@@ -1,12 +1,15 @@
 //! Microbenchmarks of the SBR kernels: the regression fits, `BestMap`'s
 //! shift scan, `GetIntervals` and `GetBase` (serial and fanned out).
 //! These back the complexity claims of §4.2–§4.4 (regression linear in the
-//! window, BestMap linear in `|X| × len`, GetBase `O(n^1.5)`).
+//! window, BestMap linear in `|X| × len`, GetBase `O(n^1.5)`). The `crc32`
+//! group times the CRC-32 kernel that seals every v2 frame and every store
+//! record, at the median frame sizes of pipebench's two workloads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use sbr_core::best_map::MapContext;
+use sbr_core::codec::crc32;
 use sbr_core::fit_cache::FitCache;
 use sbr_core::get_base::{get_base, get_base_cached};
 use sbr_core::get_intervals::get_intervals;
@@ -166,8 +169,32 @@ fn bench_get_base_cached(c: &mut Criterion) {
     g.finish();
 }
 
+/// CRC-32 over 845 B and 11,501 B, the median v2 frame sizes
+/// (`codec.frame_bytes_p50`) of pipebench's `history_query` and
+/// `fleet_ingest`. The station pays it twice per frame: once checking the
+/// frame's trailer, once sealing the store record.
+fn bench_crc32(c: &mut Criterion) {
+    let mut g = c.benchmark_group("crc32");
+    for len in [845usize, 11_501] {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let bytes: Vec<u8> = (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x.to_le_bytes()[7]
+            })
+            .collect();
+        g.bench_with_input(BenchmarkId::from_parameter(len), &len, |b, _| {
+            b.iter(|| crc32(black_box(&bytes)))
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
+    bench_crc32,
     bench_regression,
     bench_best_map,
     bench_get_intervals,

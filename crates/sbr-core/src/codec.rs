@@ -56,28 +56,48 @@ pub const MAGIC_V2: u32 = 0x5342_5232;
 /// v2 header size in bytes (magic through `ni`).
 const V2_HEADER: usize = 4 + 1 + 4 + 8 + 4 * 6;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table,
-/// built at compile time — the stack stays std-only.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// One byte's worth of the bitwise CRC-32 (IEEE 802.3, reflected
+/// polynomial 0xEDB88320) register update: `crc_byte(x)` is entry `x` of
+/// the classic bytewise table.
+const fn crc_byte(mut c: u32) -> u32 {
+    let mut k = 0;
+    while k < 8 {
+        c = if c & 1 != 0 {
+            0xEDB8_8320 ^ (c >> 1)
+        } else {
+            c >> 1
+        };
+        k += 1;
+    }
+    c
+}
+
+/// Slicing-by-8 lookup tables, built at compile time — the stack stays
+/// std-only. `CRC_TABLES[0]` is the bytewise table; `CRC_TABLES[t][x]`
+/// is the register after byte `x` followed by `t` zero bytes, so eight
+/// independent lookups fold eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
+        let mut c = crc_byte(i as u32);
+        let mut t = 0;
+        while t < 8 {
+            // lint:allow(index): const-eval loops, t < 8 and i < 256 by the while bounds
+            tables[t][i] = c;
+            c = (c >> 8) ^ crc_byte(c & 0xFF);
+            t += 1;
         }
-        // lint:allow(index): const-eval loop, i < 256 by the while bound
-        table[i] = c;
         i += 1;
     }
-    table
+    tables
 };
+
+/// Entry `b` of one 256-entry table: a `u8` subscript is always in range.
+fn at(table: &[u32; 256], b: u8) -> u32 {
+    // lint:allow(index): usize::from(u8) < 256, the table's length
+    table[usize::from(b)]
+}
 
 /// Incremental CRC-32 hasher used while reading fields off a generic
 /// [`Buf`]; [`crc32`] is the one-shot convenience over a slice.
@@ -91,11 +111,27 @@ impl Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
+    /// Slicing-by-8: each 8-byte word costs eight independent table
+    /// lookups; a tail of fewer than 8 bytes takes the bytewise step.
     fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            // lint:allow(index): subscript is masked with & 0xFF into a [u32; 256] table
-            self.state = CRC_TABLE[((self.state ^ b as u32) & 0xFF) as usize] ^ (self.state >> 8);
+        let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
+        let (words, tail) = bytes.as_chunks::<8>();
+        let mut c = self.state;
+        for &[b0, b1, b2, b3, b4, b5, b6, b7] in words {
+            let [x0, x1, x2, x3] = (c ^ u32::from_le_bytes([b0, b1, b2, b3])).to_le_bytes();
+            c = at(t7, x0)
+                ^ at(t6, x1)
+                ^ at(t5, x2)
+                ^ at(t4, x3)
+                ^ at(t3, b4)
+                ^ at(t2, b5)
+                ^ at(t1, b6)
+                ^ at(t0, b7);
         }
+        for &b in tail {
+            c = at(t0, (c as u8) ^ b) ^ (c >> 8);
+        }
+        self.state = c;
     }
 
     fn finish(&self) -> u32 {
@@ -493,6 +529,57 @@ mod tests {
     fn crc32_known_answer() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Bitwise CRC-32 (one shift per bit, no tables): the reference the
+    /// slicing-by-8 kernel must agree with.
+    fn reference_crc32(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_reference_at_every_length_and_offset() {
+        // A fixed xorshift buffer. Every length 0..=256 from every start
+        // offset 0..8 covers every word count and every tail length.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..264)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x.to_le_bytes()[7]
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=256 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), reference_crc32(s), "start {start}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_of_a_frame_split_anywhere_equals_one_shot() {
+        let bytes = encode_v2(&sample_frame());
+        let whole = crc32(&bytes);
+        assert_eq!(whole, reference_crc32(&bytes));
+        for cut in 0..=bytes.len() {
+            let mut h = Crc32::new();
+            h.update(&bytes[..cut]);
+            h.update(&bytes[cut..]);
+            assert_eq!(h.finish(), whole, "split at {cut}");
+        }
     }
 
     #[test]

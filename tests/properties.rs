@@ -45,6 +45,23 @@ fn fault_round(
     Ok(())
 }
 
+/// Bitwise CRC-32 (IEEE, reflected 0xEDB88320) register update, one
+/// shift per bit and no tables: the reference for `codec::crc32`. Start
+/// from `!0` and invert the final register.
+fn reference_crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
+    for &b in bytes {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    c
+}
+
 fn finite_signal(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6f64..1e6, 1..max_len)
 }
@@ -194,6 +211,23 @@ proptest! {
         prop_assert_eq!(bytes.len(), codec::encoded_len_v2(&frame));
         let back = codec::decode_v2(&mut bytes.clone()).unwrap();
         prop_assert_eq!(back, frame);
+    }
+
+    /// The slicing-by-8 CRC-32 equals a bitwise reference on random
+    /// bytes: the whole buffer, and both sides of a random split point
+    /// (so the suffix starts at any phase of an 8-byte word), with the
+    /// reference carried across the split.
+    #[test]
+    fn crc32_matches_bitwise_reference(
+        bytes in prop::collection::vec(any::<u8>(), 0..4096),
+        split in any::<usize>(),
+    ) {
+        let cut = split % (bytes.len() + 1);
+        let (head, tail) = bytes.split_at(cut);
+        let carried = reference_crc32_update(reference_crc32_update(!0, head), tail);
+        prop_assert_eq!(codec::crc32(&bytes), !carried);
+        prop_assert_eq!(codec::crc32(head), !reference_crc32_update(!0, head));
+        prop_assert_eq!(codec::crc32(tail), !reference_crc32_update(!0, tail));
     }
 
     // ---------------- encoder invariants ----------------
