@@ -248,31 +248,52 @@ fn compress(
     ))
 }
 
-fn decompress(input: &str, output: &str) -> Result<String, CliError> {
+/// A `.sbr` stream loaded once through the station's frame step: every
+/// frame decoded exactly (`codec::decode_exact`) and indexed by
+/// `QueryEngine::index_frame`, which also enforces the epoch/seq rule
+/// and one chunk shape for the whole stream.
+struct SbrStream {
+    frames: Vec<Frame>,
+    engine: QueryEngine,
+    /// Bytes of a truncated trailing frame that were discarded.
+    truncated_tail: usize,
+}
+
+fn load_sbr(input: &str) -> Result<SbrStream, CliError> {
     let log = recover_stream(Path::new(input)).map_err(|e| e.to_string())?;
-    let Some(first) = log.parsed.first() else {
+    let mut engine = QueryEngine::new();
+    let mut tracker = Decoder::new();
+    let mut frames = Vec::with_capacity(log.frames.len());
+    for (i, raw) in log.frames.iter().enumerate() {
+        let frame = codec::decode_exact(raw)
+            .and_then(|f| engine.index_frame(&mut tracker, &f).map(|()| f))
+            .map_err(|e| format!("{input}: transmission {i}: {e}"))?;
+        frames.push(frame);
+    }
+    Ok(SbrStream {
+        frames,
+        engine,
+        truncated_tail: log.truncated_tail,
+    })
+}
+
+fn decompress(input: &str, output: &str) -> Result<String, CliError> {
+    let log = load_sbr(input)?;
+    let engine = &log.engine;
+    if engine.is_empty() {
         return Err(format!("{input}: no complete transmissions").into());
-    };
-    let mut decoder = Decoder::new();
-    let n_signals = first.tx.n_signals as usize;
-    let mut columns: Vec<Vec<f64>> = Vec::new();
-    for (i, frame) in log.parsed.iter().enumerate() {
-        let rec = decoder.decode_frame(frame).map_err(|e| e.to_string())?;
-        if rec.len() != n_signals {
-            return Err(format!(
-                "{input}: transmission {i} carries {} signals, the stream started with {n_signals}",
-                rec.len()
-            )
-            .into());
-        }
-        // The first decode, which has validated the header's shape, starts
-        // the columns.
-        if columns.is_empty() {
-            columns = rec;
-            continue;
-        }
-        for (c, r) in columns.iter_mut().zip(&rec) {
-            c.extend_from_slice(r);
+    }
+    // Every chunk decodes from its own summary; the engine has already
+    // held the stream to one shape.
+    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); engine.n_signals()];
+    for c in 0..engine.len() {
+        let rows = engine
+            .chunk(c)
+            .ok_or_else(|| format!("{input}: transmission {c} was not indexed"))?
+            .reconstruct()
+            .map_err(|e| e.to_string())?;
+        for (column, row) in columns.iter_mut().zip(rows) {
+            column.extend(row);
         }
     }
     let table = Table {
@@ -288,17 +309,17 @@ fn decompress(input: &str, output: &str) -> Result<String, CliError> {
     };
     Ok(format!(
         "decompressed {} transmissions → {} samples × {} signals → {output}{note}",
-        log.parsed.len(),
+        engine.len(),
         table.rows(),
-        n_signals
+        engine.n_signals()
     ))
 }
 
 fn info(input: &str) -> Result<String, CliError> {
-    let log = recover_stream(Path::new(input)).map_err(|e| e.to_string())?;
+    let log = load_sbr(input)?;
     let mut out = String::new();
     out.push_str("seq   signals  samples    w   base-ins  intervals   cost   ratio\n");
-    for Frame { tx, .. } in &log.parsed {
+    for Frame { tx, .. } in &log.frames {
         out.push_str(&format!(
             "{:>3}   {:>7}  {:>7}  {:>3}   {:>8}  {:>9}  {:>5}  {:>5.1}%\n",
             tx.seq,
@@ -359,15 +380,8 @@ fn aggregate(input: &str, signal: usize, from: usize, to: usize) -> Result<Strin
             "empty range [{from}, {to}): --from must be below --to"
         )));
     }
-    let log = recover_stream(Path::new(input)).map_err(|e| e.to_string())?;
-    let mut engine = QueryEngine::new();
-    let mut tracker = Decoder::new();
-    for frame in &log.parsed {
-        engine
-            .index_frame(&mut tracker, frame)
-            .map_err(|e| e.to_string())?;
-    }
-    let agg = engine
+    let agg = load_sbr(input)?
+        .engine
         .aggregate(signal, from, to)
         .map_err(|e| format!("{input}: {e}"))?;
     Ok(format!(
@@ -1242,9 +1256,57 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.exit_code(), 1, "{err:?}");
         assert!(
-            err.message().contains("transmission 1 carries 1 signals"),
+            err.message().contains("transmission 1")
+                && err.message().contains("differs from the indexed 2×16"),
             "{err:?}"
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every `.sbr` reader admits frames through the station's step: a
+    /// stream that skips a sequence number, or whose record holds bytes
+    /// after its frame, is a runtime error (exit 1) for `decompress`,
+    /// `info` and `aggregate` alike.
+    #[test]
+    fn sbr_readers_reject_a_seq_gap_and_trailing_bytes() {
+        let dir = tempdir("admission");
+        let mut enc = SbrEncoder::new(2, 16, SbrConfig::new(16, 16).with_w(4)).unwrap();
+        let rows = vec![(0..16).map(|i| i as f64).collect::<Vec<f64>>(); 2];
+        let fs: Vec<_> = (0..3)
+            .map(|_| codec::encode_v2(&Frame::data(0, enc.encode(&rows).unwrap())))
+            .collect();
+        let mut padded = fs[1].to_vec();
+        padded.extend_from_slice(&[1, 2, 3]);
+        let cases = [
+            ("gap", vec![fs[0].clone(), fs[2].clone()], "sequence gap"),
+            (
+                "trailing",
+                vec![fs[0].clone(), padded.into()],
+                "3 trailing bytes",
+            ),
+        ];
+        for (tag, frames, why) in cases {
+            let stream = dir.join(format!("{tag}.sbr"));
+            let mut w = storage::StreamWriter::create(&stream).unwrap();
+            for f in &frames {
+                w.append(f).unwrap();
+            }
+            drop(w);
+            let s = stream.display();
+            let csv_out = dir.join("rec.csv");
+            for cmd in [
+                format!("decompress --input {s} --output {}", csv_out.display()),
+                format!("info --input {s}"),
+                format!("aggregate --input {s} --signal 0 --from 0 --to 8"),
+            ] {
+                let err = run_argv(&cmd).unwrap_err();
+                assert_eq!(err.exit_code(), 1, "{tag}: {cmd}: {err:?}");
+                assert!(
+                    err.message().contains("transmission 1") && err.message().contains(why),
+                    "{tag}: {cmd}: {err:?}"
+                );
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1449,7 +1511,11 @@ mod tests {
         ))
         .unwrap();
         let log = recover_stream(&stream).unwrap();
-        let txs: Vec<_> = log.parsed.into_iter().map(|f| f.tx).collect();
+        let txs: Vec<_> = log
+            .frames
+            .iter()
+            .map(|f| codec::decode_exact(f).unwrap().tx)
+            .collect();
         let decoded = Decoder::replay(&txs).unwrap();
         let series: Vec<f64> = decoded.iter().flat_map(|c| c[1].clone()).collect();
         let s = stream.display();

@@ -426,6 +426,22 @@ pub fn decode_any(buf: &mut impl Buf) -> Result<Frame> {
     }
 }
 
+/// Parse a buffer that holds exactly one frame of either wire version:
+/// bytes left after the frame are [`SbrError::Corrupt`]. Every reader
+/// that receives or stores one frame per buffer (the station, the `.sbr`
+/// readers) admits frames through this; [`decode_any`] keeps streaming
+/// semantics for back-to-back frames.
+pub fn decode_exact(mut bytes: &[u8]) -> Result<Frame> {
+    let frame = decode_any(&mut bytes)?;
+    if !bytes.is_empty() {
+        return Err(SbrError::Corrupt(format!(
+            "{} trailing bytes after the frame",
+            bytes.len()
+        )));
+    }
+    Ok(frame)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,6 +533,22 @@ mod tests {
         assert_eq!(decode_v2(&mut buf).unwrap().tx.seq, 42);
         assert_eq!(decode_v2(&mut buf).unwrap().tx.seq, 43);
         assert_eq!(buf.remaining(), 0);
+    }
+
+    #[test]
+    fn decode_exact_refuses_bytes_after_the_frame() {
+        let frame = Frame::data(0, sample());
+        let bytes = encode_v2(&frame);
+        assert_eq!(decode_exact(&bytes).unwrap(), frame);
+        for extra in [&[0u8][..], &[1, 2, 3], &bytes[..]] {
+            let mut padded = bytes.to_vec();
+            padded.extend_from_slice(extra);
+            let err = decode_exact(&padded).unwrap_err();
+            assert!(
+                matches!(&err, SbrError::Corrupt(m) if m.contains(&format!("{} trailing", extra.len()))),
+                "{err}"
+            );
+        }
     }
 
     // ---------------- v2 ----------------

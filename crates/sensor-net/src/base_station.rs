@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 use bytes::Bytes;
 use parking_lot::Mutex;
 pub use sbr_core::RangeAggregate;
-use sbr_core::{codec, Decoder, Frame, FrameKind, QueryEngine, QueryObs, SbrError};
+use sbr_core::{codec, BaseSignal, Decoder, Frame, FrameKind, QueryEngine, QueryObs, SbrError};
 use sbr_obs::{Counter, Recorder};
 
 use crate::storage::{self, CheckpointState, SegmentWriter, DEFAULT_SEGMENT_BYTES};
@@ -95,6 +95,77 @@ impl SensorLog {
             writer: None,
             last_resync_at: None,
         }
+    }
+}
+
+/// A stored stream replayed from its origin through the station's frame
+/// step — `codec::decode_exact`, then `QueryEngine::index_frame`, which
+/// runs `Decoder::step` — exactly as ingest admitted it. Hydration
+/// rebuilds a sensor's chunk index this way, and `storage::verify`
+/// audits a store's checkpoints against it.
+pub(crate) struct Replay<'a> {
+    store: &'a Path,
+    pub(crate) engine: QueryEngine,
+    pub(crate) tracker: Decoder,
+    /// Records replayed so far.
+    pub(crate) records: u64,
+    /// Record index of the newest resync frame replayed.
+    pub(crate) resync_at: Option<u64>,
+}
+
+impl<'a> Replay<'a> {
+    pub(crate) fn new(node: NodeId, store: &'a Path, obs: QueryObs) -> Self {
+        let mut engine = QueryEngine::new();
+        engine.set_obs(obs);
+        Replay {
+            store,
+            engine,
+            tracker: Decoder::for_node(node as u64),
+            records: 0,
+            resync_at: None,
+        }
+    }
+
+    /// Admit the next stored record.
+    pub(crate) fn admit(&mut self, raw: &[u8]) -> Result<(), SbrError> {
+        let frame = codec::decode_exact(raw)
+            .and_then(|f| self.engine.index_frame(&mut self.tracker, &f).map(|()| f))
+            .map_err(|e| at_rest(self.store, self.records, e))?;
+        if frame.kind == FrameKind::Resync {
+            self.resync_at = Some(self.records);
+        }
+        self.records += 1;
+        Ok(())
+    }
+
+    /// Whether the replayed decoder stands at `epoch`, `next_seq` and
+    /// `base`, the base compared bit for bit.
+    pub(crate) fn is_at(&self, epoch: u32, next_seq: u64, base: Option<&BaseSignal>) -> bool {
+        let bits = |b: &BaseSignal| {
+            let (w, values, meta) = b.to_raw();
+            (
+                w,
+                values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                meta,
+            )
+        };
+        self.tracker.epoch() == epoch
+            && self.tracker.next_seq() == next_seq
+            && self.tracker.base().map(bits) == base.map(bits)
+    }
+}
+
+/// A record of `store` the frame step refused was damaged at rest: a
+/// continuity break (a gap, a duplicate, an epoch going backwards) is
+/// `InconsistentState`, other damage keeps its class; both name the
+/// store and the record.
+fn at_rest(store: &Path, record: u64, e: SbrError) -> SbrError {
+    let at = format!("store {} record {record}", store.display());
+    match e {
+        SbrError::InconsistentState(m) => SbrError::InconsistentState(format!("{at}: {m}")),
+        SbrError::Gap { .. } => SbrError::InconsistentState(format!("{at}: {e}")),
+        SbrError::Corrupt(m) => SbrError::Corrupt(format!("{at}: {m}")),
+        other => other,
     }
 }
 
@@ -178,9 +249,12 @@ impl BaseStation {
     /// Rebuild a station from the segmented stores a persistent station
     /// wrote to `dir`. Recovery is bounded: per sensor it loads the
     /// newest checkpoint and replays only the records after it (at most
-    /// one segment's worth plus whatever sealed since the checkpoint) —
-    /// never the whole history. Torn tails (crash mid-append) are
-    /// truncated; new frames keep appending to the same store.
+    /// one segment's worth plus whatever sealed since the checkpoint)
+    /// through the receive path's frame step — never the whole history.
+    /// Only once that tail replays clean are torn tails (crash
+    /// mid-append) truncated and crash leftovers swept; a store that
+    /// fails recovery is left as it was. New frames keep appending to
+    /// the same store.
     pub fn load(dir: impl Into<PathBuf>) -> Result<Self, SbrError> {
         Self::load_impl(dir.into(), QueryObs::default(), StorageObs::default())
     }
@@ -213,7 +287,6 @@ impl BaseStation {
         };
         for node in storage::nodes(&dir) {
             let scanned = storage::scan(&dir, node)?;
-            let writer = SegmentWriter::resume(&dir, node, station.segment_bytes, &scanned)?;
             let mut log = SensorLog::new(node, station.query_obs.clone());
             if let Some(ck) = &scanned.checkpoint {
                 // Resume from the checkpoint snapshot; everything it
@@ -234,19 +307,25 @@ impl BaseStation {
                 log.payload_bytes = ck.state.payload_bytes;
                 log.last_resync_at = ck.state.resync_at;
             }
-            log.writer = Some(writer);
             station.logs.lock().insert(node, log);
-            for frame in scanned.tail_frames {
+            let store = storage::sensor_dir(&dir, node);
+            let first = scanned.checkpoint.as_ref().map_or(0, |ck| ck.state.records);
+            for (record, frame) in (first..).zip(scanned.tail_frames.iter().cloned()) {
                 // Re-ingest the original bytes through the normal path
                 // (minus re-persisting), so the in-memory log is
                 // byte-identical to the store.
-                let receipt = station.ingest(node, frame, false)?;
-                if receipt == Receipt::Duplicate {
-                    return Err(SbrError::InconsistentState(format!(
-                        "sensor {node}: duplicate frame in the recovery tail"
-                    )));
+                match station.ingest(node, frame, false) {
+                    Ok(Receipt::Duplicate) => {
+                        let dup = SbrError::InconsistentState("duplicate frame".into());
+                        return Err(at_rest(&store, record, dup));
+                    }
+                    Err(e) => return Err(at_rest(&store, record, e)),
+                    Ok(_) => station.storage_obs.replayed_records.inc(),
                 }
-                station.storage_obs.replayed_records.inc();
+            }
+            let writer = SegmentWriter::resume(&dir, node, station.segment_bytes, &scanned)?;
+            if let Some(log) = station.logs.lock().get_mut(&node) {
+                log.writer = Some(writer);
             }
         }
         Ok(station)
@@ -264,7 +343,7 @@ impl BaseStation {
     }
 
     fn ingest(&self, node: NodeId, frame: Bytes, persist: bool) -> Result<Receipt, SbrError> {
-        let parsed = codec::decode_any(&mut frame.clone())?;
+        let parsed = codec::decode_exact(&frame)?;
         let mut logs = self.logs.lock();
         let log = match logs.entry(node) {
             Entry::Occupied(e) => e.into_mut(),
@@ -333,24 +412,26 @@ impl BaseStation {
 
     /// Open the writer for a sensor this station has no log for yet. Its
     /// store must hold no records: appending a fresh stream after an old
-    /// one would break the store's continuity chain for good.
+    /// one would break the store's continuity chain for good. A refused
+    /// store is left as it was.
     fn open_empty_store(&self, dir: &Path, node: NodeId) -> Result<SegmentWriter, SbrError> {
-        let writer = SegmentWriter::open(dir, node, self.segment_bytes)?;
-        if writer.records_total() > 0 {
+        let scanned = storage::scan(dir, node)?;
+        if scanned.records_total > 0 {
             return Err(SbrError::InconsistentState(format!(
                 "sensor {node}: store {} already holds {} records; reopen it with \
                  BaseStation::load instead of appending a fresh stream",
-                writer.store_dir().display(),
-                writer.records_total()
+                storage::sensor_dir(dir, node).display(),
+                scanned.records_total
             )));
         }
-        Ok(writer)
+        SegmentWriter::resume(dir, node, self.segment_bytes, &scanned)
     }
 
     /// Pull a sensor's checkpoint-covered history off disk into memory:
-    /// fill the placeholder frames, rebuild the compressed-domain chunk
-    /// index by a full replay, and cross-check the replayed decoder state
-    /// against the live tracker.
+    /// fill the placeholder frames, replay the whole log through the
+    /// frame step to rebuild the compressed-domain chunk index, and
+    /// cross-check the replayed decoder — epoch, seq and base signal —
+    /// against the live tracker, which resumed from the checkpoint.
     /// A no-op for fully-warm logs; historical queries call this on
     /// demand.
     fn hydrate_node(&self, node: NodeId) -> Result<(), SbrError> {
@@ -369,41 +450,36 @@ impl BaseStation {
             .as_ref()
             .map(|w| w.sealed().len() as u32)
             .unwrap_or(0);
-        let hydrated = storage::hydrate(&dir, node, covered)?;
-        if hydrated.frames.len() < log.cold {
+        let mut cold = storage::hydrate(&dir, node, covered)?;
+        if cold.len() < log.cold {
             return Err(SbrError::InconsistentState(format!(
                 "sensor {node}: store holds {} cold records but the checkpoint covers {}",
-                hydrated.frames.len(),
+                cold.len(),
                 log.cold
             )));
         }
-        for (slot, frame) in log
-            .frames
-            .iter_mut()
-            .take(log.cold)
-            .zip(hydrated.frames.iter())
-        {
-            *slot = frame.clone();
+        cold.truncate(log.cold);
+        for (slot, frame) in log.frames.iter_mut().zip(cold) {
+            *slot = frame;
         }
-        // Full replay over the (now complete) log rebuilds the chunk
-        // index a never-restarted station would have.
-        let mut engine = QueryEngine::new();
-        engine.set_obs(self.query_obs.clone());
-        let mut tracker = Decoder::for_node(node as u64);
+        let store = storage::sensor_dir(&dir, node);
+        let mut replay = Replay::new(node, &store, self.query_obs.clone());
         for raw in &log.frames {
-            engine.index_frame(&mut tracker, &codec::decode_any(&mut raw.clone())?)?;
+            replay.admit(raw)?;
         }
-        if tracker.next_seq() != log.tracker.next_seq() || tracker.epoch() != log.tracker.epoch() {
+        let live = &log.tracker;
+        if !replay.is_at(live.epoch(), live.next_seq(), live.base()) {
             return Err(SbrError::InconsistentState(format!(
-                "sensor {node}: hydrated replay ends at epoch {} seq {} but the live \
-                 tracker is at epoch {} seq {}",
-                tracker.epoch(),
-                tracker.next_seq(),
-                log.tracker.epoch(),
-                log.tracker.next_seq()
+                "sensor {node}: {} replays to epoch {} seq {} but the live tracker, \
+                 resumed from its checkpoint, is at epoch {} seq {} (or holds another base)",
+                store.display(),
+                replay.tracker.epoch(),
+                replay.tracker.next_seq(),
+                live.epoch(),
+                live.next_seq()
             )));
         }
-        log.engine = engine;
+        log.engine = replay.engine;
         log.cold = 0;
         Ok(())
     }
@@ -468,10 +544,7 @@ impl BaseStation {
         let log = logs
             .get(&node)
             .ok_or_else(|| SbrError::InconsistentState(format!("unknown sensor {node}")))?;
-        log.frames
-            .iter()
-            .map(|f| codec::decode_any(&mut f.clone()))
-            .collect()
+        log.frames.iter().map(|f| codec::decode_exact(f)).collect()
     }
 
     /// Hydrate `node` when it has cold history and `reaches_cold` says the
@@ -759,6 +832,32 @@ mod tests {
         bad[0] ^= 0xff;
         assert!(bs.receive_frame(1, Bytes::from(bad)).is_err());
         assert_eq!(bs.chunk_count(1), 0);
+    }
+
+    /// A frame with bytes after its end is refused before anything is
+    /// logged, indexed or persisted: accepted, it would make every later
+    /// load of the store fail.
+    #[test]
+    fn persistent_station_refuses_a_frame_with_trailing_bytes() {
+        let dir = std::env::temp_dir().join(format!("sbr-bs-trailing-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let fs = frames(1);
+        {
+            let bs = BaseStation::with_persistence(&dir);
+            let mut padded = fs[0].to_vec();
+            padded.extend_from_slice(&[1, 2, 3]);
+            let err = bs.receive_frame(4, Bytes::from(padded)).unwrap_err();
+            assert!(
+                matches!(&err, SbrError::Corrupt(m) if m.contains("3 trailing bytes")),
+                "{err}"
+            );
+            assert_eq!((bs.chunk_count(4), bs.log_bytes(4)), (0, 0));
+            accept(&bs, 4, fs[0].clone());
+        }
+        let bs = BaseStation::load(&dir).unwrap();
+        assert_eq!(bs.chunk_count(4), 1);
+        assert_eq!(bs.raw_frames(4), fs);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

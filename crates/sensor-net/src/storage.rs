@@ -19,20 +19,25 @@
 //!   writer publishes the new checkpoint (`.tmp`, `sync_all`, rename)
 //!   and only then unlinks the one it supersedes. A crash mid-publish
 //!   leaves a stray `.tmp` beside the previous checkpoint; a crash
-//!   between rename and unlink leaves two. [`scan`] sweeps both kinds of
-//!   leftover once the newest checkpoint has loaded.
+//!   between rename and unlink leaves two. [`SegmentWriter::resume`]
+//!   sweeps both kinds of leftover.
 //! * **Recovery** ([`scan`]): reads the newest checkpoint and walks only
 //!   the segments *after* it, tolerating a torn tail in the final
 //!   (active) segment exactly like the old flat log: complete records
-//!   are kept, the partial tail is truncated and reported. Everything
-//!   older stays cold on disk until [`hydrate`] is asked for it.
+//!   are kept and the partial tail is reported. Everything older stays
+//!   cold on disk until [`hydrate`] is asked for it. Scanning, hydrating
+//!   and [`verify`] are read-only; [`SegmentWriter::resume`] truncates
+//!   the torn tail and sweeps superseded checkpoints and stray `.tmp`
+//!   files, which `BaseStation::load` calls only after the tail has
+//!   replayed clean, so a store that fails recovery is left untouched.
 //!
-//! Continuity is checked the same way the base station's receive path
-//! does: data frames must carry the current epoch and the next sequence
-//! number; a resync frame must advance the epoch and resets the expected
-//! sequence to its own. A store that violates either was corrupted at
-//! rest and recovery reports [`SbrError::InconsistentState`]; framing or
-//! CRC damage reports [`SbrError::Corrupt`] naming the damaged file.
+//! The store checks only its own format: headers, record lengths and
+//! CRCs, footers, checkpoints. It never parses a frame. The records it
+//! hands back are admitted by the station's one frame step (exact
+//! decode, the epoch/seq rule, base-update validation), which reports a
+//! continuity break in a store as [`SbrError::InconsistentState`];
+//! framing or CRC damage here reports [`SbrError::Corrupt`] naming the
+//! damaged file.
 //!
 //! The legacy single-file stream format (`u32 LE len ∥ frame`, no CRC)
 //! survives as [`StreamWriter`]/[`recover_stream`] — it is the `.sbr`
@@ -43,8 +48,9 @@ use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
-use sbr_core::{codec, BaseSignal, SbrError};
+use sbr_core::{codec, BaseSignal, QueryObs, SbrError};
 
+use crate::base_station::Replay;
 use crate::NodeId;
 
 // --- on-disk format constants (pinned by tests/storage_compat.rs and the
@@ -150,83 +156,6 @@ impl<'a> Cursor<'a> {
     }
 }
 
-// --- continuity checking shared by every walk ---
-
-/// Decode-level continuity state threaded through a store walk; mirrors
-/// the base station's receive-path classification.
-#[derive(Debug, Clone)]
-struct Continuity {
-    epoch: u32,
-    next_seq: u64,
-    records: u64,
-    resync_at: Option<u64>,
-}
-
-impl Continuity {
-    fn fresh() -> Self {
-        Continuity {
-            epoch: 0,
-            next_seq: 0,
-            records: 0,
-            resync_at: None,
-        }
-    }
-
-    fn from_checkpoint(ck: &LoadedCheckpoint) -> Self {
-        Continuity {
-            epoch: ck.state.epoch,
-            next_seq: ck.state.next_seq,
-            records: ck.state.records,
-            resync_at: ck.state.resync_at,
-        }
-    }
-
-    /// Validate one record payload as the next frame of the stream.
-    fn admit(&mut self, payload: &[u8], label: &Path) -> Result<sbr_core::Frame, SbrError> {
-        let mut rest = payload;
-        let parsed = codec::decode_any(&mut rest)?;
-        if !rest.is_empty() {
-            return Err(SbrError::Corrupt(format!(
-                "record {} in {} has {} trailing bytes",
-                self.records,
-                label.display(),
-                rest.len()
-            )));
-        }
-        match parsed.kind {
-            sbr_core::FrameKind::Data => {
-                if parsed.epoch != self.epoch || parsed.tx.seq != self.next_seq {
-                    return Err(SbrError::InconsistentState(format!(
-                        "{} skips from epoch {} seq {} to epoch {} seq {}",
-                        label.display(),
-                        self.epoch,
-                        self.next_seq,
-                        parsed.epoch,
-                        parsed.tx.seq
-                    )));
-                }
-                self.next_seq += 1;
-            }
-            sbr_core::FrameKind::Resync => {
-                if parsed.epoch <= self.epoch {
-                    return Err(SbrError::InconsistentState(format!(
-                        "{}: resync at record {} regresses epoch {} to {}",
-                        label.display(),
-                        self.records,
-                        self.epoch,
-                        parsed.epoch
-                    )));
-                }
-                self.epoch = parsed.epoch;
-                self.next_seq = parsed.tx.seq + 1;
-                self.resync_at = Some(self.records);
-            }
-        }
-        self.records += 1;
-        Ok(parsed)
-    }
-}
-
 // --- segment encode / decode ---
 
 fn encode_segment_header(ordinal: u32, first_record: u64) -> Vec<u8> {
@@ -281,14 +210,16 @@ struct WalkedSegment {
     truncated: usize,
 }
 
-/// Walk one segment file's bytes, validating framing, record CRCs, and
-/// stream continuity. `is_last` selects torn-tail tolerance (only the
+/// Walk one segment file's bytes, validating its header (the segment
+/// must start at store-wide record `first_record`), record framing and
+/// CRCs, and its footer, and hand back the CRC-checked payloads. Frames
+/// are not parsed. `is_last` selects torn-tail tolerance (only the
 /// final, possibly-active segment of a store may end mid-write).
 fn walk_segment(
     raw: &[u8],
     path: &Path,
     ordinal: u32,
-    cont: &mut Continuity,
+    first_record: u64,
     is_last: bool,
 ) -> Result<WalkedSegment, SbrError> {
     let mut c = Cursor::new(raw);
@@ -312,7 +243,7 @@ fn walk_segment(
     let magic = h.u32();
     let version = h.u16();
     let h_ordinal = h.u32();
-    let first_record = h.u64();
+    let h_first = h.u64();
     let h_crc = h.u32();
     let body_crc = header
         .get(..SEG_HEADER - 4)
@@ -324,14 +255,13 @@ fn walk_segment(
             path.display()
         )));
     }
-    if h_ordinal != Some(ordinal) || first_record != Some(cont.records) {
+    if h_ordinal != Some(ordinal) || h_first != Some(first_record) {
         return Err(SbrError::Corrupt(format!(
             "segment {} header claims ordinal {:?} first record {:?}, \
-             expected ordinal {ordinal} first record {}",
+             expected ordinal {ordinal} first record {first_record}",
             path.display(),
             h_ordinal,
-            first_record,
-            cont.records
+            h_first,
         )));
     }
 
@@ -428,9 +358,7 @@ fn walk_segment(
                 payloads.len()
             )));
         }
-        let payload = body.get(4..).unwrap_or_default();
-        cont.admit(payload, path)?;
-        payloads.push(Bytes::copy_from_slice(payload));
+        payloads.push(Bytes::copy_from_slice(body.get(4..).unwrap_or_default()));
         payload_bytes += len as u64; // lint:allow(cast-truncation): usize -> u64 widens
         let _ = c.take(4 + len + 4);
     }
@@ -623,7 +551,7 @@ pub struct ActiveMeta {
     pub records: u32,
     /// Payload bytes it currently holds.
     pub payload_bytes: u64,
-    /// Valid file length (after torn-tail truncation).
+    /// Valid file length (torn tail excluded).
     pub file_len: u64,
 }
 
@@ -631,13 +559,15 @@ pub struct ActiveMeta {
 /// checkpoint (if any), the *tail* — every record after that checkpoint's
 /// boundary — and the segment index. Scanning reads only the tail
 /// segments; everything the checkpoint covers stays cold until
-/// [`hydrate`].
-#[derive(Debug)]
+/// [`hydrate`]. It modifies nothing: the repairs it finds are made by
+/// [`SegmentWriter::resume`].
+#[derive(Debug, Default)]
 pub struct ScannedStore {
     /// Newest checkpoint on disk, already validated.
     pub checkpoint: Option<LoadedCheckpoint>,
-    /// Raw frames after the checkpoint boundary, in append order — the
-    /// records recovery must replay.
+    /// CRC-checked record payloads (raw frames, not parsed) after the
+    /// checkpoint boundary, in append order — the records recovery must
+    /// replay.
     pub tail_frames: Vec<Bytes>,
     /// Full sealed-segment index (covered segments from the checkpoint,
     /// plus any sealed after it).
@@ -648,38 +578,20 @@ pub struct ScannedStore {
     pub records_total: u64,
     /// Total payload bytes in the store.
     pub payload_total: u64,
-    /// Bytes of torn tail truncated from the active segment.
+    /// Bytes of torn tail after the last complete record of the active
+    /// segment (truncated by [`SegmentWriter::resume`]).
     pub truncated_tail: usize,
-    /// Decoder epoch after the tail.
-    pub epoch: u32,
-    /// Next expected sequence number after the tail.
-    pub next_seq: u64,
-    /// Store-wide record index of the newest resync frame, if any.
-    pub resync_at: Option<u64>,
-}
-
-impl ScannedStore {
-    fn empty() -> Self {
-        ScannedStore {
-            checkpoint: None,
-            tail_frames: Vec::new(),
-            sealed: Vec::new(),
-            active: None,
-            records_total: 0,
-            payload_total: 0,
-            truncated_tail: 0,
-            epoch: 0,
-            next_seq: 0,
-            resync_at: None,
-        }
-    }
+    /// The last segment when its tail is torn, and the length to keep
+    /// (0: torn during creation, the file goes).
+    torn: Option<(PathBuf, u64)>,
+    /// Superseded checkpoints and stray `.tmp` files.
+    leftovers: Vec<PathBuf>,
 }
 
 /// List a sensor dir: the number of segments, which must be contiguous
 /// from ordinal 0 (sealed segments are never deleted), and the
 /// checkpoint numbers in ascending order, and the stray `.tmp` files
-/// (a crash mid-checkpoint). Listing deletes nothing: only [`scan`]
-/// sweeps, and only once the store has loaded clean.
+/// (a crash mid-checkpoint). Listing deletes nothing.
 fn list_store(sdir: &Path) -> Result<(u32, Vec<u32>, Vec<PathBuf>), SbrError> {
     let mut segs = Vec::new();
     let mut cks = Vec::new();
@@ -732,126 +644,99 @@ fn read_segment_raw(path: &Path) -> Result<Vec<u8>, SbrError> {
     Ok(raw)
 }
 
+/// The one segment loop behind [`scan`], [`hydrate`] and [`verify`]:
+/// walk segments `from..to` in order, the first starting at store-wide
+/// record `records`, and hand each to `each`. Only segment `to - 1`, and
+/// only when `last_may_tear`, may end mid-write. Returns the record
+/// count after the last segment. Reads only.
+fn walk_segments(
+    sdir: &Path,
+    (from, to): (u32, u32),
+    mut records: u64,
+    last_may_tear: bool,
+    mut each: impl FnMut(u32, &Path, WalkedSegment) -> Result<(), SbrError>,
+) -> Result<u64, SbrError> {
+    for ordinal in from..to {
+        let path = segment_path(sdir, ordinal);
+        let raw = read_segment_raw(&path)?;
+        let is_last = last_may_tear && ordinal + 1 == to;
+        let walked = walk_segment(&raw, &path, ordinal, records, is_last)?;
+        records += u64::from(walked.record_count());
+        each(ordinal, &path, walked)?;
+    }
+    Ok(records)
+}
+
 /// Scan a sensor's segmented store: load the newest checkpoint, walk the
-/// tail segments after it (validating framing, CRCs, and continuity),
-/// truncate any torn tail in the active segment, sweep superseded
-/// checkpoints, and return everything a writer or a base station needs
-/// to resume. Cost is bounded by the tail — at most the segments sealed
-/// since the last checkpoint plus the active one — regardless of how
-/// long the history is. Superseded checkpoints are swept only after
-/// the newest has loaded and the tail has walked clean.
+/// tail segments after it (framing and CRCs), and return everything a
+/// writer or a base station needs to resume. Cost is bounded by the
+/// tail — at most the segments sealed since the last checkpoint plus the
+/// active one — regardless of how long the history is. Read-only: a
+/// torn tail, superseded checkpoints and stray `.tmp` files are only
+/// reported, for [`SegmentWriter::resume`] to repair.
 pub fn scan(dir: &Path, node: NodeId) -> Result<ScannedStore, SbrError> {
     let sdir = sensor_dir(dir, node);
+    let mut store = ScannedStore::default();
     if !sdir.exists() {
-        return Ok(ScannedStore::empty());
+        return Ok(store);
     }
-    let (n_segs, cks, tmps) = list_store(&sdir)?;
-
-    let checkpoint = match cks.last() {
-        None => None,
-        Some(&covered) => Some(load_checkpoint(&checkpoint_path(&sdir, covered))?),
-    };
-    let start = checkpoint.as_ref().map(|ck| ck.covered).unwrap_or(0);
-
-    let max_seg = match n_segs.checked_sub(1) {
-        Some(m) => m,
-        None => {
-            // No segments at all: only legal when nothing was covered.
-            if start != 0 {
-                return Err(SbrError::Corrupt(format!(
-                    "store {} has a checkpoint covering {start} segments but no segments",
-                    sdir.display()
-                )));
-            }
-            return Ok(ScannedStore::empty());
+    let (n_segs, mut cks, tmps) = list_store(&sdir)?;
+    let start = match cks.pop() {
+        None => 0,
+        Some(covered) => {
+            let ck = load_checkpoint(&checkpoint_path(&sdir, covered))?;
+            store.sealed.clone_from(&ck.index);
+            store.records_total = ck.state.records;
+            store.payload_total = ck.state.payload_bytes;
+            store.checkpoint = Some(ck);
+            covered
         }
     };
-    if (max_seg + 1) < start {
+    if n_segs < start {
         return Err(SbrError::Corrupt(format!(
-            "store {} has a checkpoint covering {start} segments but only {} exist",
+            "store {} has a checkpoint covering {start} segments but only {n_segs} exist",
             sdir.display(),
-            max_seg + 1
         )));
     }
+    store.leftovers = cks.iter().map(|&c| checkpoint_path(&sdir, c)).collect();
+    store.leftovers.extend(tmps);
 
-    let mut cont = match &checkpoint {
-        Some(ck) => Continuity::from_checkpoint(ck),
-        None => Continuity::fresh(),
-    };
-    let mut sealed: Vec<SealedMeta> = checkpoint
-        .as_ref()
-        .map(|ck| ck.index.clone())
-        .unwrap_or_default();
-    let mut payload_total = checkpoint
-        .as_ref()
-        .map(|ck| ck.state.payload_bytes)
-        .unwrap_or(0);
-    let mut tail_frames = Vec::new();
-    let mut active = None;
-    let mut truncated_tail = 0usize;
-
-    for ordinal in start..=max_seg {
-        let path = segment_path(&sdir, ordinal);
-        let raw = read_segment_raw(&path)?;
-        let is_last = ordinal == max_seg;
-        let walked = walk_segment(&raw, &path, ordinal, &mut cont, is_last)?;
-        let records = walked.record_count();
-        payload_total += walked.payload_bytes;
-        if walked.sealed {
-            sealed.push(SealedMeta {
-                ordinal,
-                records,
-                payload_bytes: walked.payload_bytes,
-            });
-        } else {
-            // Only reachable for the last segment. Truncate the torn
-            // tail so the writer can resume appending cleanly.
-            truncated_tail = walked.truncated;
-            if walked.truncated > 0 {
-                OpenOptions::new()
-                    .write(true)
-                    .open(&path)
-                    .and_then(|f| f.set_len(walked.consumed as u64))
-                    .map_err(|e| io_corrupt(&path, "cannot truncate torn tail", e))?;
-            }
-            if walked.consumed == 0 {
-                // Torn during creation: remove the empty shell entirely.
-                let _ = std::fs::remove_file(&path);
-            } else {
-                active = Some(ActiveMeta {
+    let records_total = walk_segments(
+        &sdir,
+        (start, n_segs),
+        store.records_total,
+        true,
+        |ordinal, path, walked| {
+            let records = walked.record_count();
+            store.payload_total += walked.payload_bytes;
+            if walked.sealed {
+                store.sealed.push(SealedMeta {
                     ordinal,
                     records,
                     payload_bytes: walked.payload_bytes,
-                    file_len: walked.consumed as u64,
                 });
+            } else {
+                // Only reachable for the last segment.
+                store.truncated_tail = walked.truncated;
+                let keep = walked.consumed as u64; // lint:allow(cast-truncation): usize -> u64 widens
+                if walked.truncated > 0 || keep == 0 {
+                    store.torn = Some((path.to_path_buf(), keep));
+                }
+                if keep > 0 {
+                    store.active = Some(ActiveMeta {
+                        ordinal,
+                        records,
+                        payload_bytes: walked.payload_bytes,
+                        file_len: keep,
+                    });
+                }
             }
-        }
-        tail_frames.extend(walked.payloads);
-    }
-
-    // The newest checkpoint loaded and the tail walked clean: the older
-    // ones (a crash between publish and unlink, or a store written when
-    // every seal kept its checkpoint) are superseded, and a `.tmp` is a
-    // publish that never completed.
-    for &c in cks.iter().rev().skip(1) {
-        let _ = std::fs::remove_file(checkpoint_path(&sdir, c));
-    }
-    for tmp in &tmps {
-        let _ = std::fs::remove_file(tmp);
-    }
-
-    Ok(ScannedStore {
-        checkpoint,
-        tail_frames,
-        sealed,
-        active,
-        records_total: cont.records,
-        payload_total,
-        truncated_tail,
-        epoch: cont.epoch,
-        next_seq: cont.next_seq,
-        resync_at: cont.resync_at,
-    })
+            store.tail_frames.extend(walked.payloads);
+            Ok(())
+        },
+    )?;
+    store.records_total = records_total;
+    Ok(store)
 }
 
 impl WalkedSegment {
@@ -861,35 +746,23 @@ impl WalkedSegment {
     }
 }
 
-/// Cold history read back by [`hydrate`].
-#[derive(Debug)]
-pub struct HydratedCold {
-    /// Raw frames of the checkpoint-covered segments, in append order.
-    pub frames: Vec<Bytes>,
-    /// Decoder epoch after the cold frames.
-    pub epoch: u32,
-    /// Next expected sequence number after the cold frames.
-    pub next_seq: u64,
-}
-
-/// Read back the cold region of a store: the sealed segments a
-/// checkpoint covering `covered` segments spans. Validates framing,
-/// CRCs, and continuity from the stream origin.
-pub fn hydrate(dir: &Path, node: NodeId, covered: u32) -> Result<HydratedCold, SbrError> {
-    let sdir = sensor_dir(dir, node);
-    let mut cont = Continuity::fresh();
+/// Read back the cold region of a store: the record payloads (raw
+/// frames, not parsed) of the sealed segments a checkpoint covering
+/// `covered` segments spans, in append order. Validates framing and
+/// CRCs; the caller admits the frames.
+pub fn hydrate(dir: &Path, node: NodeId, covered: u32) -> Result<Vec<Bytes>, SbrError> {
     let mut frames = Vec::new();
-    for ordinal in 0..covered {
-        let path = segment_path(&sdir, ordinal);
-        let raw = read_segment_raw(&path)?;
-        let walked = walk_segment(&raw, &path, ordinal, &mut cont, false)?;
-        frames.extend(walked.payloads);
-    }
-    Ok(HydratedCold {
-        frames,
-        epoch: cont.epoch,
-        next_seq: cont.next_seq,
-    })
+    walk_segments(
+        &sensor_dir(dir, node),
+        (0, covered),
+        0,
+        false,
+        |_, _, walked| {
+            frames.extend(walked.payloads);
+            Ok(())
+        },
+    )?;
+    Ok(frames)
 }
 
 // --- verification (read-only full audit) ---
@@ -911,87 +784,96 @@ pub struct StoreReport {
     pub truncated_tail: usize,
     /// Store-wide record index of the newest resync frame, if any.
     pub newest_resync: Option<u64>,
-    /// Decoder epoch after the full walk.
+    /// Decoder epoch after the full replay.
     pub epoch: u32,
-    /// Next expected sequence number after the full walk.
+    /// Next expected sequence number after the full replay.
     pub next_seq: u64,
     /// Whether an unsealed active segment exists.
     pub active: bool,
 }
 
 /// Audit a sensor's store end to end without modifying it: walk every
-/// segment from the origin, validate every record CRC and the continuity
-/// chain, and cross-check every checkpoint present (snapshot, resync
-/// index and segment index) against the walk state at its boundary.
+/// segment from the origin (framing and record CRCs), replay every
+/// record through the station's frame step, and cross-check every
+/// checkpoint present — records, payload bytes, epoch, next seq,
+/// `resync_at`, segment index and the base signal, bit for bit —
+/// against the replay at its boundary.
 pub fn verify(dir: &Path, node: NodeId) -> Result<StoreReport, SbrError> {
     let sdir = sensor_dir(dir, node);
     if !sdir.exists() {
         return Err(SbrError::Corrupt(format!("no store at {}", sdir.display())));
     }
     let (n_segs, cks, _) = list_store(&sdir)?;
-    let mut cont = Continuity::fresh();
+    let checkpoints = cks
+        .iter()
+        .map(|&c| load_checkpoint(&checkpoint_path(&sdir, c)).map(|ck| (c, ck)))
+        .collect::<Result<Vec<_>, SbrError>>()?;
+    let mut replay = Replay::new(node, &sdir, QueryObs::default());
     let mut sealed: Vec<SealedMeta> = Vec::new();
-    // Walk state and payload total at each seal boundary: boundaries[c]
-    // is the state after the first c sealed segments, used to validate
-    // checkpoints.
-    let mut boundaries = vec![(cont.clone(), 0u64)];
-    let mut payload_total = 0u64;
+    let mut payload_bytes = 0u64;
     let mut truncated_tail = 0usize;
     let mut active = false;
-    for ordinal in 0..n_segs {
-        let path = segment_path(&sdir, ordinal);
-        let raw = read_segment_raw(&path)?;
-        let walked = walk_segment(&raw, &path, ordinal, &mut cont, ordinal + 1 == n_segs)?;
-        payload_total += walked.payload_bytes;
+    // Audit every checkpoint that covers exactly the segments sealed so far.
+    let audit = |sealed: &[SealedMeta], payload_bytes: u64, replay: &Replay<'_>| {
+        // A loaded checkpoint's index holds one entry per covered segment.
+        for (c, ck) in checkpoints
+            .iter()
+            .filter(|(_, ck)| ck.index.len() == sealed.len())
+        {
+            if ck.index != sealed
+                || ck.state.records != replay.records
+                || ck.state.payload_bytes != payload_bytes
+                || ck.state.resync_at != replay.resync_at
+                || !replay.is_at(ck.state.epoch, ck.state.next_seq, ck.state.base.as_ref())
+            {
+                return Err(SbrError::InconsistentState(format!(
+                    "checkpoint {} disagrees with the store replayed to its boundary",
+                    checkpoint_path(&sdir, *c).display()
+                )));
+            }
+        }
+        Ok(())
+    };
+    audit(&sealed, payload_bytes, &replay)?;
+    walk_segments(&sdir, (0, n_segs), 0, true, |ordinal, _, walked| {
+        for payload in &walked.payloads {
+            replay.admit(payload)?;
+        }
+        payload_bytes += walked.payload_bytes;
         if walked.sealed {
             sealed.push(SealedMeta {
                 ordinal,
                 records: walked.record_count(),
                 payload_bytes: walked.payload_bytes,
             });
-            boundaries.push((cont.clone(), payload_total));
+            audit(&sealed, payload_bytes, &replay)?;
         } else {
             truncated_tail = walked.truncated;
             active = walked.consumed > 0;
         }
-    }
-    for &c in &cks {
-        let ck = load_checkpoint(&checkpoint_path(&sdir, c))?;
-        // lint:allow(cast-truncation): u32 -> usize widens on this 64-bit target
-        let Some((walk, payload)) = boundaries.get(ck.covered as usize) else {
-            return Err(SbrError::Corrupt(format!(
-                "checkpoint {} covers {} segments but only {} are sealed",
-                checkpoint_path(&sdir, c).display(),
-                ck.covered,
-                sealed.len()
-            )));
-        };
-        // lint:allow(cast-truncation): u32 -> usize widens on this 64-bit target
-        let index_matches = ck.index.len() == ck.covered as usize
-            && ck.index.iter().zip(sealed.iter()).all(|(a, b)| a == b);
-        if ck.state.records != walk.records
-            || ck.state.payload_bytes != *payload
-            || ck.state.epoch != walk.epoch
-            || ck.state.next_seq != walk.next_seq
-            || ck.state.resync_at != walk.resync_at
-            || !index_matches
-        {
-            return Err(SbrError::InconsistentState(format!(
-                "checkpoint {} disagrees with the segment walk at its boundary",
-                checkpoint_path(&sdir, c).display()
-            )));
-        }
+        Ok(())
+    })?;
+    if let Some((c, ck)) = checkpoints
+        .iter()
+        .find(|(_, ck)| ck.index.len() > sealed.len())
+    {
+        return Err(SbrError::Corrupt(format!(
+            "checkpoint {} covers {} segments but only {} are sealed",
+            checkpoint_path(&sdir, *c).display(),
+            ck.covered,
+            sealed.len()
+        )));
     }
     Ok(StoreReport {
         segments: n_segs,
-        checkpoints: u32::try_from(cks.len())
+        checkpoints: u32::try_from(checkpoints.len())
             .map_err(|_| SbrError::Corrupt("checkpoint count overflows u32".into()))?,
-        records: cont.records,
-        payload_bytes: payload_total,
+        records: replay.records,
+        payload_bytes,
         truncated_tail,
-        newest_resync: cont.resync_at,
-        epoch: cont.epoch,
-        next_seq: cont.next_seq,
+        newest_resync: replay.resync_at,
+        epoch: replay.tracker.epoch(),
+        next_seq: replay.tracker.next_seq(),
         active,
     })
 }
@@ -1067,8 +949,13 @@ impl SegmentWriter {
         Self::resume(dir, node, segment_bytes, &scanned)
     }
 
-    /// Resume appending after a [`scan`] (which already truncated any
-    /// torn tail from the active segment).
+    /// Resume appending after a [`scan`], first making the repairs the
+    /// scan found: truncate the torn tail of the active segment (or
+    /// remove a segment torn during creation), then sweep superseded
+    /// checkpoints (a crash between publish and unlink, or a store
+    /// written when every seal kept its checkpoint) and stray `.tmp`
+    /// files (a publish that never completed). A station calls this only
+    /// once the scanned tail has replayed clean.
     pub fn resume(
         dir: &Path,
         node: NodeId,
@@ -1077,6 +964,20 @@ impl SegmentWriter {
     ) -> Result<Self, SbrError> {
         let sdir = sensor_dir(dir, node);
         std::fs::create_dir_all(&sdir).map_err(|e| io_corrupt(&sdir, "cannot create", e))?;
+        match &scanned.torn {
+            Some((path, 0)) => {
+                let _ = std::fs::remove_file(path);
+            }
+            Some((path, keep)) => OpenOptions::new()
+                .write(true)
+                .open(path)
+                .and_then(|f| f.set_len(*keep))
+                .map_err(|e| io_corrupt(path, "cannot truncate torn tail", e))?,
+            None => {}
+        }
+        for leftover in &scanned.leftovers {
+            let _ = std::fs::remove_file(leftover);
+        }
         // lint:allow(cast-truncation): usize -> u64 widens
         let segment_bytes = segment_bytes.max((SEG_HEADER + RECORD_OVERHEAD + 1) as u64);
         let active = match scanned.active {
@@ -1106,11 +1007,6 @@ impl SegmentWriter {
             payload_total: scanned.payload_total,
             checkpoint: scanned.checkpoint.as_ref().map(|ck| ck.covered),
         })
-    }
-
-    /// The directory this writer's segments live in.
-    pub fn store_dir(&self) -> &Path {
-        &self.sdir
     }
 
     /// Total records across the store (covered + appended).
@@ -1203,7 +1099,8 @@ impl SegmentWriter {
     /// Write a checkpoint at the current seal boundary and make it the
     /// store's only one: publish it atomically (`.tmp`, `sync_all`,
     /// rename), then unlink the checkpoint it supersedes. A crash between
-    /// the two leaves both, which [`scan`] resolves. Only legal when no
+    /// the two leaves both, which [`SegmentWriter::resume`] resolves.
+    /// Only legal when no
     /// segment is active — i.e. immediately after
     /// [`SegmentWriter::append`] returned a seal — and when the caller's
     /// snapshot covers exactly the records written.
@@ -1237,7 +1134,7 @@ impl SegmentWriter {
             .filter(|&old| old != covered)
         {
             // A failed unlink leaves a superseded checkpoint that the
-            // next scan sweeps; the new one is already published.
+            // next resume sweeps; the new one is already published.
             let _ = std::fs::remove_file(checkpoint_path(&self.sdir, old));
         }
         Ok(path)
@@ -1250,9 +1147,7 @@ impl SegmentWriter {
 /// (`u32 LE len ∥ frame`) — the `.sbr` interchange format.
 #[derive(Debug)]
 pub struct StreamWriter {
-    path: PathBuf,
     file: BufWriter<File>,
-    frames: u64,
 }
 
 impl StreamWriter {
@@ -1265,20 +1160,8 @@ impl StreamWriter {
         }
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         Ok(StreamWriter {
-            path: path.to_path_buf(),
             file: BufWriter::new(file),
-            frames: 0,
         })
-    }
-
-    /// The file this writer appends to.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Frames appended through this writer instance.
-    pub fn frames_written(&self) -> u64 {
-        self.frames
     }
 
     /// Append one wire frame, length-prefixed, and flush.
@@ -1292,30 +1175,25 @@ impl StreamWriter {
         self.file.write_all(&len.to_le_bytes())?;
         self.file.write_all(frame)?;
         self.file.flush()?;
-        self.frames += 1;
         Ok(())
     }
 }
 
-/// Outcome of reading a legacy stream (or a segmented tail replay) back.
+/// Outcome of reading a legacy `.sbr` stream back.
 #[derive(Debug)]
 pub struct RecoveredLog {
-    /// The complete raw frames (original wire bytes), in append order,
-    /// already parse-validated — re-ingesting these preserves the stream
-    /// byte-for-byte across restarts.
+    /// The complete length-delimited frames (original wire bytes), in
+    /// append order. Not parsed: a reader admits each one through
+    /// `codec::decode_exact` and `QueryEngine::index_frame`, the
+    /// station's frame step.
     pub frames: Vec<Bytes>,
-    /// [`RecoveredLog::frames`] parsed, resync envelopes kept: a stream
-    /// that spans a resync (an overflow, or a node reboot whose sequence
-    /// numbers restart at 0) decodes only frame by frame.
-    pub parsed: Vec<sbr_core::Frame>,
     /// Bytes of a truncated trailing frame that were discarded (0 for a
     /// clean stream).
     pub truncated_tail: usize,
 }
 
-/// Read a legacy stream file back, validating every frame; tolerates
-/// (and reports) a truncated tail. Continuity rules match the segmented
-/// walk (and the base station's receive path).
+/// Read a legacy stream file back as length-delimited frames; tolerates
+/// (and reports) a truncated tail.
 pub fn recover_stream(path: &Path) -> Result<RecoveredLog, SbrError> {
     let mut raw = Vec::new();
     File::open(path)
@@ -1323,8 +1201,6 @@ pub fn recover_stream(path: &Path) -> Result<RecoveredLog, SbrError> {
         .map_err(|e| io_corrupt(path, "cannot read stream", e))?;
 
     let mut frames = Vec::new();
-    let mut parsed = Vec::new();
-    let mut cont = Continuity::fresh();
     let mut pos = 0usize;
     // Stops at the first truncated length prefix or body (crash mid-append).
     while let Some(header) = raw
@@ -1335,13 +1211,11 @@ pub fn recover_stream(path: &Path) -> Result<RecoveredLog, SbrError> {
         let Some(body) = raw.get(pos + 4..pos + 4 + len) else {
             break; // truncated tail
         };
-        parsed.push(cont.admit(body, path)?);
         frames.push(Bytes::copy_from_slice(body));
         pos += 4 + len;
     }
     Ok(RecoveredLog {
         frames,
-        parsed,
         truncated_tail: raw.len() - pos,
     })
 }
@@ -1349,7 +1223,8 @@ pub fn recover_stream(path: &Path) -> Result<RecoveredLog, SbrError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbr_core::{Decoder, Frame, SbrConfig, SbrEncoder};
+    use crate::BaseStation;
+    use sbr_core::{Decoder, Frame, FrameKind, SbrConfig, SbrEncoder};
 
     fn tempdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("sbrseg-test-{tag}-{}", std::process::id()));
@@ -1398,6 +1273,60 @@ mod tests {
         w
     }
 
+    /// The writer side's view of the stream it stored: a mirror decoder
+    /// fed every appended frame, and the newest resync's record index —
+    /// what a station checkpoints at a seal.
+    #[derive(Default)]
+    struct Mirror {
+        decoder: Decoder,
+        records: u64,
+        resync_at: Option<u64>,
+    }
+
+    impl Mirror {
+        fn admit(&mut self, f: &Bytes) -> Frame {
+            let frame = codec::decode_exact(f).unwrap();
+            self.decoder.decode_frame(&frame).unwrap();
+            if frame.kind == FrameKind::Resync {
+                self.resync_at = Some(self.records);
+            }
+            self.records += 1;
+            frame
+        }
+    }
+
+    /// The snapshot a station would checkpoint after `w`'s last seal.
+    fn boundary(w: &SegmentWriter, m: &Mirror) -> CheckpointState {
+        CheckpointState {
+            records: w.records_total(),
+            payload_bytes: w.payload_total(),
+            epoch: m.decoder.epoch(),
+            next_seq: m.decoder.next_seq(),
+            resync_at: m.resync_at,
+            base: m.decoder.base().cloned(),
+        }
+    }
+
+    /// Every file under a store, name → bytes.
+    fn files(dir: &Path) -> std::collections::BTreeMap<PathBuf, Vec<u8>> {
+        let mut out = std::collections::BTreeMap::new();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                out.extend(files(&path));
+            } else {
+                out.insert(path.clone(), std::fs::read(&path).unwrap());
+            }
+        }
+        out
+    }
+
+    /// `err` is `InconsistentState` naming `node`'s store.
+    fn names_store(err: &SbrError, dir: &Path, node: NodeId) -> bool {
+        let store = sensor_dir(dir, node).display().to_string();
+        matches!(err, SbrError::InconsistentState(m) if m.contains(&store))
+    }
+
     #[test]
     fn write_then_scan_roundtrips() {
         let dir = tempdir("roundtrip");
@@ -1432,7 +1361,13 @@ mod tests {
         let rec = scan(&dir, 1).unwrap();
         assert_eq!(rec.tail_frames.len(), 2);
         assert!(rec.truncated_tail > 0);
-        // Scan truncated the file: a fresh scan is clean.
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            raw[..raw.len() - 5],
+            "scan is read-only"
+        );
+        // Loading repaired the file: a fresh scan is clean.
+        assert_eq!(BaseStation::load(&dir).unwrap().chunk_count(1), 2);
         let rec2 = scan(&dir, 1).unwrap();
         assert_eq!(rec2.tail_frames.len(), 2);
         assert_eq!(rec2.truncated_tail, 0);
@@ -1465,7 +1400,7 @@ mod tests {
         drop(fill(&dir, 2, DEFAULT_SEGMENT_BYTES, &fs[2..]));
         let rec = scan(&dir, 2).unwrap();
         assert_eq!(rec.tail_frames, fs);
-        assert_eq!(rec.next_seq, 4);
+        assert_eq!(BaseStation::load(&dir).unwrap().next_seq(2), 4);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1480,8 +1415,13 @@ mod tests {
             "recovered frames are the original bytes"
         );
         assert_eq!(rec.truncated_tail, 0);
-        assert!(rec.resync_at.is_some(), "stream must contain resyncs");
-        assert!(rec.epoch > 0);
+        let report = verify(&dir, 5).unwrap();
+        assert!(
+            report.newest_resync.is_some(),
+            "stream must contain resyncs"
+        );
+        assert!(report.epoch > 0);
+        assert_eq!(BaseStation::load(&dir).unwrap().epoch(5), report.epoch);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1493,14 +1433,15 @@ mod tests {
         // replayed (stale) resync must be rejected at recovery.
         let resync = fs
             .iter()
-            .find(|f| {
-                codec::decode_any(&mut (*f).clone()).unwrap().kind == sbr_core::FrameKind::Resync
-            })
+            .find(|f| codec::decode_exact(f).unwrap().kind == FrameKind::Resync)
             .expect("stream has a resync")
             .clone();
         let mut w = fill(&dir, 6, DEFAULT_SEGMENT_BYTES, &fs);
         w.append(&resync).unwrap();
-        assert!(matches!(scan(&dir, 6), Err(SbrError::InconsistentState(_))));
+        let err = BaseStation::load(&dir).unwrap_err();
+        assert!(names_store(&err, &dir, 6), "{err}");
+        let err = verify(&dir, 6).unwrap_err();
+        assert!(names_store(&err, &dir, 6), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1520,7 +1461,8 @@ mod tests {
         assert!(matches!(scan(&dir, 9), Err(SbrError::Corrupt(_))));
 
         // Garbage with *valid framing* but an unparseable payload: the
-        // record CRC passes, decode_any must still reject it.
+        // record CRC passes, so the store hands it back, and the frame
+        // step refuses it.
         std::fs::write(&path, &clean).unwrap();
         let mut raw = clean.clone();
         let mut rec = Vec::new();
@@ -1530,7 +1472,16 @@ mod tests {
         rec.extend_from_slice(&crc.to_le_bytes());
         raw.extend_from_slice(&rec);
         std::fs::write(&path, &raw).unwrap();
-        assert!(scan(&dir, 9).is_err());
+        assert_eq!(scan(&dir, 9).unwrap().tail_frames.len(), 3);
+        for err in [
+            BaseStation::load(&dir).unwrap_err(),
+            verify(&dir, 9).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&err, SbrError::Corrupt(m) if m.contains("record 2")),
+                "{err}"
+            );
+        }
 
         // A length prefix pointing past EOF is a torn tail; kept records
         // survive.
@@ -1552,7 +1503,10 @@ mod tests {
         let mut w = SegmentWriter::open(&dir, 1, DEFAULT_SEGMENT_BYTES).unwrap();
         w.append(&fs[0]).unwrap();
         w.append(&fs[2]).unwrap(); // skipped seq 1
-        assert!(matches!(scan(&dir, 1), Err(SbrError::InconsistentState(_))));
+        let err = BaseStation::load(&dir).unwrap_err();
+        assert!(names_store(&err, &dir, 1), "{err}");
+        let err = verify(&dir, 1).unwrap_err();
+        assert!(names_store(&err, &dir, 1), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1564,22 +1518,14 @@ mod tests {
         let dir = tempdir("seal");
         let fs = frames(6);
         let mut w = SegmentWriter::open(&dir, 4, TINY).unwrap();
-        let mut cont = Continuity::fresh();
+        let mut mirror = Mirror::default();
         for f in &fs {
             let sealed = w.append(f).unwrap();
-            let frame = cont.admit(f, Path::new("mem")).unwrap();
-            assert_eq!(frame.tx.seq + 1, cont.next_seq);
+            let frame = mirror.admit(f);
+            assert_eq!(frame.tx.seq + 1, mirror.decoder.next_seq());
             let meta = sealed.expect("tiny budget seals every append");
             assert_eq!(meta.records, 1);
-            w.write_checkpoint(&CheckpointState {
-                records: w.records_total(),
-                payload_bytes: w.payload_total(),
-                epoch: cont.epoch,
-                next_seq: cont.next_seq,
-                resync_at: cont.resync_at,
-                base: None,
-            })
-            .unwrap();
+            w.write_checkpoint(&boundary(&w, &mirror)).unwrap();
         }
         assert_eq!(w.sealed().len(), 6);
         let rec = scan(&dir, 4).unwrap();
@@ -1587,11 +1533,16 @@ mod tests {
         assert_eq!(rec.tail_frames.len(), 0);
         assert_eq!(rec.records_total, 6);
         assert_eq!(rec.checkpoint.as_ref().unwrap().covered, 6);
-        assert_eq!(rec.next_seq, 6);
         // The cold region hydrates back to the original bytes.
-        let cold = hydrate(&dir, 4, 6).unwrap();
-        assert_eq!(cold.frames, fs);
-        assert_eq!(cold.next_seq, 6);
+        assert_eq!(hydrate(&dir, 4, 6).unwrap(), fs);
+        let station = BaseStation::load(&dir).unwrap();
+        assert_eq!(station.next_seq(4), 6);
+        assert_eq!(station.raw_frames(4), fs);
+        assert_eq!(
+            station.cold_chunks(4),
+            0,
+            "the replay matched the checkpoint"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1600,21 +1551,13 @@ mod tests {
         let dir = tempdir("tail-bound");
         let fs = frames(7);
         let mut w = SegmentWriter::open(&dir, 4, TINY).unwrap();
-        let mut cont = Continuity::fresh();
+        let mut mirror = Mirror::default();
         for (i, f) in fs.iter().enumerate() {
             w.append(f).unwrap();
-            cont.admit(f, Path::new("mem")).unwrap();
+            mirror.admit(f);
             if i == 4 {
                 // Only one checkpoint, midway: the tail is what follows.
-                w.write_checkpoint(&CheckpointState {
-                    records: w.records_total(),
-                    payload_bytes: w.payload_total(),
-                    epoch: cont.epoch,
-                    next_seq: cont.next_seq,
-                    resync_at: cont.resync_at,
-                    base: None,
-                })
-                .unwrap();
+                w.write_checkpoint(&boundary(&w, &mirror)).unwrap();
             }
         }
         let rec = scan(&dir, 4).unwrap();
@@ -1642,30 +1585,32 @@ mod tests {
             "records before the torn seal survive"
         );
         assert!(rec.active.is_some(), "segment stays active");
-        assert_eq!(std::fs::metadata(&path).unwrap().len() as usize, full);
-        // The writer resumes and the next append lands cleanly.
+        assert_eq!(rec.truncated_tail, SEG_FOOTER - 3);
+        // The writer resumes: it cuts the torn seal, and the next append
+        // lands cleanly.
         let mut w = SegmentWriter::resume(&dir, 2, DEFAULT_SEGMENT_BYTES, &rec).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len() as usize, full);
         w.append(&fs[2]).unwrap();
         assert_eq!(scan(&dir, 2).unwrap().tail_frames, fs);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn verify_keeps_a_stray_tmp_that_scan_sweeps() {
+    fn verify_and_scan_keep_a_stray_tmp_that_load_sweeps() {
         let dir = tempdir("tmp-sweep");
         let fs = frames(2);
         drop(fill(&dir, 3, DEFAULT_SEGMENT_BYTES, &fs));
         let stray = sensor_dir(&dir, 3).join("ck-00000009.sbrck.tmp");
         std::fs::write(&stray, b"half-written checkpoint").unwrap();
         verify(&dir, 3).unwrap();
+        assert_eq!(scan(&dir, 3).unwrap().tail_frames.len(), 2);
         assert_eq!(
             std::fs::read(&stray).unwrap(),
             b"half-written checkpoint",
-            "verify is read-only: a live writer may be mid-publish"
+            "verify and scan are read-only: a live writer may be mid-publish"
         );
-        let rec = scan(&dir, 3).unwrap();
-        assert_eq!(rec.tail_frames.len(), 2);
-        assert!(!stray.exists(), "scan sweeps crash leftovers");
+        assert_eq!(BaseStation::load(&dir).unwrap().chunk_count(3), 2);
+        assert!(!stray.exists(), "load sweeps crash leftovers");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1693,44 +1638,25 @@ mod tests {
         let dir = tempdir("ck-base");
         let fs = v2_frames_with_resyncs(5);
         let mut w = SegmentWriter::open(&dir, 8, TINY).unwrap();
-        let mut d = Decoder::for_node(8);
-        let mut cont = Continuity::fresh();
+        let mut mirror = Mirror::default();
         for f in &fs {
             w.append(f).unwrap();
-            cont.admit(f, Path::new("mem")).unwrap();
-            let parsed = codec::decode_any(&mut f.clone()).unwrap();
-            d.decode_frame(&parsed).unwrap();
+            mirror.admit(f);
         }
-        let (base, next_seq) = d.snapshot();
-        assert!(base.is_some());
-        w.write_checkpoint(&CheckpointState {
-            records: 5,
-            payload_bytes: w.payload_total(),
-            epoch: d.epoch(),
-            next_seq,
-            resync_at: cont.resync_at,
-            base: base.clone(),
-        })
-        .unwrap();
+        let state = boundary(&w, &mirror);
+        assert!(state.base.is_some());
+        w.write_checkpoint(&state).unwrap();
         let rec = scan(&dir, 8).unwrap();
         let ck = rec.checkpoint.unwrap();
-        assert_eq!(ck.state.next_seq, next_seq);
-        assert_eq!(ck.state.epoch, d.epoch());
-        assert_eq!(ck.state.resync_at, cont.resync_at);
-        assert_eq!(ck.state.base, base, "base signal survives the roundtrip");
+        assert_eq!(ck.state.next_seq, state.next_seq);
+        assert_eq!(ck.state.epoch, state.epoch);
+        assert_eq!(ck.state.resync_at, mirror.resync_at);
+        assert!(mirror.resync_at.is_some());
+        assert_eq!(
+            ck.state.base, state.base,
+            "base signal survives the roundtrip"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// The snapshot a station would checkpoint after `w`'s last seal.
-    fn boundary(w: &SegmentWriter, cont: &Continuity) -> CheckpointState {
-        CheckpointState {
-            records: w.records_total(),
-            payload_bytes: w.payload_total(),
-            epoch: cont.epoch,
-            next_seq: cont.next_seq,
-            resync_at: cont.resync_at,
-            base: None,
-        }
     }
 
     fn checkpoint_numbers(dir: &Path, node: NodeId) -> Vec<u32> {
@@ -1742,11 +1668,11 @@ mod tests {
         let dir = tempdir("ck-replace");
         let fs = v2_frames_with_resyncs(6);
         let mut w = SegmentWriter::open(&dir, 7, TINY).unwrap();
-        let mut cont = Continuity::fresh();
+        let mut mirror = Mirror::default();
         for (i, f) in fs.iter().enumerate() {
             w.append(f).unwrap();
-            cont.admit(f, Path::new("mem")).unwrap();
-            w.write_checkpoint(&boundary(&w, &cont)).unwrap();
+            mirror.admit(f);
+            w.write_checkpoint(&boundary(&w, &mirror)).unwrap();
             assert_eq!(checkpoint_numbers(&dir, 7), vec![i as u32 + 1]);
         }
         // A writer resumed from a scan supersedes the scanned checkpoint.
@@ -1754,30 +1680,34 @@ mod tests {
         let more = v2_frames_with_resyncs(7);
         let mut w = SegmentWriter::open(&dir, 7, TINY).unwrap();
         w.append(&more[6]).unwrap();
-        cont.admit(&more[6], Path::new("mem")).unwrap();
-        w.write_checkpoint(&boundary(&w, &cont)).unwrap();
+        mirror.admit(&more[6]);
+        w.write_checkpoint(&boundary(&w, &mirror)).unwrap();
         assert_eq!(checkpoint_numbers(&dir, 7), vec![7]);
         assert_eq!(verify(&dir, 7).unwrap().checkpoints, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn scan_sweeps_superseded_checkpoints_only_after_the_newest_loads() {
+    fn load_sweeps_superseded_checkpoints_only_after_the_tail_replays() {
         let dir = tempdir("ck-sweep");
         let fs = frames(4);
         let mut w = SegmentWriter::open(&dir, 3, TINY).unwrap();
-        let mut cont = Continuity::fresh();
+        let mut mirror = Mirror::default();
         let mut published = Vec::new();
         for f in &fs {
             w.append(f).unwrap();
-            cont.admit(f, Path::new("mem")).unwrap();
-            let path = w.write_checkpoint(&boundary(&w, &cont)).unwrap();
+            mirror.admit(f);
+            let path = w.write_checkpoint(&boundary(&w, &mirror)).unwrap();
             published.push((path.clone(), std::fs::read(&path).unwrap()));
         }
+        drop(w);
         // A store written when every seal kept its checkpoint.
-        for (path, raw) in &published {
-            std::fs::write(path, raw).unwrap();
-        }
+        let keep_all = || {
+            for (path, raw) in &published {
+                std::fs::write(path, raw).unwrap();
+            }
+        };
+        keep_all();
         assert_eq!(verify(&dir, 3).unwrap().checkpoints, 4, "verify audits all");
 
         // A damaged newest checkpoint is a typed error and sweeps nothing.
@@ -1786,13 +1716,25 @@ mod tests {
         raw[CK_HEADER / 2] ^= 0x08;
         std::fs::write(newest, &raw).unwrap();
         assert!(matches!(scan(&dir, 3), Err(SbrError::Corrupt(_))));
+        assert!(matches!(BaseStation::load(&dir), Err(SbrError::Corrupt(_))));
         assert_eq!(checkpoint_numbers(&dir, 3), vec![1, 2, 3, 4]);
 
         std::fs::write(newest, clean).unwrap();
-        let rec = scan(&dir, 3).unwrap();
-        assert_eq!(rec.checkpoint.unwrap().covered, 4);
+        let station = BaseStation::load(&dir).unwrap();
         assert_eq!(checkpoint_numbers(&dir, 3), vec![4], "older ones swept");
-        assert_eq!(hydrate(&dir, 3, 4).unwrap().frames, fs);
+        assert_eq!(station.raw_frames(3), fs);
+        assert_eq!(hydrate(&dir, 3, 4).unwrap(), fs);
+
+        // Neither does a tail that fails to replay: a stale frame after
+        // the newest checkpoint.
+        SegmentWriter::open(&dir, 3, TINY)
+            .unwrap()
+            .append(&fs[0])
+            .unwrap();
+        keep_all();
+        let err = BaseStation::load(&dir).unwrap_err();
+        assert!(names_store(&err, &dir, 3), "{err}");
+        assert_eq!(checkpoint_numbers(&dir, 3), vec![1, 2, 3, 4]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1801,19 +1743,11 @@ mod tests {
         let dir = tempdir("verify");
         let fs = frames(5);
         let mut w = SegmentWriter::open(&dir, 4, TINY).unwrap();
-        let mut cont = Continuity::fresh();
+        let mut mirror = Mirror::default();
         for f in &fs {
             w.append(f).unwrap();
-            cont.admit(f, Path::new("mem")).unwrap();
-            w.write_checkpoint(&CheckpointState {
-                records: w.records_total(),
-                payload_bytes: w.payload_total(),
-                epoch: cont.epoch,
-                next_seq: cont.next_seq,
-                resync_at: cont.resync_at,
-                base: None,
-            })
-            .unwrap();
+            mirror.admit(f);
+            w.write_checkpoint(&boundary(&w, &mirror)).unwrap();
         }
         let report = verify(&dir, 4).unwrap();
         assert_eq!(report.segments, 5);
@@ -1840,17 +1774,17 @@ mod tests {
         let dir = tempdir("verify-ck");
         let fs = v2_frames_with_resyncs(6);
         let mut w = SegmentWriter::open(&dir, 5, TINY).unwrap();
-        let mut cont = Continuity::fresh();
+        let mut mirror = Mirror::default();
         for f in &fs {
             w.append(f).unwrap();
-            cont.admit(f, Path::new("mem")).unwrap();
+            mirror.admit(f);
         }
-        let at = cont.resync_at.expect("stream has resyncs");
-        let honest = boundary(&w, &cont);
+        let at = mirror.resync_at.expect("stream has resyncs");
+        let honest = boundary(&w, &mirror);
         w.write_checkpoint(&honest).unwrap();
         verify(&dir, 5).unwrap();
         // Checkpoints that lie in one field each: framing-valid (their
-        // own CRC passes) but inconsistent with the walk.
+        // own CRC passes) but inconsistent with the replay.
         let lies = [
             CheckpointState {
                 next_seq: 99,
@@ -1864,14 +1798,144 @@ mod tests {
                 resync_at: Some(at + 1),
                 ..honest.clone()
             },
+            CheckpointState {
+                base: None,
+                ..honest.clone()
+            },
         ];
         for lie in &lies {
             w.write_checkpoint(lie).unwrap();
             assert!(
                 matches!(verify(&dir, 5), Err(SbrError::InconsistentState(_))),
-                "{lie:?} (walk: next_seq {}, resync_at {at})",
-                cont.next_seq
+                "{lie:?} (replay: next_seq {}, resync_at {at})",
+                mirror.decoder.next_seq()
             );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Rewrite `path`'s checkpoint with one bit of one base value flipped
+    /// and its CRC recomputed.
+    fn flip_checkpoint_base(path: &Path) {
+        let mut ck = load_checkpoint(path).unwrap();
+        let base = ck.state.base.take().expect("the checkpoint holds a base");
+        let (w, values, meta) = base.to_raw();
+        let mut values = values.to_vec();
+        assert!(!values.is_empty(), "the base holds values");
+        values[0] = f64::from_bits(values[0].to_bits() ^ 1);
+        ck.state.base = Some(BaseSignal::from_raw(w, values, meta).unwrap());
+        let raw = encode_checkpoint(ck.covered, &ck.state, &ck.index).unwrap();
+        std::fs::write(path, raw).unwrap();
+    }
+
+    #[test]
+    fn verify_and_hydration_audit_the_checkpoint_base() {
+        let dir = tempdir("ck-base-audit");
+        // A batch shape and budget for which the encoder learns a base.
+        let mut enc = SbrEncoder::new(2, 64, SbrConfig::new(64, 64)).unwrap();
+        let fs: Vec<Bytes> = (0..4)
+            .map(|c| {
+                let rows: Vec<Vec<f64>> = (0..2)
+                    .map(|r| {
+                        (0..64)
+                            .map(|i| ((i + c * 7 + r) as f64 * 0.3).sin() * (1 + i % 5) as f64)
+                            .collect()
+                    })
+                    .collect();
+                codec::encode_v2(&Frame::data(0, enc.encode(&rows).unwrap()))
+            })
+            .collect();
+        {
+            // Every frame seals and checkpoints: a reload is all cold.
+            let station = BaseStation::with_persistence(&dir).with_segment_size(TINY);
+            for f in &fs {
+                station.receive_frame(2, f.clone()).unwrap();
+            }
+        }
+        verify(&dir, 2).unwrap();
+        flip_checkpoint_base(&checkpoint_path(&sensor_dir(&dir, 2), 4));
+        let err = verify(&dir, 2).unwrap_err();
+        assert!(matches!(err, SbrError::InconsistentState(_)), "{err}");
+        // The load resumes from the lying base (there is no tail to
+        // replay), and the first historical query's hydration catches it.
+        let station = BaseStation::load(&dir).unwrap();
+        assert_eq!(station.cold_chunks(2), 4);
+        let err = station.reconstruct_chunks(2, 0, 4).unwrap_err();
+        assert!(names_store(&err, &dir, 2), "{err}");
+        assert_eq!(
+            station.cold_chunks(2),
+            4,
+            "a failed hydration leaves it cold"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A store that fails recovery is left byte for byte as it was: a
+    /// seq gap in its tail, behind a torn final record, a superseded
+    /// checkpoint and a stray `.tmp` — every one of which a clean load
+    /// would repair.
+    #[test]
+    fn failed_recovery_modifies_nothing() {
+        let dir = tempdir("failed-recovery");
+        let fs = frames(5);
+        let mut w = SegmentWriter::open(&dir, 1, TINY).unwrap();
+        let mut mirror = Mirror::default();
+        let mut superseded = None;
+        for f in &fs[..2] {
+            w.append(f).unwrap();
+            mirror.admit(f);
+            let path = w.write_checkpoint(&boundary(&w, &mirror)).unwrap();
+            superseded = superseded.or_else(|| Some((path.clone(), std::fs::read(&path).unwrap())));
+        }
+        drop(w);
+        let mut w = SegmentWriter::open(&dir, 1, DEFAULT_SEGMENT_BYTES).unwrap();
+        w.append(&fs[3]).unwrap(); // skips seq 2
+        w.append(&fs[4]).unwrap();
+        drop(w);
+        let (path, raw) = superseded.unwrap();
+        std::fs::write(&path, raw).unwrap();
+        let sdir = sensor_dir(&dir, 1);
+        std::fs::write(sdir.join("ck-00000003.sbrck.tmp"), b"torn publish").unwrap();
+        let active = segment_path(&sdir, 2);
+        let raw = std::fs::read(&active).unwrap();
+        std::fs::write(&active, &raw[..raw.len() - 5]).unwrap();
+        assert_eq!(checkpoint_numbers(&dir, 1), vec![1, 2]);
+
+        let before = files(&dir);
+        let err = BaseStation::load(&dir).unwrap_err();
+        assert!(names_store(&err, &dir, 1), "{err}");
+        assert!(files(&dir) == before, "a failed load modified the store");
+        let err = verify(&dir, 1).unwrap_err();
+        assert!(names_store(&err, &dir, 1), "{err}");
+        assert!(files(&dir) == before, "verify modified the store");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A gap inside checkpoint-covered (cold) history loads, since only
+    /// the tail replays at load, and is caught, typed, by the first
+    /// historical query's hydration.
+    #[test]
+    fn cold_history_gap_fails_hydration() {
+        let dir = tempdir("cold-gap");
+        let fs = frames(3);
+        let mut w = SegmentWriter::open(&dir, 4, TINY).unwrap();
+        let mut mirror = Mirror::default();
+        mirror.admit(&fs[0]);
+        w.append(&fs[0]).unwrap();
+        w.append(&fs[2]).unwrap(); // skips seq 1
+        w.write_checkpoint(&CheckpointState {
+            next_seq: 3,
+            ..boundary(&w, &mirror)
+        })
+        .unwrap();
+        let station = BaseStation::load(&dir).unwrap();
+        assert_eq!(station.cold_chunks(4), 2);
+        for err in [
+            station.reconstruct_chunks(4, 0, 2).unwrap_err(),
+            station.aggregate_range(4, 0, 0, 10).unwrap_err(),
+            station.frames(4).unwrap_err(),
+        ] {
+            assert!(names_store(&err, &dir, 4), "{err}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1897,10 +1961,8 @@ mod tests {
         for f in &fs {
             w.append(f).unwrap();
         }
-        assert_eq!(w.frames_written(), 4);
         let rec = recover_stream(&path).unwrap();
         assert_eq!(rec.frames, fs);
-        assert_eq!(rec.parsed.len(), 4);
         assert_eq!(rec.truncated_tail, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1922,12 +1984,18 @@ mod tests {
         let rec = recover_stream(&path).unwrap();
         assert_eq!(rec.frames.len(), 2);
         assert!(rec.truncated_tail > 0);
-        // Garbage append: Corrupt.
+        // Garbage append: a complete length-delimited frame that the
+        // readers' exact decode refuses.
         let mut raw = clean.clone();
         raw.extend_from_slice(&8u32.to_le_bytes());
         raw.extend_from_slice(&[0xA5; 8]);
         std::fs::write(&path, &raw).unwrap();
-        assert!(recover_stream(&path).is_err());
+        let rec = recover_stream(&path).unwrap();
+        assert_eq!(rec.frames[..3], fs[..]);
+        assert!(matches!(
+            codec::decode_exact(&rec.frames[3]),
+            Err(SbrError::Corrupt(_))
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -57,6 +57,27 @@ for f in $(grep -rlzE 'bytes::(Buf\b|\{[^}]*\bBuf\b)' crates/*/src); do
   fi
 done
 
+echo "==> one frame-admission step (the store never parses a frame)"
+# Guard: the segmented store checks only its own format (record lengths
+# and CRCs, headers, footers, checkpoints) and hands back bytes. The
+# station's one step (codec::decode_exact, then QueryEngine::index_frame)
+# admits every frame, received or replayed from disk. A frame decoder
+# called from storage.rs outside its #[cfg(test)] items would bring back
+# a second copy of the frame rules, free to disagree with the first.
+if awk '
+  !skip && /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0; next }
+  skip {
+    o = gsub(/\{/, "{"); c = gsub(/\}/, "}"); depth += o - c
+    if (o > 0) opened = 1
+    if ((opened && depth <= 0) || (!opened && /;[[:space:]]*$/)) skip = 0
+    next
+  }
+  /^[[:space:]]*\/\// { next }
+  { print FILENAME ":" FNR ": " $0 }
+' crates/sensor-net/src/storage.rs | grep -E 'codec::decode|\bdecode_(any|v1|v2|exact)\b'; then
+  echo "crates/sensor-net/src/storage.rs decodes frames outside its tests (above)" >&2; exit 1
+fi
+
 echo "==> reference-encoder differential suite (every config byte-identical to the reference)"
 # Guard: the Search probe cache, the GetBase fit cache, the blocked shift
 # sweep and the worker fan-out only reorder evaluation — every

@@ -12,11 +12,11 @@ use sbr_repro::core::quadratic;
 use sbr_repro::core::transmission::{BaseUpdate, Frame, Transmission};
 use sbr_repro::core::{
     codec, regression, ChunkSummary, Decoder, ErrorMetric, Interval, MultiSeries, SbrConfig,
-    SbrEncoder,
+    SbrEncoder, SbrError,
 };
 use sbr_repro::datasets::schedule::{align, expand, thin, Fill, ScheduledSignal};
 use sbr_repro::obs::{MetricsRecorder, Recorder as _};
-use sbr_repro::sensor_net::{BaseStation, FaultPlan, SensorNode};
+use sbr_repro::sensor_net::{BaseStation, FaultPlan, Receipt, SensorNode};
 
 /// One end-to-end ARQ round for the chaos property: push every pending
 /// frame through the fault channel, hand arrivals to the station, apply
@@ -494,6 +494,28 @@ proptest! {
         if station.receive_frame(1, frame.into()).is_err() {
             prop_assert_eq!((station.chunk_count(1), station.next_seq(1)), before);
         }
+    }
+
+    /// A genuine frame followed by any bytes is refused with a typed
+    /// `Corrupt` before the station logs anything, and the same frame on
+    /// its own is then accepted.
+    #[test]
+    fn station_refuses_a_frame_with_trailing_bytes(
+        trailing in prop::collection::vec(any::<u8>(), 1..64),
+        phase in 0usize..16,
+    ) {
+        let mut enc = SbrEncoder::new(2, 32, SbrConfig::new(40, 32)).unwrap();
+        let rows: Vec<Vec<f64>> = (0..2)
+            .map(|r| (0..32).map(|i| ((i + phase * 5 + r) as f64 * 0.3).sin()).collect())
+            .collect();
+        let frame = codec::encode_v2(&Frame::data(0, enc.encode(&rows).unwrap()));
+        let mut padded = frame.to_vec();
+        padded.extend_from_slice(&trailing);
+        let station = BaseStation::new();
+        let got = station.receive_frame(1, padded.into());
+        prop_assert!(matches!(got, Err(SbrError::Corrupt(_))), "{:?}", got);
+        prop_assert_eq!((station.chunk_count(1), station.next_seq(1)), (0, 0));
+        prop_assert_eq!(station.receive_frame(1, frame), Ok(Receipt::Accepted));
     }
 
     // ---------------- BestMap blocked sweep ----------------

@@ -10,6 +10,7 @@ use sbr_repro::sensor_net::storage::{
     self, sensor_dir, CheckpointState, SegmentWriter, DEFAULT_SEGMENT_BYTES, RECORD_OVERHEAD,
     SEG_HEADER,
 };
+use sbr_repro::sensor_net::BaseStation;
 use std::path::{Path, PathBuf};
 
 fn tempdir(tag: &str) -> PathBuf {
@@ -45,8 +46,9 @@ fn fill(dir: &Path, node: usize, segment_bytes: u64, fs: &[Bytes]) {
 /// Crash-during-append, exhaustively: truncate the active segment at
 /// *every* byte boundary. Recovery must succeed at each cut with exactly
 /// the records fully contained in the surviving prefix — never a panic,
-/// never a phantom record, and always idempotent (a second scan of the
-/// repaired store reports a clean tail).
+/// never a phantom record — and the station loaded from it stands at
+/// the next seq after that prefix. Loading repairs the store, durably:
+/// a second scan reports a clean tail.
 #[test]
 fn every_tail_truncation_recovers_the_exact_clean_prefix() {
     let dir = tempdir("truncate-sweep");
@@ -79,8 +81,9 @@ fn every_tail_truncation_recovers_the_exact_clean_prefix() {
             "cut at {cut}: byte-exact prefix"
         );
         assert_eq!(rec.records_total, expect as u64);
-        assert_eq!(rec.next_seq, expect as u64);
-        // scan() repaired the store in place: a second scan is clean.
+        let station = BaseStation::load(&dir).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+        assert_eq!(station.next_seq(1), expect as u64, "cut at {cut}");
+        // The load repaired the store in place: a second scan is clean.
         let again = storage::scan(&dir, 1).expect("rescan after repair");
         assert_eq!(again.truncated_tail, 0, "cut at {cut}: repair is durable");
         assert_eq!(again.tail_frames.len(), expect);
@@ -108,11 +111,13 @@ proptest! {
         std::fs::write(&path, &raw).expect("write garbage");
         match storage::scan(&dir, 1) {
             // Tolerated as a torn tail: the real records survive and the
-            // garbage cannot add to them (it would need a valid CRC *and*
-            // a parseable, continuity-respecting frame).
+            // garbage cannot add to them (it would need a valid record
+            // CRC, and then a frame the station's step admits).
             Ok(rec) => {
                 prop_assert_eq!(&rec.tail_frames, &fs);
                 prop_assert_eq!(rec.truncated_tail, garbage.len());
+                let station = BaseStation::load(&dir).expect("the clean prefix loads");
+                prop_assert_eq!(station.raw_frames(1), fs);
             }
             // Or rejected loudly, blaming the damaged file.
             Err(SbrError::Corrupt(msg)) => prop_assert!(
