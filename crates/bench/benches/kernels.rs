@@ -41,6 +41,10 @@ fn bench_regression(c: &mut Criterion) {
     g.finish();
 }
 
+/// Shifts per `shift_scan_1000shifts` call: its time in ns is 1,000× the
+/// time per shift, so the printed µs read directly as ns per shift.
+const SCAN_SHIFTS: usize = 1_000;
+
 fn bench_best_map(c: &mut Criterion) {
     let mut g = c.benchmark_group("best_map");
     g.sample_size(20);
@@ -56,6 +60,28 @@ fn bench_best_map(c: &mut Criterion) {
                 iv.err
             })
         });
+    }
+    // Window lengths 8–64 carry 86% of the shifts of pipebench's fleet
+    // shapes; at the short ones the fixed cost of each shift, not its
+    // `Σxy`, sets the sweep's speed. The
+    // context outlives the timed calls, as it outlives a `Search`'s probes,
+    // so its per-length window table is built once, before timing.
+    for len in [8usize, 16, 32, 64, 128] {
+        let x = signal(SCAN_SHIFTS + len - 1, 3);
+        let y = signal(4096, 4);
+        let config = SbrConfig::new(1 << 20, 1 << 20).with_w(64);
+        let ctx = MapContext::new(&x, &y, &config, 64);
+        g.bench_with_input(
+            BenchmarkId::new("shift_scan_1000shifts", len),
+            &len,
+            |b, &len| {
+                b.iter(|| {
+                    let mut iv = Interval::unfitted(100, len);
+                    ctx.best_map(black_box(&mut iv));
+                    iv.err
+                })
+            },
+        );
     }
     g.finish();
 }

@@ -8,6 +8,8 @@ use crate::obs::EncodeObs;
 use crate::regression::{self, PrefixStats};
 use crate::xcorr;
 
+use std::sync::OnceLock;
+
 /// Which stretch of the concatenated dictionary a region-restricted sweep
 /// covers — only used to attribute the sweep to the right observability
 /// counter (the fit itself is region-agnostic).
@@ -17,6 +19,16 @@ pub enum SweepRegion {
     Base,
     /// Shifts whose window touches one appended candidate.
     Candidate,
+}
+
+/// The per-shift terms of an SSE fit that depend on the base window alone.
+#[derive(Debug, Clone, Copy)]
+struct WindowStat {
+    /// `Σx` over the window.
+    sum_x: f64,
+    /// The window's [`regression::window_spread`]: centred `S_xx`, or `0.0`
+    /// for a flat window.
+    s_xx: f64,
 }
 
 /// Shared read-only context for repeated `BestMap` calls against one base
@@ -36,16 +48,26 @@ pub struct MapContext<'a> {
     /// Whether the linear-regression fall-back competes with base mappings.
     pub allow_linear_fallback: bool,
     /// Intervals longer than `max_shift_len` are never shifted over `X`
-    /// (the paper uses `2 × W`).
-    pub max_shift_len: usize,
+    /// (the paper uses `2 × W`). Fixed at construction: the window-statistics
+    /// tables are sized by it.
+    pub(crate) max_shift_len: usize,
     /// Observability handles (cloned from the configuration); counts
     /// fits and sweeps. Never affects the fit itself.
     pub obs: EncodeObs,
+    /// `window_stats[len - 1]`: every shift's [`WindowStat`] for windows of
+    /// `len` values, built by the first SSE sweep of that length. Shared by
+    /// every thread fitting against this context.
+    window_stats: Vec<OnceLock<Box<[WindowStat]>>>,
+    /// `X` followed by `DOT_BLOCK − 1` zeros, so every block of a sweep —
+    /// its last one too — reads a whole block's stretch. Lanes that reach
+    /// into the zeros lie past the sweep's last shift and are never read.
+    x_padded: Vec<f64>,
 }
 
 impl<'a> MapContext<'a> {
     /// Build a context from the configuration and the derived width `w`.
     pub fn new(x: &'a [f64], y: &'a [f64], config: &SbrConfig, w: usize) -> Self {
+        let max_shift_len = config.max_shift_len_factor.saturating_mul(w);
         MapContext {
             x,
             x_stats: PrefixStats::new(x),
@@ -53,8 +75,16 @@ impl<'a> MapContext<'a> {
             y_stats: PrefixStats::new(y),
             metric: config.metric,
             allow_linear_fallback: config.allow_linear_fallback,
-            max_shift_len: config.max_shift_len_factor.saturating_mul(w),
+            max_shift_len,
             obs: config.obs.clone(),
+            window_stats: (0..max_shift_len.min(x.len()))
+                .map(|_| OnceLock::new())
+                .collect(),
+            x_padded: x
+                .iter()
+                .copied()
+                .chain([0.0; xcorr::DOT_BLOCK - 1])
+                .collect(),
         }
     }
 
@@ -142,71 +172,90 @@ impl<'a> MapContext<'a> {
     }
 
     /// Direct SSE sweep over shifts `lo..=hi`, evaluated in blocks of
-    /// [`xcorr::DOT_BLOCK`] consecutive shifts.
+    /// [`xcorr::DOT_BLOCK`] consecutive shifts, error first.
     ///
-    /// The window statistics `Σy`, `Σy²` are hoisted once per sweep and
-    /// `Σx`, `Σx²` come from prefix sums, so only `Σ x·y` varies per shift;
-    /// [`xcorr::dot_block`] evaluates eight of those at once as
-    /// straight-line f64 mul-adds over one contiguous stretch of `X`. Each
-    /// block lane accumulates in the exact index order of the scalar
-    /// [`xcorr::dot`], and lanes are folded into `interval` in ascending
-    /// shift order with the same strict `<`, so the selected
-    /// `(shift, a, b, err)` is bit-identical to the one-shift-at-a-time
-    /// loop this replaces. Trailing shifts that do not fill a block use the
-    /// scalar dot.
+    /// `Σy` and the centred `S_yy` are hoisted once per sweep, and each
+    /// shift's `Σx` and centred spread come from the per-length
+    /// [`WindowStat`] table, so a shift costs its `Σ x·y` plus
+    /// [`regression::sse_slope_err`]'s two divisions. [`xcorr::dot_block`]
+    /// evaluates a block's `Σ x·y` lanes at once, each in the exact index
+    /// order of the scalar [`xcorr::dot`]; the last block may run past
+    /// `hi`, and its lanes beyond `hi` are dropped. Lanes are ranked by
+    /// residual alone, in ascending shift order with the strict `<`
+    /// (earliest shift wins ties), and only the winner is fitted through
+    /// [`regression::fit_sse_with_stats`], whose residual is computed by
+    /// the same operations — so the selected `(shift, a, b, err)` is
+    /// bit-identical to fitting every shift in turn.
     fn shift_loop_sse_direct(&self, interval: &mut Interval, yw: &[f64], lo: usize, hi: usize) {
         let len = interval.length;
+        let n = len as f64;
         let sum_y = self.y_stats.window_sum(interval.start, len);
         let sum_y2 = self.y_stats.window_sum_sq(interval.start, len);
-        let mut shift = lo;
+        let s_yy = regression::centred_sum_sq(n, sum_y, sum_y2);
+
+        let mut best_err = interval.err;
+        let mut winner = None;
         let mut dots = [0.0; xcorr::DOT_BLOCK];
-        while shift + xcorr::DOT_BLOCK - 1 <= hi {
+        let blocks = self.window_stats(len)[lo..=hi].chunks(xcorr::DOT_BLOCK);
+        for (shift, block) in (lo..).step_by(xcorr::DOT_BLOCK).zip(blocks) {
             xcorr::dot_block(
-                &self.x[shift..shift + len + xcorr::DOT_BLOCK - 1],
+                &self.x_padded[shift..shift + len + xcorr::DOT_BLOCK - 1],
                 yw,
                 &mut dots,
             );
-            for (b, &sum_xy) in dots.iter().enumerate() {
-                let f = self.fit_at(shift + b, len, sum_y, sum_y2, sum_xy);
-                if f.err < interval.err {
-                    interval.shift = (shift + b) as i64;
-                    interval.a = f.a;
-                    interval.b = f.b;
-                    interval.err = f.err;
+            for (b, (st, &sum_xy)) in block.iter().zip(&dots).enumerate() {
+                let (_, err) = regression::sse_slope_err(n, st.sum_x, st.s_xx, sum_y, s_yy, sum_xy);
+                if err < best_err {
+                    best_err = err;
+                    winner = Some((shift + b, sum_xy));
                 }
             }
-            shift += xcorr::DOT_BLOCK;
         }
-        for shift in shift..=hi {
-            let sum_xy = xcorr::dot(&self.x[shift..shift + len], yw);
-            let f = self.fit_at(shift, len, sum_y, sum_y2, sum_xy);
-            if f.err < interval.err {
-                interval.shift = shift as i64;
-                interval.a = f.a;
-                interval.b = f.b;
-                interval.err = f.err;
-            }
+
+        if let Some((shift, sum_xy)) = winner {
+            let f = regression::fit_sse_with_stats(
+                len,
+                self.x_stats.window_sum(shift, len),
+                self.x_stats.window_sum_sq(shift, len),
+                sum_y,
+                sum_y2,
+                sum_xy,
+            );
+            debug_assert_eq!(f.err.to_bits(), best_err.to_bits());
+            interval.shift = shift as i64;
+            interval.a = f.a;
+            interval.b = f.b;
+            interval.err = f.err;
         }
     }
 
-    /// Closed-form SSE fit for one shift from the window statistics.
-    #[inline]
-    fn fit_at(
-        &self,
-        shift: usize,
-        len: usize,
-        sum_y: f64,
-        sum_y2: f64,
-        sum_xy: f64,
-    ) -> regression::Fit {
-        regression::fit_sse_with_stats(
-            len,
-            self.x_stats.window_sum(shift, len),
-            self.x_stats.window_sum_sq(shift, len),
-            sum_y,
-            sum_y2,
-            sum_xy,
-        )
+    /// The [`WindowStat`] of every shift of a `len`-long window over `X`,
+    /// built on first use and kept for the life of the context.
+    fn window_stats(&self, len: usize) -> &[WindowStat] {
+        self.window_stats[len - 1].get_or_init(|| {
+            let n = len as f64;
+            (0..=self.x.len() - len)
+                .map(|shift| {
+                    let sum_x = self.x_stats.window_sum(shift, len);
+                    let sum_x2 = self.x_stats.window_sum_sq(shift, len);
+                    WindowStat {
+                        sum_x,
+                        s_xx: regression::window_spread(n, sum_x, sum_x2),
+                    }
+                })
+                .collect()
+        })
+    }
+
+    /// Approximate heap bytes of the window-statistics tables built so far.
+    pub(crate) fn window_stats_bytes(&self) -> usize {
+        self.window_stats.len() * std::mem::size_of::<OnceLock<Box<[WindowStat]>>>()
+            + self
+                .window_stats
+                .iter()
+                .filter_map(OnceLock::get)
+                .map(|t| t.len() * std::mem::size_of::<WindowStat>())
+                .sum::<usize>()
     }
 
     /// General path for the relative-SSE and max-abs metrics: full refit per

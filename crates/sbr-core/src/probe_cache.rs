@@ -227,13 +227,14 @@ impl<'a> ProbeCache<'a> {
     }
 
     /// Current cache size. `bytes` is an estimate (map and `Vec` growth
-    /// slack is approximated by capacities), exported to the
+    /// slack is approximated by capacities) that includes the fit context's
+    /// per-length window-statistics tables, exported to the
     /// `sbr_core.probe_cache.bytes` gauge by [`ProbeCache::publish`].
     pub fn footprint(&self) -> ProbeCacheFootprint {
         // lint:allow(panic-reachability): poisoning requires a prior worker panic that already failed the run
         let map = self.entries.lock().expect("probe cache map poisoned");
         let mut folded = 0usize;
-        let mut bytes = std::mem::size_of::<Self>();
+        let mut bytes = std::mem::size_of::<Self>() + self.ctx.window_stats_bytes();
         for cell in map.values() {
             // lint:allow(panic-reachability): poisoning requires a prior worker panic that already failed the run
             let entry = cell.lock().expect("probe cache entry poisoned");
@@ -386,5 +387,46 @@ mod tests {
             "one fold per probe position, no duplicates"
         );
         assert!(fp.bytes > 0);
+    }
+
+    /// The sweep's per-length window tables are part of the cache's
+    /// footprint: a length's table is counted when that length is first
+    /// swept, and sweeping it again at another start adds no table bytes.
+    #[test]
+    fn footprint_counts_each_window_table_once() {
+        let w = 8;
+        let base = wiggle(2.0, 16 * w);
+        let cands: Vec<Vec<f64>> = (1..=4).map(|k| wiggle(k as f64 * 1.7, w)).collect();
+        let data = MultiSeries::from_rows(&[wiggle(9.0, 48)]).unwrap();
+        let mut bs = BaseSignal::new(w);
+        for (slot, chunk) in base.chunks(w).enumerate() {
+            bs.apply_insert(slot, chunk, 0).unwrap();
+        }
+        let config = SbrConfig::new(1_000, 1_000).with_w(w);
+        let mut buf = Vec::new();
+        let refs: Vec<&[f64]> = cands.iter().map(Vec::as_slice).collect();
+        let x_full = bs.flat_with_appended(&refs, &mut buf).to_vec();
+        let cache = ProbeCache::new(&x_full, &data, &config, w, bs.len());
+        // Σx and the spread of every shift of a `len`-long window.
+        let table = |len: usize| (x_full.len() - len + 1) * 2 * std::mem::size_of::<f64>();
+        let fit = |start: usize, len: usize| {
+            let mut iv = Interval::unfitted(start, len);
+            cache.oracle(cands.len()).fit(&mut iv);
+        };
+
+        let empty = cache.footprint().bytes;
+        fit(0, 12);
+        let first = cache.footprint().bytes;
+        assert!(first - empty >= table(12), "{empty} -> {first}");
+
+        let tables = cache.ctx.window_stats_bytes();
+        fit(20, 12);
+        assert_eq!(cache.ctx.window_stats_bytes(), tables, "len 12 swept again");
+        let repeat = cache.footprint().bytes;
+        assert!(repeat > first, "the new (start, len) entry is counted");
+        assert!(repeat - first < table(12), "{first} -> {repeat}");
+
+        fit(0, 13);
+        assert!(cache.footprint().bytes - repeat >= table(13));
     }
 }

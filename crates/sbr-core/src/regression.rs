@@ -149,30 +149,69 @@ fn fit_sse_from_sums(
     sum_y2: f64,
     sum_xy: f64,
 ) -> Fit {
-    // Centered (co)variances: numerically far better behaved than the raw
-    // normal equations when the data is large in magnitude.
-    let s_xx = sum_x2 - sum_x * sum_x / len;
-    let s_yy = sum_y2 - sum_y * sum_y / len;
-    let s_xy = sum_xy - sum_x * sum_y / len;
-    // A (near-)constant base window carries no shape information; the best
-    // line is then flat at the data mean.
+    let s_xx = window_spread(len, sum_x, sum_x2);
+    let s_yy = centred_sum_sq(len, sum_y, sum_y2);
+    let (a, err) = sse_slope_err(len, sum_x, s_xx, sum_y, s_yy, sum_xy);
+    // A flat base window fits the flat line at the data mean.
+    // lint:allow(float-eq): window_spread returns exactly 0.0 for a flat window and never for another
+    let b = if s_xx == 0.0 {
+        sum_y / len
+    } else {
+        (sum_y - a * sum_x) / len
+    };
+    Fit { a, b, err }
+}
+
+/// Centred sum of squares `Σv² − (Σv)²/n` of a window with `Σv = sum`,
+/// `Σv² = sum_sq` — numerically far better behaved than the raw normal
+/// equations when the data is large in magnitude.
+#[inline]
+pub(crate) fn centred_sum_sq(len: f64, sum: f64, sum_sq: f64) -> f64 {
+    sum_sq - sum * sum / len
+}
+
+/// The centred spread `S_xx` of a base window, or exactly `0.0` when the
+/// window is (near-)constant: such a window carries no shape information
+/// and the best line is flat at the data mean. A non-flat spread is never
+/// `0.0`, so the zero doubles as the flat flag of [`sse_slope_err`].
+#[inline]
+pub(crate) fn window_spread(len: f64, sum_x: f64, sum_x2: f64) -> f64 {
+    let s_xx = centred_sum_sq(len, sum_x, sum_x2);
     if s_xx.abs() <= f64::EPSILON * sum_x2.abs().max(1.0) {
-        return Fit {
-            a: 0.0,
-            b: sum_y / len,
-            err: s_yy.max(0.0),
-        };
+        0.0
+    } else {
+        s_xx
     }
+}
+
+/// Slope and residual SSE of the least-squares line for one alignment,
+/// from the base window's `Σx` and [`window_spread`] `s_xx`, the data's
+/// `Σy` and centred `s_yy`, and the cross term `Σxy`. A flat window gets
+/// slope 0 and residual `S_yy`; otherwise the residual is
+/// `S_yy − S_xy²/S_xx`. Both are clamped at zero against floating-point
+/// cancellation.
+///
+/// This is the whole per-shift cost of an SSE shift sweep once the
+/// per-window terms are tabulated: one division for `S_xy`'s mean term and
+/// one for the slope. [`fit_sse_with_stats`] goes through it too, so a
+/// sweep that ranks shifts by this residual and fits only the winner picks
+/// the same `(a, b, err)` bits.
+#[inline]
+pub(crate) fn sse_slope_err(
+    len: f64,
+    sum_x: f64,
+    s_xx: f64,
+    sum_y: f64,
+    s_yy: f64,
+    sum_xy: f64,
+) -> (f64, f64) {
+    // lint:allow(float-eq): window_spread returns exactly 0.0 for a flat window and never for another
+    if s_xx == 0.0 {
+        return (0.0, s_yy.max(0.0));
+    }
+    let s_xy = sum_xy - sum_x * sum_y / len;
     let a = s_xy / s_xx;
-    let b = (sum_y - a * sum_x) / len;
-    // Residual sum of squares: S_yy − S_xy²/S_xx, clamped against
-    // floating-point cancellation.
-    let err = s_yy - a * s_xy;
-    Fit {
-        a,
-        b,
-        err: err.max(0.0),
-    }
+    (a, (s_yy - a * s_xy).max(0.0))
 }
 
 /// OLS against the index vector `0, 1, …, len-1` using the closed-form index

@@ -19,10 +19,10 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     acc
 }
 
-/// Shifts evaluated per block by [`dot_block`] — sized so the straight-line
-/// inner loop fills the host's SIMD lanes (8 f64 = one AVX-512 register,
-/// two AVX2 registers) while the working set of `x` stays register-resident.
-pub const DOT_BLOCK: usize = 8;
+/// Shifts evaluated per block by [`dot_block`]: sixteen independent
+/// accumulator chains hide the add latency of one serial dot, and the
+/// block's stretch of `x` is loaded once for all sixteen shifts.
+pub const DOT_BLOCK: usize = 16;
 
 /// Evaluate [`DOT_BLOCK`] *consecutive* shifts of `y` over `x` at once:
 /// `out[b] = Σ_i x[b + i]·y[i]` for `b` in `0..DOT_BLOCK`.
@@ -31,9 +31,13 @@ pub const DOT_BLOCK: usize = 8;
 /// ends exactly at `x`'s end). Each accumulator `out[b]` adds the products
 /// `x[b+i]·y[i]` in ascending `i` — the summation order of [`dot`] — so
 /// every lane is **bit-identical** to the scalar `dot(&x[b..b+len], y)`.
-/// The win is instruction-level: one serial dot is a latency-bound chain of
-/// dependent adds, while eight interleaved chains give the autovectorizer
-/// straight-line mul-adds over contiguous `x` loads with a broadcast `y`.
+/// Rust never contracts a multiply and an add into a fused multiply-add,
+/// so each product is rounded before it is added, in every lane and in
+/// [`dot`] alike. The win is instruction-level: one serial dot is a
+/// latency-bound chain of dependent adds, while the block's independent
+/// chains run as straight-line packed mul-adds (two f64 lanes per SSE2
+/// register on the baseline x86-64 target) over contiguous `x` loads with
+/// a broadcast `y`.
 #[inline]
 pub fn dot_block(x: &[f64], y: &[f64], out: &mut [f64; DOT_BLOCK]) {
     debug_assert_eq!(x.len(), y.len() + DOT_BLOCK - 1);

@@ -97,6 +97,30 @@ impl<'a> DirectOracle<'a> {
     pub fn sweeps(&self) -> u64 {
         self.sweeps.load(Ordering::Relaxed)
     }
+
+    /// Fit every shift `lo..=hi` of `iv`'s window in turn and keep the
+    /// first strictly better one: the reference for `MapContext::fold_region`.
+    pub fn fold(&self, iv: &mut Interval, lo: usize, hi: usize) {
+        let (start, len) = (iv.start, iv.length);
+        let yw = &self.y[start..start + len];
+        for shift in lo..=hi {
+            let xw = &self.x[shift..shift + len];
+            let f = match self.metric {
+                ErrorMetric::Sse => regression::fit_sse_with_stats(
+                    len,
+                    self.x_stats.window_sum(shift, len),
+                    self.x_stats.window_sum_sq(shift, len),
+                    self.y_stats.window_sum(start, len),
+                    self.y_stats.window_sum_sq(start, len),
+                    xcorr::dot(xw, yw),
+                ),
+                _ => regression::fit(self.metric, xw, yw),
+            };
+            if f.err < iv.err {
+                (iv.shift, iv.a, iv.b, iv.err) = (shift as i64, f.a, f.b, f.err);
+            }
+        }
+    }
 }
 
 impl FitOracle for DirectOracle<'_> {
@@ -114,23 +138,7 @@ impl FitOracle for DirectOracle<'_> {
             return;
         }
         self.sweeps.fetch_add(1, Ordering::Relaxed);
-        for shift in 0..=self.x.len() - len {
-            let xw = &self.x[shift..shift + len];
-            let f = match self.metric {
-                ErrorMetric::Sse => regression::fit_sse_with_stats(
-                    len,
-                    self.x_stats.window_sum(shift, len),
-                    self.x_stats.window_sum_sq(shift, len),
-                    self.y_stats.window_sum(start, len),
-                    self.y_stats.window_sum_sq(start, len),
-                    xcorr::dot(xw, yw),
-                ),
-                _ => regression::fit(self.metric, xw, yw),
-            };
-            if f.err < iv.err {
-                (iv.shift, iv.a, iv.b, iv.err) = (shift as i64, f.a, f.b, f.err);
-            }
-        }
+        self.fold(iv, 0, self.x.len() - len);
     }
 }
 

@@ -5,7 +5,7 @@ mod common;
 use proptest::prelude::*;
 
 use sbr_repro::baselines::{dct, fourier, histogram, swing, v_optimal, wavelet, wavelet2d};
-use sbr_repro::core::best_map::MapContext;
+use sbr_repro::core::best_map::{MapContext, SweepRegion};
 use sbr_repro::core::get_intervals::FitOracle as _;
 use sbr_repro::core::interval::IntervalRecord;
 use sbr_repro::core::quadratic;
@@ -64,6 +64,25 @@ fn reference_crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
 
 fn finite_signal(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6f64..1e6, 1..max_len)
+}
+
+/// `(m, e)` pairs drawn as `m` in `-1..1` and `e` in `-6..=6`; see
+/// [`mixed_with_flats`].
+fn mantissas_exponents(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(f64, i32)>> {
+    prop::collection::vec((-1f64..1.0, -6i32..7), len)
+}
+
+/// The values `m·10^e`, so neighbours differ by up to twelve orders of
+/// magnitude, with each `(at, run)` stretch then set to the value at `at`.
+fn mixed_with_flats(me: Vec<(f64, i32)>, flats: &[(usize, usize)]) -> Vec<f64> {
+    let mut v: Vec<f64> = me.into_iter().map(|(m, e)| m * 10f64.powi(e)).collect();
+    for &(at, run) in flats {
+        let at = at % v.len();
+        let end = (at + run).min(v.len());
+        let value = v[at];
+        v[at..end].fill(value);
+    }
+    v
 }
 
 proptest! {
@@ -548,6 +567,55 @@ proptest! {
         prop_assert_eq!(want.a.to_bits(), got.a.to_bits());
         prop_assert_eq!(want.b.to_bits(), got.b.to_bits());
         prop_assert_eq!(want.err.to_bits(), got.err.to_bits());
+    }
+
+    /// The SSE sweep kernel (per-length window table, error-first blocks
+    /// of `xcorr::DOT_BLOCK` shifts, the last block cut at the sweep's end)
+    /// picks the reference's shift and `(a, b, err)` bits, for every
+    /// window length `1..=2W`, over dictionaries and data that mix
+    /// magnitudes from 1e-6 to 1e6 and hold constant stretches (flat
+    /// windows; every 1-long window is flat too). `best_map` sweeps the
+    /// whole dictionary; `fold_region` folds `lo..=hi` spans of any width
+    /// into a seed, as the probe cache does.
+    #[test]
+    fn sweep_kernel_matches_the_reference_bit_for_bit(
+        x in mantissas_exponents(150..190),
+        x_flat in prop::collection::vec((0usize..190, 2usize..48), 1..4),
+        y in mantissas_exponents(48..80),
+        y_flat in prop::collection::vec((0usize..80, 2usize..24), 0..3),
+        spans in prop::collection::vec((any::<u32>(), any::<u32>()), 4),
+        fallback in any::<bool>(),
+    ) {
+        let (x, y) = (mixed_with_flats(x, &x_flat), mixed_with_flats(y, &y_flat));
+        let w = 16;
+        let mut config = SbrConfig::new(1_000_000, 1_000_000).with_w(w);
+        config.allow_linear_fallback = fallback;
+        let ctx = MapContext::new(&x, &y, &config, w);
+        let reference = common::DirectOracle::new(&x, &y, &config, w);
+        let bits = |iv: &Interval| (iv.shift, iv.a.to_bits(), iv.b.to_bits(), iv.err.to_bits());
+        for len in 1..=2 * w {
+            let start = (len * 7) % (y.len() - len + 1);
+            let mut got = Interval::unfitted(start, len);
+            ctx.best_map(&mut got);
+            let mut want = Interval::unfitted(start, len);
+            reference.fit(&mut want);
+            prop_assert!(bits(&want) == bits(&got), "best_map len {len}: {want:?} != {got:?}");
+
+            let last = x.len() - len;
+            for &(a, b) in &spans {
+                let lo = a as usize % (last + 1);
+                let hi = lo + b as usize % (last + 1 - lo);
+                let mut got = Interval::unfitted(start, len);
+                ctx.fallback_fit(&mut got);
+                let mut want = got;
+                ctx.fold_region(&mut got, lo, hi, SweepRegion::Candidate);
+                reference.fold(&mut want, lo, hi);
+                prop_assert!(
+                    bits(&want) == bits(&got),
+                    "fold len {len} over {lo}..={hi}: {want:?} != {got:?}"
+                );
+            }
+        }
     }
 
     /// The swing filter's ε-guarantee holds on arbitrary finite data.
