@@ -63,9 +63,12 @@ fn bench_best_map(c: &mut Criterion) {
     }
     // Window lengths 8–64 carry 86% of the shifts of pipebench's fleet
     // shapes; at the short ones the fixed cost of each shift, not its
-    // `Σxy`, sets the sweep's speed. The
-    // context outlives the timed calls, as it outlives a `Search`'s probes,
-    // so its per-length window table is built once, before timing.
+    // `Σxy`, sets the sweep's speed. `best_map` runs the dispatched
+    // sweep, so on a CPU with AVX2 these rows time the AVX2 build and
+    // elsewhere the portable one; the portable build is not timed on its
+    // own. The context outlives the timed calls, as it outlives a
+    // `Search`'s probes, so its per-length window table is built once,
+    // before timing.
     for len in [8usize, 16, 32, 64, 128] {
         let x = signal(SCAN_SHIFTS + len - 1, 3);
         let y = signal(4096, 4);

@@ -177,12 +177,8 @@ impl<'a> MapContext<'a> {
     /// `Σy` and the centred `S_yy` are hoisted once per sweep, and each
     /// shift's `Σx` and centred spread come from the per-length
     /// [`WindowStat`] table, so a shift costs its `Σ x·y` plus
-    /// [`regression::sse_slope_err`]'s two divisions. [`xcorr::dot_block`]
-    /// evaluates a block's `Σ x·y` lanes at once, each in the exact index
-    /// order of the scalar [`xcorr::dot`]; the last block may run past
-    /// `hi`, and its lanes beyond `hi` are dropped. Lanes are ranked by
-    /// residual alone, in ascending shift order with the strict `<`
-    /// (earliest shift wins ties), and only the winner is fitted through
+    /// [`regression::sse_slope_err`]'s two divisions. [`sweep`] ranks the
+    /// shifts by residual alone, and only the winner is fitted through
     /// [`regression::fit_sse_with_stats`], whose residual is computed by
     /// the same operations — so the selected `(shift, a, b, err)` is
     /// bit-identical to fitting every shift in turn.
@@ -191,38 +187,26 @@ impl<'a> MapContext<'a> {
         let n = len as f64;
         let sum_y = self.y_stats.window_sum(interval.start, len);
         let sum_y2 = self.y_stats.window_sum_sq(interval.start, len);
-        let s_yy = regression::centred_sum_sq(n, sum_y, sum_y2);
+        let inputs = SweepInputs {
+            x_padded: &self.x_padded,
+            stats: self.window_stats(len),
+            yw,
+            n,
+            sum_y,
+            s_yy: regression::centred_sum_sq(n, sum_y, sum_y2),
+        };
 
-        let mut best_err = interval.err;
-        let mut winner = None;
-        let mut dots = [0.0; xcorr::DOT_BLOCK];
-        let blocks = self.window_stats(len)[lo..=hi].chunks(xcorr::DOT_BLOCK);
-        for (shift, block) in (lo..).step_by(xcorr::DOT_BLOCK).zip(blocks) {
-            xcorr::dot_block(
-                &self.x_padded[shift..shift + len + xcorr::DOT_BLOCK - 1],
-                yw,
-                &mut dots,
-            );
-            for (b, (st, &sum_xy)) in block.iter().zip(&dots).enumerate() {
-                let (_, err) = regression::sse_slope_err(n, st.sum_x, st.s_xx, sum_y, s_yy, sum_xy);
-                if err < best_err {
-                    best_err = err;
-                    winner = Some((shift + b, sum_xy));
-                }
-            }
-        }
-
-        if let Some((shift, sum_xy)) = winner {
+        if let Some(w) = sweep(&inputs, lo, hi, interval.err) {
             let f = regression::fit_sse_with_stats(
                 len,
-                self.x_stats.window_sum(shift, len),
-                self.x_stats.window_sum_sq(shift, len),
+                self.x_stats.window_sum(w.shift, len),
+                self.x_stats.window_sum_sq(w.shift, len),
                 sum_y,
                 sum_y2,
-                sum_xy,
+                w.sum_xy,
             );
-            debug_assert_eq!(f.err.to_bits(), best_err.to_bits());
-            interval.shift = shift as i64;
+            debug_assert_eq!(f.err.to_bits(), w.err.to_bits());
+            interval.shift = w.shift as i64;
             interval.a = f.a;
             interval.b = f.b;
             interval.err = f.err;
@@ -230,10 +214,18 @@ impl<'a> MapContext<'a> {
     }
 
     /// The [`WindowStat`] of every shift of a `len`-long window over `X`,
-    /// built on first use and kept for the life of the context.
+    /// built on first use and kept for the life of the context. Like
+    /// `x_padded`, the table ends in `DOT_BLOCK − 1` padding entries, so
+    /// every block of a sweep reads a whole block's stats; the padding is
+    /// a flat zero window whose lanes lie past the last shift and are
+    /// never ranked.
     fn window_stats(&self, len: usize) -> &[WindowStat] {
         self.window_stats[len - 1].get_or_init(|| {
             let n = len as f64;
+            let pad = WindowStat {
+                sum_x: 0.0,
+                s_xx: 0.0,
+            };
             (0..=self.x.len() - len)
                 .map(|shift| {
                     let sum_x = self.x_stats.window_sum(shift, len);
@@ -243,6 +235,7 @@ impl<'a> MapContext<'a> {
                         s_xx: regression::window_spread(n, sum_x, sum_x2),
                     }
                 })
+                .chain([pad; xcorr::DOT_BLOCK - 1])
                 .collect()
         })
     }
@@ -273,6 +266,117 @@ impl<'a> MapContext<'a> {
             }
         }
     }
+}
+
+/// One SSE sweep's inputs: everything but the shift range and the bound.
+struct SweepInputs<'s> {
+    /// `X` followed by `DOT_BLOCK − 1` zeros ([`MapContext`]'s `x_padded`).
+    x_padded: &'s [f64],
+    /// Every shift's [`WindowStat`] for this window length, padded like
+    /// `x_padded`.
+    stats: &'s [WindowStat],
+    /// The data window being fitted.
+    yw: &'s [f64],
+    /// The window length as `f64`.
+    n: f64,
+    /// `Σy` over `yw`.
+    sum_y: f64,
+    /// Centred `S_yy` of `yw`.
+    s_yy: f64,
+}
+
+/// The shift a sweep selects: its residual and its `Σ x·y`, the one term
+/// the winner's fit needs that no table holds.
+#[derive(Debug, Clone, Copy)]
+struct SweepWinner {
+    shift: usize,
+    err: f64,
+    sum_xy: f64,
+}
+
+/// The shift in `lo..=hi` with the lowest residual strictly below
+/// `bound`, the earliest one on a tie, or `None` when no shift beats
+/// `bound`.
+///
+/// Runs [`sweep_blocks`] as an AVX2 build on x86-64 CPUs that have AVX2
+/// and as the portable build everywhere else. Both builds come from the
+/// same source and enable no fused multiply-add, and packed IEEE
+/// `mul`/`add`/`div`/`max` round each lane exactly as the scalar
+/// instructions do, so the two return the same bits.
+fn sweep(inputs: &SweepInputs<'_>, lo: usize, hi: usize, bound: f64) -> Option<SweepWinner> {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        #[allow(unsafe_code)]
+        // SAFETY: `sweep_blocks_avx2` requires only AVX2, the one feature it
+        // enables, and the check just above found that this CPU has AVX2.
+        let winner = unsafe { sweep_blocks_avx2(inputs, lo, hi, bound) };
+        return winner;
+    }
+    sweep_blocks(inputs, lo, hi, bound)
+}
+
+/// [`sweep_blocks`] compiled with AVX2: four f64 lanes per register.
+/// Only `"avx2"` is enabled — never `"fma"`, which would let the backend
+/// fuse a lane's multiply and add and change its rounding.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sweep_blocks_avx2(
+    inputs: &SweepInputs<'_>,
+    lo: usize,
+    hi: usize,
+    bound: f64,
+) -> Option<SweepWinner> {
+    sweep_blocks(inputs, lo, hi, bound)
+}
+
+/// The body of [`sweep`], inlined into each of its builds.
+///
+/// Each block of [`xcorr::DOT_BLOCK`] consecutive shifts takes two passes.
+/// The first evaluates every lane's `Σ x·y` ([`xcorr::dot_block`], each in
+/// the exact index order of the scalar [`xcorr::dot`]) and then every
+/// lane's residual ([`regression::sse_slope_err`], branch-free), as
+/// straight-line packed arithmetic. The second ranks the lanes in
+/// ascending shift order with the strict `<` of Algorithm 2 (earliest
+/// shift wins ties). The last block may run past `hi`; its lanes beyond
+/// `hi` are computed on padding and never ranked.
+#[inline(always)]
+fn sweep_blocks(inputs: &SweepInputs<'_>, lo: usize, hi: usize, bound: f64) -> Option<SweepWinner> {
+    const B: usize = xcorr::DOT_BLOCK;
+    let len = inputs.yw.len();
+    let mut best_err = bound;
+    let mut winner = None;
+    let mut dots = [0.0; B];
+    let mut errs = [0.0; B];
+    for shift in (lo..=hi).step_by(B) {
+        xcorr::dot_block(
+            &inputs.x_padded[shift..shift + len + B - 1],
+            inputs.yw,
+            &mut dots,
+        );
+        let stats = &inputs.stats[shift..shift + B];
+        for b in 0..B {
+            let (_, err) = regression::sse_slope_err(
+                inputs.n,
+                stats[b].sum_x,
+                stats[b].s_xx,
+                inputs.sum_y,
+                inputs.s_yy,
+                dots[b],
+            );
+            errs[b] = err;
+        }
+        for b in 0..B.min(hi + 1 - shift) {
+            if errs[b] < best_err {
+                best_err = errs[b];
+                winner = Some(SweepWinner {
+                    shift: shift + b,
+                    err: errs[b],
+                    sum_xy: dots[b],
+                });
+            }
+        }
+    }
+    winner
 }
 
 #[cfg(test)]
@@ -371,6 +475,81 @@ mod tests {
         }
         assert_eq!(fast.shift, slow.shift);
         assert!((fast.err - slow.err).abs() < 1e-9);
+    }
+
+    /// A CPU with AVX2 always takes the AVX2 build, so there the portable
+    /// build runs only here: the same sweep through [`sweep_blocks`] as
+    /// compiled into this (portable) test and through the dispatched
+    /// [`sweep`] must pick the same `(err, shift, Σxy)` bits, over every
+    /// shiftable length, flat stretches, magnitudes from 1e-6 to 1e6,
+    /// arbitrary `lo..=hi` spans and both an open and a finite starting
+    /// bound.
+    #[test]
+    fn portable_and_dispatched_sweeps_agree_bit_for_bit() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 11
+        };
+        let series = |n: usize, next: &mut dyn FnMut() -> u64| -> Vec<f64> {
+            let mut v = Vec::with_capacity(n);
+            while v.len() < n {
+                let run = 1 + (next() % 24) as usize;
+                let scale = 10f64.powi((next() % 13) as i32 - 6);
+                if next().is_multiple_of(4) {
+                    // A flat stretch: every window inside it has S_xx = 0.
+                    let level = (next() % 1000) as f64 * scale;
+                    v.extend(std::iter::repeat_n(level, run));
+                } else {
+                    v.extend((0..run).map(|_| ((next() % 2001) as f64 - 1000.0) * scale));
+                }
+            }
+            v.truncate(n);
+            v
+        };
+        let w = 16;
+        let key =
+            |r: Option<SweepWinner>| r.map(|w| (w.err.to_bits(), w.shift, w.sum_xy.to_bits()));
+        for round in 0..4 {
+            let x = series(200 + 37 * round, &mut next);
+            let y = series(96, &mut next);
+            let c = ctx(&x, &y, w);
+            for len in 1..=2 * w {
+                let start = next() as usize % (y.len() - len + 1);
+                let yw = &y[start..start + len];
+                let n = len as f64;
+                let sum_y = c.y_stats.window_sum(start, len);
+                let sum_y2 = c.y_stats.window_sum_sq(start, len);
+                let inputs = SweepInputs {
+                    x_padded: &c.x_padded,
+                    stats: c.window_stats(len),
+                    yw,
+                    n,
+                    sum_y,
+                    s_yy: regression::centred_sum_sq(n, sum_y, sum_y2),
+                };
+                let last = x.len() - len;
+                let fallback = regression::fit_linear(ErrorMetric::Sse, yw).err;
+                let mut spans = vec![(0, last), (last, last), (0, 0)];
+                for _ in 0..8 {
+                    let lo = next() as usize % (last + 1);
+                    spans.push((lo, lo + next() as usize % (last + 1 - lo)));
+                }
+                for (lo, hi) in spans {
+                    for bound in [f64::INFINITY, fallback] {
+                        let portable = sweep_blocks(&inputs, lo, hi, bound);
+                        let dispatched = sweep(&inputs, lo, hi, bound);
+                        assert_eq!(
+                            key(portable),
+                            key(dispatched),
+                            "len {len} over {lo}..={hi}, bound {bound}: {portable:?} != {dispatched:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -120,7 +120,7 @@ impl SegMoments {
 /// interval records and the `X_new` base layout they reference. Stores:
 ///
 /// - the records (sorted, coverage-validated) and their end offsets,
-/// - per-record [`SegMoments`] (Σ/min/max of the reconstruction, computed
+/// - per-record `SegMoments` (Σ/min/max of the reconstruction, computed
 ///   with the *same floating-point expression* the decoder uses, so min and
 ///   max are bit-for-bit identical to a decode-then-scan),
 /// - prefix sums over the base signal (`PrefixStats`), so the sum over a
@@ -407,8 +407,7 @@ impl QueryEngine {
         QueryEngine::default()
     }
 
-    /// Attach pre-registered query metrics (see
-    /// [`QueryObs`](crate::obs::QueryObs)).
+    /// Attach pre-registered query metrics (see [`QueryObs`]).
     pub fn set_obs(&mut self, obs: QueryObs) {
         self.obs = obs;
     }

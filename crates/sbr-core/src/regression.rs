@@ -196,7 +196,15 @@ pub(crate) fn window_spread(len: f64, sum_x: f64, sum_x2: f64) -> f64 {
 /// one for the slope. [`fit_sse_with_stats`] goes through it too, so a
 /// sweep that ranks shifts by this residual and fits only the winner picks
 /// the same `(a, b, err)` bits.
-#[inline]
+///
+/// Branch-free: both divisions always run and the flat case is a select
+/// of the finished values, so a sweep's lanes evaluate it as packed
+/// arithmetic. A flat window's quotient (`±∞` or NaN) is computed and
+/// discarded; the selected values are exactly the ones a branch would
+/// return. The select is `select_unpredictable`, not an `if`: from an
+/// `if`, LLVM sinks the divisions into the non-flat arm and the sweep's
+/// lane loop stays scalar.
+#[inline(always)]
 pub(crate) fn sse_slope_err(
     len: f64,
     sum_x: f64,
@@ -206,12 +214,12 @@ pub(crate) fn sse_slope_err(
     sum_xy: f64,
 ) -> (f64, f64) {
     // lint:allow(float-eq): window_spread returns exactly 0.0 for a flat window and never for another
-    if s_xx == 0.0 {
-        return (0.0, s_yy.max(0.0));
-    }
+    let flat = s_xx == 0.0;
     let s_xy = sum_xy - sum_x * sum_y / len;
-    let a = s_xy / s_xx;
-    (a, (s_yy - a * s_xy).max(0.0))
+    let slope = s_xy / s_xx;
+    let a = std::hint::select_unpredictable(flat, 0.0, slope);
+    let err = std::hint::select_unpredictable(flat, s_yy, s_yy - a * s_xy);
+    (a, err.max(0.0))
 }
 
 /// OLS against the index vector `0, 1, …, len-1` using the closed-form index

@@ -6,6 +6,9 @@
 //! fit of a shift must reproduce, and [`dot_block`] evaluates
 //! [`DOT_BLOCK`] consecutive shifts at once in that same order, so the
 //! blocked sweep selects bit-identically to the one-shift-at-a-time scan.
+//! [`dot_block`] is compiled into both builds of that sweep, the portable
+//! one (two f64 lanes per SSE2 register) and the AVX2 one `best_map`
+//! selects at run time (four per AVX2 register), with the same bits.
 
 /// `Σ x_i·y_i` over two equal-length slices (the summation order every
 /// shift fit reproduces, blocked or not).
@@ -35,10 +38,16 @@ pub const DOT_BLOCK: usize = 16;
 /// so each product is rounded before it is added, in every lane and in
 /// [`dot`] alike. The win is instruction-level: one serial dot is a
 /// latency-bound chain of dependent adds, while the block's independent
-/// chains run as straight-line packed mul-adds (two f64 lanes per SSE2
-/// register on the baseline x86-64 target) over contiguous `x` loads with
-/// a broadcast `y`.
-#[inline]
+/// chains run as straight-line packed mul-adds over contiguous `x` loads
+/// with a broadcast `y`.
+///
+/// `#[inline(always)]` so the block compiles inside whichever build of the
+/// shift sweep calls it: two f64 lanes per SSE2 register in the portable
+/// build, four per AVX2 register in the build `best_map` selects at run
+/// time on CPUs that have AVX2. Packed IEEE multiplies and adds round
+/// each lane exactly as the scalar instructions do, so both builds give
+/// the same bits.
+#[inline(always)]
 pub fn dot_block(x: &[f64], y: &[f64], out: &mut [f64; DOT_BLOCK]) {
     debug_assert_eq!(x.len(), y.len() + DOT_BLOCK - 1);
     *out = [0.0; DOT_BLOCK];

@@ -22,7 +22,7 @@
 //!   `BTreeMap` and serializes it with the hand-rolled [`json`] module
 //!   (schema `sbr-obs/v2`; v1 documents still parse), so benchmark output
 //!   and CLI reports need no external serialization crates.
-//! * **Bench records** — [`bench`] reduces a snapshot to one
+//! * **Bench records** — [`bench`](mod@bench) reduces a snapshot to one
 //!   `sbr-bench/v4` record (params, one row per histogram, a flat counter
 //!   map), the format benchmark artifacts and `sbr perf diff` share.
 //!

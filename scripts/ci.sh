@@ -78,6 +78,72 @@ if awk '
   echo "crates/sensor-net/src/storage.rs decodes frames outside its tests (above)" >&2; exit 1
 fi
 
+echo "==> one unsafe block (the run-time AVX2 dispatch of the shift sweep)"
+# Guard: the workspace denies unsafe_code, with one scoped exception: the
+# call into the AVX2 build of BestMap's shift sweep, made right after the
+# CPU has reported AVX2. Product code under crates/*/src holds exactly
+# that one unsafe, in best_map.rs, under a // SAFETY: comment and in the
+# function that runs is_x86_feature_detected!("avx2"). Every
+# target_feature attribute enables avx2 alone: "fma" would let the
+# backend fuse a lane's multiply and add, and the AVX2 build would stop
+# giving the portable build's bits. Comments are stripped before the
+# search; a string holding the word "unsafe" is not a block.
+python3 - <<'PYEOF'
+import pathlib, re, sys
+
+block = re.compile(r'\bunsafe\b\s*(\{|\(|fn\b|impl\b|trait\b|extern\b|$)')
+feature = re.compile(r'#\[target_feature\((.*?)\)\]')
+fn_head = re.compile(r'^\s*(pub(\([^)]*\))?\s+)?(const\s+)?fn\s')
+hits, bad = [], []
+for path in sorted(pathlib.Path("crates").glob("*/src/**/*.rs")):
+    lines = path.read_text().split("\n")
+    for i, line in enumerate(lines):
+        code = line.split("//", 1)[0]
+        if block.search(code):
+            hits.append((str(path), i, lines))
+        for m in feature.finditer(code):
+            if m.group(1).strip() != 'enable = "avx2"':
+                bad.append(f"{path}:{i + 1}: {line.strip()}")
+if bad:
+    sys.exit("a target_feature attribute enables more than avx2:\n" + "\n".join(bad))
+if len(hits) != 1 or hits[0][0] != "crates/sbr-core/src/best_map.rs":
+    where = "\n".join(f"{p}:{i + 1}: {l[i].strip()}" for p, i, l in hits)
+    sys.exit(f"want exactly one unsafe, in crates/sbr-core/src/best_map.rs; found {len(hits)}:\n{where}")
+path, i, lines = hits[0]
+above, j = [], i - 1
+while j >= 0 and lines[j].strip().startswith("//") and not lines[j].strip().startswith("///"):
+    above.append(lines[j].strip())
+    j -= 1
+if not any(c.startswith("// SAFETY:") for c in above):
+    sys.exit(f"{path}:{i + 1}: the unsafe block has no // SAFETY: comment directly above it")
+head = next((k for k in range(i, -1, -1) if fn_head.match(lines[k])), None)
+if head is None or 'is_x86_feature_detected!("avx2")' not in "\n".join(lines[head:i]):
+    sys.exit(f'{path}:{i + 1}: the unsafe block\'s function does not run is_x86_feature_detected!("avx2") before it')
+lints = pathlib.Path("Cargo.toml").read_text()
+if not re.search(r'^unsafe_code = "deny"$', lints, re.M):
+    sys.exit('the root Cargo.toml no longer says unsafe_code = "deny"')
+print(f"    one unsafe block: {path}:{i + 1}")
+PYEOF
+
+echo "==> portable and AVX2 sweeps agree (release build, packed lanes)"
+# Guard: on an AVX2 host every sweep takes the AVX2 build, so the
+# portable build is exercised only by this unit test. The debug build of
+# the test step above keeps the lanes scalar; the release build runs them
+# packed, two per SSE2 register and four per AVX2 register, as shipped.
+sweeps="$(cargo test -q --release --offline -p sbr-core --lib -- --exact \
+  best_map::tests::portable_and_dispatched_sweeps_agree_bit_for_bit)"
+echo "$sweeps" | grep -q "1 passed" \
+  || { echo "the portable-vs-dispatched sweep test did not run:"; echo "$sweeps"; exit 1; } >&2
+
+echo "==> rustdoc -D warnings (every crates/* package, vendor stubs excluded)"
+# Guard: broken, private or ambiguous intra-doc links are warnings that
+# no other step reads; here they fail the pass.
+doc_pkgs=()
+for manifest in crates/*/Cargo.toml; do
+  doc_pkgs+=(-p "$(sed -n 's/^name = "\(.*\)"$/\1/p' "$manifest" | head -1)")
+done
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q "${doc_pkgs[@]}"
+
 echo "==> reference-encoder differential suite (every config byte-identical to the reference)"
 # Guard: the Search probe cache, the GetBase fit cache, the blocked shift
 # sweep and the worker fan-out only reorder evaluation — every
