@@ -1,5 +1,5 @@
 //! Microbenchmarks of the SBR kernels: the regression fits, `BestMap`'s
-//! shift scan, `GetIntervals` and `GetBase` (serial and fanned out).
+//! shift scan, `GetIntervals` and `GetBase`.
 //! These back the complexity claims of §4.2–§4.4 (regression linear in the
 //! window, BestMap linear in `|X| × len`, GetBase `O(n^1.5)`). The `crc32`
 //! group times the CRC-32 kernel that seals every v2 frame and every store
@@ -89,36 +89,6 @@ fn bench_best_map(c: &mut Criterion) {
     g.finish();
 }
 
-/// `GetBase`'s K×K benefit matrix, serial vs the scoped-thread fan-out.
-/// On a single-core host the threaded numbers mostly measure the fan-out
-/// overhead; with real cores they show the speedup.
-fn bench_get_base_parallel(c: &mut Criterion) {
-    let mut g = c.benchmark_group("get_base_parallel");
-    g.sample_size(10);
-    let n = 4096usize;
-    let rows: Vec<Vec<f64>> = (0..4).map(|s| signal(n / 4, s as u64)).collect();
-    let data = MultiSeries::from_rows(&rows).unwrap();
-    let w = data.default_w();
-    let obs = EncodeObs::default();
-    for threads in [1usize, 2, 4] {
-        g.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &t| {
-            b.iter(|| {
-                get_base_cached(
-                    black_box(&data),
-                    w,
-                    8,
-                    ErrorMetric::Sse,
-                    t,
-                    &obs,
-                    &mut FitCache::new(),
-                )
-                .len()
-            })
-        });
-    }
-    g.finish();
-}
-
 fn bench_get_intervals(c: &mut Criterion) {
     let mut g = c.benchmark_group("get_intervals");
     g.sample_size(10);
@@ -153,14 +123,15 @@ fn bench_get_base(c: &mut Criterion) {
     g.finish();
 }
 
-/// The incremental `GetBase`: a cold build (factored moments + per-batch
-/// memo) vs a warm cross-batch carry-over (every window interned by the
-/// previous call, so the matrix build fits nothing fresh).
+/// The incremental `GetBase`, as the encoder runs it (on the calling
+/// thread): a cold build (factored moments + per-batch memo) vs a warm
+/// cross-batch carry-over (every window interned by the previous call, so
+/// the matrix build fits nothing fresh), at three batch sizes.
 fn bench_get_base_cached(c: &mut Criterion) {
     let mut g = c.benchmark_group("get_base_cached");
     g.sample_size(10);
     let obs = EncodeObs::default();
-    for n in [2048usize, 8192] {
+    for n in [2048usize, 4096, 8192] {
         let rows: Vec<Vec<f64>> = (0..4).map(|s| signal(n / 4, s as u64)).collect();
         let data = MultiSeries::from_rows(&rows).unwrap();
         let w = data.default_w();
@@ -171,7 +142,6 @@ fn bench_get_base_cached(c: &mut Criterion) {
                     w,
                     8,
                     ErrorMetric::Sse,
-                    1,
                     &obs,
                     &mut FitCache::new(),
                 )
@@ -180,18 +150,9 @@ fn bench_get_base_cached(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("cached_warm", n), &n, |b, _| {
             let mut cache = FitCache::new();
-            get_base_cached(&data, w, 8, ErrorMetric::Sse, 1, &obs, &mut cache);
+            get_base_cached(&data, w, 8, ErrorMetric::Sse, &obs, &mut cache);
             b.iter(|| {
-                get_base_cached(
-                    black_box(&data),
-                    w,
-                    8,
-                    ErrorMetric::Sse,
-                    1,
-                    &obs,
-                    &mut cache,
-                )
-                .len()
+                get_base_cached(black_box(&data), w, 8, ErrorMetric::Sse, &obs, &mut cache).len()
             })
         });
     }
@@ -228,7 +189,6 @@ criterion_group!(
     bench_best_map,
     bench_get_intervals,
     bench_get_base,
-    bench_get_base_cached,
-    bench_get_base_parallel
+    bench_get_base_cached
 );
 criterion_main!(benches);

@@ -405,7 +405,6 @@ const PHASES: &[(&str, &str)] = &[
     ("  get_intervals", "sbr_core.get_intervals.run_ns"),
     ("codec encode", "sbr_core.codec.encode_ns"),
     ("codec decode", "sbr_core.codec.decode_ns"),
-    ("par worker busy", "sbr_core.par.worker_busy_ns"),
     ("query", "sbr_core.query.query_ns"),
 ];
 

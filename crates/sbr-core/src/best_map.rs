@@ -8,7 +8,7 @@ use crate::obs::EncodeObs;
 use crate::regression::{self, PrefixStats};
 use crate::xcorr;
 
-use std::sync::OnceLock;
+use std::cell::OnceCell;
 
 /// Which stretch of the concatenated dictionary a region-restricted sweep
 /// covers — only used to attribute the sweep to the right observability
@@ -55,9 +55,9 @@ pub struct MapContext<'a> {
     /// fits and sweeps. Never affects the fit itself.
     pub obs: EncodeObs,
     /// `window_stats[len - 1]`: every shift's [`WindowStat`] for windows of
-    /// `len` values, built by the first SSE sweep of that length. Shared by
-    /// every thread fitting against this context.
-    window_stats: Vec<OnceLock<Box<[WindowStat]>>>,
+    /// `len` values, built by the first SSE sweep of that length and shared
+    /// by every later fit against this context.
+    window_stats: Vec<OnceCell<Box<[WindowStat]>>>,
     /// `X` followed by `DOT_BLOCK − 1` zeros, so every block of a sweep —
     /// its last one too — reads a whole block's stretch. Lanes that reach
     /// into the zeros lie past the sweep's last shift and are never read.
@@ -78,7 +78,7 @@ impl<'a> MapContext<'a> {
             max_shift_len,
             obs: config.obs.clone(),
             window_stats: (0..max_shift_len.min(x.len()))
-                .map(|_| OnceLock::new())
+                .map(|_| OnceCell::new())
                 .collect(),
             x_padded: x
                 .iter()
@@ -242,11 +242,11 @@ impl<'a> MapContext<'a> {
 
     /// Approximate heap bytes of the window-statistics tables built so far.
     pub(crate) fn window_stats_bytes(&self) -> usize {
-        self.window_stats.len() * std::mem::size_of::<OnceLock<Box<[WindowStat]>>>()
+        self.window_stats.len() * std::mem::size_of::<OnceCell<Box<[WindowStat]>>>()
             + self
                 .window_stats
                 .iter()
-                .filter_map(OnceLock::get)
+                .filter_map(OnceCell::get)
                 .map(|t| t.len() * std::mem::size_of::<WindowStat>())
                 .sum::<usize>()
     }

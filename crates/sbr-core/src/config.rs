@@ -44,12 +44,6 @@ pub struct SbrConfig {
     /// shortcut §4.4 recommends for constrained deployments once the
     /// dictionary has converged.
     pub update_base: bool,
-    /// Worker threads for the encoder's fan-out over whole `Search` probes
-    /// and `GetBase` matrix rows (`GetIntervals` itself is serial).
-    /// `0` (the default) means one thread per available CPU; `1` disables
-    /// threading. Results are deterministic and identical for every value —
-    /// work is sharded by index and reduced in index order.
-    pub num_threads: usize,
     /// Observability handles for the encode pipeline. Defaults to fully
     /// disabled (every hook a single branch); attach a live recorder with
     /// [`SbrConfig::with_recorder`]. Never affects the output — only what
@@ -70,7 +64,6 @@ impl SbrConfig {
             error_target: None,
             exhaustive_search: false,
             update_base: true,
-            num_threads: 0,
             obs: crate::obs::EncodeObs::default(),
         }
     }
@@ -119,22 +112,13 @@ impl SbrConfig {
         self
     }
 
-    /// Set the worker-thread count (builder style); `0` = auto, `1` =
-    /// serial. See [`SbrConfig::num_threads`].
-    pub fn with_threads(mut self, num_threads: usize) -> Self {
-        self.num_threads = num_threads;
+    /// Returns the configuration unchanged: the encoder runs on the
+    /// calling thread, as on a sensor node's one CPU, whatever the count.
+    /// Kept only because the pipeline benchmark still calls it; deleted at
+    /// the next change to the benchmark.
+    #[deprecated(note = "the encoder is single-threaded; the thread count is ignored")]
+    pub fn with_threads(self, _num_threads: usize) -> Self {
         self
-    }
-
-    /// The effective worker count: `num_threads`, with `0` resolved to the
-    /// number of available CPUs (at least 1).
-    pub fn resolved_threads(&self) -> usize {
-        match self.num_threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            t => t,
-        }
     }
 
     /// Derived base-interval width for a batch of `n` values.
@@ -191,13 +175,12 @@ pub trait BaseBuilder {
     /// ordered by decreasing priority. The SBR driver decides how many of
     /// them are actually inserted.
     ///
-    /// `config` carries the metric, the worker-thread budget and the
-    /// observability bundle; `cache` is the encoder's cross-batch
+    /// `config` carries the metric and the observability bundle; `cache`
+    /// is the encoder's cross-batch
     /// [`FitCache`](crate::fit_cache::FitCache). Builders that fit
-    /// candidate pairs (the paper's `GetBase`) fan out and memoize through
-    /// them; the appendix's SVD/DCT constructions ignore both.
-    /// Implementations must return the same output for every thread count
-    /// and cache state.
+    /// candidate pairs (the paper's `GetBase`) memoize through it; the
+    /// appendix's SVD/DCT constructions ignore both. Implementations must
+    /// return the same output for every cache state.
     fn build(
         &self,
         data: &MultiSeries,

@@ -2,8 +2,8 @@
 //!
 //! `GetBase` (Algorithm 4) scores every ordered pair of candidate base
 //! intervals with `fit(metric, cbi_i, cbi_j).err`. Those errors depend only
-//! on the two windows' *contents* — not on the batch they arrived in, the
-//! greedy step examining them, or the thread evaluating them — so the same
+//! on the two windows' *contents* — not on the batch they arrived in or
+//! the greedy step examining them — so the same
 //! number is recomputed many times: consecutive transmission batches of
 //! slowly-varying sensor data repeat whole windows verbatim.
 //!
@@ -28,12 +28,14 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::metric::ErrorMetric;
 
-/// FNV-1a hasher for the cache's internal maps. The keys are internal ids
-/// and content hashes — never attacker-controlled input — and the pair map
-/// sits on the matrix build's per-cell path, where the default SipHash's
-/// DoS resistance costs roughly as much as the factored fit it guards.
+/// FNV-1a hasher for the encoder's internal maps (this cache's, and the
+/// `Search` probe cache's `(start, len)` entries). The keys are internal
+/// ids, content hashes and interval bounds — never attacker-controlled
+/// input — and the pair map sits on the matrix build's per-cell path,
+/// where the default SipHash's DoS resistance costs roughly as much as the
+/// factored fit it guards.
 #[derive(Debug, Clone, Copy)]
-struct FnvHasher(u64);
+pub(crate) struct FnvHasher(u64);
 
 impl Default for FnvHasher {
     fn default() -> Self {
@@ -66,9 +68,14 @@ impl Hasher for FnvHasher {
         self.0 ^= i;
         self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
     }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
 }
 
-type FnvBuild = BuildHasherDefault<FnvHasher>;
+pub(crate) type FnvBuild = BuildHasherDefault<FnvHasher>;
 
 /// Batches a window may go unseen before eviction: content is carried
 /// across the current and the immediately previous batch, which is where

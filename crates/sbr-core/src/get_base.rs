@@ -59,7 +59,6 @@ pub fn get_base(
         w,
         max_ins,
         metric,
-        1,
         &EncodeObs::default(),
         &mut FitCache::new(),
     )
@@ -86,17 +85,13 @@ pub fn get_base(
 /// `obs` reports the reuse through `sbr_core.get_base.fit_cache.{hits,
 /// misses,bytes}`: a hit is any pair-error evaluation served by the memo
 /// (carried-over build cells plus every greedy re-reduction read), a miss
-/// is a fresh fit. The `K×K` matrix is built row-parallel on up to
-/// `threads` scoped workers; rows are merged in index order, so every
-/// thread count returns identical output. A fresh `cache` still memoizes
-/// within the batch (layers 1–2) but carries nothing over.
-#[allow(clippy::too_many_arguments)]
+/// is a fresh fit. A fresh `cache` still memoizes within the batch
+/// (layers 1–2) but carries nothing over.
 pub fn get_base_cached(
     data: &MultiSeries,
     w: usize,
     max_ins: usize,
     metric: ErrorMetric,
-    threads: usize,
     obs: &EncodeObs,
     cache: &mut FitCache,
 ) -> Vec<Vec<f64>> {
@@ -175,65 +170,52 @@ pub fn get_base_cached(
         .iter()
         .map(|c| regression::fit_linear(metric, c).err)
         .collect();
-    // Row build through the memo: workers read the cache immutably and
-    // report which cells they had to fit fresh; misses are folded back in
-    // serially afterwards (ids are per-content, so two equal-content CBIs
-    // in one batch share their row/column cells too).
-    let cache_ro: &FitCache = cache;
-    let rows: Vec<Vec<(f64, bool)>> = crate::par::par_map(k, threads, &obs.par, |i| {
-        let mut row: Vec<(f64, bool)> = Vec::with_capacity(k);
-        let mut fresh_js: Vec<usize> = Vec::with_capacity(k);
+    // Row build through the memo: carried cells are read straight out of
+    // it, fresh ones are fit in place (ids are per-content, so two
+    // equal-content CBIs in one batch share their row/column cells too).
+    let mut err: Vec<f64> = Vec::with_capacity(k * k);
+    let mut fresh_js: Vec<usize> = Vec::with_capacity(k);
+    let mut build_misses = 0u64;
+    for i in 0..k {
+        fresh_js.clear();
         for j in 0..k {
-            if i == j {
-                row.push((0.0, false));
+            let known = if i == j {
+                Some(0.0)
             } else if carried[i] && carried[j] {
-                match cache_ro.get(ids[i], ids[j]) {
-                    Some(e) => row.push((e, false)),
-                    None => {
-                        row.push((f64::NAN, true));
-                        fresh_js.push(j);
-                    }
-                }
+                cache.get(ids[i], ids[j])
             } else {
-                row.push((f64::NAN, true));
-                fresh_js.push(j);
+                None
+            };
+            match known {
+                Some(e) => err.push(e),
+                None => {
+                    err.push(f64::NAN);
+                    fresh_js.push(j);
+                }
             }
         }
+        let row = &mut err[i * k..];
         if metric == ErrorMetric::Sse {
             let mut b = 0;
             while b + PAIR_BLOCK <= fresh_js.len() {
                 let js = &fresh_js[b..b + PAIR_BLOCK];
                 let errs = fit_block(i, js);
                 for (l, &j) in js.iter().enumerate() {
-                    row[j].0 = errs[l];
+                    row[j] = errs[l];
                 }
                 b += PAIR_BLOCK;
             }
             for &j in &fresh_js[b..] {
-                row[j].0 = fit_pair(i, j);
+                row[j] = fit_pair(i, j);
             }
         } else {
             for &j in &fresh_js {
-                row[j].0 = fit_pair(i, j);
+                row[j] = fit_pair(i, j);
             }
         }
-        row
-    });
-    let mut build_hits = 0u64;
-    let mut build_misses = 0u64;
-    let mut err: Vec<f64> = Vec::with_capacity(k * k);
-    for (i, row) in rows.into_iter().enumerate() {
-        for (j, (e, fresh)) in row.into_iter().enumerate() {
-            if i != j {
-                if fresh {
-                    build_misses += 1;
-                } else {
-                    build_hits += 1;
-                }
-            }
-            err.push(e);
-        }
+        build_misses += fresh_js.len() as u64;
     }
+    let build_hits = (k * (k - 1)) as u64 - build_misses;
     obs.fit_cache_misses.add(build_misses);
 
     let mut selected_flags = vec![false; k];
@@ -291,15 +273,7 @@ impl BaseBuilder for GetBaseBuilder {
         config: &SbrConfig,
         cache: &mut FitCache,
     ) -> Vec<Vec<f64>> {
-        get_base_cached(
-            data,
-            w,
-            max_ins,
-            config.metric,
-            config.resolved_threads(),
-            &config.obs,
-            cache,
-        )
+        get_base_cached(data, w, max_ins, config.metric, &config.obs, cache)
     }
 }
 
@@ -398,10 +372,10 @@ mod tests {
         let data = series(&[wiggle(0.5, 16), wiggle(2.5, 16)]);
         let expected = get_base(&data, 4, 2, ErrorMetric::Sse);
         let mut cache = FitCache::new();
-        for threads in [1, 4, 1] {
-            let config = SbrConfig::new(100, 100).with_threads(threads);
+        for round in 0..3 {
+            let config = SbrConfig::new(100, 100);
             let built = GetBaseBuilder.build(&data, 4, 2, &config, &mut cache);
-            assert_eq!(built, expected, "threads {threads}, warm cache");
+            assert_eq!(built, expected, "round {round}, warm cache");
         }
     }
 }

@@ -46,8 +46,7 @@ impl Approximation {
 /// halving is shared — not forked — between the plain per-probe evaluation
 /// ([`MapContext`] fits against one concrete dictionary) and the `Search`
 /// probe cache ([`crate::probe_cache::ProbeOracle`] serves fits assembled
-/// from cached per-region sweeps). The splitting loop calls it serially;
-/// any parallelism sits above it, across whole `Search` probes.
+/// from cached per-region sweeps).
 pub trait FitOracle {
     /// Fit `interval` in place; `start`/`length` are already set. Must
     /// reproduce [`MapContext::best_map`] against the oracle's dictionary

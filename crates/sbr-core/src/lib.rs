@@ -64,8 +64,6 @@ pub mod series;
 pub mod transmission;
 pub mod xcorr;
 
-pub(crate) mod par;
-
 pub use base_signal::BaseSignal;
 pub use bounds::{BoundedEncoding, ErrorBoundSpec};
 pub use config::{BaseBuilder, SbrConfig};

@@ -37,9 +37,6 @@
 //! | `sbr_core.sbr.tx_fallback_intervals` | counter | transmitted intervals using the fall-back |
 //! | `sbr_core.codec.encode_ns` / `decode_ns` | histogram | wire codec |
 //! | `sbr_core.codec.resync_frames` | counter | resync frames emitted (overflow or reboot) |
-//! | `sbr_core.par.fanouts` | counter | thread fan-outs actually taken |
-//! | `sbr_core.par.worker_items` | histogram | items one worker processed |
-//! | `sbr_core.par.worker_busy_ns` | histogram | one worker's busy time |
 //! | `sbr_core.query.query_ns` | histogram | one compressed-domain range query |
 //! | `sbr_core.query.plan_cache.hits` | counter | queries served from a cached plan |
 //! | `sbr_core.query.plan_cache.misses` | counter | queries that computed a fresh plan |
@@ -125,8 +122,6 @@ pub struct EncodeObs {
     pub base_slots: Gauge,
     /// `K×K` benefit-matrix size of the last `GetBase` run.
     pub matrix_cells: Gauge,
-    /// Fan-out metrics for `par_map`.
-    pub par: ParObs,
     /// Frame-lifecycle event ring (disabled unless attached with
     /// [`SbrConfig::with_timeline`](crate::SbrConfig::with_timeline)).
     pub timeline: Timeline,
@@ -164,7 +159,6 @@ impl EncodeObs {
             tx_fallback_intervals: r.counter("sbr_core.sbr.tx_fallback_intervals"),
             base_slots: r.gauge("sbr_core.base_signal.slots"),
             matrix_cells: r.gauge("sbr_core.get_base.matrix_cells"),
-            par: ParObs::new(r),
             timeline: Timeline::noop(),
             recorder: Some(recorder),
         }
@@ -232,32 +226,5 @@ impl QueryObs {
     #[inline]
     pub fn enabled(&self) -> bool {
         self.query_ns.is_enabled()
-    }
-}
-
-/// Per-thread utilization metrics for the `par_map` fan-out.
-#[derive(Clone, Debug, Default)]
-pub struct ParObs {
-    /// Fan-outs that actually spawned workers (serial runs excluded).
-    pub fanouts: Counter,
-    /// Items processed by one worker in one fan-out.
-    pub worker_items: Histogram,
-    /// One worker's busy time in one fan-out, nanoseconds.
-    pub worker_busy_ns: Histogram,
-}
-
-impl ParObs {
-    fn new(r: &dyn Recorder) -> Self {
-        ParObs {
-            fanouts: r.counter("sbr_core.par.fanouts"),
-            worker_items: r.histogram("sbr_core.par.worker_items"),
-            worker_busy_ns: r.histogram("sbr_core.par.worker_busy_ns"),
-        }
-    }
-
-    /// Whether worker timing should be collected.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.worker_busy_ns.is_enabled()
     }
 }

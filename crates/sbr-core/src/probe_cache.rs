@@ -39,11 +39,12 @@
 //! by `(start, len)` because the split tree visits the same intervals in
 //! every probe (splitting depends only on `(start, len)` and the data).
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::collections::hash_map::{Entry as Slot, HashMap};
 
 use crate::best_map::{MapContext, SweepRegion};
 use crate::config::SbrConfig;
+use crate::fit_cache::FnvBuild;
 use crate::get_intervals::FitOracle;
 use crate::interval::Interval;
 use crate::series::MultiSeries;
@@ -102,11 +103,9 @@ pub struct ProbeCacheFootprint {
 
 /// The probe cache: fit state shared across every probe of one `Search`.
 ///
-/// Thread-safe — `Search` prefetches probes concurrently (each probe's
-/// `GetIntervals` runs serially on one worker), so an entry may be
-/// demanded by several probes at once. The map lock is held only for the
-/// lookup; the per-entry lock serializes fold extension, so two probes
-/// asking for the same interval never duplicate a sweep.
+/// `Search` runs its probes one after another on the encoding thread, so
+/// the map sits in a plain [`RefCell`]: a fit borrows it once, finds or
+/// creates the interval's entry and extends that entry's folds in place.
 pub struct ProbeCache<'a> {
     /// Fit context over the *longest* dictionary `X_full = base ∥ all
     /// candidates`; every region sweep is evaluated against it (prefix
@@ -114,8 +113,7 @@ pub struct ProbeCache<'a> {
     ctx: MapContext<'a>,
     base_len: usize,
     w: usize,
-    #[allow(clippy::type_complexity)]
-    entries: Mutex<HashMap<(usize, usize), Arc<Mutex<Entry>>>>,
+    entries: RefCell<HashMap<(usize, usize), Entry, FnvBuild>>,
 }
 
 impl<'a> ProbeCache<'a> {
@@ -136,7 +134,7 @@ impl<'a> ProbeCache<'a> {
             ctx: MapContext::new(x_full, data.flat(), config, w),
             base_len,
             w,
-            entries: Mutex::new(HashMap::new()),
+            entries: RefCell::default(),
         }
     }
 
@@ -156,35 +154,28 @@ impl<'a> ProbeCache<'a> {
         let l_pos = self.base_len + pos * self.w;
         let shiftable = len <= self.ctx.max_shift_len && len <= l_pos;
 
-        let cell = {
-            // lint:allow(panic-reachability): poisoning requires a prior worker panic that already failed the run
-            let mut map = self.entries.lock().expect("probe cache map poisoned");
-            match map.get(&(start, len)) {
-                Some(cell) => {
-                    obs.cache_hits.inc();
-                    Arc::clone(cell)
-                }
-                None => {
-                    obs.cache_misses.inc();
-                    let mut iv = Interval::unfitted(start, len);
-                    self.ctx.fallback_fit(&mut iv);
-                    let cell = Arc::new(Mutex::new(Entry {
-                        fallback: FitState::capture(&iv),
-                        folded: Vec::new(),
-                    }));
-                    map.insert((start, len), Arc::clone(&cell));
-                    cell
-                }
+        let mut map = self.entries.borrow_mut();
+        let entry = match map.entry((start, len)) {
+            Slot::Occupied(slot) => {
+                obs.cache_hits.inc();
+                slot.into_mut()
+            }
+            Slot::Vacant(slot) => {
+                obs.cache_misses.inc();
+                let mut iv = Interval::unfitted(start, len);
+                self.ctx.fallback_fit(&mut iv);
+                slot.insert(Entry {
+                    fallback: FitState::capture(&iv),
+                    folded: Vec::new(),
+                })
             }
         };
-        // lint:allow(panic-reachability): poisoning requires a prior worker panic that already failed the run
-        let mut entry = cell.lock().expect("probe cache entry poisoned");
         if !shiftable {
             // Matches `MapContext::best_map`'s `allow_linear_fallback ||
             // !shiftable` branch: a non-shiftable interval always takes the fall-back.
             entry.fallback.apply(interval);
         } else {
-            self.extend(&mut entry, start, len, pos);
+            self.extend(entry, start, len, pos);
             entry.folded[pos].apply(interval);
         }
         if interval.is_fallback() {
@@ -231,17 +222,12 @@ impl<'a> ProbeCache<'a> {
     /// per-length window-statistics tables, exported to the
     /// `sbr_core.probe_cache.bytes` gauge by [`ProbeCache::publish`].
     pub fn footprint(&self) -> ProbeCacheFootprint {
-        // lint:allow(panic-reachability): poisoning requires a prior worker panic that already failed the run
-        let map = self.entries.lock().expect("probe cache map poisoned");
+        let map = self.entries.borrow();
         let mut folded = 0usize;
         let mut bytes = std::mem::size_of::<Self>() + self.ctx.window_stats_bytes();
-        for cell in map.values() {
-            // lint:allow(panic-reachability): poisoning requires a prior worker panic that already failed the run
-            let entry = cell.lock().expect("probe cache entry poisoned");
+        for entry in map.values() {
             folded += entry.folded.len();
-            bytes += std::mem::size_of::<(usize, usize)>()
-                + std::mem::size_of::<Arc<Mutex<Entry>>>()
-                + std::mem::size_of::<Entry>()
+            bytes += std::mem::size_of::<((usize, usize), Entry)>()
                 + entry.folded.capacity() * std::mem::size_of::<FitState>();
         }
         ProbeCacheFootprint {

@@ -485,46 +485,6 @@ mod tests {
     }
 
     #[test]
-    fn fan_out_never_nests() {
-        // Each prefetch fan-out computes at least two probes and GetBase
-        // adds one more, so any fan-out nested inside a probe's
-        // GetIntervals pushes the count past this bound.
-        use crate::obs::{MetricsRecorder, Recorder as _};
-        use std::sync::Arc;
-        let rec = Arc::new(MetricsRecorder::new());
-        let fanouts = || rec.snapshot().counter("sbr_core.par.fanouts").unwrap_or(0) as usize;
-        let config = SbrConfig::new(200, 256);
-        let mut par = SbrEncoder::new(
-            3,
-            256,
-            config.clone().with_recorder(rec.clone()).with_threads(4),
-        )
-        .unwrap();
-        let mut serial = SbrEncoder::new(3, 256, config.with_threads(1)).unwrap();
-        for batch in 0..4 {
-            let rows: Vec<Vec<f64>> = patterned_rows(3, 256 + batch)
-                .into_iter()
-                .map(|r| r[batch..].to_vec())
-                .collect();
-            let before = fanouts();
-            let tx = par.encode(&rows).unwrap();
-            let probes = par.last_stats().unwrap().search_probes;
-            assert!(probes >= 2, "batch {batch}: the search must probe");
-            let delta = fanouts() - before;
-            assert!(
-                delta <= probes + 1,
-                "batch {batch}: {delta} fan-outs for {probes} probes"
-            );
-            let bytes = |tx| crate::codec::encode_v2(&crate::Frame::data(0, tx));
-            assert_eq!(
-                bytes(tx),
-                bytes(serial.encode(&rows).unwrap()),
-                "batch {batch}: stream depends on the thread count"
-            );
-        }
-    }
-
-    #[test]
     fn learning_encoders_transmit_the_winning_probe() {
         // A learning batch runs GetIntervals once per Search probe and never
         // again: no fit sweeps the whole dictionary. A frozen batch never
@@ -540,64 +500,58 @@ mod tests {
                     .collect()
             })
             .collect();
-        for threads in [1usize, 4] {
-            let rec = Arc::new(MetricsRecorder::new());
-            let plain = SbrConfig::new(200, 256).with_threads(threads);
-            let mut enc =
-                SbrEncoder::new(3, 256, plain.clone().with_recorder(rec.clone())).unwrap();
-            let tallies = || {
-                let snap = rec.snapshot();
-                let c = |name| snap.counter(name).unwrap_or(0);
-                let fits = snap
-                    .histogram("sbr_core.get_intervals.run_ns")
-                    .map_or(0, |h| h.count);
-                (
-                    fits,
-                    c("sbr_core.search.probes"),
-                    c("sbr_core.best_map.direct_sweeps"),
-                )
-            };
-            for (t, batch) in batches.iter().enumerate() {
-                let frozen = t >= 3;
-                enc.set_update_base(!frozen);
-                let base = enc.base().clone();
-                let (fits0, probes0, full0) = tallies();
-                let tx = enc.encode(batch).unwrap();
-                let (fits, probes, full) = tallies();
-                let (fits, probes, full) = (fits - fits0, probes - probes0, full - full0);
-                let label = format!("t{threads} batch {t}");
-                if frozen {
-                    assert_eq!(fits, 1, "{label}: a frozen batch fits once");
-                } else {
-                    assert!(probes > 0, "{label}: the search must probe");
-                    assert!(fits <= probes, "{label}: {fits} fits for {probes} probes");
-                    assert_eq!(full, 0, "{label}: a probe was re-fitted");
-                }
-
-                let ins = tx.base_updates.len();
-                let inserted: Vec<&[f64]> = tx
-                    .base_updates
-                    .iter()
-                    .map(|u| u.values.as_slice())
-                    .collect();
-                let mut scratch = Vec::new();
-                let x_new = base.flat_with_appended(&inserted, &mut scratch);
-                let budget = plain.total_band - ins * (enc.w() + 1);
-                let data = MultiSeries::from_rows(batch).unwrap();
-                let refit = get_intervals(x_new, &data, budget, enc.w(), &plain).unwrap();
-                let want: Vec<_> = refit.intervals.iter().map(|iv| iv.record()).collect();
-                assert_eq!(tx.intervals, want, "{label}: transmitted != re-fit");
-                assert_eq!(
-                    enc.last_stats().unwrap().total_err.to_bits(),
-                    refit.total_err.to_bits(),
-                    "{label}"
-                );
+        let rec = Arc::new(MetricsRecorder::new());
+        let plain = SbrConfig::new(200, 256);
+        let mut enc = SbrEncoder::new(3, 256, plain.clone().with_recorder(rec.clone())).unwrap();
+        let tallies = || {
+            let snap = rec.snapshot();
+            let c = |name| snap.counter(name).unwrap_or(0);
+            let fits = snap
+                .histogram("sbr_core.get_intervals.run_ns")
+                .map_or(0, |h| h.count);
+            (
+                fits,
+                c("sbr_core.search.probes"),
+                c("sbr_core.best_map.direct_sweeps"),
+            )
+        };
+        for (t, batch) in batches.iter().enumerate() {
+            let frozen = t >= 3;
+            enc.set_update_base(!frozen);
+            let base = enc.base().clone();
+            let (fits0, probes0, full0) = tallies();
+            let tx = enc.encode(batch).unwrap();
+            let (fits, probes, full) = tallies();
+            let (fits, probes, full) = (fits - fits0, probes - probes0, full - full0);
+            let label = format!("batch {t}");
+            if frozen {
+                assert_eq!(fits, 1, "{label}: a frozen batch fits once");
+            } else {
+                assert!(probes > 0, "{label}: the search must probe");
+                assert!(fits <= probes, "{label}: {fits} fits for {probes} probes");
+                assert_eq!(full, 0, "{label}: a probe was re-fitted");
             }
-            assert!(
-                enc.base().num_slots() > 0,
-                "t{threads}: nothing was learned"
+
+            let ins = tx.base_updates.len();
+            let inserted: Vec<&[f64]> = tx
+                .base_updates
+                .iter()
+                .map(|u| u.values.as_slice())
+                .collect();
+            let mut scratch = Vec::new();
+            let x_new = base.flat_with_appended(&inserted, &mut scratch);
+            let budget = plain.total_band - ins * (enc.w() + 1);
+            let data = MultiSeries::from_rows(batch).unwrap();
+            let refit = get_intervals(x_new, &data, budget, enc.w(), &plain).unwrap();
+            let want: Vec<_> = refit.intervals.iter().map(|iv| iv.record()).collect();
+            assert_eq!(tx.intervals, want, "{label}: transmitted != re-fit");
+            assert_eq!(
+                enc.last_stats().unwrap().total_err.to_bits(),
+                refit.total_err.to_bits(),
+                "{label}"
             );
         }
+        assert!(enc.base().num_slots() > 0, "nothing was learned");
     }
 
     #[test]

@@ -96,8 +96,6 @@ impl<'a> SearchContext<'a> {
     /// Probe every insertion count; ground truth for the unimodality
     /// assumption behind Algorithm 7.
     fn run_exhaustive(&mut self, cache: &ProbeCache<'_>) -> usize {
-        let all: Vec<usize> = (0..=self.candidates.len()).collect();
-        self.prefetch(cache, &all);
         let mut best = 0;
         let mut best_err = self.probe(cache, 0);
         for pos in 1..=self.candidates.len() {
@@ -131,81 +129,37 @@ impl<'a> SearchContext<'a> {
         }
     }
 
-    /// Memoized probe served through the probe cache.
+    /// Memoized probe: one full `GetIntervals` run against the would-be
+    /// dictionary, with every fit pulled from the cache's probe-`pos`
+    /// oracle. A count whose insertions exhaust the budget memoizes `∞`
+    /// and no approximation.
     fn probe(&mut self, cache: &ProbeCache<'_>, pos: usize) -> f64 {
         if let Some(e) = self.errors[pos] {
             return e;
         }
         self.probes += 1;
-        let (e, approx) = self.compute_error(cache, pos);
-        self.errors[pos] = Some(e);
-        self.approximations[pos] = approx;
-        e
-    }
-
-    /// The probe itself, memo-free: one full `GetIntervals` run against the
-    /// would-be dictionary, with every fit pulled from the cache's
-    /// probe-`pos` oracle. Returns the batch error and its approximation,
-    /// or `(∞, None)` when `pos` insertions exhaust the budget. Shared by
-    /// the serial memoized path and the parallel prefetch.
-    fn compute_error(&self, cache: &ProbeCache<'_>, pos: usize) -> (f64, Option<Approximation>) {
         let _span = self
             .config
             .obs
             .span("sbr_core.search.probe_ns", &self.config.obs.probe_ns);
         let budget = self.config.total_band.saturating_sub(pos * (self.w + 1));
-        if budget / IntervalRecord::COST < self.data.n_signals() {
-            // Insertions ate the whole budget; this count is infeasible.
-            return (f64::INFINITY, None);
-        }
-        match get_intervals_with(&cache.oracle(pos), self.data, budget, self.config) {
-            Ok(a) => (a.total_err, Some(a)),
-            Err(_) => (f64::INFINITY, None),
-        }
+        let approx = if budget / IntervalRecord::COST < self.data.n_signals() {
+            None
+        } else {
+            get_intervals_with(&cache.oracle(pos), self.data, budget, self.config).ok()
+        };
+        let e = approx.as_ref().map_or(f64::INFINITY, |a| a.total_err);
+        self.errors[pos] = Some(e);
+        self.approximations[pos] = approx;
+        e
     }
 
-    /// Evaluate any not-yet-memoized probes among `positions` concurrently
-    /// and store them in the memo (counted by [`SearchContext::probes`]).
-    ///
-    /// With one worker thread this is a no-op: the serial search then
-    /// probes lazily, exactly as before. With more threads the search
-    /// speculatively evaluates the at-most-four positions a recursion level
-    /// *might* need; the selected insertion count is unaffected (the memo
-    /// holds identical values either way), the search merely trades at most
-    /// one extra probe per level for running them all in parallel.
-    fn prefetch(&mut self, cache: &ProbeCache<'_>, positions: &[usize]) {
-        let threads = self.config.resolved_threads();
-        if threads <= 1 {
-            return;
-        }
-        let mut missing: Vec<usize> = positions
-            .iter()
-            .copied()
-            .filter(|&p| p < self.errors.len() && self.errors[p].is_none())
-            .collect();
-        missing.sort_unstable();
-        missing.dedup();
-        if missing.len() < 2 {
-            return;
-        }
-        let values = crate::par::par_map(missing.len(), threads, &self.config.obs.par, |i| {
-            self.compute_error(cache, missing[i])
-        });
-        for (&pos, (e, approx)) in missing.iter().zip(values) {
-            self.errors[pos] = Some(e);
-            self.approximations[pos] = approx;
-            self.probes += 1;
-        }
-    }
-
-    /// Algorithm 7, verbatim (plus a speculative parallel prefetch of the
-    /// level's probe positions when threading is enabled).
+    /// Algorithm 7, verbatim.
     fn search(&mut self, start: usize, end: usize, cache: &ProbeCache<'_>) -> usize {
         if end == start {
             return start;
         }
         let middle = (start + end) / 2;
-        self.prefetch(cache, &[start, middle, middle + 1, end]);
         let e_mid = self.probe(cache, middle);
         let e_start = self.probe(cache, start);
         if e_mid > e_start {

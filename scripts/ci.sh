@@ -35,13 +35,14 @@ if grep -rn 'cfg(feature' crates/*/src src tests examples; then
   echo "a cfg(feature gate is back in the sources above" >&2; exit 1
 fi
 
-echo "==> one fan-out level (par_map only across Search probes and GetBase rows)"
-# Guard: the encoder fans out once, at the coarsest independent unit. A
-# par_map call anywhere else in sbr-core (GetIntervals, BestMap) would nest
-# a fan-out inside a Search probe and spawn threads per interval fit.
-if grep -rn 'par_map(' crates/sbr-core/src \
-    | grep -vE '^crates/sbr-core/src/(par|search|get_base)\.rs:'; then
-  echo "par_map( is called above outside par.rs, search.rs and get_base.rs" >&2; exit 1
+echo "==> sbr-core spawns no thread (the encoder runs on the calling thread)"
+# Guard: the paper's encoder runs on a sensor node's one CPU, and so does
+# this one: Search probes and GetBase rows run one after another, and the
+# probe cache and the sweep's window tables are RefCell/OnceCell state that
+# no second thread may touch. A std::thread, thread::scope or thread::spawn
+# under crates/sbr-core/src would bring a fan-out back.
+if grep -rnE 'std::thread|thread::(scope|spawn)' crates/sbr-core/src; then
+  echo "crates/sbr-core/src names a thread above" >&2; exit 1
 fi
 
 echo "==> one wire parser (every bytes::Buf reader is a panic-free and cast zone)"

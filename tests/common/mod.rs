@@ -8,8 +8,8 @@
 //! Algorithm 3's splitting loop is shared with the product through
 //! [`get_intervals_with`], fed by the direct-sweep [`DirectOracle`].
 //!
-//! The product's probe cache, fit cache, blocked sweep and worker fan-out
-//! are evaluation-order optimizations only, so every encoder
+//! The product's probe cache, fit cache and blocked sweep are
+//! evaluation-order optimizations only, so every encoder
 //! configuration must emit transmissions byte-identical to this one.
 //!
 //! It also holds [`direct_delivery`], the oracle for the network's ARQ
@@ -152,9 +152,9 @@ pub fn get_intervals(
     config: &SbrConfig,
 ) -> (Result<Approximation, SbrError>, u64) {
     let oracle = DirectOracle::new(x, data.flat(), config, w);
-    let mut serial = config.clone().with_threads(1);
-    serial.obs = EncodeObs::default();
-    let approx = get_intervals_with(&oracle, data, budget, &serial);
+    let mut unobserved = config.clone();
+    unobserved.obs = EncodeObs::default();
+    let approx = get_intervals_with(&oracle, data, budget, &unobserved);
     (approx, oracle.sweeps())
 }
 

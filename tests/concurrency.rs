@@ -134,17 +134,13 @@ fn stream_bytes(config: SbrConfig) -> Vec<Vec<u8>> {
 }
 
 #[test]
+#[allow(deprecated)]
 fn thread_count_never_changes_the_transmissions() {
-    // The fan-out shards work by index and reduces in index order, so the
-    // byte stream a sensor emits must be identical for every worker count.
+    // The encoder runs on the calling thread; the deprecated thread-count
+    // setter is kept for old callers and must leave the stream unchanged.
     let reference = stream_bytes(SbrConfig::new(200, 200).with_threads(1));
-    for threads in [2usize, 8] {
-        let other = stream_bytes(SbrConfig::new(200, 200).with_threads(threads));
-        assert_eq!(
-            reference, other,
-            "num_threads = {threads} changed the output"
-        );
-    }
+    let other = stream_bytes(SbrConfig::new(200, 200).with_threads(4));
+    assert_eq!(reference, other, "with_threads(4) changed the output");
 }
 
 #[test]

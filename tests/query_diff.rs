@@ -7,8 +7,8 @@
 //! different association order (per-interval moments merged over aligned
 //! chunk blocks vs. one long left-to-right fold), so sum/avg get a 1e-9
 //! relative tolerance. The contract must hold across error metrics, search
-//! strategies (binary and exhaustive), the fall-back switch, worker thread
-//! counts, a frozen base, a chunk count that is not a power of two, and a
+//! strategies (binary and exhaustive), the fall-back switch, a frozen
+//! base, a chunk count that is not a power of two, and a
 //! persisted-then-recovered base-station index.
 
 mod common;
@@ -219,8 +219,7 @@ fn agreement_holds_across_metrics_strategies_and_threads() {
         SbrConfig::new(70, 48).with_metric(sbr_repro::core::ErrorMetric::relative()),
         exhaustive,
         SbrConfig::new(70, 48).without_fallback(),
-        SbrConfig::new(70, 48).with_threads(1),
-        SbrConfig::new(70, 48).with_threads(4),
+        SbrConfig::new(70, 48),
         SbrConfig::new(70, 48).frozen_base(),
     ];
     for config in configs {

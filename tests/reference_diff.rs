@@ -3,9 +3,9 @@
 //! reference encoder in `tests/common` (the paper's algorithms with direct
 //! sweeps, no caches and no threads).
 //!
-//! The product's `Search` probe cache, `GetBase` fit cache, blocked shift
-//! sweep and worker fan-out only reorder evaluation; this suite holds them
-//! to that across error metrics, thread counts, exhaustive search, a frozen
+//! The product's `Search` probe cache, `GetBase` fit cache and blocked
+//! shift sweep only reorder evaluation; this suite holds them to that
+//! across error metrics, exhaustive search, a frozen
 //! base, the fall-back switch, an error target and a wide-window shape
 //! whose frozen batches sweep the whole dictionary. Counter-based tests
 //! pin the work the caches claim to save.
@@ -28,12 +28,8 @@ fn byte_identical_across_metrics_and_threads() {
         ErrorMetric::relative(),
         ErrorMetric::MaxAbs,
     ] {
-        for threads in [1usize, 4] {
-            let config = SbrConfig::new(72, 64)
-                .with_metric(metric)
-                .with_threads(threads);
-            assert_matches_reference(&chunks, config, &format!("{metric:?}/t{threads}"));
-        }
+        let config = SbrConfig::new(72, 64).with_metric(metric);
+        assert_matches_reference(&chunks, config, &format!("{metric:?}"));
     }
 }
 
@@ -60,24 +56,17 @@ fn byte_identical_on_tie_heavy_data() {
         })
         .collect();
     for metric in [ErrorMetric::Sse, ErrorMetric::MaxAbs] {
-        for threads in [1usize, 4] {
-            let config = SbrConfig::new(128, 64)
-                .with_w(8)
-                .with_metric(metric)
-                .with_threads(threads);
-            assert_matches_reference(&chunks, config, &format!("ties/{metric:?}/t{threads}"));
-        }
+        let config = SbrConfig::new(128, 64).with_w(8).with_metric(metric);
+        assert_matches_reference(&chunks, config, &format!("ties/{metric:?}"));
     }
 }
 
 #[test]
 fn byte_identical_on_exhaustive_search() {
     let chunks = stream_chunks(4, 2, 64);
-    for threads in [1usize, 4] {
-        let mut config = SbrConfig::new(80, 80).with_threads(threads);
-        config.exhaustive_search = true;
-        assert_matches_reference(&chunks, config, &format!("exhaustive/t{threads}"));
-    }
+    let mut config = SbrConfig::new(80, 80);
+    config.exhaustive_search = true;
+    assert_matches_reference(&chunks, config, "exhaustive");
 }
 
 #[test]
@@ -95,10 +84,8 @@ fn byte_identical_with_a_frozen_base() {
     let chunks = stream_chunks(5, 2, 64);
     assert_matches_reference(&chunks, SbrConfig::new(72, 64).frozen_base(), "frozen");
     // Learn a dictionary first, then freeze it mid-stream (§4.4).
-    for threads in [1usize, 4] {
-        let config = SbrConfig::new(72, 64).with_threads(threads);
-        assert_matches_reference_from(&chunks, config, Some(2), &format!("frozen@2/t{threads}"));
-    }
+    let config = SbrConfig::new(72, 64);
+    assert_matches_reference_from(&chunks, config, Some(2), "frozen@2");
 }
 
 #[test]
@@ -112,23 +99,21 @@ fn byte_identical_when_the_cost_model_picks_fft() {
     // sweep is reached by freezing the base halfway: the frozen batches
     // fit against the full learned dictionary.
     let chunks = stream_chunks(6, 2, 128);
-    for threads in [1usize, 4] {
-        let mut config = SbrConfig::new(400, 512).with_w(64).with_threads(threads);
-        config.error_target = Some(1e4);
-        assert_matches_reference(&chunks, config.clone(), &format!("wide/t{threads}"));
-        let rec = Arc::new(MetricsRecorder::new());
-        assert_matches_reference_from(
-            &chunks,
-            config.with_recorder(rec.clone()),
-            Some(chunks.len() / 2),
-            &format!("wide/frozen/t{threads}"),
-        );
-        let sweeps = counter(&rec.snapshot(), "sbr_core.best_map.direct_sweeps");
-        assert!(
-            sweeps > 0,
-            "t{threads}: the frozen half must sweep the whole dictionary"
-        );
-    }
+    let mut config = SbrConfig::new(400, 512).with_w(64);
+    config.error_target = Some(1e4);
+    assert_matches_reference(&chunks, config.clone(), "wide");
+    let rec = Arc::new(MetricsRecorder::new());
+    assert_matches_reference_from(
+        &chunks,
+        config.with_recorder(rec.clone()),
+        Some(chunks.len() / 2),
+        "wide/frozen",
+    );
+    let sweeps = counter(&rec.snapshot(), "sbr_core.best_map.direct_sweeps");
+    assert!(
+        sweeps > 0,
+        "the frozen half must sweep the whole dictionary"
+    );
 }
 
 #[test]
@@ -222,7 +207,7 @@ fn cached_exhaustive_search_does_one_getintervals_of_base_fit_work() {
     );
     assert!(cands.len() >= 4, "need a real candidate set");
 
-    let mut config = SbrConfig::new(240, 800).with_w(w).with_threads(1);
+    let mut config = SbrConfig::new(240, 800).with_w(w);
     config.exhaustive_search = true;
 
     let rec = Arc::new(MetricsRecorder::new());
@@ -286,7 +271,7 @@ fn repeated_batches_are_served_from_the_carry_over() {
     let one = stream_chunks(1, 2, 64).remove(0);
     let chunks = vec![one.clone(), one];
     let rec = Arc::new(MetricsRecorder::new());
-    let config = SbrConfig::new(72, 64).with_threads(1);
+    let config = SbrConfig::new(72, 64);
     assert_matches_reference(&chunks, config.with_recorder(rec.clone()), "carry-over");
     let snap = rec.snapshot();
     let hits = counter(&snap, "sbr_core.get_base.fit_cache.hits");
