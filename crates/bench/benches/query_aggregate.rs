@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use sbr_core::{Aggregate, Decoder, QueryEngine, SbrConfig, SbrEncoder, Transmission};
+use sbr_core::{Decoder, QueryEngine, SbrConfig, SbrEncoder, Transmission};
 
 fn files(n_signals: usize, m: usize) -> Vec<Vec<f64>> {
     (0..n_signals)
@@ -49,18 +49,19 @@ fn bench_query_aggregate(c: &mut Criterion) {
     g.bench_function("cold_index", |b| {
         b.iter(|| {
             let mut qe = QueryEngine::from_transmissions(black_box(&txs)).expect("index");
-            qe.query(1, 37, total - 19, Aggregate::Sum).expect("query")
+            qe.aggregate(1, 37, total - 19).expect("query").sum
         })
     });
 
     // Warm: the plan-cache steady state a dashboard replaying canned
     // queries sits in — one hit per iteration.
     let mut warm = QueryEngine::from_transmissions(&txs).expect("index");
-    warm.query(1, 37, total - 19, Aggregate::Sum).expect("seed");
+    warm.aggregate(1, 37, total - 19).expect("seed");
     g.bench_function("warm_plan_cache", |b| {
         b.iter(|| {
-            warm.query(black_box(1), 37, total - 19, Aggregate::Sum)
+            warm.aggregate(black_box(1), 37, total - 19)
                 .expect("query")
+                .sum
         })
     });
 

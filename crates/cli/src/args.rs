@@ -200,11 +200,12 @@ frame-lifecycle timeline attached (`sbr simulate` under SBR_TRACE),
 (`--node`) or one lifecycle step (`--kind`); `sbr perf diff` compares
 baseline/candidate pairs of benchmark artifacts and exits 1 when the
 median per-pair growth of a `*_ns` row sum (and of the synthetic
-`total.sbr.encode_ns` row, summed over each file's records), or drop of
-a hit rate, exceeds max(`--tolerance` (default 0.25), 2 x its interquartile range),
-when a work or quality counter (BestMap calls, Search probes, GetBase
-matrix cells, fit- and probe-cache misses, bench.quality.*) grows in
-any pair, or when a baseline record has no candidate record.
+`total.sbr.encode_ns` row, summed over each file's records) exceeds
+max(`--tolerance` (default 0.25), 2 x its interquartile range), when a
+work or quality counter (BestMap calls, Search probes, GetBase matrix
+cells, bench.quality.*, and the misses of every cache that reports
+hits) grows in any pair, or when a baseline record has no candidate
+record.
 
 Fault injection: `sbr simulate` drives the loss-tolerant v2 protocol
 (per-frame CRC, sequence/epoch tracking, bounded retransmission with

@@ -849,13 +849,12 @@ const PERF_IQR_K: f64 = 2.0;
 
 /// Work and quality counters that seeded runs of one binary reproduce bit
 /// for bit: `perf diff` gates them exactly, per pair. Any increase is a
-/// regression, a decrease an improvement.
-const PERF_EXACT_COUNTERS: [&str; 7] = [
+/// regression, a decrease an improvement. The `<x>.misses` of every cache
+/// whose `<x>.hits` a baseline record reports are gated the same way.
+const PERF_EXACT_COUNTERS: [&str; 5] = [
     "sbr_core.best_map.calls",
     "sbr_core.search.probes",
     "sbr_core.get_base.matrix_cells",
-    "sbr_core.get_base.fit_cache.misses",
-    "sbr_core.probe_cache.misses",
     "bench.quality.avg_sse",
     "bench.quality.total_rel",
 ];
@@ -870,13 +869,6 @@ fn bench_records(path: &str) -> Result<Vec<BenchRecord>, CliError> {
     Ok(bench::from_json(&text).map_err(|e| format!("{path}: {e}"))?)
 }
 
-/// Hit rate of the `<stem>.hits`/`<stem>.misses` pair of `r`, if it saw traffic.
-fn hit_rate(r: &BenchRecord, stem: &str) -> Option<f64> {
-    let hits = r.counter(&format!("{stem}.hits"))?;
-    let misses = r.counter(&format!("{stem}.misses"))?;
-    (hits + misses > 0.0).then(|| hits / (hits + misses))
-}
-
 /// First quartile, median and third quartile of `xs` (linear interpolation).
 fn quartiles(mut xs: Vec<f64>) -> (f64, f64, f64) {
     xs.sort_by(f64::total_cmp);
@@ -888,28 +880,21 @@ fn quartiles(mut xs: Vec<f64>) -> (f64, f64, f64) {
     (at(0.25), at(0.5), at(0.75))
 }
 
-/// The verdict line of one gated value from its per-pair (baseline,
-/// candidate) values — `*_ns` sums when `wall`, else hit rates — and
-/// whether it is a regression. A wall changes by its ratio − 1 (1 ms
-/// floor), a hit rate by its drop; the median change fails beyond
+/// The verdict line of one `*_ns` row from its per-pair (baseline,
+/// candidate) sums, and whether it is a regression. A pair changes by its
+/// ratio − 1 (1 ms floor); the median change fails beyond
 /// `max(tolerance, 2·IQR)` of the changes.
-fn gate_line(label: &str, wall: bool, v: &[(f64, f64)], tolerance: f64) -> (String, bool) {
+fn gate_line(label: &str, v: &[(f64, f64)], tolerance: f64) -> (String, bool) {
     let floor = |x: f64| x.max(PERF_MIN_WALL_NS);
-    let change = |&(b, c): &(f64, f64)| {
-        if wall {
-            // lint:allow(panic-reachability): f64 division — cannot panic
-            floor(c) / floor(b) - 1.0
-        } else {
-            b - c
-        }
-    };
+    // lint:allow(panic-reachability): f64 division — cannot panic
+    let change = |&(b, c): &(f64, f64)| floor(c) / floor(b) - 1.0;
     let (q1, delta, q3) = quartiles(v.iter().map(change).collect());
     let limit = tolerance.max(PERF_IQR_K * (q3 - q1));
-    let verdict = if wall && v.iter().all(|&(b, c)| b.max(c) < PERF_MIN_WALL_NS) {
+    let verdict = if v.iter().all(|&(b, c)| b.max(c) < PERF_MIN_WALL_NS) {
         "ok (below noise floor)"
     } else if delta > limit {
         "REGRESSION"
-    } else if wall && delta < -limit {
+    } else if delta < -limit {
         "improved"
     } else if limit > tolerance {
         "unresolved"
@@ -917,19 +902,9 @@ fn gate_line(label: &str, wall: bool, v: &[(f64, f64)], tolerance: f64) -> (Stri
         "ok"
     };
     let [b, c] = [|p: &(f64, f64)| p.0, |p: &(f64, f64)| p.1]
-        .map(|side| quartiles(v.iter().map(side).collect()).1);
-    let (b, c, delta, unit) = if wall {
-        (format!("{} ms", ms(b)), format!("{} ms", ms(c)), delta, "%")
-    } else {
-        (
-            format!("{:.1} %", b * 100.0),
-            format!("{:.1} %", c * 100.0),
-            -delta,
-            "pp",
-        )
-    };
+        .map(|side| format!("{} ms", ms(quartiles(v.iter().map(side).collect()).1)));
     let line = format!(
-        "  {label:<44} {b:>12} -> {c:>12}  {:>+7.1}{unit} (limit {:.1}{unit})  {verdict}\n",
+        "  {label:<44} {b:>12} -> {c:>12}  {:>+7.1}% (limit {:.1}%)  {verdict}\n",
         delta * 100.0,
         limit * 100.0
     );
@@ -938,11 +913,11 @@ fn gate_line(label: &str, wall: bool, v: &[(f64, f64)], tolerance: f64) -> (Stri
 
 /// `sbr perf diff`: compare paired `(baseline, candidate)` runs, record
 /// by record of the first baseline. Each pair reduces a `*_ns` row sum to
-/// the change `candidate / baseline - 1` and a `<x>.hits`/`<x>.misses`
-/// pair to its hit-rate drop; the median change fails beyond
+/// the change `candidate / baseline - 1`; the median change fails beyond
 /// `max(tolerance, 2·IQR)` of the changes (one pair: IQR 0), and a pass
 /// whose 2·IQR exceeds the tolerance is `unresolved`. The
-/// [`PERF_EXACT_COUNTERS`] fail if they grow in any pair. One synthetic
+/// [`PERF_EXACT_COUNTERS`] and every `<x>.misses` beside a baseline
+/// `<x>.hits` fail if they grow in any pair. One synthetic
 /// `total.sbr.encode_ns` row per file sums [`PERF_TOTAL_OF`] over the
 /// file's records and is gated like any `*_ns` row. A record, row, pair
 /// or exact counter a candidate lacks fails; other counters are
@@ -987,35 +962,28 @@ fn perf_diff(
                 .filter_map(|&(b, c)| get(b).map(|bv| get(c).map(|cv| (bv, cv))))
                 .collect()
         };
-        let hits = b0
-            .counters
-            .iter()
-            .filter_map(|(n, _)| n.strip_suffix(".hits"));
-        let stems: Vec<&str> = hits.filter(|s| hit_rate(b0, s).is_some()).collect();
-        // Every gated value as (label, is a wall, per-pair values).
-        let rows = b0.rows.iter().filter(|r| r.name.ends_with("_ns"));
-        let walls = rows.map(|row| {
-            let sums = per_pair(&|r| Some(r.row(&row.name)?.sum as f64));
-            (row.name.clone(), true, sums)
-        });
-        let rates = stems.iter().map(|&stem| {
-            let rates = per_pair(&|r| hit_rate(r, stem));
-            (format!("{stem} hit rate"), false, rates)
-        });
-        for (label, wall, values) in walls.chain(rates) {
-            let Some(v) = values else {
+        for row in b0.rows.iter().filter(|r| r.name.ends_with("_ns")) {
+            let label = &row.name;
+            let Some(v) = per_pair(&|r| Some(r.row(label)?.sum as f64)) else {
                 regressions += 1;
                 out.push_str(&format!("  {label:<44} missing in candidate  REGRESSION\n"));
                 continue;
             };
-            let (line, regressed) = gate_line(&label, wall, &v, tolerance);
+            let (line, regressed) = gate_line(label, &v, tolerance);
             regressions += usize::from(regressed);
             out.push_str(&line);
         }
-        let exact = PERF_EXACT_COUNTERS
+        let misses = b0
+            .counters
             .iter()
-            .filter(|&&n| b0.counter(n).is_some());
-        for &name in exact {
+            .filter_map(|(n, _)| n.strip_suffix(".hits").map(|stem| format!("{stem}.misses")));
+        let exact: Vec<String> = PERF_EXACT_COUNTERS
+            .iter()
+            .map(|&n| n.to_string())
+            .chain(misses)
+            .filter(|n| b0.counter(n).is_some())
+            .collect();
+        for name in &exact {
             let Some(v) = per_pair(&|r| r.counter(name)) else {
                 regressions += 1;
                 out.push_str(&format!("  {name:<44} missing in candidate  REGRESSION\n"));
@@ -1044,11 +1012,7 @@ fn perf_diff(
         }
         // Every other counter is informational: seeded runs reproduce
         // most of them exactly, so drift is worth a line, not a failure.
-        let gated = |n: &str| {
-            let stem = n.strip_suffix(".hits").or(n.strip_suffix(".misses"));
-            PERF_EXACT_COUNTERS.contains(&n) || stem.is_some_and(|s| stems.contains(&s))
-        };
-        for (name, _) in b0.counters.iter().filter(|(n, _)| !gated(n)) {
+        for (name, _) in b0.counters.iter().filter(|(n, _)| !exact.contains(n)) {
             // The first pair in which the counter moved, if any.
             match per_pair(&|r| r.counter(name))
                 .map(|v| v.into_iter().find(|(b, c)| b.to_bits() != c.to_bits()))
@@ -1076,7 +1040,7 @@ fn perf_diff(
         .collect();
     if let Some(v) = totals {
         let label = format!("total.{}", PERF_TOTAL_OF.trim_start_matches("sbr_core."));
-        let (line, regressed) = gate_line(&label, true, &v, tolerance);
+        let (line, regressed) = gate_line(&label, &v, tolerance);
         regressions += usize::from(regressed);
         out.push_str(&format!("\nevery record of each file\n{line}"));
     }
@@ -1563,7 +1527,7 @@ mod tests {
                 let sample = [(t * 0.21).sin() * 5.0, (t * 0.05).cos() * 3.0 + 1.0];
                 if let Some(flush) = node.record(&sample).unwrap() {
                     writer.append(&flush.frame).unwrap();
-                    frames.push(codec::decode_any(&mut flush.frame.clone()).unwrap());
+                    frames.push(codec::decode_exact(&flush.frame).unwrap());
                 }
             }
         }
@@ -1946,7 +1910,11 @@ mod tests {
         // And comparing a run against itself is always clean.
         let ok = run_argv(&format!("perf diff {} {}", base.display(), base.display())).unwrap();
         assert!(ok.contains("0 regression(s)"), "{ok}");
-        assert!(ok.contains("sbr_core.probe_cache hit rate"), "{ok}");
+        assert!(
+            ok.lines()
+                .any(|l| l.contains("sbr_core.probe_cache.misses") && l.ends_with("exact  ok")),
+            "{ok}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1987,15 +1955,15 @@ mod tests {
         let dir = tempdir("perfmadeup");
         let base = dir.join("base.json");
         let slow = dir.join("slow.json");
-        let rec = |wall: f64, hits: f64| {
+        let rec = |wall: f64, hits: f64, misses: f64| {
             bench_record(
                 "made_up",
                 &[("foo.bar_ns", wall)],
-                &[("foo.cache.hits", hits), ("foo.cache.misses", 100.0 - hits)],
+                &[("foo.cache.hits", hits), ("foo.cache.misses", misses)],
             )
         };
-        write_bench(&base, &[rec(1e7, 90.0)]);
-        write_bench(&slow, &[rec(1.3e7, 90.0)]);
+        write_bench(&base, &[rec(1e7, 90.0, 10.0)]);
+        write_bench(&slow, &[rec(1.3e7, 90.0, 10.0)]);
 
         let rep = run_argv(&format!("report --input {}", base.display())).unwrap();
         assert!(rep.contains("made_up n=5120 ratio=0.05"), "{rep}");
@@ -2011,14 +1979,27 @@ mod tests {
             "{e:?}"
         );
 
-        // A hit-rate drop past the tolerance gates too.
-        write_bench(&slow, &[rec(1e7, 50.0)]);
+        // Lost reuse (90 → 50 hits, so 10 → 50 misses) gates exactly on
+        // the cache's misses.
+        write_bench(&slow, &[rec(1e7, 50.0, 50.0)]);
         let e = run_argv(&format!("perf diff {} {}", base.display(), slow.display())).unwrap_err();
         assert!(
             e.message()
                 .lines()
-                .any(|l| l.contains("foo.cache hit rate") && l.contains("REGRESSION")),
+                .any(|l| l.contains("foo.cache.misses") && l.ends_with("exact  REGRESSION")),
             "{e:?}"
+        );
+        assert!(e.message().contains("1 regression(s)"), "{e:?}");
+
+        // Fewer hits with equal misses is wasted lookups gone, not lost
+        // reuse: it passes, and the hits only report a change.
+        write_bench(&slow, &[rec(1e7, 60.0, 10.0)]);
+        let ok = run_argv(&format!("perf diff {} {}", base.display(), slow.display())).unwrap();
+        assert!(ok.contains("0 regression(s)"), "{ok}");
+        assert!(
+            ok.lines()
+                .any(|l| l.contains("foo.cache.hits") && l.ends_with("changed")),
+            "{ok}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

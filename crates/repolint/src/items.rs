@@ -35,7 +35,7 @@ const NON_CALL_KEYWORDS: &[&str] = &[
 /// One call site inside a function body.
 #[derive(Debug, Clone)]
 pub struct CallSite {
-    /// Bare callee name (`decode_any`, `push`, …).
+    /// Bare callee name (`decode_exact`, `push`, …).
     pub name: String,
     /// 1-based line of the callee token.
     pub line: u32,

@@ -1,9 +1,9 @@
-//! Wire-constant drift check: the v1/v2 frame constants live in three
+//! Wire-constant drift check: the v2 frame constants live in three
 //! places — `crates/sbr-core/src/codec.rs` (the implementation),
 //! `tests/wire_compat.rs` (the golden bytes) and the layout table in
 //! `DESIGN.md` §3b. They are a compatibility contract with deployed
 //! fleets, so this rule parses all three and fails on any disagreement:
-//! magics, the 41-byte v2 header, the kind/epoch field widths, the kind
+//! the magic, the 41-byte v2 header, the kind/epoch field widths, the kind
 //! byte values and the CRC-32 check value.
 //!
 //! The segmented storage format (`sensor-net::storage`, DESIGN.md §3d)
@@ -27,7 +27,6 @@ const STORAGE_GOLDEN: &str = "tests/storage_compat.rs";
 /// What the implementation claims the wire format is.
 #[derive(Debug)]
 struct CodecFacts {
-    magic_v1: u64,
     magic_v2: u64,
     v2_header: u64,
     kind_data: u64,
@@ -45,7 +44,7 @@ fn fail(path: &str, line: u32, message: String) -> Finding {
     }
 }
 
-/// Parse `0x5342_5231` / `41` (ignoring `_` and type suffixes) to a u64.
+/// Parse `0x5342_5232` / `41` (ignoring `_` and type suffixes) to a u64.
 fn num(text: &str) -> Option<u64> {
     let t: String = text
         .chars()
@@ -140,7 +139,6 @@ fn codec_facts(src: &str, out: &mut Vec<Finding>) -> Option<CodecFacts> {
             None
         }
     };
-    let magic_v1 = get("MAGIC")?;
     let magic_v2 = get("MAGIC_V2")?;
     let v2_header = get("V2_HEADER")?;
     let kinds = kind_byte("Data").zip(kind_byte("Resync"));
@@ -149,7 +147,6 @@ fn codec_facts(src: &str, out: &mut Vec<Finding>) -> Option<CodecFacts> {
         return None;
     };
     Some(CodecFacts {
-        magic_v1,
         magic_v2,
         v2_header,
         kind_data,
@@ -169,7 +166,6 @@ fn src_has_value(src: &str, value: u64) -> bool {
 /// Cross-check the golden test file against the implementation.
 fn check_golden(src: &str, facts: &CodecFacts, out: &mut Vec<Finding>) {
     for (what, value) in [
-        ("v1 magic", facts.magic_v1),
         ("v2 magic", facts.magic_v2),
         ("v2 header size", facts.v2_header),
     ] {

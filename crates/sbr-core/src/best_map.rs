@@ -10,6 +10,11 @@ use crate::xcorr;
 
 use std::cell::OnceCell;
 
+/// `BestMap` only shifts intervals no longer than this multiple of `W`
+/// over the base signal; longer ones take the linear fall-back (2 in the
+/// paper).
+pub const MAX_SHIFT_LEN_FACTOR: usize = 2;
+
 /// Which stretch of the concatenated dictionary a region-restricted sweep
 /// covers — only used to attribute the sweep to the right observability
 /// counter (the fit itself is region-agnostic).
@@ -47,9 +52,9 @@ pub struct MapContext<'a> {
     pub metric: ErrorMetric,
     /// Whether the linear-regression fall-back competes with base mappings.
     pub allow_linear_fallback: bool,
-    /// Intervals longer than `max_shift_len` are never shifted over `X`
-    /// (the paper uses `2 × W`). Fixed at construction: the window-statistics
-    /// tables are sized by it.
+    /// Intervals longer than `max_shift_len` (`MAX_SHIFT_LEN_FACTOR × W`)
+    /// are never shifted over `X`. Fixed at construction: the
+    /// window-statistics tables are sized by it.
     pub(crate) max_shift_len: usize,
     /// Observability handles (cloned from the configuration); counts
     /// fits and sweeps. Never affects the fit itself.
@@ -67,7 +72,7 @@ pub struct MapContext<'a> {
 impl<'a> MapContext<'a> {
     /// Build a context from the configuration and the derived width `w`.
     pub fn new(x: &'a [f64], y: &'a [f64], config: &SbrConfig, w: usize) -> Self {
-        let max_shift_len = config.max_shift_len_factor.saturating_mul(w);
+        let max_shift_len = MAX_SHIFT_LEN_FACTOR.saturating_mul(w);
         MapContext {
             x,
             x_stats: PrefixStats::new(x),

@@ -24,31 +24,15 @@
 //! crc    u32   CRC-32 (IEEE) of all preceding bytes
 //! ```
 //!
-//! v1 is a read-only compatibility layout: nothing writes it any more,
-//! but [`decode_any`] sniffs the magic and still accepts it, surfacing
-//! v1 frames as epoch-0 data [`Frame`]s so pre-v2 logs stay replayable
-//! forever. A v1 frame carries no kind, epoch or CRC:
-//!
-//! ```text
-//! magic  u32  = 0x53_42_52_31 ("SBR1")
-//! seq    u64
-//! n      u32   signals
-//! m      u32   samples per signal
-//! w      u32   base-interval width
-//! nu     u32   base updates
-//! ni     u32   interval records
-//! nu × { slot u64, w × f64 }
-//! ni × { start u64, shift i64, a f64, b f64 }
-//! ```
+//! This is the one wire format: [`decode_v2`] reads back-to-back frames
+//! off a stream and [`decode_exact`] one frame per buffer; any other
+//! magic is [`SbrError::Corrupt`].
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::error::{Result, SbrError};
 use crate::interval::IntervalRecord;
 use crate::transmission::{BaseUpdate, Frame, FrameKind, Transmission};
-
-/// v1 frame magic: "SBR1" (read by [`decode_any`], never written).
-pub const MAGIC: u32 = 0x5342_5231;
 
 /// v2 frame magic: "SBR2".
 pub const MAGIC_V2: u32 = 0x5342_5232;
@@ -155,56 +139,6 @@ fn need(buf: &impl Buf, n: usize, what: &str) -> Result<()> {
     } else {
         Ok(())
     }
-}
-
-/// Parse the v1 frame remainder after the magic has been consumed.
-fn decode_v1_body(buf: &mut impl Buf) -> Result<Transmission> {
-    need(buf, 8 + 4 * 4 + 4, "header")?;
-    let seq = buf.get_u64_le();
-    let n_signals = buf.get_u32_le();
-    let samples_per_signal = buf.get_u32_le();
-    let w = buf.get_u32_le();
-    let nu = buf.get_u32_le() as usize;
-    let ni = buf.get_u32_le() as usize;
-    if w == 0 || n_signals == 0 || samples_per_signal == 0 {
-        return Err(SbrError::Corrupt("zero dimension in header".into()));
-    }
-    let w_us = usize::try_from(w).map_err(|_| SbrError::Corrupt("W overflows usize".into()))?;
-    // Sanity: refuse frames whose declared sizes exceed the buffer (guards
-    // against allocating on attacker-controlled lengths). All arithmetic is
-    // checked — these counts come straight off the wire.
-    let declared = nu
-        .checked_mul(8 + 8 * w_us)
-        .and_then(|a| ni.checked_mul(32).and_then(|b| a.checked_add(b)))
-        .ok_or_else(|| SbrError::Corrupt("declared payload size overflows".into()))?;
-    need(buf, declared, "payload")?;
-
-    let mut base_updates = Vec::with_capacity(nu);
-    for _ in 0..nu {
-        let slot = buf.get_u64_le();
-        let mut values = Vec::with_capacity(w_us);
-        for _ in 0..w {
-            values.push(buf.get_f64_le());
-        }
-        base_updates.push(BaseUpdate { slot, values });
-    }
-    let mut intervals = Vec::with_capacity(ni);
-    for _ in 0..ni {
-        intervals.push(IntervalRecord {
-            start: buf.get_u64_le(),
-            shift: buf.get_i64_le(),
-            a: buf.get_f64_le(),
-            b: buf.get_f64_le(),
-        });
-    }
-    Ok(Transmission {
-        seq,
-        n_signals,
-        samples_per_signal,
-        w,
-        base_updates,
-        intervals,
-    })
 }
 
 /// Serialized size of a v2 frame in bytes (header + snapshot + payload +
@@ -326,12 +260,6 @@ pub fn decode_v2(buf: &mut impl Buf) -> Result<Frame> {
     if magic != MAGIC_V2 {
         return Err(SbrError::Corrupt(format!("bad magic {magic:#010x}")));
     }
-    decode_v2_body(buf, crc)
-}
-
-/// Parse the v2 frame remainder after the magic (already hashed into
-/// `crc`) has been consumed.
-fn decode_v2_body(buf: &mut impl Buf, mut crc: Crc32) -> Result<Frame> {
     need(buf, V2_HEADER - 4, "header")?;
     // lint:allow(index): take::<1> returns [u8; 1], index 0 always exists
     let kind = match take::<1>(buf, &mut crc)[0] {
@@ -412,27 +340,13 @@ fn decode_v2_body(buf: &mut impl Buf, mut crc: Crc32) -> Result<Frame> {
     })
 }
 
-/// Parse either wire version by sniffing the magic: v1 frames surface as
-/// epoch-0 [`FrameKind::Data`] frames, v2 frames decode in full (CRC
-/// verified). This is the compat entry point every receiver should use.
-pub fn decode_any(buf: &mut impl Buf) -> Result<Frame> {
-    need(buf, 4, "magic")?;
-    let mut crc = Crc32::new();
-    let magic = take_u32(buf, &mut crc);
-    match magic {
-        MAGIC => Ok(Frame::data(0, decode_v1_body(buf)?)),
-        MAGIC_V2 => decode_v2_body(buf, crc),
-        _ => Err(SbrError::Corrupt(format!("bad magic {magic:#010x}"))),
-    }
-}
-
-/// Parse a buffer that holds exactly one frame of either wire version:
-/// bytes left after the frame are [`SbrError::Corrupt`]. Every reader
-/// that receives or stores one frame per buffer (the station, the `.sbr`
-/// readers) admits frames through this; [`decode_any`] keeps streaming
-/// semantics for back-to-back frames.
+/// Parse a buffer that holds exactly one frame: bytes left after the
+/// frame are [`SbrError::Corrupt`]. Every reader that receives or stores
+/// one frame per buffer (the station, the `.sbr` readers) admits frames
+/// through this; [`decode_v2`] keeps streaming semantics for back-to-back
+/// frames.
 pub fn decode_exact(mut bytes: &[u8]) -> Result<Frame> {
-    let frame = decode_any(&mut bytes)?;
+    let frame = decode_v2(&mut bytes)?;
     if !bytes.is_empty() {
         return Err(SbrError::Corrupt(format!(
             "{} trailing bytes after the frame",
@@ -484,7 +398,7 @@ mod tests {
         let mut bytes = encode_v2(&Frame::data(0, sample())).to_vec();
         bytes[0] ^= 0xff;
         assert!(decode_v2(&mut &bytes[..]).is_err());
-        assert!(decode_any(&mut &bytes[..]).is_err());
+        assert!(decode_exact(&bytes).is_err());
     }
 
     #[test]
@@ -622,8 +536,8 @@ mod tests {
             let mut buf = bytes.clone();
             assert_eq!(decode_v2(&mut buf).unwrap(), frame);
             assert_eq!(buf.remaining(), 0);
-            // decode_any takes the same bytes.
-            assert_eq!(decode_any(&mut bytes.clone()).unwrap(), frame);
+            // decode_exact takes the same bytes.
+            assert_eq!(decode_exact(&bytes).unwrap(), frame);
         }
     }
 
@@ -686,9 +600,9 @@ mod tests {
         // Short buffers and foreign magics peek as None, never panic.
         assert_eq!(peek_v2_identity(&data[..10]), None);
         assert_eq!(peek_v2_identity(&[]), None);
-        let mut v1 = data.to_vec();
-        v1[..4].copy_from_slice(&MAGIC.to_le_bytes());
-        assert_eq!(peek_v2_identity(&v1), None);
+        let mut foreign = data.to_vec();
+        foreign[0] ^= 0xff;
+        assert_eq!(peek_v2_identity(&foreign), None);
     }
 
     #[test]

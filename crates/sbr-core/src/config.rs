@@ -26,9 +26,6 @@ pub struct SbrConfig {
     pub allow_linear_fallback: bool,
     /// Override the derived base-interval width `W = ⌊√n⌋`.
     pub w_override: Option<usize>,
-    /// `BestMap` only shifts intervals no longer than this multiple of `W`
-    /// over the base signal (2 in the paper).
-    pub max_shift_len_factor: usize,
     /// When set, `GetIntervals` stops splitting as soon as the batch error
     /// drops to this target, even if budget remains (§4.5 combined
     /// error/space bounds).
@@ -60,7 +57,6 @@ impl SbrConfig {
             metric: ErrorMetric::Sse,
             allow_linear_fallback: true,
             w_override: None,
-            max_shift_len_factor: 2,
             error_target: None,
             exhaustive_search: false,
             update_base: true,
@@ -156,11 +152,6 @@ impl SbrConfig {
                 "base interval width {w} invalid for batch of {n} values"
             )));
         }
-        if self.max_shift_len_factor == 0 {
-            return Err(SbrError::InvalidConfig(
-                "max_shift_len_factor must be at least 1".into(),
-            ));
-        }
         Ok(w)
     }
 }
@@ -200,7 +191,6 @@ mod tests {
         let c = SbrConfig::new(100, 50);
         assert!(c.allow_linear_fallback);
         assert!(c.update_base);
-        assert_eq!(c.max_shift_len_factor, 2);
         assert_eq!(c.metric, ErrorMetric::Sse);
     }
 

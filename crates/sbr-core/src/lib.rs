@@ -77,7 +77,7 @@ pub use metric::ErrorMetric;
 pub use obs::{EncodeObs, QueryObs};
 pub use probe_cache::ProbeCache;
 pub use quadratic::QuadFit;
-pub use query::{Aggregate, ChunkSummary, FoldCounts, QueryEngine, RangeAggregate};
+pub use query::{ChunkSummary, FoldCounts, QueryEngine, RangeAggregate};
 pub use regression::Fit;
 pub use sbr::SbrEncoder;
 pub use series::MultiSeries;

@@ -53,19 +53,6 @@ pub struct RangeAggregate {
     pub count: usize,
 }
 
-/// The TAG aggregate set served by the compressed-domain engine.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum Aggregate {
-    /// Range sum.
-    Sum,
-    /// Range average.
-    Avg,
-    /// Range minimum.
-    Min,
-    /// Range maximum.
-    Max,
-}
-
 /// How a query was resolved: `folded` precomputed moments (whole interval
 /// records or whole chunk blocks), or `boundary` intervals — split mid-way
 /// by the range, so only the covered window was evaluated directly.
@@ -653,25 +640,8 @@ impl QueryEngine {
         Ok(agg)
     }
 
-    /// One aggregate of `signal` over `[t0, t1)`, entirely in the
-    /// compressed domain. Every aggregate of a range shares one plan.
-    pub fn query(&mut self, signal: usize, t0: usize, t1: usize, agg: Aggregate) -> Result<f64> {
-        // lint:allow(determinism): obs-gated latency probe — timing never feeds query results
-        let start = self.obs.enabled().then(std::time::Instant::now);
-        let plan = self.plan(signal, t0, t1)?;
-        let out = match agg {
-            Aggregate::Sum => plan.sum,
-            Aggregate::Avg => plan.avg,
-            Aggregate::Min => plan.min,
-            Aggregate::Max => plan.max,
-        };
-        if let Some(s) = start {
-            self.obs.query_ns.record(s.elapsed().as_nanos() as u64);
-        }
-        Ok(out)
-    }
-
-    /// All four TAG aggregates of `signal` over `[t0, t1)` at once.
+    /// All four TAG aggregates of `signal` over `[t0, t1)` at once,
+    /// entirely in the compressed domain.
     pub fn aggregate(&mut self, signal: usize, t0: usize, t1: usize) -> Result<RangeAggregate> {
         // lint:allow(determinism): obs-gated latency probe — timing never feeds query results
         let start = self.obs.enabled().then(std::time::Instant::now);
@@ -897,19 +867,10 @@ mod tests {
                 assert_eq!(agg.min.to_bits(), lo.to_bits(), "min s{signal} [{t0},{t1})");
                 assert_eq!(agg.max.to_bits(), hi.to_bits(), "max s{signal} [{t0},{t1})");
                 assert_eq!(agg.count, t1 - t0);
-                // Per-aggregate queries agree with the full plan.
-                assert_eq!(
-                    engine.query(signal, t0, t1, Aggregate::Min).unwrap(),
-                    agg.min
-                );
-                assert_eq!(
-                    engine.query(signal, t0, t1, Aggregate::Max).unwrap(),
-                    agg.max
-                );
-                let qsum = engine.query(signal, t0, t1, Aggregate::Sum).unwrap();
-                assert!((qsum - sum).abs() < 1e-9 * (1.0 + sum.abs()));
-                let qavg = engine.query(signal, t0, t1, Aggregate::Avg).unwrap();
-                assert!((qavg - sum / (t1 - t0) as f64).abs() < 1e-9 * (1.0 + qavg.abs()));
+                let avg = sum / (t1 - t0) as f64;
+                assert!((agg.avg - avg).abs() < 1e-9 * (1.0 + avg.abs()));
+                // A repeat is served from the plan cache, bit for bit.
+                assert_eq!(engine.aggregate(signal, t0, t1).unwrap(), agg);
             }
         }
     }
@@ -990,15 +951,14 @@ mod tests {
         let recorder = MetricsRecorder::new();
         engine.set_obs(QueryObs::new(&recorder));
         assert_eq!(engine.plan_cache_len(), 0);
-        // Every aggregate of one range shares one plan.
-        engine.query(0, 10, 200, Aggregate::Sum).unwrap();
-        engine.query(0, 10, 200, Aggregate::Avg).unwrap();
-        engine.query(0, 10, 200, Aggregate::Min).unwrap();
-        engine.query(0, 10, 200, Aggregate::Max).unwrap();
+        // Every repeat of one range shares one plan.
+        for _ in 0..4 {
+            engine.aggregate(0, 10, 200).unwrap();
+        }
         assert_eq!(engine.plan_cache_len(), 1);
         // Errors are never cached.
-        assert!(engine.query(0, 200, 10, Aggregate::Sum).is_err());
-        assert!(engine.query(9, 10, 200, Aggregate::Sum).is_err());
+        assert!(engine.aggregate(0, 200, 10).is_err());
+        assert!(engine.aggregate(9, 10, 200).is_err());
         assert_eq!(engine.plan_cache_len(), 1);
         let snap = recorder.snapshot();
         assert_eq!(snap.counter("sbr_core.query.plan_cache.hits"), Some(3));
@@ -1013,7 +973,7 @@ mod tests {
         let mut issued = 0usize;
         'outer: for t0 in 0..256usize {
             for t1 in (t0 + 1)..=256 {
-                engine.query(0, t0, t1, Aggregate::Sum).unwrap();
+                engine.aggregate(0, t0, t1).unwrap();
                 issued += 1;
                 if issued > 5000 {
                     break 'outer;

@@ -105,7 +105,7 @@ pub enum FrameKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     /// Resync generation. Starts at 0; bumped by the sensor on every
-    /// retransmit-buffer overflow or reboot. v1 frames decode as epoch 0.
+    /// retransmit-buffer overflow or reboot.
     pub epoch: u32,
     /// Whether this frame re-anchors the decoder.
     pub kind: FrameKind,

@@ -779,7 +779,7 @@ mod tests {
         frames
             .iter()
             .map(|f| {
-                let frame = codec::decode_any(&mut f.clone()).unwrap();
+                let frame = codec::decode_exact(f).unwrap();
                 decoder.decode_frame(&frame).unwrap()
             })
             .collect()
@@ -891,10 +891,7 @@ mod tests {
         // the station sees a gap at the first post-drop data frame. Feed it
         // the later resync and everything after reconstructs exactly.
         let fs = v2_stream(8, 2);
-        let parsed: Vec<Frame> = fs
-            .iter()
-            .map(|f| codec::decode_any(&mut f.clone()).unwrap())
-            .collect();
+        let parsed: Vec<Frame> = fs.iter().map(|f| codec::decode_exact(f).unwrap()).collect();
         let bs = BaseStation::new();
         let mut applied = Vec::new();
         for (i, f) in fs.iter().enumerate() {
@@ -1297,7 +1294,7 @@ mod tests {
         assert_eq!(checkpoints(), 1);
         assert_eq!(bs.raw_frames(1), fs);
         assert_eq!(bs.reconstruct_chunks(1, 0, fs.len()).unwrap(), mirror(&fs));
-        let last = codec::decode_any(&mut fs[fs.len() - 1].clone()).unwrap();
+        let last = codec::decode_exact(&fs[fs.len() - 1]).unwrap();
         assert_eq!((bs.epoch(1), bs.next_seq(1)), (last.epoch, last.tx.seq + 1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1358,7 +1355,7 @@ mod tests {
     #[test]
     fn ingest_rejects_frames_the_index_cannot_summarize() {
         let fs = frames(3);
-        let mut next = codec::decode_any(&mut fs[2].clone()).unwrap().tx;
+        let mut next = codec::decode_exact(&fs[2]).unwrap().tx;
         let mut no_intervals = next.clone();
         no_intervals.intervals.clear();
         // Same 128 values, same W, relabelled 4 signals × 32.

@@ -308,7 +308,7 @@ mod tests {
     fn frame_parses_back() {
         let mut n = node();
         let flush = drive(&mut n, 0.0).unwrap();
-        let parsed = codec::decode_any(&mut flush.frame.clone()).unwrap();
+        let parsed = codec::decode_exact(&flush.frame).unwrap();
         assert_eq!(parsed, Frame::data(0, flush.transmission));
     }
 
@@ -353,7 +353,7 @@ mod tests {
         assert_eq!(f.epoch, 1);
         assert_eq!(n.retx_overflows(), 1);
         assert_eq!(n.pending_depth(), 1);
-        let frame = codec::decode_any(&mut f.frame.clone()).unwrap();
+        let frame = codec::decode_exact(&f.frame).unwrap();
         assert_eq!(frame.kind, FrameKind::Resync);
         assert_eq!(frame.epoch, 1);
         // The queued frame is billed in value units, snapshot included.
@@ -379,7 +379,7 @@ mod tests {
         assert!(f.resync);
         assert_eq!(f.epoch, 1);
         assert_eq!(f.transmission.seq, 0, "fresh encoder restarts at 0");
-        let frame = codec::decode_any(&mut f.frame.clone()).unwrap();
+        let frame = codec::decode_exact(&f.frame).unwrap();
         assert_eq!(frame.kind, FrameKind::Resync);
         assert!(frame.snapshot.is_empty(), "reboot snapshot is empty");
         // A decoder mid-stream re-anchors on it.

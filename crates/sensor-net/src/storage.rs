@@ -1343,7 +1343,7 @@ mod tests {
         // The recovered stream decodes end to end.
         let mut d = Decoder::new();
         for f in &rec.tail_frames {
-            let parsed = codec::decode_any(&mut f.clone()).unwrap();
+            let parsed = codec::decode_exact(f).unwrap();
             d.decode_frame(&parsed).unwrap();
         }
         std::fs::remove_dir_all(&dir).unwrap();

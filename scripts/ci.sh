@@ -499,13 +499,13 @@ PYEOF
     || { echo "seeded total.sbr.encode_ns regression missing from the smoke report" >&2; exit 1; }
 
   echo "==> sbr perf diff (7 parent/candidate pairs, median ratio vs max(+10%, 2·IQR))"
-  # Guard: every *_ns row sum (1 ms floor) and every hits/misses hit rate
-  # of every parent record is gated on its median per-pair change, held
-  # to max(tolerance, 2·IQR) of the per-pair changes, and so is one
-  # synthetic total.sbr.encode_ns row per file (the sum of
-  # sbr_core.sbr.encode_ns over its records); the work and quality
-  # counters (BestMap calls, Search probes, GetBase matrix cells, fit- and
-  # probe-cache misses, bench.quality.*) fail on any per-pair increase; a
+  # Guard: every *_ns row sum (1 ms floor) of every parent record is
+  # gated on its median per-pair change, held to max(tolerance, 2·IQR) of
+  # the per-pair changes, and so is one synthetic total.sbr.encode_ns row
+  # per file (the sum of sbr_core.sbr.encode_ns over its records); the
+  # work and quality counters (BestMap calls, Search probes, GetBase
+  # matrix cells, bench.quality.*, and the misses of every cache that
+  # reports hits) fail on any per-pair increase; a
   # parent record missing from the candidate fails. The full diff report is archived
   # next to the other CI artifacts.
   cargo run -p sbr-cli --release --offline --bin sbr -- perf diff $(pair_files cand) \

@@ -17,9 +17,6 @@
 //! the station, and [`reference_aggregate`], the decode-then-scan oracle
 //! for the compressed-domain query engine.
 //!
-//! [`encode_v1`] is the one writer of the read-only v1 wire layout, for
-//! the tests whose subject is v1: its golden bytes and `decode_any`'s
-//! compatibility path.
 //! The only shared numeric kernels are the ones that define the fit:
 //! `regression::fit`/`fit_sse_with_stats` over `PrefixStats` window sums
 //! and `xcorr::dot`.
@@ -28,6 +25,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use sbr_repro::core::best_map::MAX_SHIFT_LEN_FACTOR;
 use sbr_repro::core::get_intervals::{get_intervals_with, Approximation, FitOracle};
 use sbr_repro::core::interval::LINEAR_FALLBACK_SHIFT;
 use sbr_repro::core::regression::{self, PrefixStats};
@@ -37,30 +35,6 @@ use sbr_repro::core::{
 };
 use sbr_repro::obs::Snapshot;
 use sbr_repro::sensor_net::{BaseStation, Receipt, SensorNode};
-
-/// Serialize a transmission as a v1 ("SBR1") frame: the pre-v2 layout
-/// `codec::decode_any` still reads (see the layout table in `codec.rs`).
-pub fn encode_v1(tx: &Transmission) -> bytes::Bytes {
-    let mut out = Vec::new();
-    out.extend(codec::MAGIC.to_le_bytes());
-    out.extend(tx.seq.to_le_bytes());
-    for v in [tx.n_signals, tx.samples_per_signal, tx.w] {
-        out.extend(v.to_le_bytes());
-    }
-    out.extend((tx.base_updates.len() as u32).to_le_bytes());
-    out.extend((tx.intervals.len() as u32).to_le_bytes());
-    for u in &tx.base_updates {
-        out.extend(u.slot.to_le_bytes());
-        u.values.iter().for_each(|v| out.extend(v.to_le_bytes()));
-    }
-    for r in &tx.intervals {
-        out.extend(r.start.to_le_bytes());
-        out.extend(r.shift.to_le_bytes());
-        out.extend(r.a.to_le_bytes());
-        out.extend(r.b.to_le_bytes());
-    }
-    out.into()
-}
 
 /// Algorithm 2 against one concrete dictionary `x`: the linear fall-back
 /// (when enabled, or when no base segment is admissible) followed by a
@@ -88,7 +62,7 @@ impl<'a> DirectOracle<'a> {
             y_stats: PrefixStats::new(y),
             metric: config.metric,
             allow_fallback: config.allow_linear_fallback,
-            max_shift_len: config.max_shift_len_factor * w,
+            max_shift_len: MAX_SHIFT_LEN_FACTOR * w,
             sweeps: AtomicU64::new(0),
         }
     }

@@ -2,10 +2,7 @@
 //! chunks, truncated log files, hostile inputs. The system must fail
 //! loudly and precisely — never decode garbage silently.
 
-mod common;
-
 use bytes::Bytes;
-use common::encode_v1;
 use sbr_repro::core::transmission::MAX_BATCH_VALUES;
 use sbr_repro::core::{
     codec, Decoder, Frame, FrameKind, IntervalRecord, SbrConfig, SbrEncoder, SbrError, Transmission,
@@ -34,22 +31,21 @@ fn stream(n_tx: usize) -> (Vec<sbr_repro::core::Transmission>, Vec<Bytes>) {
 
 #[test]
 fn every_single_byte_flip_in_the_header_is_caught_or_harmless() {
-    let (txs, frames) = stream(1);
-    // Flip each byte of the 32-byte v1 header (no CRC) and of the 41-byte
-    // v2 header: every flip must either fail to parse or parse to a
-    // *different* frame (never a silent identical parse).
-    for (original, header) in [(encode_v1(&txs[0]).to_vec(), 32), (frames[0].to_vec(), 41)] {
-        let baseline = codec::decode_any(&mut &original[..]).unwrap();
-        for i in 0..header.min(original.len()) {
-            let mut mutated = original.clone();
-            mutated[i] ^= 0x01;
-            match codec::decode_any(&mut &mutated[..]) {
-                Err(_) => {}
-                Ok(parsed) => assert_ne!(
-                    parsed, baseline,
-                    "{header}-byte header: flip at byte {i} produced an identical parse"
-                ),
-            }
+    let (_, frames) = stream(1);
+    // Flip each byte of the 41-byte v2 header: every flip must either
+    // fail to parse or parse to a *different* frame (never a silent
+    // identical parse).
+    let original = frames[0].to_vec();
+    let baseline = codec::decode_exact(&original).unwrap();
+    for i in 0..41 {
+        let mut mutated = original.clone();
+        mutated[i] ^= 0x01;
+        match codec::decode_exact(&mutated) {
+            Err(_) => {}
+            Ok(parsed) => assert_ne!(
+                parsed, baseline,
+                "flip at header byte {i} produced an identical parse"
+            ),
         }
     }
 }
@@ -84,7 +80,7 @@ fn every_single_bit_flip_in_a_v2_frame_is_rejected_never_silent() {
     let frames = v2_stream(3);
     let kinds: Vec<FrameKind> = frames
         .iter()
-        .map(|f| codec::decode_any(&mut f.clone()).unwrap().kind)
+        .map(|f| codec::decode_exact(f).unwrap().kind)
         .collect();
     assert!(kinds.contains(&FrameKind::Data) && kinds.contains(&FrameKind::Resync));
     // Whole-frame sweep: every bit of every byte — header, counts, payload,
@@ -92,13 +88,13 @@ fn every_single_bit_flip_in_a_v2_frame_is_rejected_never_silent() {
     // reject each mutation; a parse that somehow survives must at least be
     // visibly different, never a silent identical decode.
     for (fi, frame) in frames.iter().enumerate() {
-        let baseline = codec::decode_any(&mut frame.clone()).unwrap();
+        let baseline = codec::decode_exact(frame).unwrap();
         let raw = frame.to_vec();
         for i in 0..raw.len() {
             for bit in 0..8 {
                 let mut mutated = raw.clone();
                 mutated[i] ^= 1 << bit;
-                match codec::decode_any(&mut &mutated[..]) {
+                match codec::decode_exact(&mutated) {
                     Err(_) => {}
                     Ok(parsed) => assert_ne!(
                         parsed, baseline,
@@ -258,15 +254,18 @@ fn log_recovery_survives_any_tail_truncation() {
 
 #[test]
 fn hostile_declared_lengths_do_not_allocate() {
-    // A (v1) header claiming 2³¹ updates must be rejected before any
+    // A header claiming 2³¹ updates must be rejected before any
     // allocation (the codec checks declared sizes against the remaining
-    // buffer).
+    // buffer, ahead of the CRC).
     let mut claims_updates = Vec::new();
-    claims_updates.extend_from_slice(&codec::MAGIC.to_le_bytes());
+    claims_updates.extend_from_slice(&codec::MAGIC_V2.to_le_bytes());
+    claims_updates.push(0); // kind: data
+    claims_updates.extend_from_slice(&0u32.to_le_bytes()); // epoch
     claims_updates.extend_from_slice(&0u64.to_le_bytes()); // seq
     claims_updates.extend_from_slice(&1u32.to_le_bytes()); // n
     claims_updates.extend_from_slice(&1u32.to_le_bytes()); // m
     claims_updates.extend_from_slice(&1u32.to_le_bytes()); // w
+    claims_updates.extend_from_slice(&0u32.to_le_bytes()); // snapshot slots
     claims_updates.extend_from_slice(&0x8000_0000u32.to_le_bytes()); // updates
     claims_updates.extend_from_slice(&0u32.to_le_bytes()); // intervals
 
@@ -286,8 +285,8 @@ fn hostile_declared_lengths_do_not_allocate() {
         .into_iter()
         .chain(capped)
     {
-        let decoded = codec::decode_any(&mut frame.clone())
-            .and_then(|f| Decoder::new().decode_frame(&f).map(|_| ()));
+        let decoded =
+            codec::decode_exact(&frame).and_then(|f| Decoder::new().decode_frame(&f).map(|_| ()));
         assert!(matches!(decoded, Err(SbrError::Corrupt(_))), "{decoded:?}");
         let received = bs.receive_frame(0, frame);
         assert!(
@@ -368,7 +367,7 @@ fn seeded_chaos_with_drops_and_a_crash_ends_byte_exact_after_the_last_resync() {
                 ])
                 .unwrap()
             {
-                let parsed = codec::decode_any(&mut flush.frame.clone()).unwrap();
+                let parsed = codec::decode_exact(&flush.frame).unwrap();
                 truth.insert(
                     (flush.epoch, flush.transmission.seq),
                     mirror.decode_frame(&parsed).unwrap(),

@@ -460,7 +460,7 @@ proptest! {
     /// parse.
     #[test]
     fn codec_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
-        let _ = codec::decode_any(&mut &bytes[..]);
+        let _ = codec::decode_exact(&bytes);
     }
 
     /// Garbage *after* a valid magic still never panics. The second input
@@ -479,9 +479,9 @@ proptest! {
         words in prop::collection::vec((0u8..3, 0u64..8, any::<u64>(), -1e3f64..1e3), 64usize),
     ) {
         let mut frame = Vec::new();
-        frame.extend(0x5342_5231u32.to_le_bytes());
+        frame.extend(codec::MAGIC_V2.to_le_bytes());
         frame.extend(&body);
-        let _ = codec::decode_any(&mut &frame[..]);
+        let _ = codec::decode_exact(&frame);
 
         // Zero epoch and seq half the time: what a fresh station expects.
         let epoch = if epoch.0 { 0 } else { epoch.1 };
@@ -507,7 +507,7 @@ proptest! {
             frame.extend(word.to_le_bytes());
         }
         frame.extend(codec::crc32(&frame).to_le_bytes());
-        let _ = codec::decode_any(&mut &frame[..]);
+        let _ = codec::decode_exact(&frame);
         let station = BaseStation::new();
         let before = (station.chunk_count(1), station.next_seq(1));
         if station.receive_frame(1, frame.into()).is_err() {
@@ -677,7 +677,7 @@ proptest! {
                     .record(&[(t * 0.31).sin() * 6.0, (t * 0.17).cos() * 3.0 + (i % 3) as f64])
                     .unwrap()
                 {
-                    let parsed = codec::decode_any(&mut flush.frame.clone()).unwrap();
+                    let parsed = codec::decode_exact(&flush.frame).unwrap();
                     truth.insert(
                         (flush.epoch, flush.transmission.seq),
                         mirror.decode_frame(&parsed).unwrap(),

@@ -15,7 +15,7 @@ mod common;
 
 use common::{reference_aggregate, reference_fold, reference_series};
 use sbr_repro::core::{
-    codec, Aggregate, Frame, QueryEngine, RangeAggregate, SbrConfig, SbrEncoder, Transmission,
+    codec, Frame, QueryEngine, RangeAggregate, SbrConfig, SbrEncoder, Transmission,
 };
 use sbr_repro::sensor_net::{BaseStation, Receipt};
 
@@ -100,16 +100,9 @@ fn assert_agree_with(
         fast.avg,
         slow.avg
     );
-    // The scalar entry points share aggregate()'s plan: bit-exact.
-    for (agg, want) in [
-        (Aggregate::Sum, fast.sum),
-        (Aggregate::Avg, fast.avg),
-        (Aggregate::Min, fast.min),
-        (Aggregate::Max, fast.max),
-    ] {
-        let got = engine.query(signal, t0, t1, agg).expect("engine query");
-        assert_eq!(got.to_bits(), want.to_bits(), "{agg:?} vs aggregate()");
-    }
+    // A repeat is a plan-cache hit and answers the same bits.
+    let again = engine.aggregate(signal, t0, t1).expect("engine aggregate");
+    assert_eq!(again, fast, "repeat of [{t0}, {t1})");
 }
 
 #[test]

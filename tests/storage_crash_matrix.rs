@@ -82,7 +82,7 @@ fn mirror_truth(frames: &[Bytes]) -> HashMap<(u32, u64), Vec<Vec<f64>>> {
     let mut mirror = Decoder::new();
     let mut truth = HashMap::new();
     for f in frames {
-        let parsed = codec::decode_any(&mut f.clone()).expect("frame parses");
+        let parsed = codec::decode_exact(f).expect("frame parses");
         let chunk = mirror.decode_frame(&parsed).expect("mirror decodes");
         truth.insert((parsed.epoch, parsed.tx.seq), chunk);
     }

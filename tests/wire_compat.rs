@@ -1,16 +1,15 @@
 //! Wire-format stability: the byte layout of the codec is a compatibility
 //! contract between deployed sensors and base stations. These golden tests
 //! pin the exact bytes of known transmissions so accidental format changes
-//! fail loudly instead of corrupting fleets in the field. Nothing writes
-//! v1 any more; its bytes come from the test-side writer in `common` and
-//! pin what `decode_any` must keep reading.
+//! fail loudly instead of corrupting fleets in the field. v2 is the one
+//! format: a frame of the retired, checksum-free v1 layout is refused by
+//! every reader.
 
-mod common;
-
-use common::encode_v1;
 use sbr_repro::core::interval::IntervalRecord;
-use sbr_repro::core::transmission::{BaseUpdate, Frame, FrameKind, Transmission};
-use sbr_repro::core::{codec, SbrError};
+use sbr_repro::core::transmission::{BaseUpdate, Frame, Transmission};
+use sbr_repro::core::{codec, SbrConfig, SbrEncoder, SbrError};
+use sbr_repro::sensor_net::storage::{self, StreamWriter};
+use sbr_repro::sensor_net::BaseStation;
 
 fn golden_tx() -> Transmission {
     Transmission {
@@ -37,41 +36,6 @@ fn golden_tx() -> Transmission {
             },
         ],
     }
-}
-
-#[test]
-fn codec_bytes_are_pinned() {
-    let bytes = encode_v1(&golden_tx());
-    // Header: magic, seq, n, m, w, nu, ni.
-    let mut expect: Vec<u8> = Vec::new();
-    expect.extend(0x5342_5231u32.to_le_bytes()); // "SBR1"
-    expect.extend(7u64.to_le_bytes());
-    expect.extend(2u32.to_le_bytes());
-    expect.extend(4u32.to_le_bytes());
-    expect.extend(2u32.to_le_bytes());
-    expect.extend(1u32.to_le_bytes());
-    expect.extend(2u32.to_le_bytes());
-    // Base update.
-    expect.extend(1u64.to_le_bytes());
-    expect.extend(1.5f64.to_le_bytes());
-    expect.extend((-2.0f64).to_le_bytes());
-    // Interval records.
-    expect.extend(0u64.to_le_bytes());
-    expect.extend((-1i64).to_le_bytes());
-    expect.extend(0.5f64.to_le_bytes());
-    expect.extend(3.0f64.to_le_bytes());
-    expect.extend(4u64.to_le_bytes());
-    expect.extend(0i64.to_le_bytes());
-    expect.extend(1.0f64.to_le_bytes());
-    expect.extend(0.0f64.to_le_bytes());
-    assert_eq!(bytes.as_ref(), expect.as_slice(), "codec layout changed!");
-}
-
-#[test]
-fn codec_size_formula_is_pinned() {
-    let tx = golden_tx();
-    // 32-byte header + (8 + 8·W) per update + 32 per interval.
-    assert_eq!(encode_v1(&tx).len(), 32 + (8 + 16) + 2 * 32);
 }
 
 #[test]
@@ -138,62 +102,94 @@ fn v2_data_frames_are_pinned() {
     assert_eq!(ns, 0, "data frames carry no snapshot");
     let crc = codec::crc32(&bytes[..bytes.len() - 4]);
     assert_eq!(&bytes[bytes.len() - 4..], crc.to_le_bytes());
-    assert_eq!(codec::decode_any(&mut bytes.clone()).unwrap(), frame);
+    assert_eq!(codec::decode_exact(&bytes).unwrap(), frame);
 }
 
 #[test]
-fn decode_any_wraps_v1_frames_as_epoch_zero_data() {
-    // A station that speaks v2 must still ingest v1 fleet traffic: the
-    // compat path wraps it in the trivial envelope.
-    let v1 = encode_v1(&golden_tx());
-    let frame = codec::decode_any(&mut v1.clone()).expect("v1 via decode_any");
-    assert_eq!(frame, Frame::data(0, golden_tx()));
-    // It consumes exactly its own bytes: v1 and v2 frames parse back to back.
-    let v2 = codec::encode_v2(&Frame::resync(4, vec![0.25, -4.0], golden_tx()));
-    let mut stream = bytes::Bytes::from([&v1[..], &v2[..], &v1[..]].concat());
-    assert_eq!(codec::decode_any(&mut stream).unwrap().epoch, 0);
-    assert_eq!(codec::decode_any(&mut stream).unwrap().epoch, 4);
-    assert_eq!(codec::decode_any(&mut stream).unwrap(), frame);
-    assert_eq!(bytes::Buf::remaining(&stream), 0);
-    // Every truncation of a v1 frame is an error, never a short parse.
-    for cut in 0..v1.len() {
-        assert!(codec::decode_any(&mut &v1[..cut]).is_err(), "cut at {cut}");
+fn v1_frames_are_refused_by_every_reader() {
+    // A well-formed frame of the retired v1 layout ("SBR1": the v2 header
+    // without kind, epoch or snapshot count, and no CRC trailer), around
+    // real encoder output.
+    let v1 = |tx: &Transmission| {
+        let mut out = Vec::new();
+        out.extend(0x5342_5231u32.to_le_bytes());
+        out.extend(tx.seq.to_le_bytes());
+        for v in [tx.n_signals, tx.samples_per_signal, tx.w] {
+            out.extend(v.to_le_bytes());
+        }
+        out.extend((tx.base_updates.len() as u32).to_le_bytes());
+        out.extend((tx.intervals.len() as u32).to_le_bytes());
+        for u in &tx.base_updates {
+            out.extend(u.slot.to_le_bytes());
+            u.values.iter().for_each(|v| out.extend(v.to_le_bytes()));
+        }
+        for r in &tx.intervals {
+            out.extend(r.start.to_le_bytes());
+            out.extend(r.shift.to_le_bytes());
+            out.extend(r.a.to_le_bytes());
+            out.extend(r.b.to_le_bytes());
+        }
+        bytes::Bytes::from(out)
+    };
+    let mut enc = SbrEncoder::new(2, 64, SbrConfig::new(48, 48)).unwrap();
+    let txs: Vec<Transmission> = (0..2)
+        .map(|c| {
+            let rows: Vec<Vec<f64>> = (0..2)
+                .map(|r| {
+                    (0..64)
+                        .map(|i| ((i + c * 7 + r) as f64 * 0.3).sin())
+                        .collect()
+                })
+                .collect();
+            enc.encode(&rows).unwrap()
+        })
+        .collect();
+    fn refused<T>(r: Result<T, SbrError>) -> bool {
+        matches!(r, Err(SbrError::Corrupt(m)) if m.contains("bad magic"))
     }
-    // A v1 header with a zero n, m or w is refused.
-    for dim in 0..3 {
-        let mut tx = golden_tx();
-        *[&mut tx.n_signals, &mut tx.samples_per_signal, &mut tx.w][dim] = 0;
-        let parsed = codec::decode_any(&mut encode_v1(&tx));
-        assert!(
-            matches!(&parsed, Err(SbrError::Corrupt(e)) if e.contains("zero dimension")),
-            "zeroed dimension {dim}: {parsed:?}"
-        );
+    for tx in &txs {
+        assert!(refused(codec::decode_exact(&v1(tx))));
     }
-}
 
-#[test]
-fn old_frames_still_decode() {
-    // A frame produced by (what is defined to be) version 1 of the format,
-    // spelled out byte-for-byte. If this stops decoding, deployed logs
-    // become unreadable.
-    let mut raw: Vec<u8> = Vec::new();
-    raw.extend(0x5342_5231u32.to_le_bytes());
-    raw.extend(0u64.to_le_bytes()); // seq
-    raw.extend(1u32.to_le_bytes()); // n
-    raw.extend(2u32.to_le_bytes()); // m
-    raw.extend(1u32.to_le_bytes()); // w
-    raw.extend(0u32.to_le_bytes()); // updates
-    raw.extend(1u32.to_le_bytes()); // intervals
-    raw.extend(0u64.to_le_bytes()); // start
-    raw.extend((-1i64).to_le_bytes()); // shift
-    raw.extend(2.0f64.to_le_bytes()); // a
-    raw.extend(5.0f64.to_le_bytes()); // b
-    let frame = codec::decode_any(&mut &raw[..]).expect("v1 frame must decode");
-    assert_eq!((frame.kind, frame.epoch), (FrameKind::Data, 0));
-    let tx = frame.tx;
-    assert_eq!(tx.intervals.len(), 1);
-    assert_eq!(tx.intervals[0].b, 5.0);
-    // And it reconstructs: ŷ = 2i + 5 over 2 samples.
-    let rec = sbr_repro::core::Decoder::new().decode(&tx).unwrap();
-    assert_eq!(rec, vec![vec![5.0, 7.0]]);
+    // In memory and persisted, the station refuses the frame before any
+    // log, index or store sees it: first as a sensor's first frame, then
+    // as the successor of an accepted v2 frame.
+    let dir = std::env::temp_dir().join(format!("sbr-wire-v1-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for (station, store) in [
+        (BaseStation::new(), None),
+        (BaseStation::with_persistence(&dir), Some(&dir)),
+    ] {
+        let records = || store.map(|d| storage::scan(d, 3).unwrap().records_total);
+        assert!(refused(station.receive_frame(3, v1(&txs[0]))));
+        assert!(station.sensors().is_empty());
+        assert_eq!((station.chunk_count(3), station.next_seq(3)), (0, 0));
+        assert_eq!(records(), store.map(|_| 0));
+        station
+            .receive_frame(3, codec::encode_v2(&Frame::data(0, txs[0].clone())))
+            .expect("the v2 frame is accepted");
+        assert!(refused(station.receive_frame(3, v1(&txs[1]))));
+        assert_eq!((station.chunk_count(3), station.next_seq(3)), (1, 1));
+        assert_eq!(records(), store.map(|_| 1));
+    }
+
+    // Every `.sbr` reader exits 1 on a stream holding the frame.
+    let sbr = dir.join("v1.sbr");
+    StreamWriter::create(&sbr)
+        .unwrap()
+        .append(&v1(&txs[0]))
+        .unwrap();
+    let (input, output) = (sbr.display(), dir.join("out.csv"));
+    for argv in [
+        format!("decompress --input {input} --output {}", output.display()),
+        format!("info --input {input}"),
+        format!("aggregate --input {input} --signal 0 --from 0 --to 8"),
+    ] {
+        let argv: Vec<String> = argv.split_whitespace().map(String::from).collect();
+        let err = sbr_cli::run(&sbr_cli::args::parse(&argv).unwrap()).unwrap_err();
+        assert_eq!(err.exit_code(), 1, "{argv:?}: {err}");
+        assert!(err.message().contains("bad magic"), "{argv:?}: {err}");
+    }
+    assert!(!output.exists(), "decompress wrote nothing");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
