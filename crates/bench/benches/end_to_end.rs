@@ -61,12 +61,7 @@ fn bench_codec_and_decode(c: &mut Criterion) {
         b.iter(|| codec::encode_v2(black_box(&data)).len())
     });
     g.bench_function("codec_decode", |b| {
-        b.iter(|| {
-            codec::decode_v2(&mut black_box(frame.clone()))
-                .unwrap()
-                .tx
-                .seq
-        })
+        b.iter(|| codec::decode_exact(black_box(&frame)).unwrap().tx.seq)
     });
     g.bench_function("decoder_reconstruct", |b| {
         b.iter(|| {
@@ -81,10 +76,9 @@ fn bench_obs_overhead(c: &mut Criterion) {
     // The sbr-obs contract: with no recorder attached every handle is one
     // branch and no span reads the clock, so the default (noop) encode
     // must sit within noise of the pre-instrumentation pipeline. Compare
-    // the four operating points side by side — noop, live metrics, live
-    // metrics + discarding trace sink, live metrics + frame-lifecycle
-    // timeline — on an identical workload.
-    use sbr_obs::{MetricsRecorder, Timeline, DEFAULT_TIMELINE_CAPACITY};
+    // the three operating points side by side — noop, live metrics, live
+    // metrics + discarding trace sink — on an identical workload.
+    use sbr_obs::MetricsRecorder;
     use std::sync::Arc;
 
     let n = 5120usize;
@@ -111,17 +105,6 @@ fn bench_obs_overhead(c: &mut Criterion) {
                 Box::new(std::io::sink()),
             ));
             let config = SbrConfig::new(n / 10, 1024).with_recorder(rec);
-            let mut enc = SbrEncoder::new(10, n / 10, config).unwrap();
-            enc.encode(black_box(&rows)).unwrap().cost()
-        })
-    });
-    g.bench_function("live_metrics_and_timeline", |b| {
-        b.iter(|| {
-            let rec = Arc::new(MetricsRecorder::new());
-            let timeline = Timeline::with_recorder(rec.as_ref(), DEFAULT_TIMELINE_CAPACITY);
-            let config = SbrConfig::new(n / 10, 1024)
-                .with_recorder(rec)
-                .with_timeline(timeline);
             let mut enc = SbrEncoder::new(10, n / 10, config).unwrap();
             enc.encode(black_box(&rows)).unwrap().cost()
         })

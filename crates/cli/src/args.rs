@@ -194,10 +194,11 @@ header row names the signals.
 Observability: set SBR_TRACE=<path> to stream structured events from any
 subcommand into <path> (one JSON object per line); `sbr report` renders
 metrics artifacts (`sbr-bench/v4` benchmark files or `sbr-obs/v2`
-snapshots, v1 accepted) and `sbr trace` pretty-prints event logs. With a
-frame-lifecycle timeline attached (`sbr simulate` under SBR_TRACE),
-`sbr trace` narrows to one frame (`--frame node:epoch:seq`), one sensor
-(`--node`) or one lifecycle step (`--kind`); `sbr perf diff` compares
+snapshots, v1 accepted) and `sbr trace` pretty-prints event logs. On the
+log of `sbr simulate` under SBR_TRACE, which holds every frame's
+lifecycle events (encoded, queued, tx, ... acked), `sbr trace` narrows
+to one frame (`--frame node:epoch:seq`), one sensor (`--node`) or one
+lifecycle step (`--kind`); `sbr perf diff` compares
 baseline/candidate pairs of benchmark artifacts and exits 1 when the
 median per-pair growth of a `*_ns` row sum (and of the synthetic
 `total.sbr.encode_ns` row, summed over each file's records) exceeds

@@ -11,10 +11,7 @@ use sbr_core::{
 };
 use sbr_obs::bench::{self, BenchRecord, BENCH_SCHEMA};
 use sbr_obs::json::{self, Value};
-use sbr_obs::{
-    EventKind, FrameId, HistogramSnapshot, MetricsRecorder, Recorder, Snapshot, Timeline,
-    DEFAULT_TIMELINE_CAPACITY,
-};
+use sbr_obs::{EventKind, FrameId, HistogramSnapshot, MetricsRecorder, Recorder, Snapshot};
 use sensor_net::network::{Network, Strategy};
 use sensor_net::storage::{self, recover_stream};
 use sensor_net::{EnergyModel, FaultPlan, LossyLink, Topology};
@@ -644,11 +641,10 @@ fn simulate(
     }
     net.set_fault_plan(plan);
 
-    // A recorder (and a frame-lifecycle timeline feeding it) is built
-    // whenever someone will read it: --metrics or the SBR_TRACE
-    // environment variable. The timeline mirrors every frame event into
-    // the trace log, so `sbr trace --frame/--node/--kind` can follow one
-    // frame through the pipeline.
+    // A recorder is built whenever someone will read it: --metrics or the
+    // SBR_TRACE environment variable. Every frame-lifecycle event lands
+    // in the trace log, so `sbr trace --frame/--node/--kind` can follow
+    // one frame through the pipeline.
     let env_trace = std::env::var(sbr_obs::TRACE_ENV).is_ok_and(|v| !v.is_empty());
     let recorder: Option<Arc<MetricsRecorder>> = if metrics_out.is_some() || env_trace {
         Some(Arc::new(
@@ -659,10 +655,6 @@ fn simulate(
     };
     if let Some(rec) = &recorder {
         net.set_recorder(Arc::clone(rec) as Arc<dyn Recorder>);
-        net.set_timeline(Timeline::with_recorder(
-            rec.as_ref(),
-            DEFAULT_TIMELINE_CAPACITY,
-        ));
     }
 
     let report = net
@@ -1723,8 +1715,7 @@ mod tests {
         let snap = Snapshot::from_json(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
         assert!(snap.counter("sensor_net.recovery.acks").unwrap() > 0);
         assert!(snap.counter("sensor_net.recovery.resyncs").unwrap() > 0);
-        // The frame-lifecycle timeline fed the quantile histograms and
-        // its overflow counter reports an uncontended ring.
+        // The ARQ rounds fed the quantile histograms.
         assert!(
             snap.histogram("sensor_net.recovery.retx_depth_per_round")
                 .unwrap()
@@ -1737,7 +1728,6 @@ mod tests {
                 .count
                 > 0
         );
-        assert_eq!(snap.counter(sbr_obs::TIMELINE_DROPPED_METRIC), Some(0));
         let rep = run_argv(&format!("report --input {}", metrics.display())).unwrap();
         assert!(rep.contains("sensor_net.recovery.acks"), "{rep}");
         // Quantiles render for the network histograms.
@@ -2239,7 +2229,7 @@ mod tests {
     fn trace_lifecycle_filters_narrow_to_one_frame() {
         let dir = tempdir("tracefilter");
         let log = dir.join("t.log");
-        // The shape `NetObs::frame_event` mirrors into the trace sink.
+        // The shape `sbr_obs::frame_event` writes into the trace sink.
         std::fs::write(
             &log,
             concat!(

@@ -248,9 +248,10 @@ pub fn hot() {
 
 #[test]
 fn obs_gate_covers_timeline_shaped_uses() {
-    // The frame-lifecycle timeline hooks follow the same contract as the
-    // metric handles: `sbr_obs::Timeline` in a signature or body of
-    // `sbr-core` must go through the facade (`crate::obs::Timeline`).
+    // Frame-lifecycle hooks follow the same contract as the metric
+    // handles: an `sbr_obs` type named in a signature or body of
+    // `sbr-core` must go through the facade (`crate::obs::…`). The rule
+    // reads paths, not types, so the fixtures may name any type.
     let direct_sig = "pub fn with_timeline(t: sbr_obs::Timeline) {}\n";
     assert_eq!(
         rules_hit(&zone(), direct_sig),

@@ -24,9 +24,9 @@
 //! crc    u32   CRC-32 (IEEE) of all preceding bytes
 //! ```
 //!
-//! This is the one wire format: [`decode_v2`] reads back-to-back frames
-//! off a stream and [`decode_exact`] one frame per buffer; any other
-//! magic is [`SbrError::Corrupt`].
+//! This is the one wire format, and [`decode_exact`] is its one reader:
+//! one frame per buffer, bytes after the frame or any other magic are
+//! [`SbrError::Corrupt`].
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -253,7 +253,7 @@ fn take_f64(buf: &mut impl Buf, crc: &mut Crc32) -> f64 {
 
 /// Parse one v2 frame, consuming exactly its bytes and verifying the
 /// trailing CRC-32 before anything is returned.
-pub fn decode_v2(buf: &mut impl Buf) -> Result<Frame> {
+fn decode_v2(buf: &mut impl Buf) -> Result<Frame> {
     need(buf, 4, "magic")?;
     let mut crc = Crc32::new();
     let magic = take_u32(buf, &mut crc);
@@ -341,10 +341,8 @@ pub fn decode_v2(buf: &mut impl Buf) -> Result<Frame> {
 }
 
 /// Parse a buffer that holds exactly one frame: bytes left after the
-/// frame are [`SbrError::Corrupt`]. Every reader that receives or stores
-/// one frame per buffer (the station, the `.sbr` readers) admits frames
-/// through this; [`decode_v2`] keeps streaming semantics for back-to-back
-/// frames.
+/// frame are [`SbrError::Corrupt`]. Every reader of frames (the station,
+/// store replay, the `.sbr` readers) admits them through this.
 pub fn decode_exact(mut bytes: &[u8]) -> Result<Frame> {
     let frame = decode_v2(&mut bytes)?;
     if !bytes.is_empty() {

@@ -73,16 +73,6 @@ impl SbrConfig {
         self
     }
 
-    /// Share a frame-lifecycle timeline with the encode pipeline (builder
-    /// style), so encode-side events land in the same bounded ring as the
-    /// network layer's. Call after [`SbrConfig::with_recorder`] —
-    /// attaching a recorder rebuilds the handle bundle. Never affects the
-    /// output — only what is observed.
-    pub fn with_timeline(mut self, timeline: crate::obs::Timeline) -> Self {
-        self.obs.set_timeline(timeline);
-        self
-    }
-
     /// Set the error metric (builder style).
     pub fn with_metric(mut self, metric: ErrorMetric) -> Self {
         self.metric = metric;

@@ -43,20 +43,16 @@
 //! | `sbr_core.query.intervals_folded` | counter | precomputed moments folded whole (interval records or chunk blocks) |
 //! | `sbr_core.query.boundary_decodes` | counter | intervals a range split mid-way (partial scan) |
 //!
-//! [`EncodeObs`] also carries a frame-lifecycle [`Timeline`] (disabled by
-//! default; attach with
-//! [`SbrConfig::with_timeline`](crate::SbrConfig::with_timeline)). The
-//! encoder itself never names frames — the sensor-network layer, which
-//! knows the `(node, epoch, seq)` identity, records through this handle
-//! so encode-side events share the ring (and its
-//! `obs.timeline.dropped_events` overflow counter) with the link and
+//! The encoder never names frames. The sensor-network layer, which
+//! knows a frame's `(node, epoch, seq)` identity, writes its lifecycle
+//! events (`encoded`, `queued`, …) through [`EncodeObs::recorder`] with
+//! `sbr_obs::frame_event`, into the same trace log as the link and
 //! base-station events.
 
 use std::sync::Arc;
 
 pub use sbr_obs::{
-    Counter, EventKind, FrameId, Gauge, Histogram, MetricsRecorder, NoopRecorder, Recorder,
-    Snapshot, Span, Timeline, TimelineEvent, DEFAULT_TIMELINE_CAPACITY,
+    Counter, Gauge, Histogram, MetricsRecorder, NoopRecorder, Recorder, Snapshot, Span,
 };
 
 /// Pre-registered handles for every encode-pipeline metric.
@@ -122,9 +118,6 @@ pub struct EncodeObs {
     pub base_slots: Gauge,
     /// `K×K` benefit-matrix size of the last `GetBase` run.
     pub matrix_cells: Gauge,
-    /// Frame-lifecycle event ring (disabled unless attached with
-    /// [`SbrConfig::with_timeline`](crate::SbrConfig::with_timeline)).
-    pub timeline: Timeline,
 }
 
 impl EncodeObs {
@@ -159,16 +152,8 @@ impl EncodeObs {
             tx_fallback_intervals: r.counter("sbr_core.sbr.tx_fallback_intervals"),
             base_slots: r.gauge("sbr_core.base_signal.slots"),
             matrix_cells: r.gauge("sbr_core.get_base.matrix_cells"),
-            timeline: Timeline::noop(),
             recorder: Some(recorder),
         }
-    }
-
-    /// Share `timeline` with this bundle, so the encode side of the
-    /// pipeline records frame-lifecycle events into the same ring as
-    /// the network layer.
-    pub fn set_timeline(&mut self, timeline: Timeline) {
-        self.timeline = timeline;
     }
 
     /// Whether a live recorder is attached.

@@ -1,6 +1,6 @@
 //! Zero-dependency observability for the SBR workspace.
 //!
-//! The layer has three pieces, each usable on its own:
+//! The layer has five pieces, each usable on its own:
 //!
 //! * **Handles** ([`Counter`], [`Gauge`], [`Histogram`]) — cheap `Clone`
 //!   wrappers around shared atomics. A *disabled* handle (the default) is
@@ -9,10 +9,11 @@
 //!   Histograms bucket values log-linearly (976 buckets: values below 32
 //!   exact, then 16 linear sub-buckets per power-of-two octave), bounding
 //!   quantile estimates (p50/p90/p99) to ≤ 6.25% relative error.
-//! * **Timelines** — [`Timeline`] is a bounded ring of per-frame
-//!   lifecycle events keyed on [`FrameId`] `(node, epoch, seq)`, so any
-//!   v2 frame's full `encoded → … → acked/decoded` history is
-//!   reconstructable after a run without touching the wire format.
+//! * **Frame events** — [`frame_event`] writes one lifecycle step
+//!   ([`EventKind`]) of a v2 frame, keyed on [`FrameId`]
+//!   `(node, epoch, seq)`, to a recorder's trace log, so any frame's
+//!   `encoded → … → acked/decoded` history can be read back from the log
+//!   after a run without touching the wire format.
 //! * **Recorders** — the [`Recorder`] trait hands out handles by
 //!   fully-qualified name (convention: `crate.module.name`) and receives
 //!   structured trace events. [`MetricsRecorder`] interns handles in a
@@ -62,9 +63,7 @@ pub use handles::{
 };
 pub use recorder::{MetricsRecorder, NoopRecorder, Recorder, Span};
 pub use snapshot::{HistogramSnapshot, MetricValue, Snapshot, SNAPSHOT_SCHEMA, SNAPSHOT_SCHEMA_V1};
-pub use timeline::{
-    EventKind, FrameId, Timeline, TimelineEvent, DEFAULT_TIMELINE_CAPACITY, TIMELINE_DROPPED_METRIC,
-};
+pub use timeline::{frame_event, EventKind, FrameId};
 
 /// Environment variable naming a file to append JSON-line trace events to.
 ///

@@ -1,37 +1,24 @@
-//! Frame-lifecycle timeline: a bounded in-memory ring of timestamped
-//! per-frame events.
+//! Frame-lifecycle events: the identity of a v2 frame and the steps of
+//! its life, written to a recorder's trace log.
 //!
 //! Aggregate counters say *how many* frames were dropped or resynced;
-//! the timeline says *which* frame, *where* in the
+//! frame events say *which* frame, *where* in the
 //! node → link → base-station path, and *when*. Every v2 frame is
 //! identified by [`FrameId`] `(node, epoch, seq)` — a purely
 //! observer-side identity: nothing here touches the wire format, and the
 //! differential suites pin the stream bytes to stay identical whether a
-//! timeline is attached or not.
+//! recorder is attached or not.
 //!
-//! The ring is bounded ([`DEFAULT_TIMELINE_CAPACITY`] events by default)
-//! so a 100k-node simulation cannot grow it without limit; overflow
-//! evicts the oldest event and increments the
-//! `obs.timeline.dropped_events` counter instead of allocating.
-//!
-//! Like the metric handles, a disabled (`None`) timeline is a single
-//! branch per call — the zero-overhead contract instrumented code relies
-//! on when tracing is off.
+//! [`frame_event`] is the one writer: it emits a
+//! `sensor_net.timeline.<kind>` trace event with `frame`, `node`, `kind`
+//! and `value` fields, which `sbr trace --frame/--node/--kind` filters.
+//! The trace log is the only store; a recorder without a trace sink drops
+//! the event.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
 
-use crate::handles::Counter;
 use crate::recorder::Recorder;
-
-/// Default event capacity of a live timeline (~64k events, ≈ 3 MiB).
-pub const DEFAULT_TIMELINE_CAPACITY: usize = 65_536;
-
-/// Name of the overflow counter a recorder-backed timeline registers.
-pub const TIMELINE_DROPPED_METRIC: &str = "obs.timeline.dropped_events";
 
 /// Observer-side identity of one v2 frame: which sensor emitted it, in
 /// which ARQ epoch, at which stream sequence number. Never serialized to
@@ -84,9 +71,9 @@ impl FromStr for FrameId {
     }
 }
 
-/// One step of a frame's life. The `value` member of
-/// [`TimelineEvent`] qualifies the kinds that need a number (retransmit
-/// depth, hop index, round).
+/// One step of a frame's life. The `value` argument of [`frame_event`]
+/// qualifies the kinds that need a number (retransmit attempt, ACK RTT
+/// in rounds, rejection site).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// The SBR encoder produced the frame's transmission.
@@ -157,152 +144,28 @@ impl fmt::Display for EventKind {
     }
 }
 
-/// One timestamped lifecycle event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TimelineEvent {
-    /// Nanoseconds since the timeline was created.
-    pub ts_ns: u64,
-    /// The frame this event belongs to.
-    pub frame: FrameId,
-    /// What happened.
-    pub kind: EventKind,
-    /// Kind-specific qualifier (retx attempt, ACK RTT in rounds, hop
-    /// index); 0 when the kind carries no number.
-    pub value: u64,
-}
-
-/// Shared storage behind a live [`Timeline`].
-#[derive(Debug)]
-struct TimelineCore {
-    origin: Instant,
-    capacity: usize,
-    ring: Mutex<VecDeque<TimelineEvent>>,
-    dropped: Counter,
-}
-
-/// A bounded ring buffer of [`TimelineEvent`]s, cheap to clone and share
-/// across the network simulation. The default (`None`) form is disabled:
-/// every operation is a single branch.
-#[derive(Clone, Debug, Default)]
-pub struct Timeline(Option<Arc<TimelineCore>>);
-
-impl Timeline {
-    /// A disabled timeline; all operations are a single branch.
-    pub fn noop() -> Self {
-        Timeline(None)
-    }
-
-    /// A live timeline holding at most `capacity` events (oldest evicted
-    /// first). The overflow counter is private; prefer
-    /// [`Timeline::with_recorder`] so overflow lands in snapshots.
-    pub fn live(capacity: usize) -> Self {
-        Timeline(Some(Arc::new(TimelineCore {
-            origin: Instant::now(),
-            capacity: capacity.max(1),
-            ring: Mutex::new(VecDeque::with_capacity(capacity.clamp(1, 1024))),
-            dropped: Counter::live(),
-        })))
-    }
-
-    /// A live timeline whose overflow counter is registered with
-    /// `recorder` as [`TIMELINE_DROPPED_METRIC`], so snapshots report how
-    /// many events the ring evicted.
-    pub fn with_recorder(recorder: &dyn Recorder, capacity: usize) -> Self {
-        let dropped = recorder.counter(TIMELINE_DROPPED_METRIC);
-        Timeline(Some(Arc::new(TimelineCore {
-            origin: Instant::now(),
-            capacity: capacity.max(1),
-            ring: Mutex::new(VecDeque::with_capacity(capacity.clamp(1, 1024))),
-            dropped,
-        })))
-    }
-
-    /// Whether this handle is backed by storage.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Record an event with no qualifier.
-    #[inline]
-    pub fn record(&self, frame: FrameId, kind: EventKind) {
-        self.record_value(frame, kind, 0);
-    }
-
-    /// Record an event with a kind-specific qualifier (retx attempt, RTT
-    /// in rounds, hop index).
-    #[inline]
-    pub fn record_value(&self, frame: FrameId, kind: EventKind, value: u64) {
-        let Some(core) = &self.0 else { return };
-        let ts_ns = core.origin.elapsed().as_nanos() as u64;
-        let mut ring = core.ring.lock().unwrap_or_else(PoisonError::into_inner);
-        if ring.len() >= core.capacity {
-            ring.pop_front();
-            core.dropped.inc();
-        }
-        ring.push_back(TimelineEvent {
-            ts_ns,
-            frame,
-            kind,
-            value,
-        });
-    }
-
-    /// All buffered events, oldest first (empty when disabled).
-    pub fn events(&self) -> Vec<TimelineEvent> {
-        self.0.as_ref().map_or_else(Vec::new, |core| {
-            core.ring
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .iter()
-                .copied()
-                .collect()
-        })
-    }
-
-    /// The buffered history of one frame, oldest first.
-    pub fn frame_history(&self, frame: FrameId) -> Vec<TimelineEvent> {
-        self.0.as_ref().map_or_else(Vec::new, |core| {
-            core.ring
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .iter()
-                .filter(|e| e.frame == frame)
-                .copied()
-                .collect()
-        })
-    }
-
-    /// Number of currently buffered events.
-    pub fn len(&self) -> usize {
-        self.0.as_ref().map_or(0, |core| {
-            core.ring
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .len()
-        })
-    }
-
-    /// Whether no events are buffered (also true when disabled).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// How many events the ring has evicted to stay within capacity.
-    pub fn dropped_events(&self) -> u64 {
-        self.0.as_ref().map_or(0, |core| core.dropped.get())
-    }
-
-    /// The configured capacity (0 when disabled).
-    pub fn capacity(&self) -> usize {
-        self.0.as_ref().map_or(0, |core| core.capacity)
-    }
+/// Write one lifecycle event for `frame` to `recorder`'s trace log as
+/// `sensor_net.timeline.<kind>`, with fields `frame` (`node:epoch:seq`),
+/// `node`, `kind` and `value` (the kind's qualifier; 0 when it carries
+/// no number).
+pub fn frame_event(recorder: &dyn Recorder, frame: FrameId, kind: EventKind, value: u64) {
+    recorder.emit(
+        &format!("sensor_net.timeline.{kind}"),
+        None,
+        &[
+            ("frame", &frame.to_string()),
+            ("node", &frame.node.to_string()),
+            ("kind", kind.as_str()),
+            ("value", &value.to_string()),
+        ],
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MetricsRecorder;
+    use crate::{json, MetricsRecorder};
+    use std::sync::{Arc, Mutex};
 
     fn fid(node: u32, epoch: u32, seq: u64) -> FrameId {
         FrameId::new(node, epoch, seq)
@@ -330,69 +193,31 @@ mod tests {
     }
 
     #[test]
-    fn records_and_reconstructs_frame_history() {
-        let tl = Timeline::live(128);
-        let a = fid(1, 0, 0);
-        let b = fid(2, 0, 0);
-        tl.record(a, EventKind::Encoded);
-        tl.record(b, EventKind::Encoded);
-        tl.record(a, EventKind::Tx);
-        tl.record_value(a, EventKind::Retx, 1);
-        tl.record_value(a, EventKind::Acked, 2);
-        let hist = tl.frame_history(a);
-        let kinds: Vec<_> = hist.iter().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            [
-                EventKind::Encoded,
-                EventKind::Tx,
-                EventKind::Retx,
-                EventKind::Acked
-            ]
-        );
-        assert_eq!(hist[2].value, 1);
-        assert_eq!(hist[3].value, 2);
-        // Timestamps are monotone within the buffer.
-        let all = tl.events();
-        assert!(all.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
-        assert_eq!(tl.len(), 5);
-        assert_eq!(tl.dropped_events(), 0);
+    fn frame_event_writes_one_trace_line() {
+        let buf = Arc::new(Mutex::new(Vec::new()));
+        let rec = MetricsRecorder::with_trace_writer(Box::new(SharedBuf(Arc::clone(&buf))));
+        frame_event(&rec, fid(3, 1, 42), EventKind::Retx, 2);
+        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        let v = json::parse(text.trim()).unwrap();
+        let field = |k: &str| v.get(k).and_then(json::Value::as_str).map(str::to_owned);
+        assert_eq!(field("name").as_deref(), Some("sensor_net.timeline.retx"));
+        assert_eq!(field("frame").as_deref(), Some("3:1:42"));
+        assert_eq!(field("node").as_deref(), Some("3"));
+        assert_eq!(field("kind").as_deref(), Some("retx"));
+        assert_eq!(field("value").as_deref(), Some("2"));
+        assert!(v.get("dur_ns").is_none());
     }
 
-    #[test]
-    fn ring_caps_memory_and_counts_overflow() {
-        let rec = MetricsRecorder::new();
-        let tl = Timeline::with_recorder(&rec, 8);
-        for seq in 0..20u64 {
-            tl.record(fid(1, 0, seq), EventKind::Tx);
+    /// A trace sink the test can read back.
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+    impl std::io::Write for SharedBuf {
+        fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(data);
+            Ok(data.len())
         }
-        assert_eq!(tl.len(), 8);
-        assert_eq!(tl.dropped_events(), 12);
-        // Oldest events were evicted; the ring holds the newest 8.
-        let first = tl.events()[0];
-        assert_eq!(first.frame.seq, 12);
-        // The overflow counter is a registered metric.
-        assert_eq!(rec.snapshot().counter(TIMELINE_DROPPED_METRIC), Some(12));
-    }
-
-    #[test]
-    fn disabled_timeline_is_inert() {
-        let tl = Timeline::noop();
-        tl.record(fid(1, 0, 0), EventKind::Tx);
-        assert!(!tl.is_enabled());
-        assert!(tl.is_empty());
-        assert_eq!(tl.events(), []);
-        assert_eq!(tl.dropped_events(), 0);
-        assert_eq!(tl.capacity(), 0);
-    }
-
-    #[test]
-    fn clones_share_the_ring() {
-        let tl = Timeline::live(16);
-        let tl2 = tl.clone();
-        tl.record(fid(1, 0, 0), EventKind::Tx);
-        tl2.record(fid(1, 0, 0), EventKind::Acked);
-        assert_eq!(tl.len(), 2);
-        assert_eq!(tl2.frame_history(fid(1, 0, 0)).len(), 2);
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
     }
 }

@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use sbr_core::{codec, ErrorMetric, SbrConfig, SbrError};
-use sbr_obs::{Counter, EventKind, FrameId, Gauge, Histogram, Recorder, Timeline};
+use sbr_obs::{Counter, EventKind, FrameId, Gauge, Histogram, Recorder};
 
 use crate::base_station::{BaseStation, Receipt};
 use crate::energy::{EnergyLedger, EnergyModel};
@@ -48,12 +48,13 @@ use crate::NodeId;
 /// | `sensor_net.recovery.ack_rtt_rounds` | histogram | ARQ rounds between a frame's first tx and its ACK |
 /// | `sensor_net.station.decode_batch_ns` | histogram | station time decoding one round's arrivals |
 ///
-/// With a [`Timeline`] attached ([`Network::set_timeline`]), every v2
-/// frame additionally gets per-frame lifecycle events (`encoded`,
-/// `queued`, `tx`, `retx`, `dropped`, `dup`, `corrupt`, `acked`,
-/// `decoded`, `persisted`, `resynced`), mirrored into the recorder's
-/// trace sink as `sensor_net.timeline.<kind>` events so `sbr trace` can
-/// filter them by frame, node or kind.
+/// With a recorder attached, every v2 frame also gets per-frame
+/// lifecycle events (`encoded`, `queued`, `tx`, `retx`, `dropped`, `dup`,
+/// `corrupt`, `acked`, `decoded`, `persisted`, `resynced`), written to the
+/// recorder's trace sink as `sensor_net.timeline.<kind>` events
+/// ([`sbr_obs::frame_event`]) so `sbr trace` can filter them by frame,
+/// node or kind. The sensors write `encoded` and `queued` through their
+/// encoder's recorder, which is this one.
 #[derive(Debug, Clone, Default)]
 struct NetObs {
     recorder: Option<Arc<dyn Recorder>>,
@@ -78,7 +79,6 @@ struct NetObs {
     retx_depth_hist: Histogram,
     ack_rtt_rounds: Histogram,
     decode_batch_ns: Histogram,
-    timeline: Timeline,
 }
 
 impl NetObs {
@@ -114,30 +114,15 @@ impl NetObs {
             retx_depth_hist: recorder.histogram("sensor_net.recovery.retx_depth_per_round"),
             ack_rtt_rounds: recorder.histogram("sensor_net.recovery.ack_rtt_rounds"),
             decode_batch_ns: recorder.histogram("sensor_net.station.decode_batch_ns"),
-            timeline: Timeline::noop(),
         }
     }
 
-    /// Record one lifecycle event for `frame` into the timeline, mirroring
-    /// it to the recorder's trace sink (`sensor_net.timeline.<kind>`) so
-    /// `sbr trace` filters can replay it from the log. One branch when no
-    /// timeline is attached.
-    fn frame_event(&self, node: NodeId, frame: FrameId, kind: EventKind, value: u64) {
-        if !self.timeline.is_enabled() {
-            return;
-        }
-        self.timeline.record_value(frame, kind, value);
+    /// Write one lifecycle event for `frame` to the recorder's trace sink
+    /// (`sensor_net.timeline.<kind>`) so `sbr trace` filters can replay it
+    /// from the log. One branch when no recorder is attached.
+    fn frame_event(&self, frame: FrameId, kind: EventKind, value: u64) {
         if let Some(rec) = &self.recorder {
-            rec.emit(
-                &format!("sensor_net.timeline.{kind}"),
-                None,
-                &[
-                    ("frame", &frame.to_string()),
-                    ("node", &node.to_string()),
-                    ("kind", kind.as_str()),
-                    ("value", &value.to_string()),
-                ],
-            );
+            sbr_obs::frame_event(rec.as_ref(), frame, kind, value);
         }
     }
 
@@ -182,9 +167,9 @@ impl NetObs {
 
 /// Per-sensor ARQ bookkeeping for frame-lifecycle attribution: which
 /// round each in-flight frame first flew and how many attempts it has
-/// cost, keyed by `(epoch, seq)`. Only maintained when a timeline or the
-/// ACK-RTT histogram is live (`enabled`), so untraced runs skip the map
-/// traffic entirely.
+/// cost, keyed by `(epoch, seq)`. Only maintained when a recorder is
+/// attached (`enabled`), so unobserved runs skip the map traffic
+/// entirely.
 #[derive(Debug, Default)]
 struct ArqTrace {
     enabled: bool,
@@ -366,30 +351,10 @@ impl Network {
     /// thread the recorder into each sensor's encoder so the
     /// `sbr_core.*` pipeline metrics land in the same snapshot.
     pub fn set_recorder(&mut self, recorder: Arc<dyn Recorder>) {
-        let timeline = self.obs.timeline.clone();
         self.obs = NetObs::new(recorder.clone(), self.topology.len());
-        self.obs.timeline = timeline;
         // The station records query/storage counters on the same sink.
         let station = std::mem::take(&mut self.station);
         self.station = station.with_recorder(recorder.as_ref());
-    }
-
-    /// Attach a frame-lifecycle timeline: every v2 frame's
-    /// `encoded → queued → tx/retx → … → decoded/persisted` history is
-    /// recorded into the bounded ring, and mirrored to the recorder's
-    /// trace sink when one is attached. Prefer
-    /// [`Timeline::with_recorder`] so ring overflow lands in snapshots as
-    /// `obs.timeline.dropped_events`. Never affects delivery — the
-    /// differential suites pin the station logs byte-identical with and
-    /// without a timeline.
-    pub fn set_timeline(&mut self, timeline: Timeline) {
-        self.obs.timeline = timeline;
-    }
-
-    /// The attached frame-lifecycle timeline (disabled unless
-    /// [`Network::set_timeline`] was called).
-    pub fn timeline(&self) -> &Timeline {
-        &self.obs.timeline
     }
 
     /// Persist the base station's per-sensor logs as segmented stores
@@ -417,36 +382,43 @@ impl Network {
         &self.station
     }
 
+    /// Charge one hop of `values` values sent by `sender` and addressed
+    /// to `to` (`None`: no node is addressed): draw the link outcome, then
+    /// for every attempt bill tx to the sender, rx to the addressee, and
+    /// overhearing to every other node in the sender's range (broadcast,
+    /// §3.1). Returns whether the hop delivered.
+    fn charge_hop(&mut self, sender: NodeId, to: Option<NodeId>, values: usize) -> bool {
+        let outcome = self.link.hop();
+        self.hop_attempts += u64::from(outcome.attempts);
+        self.obs.hop_attempts.add(u64::from(outcome.attempts));
+        for _ in 0..outcome.attempts {
+            self.ledgers[sender].charge_tx(&self.model, values);
+            self.obs.tx(sender, values as u64);
+            for nb in self.topology.neighbors(sender) {
+                if Some(nb) == to {
+                    self.ledgers[nb].charge_rx(&self.model, values);
+                    self.obs.rx(nb, values as u64);
+                } else {
+                    self.ledgers[nb].charge_overhear(&self.model, values);
+                }
+            }
+        }
+        outcome.delivered
+    }
+
     /// Charge the radio costs of moving `values` values from `from` to the
-    /// base: every hop's sender pays tx (once per ARQ attempt), the
-    /// addressed parent pays rx per attempt, every *other* node in the
-    /// sender's range pays the same radio cost as overhearing (broadcast,
-    /// §3.1), and the receiving parent transmits an ACK back.
-    /// Returns `false` when a hop exhausted its retransmissions and the
-    /// frame was dropped.
+    /// base, one [`Network::charge_hop`] per hop, and the stop-and-wait
+    /// ACK each receiving parent sends back. Returns `false` when a hop
+    /// exhausted its retransmissions and the frame was dropped.
     fn charge_route(&mut self, from: NodeId, values: usize) -> bool {
         let mut sender = from;
         loop {
             let parent = self.topology.parent(sender);
-            let outcome = self.link.hop();
-            self.hop_attempts += u64::from(outcome.attempts);
-            self.obs.hop_attempts.add(u64::from(outcome.attempts));
-            for _ in 0..outcome.attempts {
-                self.ledgers[sender].charge_tx(&self.model, values);
-                self.obs.tx(sender, values as u64);
-                for nb in self.topology.neighbors(sender) {
-                    if Some(nb) == parent {
-                        self.ledgers[nb].charge_rx(&self.model, values);
-                        self.obs.rx(nb, values as u64);
-                    } else {
-                        self.ledgers[nb].charge_overhear(&self.model, values);
-                    }
-                }
-            }
+            let delivered = self.charge_hop(sender, parent, values);
             let Some(parent) = parent else {
                 break; // reached only if from == 0
             };
-            if !outcome.delivered {
+            if !delivered {
                 self.batches_lost += 1;
                 self.obs.drops.inc();
                 if let Some(rec) = &self.obs.recorder {
@@ -475,9 +447,10 @@ impl Network {
     }
 
     /// Charge (and simulate) a cumulative ACK frame travelling from the
-    /// base back down to `to`, hop by hop. Returns `false` if a hop
-    /// exhausted its attempts — the sensor then keeps retransmitting and
-    /// the station answers the duplicates with the next ACK.
+    /// base back down to `to`, one [`Network::charge_hop`] per hop.
+    /// Returns `false` if a hop exhausted its attempts — the sensor then
+    /// keeps retransmitting and the station answers the duplicates with
+    /// the next ACK.
     fn charge_ack_route(&mut self, to: NodeId) -> bool {
         let mut chain = Vec::new();
         let mut child = to;
@@ -488,23 +461,8 @@ impl Network {
             }
             child = parent;
         }
-        for &(parent, child) in chain.iter().rev() {
-            let outcome = self.link.hop();
-            self.hop_attempts += u64::from(outcome.attempts);
-            self.obs.hop_attempts.add(u64::from(outcome.attempts));
-            for _ in 0..outcome.attempts {
-                self.ledgers[parent].charge_tx(&self.model, self.link.ack_values);
-                self.obs.tx(parent, self.link.ack_values as u64);
-                for nb in self.topology.neighbors(parent) {
-                    if nb == child {
-                        self.ledgers[nb].charge_rx(&self.model, self.link.ack_values);
-                        self.obs.rx(nb, self.link.ack_values as u64);
-                    } else {
-                        self.ledgers[nb].charge_overhear(&self.model, self.link.ack_values);
-                    }
-                }
-            }
-            if !outcome.delivered {
+        for (parent, child) in chain.into_iter().rev() {
+            if !self.charge_hop(parent, Some(child), self.link.ack_values) {
                 return false;
             }
         }
@@ -526,8 +484,8 @@ impl Network {
         // garbled identity it now claims) when the station rejects it.
         let id = self
             .obs
-            .timeline
-            .is_enabled()
+            .recorder
+            .is_some()
             .then(|| codec::peek_v2_identity(&frame))
             .flatten()
             .map(|(_, epoch, seq)| FrameId::new(node as u32, epoch, seq));
@@ -535,8 +493,8 @@ impl Network {
             Ok(Receipt::Accepted) => {
                 stats.frames_delivered += 1;
                 if let Some(id) = id {
-                    self.obs.frame_event(node, id, EventKind::Decoded, 0);
-                    self.obs.frame_event(node, id, EventKind::Persisted, 0);
+                    self.obs.frame_event(id, EventKind::Decoded, 0);
+                    self.obs.frame_event(id, EventKind::Persisted, 0);
                 }
             }
             Ok(Receipt::Resynced) => {
@@ -544,16 +502,16 @@ impl Network {
                 stats.resyncs += 1;
                 self.obs.recovery_resyncs.inc();
                 if let Some(id) = id {
-                    self.obs.frame_event(node, id, EventKind::Decoded, 0);
-                    self.obs.frame_event(node, id, EventKind::Resynced, 0);
-                    self.obs.frame_event(node, id, EventKind::Persisted, 0);
+                    self.obs.frame_event(id, EventKind::Decoded, 0);
+                    self.obs.frame_event(id, EventKind::Resynced, 0);
+                    self.obs.frame_event(id, EventKind::Persisted, 0);
                 }
             }
             Ok(Receipt::Duplicate) => {
                 stats.duplicates_discarded += 1;
                 self.obs.recovery_duplicates.inc();
                 if let Some(id) = id {
-                    self.obs.frame_event(node, id, EventKind::Dup, 0);
+                    self.obs.frame_event(id, EventKind::Dup, 0);
                 }
             }
             Err(SbrError::Gap { .. }) => {
@@ -562,14 +520,14 @@ impl Network {
                 // `dropped` with value 1: rejected at the station for a
                 // missing predecessor (value 0 = dropped on the link).
                 if let Some(id) = id {
-                    self.obs.frame_event(node, id, EventKind::Dropped, 1);
+                    self.obs.frame_event(id, EventKind::Dropped, 1);
                 }
             }
             Err(SbrError::Corrupt(_)) => {
                 stats.corrupt_rejected += 1;
                 self.obs.recovery_corrupt.inc();
                 if let Some(id) = id {
-                    self.obs.frame_event(node, id, EventKind::Corrupt, 0);
+                    self.obs.frame_event(id, EventKind::Corrupt, 0);
                 }
             }
             Err(e) => return Err(e),
@@ -602,14 +560,13 @@ impl Network {
                 *attempts += 1;
                 if *attempts == 1 {
                     trace.first_round.insert((epoch, seq), trace.round);
-                    self.obs.frame_event(node, id, EventKind::Tx, 0);
+                    self.obs.frame_event(id, EventKind::Tx, 0);
                 } else {
-                    self.obs
-                        .frame_event(node, id, EventKind::Retx, *attempts - 1);
+                    self.obs.frame_event(id, EventKind::Retx, *attempts - 1);
                 }
             }
             if !self.charge_route(node, cost) {
-                self.obs.frame_event(node, id, EventKind::Dropped, 0);
+                self.obs.frame_event(id, EventKind::Dropped, 0);
                 continue; // a hop gave up; the frame stays pending
             }
             let arrivals = plan.channel(&bytes);
@@ -646,7 +603,6 @@ impl Network {
                     let rtt = trace.round - first;
                     self.obs.ack_rtt_rounds.record(rtt);
                     self.obs.frame_event(
-                        node,
                         FrameId::new(node as u32, key.0, key.1),
                         EventKind::Acked,
                         rtt,
@@ -765,13 +721,10 @@ impl Network {
                 // Thread the network's recorder into every sensor's encoder
                 // so pipeline metrics land in the same snapshot. Never
                 // changes what is encoded — only what is measured.
-                let mut config = match &self.obs.recorder {
+                let config = match &self.obs.recorder {
                     Some(rec) => config.clone().with_recorder(rec.clone()),
                     None => config.clone(),
                 };
-                if self.obs.timeline.is_enabled() {
-                    config = config.with_timeline(self.obs.timeline.clone());
-                }
                 // No plan installed = the identity channel (same seed-free
                 // determinism as no chaos at all).
                 let mut plan = self.fault_plan.take().unwrap_or_else(|| FaultPlan::new(0));
@@ -782,8 +735,7 @@ impl Network {
                 // Rounds of pure retransmission allowed after the feed ends
                 // before the run declares whatever is left undeliverable.
                 const DRAIN_ROUNDS: usize = 64;
-                let tracing =
-                    self.obs.timeline.is_enabled() || self.obs.ack_rtt_rounds.is_enabled();
+                let tracing = self.obs.recorder.is_some();
                 for (i, feed) in feeds.iter().enumerate() {
                     let node = i + 1;
                     let mut sensor =
@@ -1249,18 +1201,60 @@ mod tests {
         assert!(r.total_energy() > c.total_energy(), "chaos costs energy");
     }
 
+    /// A trace sink the tests read back after a run.
+    #[derive(Clone, Default)]
+    struct TraceBuf(Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl std::io::Write for TraceBuf {
+        fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(data);
+            Ok(data.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl TraceBuf {
+        /// A recorder writing its trace lines into this buffer.
+        fn recorder(&self) -> Arc<sbr_obs::MetricsRecorder> {
+            Arc::new(sbr_obs::MetricsRecorder::with_trace_writer(Box::new(
+                self.clone(),
+            )))
+        }
+
+        /// Every `sensor_net.timeline.*` event in log order, parsed back
+        /// from its `frame`, `kind` and `value` fields.
+        fn frame_events(&self) -> Vec<(FrameId, EventKind, u64)> {
+            let text = String::from_utf8(self.0.lock().unwrap().clone()).unwrap();
+            text.lines()
+                .map(|line| sbr_obs::json::parse(line).unwrap())
+                .filter(|v| {
+                    v.get("name")
+                        .and_then(|n| n.as_str())
+                        .is_some_and(|n| n.starts_with("sensor_net.timeline."))
+                })
+                .map(|v| {
+                    let field = |k: &str| v.get(k).and_then(|f| f.as_str()).unwrap().to_owned();
+                    (
+                        field("frame").parse().unwrap(),
+                        EventKind::parse(&field("kind")).unwrap(),
+                        field("value").parse().unwrap(),
+                    )
+                })
+                .collect()
+        }
+    }
+
     #[test]
     fn timeline_under_chaos_is_consistent_with_recovery_stats() {
-        use sbr_obs::MetricsRecorder;
         use std::collections::BTreeMap;
         let data = feeds(2, 2, 512);
         let cfg = SbrConfig::new(48, 32);
-        let rec = Arc::new(MetricsRecorder::new());
+        let trace = TraceBuf::default();
+        let rec = trace.recorder();
         let mut net = network(3);
         net.set_recorder(rec.clone());
-        // Capacity far above the event volume: nothing may be evicted, or
-        // the per-frame assertions below would see partial histories.
-        net.set_timeline(Timeline::with_recorder(rec.as_ref(), 1 << 20));
         net.set_fault_plan(
             FaultPlan::new(42)
                 .with_drop(0.3)
@@ -1275,15 +1269,15 @@ mod tests {
             stats.duplicates_discarded > 0 && stats.resyncs > 0,
             "{stats:?}"
         );
-        let events = net.timeline().events();
-        assert_eq!(net.timeline().dropped_events(), 0, "ring must not wrap");
-        let mut by_frame: BTreeMap<FrameId, Vec<&sbr_obs::TimelineEvent>> = BTreeMap::new();
-        for e in &events {
-            by_frame.entry(e.frame).or_default().push(e);
+        let events = trace.frame_events();
+        let mut by_frame: BTreeMap<FrameId, Vec<(EventKind, u64)>> = BTreeMap::new();
+        for &(frame, kind, value) in &events {
+            by_frame.entry(frame).or_default().push((kind, value));
         }
-        // Aggregate consistency: timeline totals equal the RecoveryStats
-        // the run reported.
-        let count = |k: EventKind| events.iter().filter(|e| e.kind == k).count() as u64;
+        // Aggregate consistency: trace totals equal the RecoveryStats the
+        // run reported.
+        let count = |k: EventKind| events.iter().filter(|e| e.1 == k).count() as u64;
+        assert_eq!(count(EventKind::Encoded), stats.chunks_flushed as u64);
         assert_eq!(count(EventKind::Dup), stats.duplicates_discarded);
         assert_eq!(count(EventKind::Resynced), stats.resyncs);
         // A bit flip can land in the 17 header bytes the identity peek
@@ -1306,16 +1300,15 @@ mod tests {
         // preceded by its trigger (the resync frame's own `encoded`).
         let mut decoded_frames = 0;
         for (frame, hist) in &by_frame {
-            let pos = |k: EventKind| hist.iter().position(|e| e.kind == k);
+            let pos = |k: EventKind| hist.iter().position(|e| e.0 == k);
             if let Some(d) = pos(EventKind::Decoded) {
                 decoded_frames += 1;
                 let t = pos(EventKind::Tx)
                     .unwrap_or_else(|| panic!("{frame} decoded without tx: {hist:?}"));
                 assert!(t < d, "{frame}: decoded before tx: {hist:?}");
-                assert!(
-                    pos(EventKind::Encoded).unwrap() < t,
-                    "{frame}: tx before encoded"
-                );
+                let enc = pos(EventKind::Encoded)
+                    .unwrap_or_else(|| panic!("{frame} decoded without encoded: {hist:?}"));
+                assert!(enc < t, "{frame}: tx before encoded: {hist:?}");
             }
             if let Some(rs) = pos(EventKind::Resynced) {
                 let enc = pos(EventKind::Encoded)
@@ -1343,12 +1336,10 @@ mod tests {
                 .count
                 > 0
         );
-        assert_eq!(snap.counter(sbr_obs::TIMELINE_DROPPED_METRIC), Some(0));
     }
 
     #[test]
     fn timeline_active_changes_no_bytes() {
-        use sbr_obs::MetricsRecorder;
         let data = feeds(2, 2, 512);
         let cfg = SbrConfig::new(48, 32);
         let chaos = || {
@@ -1363,10 +1354,9 @@ mod tests {
         let p = plain
             .simulate(&data, 64, &Strategy::Sbr(cfg.clone()))
             .unwrap();
-        let rec = Arc::new(MetricsRecorder::new());
+        let trace = TraceBuf::default();
         let mut traced = network(3);
-        traced.set_recorder(rec.clone());
-        traced.set_timeline(Timeline::with_recorder(rec.as_ref(), 1 << 20));
+        traced.set_recorder(trace.recorder());
         traced.set_fault_plan(chaos());
         let t = traced.simulate(&data, 64, &Strategy::Sbr(cfg)).unwrap();
         // Observation is free of observable effect: identical station
@@ -1380,7 +1370,10 @@ mod tests {
         }
         assert_eq!(p.recovery, t.recovery);
         assert!((p.sse - t.sse).abs() < 1e-12);
-        assert!(!traced.timeline().is_empty(), "tracing actually happened");
+        assert!(
+            !trace.frame_events().is_empty(),
+            "tracing actually happened"
+        );
     }
 
     #[test]

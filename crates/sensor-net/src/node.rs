@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 
 use sbr_core::codec;
 use sbr_core::{Frame, SbrConfig, SbrEncoder, SbrError, Transmission};
-use sbr_obs::{EventKind, FrameId};
+use sbr_obs::{frame_event, EventKind, FrameId};
 
 use crate::NodeId;
 
@@ -230,21 +230,25 @@ impl SensorNode {
             (codec::encode_v2(&wire), wire.cost())
         };
         self.needs_resync = false;
-        // Lifecycle attribution: the encoder's timeline (shared with the
-        // network's when one is attached) learns the frame exists. A
-        // resync frame's `encoded` event is the trigger preceding the
-        // station's eventual `resynced` verdict.
-        let timeline = &self.encoder.config().obs.timeline;
-        let frame_id = FrameId::new(self.id as u32, self.epoch, tx.seq);
-        timeline.record(frame_id, EventKind::Encoded);
-        if self.retx_capacity.is_some() {
+        let queued = self.retx_capacity.is_some();
+        if queued {
             self.retx.push_back(PendingFrame {
                 epoch: self.epoch,
                 seq: tx.seq,
                 bytes: frame.clone(),
                 cost,
             });
-            timeline.record(frame_id, EventKind::Queued);
+        }
+        // Lifecycle attribution: the encoder's recorder (the network's,
+        // when one is attached) learns the frame exists. A resync frame's
+        // `encoded` event is the trigger preceding the station's eventual
+        // `resynced` verdict.
+        if let Some(rec) = self.encoder.config().obs.recorder() {
+            let id = FrameId::new(self.id as u32, self.epoch, tx.seq);
+            frame_event(rec.as_ref(), id, EventKind::Encoded, 0);
+            if queued {
+                frame_event(rec.as_ref(), id, EventKind::Queued, 0);
+            }
         }
         Ok(Some(Flush {
             transmission: tx,

@@ -23,7 +23,7 @@ fn ten_transmission_stream_roundtrips_within_budget() {
 
         // Through the wire format.
         let frame = codec::encode_v2(&Frame::data(0, tx.clone()));
-        let parsed = codec::decode_v2(&mut frame.clone()).unwrap().tx;
+        let parsed = codec::decode_exact(&frame).unwrap().tx;
         assert_eq!(parsed, tx);
 
         let rec = dec.decode(&parsed).unwrap();
@@ -167,7 +167,7 @@ fn max_abs_bound_survives_the_full_pipeline() {
         let bound = enc.last_stats().unwrap().total_err;
         let frame = codec::encode_v2(&Frame::data(0, tx));
         let rec = dec
-            .decode(&codec::decode_v2(&mut frame.clone()).unwrap().tx)
+            .decode(&codec::decode_exact(&frame).unwrap().tx)
             .unwrap();
         for (o, r) in rows.iter().zip(&rec) {
             let worst = ErrorMetric::MaxAbs.score(o, r);

@@ -228,7 +228,7 @@ proptest! {
         let frame = Frame::data(0, tx);
         let bytes = codec::encode_v2(&frame);
         prop_assert_eq!(bytes.len(), codec::encoded_len_v2(&frame));
-        let back = codec::decode_v2(&mut bytes.clone()).unwrap();
+        let back = codec::decode_exact(&bytes).unwrap();
         prop_assert_eq!(back, frame);
     }
 

@@ -87,7 +87,7 @@ fn v2_bytes_are_pinned() {
     assert_eq!(bytes.len(), 41 + 16 + (8 + 16) + 2 * 32 + 4);
     assert_eq!(bytes.len(), codec::encoded_len_v2(&frame));
     // And it round-trips.
-    assert_eq!(codec::decode_v2(&mut bytes.clone()).unwrap(), frame);
+    assert_eq!(codec::decode_exact(&bytes).unwrap(), frame);
 }
 
 #[test]
